@@ -2,15 +2,29 @@
 
 ``volume_double_integral`` integrates 2*pi times the distance to the axis
 over the region; it works for any region and any exterior axis.  The
-classical routes are provided both as cross-checks and as the fast paths
-they are:
+distance is linear in (x, y), so its inner integral over each
+cross-section is closed-form (a*Sx + b*Sy + c*A of the section, see
+``quadrature.moment_sections``) and one adaptive 1D pass per piece remains.
+The classical routes are provided both as cross-checks and as the fast
+paths they are:
 
 * shell:  integral of 2*pi*|x - x0| * (upper - lower) dx   (vertical axis)
 * disk:   integral of pi * ((right - x0)^2 - (left - x0)^2) dy, signed by
           which side of the axis the region lies on
-* polar:  the double integral in polar coordinates with Jacobian rho
-* pappus: 2*pi * distance(centroid, axis) * area, exact for polygons
+* polar:  the double integral in polar coordinates with Jacobian rho,
+          iterated 2D quadrature (``integrate_region``)
+* pappus: 2*pi * distance(centroid, axis) * area, from the area and first
+          moments; exact for polygons (shoelace), else one vector-valued 1D
+          pass over the closed-form sections, cached per (region, tolerance)
+          and shared with ``area`` and ``centroid``
 * monte_carlo: uniform rejection sampling over the bounding box
+
+Not all of them are independent checks of one another.  On a normal_x
+region about a vertical axis, double_integral and shell integrate the same
+1D integrand (the shell's height times its radius), so they agree by
+construction; pappus uses the same sections.  Polar (iterated, with its own
+inner rule), disk (a quadratic integrand) and Monte Carlo are independent
+of the sections.
 
 Every method refuses an axis that crosses the region interior
 (AxisIntersectsRegion); touching the boundary is fine.  Monte Carlo uses
@@ -20,6 +34,7 @@ seed, so results for a given seed are reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -28,8 +43,17 @@ import numpy as np
 
 from .errors import AxisIntersectsRegion, RevolveError, UnsupportedMethod
 from .geometry import Axis, Point, signed_distance
-from .quadrature import QuadratureResult, Tolerance, integrate_1d, integrate_region, polygon_slabs
+from .quadrature import (
+    QuadratureResult,
+    Tolerance,
+    integrate_1d,
+    integrate_region,
+    moment_sections,
+    polygon_slabs,
+    sum_results,
+)
 from .region import (
+    TWO_PI,
     NormalX,
     NormalY,
     Polygon,
@@ -58,8 +82,6 @@ __all__ = [
     "centroid",
     "compare_methods",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 METHODS = ("double_integral", "disk", "shell", "polar", "pappus", "monte_carlo")
 
@@ -111,16 +133,28 @@ def _horizontal_offset(axis: Axis) -> float | None:
 # ---------------------------------------------------------------------------
 # The double-integral route
 
+def _distance_integrand(section, axis: Axis, side: int):
+    """The inner integral of 2*pi*side*distance(axis) over the section at u:
+    the distance is linear, so it is a*Sx + b*Sy + c*A of the section."""
+
+    def integrand(u: float) -> float:
+        m1, mx, my = section(u)
+        return TWO_PI * side * (axis.a * mx + axis.b * my + axis.c * m1)
+
+    return integrand
+
+
 def volume_double_integral(region: Region, axis: Axis, tol: Tolerance | None = None) -> VolumeReport:
-    """Integral of 2*pi*distance(axis) over the region."""
+    """Integral of 2*pi*distance(axis) over the region: closed-form inner
+    integrals, one adaptive 1D pass per piece over the outer coordinate,
+    converging on the volume itself."""
     t0 = time.perf_counter()
     tol = tol or Tolerance()
     side = axis_side_check(region, axis)
-
-    def integrand(p: Point) -> float:
-        return TWO_PI * side * signed_distance(axis, p)
-
-    res = integrate_region(region, integrand, tol)
+    res = sum_results([
+        integrate_1d(_distance_integrand(section, axis, side), u0, u1, tol)
+        for u0, u1, section in moment_sections(region)
+    ])
     return VolumeReport(
         "double_integral", res.value, res.error_estimate, res.evaluations,
         time.perf_counter() - t0,
@@ -151,20 +185,12 @@ def _shell_polygon(poly: Polygon, x0: float, tol: Tolerance) -> QuadratureResult
         integrate_1d(lambda x: TWO_PI * abs(x - x0) * (hi_fn(x) - lo_fn(x)), xa, xb, tol)
         for xa, xb, lo_fn, hi_fn in polygon_slabs(poly)
     ]
-    return _sum_quads(parts)
+    return sum_results(parts)
 
 
 def _transpose_polygon(poly: Polygon) -> Polygon:
     # Swapping coordinates mirrors the plane, so reverse to stay CCW.
     return Polygon(tuple(Point(v.y, v.x) for v in reversed(poly.vertices)))
-
-
-def _sum_quads(parts: list[QuadratureResult]) -> QuadratureResult:
-    return QuadratureResult(
-        math.fsum(p.value for p in parts),
-        math.fsum(p.error_estimate for p in parts),
-        sum(p.evaluations for p in parts),
-    )
 
 
 def volume_shell(region: Region, axis: Axis, tol: Tolerance | None = None) -> VolumeReport:
@@ -190,7 +216,7 @@ def volume_shell(region: Region, axis: Axis, tol: Tolerance | None = None) -> Vo
                 "shell method needs a vertical axis with normal-x (or polygon) "
                 "parts, or a horizontal axis with normal-y (or polygon) parts"
             )
-    total = _sum_quads(quads)
+    total = sum_results(quads)
     return VolumeReport(
         "shell", total.value, total.error_estimate, total.evaluations,
         time.perf_counter() - t0,
@@ -244,7 +270,7 @@ def volume_disk(region: Region, axis: Axis, tol: Tolerance | None = None) -> Vol
                 "disk method needs a vertical axis with normal-y parts or a "
                 "horizontal axis with normal-x parts"
             )
-    total = _sum_quads(quads)
+    total = sum_results(quads)
     return VolumeReport(
         "disk", total.value, total.error_estimate, total.evaluations,
         time.perf_counter() - t0,
@@ -275,7 +301,7 @@ def volume_polar(region: Region, axis: Axis, tol: Tolerance | None = None) -> Vo
 # ---------------------------------------------------------------------------
 # Area, centroid, Pappus
 
-def _polygon_moments(poly: Polygon):
+def _polygon_moments(poly: Polygon) -> QuadratureResult:
     # Shoelace area and the closed-form centroid moments (exact, no quadrature).
     a = sx = sy = 0.0
     verts = poly.vertices
@@ -286,37 +312,35 @@ def _polygon_moments(poly: Polygon):
         a += cross
         sx += (p.x + q.x) * cross
         sy += (p.y + q.y) * cross
-    a *= 0.5
-    return (a, 0.0, 0), (sx / 6.0, 0.0, 0), (sy / 6.0, 0.0, 0)
+    return QuadratureResult((0.5 * a, sx / 6.0, sy / 6.0), (0.0, 0.0, 0.0), 0)
 
 
-def _region_moments(region: Region, tol: Tolerance):
-    """((A, errA, evals), (Sx, ...), (Sy, ...)): area and first moments.
-    Polygons are exact; unions aggregate; everything else is quadrature."""
+@functools.lru_cache(maxsize=256)
+def _region_moments(region: Region, tol: Tolerance) -> QuadratureResult:
+    """Area and first moments: value (A, Sx, Sy), per-component error
+    estimates, and the evaluations of the pass that produced them.
+
+    Polygons are exact; unions add their parts; everything else is one
+    vector-valued 1D pass per piece over the closed-form sections.  Regions
+    and tolerances are frozen and compare by value, so equal regions built
+    separately share one cache entry, and a cached result repeats the
+    count of the pass that computed it.
+    """
     if isinstance(region, Polygon):
         return _polygon_moments(region)
     if isinstance(region, UnionRegion):
-        acc = [[0.0, 0.0, 0], [0.0, 0.0, 0], [0.0, 0.0, 0]]
-        for part in region.parts:
-            for slot, (v, e, n) in zip(acc, _region_moments(part, tol)):
-                slot[0] += v
-                slot[1] += e
-                slot[2] += n
-        return tuple(tuple(slot) for slot in acc)
-    results = []
-    for f in (lambda p: 1.0, lambda p: p.x, lambda p: p.y):
-        r = integrate_region(region, f, tol)
-        results.append((r.value, r.error_estimate, r.evaluations))
-    return tuple(results)
+        return sum_results([_region_moments(part, tol) for part in region.parts])
+    return sum_results([
+        integrate_1d(section, u0, u1, tol) for u0, u1, section in moment_sections(region)
+    ])
 
 
 def area(region: Region, tol: Tolerance | None = None) -> float:
-    (a, _, _), _, _ = _region_moments(region, tol or Tolerance())
-    return a
+    return _region_moments(region, tol or Tolerance()).value[0]
 
 
 def centroid(region: Region, tol: Tolerance | None = None) -> CentroidReport:
-    (a, _, _), (sx, _, _), (sy, _, _) = _region_moments(region, tol or Tolerance())
+    a, sx, sy = _region_moments(region, tol or Tolerance()).value
     return CentroidReport(Point(sx / a, sy / a), a)
 
 
@@ -325,7 +349,9 @@ def volume_pappus(region: Region, axis: Axis, tol: Tolerance | None = None) -> V
     t0 = time.perf_counter()
     tol = tol or Tolerance()
     axis_side_check(region, axis)
-    (a, ea, na), (sx, ex, nx), (sy, ey, ny) = _region_moments(region, tol)
+    moments = _region_moments(region, tol)
+    a, sx, sy = moments.value
+    ea, ex, ey = moments.error_estimate
     cx, cy = sx / a, sy / a
     d = signed_distance(axis, Point(cx, cy))
     value = TWO_PI * abs(d) * a
@@ -334,7 +360,7 @@ def volume_pappus(region: Region, axis: Axis, tol: Tolerance | None = None) -> V
     err_cy = (ey + abs(cy) * ea) / abs(a)
     err = TWO_PI * (abs(d) * ea + abs(a) * (abs(axis.a) * err_cx + abs(axis.b) * err_cy))
     return VolumeReport(
-        "pappus", value, err, na + nx + ny, time.perf_counter() - t0
+        "pappus", value, err, moments.evaluations, time.perf_counter() - t0
     )
 
 

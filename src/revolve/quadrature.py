@@ -1,14 +1,23 @@
-"""Adaptive quadrature: 1D Gauss-Kronrod 7/15 with global bisection, and
-iterated 2D integration over regions.
+"""Adaptive quadrature: 1D Gauss-Kronrod 7/15 with global bisection,
+closed-form sections for area and first moments, and iterated 2D
+integration of general integrands over regions.
 
 The embedded pair gives each segment a local error estimate |K15 - G7|;
 the segment with the worst estimate is bisected until the summed estimate
 meets max(abs_tol, rel_tol * |integral|) or a segment reaches max_depth.
 |K15 - G7| tracks the error of the *7-point* rule, so the reported estimate
 is a deliberate overestimate of the error in the returned 15-point sum.
+A tuple-valued integrand is integrated in one pass: its components share
+the panels and the evaluations, and component k meets
+max(abs_tol, rel_tol * integral of |f_k|).
 
-2D integrals are iterated (inner integral per outer node) with the inner
+Area and first moments (A, Sx, Sy) have closed-form inner integrals on
+every region variant (``moment_sections``), so they, and any integrand
+linear in (x, y) such as the distance to an axis, need only a 1D pass over
+the outer coordinate.  ``integrate_region`` keeps the iterated route for
+general integrands: inner integral per outer node, with the inner
 tolerance tightened 10x so the outer estimate dominates the reported error.
+
 All nodes are interior, so endpoint singularities like sqrt(1-x^2) at x=1
 are never sampled directly; an integrand failure within 1e-9 of an endpoint
 is retried once with a 1e-12 relative inward nudge, and a failure in the
@@ -35,7 +44,9 @@ __all__ = [
     "QuadratureResult",
     "integrate_1d",
     "integrate_region",
+    "moment_sections",
     "polygon_slabs",
+    "sum_results",
 ]
 
 # Kronrod-15 abscissae (positive half; index 7 is the center node) and
@@ -89,45 +100,74 @@ class Tolerance:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    error_estimate: float
+    """Value and error estimate: floats, or per-component tuples for a
+    tuple-valued integrand."""
+
+    value: float | tuple[float, ...]
+    error_estimate: float | tuple[float, ...]
     evaluations: int
 
 
 _ROUNDOFF = 50.0 * 2.220446049250313e-16  # 50 * double epsilon, per QUADPACK
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7/15 application on [a, b]: (K15, error estimate).
+def _rule(half: float, samples) -> tuple[float, float, float]:
+    """Gauss-Kronrod 7/15 sums of one scalar component on a panel of
+    half-width ``half``: (K15, error estimate, K15 of |f|).
 
-    The estimate is |K15 - G7| floored at the round-off level of the
-    weighted sum, so an exactly-integrated panel still reports the
-    unavoidable floating-point uncertainty instead of zero.
+    ``samples`` is the centre value followed by the symmetric pairs in
+    abscissa order.  The estimate is |K15 - G7| floored at the round-off
+    level of the weighted sum, so an exactly-integrated panel still reports
+    the unavoidable floating-point uncertainty instead of zero.
+    """
+    fc = samples[0]
+    lows = samples[1::2]
+    highs = samples[2::2]
+    resk = _WGK_CENTER * fc
+    resabs = _WGK_CENTER * abs(fc)
+    for w, f1, f2 in zip(_WGK, lows, highs):
+        resk += w * (f1 + f2)
+        resabs += w * (abs(f1) + abs(f2))
+    # The Gauss-7 nodes are the odd-index Kronrod abscissae.
+    resg = _WG_CENTER * fc
+    for w, f1, f2 in zip(_WG, lows[1::2], highs[1::2]):
+        resg += w * (f1 + f2)
+    err = abs(half * (resk - resg))
+    return half * resk, max(err, _ROUNDOFF * abs(half) * resabs), abs(half) * resabs
+
+
+def _gk15(f, a: float, b: float):
+    """One Gauss-Kronrod 7/15 application on [a, b].
+
+    Returns (values, errors, masses, vector): per-component tuples of the
+    K15 sum, its error estimate and the K15 sum of |f| (QUADPACK's resabs),
+    and whether ``f`` returned a tuple.  A scalar ``f`` is one component.
     """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fc = f(center)
-    resk = _WGK_CENTER * fc
-    resabs = _WGK_CENTER * abs(fc)
-    resg = _WG_CENTER * fc
-    for i, x in enumerate(_XGK):
+    samples = [f(center)]
+    for x in _XGK:
         dx = half * x
-        f1 = f(center - dx)
-        f2 = f(center + dx)
-        resk += _WGK[i] * (f1 + f2)
-        resabs += _WGK[i] * (abs(f1) + abs(f2))
-        if i % 2 == 1:
-            resg += _WG[i // 2] * (f1 + f2)
-    err = abs(half * (resk - resg))
-    return half * resk, max(err, _ROUNDOFF * abs(half) * resabs)
+        samples.append(f(center - dx))
+        samples.append(f(center + dx))
+    if type(samples[0]) is not tuple:
+        v, e, m = _rule(half, samples)
+        return (v,), (e,), (m,), False
+    rules = [_rule(half, component) for component in zip(*samples)]
+    return (
+        tuple(r[0] for r in rules),
+        tuple(r[1] for r in rules),
+        tuple(r[2] for r in rules),
+        True,
+    )
 
 
 def _domain_guard(f, lo: float, hi: float, counter: list[int]):
     """Wrap an integrand: count calls, normalize failures.
 
-    DomainError (or a non-finite value) within 1e-9*(hi-lo) of either
-    endpoint is retried once, nudged 1e-12*(hi-lo) into the interval;
-    anywhere else it raises IntegrandError.
+    DomainError (or a non-finite value, in any component of a tuple) within
+    1e-9*(hi-lo) of either endpoint is retried once, nudged 1e-12*(hi-lo)
+    into the interval; anywhere else it raises IntegrandError.
     """
     span = hi - lo
     edge = _EDGE_FRACTION * span
@@ -139,9 +179,11 @@ def _domain_guard(f, lo: float, hi: float, counter: list[int]):
             y = f(x)
         except (DomainError, ValueError, ZeroDivisionError, OverflowError):
             return None
+        if type(y) is tuple:
+            return y if all(map(math.isfinite, y)) else None
         return y if math.isfinite(y) else None
 
-    def guarded(x: float) -> float:
+    def guarded(x: float):
         y = attempt(x)
         if y is not None:
             return y
@@ -156,8 +198,29 @@ def _domain_guard(f, lo: float, hi: float, counter: list[int]):
     return guarded
 
 
+def _fsum_components(values: list):
+    if values and type(values[0]) is tuple:
+        return tuple(math.fsum(component) for component in zip(*values))
+    return math.fsum(values)
+
+
+def _shown(components: tuple):
+    return components[0] if len(components) == 1 else components
+
+
 def integrate_1d(f, lo: float, hi: float, tol: Tolerance | None = None) -> QuadratureResult:
-    """Adaptive integral of ``f`` over [lo, hi] with an error estimate."""
+    """Adaptive integral of ``f`` over [lo, hi] with an error estimate.
+
+    ``f`` returns a float, or a tuple of floats for a vector integrand;
+    the result's value and error estimate have the same shape.  All
+    components share one heap of panels, one set of evaluations and one
+    error norm.  A scalar integral stops when its estimate meets
+    max(abs, rel * |integral|).  Component k of a vector integral must meet
+    max(abs, rel * M_k), where M_k is the integral of |f_k|: a component
+    that cancels to ~0 by symmetry is then held relative to its own size,
+    not to an unreachable 1e-12.  The panel bisected next is the one with
+    the largest error relative to those scales.
+    """
     tol = tol or Tolerance()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration bounds must be finite")
@@ -167,54 +230,136 @@ def integrate_1d(f, lo: float, hi: float, tol: Tolerance | None = None) -> Quadr
     counter = [0]
     wf = _domain_guard(f, lo, hi, counter)
 
-    value, err = _gk15(wf, lo, hi)
-    # heap entries: (-err, seq, a, b, value, err, depth)
-    heap = [(-err, 0, lo, hi, value, err, 0)]
+    value, err, mass, vector = _gk15(wf, lo, hi)
+    # Panels are bisected in order of error over a fixed per-component
+    # scale: 1 for a scalar integral, the first pass's M_k budget for a
+    # vector one.
+    scale = tuple(max(tol.abs, tol.rel * m) for m in mass) if vector else (1.0,)
+
+    def priority(e: tuple) -> float:
+        return max(ek / sk for ek, sk in zip(e, scale))
+
+    # heap entries: (-priority, seq, a, b, values, errors, masses, depth)
+    heap = [(-priority(err), 0, lo, hi, value, err, mass, 0)]
     seq = 1
-    total_value, total_err = value, err
+    total_value, total_err, total_mass = value, err, mass
     splits = 0
     while True:
-        budget = max(tol.abs, tol.rel * abs(total_value))
-        if total_err <= budget:
+        if vector:
+            budget = tuple(max(tol.abs, tol.rel * m) for m in total_mass)
+        else:
+            budget = (max(tol.abs, tol.rel * abs(total_value[0])),)
+        if all(e <= b for e, b in zip(total_err, budget)):
             break
-        _, _, a, b, v0, e0, depth = heapq.heappop(heap)
+        _, _, a, b, v0, e0, m0, depth = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if depth >= tol.max_depth or not a < mid < b:
             raise QuadratureNoConvergence(
-                f"error estimate {total_err!r} above tolerance {budget!r} "
+                f"error estimate {_shown(total_err)!r} above tolerance {_shown(budget)!r} "
                 f"after depth {depth} near [{a!r}, {b!r}]"
             )
-        v1, e1 = _gk15(wf, a, mid)
-        v2, e2 = _gk15(wf, mid, b)
-        total_value += (v1 + v2) - v0
-        total_err += (e1 + e2) - e0
-        heapq.heappush(heap, (-e1, seq, a, mid, v1, e1, depth + 1))
-        heapq.heappush(heap, (-e2, seq + 1, mid, b, v2, e2, depth + 1))
+        v1, e1, m1, _ = _gk15(wf, a, mid)
+        v2, e2, m2, _ = _gk15(wf, mid, b)
+        total_value = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_value, v1, v2, v0))
+        total_err = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_err, e1, e2, e0))
+        total_mass = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_mass, m1, m2, m0))
+        heapq.heappush(heap, (-priority(e1), seq, a, mid, v1, e1, m1, depth + 1))
+        heapq.heappush(heap, (-priority(e2), seq + 1, mid, b, v2, e2, m2, depth + 1))
         seq += 2
         splits += 1
         if splits > _MAX_SUBDIVISIONS:
             raise QuadratureNoConvergence(
-                f"exceeded {_MAX_SUBDIVISIONS} subdivisions with error {total_err!r}"
+                f"exceeded {_MAX_SUBDIVISIONS} subdivisions with error {_shown(total_err)!r}"
             )
 
     # Fixed reduction order (sorted by left endpoint) keeps results
     # bit-reproducible regardless of the pop history above.
     segments = sorted((item[2], item[4], item[5]) for item in heap)
-    value = math.fsum(s[1] for s in segments)
-    err = math.fsum(s[2] for s in segments)
-    return QuadratureResult(value, err, counter[0])
+    value = _fsum_components([s[1] for s in segments])
+    err = _fsum_components([s[2] for s in segments])
+    if vector:
+        return QuadratureResult(value, err, counter[0])
+    return QuadratureResult(value[0], err[0], counter[0])
 
 
 # ---------------------------------------------------------------------------
-# Iterated 2D integration
+# Results over several pieces
 
-def _combine(results: list[QuadratureResult]) -> QuadratureResult:
+def sum_results(results: list[QuadratureResult]) -> QuadratureResult:
+    """The integral over a disjoint union of pieces: values and error
+    estimates (scalar or per component) summed with fsum in the given
+    order, evaluations counted."""
     return QuadratureResult(
-        math.fsum(r.value for r in results),
-        math.fsum(r.error_estimate for r in results),
+        _fsum_components([r.value for r in results]),
+        _fsum_components([r.error_estimate for r in results]),
         sum(r.evaluations for r in results),
     )
 
+
+# ---------------------------------------------------------------------------
+# Closed-form sections: the inner integrals of 1, x and y
+
+_NO_SECTION = (0.0, 0.0, 0.0)
+
+
+def _normal_section(lower, upper, transpose: bool):
+    """Section of a normal domain at outer coordinate u, the inner variable
+    v running from lower(u) to upper(u): (v-length, u * length, integral of
+    v dv), reordered to (A, Sx, Sy) terms.  ``transpose`` marks an inner x
+    (normal_y), otherwise the inner variable is y."""
+
+    def section(u: float) -> tuple[float, float, float]:
+        lo = lower(u)
+        hi = upper(u)
+        if not hi > lo:
+            return _NO_SECTION
+        width = hi - lo
+        outer = u * width
+        inner = 0.5 * width * (hi + lo)
+        return (width, inner, outer) if transpose else (width, outer, inner)
+
+    return section
+
+
+def _polar_section(rho_min, rho_max):
+    """Section of a polar sector at angle theta, rho-Jacobian included:
+    ((R^2 - r^2)/2, (R^3 - r^3)/3 * cos theta, (R^3 - r^3)/3 * sin theta)."""
+
+    def section(theta: float) -> tuple[float, float, float]:
+        r = rho_min(theta)
+        big = rho_max(theta)
+        if not big > r:
+            return _NO_SECTION
+        first = (big - r) * (big * big + big * r + r * r) / 3.0
+        return (0.5 * (big - r) * (big + r), first * math.cos(theta), first * math.sin(theta))
+
+    return section
+
+
+def moment_sections(region: Region) -> list:
+    """Cut a region into pieces (u0, u1, section), where section(u) returns
+    the closed-form inner integrals (of 1, x and y) over the cross-section
+    at outer coordinate u: x for normal_x and polygon slabs, y for normal_y,
+    theta for polar sectors.  Integrating a section over [u0, u1] gives the
+    piece's area and first moments (A, Sx, Sy); any integrand linear in
+    (x, y) is a fixed combination of them."""
+    if isinstance(region, NormalX):
+        return [(region.x_min, region.x_max, _normal_section(region.lower, region.upper, False))]
+    if isinstance(region, NormalY):
+        return [(region.y_min, region.y_max, _normal_section(region.left, region.right, True))]
+    if isinstance(region, PolarSector):
+        return [(region.theta_min, region.theta_max,
+                 _polar_section(region.rho_min, region.rho_max))]
+    if isinstance(region, Polygon):
+        return [(xa, xb, _normal_section(lo_fn, hi_fn, False))
+                for xa, xb, lo_fn, hi_fn in polygon_slabs(region)]
+    if isinstance(region, UnionRegion):
+        return [piece for part in region.parts for piece in moment_sections(part)]
+    raise TypeError(f"not a region: {region!r}")
+
+
+# ---------------------------------------------------------------------------
+# Iterated 2D integration of general integrands
 
 def _iterated(u0, u1, lower, upper, g, tol: Tolerance) -> QuadratureResult:
     """Outer integral over u of the inner integral of g(u, v) for v between
@@ -317,7 +462,7 @@ def integrate_region(region: Region, integrand, tol: Tolerance | None = None) ->
             _iterated(xa, xb, lo_fn, hi_fn, lambda x, y: integrand(Point(x, y)), tol)
             for xa, xb, lo_fn, hi_fn in polygon_slabs(region)
         ]
-        return _combine(parts)
+        return sum_results(parts)
     if isinstance(region, UnionRegion):
-        return _combine([integrate_region(part, integrand, tol) for part in region.parts])
+        return sum_results([integrate_region(part, integrand, tol) for part in region.parts])
     raise TypeError(f"not a region: {region!r}")

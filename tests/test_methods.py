@@ -1,11 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import revolve as rv
+from revolve.config import load_job, parse_job
 from revolve.errors import AxisIntersectsRegion, UnsupportedMethod
+from revolve.methods import _region_moments
 
+from conftest import FIXTURES
 from helpers import (
     AXIS_OX,
     AXIS_OY,
@@ -53,6 +57,34 @@ class TestDoubleIntegral:
     def test_rejects_straddling_axis(self):
         with pytest.raises(AxisIntersectsRegion):
             rv.volume_double_integral(straddling_disk_x(), AXIS_OY)
+
+    def test_readme_digits(self):
+        # The library example in README.md pins every digit.
+        report = rv.volume_double_integral(sector_polar(), rv.Axis.vertical(0))
+        assert report.value == 3.2947603436203394
+
+    def test_torus_costs_about_one_shell_pass(self):
+        # The closed-form inner integral leaves one 1D pass, like the shell.
+        job = load_job(FIXTURES / "torus_circle.json")
+        shell = rv.volume_shell(job.region, job.axis, job.tolerance)
+        double = rv.volume_double_integral(job.region, job.axis, job.tolerance)
+        assert shell.evaluations == 945
+        assert double.evaluations <= 2 * shell.evaluations
+        assert abs(double.value - TORUS_VOLUME) <= 1e-7
+
+    def test_oblique_axis_on_every_variant(self):
+        # a*Sx + b*Sy + c*A against the independent polar and Monte Carlo
+        # routes, about a line that is neither vertical nor horizontal.
+        axis = rv.Axis(1.0, 1.0, 3.0)
+        for region in (sector_polar(), torus_normal_y(), unit_square_polygon()):
+            double = rv.volume_double_integral(region, axis)
+            pappus = rv.volume_pappus(region, axis)
+            slack = 10.0 * (double.error_estimate + pappus.error_estimate)
+            assert abs(double.value - pappus.value) <= max(slack, 1e-12)
+        polar = rv.volume_polar(sector_polar(), axis)
+        double = rv.volume_double_integral(sector_polar(), axis)
+        assert abs(polar.value - double.value) <= 10.0 * (
+            polar.error_estimate + double.error_estimate)
 
 
 class TestShell:
@@ -181,6 +213,77 @@ class TestAreaCentroid:
             assert x_lo <= report.centroid.x <= x_hi
             assert y_lo <= report.centroid.y <= y_hi
             assert report.area > 0.0
+
+
+class TestMomentCache:
+    @staticmethod
+    def _pappus(region):
+        r = rv.volume_pappus(region, AXIS_OY)
+        return (r.value, r.error_estimate, r.evaluations)
+
+    @pytest.mark.parametrize("make_region", [
+        torus_normal_x, sector_polar, sector_shell_union, unit_square_polygon,
+    ])
+    @pytest.mark.parametrize("name", ["area", "centroid", "pappus"])
+    def test_results_do_not_depend_on_cache_state(self, make_region, name):
+        fn = self._pappus if name == "pappus" else getattr(rv, name)
+        _region_moments.cache_clear()
+        cold = fn(make_region())
+        warm = fn(make_region())  # an equal but distinct region object
+        _region_moments.cache_clear()
+        cleared = fn(make_region())
+        assert cold == warm == cleared
+
+    def test_equal_regions_from_separate_parses_share_an_entry(self):
+        doc = json.loads((FIXTURES / "torus_circle.json").read_text())
+        _region_moments.cache_clear()
+        first = parse_job(doc)
+        second = parse_job(doc)
+        assert first.region is not second.region
+        assert first.region == second.region
+        r1 = rv.volume_pappus(first.region, first.axis, first.tolerance)
+        r2 = rv.volume_pappus(second.region, second.axis, second.tolerance)
+        info = _region_moments.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert (r1.value, r1.error_estimate, r1.evaluations) == (
+            r2.value, r2.error_estimate, r2.evaluations)
+        assert r1.evaluations > 0
+
+    def test_tolerance_is_part_of_the_key(self):
+        region = torus_normal_x()
+        loose = rv.volume_pappus(region, AXIS_OY, rv.Tolerance(rel=1e-6))
+        tight = rv.volume_pappus(region, AXIS_OY, rv.Tolerance(rel=1e-12))
+        assert loose.evaluations < tight.evaluations
+
+
+class TestNearZeroMoments:
+    # A moment that cancels to ~0 by symmetry is held to rel * integral of
+    # |x| (resp. |y|), not to the absolute floor; these used to run for
+    # tens of seconds and end in QuadratureNoConvergence.
+    def test_sector_symmetric_about_x_axis(self):
+        sector = rv.PolarSector(-math.pi / 4, math.pi / 4,
+                                rv.curve("0", "theta"), rv.curve("1000", "theta"))
+        report = rv.centroid(sector)
+        # centroid of a sector of half-angle alpha: 2 R sin(alpha) / (3 alpha)
+        alpha = math.pi / 4
+        assert report.area == pytest.approx(alpha * 1000.0**2, rel=1e-10)
+        assert report.centroid.x == pytest.approx(
+            2000.0 * math.sin(alpha) / (3.0 * alpha), rel=1e-10)
+        assert abs(report.centroid.y) <= 1e-9 * 1000.0
+        pappus = rv.volume_pappus(sector, rv.Axis.vertical(-1.0))
+        assert pappus.evaluations <= 5_000
+
+    def test_disk_centred_on_the_y_axis(self):
+        disk = rv.NormalX(-1000.0, 1000.0,
+                          rv.curve("-sqrt(1000^2-x^2)", "x"),
+                          rv.curve("sqrt(1000^2-x^2)", "x"))
+        report = rv.centroid(disk)
+        assert report.area == pytest.approx(math.pi * 1000.0**2, rel=1e-10)
+        assert abs(report.centroid.x) <= 1e-9 * 1000.0
+        assert abs(report.centroid.y) <= 1e-9 * 1000.0
+        pappus = rv.volume_pappus(disk, rv.Axis.vertical(-1000.0))
+        assert pappus.value == pytest.approx(2.0 * math.pi**2 * 1000.0**3, rel=1e-10)
+        assert pappus.evaluations <= 5_000
 
 
 class TestPappus:

@@ -5,7 +5,7 @@ import pytest
 
 import revolve as rv
 from revolve.errors import IntegrandError, QuadratureNoConvergence
-from revolve.quadrature import _domain_guard
+from revolve.quadrature import _domain_guard, moment_sections, sum_results
 
 from helpers import cone_triangle, sector_polar
 
@@ -78,6 +78,81 @@ class TestIntegrate1D:
         tight = rv.Tolerance().tightened()
         assert tight.rel == pytest.approx(1e-11)
         assert tight.abs == pytest.approx(1e-13)
+
+
+class TestVectorIntegrand:
+    def test_components_match_scalar_passes(self):
+        res = rv.integrate_1d(lambda x: (1.0, x, math.exp(x)), 0.0, 2.0)
+        assert isinstance(res.value, tuple) and len(res.value) == 3
+        assert isinstance(res.error_estimate, tuple) and len(res.error_estimate) == 3
+        expected = (2.0, 2.0, math.exp(2.0) - 1.0)
+        for got, want, err in zip(res.value, expected, res.error_estimate):
+            assert abs(got - want) <= max(10.0 * err, 1e-12)
+
+    def test_one_heap_one_count(self):
+        # All components are sampled at the same nodes and counted once;
+        # the constant component adds no panels to the sqrt one's.
+        vec = rv.integrate_1d(lambda x: (1.0, math.sqrt(x)), 0.0, 1.0)
+        alone = rv.integrate_1d(lambda x: math.sqrt(x), 0.0, 1.0)
+        assert vec.evaluations == alone.evaluations
+        assert abs(vec.value[1] - 2.0 / 3.0) <= 1e-10
+
+    def test_cancelling_component_is_held_to_its_absolute_mass(self):
+        # The second component integrates to 0 against a mass of 2e6;
+        # holding it to abs=1e-12 would never converge.
+        res = rv.integrate_1d(
+            lambda x: (1.0, 1e6 * x * math.sqrt(1.0 - x * x)), -1.0, 1.0,
+            rv.Tolerance(max_depth=30),
+        )
+        assert abs(res.value[1]) <= 1e-10 * 2e6 / 3.0 * 10.0
+        assert res.error_estimate[1] <= 1e-10 * 2e6 / 3.0 * 1.01
+
+    def test_endpoint_failure_in_one_component_is_nudged(self):
+        res = rv.integrate_1d(lambda x: (1.0, math.log(x)), 0.0, 1.0)
+        assert abs(res.value[0] - 1.0) <= 1e-12
+        assert abs(res.value[1] + 1.0) <= 1e-8
+
+    def test_interior_failure_in_one_component_raises(self):
+        with pytest.raises(IntegrandError):
+            rv.integrate_1d(lambda x: (1.0, math.sqrt(1.0 - x)), 0.0, 1.5)
+
+    def test_deterministic(self):
+        runs = {
+            repr(rv.integrate_1d(lambda x: (math.exp(-x * x), x), -2.0, 3.0))
+            for _ in range(3)
+        }
+        assert len(runs) == 1
+
+
+class TestMomentSections:
+    @pytest.mark.parametrize("region", [
+        rv.NormalX(0.5, 2.0, rv.curve("x^2-1", "x"), rv.curve("3+sin(x)", "x")),
+        rv.NormalY(-1.0, 1.0, rv.curve("y^3", "y"), rv.curve("2+y/3", "y")),
+        rv.PolarSector(0.2, 2.5, rv.curve("0.5+theta/10", "theta"),
+                       rv.curve("2+cos(theta)/2", "theta")),
+        rv.Polygon((rv.Point(0, 0), rv.Point(2, 0), rv.Point(2, 1),
+                    rv.Point(1, 1), rv.Point(1, 2), rv.Point(0, 2))),
+    ], ids=["normal_x", "normal_y", "polar", "polygon"])
+    def test_sections_integrate_to_iterated_moments(self, region):
+        # The closed-form inner integrals against the iterated 2D route.
+        pieces = moment_sections(region)
+        moments = sum_results([rv.integrate_1d(sec, u0, u1) for u0, u1, sec in pieces])
+        for k, f in enumerate((lambda p: 1.0, lambda p: p.x, lambda p: p.y)):
+            ref = rv.integrate_region(region, f)
+            slack = 10.0 * (ref.error_estimate + moments.error_estimate[k])
+            assert abs(moments.value[k] - ref.value) <= max(slack, 1e-12)
+
+    def test_degenerate_section_is_zero(self):
+        flat = rv.NormalX(0.0, 1.0, rv.curve("x", "x"), rv.curve("x", "x"))
+        [(u0, u1, section)] = moment_sections(flat)
+        assert section(0.5) == (0.0, 0.0, 0.0)
+
+    def test_union_flattens_parts(self):
+        left = rv.NormalX(0.0, 1.0, rv.curve("0", "x"), rv.curve("1", "x"))
+        ell = rv.Polygon((rv.Point(2, 0), rv.Point(4, 0), rv.Point(4, 1),
+                          rv.Point(3, 1), rv.Point(3, 2), rv.Point(2, 2)))
+        pieces = moment_sections(rv.UnionRegion((left, ell)))
+        assert [(u0, u1) for u0, u1, _ in pieces] == [(0.0, 1.0), (2.0, 3.0), (3.0, 4.0)]
 
 
 class TestDomainGuard:
