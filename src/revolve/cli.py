@@ -12,9 +12,12 @@ disagreement (compare only).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict
+
+import numpy as np
 
 from .config import JobConfig, load_job
 from .errors import ConfigError, RevolveError
@@ -29,7 +32,7 @@ from .methods import (
     volume_polar,
     volume_shell,
 )
-from .region import axis_side_check, bounding_box, contains
+from .region import axis_side_check, bounding_box, contains_mask
 from .geometry import Point, signed_distance
 
 __all__ = ["main", "run", "build_parser"]
@@ -172,14 +175,14 @@ def _cmd_check(job: JobConfig) -> int:
 
 def _cmd_sample(job: JobConfig, grid: int) -> int:
     x_lo, x_hi, y_lo, y_hi = bounding_box(job.region)
-    rows = []
-    for iy in range(grid):
-        y = y_lo + (y_hi - y_lo) * iy / (grid - 1)
-        for ix in range(grid):
-            x = x_lo + (x_hi - x_lo) * ix / (grid - 1)
-            p = Point(x, y)
-            inside = int(contains(job.region, p))
-            rows.append([x, y, inside, abs(signed_distance(job.axis, p))])
+    xs = [x_lo + (x_hi - x_lo) * ix / (grid - 1) for ix in range(grid)]
+    ys = [y_lo + (y_hi - y_lo) * iy / (grid - 1) for iy in range(grid)]
+    # One mask call over the grid, rows ordered y-major.
+    inside = contains_mask(job.region, np.tile(xs, grid), np.repeat(ys, grid))
+    rows = [
+        [x, y, int(m), abs(signed_distance(job.axis, Point(x, y)))]
+        for (y, x), m in zip(itertools.product(ys, xs), inside)
+    ]
     _print_csv(["x", "y", "inside", "distance"], rows)
     return 0
 

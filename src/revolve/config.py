@@ -36,6 +36,8 @@ __all__ = ["JobConfig", "parse_job", "load_job", "region_doc"]
 
 _REGION_VARIABLES = {"normal_x": "x", "normal_y": "y", "polar": "theta"}
 
+_CURVE_REGIONS = {"normal_x": NormalX, "normal_y": NormalY, "polar": PolarSector}
+
 _REGION_FIELDS = {
     "normal_x": ("x_min", "x_max", "lower", "upper"),
     "normal_y": ("y_min", "y_max", "left", "right"),
@@ -72,30 +74,6 @@ class JobConfig:
 
 
 def region_doc(region: Region) -> dict:
-    if isinstance(region, NormalX):
-        return {
-            "type": "normal_x",
-            "x_min": region.x_min,
-            "x_max": region.x_max,
-            "lower": region.lower.text,
-            "upper": region.upper.text,
-        }
-    if isinstance(region, NormalY):
-        return {
-            "type": "normal_y",
-            "y_min": region.y_min,
-            "y_max": region.y_max,
-            "left": region.left.text,
-            "right": region.right.text,
-        }
-    if isinstance(region, PolarSector):
-        return {
-            "type": "polar",
-            "theta_min": region.theta_min,
-            "theta_max": region.theta_max,
-            "rho_min": region.rho_min.text,
-            "rho_max": region.rho_max.text,
-        }
     if isinstance(region, Polygon):
         return {
             "type": "polygon",
@@ -103,6 +81,16 @@ def region_doc(region: Region) -> dict:
         }
     if isinstance(region, UnionRegion):
         return {"type": "union", "parts": [region_doc(p) for p in region.parts]}
+    for rtype, cls in _CURVE_REGIONS.items():
+        if type(region) is cls:
+            lo_key, hi_key, a_key, b_key = _REGION_FIELDS[rtype]
+            return {
+                "type": rtype,
+                lo_key: getattr(region, lo_key),
+                hi_key: getattr(region, hi_key),
+                a_key: getattr(region, a_key).text,
+                b_key: getattr(region, b_key).text,
+            }
     raise TypeError(f"not a region: {region!r}")
 
 
@@ -199,9 +187,8 @@ def _build_region(doc, path, issues):
     cb = _curve_field(doc.get(b_key), variable, f"{path}.{b_key}", issues)
     if None in (lo, hi, ca, cb):
         return None
-    cls = {"normal_x": NormalX, "normal_y": NormalY, "polar": PolarSector}[rtype]
     try:
-        return cls(lo, hi, ca, cb)
+        return _CURVE_REGIONS[rtype](lo, hi, ca, cb)
     except InvalidRegionError as exc:
         issues.append((path, str(exc)))
         return None

@@ -20,7 +20,6 @@ __all__ = [
     "signed_distance",
     "apply_motion",
     "apply_motion_axis",
-    "axis_to_vertical_motion",
 ]
 
 
@@ -80,11 +79,6 @@ class RigidMotion:
     angle: float
     translation: tuple[float, float]
 
-    def inverse(self) -> "RigidMotion":
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        tx, ty = self.translation
-        return RigidMotion(-self.angle, (-(c * tx + s * ty), -(-s * tx + c * ty)))
-
 
 def apply_motion(m: RigidMotion, p: Point) -> Point:
     c, s = math.cos(m.angle), math.sin(m.angle)
@@ -103,11 +97,3 @@ def apply_motion_axis(m: RigidMotion, axis: Axis) -> Axis:
     nc = axis.c - (na * m.translation[0] + nb * m.translation[1])
     return Axis(na, nb, nc)
 
-
-def axis_to_vertical_motion(axis: Axis) -> RigidMotion:
-    """A motion carrying the axis onto the line x = 0.
-
-    Points with positive signed distance land at x > 0, and signed distance
-    to the moved axis equals the x coordinate of the moved point.
-    """
-    return RigidMotion(-math.atan2(axis.b, axis.a), (axis.c, 0.0))

@@ -6,7 +6,9 @@ distance is linear in (x, y), so its inner integral over each
 cross-section is closed-form (a*Sx + b*Sy + c*A of the section, see
 ``quadrature.moment_sections``) and one adaptive 1D pass per piece remains.
 The classical routes are provided both as cross-checks and as the fast
-paths they are:
+paths they are; shell and disk, like the quadrature, read a region through
+its pieces (``region.pieces``), so a normal_y region is a normal_x one with
+its coordinates swapped:
 
 * shell:  integral of 2*pi*|x - x0| * (upper - lower) dx   (vertical axis)
 * disk:   integral of pi * ((right - x0)^2 - (left - x0)^2) dy, signed by
@@ -49,20 +51,21 @@ from .quadrature import (
     integrate_1d,
     integrate_region,
     moment_sections,
-    polygon_slabs,
     sum_results,
 )
 from .region import (
+    IDENTITY,
+    POLAR,
+    SWAP,
     TWO_PI,
-    NormalX,
-    NormalY,
+    Piece,
     Polygon,
-    PolarSector,
     Region,
     UnionRegion,
     axis_side_check,
     bounding_box,
     contains_mask,
+    pieces,
 )
 
 __all__ = [
@@ -130,6 +133,14 @@ def _horizontal_offset(axis: Axis) -> float | None:
     return None
 
 
+def _parts(region: Region) -> list[Region]:
+    """The regions a union is made of, nested unions flattened; any other
+    region is its own only part."""
+    if isinstance(region, UnionRegion):
+        return [leaf for part in region.parts for leaf in _parts(part)]
+    return [region]
+
+
 # ---------------------------------------------------------------------------
 # The double-integral route
 
@@ -171,51 +182,32 @@ def _check_one_side(lo: float, hi: float, x0: float) -> None:
         )
 
 
-def _shell_normal(span_lo, span_hi, near, far, x0, tol) -> QuadratureResult:
-    _check_one_side(span_lo, span_hi, x0)
+def _shell_piece(piece: Piece, offset: float, tol: Tolerance) -> QuadratureResult:
+    near, far = piece.near, piece.far
     return integrate_1d(
-        lambda t: TWO_PI * abs(t - x0) * (far(t) - near(t)), span_lo, span_hi, tol
+        lambda t: TWO_PI * abs(t - offset) * (far(t) - near(t)), piece.u0, piece.u1, tol
     )
 
 
-def _shell_polygon(poly: Polygon, x0: float, tol: Tolerance) -> QuadratureResult:
-    box = bounding_box(poly)
-    _check_one_side(box[0], box[1], x0)
-    parts = [
-        integrate_1d(lambda x: TWO_PI * abs(x - x0) * (hi_fn(x) - lo_fn(x)), xa, xb, tol)
-        for xa, xb, lo_fn, hi_fn in polygon_slabs(poly)
-    ]
-    return sum_results(parts)
-
-
-def _transpose_polygon(poly: Polygon) -> Polygon:
-    # Swapping coordinates mirrors the plane, so reverse to stay CCW.
-    return Polygon(tuple(Point(v.y, v.x) for v in reversed(poly.vertices)))
-
-
 def volume_shell(region: Region, axis: Axis, tol: Tolerance | None = None) -> VolumeReport:
-    """Cylindrical-shell integral.  Vertical axes pair with NormalX regions
-    (and polygons, via slab decomposition); horizontal axes with NormalY."""
+    """Cylindrical-shell integral over pieces whose outer coordinate runs
+    across the axis: x-pieces (normal_x, polygon x-slabs) about a vertical
+    axis, y-pieces (normal_y, polygon y-slabs) about a horizontal one."""
     t0 = time.perf_counter()
     tol = tol or Tolerance()
     x0 = _vertical_offset(axis)
-    y0 = _horizontal_offset(axis)
-    parts = region.parts if isinstance(region, UnionRegion) else (region,)
+    want, offset = (IDENTITY, x0) if x0 is not None else (SWAP, _horizontal_offset(axis))
     quads = []
-    for part in parts:
-        if x0 is not None and isinstance(part, NormalX):
-            quads.append(_shell_normal(part.x_min, part.x_max, part.lower, part.upper, x0, tol))
-        elif x0 is not None and isinstance(part, Polygon):
-            quads.append(_shell_polygon(part, x0, tol))
-        elif y0 is not None and isinstance(part, NormalY):
-            quads.append(_shell_normal(part.y_min, part.y_max, part.left, part.right, y0, tol))
-        elif y0 is not None and isinstance(part, Polygon):
-            quads.append(_shell_polygon(_transpose_polygon(part), y0, tol))
-        else:
+    for part in _parts(region):
+        part_pieces = pieces(part, swap=want == SWAP)
+        if offset is None or any(piece.map != want for piece in part_pieces):
             raise UnsupportedMethod(
                 "shell method needs a vertical axis with normal-x (or polygon) "
                 "parts, or a horizontal axis with normal-y (or polygon) parts"
             )
+        _check_one_side(min(piece.u0 for piece in part_pieces),
+                        max(piece.u1 for piece in part_pieces), offset)
+        quads.append(sum_results([_shell_piece(piece, offset, tol) for piece in part_pieces]))
     total = sum_results(quads)
     return VolumeReport(
         "shell", total.value, total.error_estimate, total.evaluations,
@@ -240,36 +232,36 @@ def _disk_side(near_vals, far_vals, offset: float) -> int:
     )
 
 
-def _disk_normal(span_lo, span_hi, near, far, offset, tol) -> QuadratureResult:
-    ts = np.linspace(span_lo, span_hi, 65)
+def _disk_piece(piece: Piece, offset: float, tol: Tolerance) -> QuadratureResult:
+    near, far = piece.near, piece.far
+    ts = np.linspace(piece.u0, piece.u1, 65)
     side = _disk_side(near.sample(ts), far.sample(ts), offset)
     return integrate_1d(
         lambda t: math.pi * side * ((far(t) - offset) ** 2 - (near(t) - offset) ** 2),
-        span_lo,
-        span_hi,
+        piece.u0,
+        piece.u1,
         tol,
     )
 
 
 def volume_disk(region: Region, axis: Axis, tol: Tolerance | None = None) -> VolumeReport:
-    """Washer integral.  Vertical axes pair with NormalY regions,
-    horizontal axes with NormalX."""
+    """Washer integral over normal domains whose inner coordinate runs
+    across the axis: normal_y about a vertical axis, normal_x about a
+    horizontal one.  Washers sample the boundary curves, so polygons are
+    left to the shell route."""
     t0 = time.perf_counter()
     tol = tol or Tolerance()
     x0 = _vertical_offset(axis)
-    y0 = _horizontal_offset(axis)
-    parts = region.parts if isinstance(region, UnionRegion) else (region,)
+    want, offset = (SWAP, x0) if x0 is not None else (IDENTITY, _horizontal_offset(axis))
     quads = []
-    for part in parts:
-        if x0 is not None and isinstance(part, NormalY):
-            quads.append(_disk_normal(part.y_min, part.y_max, part.left, part.right, x0, tol))
-        elif y0 is not None and isinstance(part, NormalX):
-            quads.append(_disk_normal(part.x_min, part.x_max, part.lower, part.upper, y0, tol))
-        else:
+    for part in _parts(region):
+        piece = None if isinstance(part, Polygon) else pieces(part)[0]
+        if offset is None or piece is None or piece.map != want:
             raise UnsupportedMethod(
                 "disk method needs a vertical axis with normal-y parts or a "
                 "horizontal axis with normal-x parts"
             )
+        quads.append(_disk_piece(piece, offset, tol))
     total = sum_results(quads)
     return VolumeReport(
         "disk", total.value, total.error_estimate, total.evaluations,
@@ -285,8 +277,7 @@ def volume_polar(region: Region, axis: Axis, tol: Tolerance | None = None) -> Vo
     be a polar sector (or a union of them)."""
     t0 = time.perf_counter()
     tol = tol or Tolerance()
-    parts = region.parts if isinstance(region, UnionRegion) else (region,)
-    if not all(isinstance(part, PolarSector) for part in parts):
+    if any(piece.map != POLAR for piece in pieces(region)):
         raise UnsupportedMethod("polar method needs polar-sector regions")
     side = axis_side_check(region, axis)
     res = integrate_region(

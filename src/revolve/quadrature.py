@@ -11,12 +11,14 @@ A tuple-valued integrand is integrated in one pass: its components share
 the panels and the evaluations, and component k meets
 max(abs_tol, rel_tol * integral of |f_k|).
 
-Area and first moments (A, Sx, Sy) have closed-form inner integrals on
-every region variant (``moment_sections``), so they, and any integrand
-linear in (x, y) such as the distance to an axis, need only a 1D pass over
-the outer coordinate.  ``integrate_region`` keeps the iterated route for
-general integrands: inner integral per outer node, with the inner
-tolerance tightened 10x so the outer estimate dominates the reported error.
+Both 2D routes walk the region's pieces (``region.pieces``): an outer
+interval, inner bounds, and the map of (u, v) to the plane.  Area and
+first moments (A, Sx, Sy) have closed-form inner integrals on every piece
+(``moment_sections``), so they, and any integrand linear in (x, y) such as
+the distance to an axis, need only a 1D pass over the outer coordinate.
+``integrate_region`` keeps the iterated route for general integrands:
+inner integral per outer node, with the inner tolerance tightened 10x so
+the outer estimate dominates the reported error.
 
 All nodes are interior, so endpoint singularities like sqrt(1-x^2) at x=1
 are never sampled directly; an integrand failure within 1e-9 of an endpoint
@@ -30,14 +32,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DomainError,
-    IntegrandError,
-    InvalidRegionError,
-    QuadratureNoConvergence,
-)
-from .geometry import Point
-from .region import NormalX, NormalY, Polygon, PolarSector, Region, UnionRegion
+from .errors import DomainError, IntegrandError, QuadratureNoConvergence
+from .region import POLAR, SWAP, Piece, Region, UnionRegion, pieces, plane_map
 
 __all__ = [
     "Tolerance",
@@ -45,7 +41,6 @@ __all__ = [
     "integrate_1d",
     "integrate_region",
     "moment_sections",
-    "polygon_slabs",
     "sum_results",
 ]
 
@@ -303,10 +298,10 @@ _NO_SECTION = (0.0, 0.0, 0.0)
 
 
 def _normal_section(lower, upper, transpose: bool):
-    """Section of a normal domain at outer coordinate u, the inner variable
-    v running from lower(u) to upper(u): (v-length, u * length, integral of
-    v dv), reordered to (A, Sx, Sy) terms.  ``transpose`` marks an inner x
-    (normal_y), otherwise the inner variable is y."""
+    """Section of an IDENTITY or SWAP piece at outer coordinate u, the inner
+    variable v running from lower(u) to upper(u): (v-length, u * length,
+    integral of v dv), reordered to (A, Sx, Sy) terms.  ``transpose`` marks
+    an inner x (SWAP), otherwise the inner variable is y."""
 
     def section(u: float) -> tuple[float, float, float]:
         lo = lower(u)
@@ -336,26 +331,21 @@ def _polar_section(rho_min, rho_max):
     return section
 
 
+def _section(piece: Piece):
+    """The closed-form section function of a piece, by its map."""
+    if piece.map == POLAR:
+        return _polar_section(piece.near, piece.far)
+    return _normal_section(piece.near, piece.far, piece.map == SWAP)
+
+
 def moment_sections(region: Region) -> list:
-    """Cut a region into pieces (u0, u1, section), where section(u) returns
+    """The region's pieces as (u0, u1, section), where section(u) returns
     the closed-form inner integrals (of 1, x and y) over the cross-section
     at outer coordinate u: x for normal_x and polygon slabs, y for normal_y,
     theta for polar sectors.  Integrating a section over [u0, u1] gives the
     piece's area and first moments (A, Sx, Sy); any integrand linear in
     (x, y) is a fixed combination of them."""
-    if isinstance(region, NormalX):
-        return [(region.x_min, region.x_max, _normal_section(region.lower, region.upper, False))]
-    if isinstance(region, NormalY):
-        return [(region.y_min, region.y_max, _normal_section(region.left, region.right, True))]
-    if isinstance(region, PolarSector):
-        return [(region.theta_min, region.theta_max,
-                 _polar_section(region.rho_min, region.rho_max))]
-    if isinstance(region, Polygon):
-        return [(xa, xb, _normal_section(lo_fn, hi_fn, False))
-                for xa, xb, lo_fn, hi_fn in polygon_slabs(region)]
-    if isinstance(region, UnionRegion):
-        return [piece for part in region.parts for piece in moment_sections(part)]
-    raise TypeError(f"not a region: {region!r}")
+    return [(piece.u0, piece.u1, _section(piece)) for piece in pieces(region)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,87 +372,25 @@ def _iterated(u0, u1, lower, upper, g, tol: Tolerance) -> QuadratureResult:
     )
 
 
-def _edge_interp(p: Point, q: Point):
-    slope = (q.y - p.y) / (q.x - p.x)
-    return lambda x: p.y + slope * (x - p.x)
-
-
-def polygon_slabs(poly: Polygon):
-    """Cut a simple polygon at every vertex abscissa into x-slabs, each
-    bounded below/above by linear edge sections.
-
-    Returns a list of (x_lo, x_hi, lower_fn, upper_fn).
-    """
-    verts = poly.vertices
-    n = len(verts)
-    cuts = sorted({v.x for v in verts})
-    slabs = []
-    for xa, xb in zip(cuts, cuts[1:]):
-        mid = 0.5 * (xa + xb)
-        covering = []
-        for i in range(n):
-            p, q = verts[i], verts[(i + 1) % n]
-            if p.x == q.x:
-                continue
-            if min(p.x, q.x) <= xa and max(p.x, q.x) >= xb:
-                covering.append((_edge_interp(p, q)(mid), p, q))
-        covering.sort(key=lambda item: item[0])
-        if len(covering) % 2:
-            raise InvalidRegionError(
-                f"polygon slab [{xa!r}, {xb!r}] has an odd edge count"
-            )
-        for j in range(0, len(covering), 2):
-            slabs.append(
-                (
-                    xa,
-                    xb,
-                    _edge_interp(covering[j][1], covering[j][2]),
-                    _edge_interp(covering[j + 1][1], covering[j + 1][2]),
-                )
-            )
-    return slabs
+def _in_plane(integrand, cmap: str):
+    """``integrand`` (of a Point) as a function of a piece's (u, v), times
+    the area element of the map."""
+    to_plane = plane_map(cmap)
+    if cmap == POLAR:
+        return lambda th, r: integrand(to_plane(th, r)) * r
+    return lambda u, v: integrand(to_plane(u, v))
 
 
 def integrate_region(region: Region, integrand, tol: Tolerance | None = None) -> QuadratureResult:
     """Double integral of ``integrand`` (a Point -> float function) over a
-    region, by the iterated order natural to each variant: inner-y for
-    NormalX (the shell arrangement), inner-x for NormalY (the disk
-    arrangement), inner-rho with Jacobian rho for PolarSector, x-slab
-    decomposition for Polygon, and summed parts for unions."""
+    region, iterated over each piece: inner-y for normal_x and polygon
+    x-slabs (the shell arrangement), inner-x for normal_y (the disk
+    arrangement), inner-rho with Jacobian rho for polar sectors.  Pieces
+    are summed per region, and a union sums its parts' sums."""
     tol = tol or Tolerance()
-    if isinstance(region, NormalX):
-        return _iterated(
-            region.x_min,
-            region.x_max,
-            region.lower,
-            region.upper,
-            lambda x, y: integrand(Point(x, y)),
-            tol,
-        )
-    if isinstance(region, NormalY):
-        return _iterated(
-            region.y_min,
-            region.y_max,
-            region.left,
-            region.right,
-            lambda y, x: integrand(Point(x, y)),
-            tol,
-        )
-    if isinstance(region, PolarSector):
-        return _iterated(
-            region.theta_min,
-            region.theta_max,
-            region.rho_min,
-            region.rho_max,
-            lambda th, r: integrand(Point(r * math.cos(th), r * math.sin(th))) * r,
-            tol,
-        )
-    if isinstance(region, Polygon):
-        parts = [
-            _iterated(xa, xb, lo_fn, hi_fn, lambda x, y: integrand(Point(x, y)), tol)
-            for xa, xb, lo_fn, hi_fn in polygon_slabs(region)
-        ]
-        return sum_results(parts)
     if isinstance(region, UnionRegion):
         return sum_results([integrate_region(part, integrand, tol) for part in region.parts])
-    raise TypeError(f"not a region: {region!r}")
+    return sum_results([
+        _iterated(piece.u0, piece.u1, piece.near, piece.far, _in_plane(integrand, piece.map), tol)
+        for piece in pieces(region)
+    ])

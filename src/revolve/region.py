@@ -4,13 +4,20 @@ polygons, and disjoint unions.
 Construction probes every boundary curve at the interval endpoints plus 33
 interior points (configurable); curves must evaluate there and the ordering
 invariants (lower <= upper, 0 <= rho_min <= rho_max, ...) must hold at every
-probe.  Boundary points count as inside: the region is closed.
+probe.  Boundary points count as inside: the region is closed, and
+containment is exact on polygon edges and at a sector's apex.
+
+Every region is also a list of pieces (``pieces``): an outer interval
+[u0, u1], inner bounds near(u) <= v <= far(u), and the map that carries
+(u, v) to the plane.  The quadrature and the shell, disk and polar routes
+work on pieces, not on the variants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -27,6 +34,10 @@ __all__ = [
     "Polygon",
     "UnionRegion",
     "Region",
+    "Piece",
+    "pieces",
+    "plane_map",
+    "polygon_slabs",
     "contains",
     "contains_mask",
     "bounding_box",
@@ -42,8 +53,16 @@ DEFAULT_INTERIOR_PROBES = 33
 # Absolute slack for "touching" comparisons (side checks, ordering).
 _TOUCH_TOL = 1e-9
 
+# Relative slack (times scale^2) of the on-edge test for polygons.
+_EDGE_TOL = 1e-12
+
 _BOX_SAMPLES = 1025
 _BOX_PAD = 1e-9
+
+# Maps from a piece's (outer u, inner v) to the plane.
+IDENTITY = "identity"  # (x, y) = (u, v)
+SWAP = "swap"          # (x, y) = (v, u)
+POLAR = "polar"        # (x, y) = (v cos u, v sin u), area element v du dv
 
 
 @dataclass(frozen=True)
@@ -91,8 +110,42 @@ def _probe_curve(c: Curve, lo: float, hi: float, interior: int, what: str) -> li
 # ---------------------------------------------------------------------------
 # Region variants
 
+class _NormalDomain:
+    """Region between two curves of one coordinate u: near(u) <= v <= far(u)
+    for u in [u_min, u_max].  NormalX has (x, y) = (u, v); NormalY is its
+    transpose, (x, y) = (v, u).  Each subclass names its fields."""
+
+    _var: ClassVar[str]                # the outer coordinate, "x" or "y"
+    _curves: ClassVar[tuple[str, str]]  # field names of near and far
+    map: ClassVar[str]
+
+    @property
+    def span(self) -> tuple[float, float, Curve, Curve]:
+        """(u_min, u_max, near, far)."""
+        near, far = self._curves
+        return (getattr(self, self._var + "_min"), getattr(self, self._var + "_max"),
+                getattr(self, near), getattr(self, far))
+
+    def __post_init__(self):
+        v, (near_name, far_name) = self._var, self._curves
+        for bound in (v + "_min", v + "_max"):
+            object.__setattr__(self, bound, float(getattr(self, bound)))
+        u_min, u_max, near, far = self.span
+        if not (math.isfinite(u_min) and math.isfinite(u_max)):
+            raise InvalidRegionError(f"{v} bounds must be finite")
+        if not u_min < u_max:
+            raise InvalidRegionError(f"{v}_min {u_min!r} must be < {v}_max {u_max!r}")
+        lo = _probe_curve(near, u_min, u_max, self.probes, f"{near_name} curve")
+        hi = _probe_curve(far, u_min, u_max, self.probes, f"{far_name} curve")
+        for t, a, b in zip(_probe_points(u_min, u_max, self.probes), lo, hi):
+            if a > b + _TOUCH_TOL:
+                raise InvalidRegionError(
+                    f"{near_name} > {far_name} at {v}={float(t)!r} ({a!r} > {b!r})"
+                )
+
+
 @dataclass(frozen=True)
-class NormalX:
+class NormalX(_NormalDomain):
     """Region between y = lower(x) and y = upper(x) for x in [x_min, x_max]."""
 
     x_min: float
@@ -101,22 +154,13 @@ class NormalX:
     upper: Curve
     probes: int = field(default=DEFAULT_INTERIOR_PROBES, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "x_min", float(self.x_min))
-        object.__setattr__(self, "x_max", float(self.x_max))
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise InvalidRegionError("x bounds must be finite")
-        if not self.x_min < self.x_max:
-            raise InvalidRegionError(f"x_min {self.x_min!r} must be < x_max {self.x_max!r}")
-        lo = _probe_curve(self.lower, self.x_min, self.x_max, self.probes, "lower curve")
-        hi = _probe_curve(self.upper, self.x_min, self.x_max, self.probes, "upper curve")
-        for t, a, b in zip(_probe_points(self.x_min, self.x_max, self.probes), lo, hi):
-            if a > b + _TOUCH_TOL:
-                raise InvalidRegionError(f"lower > upper at x={float(t)!r} ({a!r} > {b!r})")
+    _var = "x"
+    _curves = ("lower", "upper")
+    map = IDENTITY
 
 
 @dataclass(frozen=True)
-class NormalY:
+class NormalY(_NormalDomain):
     """Region between x = left(y) and x = right(y) for y in [y_min, y_max]."""
 
     y_min: float
@@ -125,18 +169,9 @@ class NormalY:
     right: Curve
     probes: int = field(default=DEFAULT_INTERIOR_PROBES, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "y_min", float(self.y_min))
-        object.__setattr__(self, "y_max", float(self.y_max))
-        if not (math.isfinite(self.y_min) and math.isfinite(self.y_max)):
-            raise InvalidRegionError("y bounds must be finite")
-        if not self.y_min < self.y_max:
-            raise InvalidRegionError(f"y_min {self.y_min!r} must be < y_max {self.y_max!r}")
-        left = _probe_curve(self.left, self.y_min, self.y_max, self.probes, "left curve")
-        right = _probe_curve(self.right, self.y_min, self.y_max, self.probes, "right curve")
-        for t, a, b in zip(_probe_points(self.y_min, self.y_max, self.probes), left, right):
-            if a > b + _TOUCH_TOL:
-                raise InvalidRegionError(f"left > right at y={float(t)!r} ({a!r} > {b!r})")
+    _var = "y"
+    _curves = ("left", "right")
+    map = SWAP
 
 
 @dataclass(frozen=True)
@@ -214,145 +249,217 @@ def _shoelace_area(verts: tuple[Point, ...]) -> float:
     return 0.5 * acc
 
 
-def _segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    def orient(p, q, r):
-        return (q.x - p.x) * (r.y - p.y) - (r.x - p.x) * (q.y - p.y)
+def _orient(p: Point, q: Point, r: Point) -> float:
+    return (q.x - p.x) * (r.y - p.y) - (r.x - p.x) * (q.y - p.y)
 
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    return (o1 * o2 < 0.0) and (o3 * o4 < 0.0)
+
+def _in_box(p: Point, a: Point, b: Point) -> bool:
+    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+
+
+def _segments_meet(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """True iff the closed segments ab and cd share a point."""
+    o1, o2 = _orient(a, b, c), _orient(a, b, d)
+    o3, o4 = _orient(c, d, a), _orient(c, d, b)
+    if o1 * o2 < 0.0 and o3 * o4 < 0.0:
+        return True
+    return ((o1 == 0.0 and _in_box(c, a, b)) or (o2 == 0.0 and _in_box(d, a, b))
+            or (o3 == 0.0 and _in_box(a, c, d)) or (o4 == 0.0 and _in_box(b, c, d)))
 
 
 def _is_simple(verts: tuple[Point, ...]) -> bool:
+    """No two edges meet, except neighbours at their shared vertex; a
+    neighbour may run straight on, but not fold back along the edge."""
     n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent edges share a vertex
-            c, d = verts[j], verts[(j + 1) % n]
-            if _segments_cross(a, b, c, d):
+    edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
+    for i, (a, b) in enumerate(edges):
+        c = edges[(i + 1) % n][1]
+        forward = (b.x - a.x) * (c.x - b.x) + (b.y - a.y) * (c.y - b.y)
+        if _orient(a, b, c) == 0.0 and forward < 0.0:
+            return False
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue  # the closing edge is edge 0's other neighbour
+            if _segments_meet(a, b, *edges[j]):
                 return False
     return True
 
 
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
-    scale = max(1.0, abs(a.x), abs(a.y), abs(b.x), abs(b.y), abs(p.x), abs(p.y))
-    cross = (b.x - a.x) * (p.y - a.y) - (p.x - a.x) * (b.y - a.y)
-    if abs(cross) > 1e-12 * scale * scale:
-        return False
-    dot = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)
-    length2 = (b.x - a.x) ** 2 + (b.y - a.y) ** 2
-    return -1e-12 * scale * scale <= dot <= length2 + 1e-12 * scale * scale
+def _edge_interp(p: Point, q: Point):
+    slope = (q.y - p.y) / (q.x - p.x)
+    return lambda x: p.y + slope * (x - p.x)
 
 
-def _winding_number(poly: Polygon, x: float, y: float) -> int:
-    wn = 0
-    verts = poly.vertices
+def _slabs(verts) -> list:
+    """x-slabs of the polygon with these vertices; see polygon_slabs."""
     n = len(verts)
-    for i in range(n):
-        p, q = verts[i], verts[(i + 1) % n]
-        is_left = (q.x - p.x) * (y - p.y) - (x - p.x) * (q.y - p.y)
-        if p.y <= y:
-            if q.y > y and is_left > 0.0:
-                wn += 1
-        elif q.y <= y and is_left < 0.0:
-            wn -= 1
-    return wn
+    cuts = sorted({v.x for v in verts})
+    slabs = []
+    for xa, xb in zip(cuts, cuts[1:]):
+        mid = 0.5 * (xa + xb)
+        covering = []
+        for i in range(n):
+            p, q = verts[i], verts[(i + 1) % n]
+            if p.x == q.x:
+                continue
+            if min(p.x, q.x) <= xa and max(p.x, q.x) >= xb:
+                covering.append((_edge_interp(p, q)(mid), p, q))
+        covering.sort(key=lambda item: item[0])
+        if len(covering) % 2:
+            raise InvalidRegionError(
+                f"polygon slab [{xa!r}, {xb!r}] has an odd edge count"
+            )
+        for j in range(0, len(covering), 2):
+            slabs.append(
+                (
+                    xa,
+                    xb,
+                    _edge_interp(covering[j][1], covering[j][2]),
+                    _edge_interp(covering[j + 1][1], covering[j + 1][2]),
+                )
+            )
+    return slabs
+
+
+def polygon_slabs(poly: Polygon):
+    """Cut a simple polygon at every vertex abscissa into x-slabs, each
+    bounded below/above by linear edge sections.
+
+    Returns a list of (x_lo, x_hi, lower_fn, upper_fn).
+    """
+    return _slabs(poly.vertices)
+
+
+# ---------------------------------------------------------------------------
+# Pieces
+
+class Piece(NamedTuple):
+    """near(u) <= v <= far(u) for u in [u0, u1], carried to the plane by
+    ``map`` (IDENTITY, SWAP or POLAR)."""
+
+    u0: float
+    u1: float
+    near: Callable[[float], float]
+    far: Callable[[float], float]
+    map: str
+
+
+def plane_map(cmap: str) -> Callable[[float, float], Point]:
+    """The function (u, v) -> Point of the map ``cmap``."""
+    if cmap == POLAR:
+        return lambda u, v: Point(v * math.cos(u), v * math.sin(u))
+    if cmap == SWAP:
+        return lambda u, v: Point(v, u)
+    return Point
+
+
+def pieces(region: Region, swap: bool = False) -> list[Piece]:
+    """The region as a list of pieces: one for a normal domain or a sector,
+    one per slab for a polygon (x-slabs, or y-slabs with map SWAP when
+    ``swap``), and the parts' pieces in order for a union."""
+    if isinstance(region, _NormalDomain):
+        return [Piece(*region.span, region.map)]
+    if isinstance(region, PolarSector):
+        return [Piece(region.theta_min, region.theta_max, region.rho_min, region.rho_max, POLAR)]
+    if isinstance(region, Polygon):
+        if swap:
+            # The x-slabs of the mirror image in y = x, listed counterclockwise.
+            mirrored = [Point(v.y, v.x) for v in reversed(region.vertices)]
+            return [Piece(*slab, SWAP) for slab in _slabs(mirrored)]
+        return [Piece(*slab, IDENTITY) for slab in polygon_slabs(region)]
+    if isinstance(region, UnionRegion):
+        return [piece for part in region.parts for piece in pieces(part, swap)]
+    raise TypeError(f"not a region: {region!r}")
 
 
 # ---------------------------------------------------------------------------
 # Containment
 
-def _normalize_theta(theta: float, theta_min: float) -> float:
-    """Map into [theta_min, theta_min + 2*pi) so seam-crossing sectors work."""
-    rel = math.fmod(theta - theta_min, TWO_PI)
-    if rel < 0.0:
-        rel += TWO_PI
-    return theta_min + rel
-
-
 def contains(region: Region, p: Point) -> bool:
-    """True iff ``p`` lies in the closed region.  Curve evaluation failures
-    count as "not contained"."""
-    if isinstance(region, NormalX):
-        if not region.x_min <= p.x <= region.x_max:
-            return False
-        try:
-            return region.lower(p.x) <= p.y <= region.upper(p.x)
-        except DomainError:
-            return False
-    if isinstance(region, NormalY):
-        if not region.y_min <= p.y <= region.y_max:
-            return False
-        try:
-            return region.left(p.y) <= p.x <= region.right(p.y)
-        except DomainError:
-            return False
-    if isinstance(region, PolarSector):
-        rho = math.hypot(p.x, p.y)
-        if rho == 0.0:
-            # The origin belongs to the sector iff rho_min reaches zero.
-            try:
-                return any(
-                    region.rho_min(float(t)) <= 0.0
-                    for t in _probe_points(region.theta_min, region.theta_max, region.probes)
-                )
-            except DomainError:
-                return False
-        theta = _normalize_theta(math.atan2(p.y, p.x), region.theta_min)
-        if theta > region.theta_max:
-            return False
-        try:
-            return region.rho_min(theta) <= rho <= region.rho_max(theta)
-        except DomainError:
-            return False
-    if isinstance(region, Polygon):
-        verts = region.vertices
-        n = len(verts)
-        for i in range(n):
-            if _on_segment(p, verts[i], verts[(i + 1) % n]):
-                return True
-        return _winding_number(region, p.x, p.y) != 0
-    if isinstance(region, UnionRegion):
-        return any(contains(part, p) for part in region.parts)
-    raise TypeError(f"not a region: {region!r}")
+    """True iff ``p`` lies in the closed region: ``contains_mask`` at one
+    point."""
+    return bool(contains_mask(region, np.array([p.x]), np.array([p.y]))[0])
+
+
+def _normal_mask(region: _NormalDomain, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    u_min, u_max, near, far = region.span
+    us, vs = (ys, xs) if region.map == SWAP else (xs, ys)
+    lo = near.sample(us)
+    hi = far.sample(us)
+    return (us >= u_min) & (us <= u_max) & (vs >= lo) & (vs <= hi)
+
+
+def _sector_mask(region: PolarSector, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    rho = np.hypot(xs, ys)
+    theta = np.arctan2(ys, xs)
+    rel = np.mod(theta - region.theta_min, TWO_PI)
+    tn = region.theta_min + rel
+    rmin = region.rho_min.sample(tn)
+    rmax = region.rho_max.sample(tn)
+    mask = (tn <= region.theta_max) & (rho >= rmin) & (rho <= rmax)
+    apex = rho == 0.0
+    if apex.any():
+        # The apex has no angle: it belongs to the sector iff rho_min
+        # reaches zero at one of the construction probes.
+        mask[apex] = any(
+            region.rho_min(float(t)) <= 0.0
+            for t in _probe_points(region.theta_min, region.theta_max, region.probes)
+        )
+    return mask
+
+
+def _polygon_mask(poly: Polygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Nonzero winding number, or on an edge: |cross| <= 1e-12 * scale^2 and
+    the projection within the edge, with scale = max(1, |coordinates| of the
+    edge and the point).  The edge test runs only on the points within the
+    slack of the edge's line at the largest scale present."""
+    shape = xs.shape
+    xs, ys = xs.ravel(), ys.ravel()
+    wn = np.zeros(xs.shape, dtype=np.int64)
+    on_edge = []
+    # The largest point coordinate, NaN points ignored (they are outside).
+    reach = 1.0
+    if xs.size:
+        reach = max(reach, -np.fmin.reduce(xs), np.fmax.reduce(xs),
+                    -np.fmin.reduce(ys), np.fmax.reduce(ys))
+    verts = poly.vertices
+    n = len(verts)
+    for i in range(n):
+        p, q = verts[i], verts[(i + 1) % n]
+        is_left = (q.x - p.x) * (ys - p.y) - (xs - p.x) * (q.y - p.y)
+        wn += (p.y <= ys) & (q.y > ys) & (is_left > 0.0)
+        wn -= (p.y > ys) & (q.y <= ys) & (is_left < 0.0)
+        edge_scale = max(1.0, abs(p.x), abs(p.y), abs(q.x), abs(q.y))
+        top = max(edge_scale, reach)
+        bound = _EDGE_TOL * top * top
+        # is_left is not needed signed any more: |cross| in place.
+        close = np.abs(is_left, out=is_left) <= bound
+        if close.any():
+            near = np.flatnonzero(close)
+            px, py = xs[near], ys[near]
+            scale = np.maximum(edge_scale, np.maximum(np.abs(px), np.abs(py)))
+            slack = _EDGE_TOL * scale * scale
+            dot = (px - p.x) * (q.x - p.x) + (py - p.y) * (q.y - p.y)
+            length2 = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
+            hit = (is_left[near] <= slack) & (dot >= -slack) & (dot <= length2 + slack)
+            on_edge.append(near[hit])
+    mask = wn != 0
+    for idx in on_edge:
+        mask[idx] = True
+    return mask.reshape(shape)
 
 
 def contains_mask(region: Region, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized containment over coordinate arrays.
-
-    Matches contains() except on measure-zero boundary sets (polygon edges,
-    the sector origin), which sampling callers never resolve anyway.
-    """
+    """Vectorized containment in the closed region over coordinate arrays.
+    Points where a boundary curve cannot be evaluated are outside."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if isinstance(region, NormalX):
-        lo = region.lower.sample(xs)
-        hi = region.upper.sample(xs)
-        return (xs >= region.x_min) & (xs <= region.x_max) & (ys >= lo) & (ys <= hi)
-    if isinstance(region, NormalY):
-        left = region.left.sample(ys)
-        right = region.right.sample(ys)
-        return (ys >= region.y_min) & (ys <= region.y_max) & (xs >= left) & (xs <= right)
+    if isinstance(region, _NormalDomain):
+        return _normal_mask(region, xs, ys)
     if isinstance(region, PolarSector):
-        rho = np.hypot(xs, ys)
-        theta = np.arctan2(ys, xs)
-        rel = np.mod(theta - region.theta_min, TWO_PI)
-        tn = region.theta_min + rel
-        rmin = region.rho_min.sample(tn)
-        rmax = region.rho_max.sample(tn)
-        return (tn <= region.theta_max) & (rho >= rmin) & (rho <= rmax)
+        return _sector_mask(region, xs, ys)
     if isinstance(region, Polygon):
-        wn = np.zeros(xs.shape, dtype=np.int64)
-        verts = region.vertices
-        n = len(verts)
-        for i in range(n):
-            p, q = verts[i], verts[(i + 1) % n]
-            is_left = (q.x - p.x) * (ys - p.y) - (xs - p.x) * (q.y - p.y)
-            wn += ((p.y <= ys) & (q.y > ys) & (is_left > 0.0)).astype(np.int64)
-            wn -= ((p.y > ys) & (q.y <= ys) & (is_left < 0.0)).astype(np.int64)
-        return wn != 0
+        return _polygon_mask(region, xs, ys)
     if isinstance(region, UnionRegion):
         mask = contains_mask(region.parts[0], xs, ys)
         for part in region.parts[1:]:
@@ -377,16 +484,12 @@ def bounding_box(region: Region) -> tuple[float, float, float, float]:
     Curve-bounded variants probe 1025 parameter points and pad by 1e-9
     relative; polygons are exact.
     """
-    if isinstance(region, NormalX):
-        ts = np.linspace(region.x_min, region.x_max, _BOX_SAMPLES)
-        y_lo = float(np.nanmin(region.lower.sample(ts)))
-        y_hi = float(np.nanmax(region.upper.sample(ts)))
-        return (*_pad_interval(region.x_min, region.x_max), *_pad_interval(y_lo, y_hi))
-    if isinstance(region, NormalY):
-        ts = np.linspace(region.y_min, region.y_max, _BOX_SAMPLES)
-        x_lo = float(np.nanmin(region.left.sample(ts)))
-        x_hi = float(np.nanmax(region.right.sample(ts)))
-        return (*_pad_interval(x_lo, x_hi), *_pad_interval(region.y_min, region.y_max))
+    if isinstance(region, _NormalDomain):
+        u_min, u_max, near, far = region.span
+        ts = np.linspace(u_min, u_max, _BOX_SAMPLES)
+        u_box = _pad_interval(u_min, u_max)
+        v_box = _pad_interval(float(np.nanmin(near.sample(ts))), float(np.nanmax(far.sample(ts))))
+        return (*v_box, *u_box) if region.map == SWAP else (*u_box, *v_box)
     if isinstance(region, PolarSector):
         ts = np.linspace(region.theta_min, region.theta_max, _BOX_SAMPLES)
         cos_t, sin_t = np.cos(ts), np.sin(ts)
@@ -426,52 +529,22 @@ def boundary_points(region: Region, n: int = 256) -> list[Point]:
     """About ``n`` points spread over the region boundary.  Points whose
     curve evaluation fails are skipped."""
     pts: list[Point] = []
-    if isinstance(region, (NormalX, NormalY)):
+    if isinstance(region, (_NormalDomain, PolarSector)):
+        [(lo, hi, near, far, cmap)] = pieces(region)
+        to_plane = plane_map(cmap)
         k = max(2, n // 4)
-        if isinstance(region, NormalX):
-            lo, hi = region.x_min, region.x_max
-            a_curve, b_curve = region.lower, region.upper
-
-            def mk(t, v):
-                return Point(t, v)
-        else:
-            lo, hi = region.y_min, region.y_max
-            a_curve, b_curve = region.left, region.right
-
-            def mk(t, v):
-                return Point(v, t)
-
         ts = np.linspace(lo, hi, k)
-        for c in (a_curve, b_curve):
-            vals = c.sample(ts)
-            for t, v in zip(ts, vals):
+        for c in (near, far):
+            for t, v in zip(ts, c.sample(ts)):
                 if math.isfinite(v):
-                    pts.append(mk(float(t), float(v)))
+                    pts.append(to_plane(float(t), float(v)))
         for t_end in (lo, hi):
             try:
-                va, vb = a_curve(t_end), b_curve(t_end)
+                va, vb = near(t_end), far(t_end)
             except DomainError:
                 continue
             for s in np.linspace(0.0, 1.0, k):
-                pts.append(mk(t_end, _lerp(va, vb, float(s))))
-        return pts
-    if isinstance(region, PolarSector):
-        k = max(2, n // 4)
-        ts = np.linspace(region.theta_min, region.theta_max, k)
-        for c in (region.rho_min, region.rho_max):
-            rs = c.sample(ts)
-            for t, r in zip(ts, rs):
-                if math.isfinite(r):
-                    pts.append(Point(float(r * math.cos(t)), float(r * math.sin(t))))
-        for t_end in (region.theta_min, region.theta_max):
-            try:
-                r0, r1 = region.rho_min(t_end), region.rho_max(t_end)
-            except DomainError:
-                continue
-            ct, st = math.cos(t_end), math.sin(t_end)
-            for s in np.linspace(0.0, 1.0, k):
-                r = _lerp(r0, r1, float(s))
-                pts.append(Point(r * ct, r * st))
+                pts.append(to_plane(t_end, _lerp(va, vb, float(s))))
         return pts
     if isinstance(region, Polygon):
         verts = region.vertices

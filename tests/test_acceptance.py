@@ -102,7 +102,7 @@ def test_criterion_3_cone_and_sphere():
           and all(d <= 1e-8 for d in sphere_dev.values()))
     verdict(3, ok, f"cone worst {max(cone_dev.values()):.2e}, "
                    f"sphere worst {max(sphere_dev.values()):.2e} (tol 1e-8)")
-    assert ok, (cone_dev, pappus_dev, sphere_dev)
+    assert ok, (cone_dev, sphere_dev)
 
 
 def test_criterion_4_shell_and_disk_equivalence():

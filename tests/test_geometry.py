@@ -80,16 +80,6 @@ class TestRigidMotion:
         assert moved.b == pytest.approx(want.b, abs=1e-12)
         assert moved.c == pytest.approx(want.c, abs=1e-12)
 
-    def test_inverse_roundtrip(self):
-        rng = np.random.default_rng(7)
-        for _ in range(30):
-            m = rv.RigidMotion(rng.uniform(0, 2 * math.pi),
-                               tuple(rng.uniform(-3, 3, size=2)))
-            p = rv.Point(*rng.uniform(-4, 4, size=2))
-            q = rv.apply_motion(m.inverse(), rv.apply_motion(m, p))
-            assert q.x == pytest.approx(p.x, abs=1e-12)
-            assert q.y == pytest.approx(p.y, abs=1e-12)
-
     def test_distance_invariance(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
@@ -101,32 +91,3 @@ class TestRigidMotion:
             after = abs(rv.signed_distance(rv.apply_motion_axis(m, axis),
                                            rv.apply_motion(m, p)))
             assert after == pytest.approx(before, abs=1e-12)
-
-
-class TestAxisToVerticalMotion:
-    def test_y_axis_is_identity(self):
-        m = rv.axis_to_vertical_motion(rv.Axis.vertical(0.0))
-        assert m.angle == 0.0
-        assert m.translation == (0.0, 0.0)
-
-    def test_x_axis_becomes_vertical(self):
-        m = rv.axis_to_vertical_motion(rv.Axis.horizontal(0.0))
-        moved = rv.apply_motion_axis(m, rv.Axis.horizontal(0.0))
-        assert abs(moved.a) == pytest.approx(1.0, abs=1e-12)
-        assert moved.b == pytest.approx(0.0, abs=1e-12)
-        assert moved.c == pytest.approx(0.0, abs=1e-12)
-
-    def test_point_on_axis_lands_on_x_zero(self):
-        axis = rv.Axis(1.0, 1.0, -2.0)  # x + y = 2, contains (2, 0)
-        m = rv.axis_to_vertical_motion(axis)
-        moved = rv.apply_motion(m, rv.Point(2.0, 0.0))
-        assert moved.x == pytest.approx(0.0, abs=1e-12)
-
-    def test_positive_side_maps_to_positive_x(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            axis = rv.Axis(*rng.uniform(-2, 2, size=3))
-            m = rv.axis_to_vertical_motion(axis)
-            p = rv.Point(*rng.uniform(-4, 4, size=2))
-            moved = rv.apply_motion(m, p)
-            assert moved.x == pytest.approx(rv.signed_distance(axis, p), abs=1e-12)

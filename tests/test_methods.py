@@ -125,6 +125,26 @@ class TestShell:
         with pytest.raises(AxisIntersectsRegion):
             rv.volume_shell(straddling_disk_x(), AXIS_OY)
 
+    def test_polygon_about_horizontal_axis_uses_y_slabs(self):
+        # y-slabs are the x-slabs of the mirrored polygon, bit for bit
+        ell = rv.Polygon((rv.Point(0, 0), rv.Point(2, 0), rv.Point(2, 1),
+                          rv.Point(1, 1), rv.Point(1, 2.5), rv.Point(0, 2)))
+        mirrored = rv.Polygon(tuple(rv.Point(v.y, v.x) for v in reversed(ell.vertices)))
+        for c in (-1.5, 3.0):
+            rows = rv.volume_shell(ell, rv.Axis.horizontal(c))
+            cols = rv.volume_shell(mirrored, rv.Axis.vertical(c))
+            assert (rows.value, rows.error_estimate, rows.evaluations) == (
+                cols.value, cols.error_estimate, cols.evaluations)
+        with pytest.raises(AxisIntersectsRegion):
+            rv.volume_shell(ell, rv.Axis.horizontal(1.0))
+
+    def test_nested_union_is_its_flat_union(self):
+        parts = sector_shell_union().parts
+        nested = rv.UnionRegion((rv.UnionRegion(parts[:2]), parts[2]))
+        flat = rv.volume_shell(sector_shell_union(), AXIS_OY)
+        report = rv.volume_shell(nested, AXIS_OY)
+        assert (report.value, report.evaluations) == (flat.value, flat.evaluations)
+
 
 class TestDisk:
     def test_sector_union(self):
@@ -165,6 +185,11 @@ class TestDisk:
         with pytest.raises(AxisIntersectsRegion):
             rv.volume_disk(straddling_disk_y(), AXIS_OY)
 
+    def test_rejects_polygon_inside_nested_union(self):
+        nested = rv.UnionRegion((rv.UnionRegion((unit_square_polygon(),)), cone_normal_x()))
+        with pytest.raises(UnsupportedMethod):
+            rv.volume_disk(nested, AXIS_OX)
+
 
 class TestPolar:
     def test_sector(self):
@@ -186,6 +211,45 @@ class TestPolar:
                               rv.curve("0", "theta"), rv.curve("1", "theta"))
         with pytest.raises(AxisIntersectsRegion):
             rv.volume_polar(disk, AXIS_OY)
+
+
+class TestTransposeSymmetry:
+    # A NormalY with the curves of a NormalX is its mirror image in y = x.
+    @staticmethod
+    def _pair():
+        nx = rv.NormalX(0.5, 2.0, rv.curve("x^2/4", "x"), rv.curve("1+x", "x"))
+        ny = rv.NormalY(0.5, 2.0, rv.curve("y^2/4", "y"), rv.curve("1+y", "y"))
+        return nx, ny
+
+    def test_boxes_and_masks_swap(self):
+        nx, ny = self._pair()
+        x_lo, x_hi, y_lo, y_hi = rv.bounding_box(nx)
+        assert rv.bounding_box(ny) == (y_lo, y_hi, x_lo, x_hi)
+        rng = np.random.default_rng(31)
+        us, vs = rng.uniform(0.0, 3.5, size=(2, 500))
+        assert (rv.contains_mask(nx, us, vs) == rv.contains_mask(ny, vs, us)).all()
+
+    def test_moments_swap(self):
+        nx, ny = self._pair()
+        a, sx, sy = _region_moments(nx, rv.Tolerance()).value
+        assert _region_moments(ny, rv.Tolerance()).value == (a, sy, sx)
+
+    def test_shell_volumes_equal_bit_for_bit(self):
+        nx, ny = self._pair()
+        for c in (-1.0, 0.25, 4.0):
+            about_x = rv.volume_shell(nx, rv.Axis.vertical(c))
+            about_y = rv.volume_shell(ny, rv.Axis.horizontal(c))
+            assert (about_x.value, about_x.error_estimate, about_x.evaluations) == (
+                about_y.value, about_y.error_estimate, about_y.evaluations)
+
+    def test_unequal_with_separate_cache_entries(self):
+        nx, ny = self._pair()
+        assert nx != ny
+        _region_moments.cache_clear()
+        rv.area(nx)
+        rv.area(ny)
+        assert _region_moments.cache_info().misses == 2
+        assert _region_moments.cache_info().currsize == 2
 
 
 class TestAreaCentroid:

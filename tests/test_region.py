@@ -5,6 +5,7 @@ import pytest
 
 import revolve as rv
 from revolve.errors import AxisIntersectsRegion, InvalidRegionError
+from revolve.region import IDENTITY, POLAR, SWAP, pieces
 
 from helpers import (
     AXIS_OY,
@@ -18,6 +19,27 @@ from helpers import (
 
 def quarter_disk():
     return rv.PolarSector(0.0, math.pi / 2, rv.curve("0", "theta"), rv.curve("1", "theta"))
+
+
+def _scalar_polygon_contains(poly, x, y):
+    """Reference rule for polygon containment, one point at a time: on an
+    edge (cross product and projection within 1e-12 * scale^2, scale the
+    largest coordinate magnitude involved, at least 1) or a nonzero
+    winding number."""
+    wn = 0
+    verts = poly.vertices
+    for a, b in zip(verts, verts[1:] + verts[:1]):
+        scale = max(1.0, abs(a.x), abs(a.y), abs(b.x), abs(b.y), abs(x), abs(y))
+        slack = 1e-12 * scale * scale
+        cross = (b.x - a.x) * (y - a.y) - (x - a.x) * (b.y - a.y)
+        dot = (x - a.x) * (b.x - a.x) + (y - a.y) * (b.y - a.y)
+        if abs(cross) <= slack and -slack <= dot <= (b.x - a.x) ** 2 + (b.y - a.y) ** 2 + slack:
+            return True
+        if a.y <= y < b.y and cross > 0.0:
+            wn += 1
+        elif b.y <= y < a.y and cross < 0.0:
+            wn -= 1
+    return wn != 0
 
 
 class TestContains:
@@ -70,18 +92,91 @@ class TestContains:
         assert rv.contains(union, rv.Point(1.5, 0.5))
         assert not rv.contains(union, rv.Point(0.9, 0.9))
 
-    def test_mask_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        regions = [quarter_disk(), unit_square_polygon(), torus_normal_x(),
-                   rv.NormalY(-1.0, 1.0, rv.curve("y^2", "y"), rv.curve("2", "y")),
-                   rv.UnionRegion((cone_triangle(), unit_square_polygon()))]
-        for region in regions:
-            x_lo, x_hi, y_lo, y_hi = rv.bounding_box(region)
-            xs = rng.uniform(x_lo - 0.2, x_hi + 0.2, size=300)
-            ys = rng.uniform(y_lo - 0.2, y_hi + 0.2, size=300)
-            mask = rv.contains_mask(region, xs, ys)
-            for x, y, m in zip(xs, ys, mask):
-                assert m == rv.contains(region, rv.Point(float(x), float(y)))
+    @pytest.mark.parametrize("region, inside", [
+        (quarter_disk(), lambda x, y: x >= 0 and y >= 0 and x * x + y * y <= 1),
+        (unit_square_polygon(), lambda x, y: 1 <= x <= 2 and 0 <= y <= 1),
+        (torus_normal_x(), lambda x, y: (x - 2) ** 2 + y * y <= 1),
+        (rv.NormalY(-1.0, 1.0, rv.curve("y^2", "y"), rv.curve("2", "y")),
+         lambda x, y: -1 <= y <= 1 and y * y <= x <= 2),
+        (rv.UnionRegion((cone_triangle(), unit_square_polygon())),
+         lambda x, y: (x >= 0 and y >= 0 and x + y <= 1) or (1 <= x <= 2 and 0 <= y <= 1)),
+    ], ids=["quarter_disk", "square", "torus", "normal_y", "union"])
+    def test_mask_matches_construction(self, region, inside):
+        # A quarter-step grid over the box and beyond: it holds the corners,
+        # edge points and curve points whose answer is exact by construction.
+        ticks = np.arange(-8, 17) / 4.0
+        xs, ys = (g.ravel() for g in np.meshgrid(ticks, ticks - 2.0))
+        want = [bool(inside(x, y)) for x, y in zip(xs, ys)]
+        assert list(rv.contains_mask(region, xs, ys)) == want
+        assert [rv.contains(region, rv.Point(x, y)) for x, y in zip(xs, ys)] == want
+
+    def test_mask_is_closed_on_polygon_edges(self):
+        square = unit_square_polygon()  # [1, 2] x [0, 1]
+        t = np.linspace(0.0, 1.0, 9)
+        right = rv.contains_mask(square, np.full(9, 2.0), t)
+        top = rv.contains_mask(square, 1.0 + t, np.full(9, 1.0))
+        assert right.all() and top.all()
+        outside = rv.contains_mask(square, np.full(9, 2.0 + 1e-9), t)
+        assert not outside.any()
+
+    def test_mask_on_edges_at_large_scale(self):
+        big = rv.Polygon((rv.Point(1e6, 0), rv.Point(3e6, 1e6), rv.Point(1e6, 2e6)))
+        t = np.linspace(0.0, 1.0, 7)
+        xs, ys = 1e6 + 2e6 * t, 1e6 * t  # the lower edge
+        assert rv.contains_mask(big, xs, ys).all()
+        assert not rv.contains_mask(big, xs[1:-1], ys[1:-1] - 1.0).any()
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 37.0, 1e6])
+    def test_polygon_mask_matches_scalar_reference(self, scale):
+        rng = np.random.default_rng(int(scale * 1000) % 9973)
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=9))
+        radii = rng.uniform(0.5, 1.5, size=9)
+        poly = rv.Polygon(tuple(rv.Point(scale * (3 + r * math.cos(a)), scale * (r * math.sin(a) - 2))
+                                for r, a in zip(radii, angles)))
+        x_lo, x_hi, y_lo, y_hi = rv.bounding_box(poly)
+        pts = list(zip(rng.uniform(x_lo, x_hi, 500), rng.uniform(y_lo, y_hi, 500)))
+        verts = poly.vertices
+        for p, q in zip(verts, verts[1:] + verts[:1]):
+            length = math.hypot(q.x - p.x, q.y - p.y)
+            nx, ny = (p.y - q.y) / length, (q.x - p.x) / length
+            for t in (-1e-13, 0.0, 0.37, 0.5, 1.0, 1.0 + 1e-13, 1.0 + 1e-9):
+                for off in (0.0, 5e-13, -5e-13, 1e-12, -1e-9, 1e-9):
+                    pts.append((p.x + (q.x - p.x) * t + off * scale * nx,
+                                p.y + (q.y - p.y) * t + off * scale * ny))
+        xs, ys = np.array(pts).T
+        want = [_scalar_polygon_contains(poly, x, y) for x, y in pts]
+        assert list(rv.contains_mask(poly, xs, ys)) == want
+
+    def test_mask_holds_the_sector_apex(self):
+        apex = np.zeros(1), np.zeros(1)
+        wedge = rv.PolarSector(math.pi / 2, math.pi, rv.curve("0", "theta"), rv.curve("1", "theta"))
+        assert rv.contains_mask(wedge, *apex)[0]
+        annulus = rv.PolarSector(math.pi / 2, math.pi, rv.curve("1", "theta"), rv.curve("2", "theta"))
+        assert not rv.contains_mask(annulus, *apex)[0]
+
+
+class TestPieces:
+    def test_one_piece_per_curve_region(self):
+        nx = torus_normal_x()
+        ny = rv.NormalY(-1.0, 1.0, rv.curve("y^2", "y"), rv.curve("2", "y"))
+        assert [(p.u0, p.u1, p.map) for p in pieces(nx)] == [(1.0, 3.0, IDENTITY)]
+        assert [(p.u0, p.u1, p.map) for p in pieces(ny)] == [(-1.0, 1.0, SWAP)]
+        assert [(p.u0, p.u1, p.map) for p in pieces(quarter_disk())] == [(0.0, math.pi / 2, POLAR)]
+        assert pieces(nx)[0].near is nx.lower and pieces(ny)[0].far is ny.right
+
+    def test_polygon_slabs_either_way(self):
+        ell = rv.Polygon((rv.Point(0, 0), rv.Point(2, 0), rv.Point(2, 1),
+                          rv.Point(1, 1), rv.Point(1, 2), rv.Point(0, 2)))
+        assert [(p.u0, p.u1, p.map) for p in pieces(ell)] == [(0, 1, IDENTITY), (1, 2, IDENTITY)]
+        rows = pieces(ell, swap=True)
+        assert [(p.u0, p.u1, p.map) for p in rows] == [(0, 1, SWAP), (1, 2, SWAP)]
+        # the y-slab over [1, 2] runs from x = 0 to x = 1
+        assert (rows[1].near(1.5), rows[1].far(1.5)) == (0.0, 1.0)
+
+    def test_union_concatenates_parts(self):
+        union = rv.UnionRegion((quarter_disk(), unit_square_polygon()))
+        assert [p.map for p in pieces(union)] == [POLAR, IDENTITY]
+        assert [p.map for p in pieces(union, swap=True)] == [POLAR, SWAP]
 
 
 class TestBoundingBox:
@@ -150,6 +245,20 @@ class TestValidation:
     def test_polygon_rejects_self_intersection(self):
         with pytest.raises(InvalidRegionError):
             rv.Polygon((rv.Point(0, 0), rv.Point(1, 1), rv.Point(1, 0), rv.Point(0, 1)))
+
+    @pytest.mark.parametrize("verts", [
+        ((0, 0), (2, 0), (2, 2), (1, 0), (0, 2)),          # a vertex touches an edge
+        ((0, 0), (2, 0), (2, 2), (1, 1), (0, 2), (1, 1)),  # a repeated vertex
+        ((0, 0), (3, 0), (1, 0), (1, 1)),                  # an edge folds back
+    ], ids=["vertex_on_edge", "repeated_vertex", "fold_back"])
+    def test_polygon_rejects_touching_edges(self, verts):
+        with pytest.raises(InvalidRegionError, match="self-intersect"):
+            rv.Polygon(tuple(rv.Point(x, y) for x, y in verts))
+
+    def test_polygon_allows_collinear_vertices_going_forward(self):
+        poly = rv.Polygon(tuple(rv.Point(x, y) for x, y in
+                                ((0, 0), (1, 0), (2, 0), (2, 1), (0, 1))))
+        assert rv.area(poly) == 2.0
 
     def test_polygon_needs_three_vertices(self):
         with pytest.raises(InvalidRegionError):
