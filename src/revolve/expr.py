@@ -18,13 +18,26 @@ Evaluation is pure.  Any operation that leaves the real domain (sqrt of a
 negative, log of a non-positive, division by zero) raises DomainError, and a
 non-finite result (NaN or +/-Inf, e.g. from overflow) is normalized to
 DomainError as well, so quadrature can treat all failures uniformly.
+
+Each expression is compiled once, on its first evaluation, into a
+straight-line Python function (see Compilation below); scalar and array
+evaluation compile alike, with two tables of helpers.  Array
+evaluation is NaN exactly where scalar evaluation raises: its helpers
+return NaN for a zero divisor and for a non-finite result from finite
+operands, and ``^`` keeps a NaN operand NaN (``nan^0`` would be 1).  The
+exceptions lie past an infinity that the scalar path carries on without
+raising (an overflow of + - or *, as in ``1e308*10``, or a literal like
+``1e999``): from there the two may part, as at ``(0-1e999)^0.5``, which is
+inf for ``math.pow`` and NaN for numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -91,9 +104,16 @@ class ExprAst:
     root: Node
     variable: str | None
     text: str
+    # The compiled evaluators, built on first use; not part of the value.
+    _scalar: Callable | None = field(default=None, init=False, repr=False, compare=False)
+    _array: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def eval(self, value: float) -> float:
         return eval_expr(self, value)
+
+    def __reduce__(self):
+        # Generated functions do not pickle; a copy compiles its own.
+        return ExprAst, (self.root, self.variable, self.text)
 
 
 # ---------------------------------------------------------------------------
@@ -251,83 +271,205 @@ def parse_scalar(text) -> float:
             raise DomainError(f"non-finite scalar {text!r}")
         return value
     ast = parse_expr(str(text), None)
-    return _eval_node(ast.root, 0.0)
+    # A constant folds while it is compiled, so this runs no generated code
+    # unless some operation in it fails.
+    return _compile(ast.root, _SCALAR_HELPERS)(0.0)
 
 
 # ---------------------------------------------------------------------------
-# Scalar evaluation
+# Compilation
+#
+# An expression is evaluated by one straight-line function generated from
+# its AST: one assignment per operation, in the order of a left-to-right,
+# depth-first walk.  Constants and helpers are bound by name (as the
+# function's globals), never written into the source; + - * and negation
+# are inline, and / ^ and the functions call the helpers of the table the
+# function is compiled with.  Intermediate results live in a stack of
+# names t0, t1, ...: an operation replaces its operands, so each one is
+# released once used, as in a tree walk (which matters for large arrays).
+# A node whose operands are all constants is computed while compiling,
+# with the same operation, unless that fails.
 
-def _eval_node(node: Node, x: float) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, x)
-    if isinstance(node, BinOp):
-        left = _eval_node(node.left, x)
-        right = _eval_node(node.right, x)
-        try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-            return math.pow(left, right)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"{node.op!r} failed on ({left!r}, {right!r})") from exc
-    fn = _FUNCTIONS[node.func][0]
-    arg = _eval_node(node.arg, x)
+_INLINE = {"+": (operator.add, "{} + {}"), "-": (operator.sub, "{} - {}"),
+           "*": (operator.mul, "{} * {}")}
+_NEGATE = (operator.neg, "-{}")
+
+
+def _compile(root: Node, helpers: dict[str, Callable]) -> Callable:
+    """The function x -> value of the expression ``root``, with ``/``, ``^``
+    and the functions taken from ``helpers``."""
+    bound: dict[str, object] = {"__builtins__": {}}  # the function's globals
+    consts: dict[str, float] = {}  # the bound names that are constants
+    lines: list[str] = []
+    height = 0                     # how many of t0, t1, ... hold a value
+
+    def bind(value) -> str:
+        name = f"b{len(bound)}"
+        bound[name] = value
+        return name
+
+    def apply(fn, template: str | None, args: list[str]) -> str:
+        nonlocal height
+        if all(arg in consts for arg in args):
+            try:
+                name = bind(fn(*(consts[arg] for arg in args)))
+            except DomainError:
+                pass  # keep the failing operation, it raises when evaluated
+            else:
+                consts[name] = bound[name]
+                return name
+        if template is None:
+            template = bind(fn) + "(" + ", ".join(["{}"] * len(args)) + ")"
+        # The operands that are intermediate results are the top of the stack.
+        top = height
+        height -= sum(arg.startswith("t") for arg in args)
+        lines.append(f"    t{height} = " + template.format(*args))
+        lines.extend(f"    del t{k}" for k in range(height + 1, top))
+        height += 1
+        return f"t{height - 1}"
+
+    def walk(node: Node) -> str:
+        if isinstance(node, Const):
+            name = bind(node.value)
+            consts[name] = node.value
+            return name
+        if isinstance(node, Var):
+            return "x"
+        if isinstance(node, Neg):
+            return apply(*_NEGATE, [walk(node.operand)])
+        if isinstance(node, BinOp):
+            args = [walk(node.left), walk(node.right)]
+            if node.op in _INLINE:
+                return apply(*_INLINE[node.op], args)
+            return apply(helpers[node.op], None, args)
+        return apply(helpers[node.func], None, [walk(node.arg)])
+
+    result = walk(root)
+    if not lines:  # x or a constant: nothing to compile
+        value = consts.get(result)
+        return (lambda x: x) if result == "x" else (lambda x: value)
+    exec("def evaluate(x):\n" + "\n".join(lines) + f"\n    return {result}", bound)
+    return bound["evaluate"]
+
+
+def _evaluator(ast: ExprAst, slot: str, helpers: dict[str, Callable]) -> Callable:
+    """``ast``'s function compiled with ``helpers``, memoised in ``slot``."""
+    fn = getattr(ast, slot)
+    if fn is None:
+        fn = _compile(ast.root, helpers)
+        object.__setattr__(ast, slot, fn)
+    return fn
+
+
+# ---------------------------------------------------------------------------
+# Scalar evaluation: a failing operation raises DomainError
+
+_BINOP_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def _divide(left, right):
     try:
-        return fn(arg)
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"{node.func}({arg!r}) is undefined") from exc
+        return left / right
+    except _BINOP_ERRORS as exc:
+        raise DomainError(f"'/' failed on ({left!r}, {right!r})") from exc
+
+
+def _power(left, right):
+    try:
+        return math.pow(left, right)
+    except _BINOP_ERRORS as exc:
+        raise DomainError(f"'^' failed on ({left!r}, {right!r})") from exc
+
+
+def _scalar_call(name: str, fn: Callable) -> Callable:
+    def call(arg):
+        try:
+            return fn(arg)
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(f"{name}({arg!r}) is undefined") from exc
+
+    return call
+
+
+_SCALAR_HELPERS = {"/": _divide, "^": _power,
+                   **{name: _scalar_call(name, fns[0]) for name, fns in _FUNCTIONS.items()}}
 
 
 def eval_expr(ast: ExprAst, value: float) -> float:
     """Evaluate at ``value``; deterministic, raises DomainError when the
     result is not a finite real."""
-    result = _eval_node(ast.root, value)
+    fn = ast._scalar or _evaluator(ast, "_scalar", _SCALAR_HELPERS)
+    result = fn(value)
     if not math.isfinite(result):
         raise DomainError(f"{ast.text!r} is not finite at {value!r}")
     return result
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation (NaN-propagating, used by sampling paths)
+# Vectorized evaluation: NaN wherever scalar evaluation raises
 
-def _eval_node_array(node: Node, xs: np.ndarray):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return xs
-    if isinstance(node, Neg):
-        return -_eval_node_array(node.operand, xs)
-    if isinstance(node, BinOp):
-        left = _eval_node_array(node.left, xs)
-        right = _eval_node_array(node.right, xs)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return np.divide(left, right)
-        return np.power(left, right)
-    fn = _FUNCTIONS[node.func][1]
-    return fn(_eval_node_array(node.arg, xs))
+def _nan_where(out, bad):
+    """``out`` with NaN where ``bad`` (nowhere if None); an array is
+    changed in place."""
+    if bad is None:
+        return out
+    if isinstance(out, np.ndarray):
+        np.copyto(out, np.nan, where=bad)
+        return out
+    return np.nan if bad else out
+
+
+def _overflow(out, *args):
+    """Where ``out`` is infinite although every one of ``args`` is finite
+    (there the scalar operation raises), or None if nowhere."""
+    bad = np.isinf(out)
+    if not bad.any():
+        return None
+    for arg in args:
+        bad &= np.isfinite(arg)
+    return bad
+
+
+def _divide_array(left, right):
+    out = np.divide(left, right)
+    zero = np.equal(right, 0.0)
+    return _nan_where(out, zero if zero.any() else None)
+
+
+def _power_array(left, right):
+    out = np.power(left, right)
+    bad = _overflow(out, left, right)
+    if np.ndim(right) or right == 0.0 or math.isnan(right):
+        # nan^0 and 1^nan are 1: keep such a NaN operand NaN, so that a
+        # failure below the power does not vanish.
+        absorbed = (out == 1.0) & (np.isnan(left) | np.isnan(right))
+        bad = absorbed if bad is None else bad | absorbed
+    return _nan_where(out, bad)
+
+
+def _finite_or_nan(fn: Callable) -> Callable:
+    def call(arg):
+        out = fn(arg)
+        return _nan_where(out, _overflow(out, arg))
+
+    return call
+
+
+# numpy's functions give NaN by themselves wherever math's raise, except
+# that exp overflows to inf and log(0) is -inf.
+_ARRAY_HELPERS = {"/": _divide_array, "^": _power_array,
+                  **{name: fns[1] for name, fns in _FUNCTIONS.items()},
+                  "exp": _finite_or_nan(np.exp), "log": _finite_or_nan(np.log)}
 
 
 def eval_array(ast: ExprAst, values: np.ndarray) -> np.ndarray:
-    """Evaluate over an array.  Out-of-domain points come back as NaN
-    instead of raising, which comparison-based callers treat as "outside"."""
+    """Evaluate over an array.  Points where ``eval_expr`` raises come back
+    as NaN instead, which comparison-based callers treat as "outside"."""
     xs = np.asarray(values, dtype=np.float64)
     with np.errstate(all="ignore"):
-        out = np.asarray(_eval_node_array(ast.root, xs), dtype=np.float64)
-        out = np.broadcast_to(out, xs.shape).copy()
-        out[~np.isfinite(out)] = np.nan
+        fn = ast._array or _evaluator(ast, "_array", _ARRAY_HELPERS)
+        out = fn(xs)
+        if out is xs or not isinstance(out, np.ndarray):
+            out = np.array(np.broadcast_to(out, xs.shape))
+        np.copyto(out, np.nan, where=np.isinf(out))  # NaN stays NaN
     return out

@@ -217,3 +217,106 @@ MALFORMED_CASES = [
     ("1..2", 2),
     ("2*π", 2),
 ]
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the tree-walking evaluators and the uncached
+# side check that the compiled evaluators and the cached side check replace.
+
+def ref_eval_node(node, x):
+    """Scalar tree walk; raises DomainError like ``eval_expr``."""
+    from revolve.errors import DomainError
+    from revolve.expr import _FUNCTIONS, BinOp, Const, Neg, Var
+
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -ref_eval_node(node.operand, x)
+    if isinstance(node, BinOp):
+        left = ref_eval_node(node.left, x)
+        right = ref_eval_node(node.right, x)
+        try:
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            if node.op == "/":
+                return left / right
+            return math.pow(left, right)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise DomainError(f"{node.op!r} failed on ({left!r}, {right!r})") from exc
+    fn = _FUNCTIONS[node.func][0]
+    arg = ref_eval_node(node.arg, x)
+    try:
+        return fn(arg)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"{node.func}({arg!r}) is undefined") from exc
+
+
+def ref_eval_expr(ast, value):
+    from revolve.errors import DomainError
+
+    result = ref_eval_node(ast.root, value)
+    if not math.isfinite(result):
+        raise DomainError(f"{ast.text!r} is not finite at {value!r}")
+    return result
+
+
+def ref_eval_node_array(node, xs):
+    """Vectorized tree walk without masks: an intermediate inf or NaN is
+    carried on, so a failure can vanish (1/(1/x) at 0 is 0)."""
+    from revolve.expr import _FUNCTIONS, BinOp, Const, Neg, Var
+
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return xs
+    if isinstance(node, Neg):
+        return -ref_eval_node_array(node.operand, xs)
+    if isinstance(node, BinOp):
+        left = ref_eval_node_array(node.left, xs)
+        right = ref_eval_node_array(node.right, xs)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            return np.divide(left, right)
+        return np.power(left, right)
+    fn = _FUNCTIONS[node.func][1]
+    return fn(ref_eval_node_array(node.arg, xs))
+
+
+def ref_eval_array(ast, values):
+    xs = np.asarray(values, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        out = np.asarray(ref_eval_node_array(ast.root, xs), dtype=np.float64)
+        out = np.broadcast_to(out, xs.shape).copy()
+        out[~np.isfinite(out)] = np.nan
+    return out
+
+
+def ref_axis_side_check(region, axis, grid=64, boundary=256):
+    """The side check with its samples drawn afresh on every call."""
+    x_lo, x_hi, y_lo, y_hi = rv.bounding_box(region)
+    gx, gy = np.meshgrid(np.linspace(x_lo, x_hi, grid), np.linspace(y_lo, y_hi, grid))
+    gx, gy = gx.ravel(), gy.ravel()
+    mask = rv.contains_mask(region, gx, gy)
+    samples = list(axis.a * gx[mask] + axis.b * gy[mask] + axis.c)
+    samples.extend(rv.signed_distance(axis, p) for p in rv.boundary_points(region, boundary))
+    if not samples:
+        raise rv.InvalidRegionError("region produced no sample points")
+    d_min, d_max = min(samples), max(samples)
+    if d_min >= -1e-9:
+        return 1
+    if d_max <= 1e-9:
+        return -1
+    raise rv.AxisIntersectsRegion(
+        f"axis meets the region: signed distances span [{d_min!r}, {d_max!r}]"
+    )

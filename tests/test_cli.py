@@ -94,6 +94,30 @@ class TestCompare:
         assert payload["verdict"] == "no data"
         assert "no method" in err
 
+    def test_straddle_failures_repeat_with_a_warm_side_check(self, capsys, fixtures_dir):
+        span = "axis meets the region: signed distances span [-1.0, 1.0]"
+        expected = [
+            {"method": "double_integral", "error": "AxisIntersectsRegion", "message": span},
+            {"method": "disk", "error": "UnsupportedMethod",
+             "message": "disk method needs a vertical axis with normal-y parts or a "
+                        "horizontal axis with normal-x parts"},
+            {"method": "shell", "error": "AxisIntersectsRegion",
+             "message": "interval [-1.0, 1.0] straddles the axis at -0.0"},
+            {"method": "polar", "error": "UnsupportedMethod",
+             "message": "polar method needs polar-sector regions"},
+            {"method": "pappus", "error": "AxisIntersectsRegion", "message": span},
+            {"method": "monte_carlo", "error": "AxisIntersectsRegion", "message": span},
+        ]
+        outputs = []
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, "compare",
+                                   "--config", str(fixtures_dir / "straddle.json"),
+                                   "--mc-samples", "1000")
+            assert code == 3
+            assert json.loads(out)["failures"] == expected
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_csv_format(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "compare",
                                "--config", str(fixtures_dir / "unit_square.json"),

@@ -1,12 +1,18 @@
 import math
+import pickle
+import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import revolve as rv
+from revolve import expr
 from revolve.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 
-from helpers import MALFORMED_CASES, PRECEDENCE_CASES
+from helpers import (MALFORMED_CASES, PRECEDENCE_CASES, ref_eval_array, ref_eval_expr,
+                     ref_eval_node)
 
 
 def ev(text, value=0.0, var="x"):
@@ -132,3 +138,162 @@ class TestEvalArray:
         out = rv.eval_array(ast, np.array([2.0, 0.0]))
         assert out[0] == 0.5
         assert np.isnan(out[1])
+
+    def test_failure_does_not_vanish(self):
+        # The scalar evaluator raises at these points; an intermediate
+        # inf must not turn into a finite array value.
+        for text, x in [("1/(1/x)", 0.0), ("1/(1+exp(1000*x))", 1.0), ("(1/x)^0", 0.0),
+                        ("1^log(x)", 0.0), ("1/(2^(1100*x))", 1.0), ("atan(1/x)", 0.0),
+                        ("x*(1-x)^0.5", 2.0)]:
+            ast = rv.parse_expr(text, "x")
+            with pytest.raises(DomainError):
+                rv.eval_expr(ast, x)
+            out = rv.eval_array(ast, np.array([x, 0.5]))
+            assert np.isnan(out[0]), text
+            assert out[1] == rv.eval_expr(ast, 0.5), text
+
+    def test_intermediate_arrays_are_released(self):
+        # Each result replaces its operands, as in a tree walk: a long chain
+        # holds about two arrays at a time, not one per operation.
+        xs = np.linspace(-1.0, 1.0, 500_000)
+        ast = rv.parse_expr("sqrt(((((((x+1)*2+1)*2+1)*2+1)*2+1)^2)*(x+3)+1)", "x")
+        rv.eval_array(ast, xs)
+        tracemalloc.start()
+        try:
+            rv.eval_array(ast, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * xs.nbytes
+
+    def test_input_array_untouched(self):
+        xs = np.array([1.0, np.inf, 2.0])
+        out = rv.eval_array(rv.parse_expr("x", "x"), xs)
+        assert np.isnan(out[1]) and xs[1] == np.inf
+        out[0] = 5.0
+        assert xs[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluators against the tree walks they replace
+
+_FUNCS = sorted(expr._FUNCTIONS)
+_CONSTS = [0.0, 1.0, 2.0, 0.5, 3.0, 1e-3, 10.0, 1000.0, math.pi]
+_POINTS = [-2.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 700.0]
+
+
+def _random_text(rng, depth):
+    """Fully parenthesized expression text in x; every operator and
+    function, with constants that put some points outside the domain."""
+    kind = rng.random() if depth > 0 else rng.random() * 0.3
+    if kind < 0.15:
+        return "x"
+    if kind < 0.3:
+        return repr(rng.choice(_CONSTS))
+    if kind < 0.4:
+        return f"-({_random_text(rng, depth - 1)})"
+    if kind < 0.75:
+        op = rng.choice("+-*/^")
+        return f"({_random_text(rng, depth - 1)}){op}({_random_text(rng, depth - 1)})"
+    return f"{rng.choice(_FUNCS)}({_random_text(rng, depth - 1)})"
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except DomainError as exc:
+        return (str(exc), type(exc.__cause__))
+
+
+def _random_asts(count=300, seed=20261018):
+    rng = random.Random(seed)
+    return [rv.parse_expr(_random_text(rng, rng.randint(1, 5)), "x") for _ in range(count)]
+
+
+class TestCompiledMatchesTreeWalk:
+    def test_scalar_values_and_errors(self):
+        failures = values = 0
+        for ast in _random_asts():
+            for x in _POINTS:
+                got = _outcome(rv.eval_expr, ast, x)
+                assert got == _outcome(ref_eval_expr, ast, x), (ast.text, x)
+                failures += isinstance(got, tuple)
+                values += isinstance(got, str)
+        assert failures > 200 and values > 1000  # both paths exercised
+
+    def test_array_nan_exactly_where_scalar_raises(self):
+        xs = np.array(_POINTS)
+        masked = 0
+        for ast in _random_asts():
+            new, old = rv.eval_array(ast, xs), ref_eval_array(ast, xs)
+            for i, x in enumerate(_POINTS):
+                if isinstance(_outcome(ref_eval_expr, ast, x), tuple):
+                    assert np.isnan(new[i]), (ast.text, x)
+                    masked += not np.isnan(old[i])
+                else:
+                    assert repr(new[i]) == repr(old[i]), (ast.text, x)
+        assert masked > 0  # the tree walk let some failures vanish
+
+    def test_parse_scalar(self):
+        for ast in _random_asts(seed=7):
+            const = rv.parse_expr(re.sub(r"\bx\b", "2.0", ast.text), None)
+            try:
+                expected = repr(ref_eval_node(const.root, 0.0))
+            except DomainError as exc:
+                expected = (str(exc), type(exc.__cause__))
+            assert _outcome(rv.parse_scalar, const.text) == expected, const.text
+
+    @pytest.mark.parametrize("text", [
+        "+".join(["x"] * 300),                   # a long left-leaning chain
+        "sqrt(" * 60 + "x" + ")" * 60,           # nested calls
+        "-" * 100 + "x",
+        "(" * 45 + "x" + "+1)" * 45,
+        "exp(" * 5 + "-(" * 40 + "x" + ")" * 45,
+    ])
+    def test_deep_expressions(self, text):
+        ast = rv.parse_expr(text, "x")
+        for x in (-1.0, 0.0, 0.5, 2.0):
+            assert _outcome(rv.eval_expr, ast, x) == _outcome(ref_eval_expr, ast, x)
+        xs = np.array([-1.0, 0.0, 0.5, 2.0])
+        assert repr(rv.eval_array(ast, xs)) == repr(ref_eval_array(ast, xs))
+
+    def test_failure_order_kept(self):
+        # The left operand fails first, so its message wins.
+        ast = rv.parse_expr("sqrt(x) + log(x) + 1/0", "x")
+        with pytest.raises(DomainError, match=r"sqrt\(-1.0\)"):
+            rv.eval_expr(ast, -1.0)
+        with pytest.raises(DomainError, match="log"):
+            rv.eval_expr(ast, 0.0)
+        with pytest.raises(DomainError, match="'/' failed on"):
+            rv.eval_expr(ast, 1.0)
+
+    def test_compiled_once_and_not_part_of_the_value(self):
+        ast = rv.parse_expr("x^2 - 1", "x")
+        fresh = rv.parse_expr("x^2 - 1", "x")
+        assert ast._scalar is None and ast._array is None
+        rv.eval_expr(ast, 0.5)
+        rv.eval_array(ast, np.zeros(3))
+        scalar, array = ast._scalar, ast._array
+        rv.eval_expr(ast, 0.25)
+        rv.eval_array(ast, np.ones(2))
+        assert ast._scalar is scalar and ast._array is array
+        assert ast == fresh and hash(ast) == hash(fresh) and repr(ast) == repr(fresh)
+        curve = rv.curve("x^2 - 1", "x")
+        curve(0.5)
+        copy = pickle.loads(pickle.dumps(curve))
+        assert copy.ast == ast and copy.ast._scalar is None
+        assert copy(0.5) == rv.eval_expr(ast, 0.5)
+
+    def test_constant_folds_without_code(self):
+        # parse_scalar runs no generated code when every operation succeeds.
+        assert rv.parse_scalar("-sqrt(3)/2 + 2^-1") == -math.sqrt(3) / 2 + 0.5
+        with pytest.raises(DomainError) as err:
+            rv.parse_scalar("1 + 1/0")
+        assert str(err.value) == "'/' failed on (1.0, 0.0)"
+        assert isinstance(err.value.__cause__, ZeroDivisionError)
+
+    @pytest.mark.parametrize("text", ["x + __import__('os')", "__import__", "x.__class__",
+                                      "b1", "t0", "evaluate(x)", "x; 1", "x\n1"])
+    def test_source_text_never_reaches_the_compiler(self, text):
+        with pytest.raises((ExprSyntaxError, UnknownIdentifierError)):
+            rv.parse_expr(text, "x")

@@ -5,11 +5,15 @@ import pytest
 
 import revolve as rv
 from revolve.errors import AxisIntersectsRegion, InvalidRegionError
+from revolve import region as region_module
+from revolve.config import parse_job
 from revolve.region import IDENTITY, POLAR, SWAP, pieces
 
 from helpers import (
     AXIS_OY,
     cone_triangle,
+    ref_axis_side_check,
+    sector_disk_union,
     sector_polar,
     straddling_disk_x,
     torus_normal_x,
@@ -305,3 +309,85 @@ class TestAxisSideCheck:
             on_arc = abs(rho - 1.0) <= 1e-9
             on_edge = abs(p.x) <= 1e-9 or abs(p.y) <= 1e-9
             assert on_arc or on_edge
+
+
+def _side(region, axis, check=rv.axis_side_check):
+    try:
+        return check(region, axis)
+    except (AxisIntersectsRegion, InvalidRegionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def cold_side_cloud():
+    region_module._side_cloud.cache_clear()
+    yield region_module._side_cloud
+    region_module._side_cloud.cache_clear()
+
+
+_SIDE_AXES = [rv.Axis.vertical(2.0), rv.Axis.horizontal(0.0), rv.Axis(1.0, 1.0, -1.0),
+              rv.Axis.vertical(0.0), rv.Axis(1.0, 1.0, -2.0), rv.Axis.vertical(1.5),
+              rv.Axis(1.0, 0.0, -1.0), rv.Axis(0.0, 1.0, -0.5)]
+
+
+class TestSideCheckCache:
+    """The side check samples each region once; every call still answers
+    as the uncached check did, to the message bytes."""
+
+    @pytest.mark.parametrize("build", [torus_normal_x, sector_polar, sector_disk_union,
+                                       straddling_disk_x, unit_square_polygon, cone_triangle])
+    def test_cold_warm_cleared_and_equal_regions(self, build, cold_side_cloud):
+        region = build()
+        expected = [_side(region, axis, ref_axis_side_check) for axis in _SIDE_AXES]
+        assert [_side(region, axis) for axis in _SIDE_AXES] == expected  # cold, then warm
+        assert cold_side_cloud.cache_info().misses == 1
+        assert [_side(region, axis) for axis in _SIDE_AXES] == expected
+        cold_side_cloud.cache_clear()
+        assert [_side(region, axis) for axis in _SIDE_AXES] == expected
+        assert [_side(build(), axis) for axis in _SIDE_AXES] == expected
+        assert cold_side_cloud.cache_info().misses == 1
+
+    def test_equal_regions_from_separate_configs_share_one_cloud(self, cold_side_cloud):
+        doc = {"region": {"type": "normal_x", "x_min": "1", "x_max": "3",
+                          "lower": "-sqrt(1-(x-2)^2)", "upper": "sqrt(1-(x-2)^2)"},
+               "axis": "OY"}
+        first, second = parse_job(doc), parse_job(doc)
+        assert first.region is not second.region
+        for axis in _SIDE_AXES:
+            expected = _side(first.region, axis, ref_axis_side_check)
+            assert _side(first.region, axis) == expected
+            assert _side(second.region, axis) == expected
+        assert cold_side_cloud.cache_info().misses == 1
+
+    def test_ties_keep_the_first_sample_and_its_type(self, cold_side_cloud):
+        # A grid corner and a vertex tie for both extremes: the grid sample
+        # comes first and prints as a numpy scalar; on the disk a boundary
+        # probe is the extreme and prints as a float.
+        square = unit_square_polygon()
+        message = _side(square, rv.Axis.vertical(1.5))[1]
+        assert message.endswith("[np.float64(-0.5), np.float64(0.5)]")
+        assert _side(straddling_disk_x(), AXIS_OY)[1].endswith("[-1.0, 1.0]")
+
+    def test_no_sample_points_raises_on_every_call(self, cold_side_cloud, monkeypatch):
+        monkeypatch.setattr(region_module, "boundary_points", lambda region, n: [])
+        for _ in range(3):
+            with pytest.raises(InvalidRegionError, match="region produced no sample points"):
+                rv.axis_side_check(unit_square_polygon(), AXIS_OY, grid=0)
+        assert cold_side_cloud.cache_info().misses == 1
+
+    def test_cloud_is_read_only(self, cold_side_cloud):
+        xs, ys, n_grid = region_module._side_cloud(sector_polar(), 64, 256)
+        assert 0 < n_grid < xs.size == ys.size
+        with pytest.raises(ValueError):
+            xs[0] = 0.0
+
+
+class TestUndefinedCurvePoints:
+    def test_mask_agrees_with_scalar_evaluation(self):
+        # upper(0.3) is undefined (1/0 inside), though the tree-walking
+        # array evaluator gave 2 there: the point must be outside.
+        region = rv.NormalX(0.0, 1.0, rv.curve("0", "x"), rv.curve("2 + 1/(1/(x-0.3))", "x"))
+        with pytest.raises(rv.DomainError):
+            region.upper(0.3)
+        assert not rv.contains(region, rv.Point(0.3, 1.0))
+        assert rv.contains(region, rv.Point(0.5, 1.0))
