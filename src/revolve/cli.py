@@ -21,29 +21,15 @@ import numpy as np
 
 from .config import JobConfig, load_job
 from .errors import ConfigError, RevolveError
-from .methods import (
-    VolumeReport,
-    centroid,
-    compare_methods,
-    volume_disk,
-    volume_double_integral,
-    volume_monte_carlo,
-    volume_pappus,
-    volume_polar,
-    volume_shell,
-)
+from .methods import ROUTES, VolumeReport, centroid, compare_methods, run_route
 from .region import axis_side_check, bounding_box, contains_mask
 from .geometry import Point, signed_distance
 
 __all__ = ["main", "run", "build_parser"]
 
-_METHOD_RUNNERS = {
-    "double_integral": volume_double_integral,
-    "disk": volume_disk,
-    "shell": volume_shell,
-    "polar": volume_polar,
-    "pappus": volume_pappus,
-}
+# methods.ROUTES itself, under the name bench/spans.py patches: a route it
+# replaces here is replaced for volume and compare alike.
+_METHOD_RUNNERS = ROUTES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,11 +100,7 @@ def _emit_volume(report: VolumeReport, fmt: str) -> None:
 
 
 def _cmd_volume(job: JobConfig) -> int:
-    method = job.method
-    if method == "monte_carlo":
-        report = volume_monte_carlo(job.region, job.axis, job.mc)
-    else:
-        report = _METHOD_RUNNERS[method](job.region, job.axis, job.tolerance)
+    report = run_route(job.method, job.region, job.axis, job.tolerance, job.mc)
     _emit_volume(report, job.out_format)
     return 0
 

@@ -265,7 +265,7 @@ def parse_job(doc, overrides: dict | None = None) -> JobConfig:
     if rel is not None and abs_tol is not None:
         try:
             tolerance = Tolerance(rel, abs_tol, int(max_depth))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             issues.append(("tolerance", str(exc)))
 
     mc_doc = doc.get("mc", {})
@@ -278,7 +278,7 @@ def parse_job(doc, overrides: dict | None = None) -> JobConfig:
     mc = None
     try:
         mc = McConfig(int(samples), int(seed))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         issues.append(("mc", str(exc)))
 
     out_format = overrides.get("format") or doc.get("format", "json")
@@ -298,6 +298,6 @@ def load_job(path, overrides: dict | None = None) -> JobConfig:
         raise ConfigError([(str(path), f"cannot read config: {exc}")]) from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise ConfigError([(str(path), f"invalid JSON: {exc}")]) from exc
     return parse_job(doc, overrides)

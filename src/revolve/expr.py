@@ -264,16 +264,20 @@ def parse_expr(text: str, variable: str | None) -> ExprAst:
 
 
 def parse_scalar(text) -> float:
-    """Evaluate a constant expression string (or pass a number through)."""
+    """Evaluate a constant expression string (or pass a number through);
+    raises DomainError unless the value is a finite float."""
     if isinstance(text, (int, float)) and not isinstance(text, bool):
-        value = float(text)
-        if not math.isfinite(value):
-            raise DomainError(f"non-finite scalar {text!r}")
-        return value
-    ast = parse_expr(str(text), None)
-    # A constant folds while it is compiled, so this runs no generated code
-    # unless some operation in it fails.
-    return _compile(ast.root, _SCALAR_HELPERS)(0.0)
+        try:
+            value = float(text)
+        except OverflowError as exc:
+            raise DomainError("integer beyond float range") from exc
+    else:
+        # A constant folds while it is compiled, so this runs no generated
+        # code unless some operation in it fails.
+        value = _compile(parse_expr(str(text), None).root, _SCALAR_HELPERS)(0.0)
+    if not math.isfinite(value):
+        raise DomainError(f"non-finite scalar {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +403,13 @@ def eval_expr(ast: ExprAst, value: float) -> float:
     """Evaluate at ``value``; deterministic, raises DomainError when the
     result is not a finite real."""
     fn = ast._scalar or _evaluator(ast, "_scalar", _SCALAR_HELPERS)
-    result = fn(value)
-    if not math.isfinite(result):
-        raise DomainError(f"{ast.text!r} is not finite at {value!r}")
-    return result
+    try:
+        result = fn(value)
+        if math.isfinite(result):
+            return result
+    except OverflowError as exc:  # int arithmetic beyond float range
+        raise DomainError(f"{ast.text!r} is not finite at {value!r}") from exc
+    raise DomainError(f"{ast.text!r} is not finite at {value!r}")
 
 
 # ---------------------------------------------------------------------------

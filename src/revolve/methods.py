@@ -21,6 +21,11 @@ its coordinates swapped:
           and shared with ``area`` and ``centroid``
 * monte_carlo: uniform rejection sampling over the bounding box
 
+``ROUTES`` maps each name to its public ``volume_<name>`` in compare
+order; ``_route`` fills it, times each call and reports the route's
+QuadratureResult as a VolumeReport.  ``run_route`` runs one by name (Monte
+Carlo with an McConfig, the others with a Tolerance).
+
 Not all of them are independent checks of one another.  On a normal_x
 region about a vertical axis, double_integral and shell integrate the same
 1D integrand (the shell's height times its radius), so they agree by
@@ -28,10 +33,13 @@ construction; pappus uses the same sections.  Polar (iterated, with its own
 inner rule), disk (a quadratic integrand) and Monte Carlo are independent
 of the sections.
 
-Every method refuses an axis that crosses the region interior
-(AxisIntersectsRegion); touching the boundary is fine.  Monte Carlo uses
-the counter-based Philox 4x64 generator keyed directly with the config
-seed, so results for a given seed are reproducible bit for bit.
+Every route refuses an axis that crosses the region interior
+(AxisIntersectsRegion) by one whole-region side check, after its own
+applicability test; touching the boundary is fine.  A union with parts on
+both sides of the axis is refused too: the solids they sweep overlap.
+Monte Carlo uses the counter-based Philox 4x64 generator keyed directly
+with the config seed, so results for a given seed are reproducible bit for
+bit.
 """
 
 from __future__ import annotations
@@ -40,10 +48,11 @@ import functools
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import AxisIntersectsRegion, RevolveError, UnsupportedMethod
+from .errors import RevolveError, UnsupportedMethod
 from .geometry import Axis, Point, signed_distance
 from .quadrature import (
     QuadratureResult,
@@ -69,12 +78,14 @@ from .region import (
 )
 
 __all__ = [
+    "ROUTES",
     "METHODS",
     "VolumeReport",
     "CentroidReport",
     "McConfig",
     "MethodFailure",
     "ComparisonReport",
+    "run_route",
     "volume_double_integral",
     "volume_shell",
     "volume_disk",
@@ -86,9 +97,6 @@ __all__ = [
     "compare_methods",
 ]
 
-METHODS = ("double_integral", "disk", "shell", "polar", "pappus", "monte_carlo")
-
-_AXIS_TOL = 1e-9  # touching tolerance, matches the side check
 _VERTICAL_TOL = 1e-12
 
 
@@ -117,6 +125,27 @@ class McConfig:
             raise ValueError("need at least 100 samples")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+
+
+# Filled by ``_route`` in definition order, the order compare runs them.
+ROUTES: dict[str, Callable[..., VolumeReport]] = {}
+
+
+def _route(compute: Callable[..., QuadratureResult]) -> Callable[..., VolumeReport]:
+    """Register ``compute`` (named ``volume_<name>``) in ROUTES as the public
+    route: a call is timed, and the (value, error estimate, evaluations) it
+    returns become a VolumeReport."""
+    name = compute.__name__.removeprefix("volume_")
+
+    @functools.wraps(compute)
+    def route(*args, **kwargs) -> VolumeReport:
+        t0 = time.perf_counter()
+        res = compute(*args, **kwargs)
+        return VolumeReport(name, res.value, res.error_estimate, res.evaluations,
+                            time.perf_counter() - t0)
+
+    ROUTES[name] = route
+    return route
 
 
 def _vertical_offset(axis: Axis) -> float | None:
@@ -155,87 +184,24 @@ def _distance_integrand(section, axis: Axis, side: int):
     return integrand
 
 
-def volume_double_integral(region: Region, axis: Axis, tol: Tolerance | None = None) -> VolumeReport:
+@_route
+def volume_double_integral(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
     """Integral of 2*pi*distance(axis) over the region: closed-form inner
     integrals, one adaptive 1D pass per piece over the outer coordinate,
     converging on the volume itself."""
-    t0 = time.perf_counter()
     tol = tol or Tolerance()
     side = axis_side_check(region, axis)
-    res = sum_results([
+    return sum_results([
         integrate_1d(_distance_integrand(section, axis, side), u0, u1, tol)
         for u0, u1, section in moment_sections(region)
     ])
-    return VolumeReport(
-        "double_integral", res.value, res.error_estimate, res.evaluations,
-        time.perf_counter() - t0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Shell method
-
-def _check_one_side(lo: float, hi: float, x0: float) -> None:
-    if lo < x0 - _AXIS_TOL and hi > x0 + _AXIS_TOL:
-        raise AxisIntersectsRegion(
-            f"interval [{lo!r}, {hi!r}] straddles the axis at {x0!r}"
-        )
-
-
-def _shell_piece(piece: Piece, offset: float, tol: Tolerance) -> QuadratureResult:
-    near, far = piece.near, piece.far
-    return integrate_1d(
-        lambda t: TWO_PI * abs(t - offset) * (far(t) - near(t)), piece.u0, piece.u1, tol
-    )
-
-
-def volume_shell(region: Region, axis: Axis, tol: Tolerance | None = None) -> VolumeReport:
-    """Cylindrical-shell integral over pieces whose outer coordinate runs
-    across the axis: x-pieces (normal_x, polygon x-slabs) about a vertical
-    axis, y-pieces (normal_y, polygon y-slabs) about a horizontal one."""
-    t0 = time.perf_counter()
-    tol = tol or Tolerance()
-    x0 = _vertical_offset(axis)
-    want, offset = (IDENTITY, x0) if x0 is not None else (SWAP, _horizontal_offset(axis))
-    quads = []
-    for part in _parts(region):
-        part_pieces = pieces(part, swap=want == SWAP)
-        if offset is None or any(piece.map != want for piece in part_pieces):
-            raise UnsupportedMethod(
-                "shell method needs a vertical axis with normal-x (or polygon) "
-                "parts, or a horizontal axis with normal-y (or polygon) parts"
-            )
-        _check_one_side(min(piece.u0 for piece in part_pieces),
-                        max(piece.u1 for piece in part_pieces), offset)
-        quads.append(sum_results([_shell_piece(piece, offset, tol) for piece in part_pieces]))
-    total = sum_results(quads)
-    return VolumeReport(
-        "shell", total.value, total.error_estimate, total.evaluations,
-        time.perf_counter() - t0,
-    )
 
 
 # ---------------------------------------------------------------------------
 # Disk (washer) method
 
-def _disk_side(near_vals, far_vals, offset: float) -> int:
-    """+1 when the slab [near, far] sits at coordinates >= offset, -1 when
-    <= offset; straddling raises."""
-    lo = float(np.nanmin(near_vals))
-    hi = float(np.nanmax(far_vals))
-    if lo >= offset - _AXIS_TOL:
-        return 1
-    if hi <= offset + _AXIS_TOL:
-        return -1
-    raise AxisIntersectsRegion(
-        f"boundary curves span [{lo!r}, {hi!r}] across the axis at {offset!r}"
-    )
-
-
-def _disk_piece(piece: Piece, offset: float, tol: Tolerance) -> QuadratureResult:
+def _disk_piece(piece: Piece, offset: float, side: int, tol: Tolerance) -> QuadratureResult:
     near, far = piece.near, piece.far
-    ts = np.linspace(piece.u0, piece.u1, 65)
-    side = _disk_side(near.sample(ts), far.sample(ts), offset)
     return integrate_1d(
         lambda t: math.pi * side * ((far(t) - offset) ** 2 - (near(t) - offset) ** 2),
         piece.u0,
@@ -244,48 +210,73 @@ def _disk_piece(piece: Piece, offset: float, tol: Tolerance) -> QuadratureResult
     )
 
 
-def volume_disk(region: Region, axis: Axis, tol: Tolerance | None = None) -> VolumeReport:
+@_route
+def volume_disk(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
     """Washer integral over normal domains whose inner coordinate runs
     across the axis: normal_y about a vertical axis, normal_x about a
     horizontal one.  Washers sample the boundary curves, so polygons are
     left to the shell route."""
-    t0 = time.perf_counter()
     tol = tol or Tolerance()
     x0 = _vertical_offset(axis)
     want, offset = (SWAP, x0) if x0 is not None else (IDENTITY, _horizontal_offset(axis))
-    quads = []
-    for part in _parts(region):
-        piece = None if isinstance(part, Polygon) else pieces(part)[0]
-        if offset is None or piece is None or piece.map != want:
-            raise UnsupportedMethod(
-                "disk method needs a vertical axis with normal-y parts or a "
-                "horizontal axis with normal-x parts"
-            )
-        quads.append(_disk_piece(piece, offset, tol))
-    total = sum_results(quads)
-    return VolumeReport(
-        "disk", total.value, total.error_estimate, total.evaluations,
-        time.perf_counter() - t0,
+    part_pieces = [None if isinstance(part, Polygon) else pieces(part)[0]
+                   for part in _parts(region)]
+    if offset is None or any(piece is None or piece.map != want for piece in part_pieces):
+        raise UnsupportedMethod(
+            "disk method needs a vertical axis with normal-y parts or a "
+            "horizontal axis with normal-x parts"
+        )
+    # The side check signs a*x + b*y + c; the washers are signed by the
+    # inner coordinate, whose coefficient there may be negative.
+    coefficient = axis.a if x0 is not None else axis.b
+    side = axis_side_check(region, axis) * (1 if coefficient > 0.0 else -1)
+    return sum_results([_disk_piece(piece, offset, side, tol) for piece in part_pieces])
+
+
+# ---------------------------------------------------------------------------
+# Shell method
+
+def _shell_piece(piece: Piece, offset: float, tol: Tolerance) -> QuadratureResult:
+    near, far = piece.near, piece.far
+    return integrate_1d(
+        lambda t: TWO_PI * abs(t - offset) * (far(t) - near(t)), piece.u0, piece.u1, tol
     )
+
+
+@_route
+def volume_shell(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
+    """Cylindrical-shell integral over pieces whose outer coordinate runs
+    across the axis: x-pieces (normal_x, polygon x-slabs) about a vertical
+    axis, y-pieces (normal_y, polygon y-slabs) about a horizontal one."""
+    tol = tol or Tolerance()
+    x0 = _vertical_offset(axis)
+    want, offset = (IDENTITY, x0) if x0 is not None else (SWAP, _horizontal_offset(axis))
+    part_pieces = [pieces(part, swap=want == SWAP) for part in _parts(region)]
+    if offset is None or any(piece.map != want for part in part_pieces for piece in part):
+        raise UnsupportedMethod(
+            "shell method needs a vertical axis with normal-x (or polygon) "
+            "parts, or a horizontal axis with normal-y (or polygon) parts"
+        )
+    axis_side_check(region, axis)
+    return sum_results([
+        sum_results([_shell_piece(piece, offset, tol) for piece in part])
+        for part in part_pieces
+    ])
 
 
 # ---------------------------------------------------------------------------
 # Polar route
 
-def volume_polar(region: Region, axis: Axis, tol: Tolerance | None = None) -> VolumeReport:
+@_route
+def volume_polar(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
     """The double integral evaluated in polar coordinates; the region must
     be a polar sector (or a union of them)."""
-    t0 = time.perf_counter()
     tol = tol or Tolerance()
     if any(piece.map != POLAR for piece in pieces(region)):
         raise UnsupportedMethod("polar method needs polar-sector regions")
     side = axis_side_check(region, axis)
-    res = integrate_region(
+    return integrate_region(
         region, lambda p: TWO_PI * side * signed_distance(axis, p), tol
-    )
-    return VolumeReport(
-        "polar", res.value, res.error_estimate, res.evaluations,
-        time.perf_counter() - t0,
     )
 
 
@@ -335,9 +326,9 @@ def centroid(region: Region, tol: Tolerance | None = None) -> CentroidReport:
     return CentroidReport(Point(sx / a, sy / a), a)
 
 
-def volume_pappus(region: Region, axis: Axis, tol: Tolerance | None = None) -> VolumeReport:
+@_route
+def volume_pappus(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
     """2*pi * distance(centroid, axis) * area."""
-    t0 = time.perf_counter()
     tol = tol or Tolerance()
     axis_side_check(region, axis)
     moments = _region_moments(region, tol)
@@ -350,23 +341,22 @@ def volume_pappus(region: Region, axis: Axis, tol: Tolerance | None = None) -> V
     err_cx = (ex + abs(cx) * ea) / abs(a)
     err_cy = (ey + abs(cy) * ea) / abs(a)
     err = TWO_PI * (abs(d) * ea + abs(a) * (abs(axis.a) * err_cx + abs(axis.b) * err_cy))
-    return VolumeReport(
-        "pappus", value, err, moments.evaluations, time.perf_counter() - t0
-    )
+    return QuadratureResult(value, err, moments.evaluations)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo oracle
 
-def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) -> VolumeReport:
+@_route
+def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) -> QuadratureResult:
     """Estimate the volume by uniform sampling over the bounding box.
 
     value = box_area * mean(inside * 2*pi*|distance|); the error estimate
-    is the standard error of that mean.  Sampling is Philox 4x64 keyed
-    with the seed; uniforms are (raw >> 11) * 2^-53.
+    is the standard error of that mean, and the evaluations are the
+    samples.  Sampling is Philox 4x64 keyed with the seed; uniforms are
+    (raw >> 11) * 2^-53.
     """
     cfg = cfg or McConfig()
-    t0 = time.perf_counter()
     axis_side_check(region, axis)
     x_lo, x_hi, y_lo, y_hi = bounding_box(region)
     raw = np.random.Philox(key=cfg.seed).random_raw(2 * cfg.samples)
@@ -378,9 +368,22 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
     box_area = (x_hi - x_lo) * (y_hi - y_lo)
     value = box_area * float(vals.mean())
     stderr = box_area * float(vals.std(ddof=1)) / math.sqrt(cfg.samples)
-    return VolumeReport(
-        "monte_carlo", value, stderr, cfg.samples, time.perf_counter() - t0
-    )
+    return QuadratureResult(value, stderr, cfg.samples)
+
+
+METHODS = tuple(ROUTES)
+
+
+def run_route(
+    name: str,
+    region: Region,
+    axis: Axis,
+    tol: Tolerance | None = None,
+    cfg: McConfig | None = None,
+) -> VolumeReport:
+    """The route ``name`` of ROUTES on (region, axis): Monte Carlo with
+    ``cfg``, every other route with ``tol``."""
+    return ROUTES[name](region, axis, cfg if name == "monte_carlo" else tol)
 
 
 # ---------------------------------------------------------------------------
@@ -414,27 +417,17 @@ def compare_methods(
     tol: Tolerance | None = None,
     cfg: McConfig | None = None,
 ) -> ComparisonReport:
-    """Run every applicable method and compare the volumes pairwise.
+    """Run every route of ROUTES and compare the volumes pairwise.
 
     Verdict is "agree" when all pairs differ by at most
     max(10 * summed error estimates, 4 * the Monte Carlo standard error
     when Monte Carlo is in the pair).
     """
-    tol = tol or Tolerance()
-    cfg = cfg or McConfig()
-    runners = (
-        ("double_integral", lambda: volume_double_integral(region, axis, tol)),
-        ("disk", lambda: volume_disk(region, axis, tol)),
-        ("shell", lambda: volume_shell(region, axis, tol)),
-        ("polar", lambda: volume_polar(region, axis, tol)),
-        ("pappus", lambda: volume_pappus(region, axis, tol)),
-        ("monte_carlo", lambda: volume_monte_carlo(region, axis, cfg)),
-    )
     reports = []
     failures = []
-    for name, run in runners:
+    for name in ROUTES:
         try:
-            reports.append(run())
+            reports.append(run_route(name, region, axis, tol, cfg))
         except RevolveError as exc:  # per-method failures become report entries
             failures.append(MethodFailure(name, type(exc).__name__, str(exc)))
     if not reports:

@@ -89,8 +89,9 @@ class Tolerance:
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
 
-    def tightened(self, factor: float = 0.1) -> "Tolerance":
-        return Tolerance(self.rel * factor, self.abs * factor, self.max_depth)
+    def tightened(self) -> "Tolerance":
+        """Ten times tighter: the inner tolerance of iterated integrals."""
+        return Tolerance(self.rel * 0.1, self.abs * 0.1, self.max_depth)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 polygons, and disjoint unions.
 
 Construction probes every boundary curve at the interval endpoints plus 33
-interior points (configurable); curves must evaluate there and the ordering
+interior points; curves must evaluate there and the ordering
 invariants (lower <= upper, 0 <= rho_min <= rho_max, ...) must hold at every
 probe.  Boundary points count as inside: the region is closed, and
 containment is exact on polygon edges and at a sector's apex.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
@@ -92,13 +92,13 @@ def curve(text: str, variable: str) -> Curve:
     return Curve(parse_expr(text, variable))
 
 
-def _probe_points(lo: float, hi: float, interior: int) -> np.ndarray:
-    return np.linspace(lo, hi, interior + 2)
+def _probe_points(lo: float, hi: float) -> np.ndarray:
+    return np.linspace(lo, hi, DEFAULT_INTERIOR_PROBES + 2)
 
 
-def _probe_curve(c: Curve, lo: float, hi: float, interior: int, what: str) -> list[float]:
+def _probe_curve(c: Curve, lo: float, hi: float, what: str) -> list[float]:
     values = []
-    for t in _probe_points(lo, hi, interior):
+    for t in _probe_points(lo, hi):
         try:
             values.append(c(float(t)))
         except DomainError as exc:
@@ -136,9 +136,9 @@ class _NormalDomain:
             raise InvalidRegionError(f"{v} bounds must be finite")
         if not u_min < u_max:
             raise InvalidRegionError(f"{v}_min {u_min!r} must be < {v}_max {u_max!r}")
-        lo = _probe_curve(near, u_min, u_max, self.probes, f"{near_name} curve")
-        hi = _probe_curve(far, u_min, u_max, self.probes, f"{far_name} curve")
-        for t, a, b in zip(_probe_points(u_min, u_max, self.probes), lo, hi):
+        lo = _probe_curve(near, u_min, u_max, f"{near_name} curve")
+        hi = _probe_curve(far, u_min, u_max, f"{far_name} curve")
+        for t, a, b in zip(_probe_points(u_min, u_max), lo, hi):
             if a > b + _TOUCH_TOL:
                 raise InvalidRegionError(
                     f"{near_name} > {far_name} at {v}={float(t)!r} ({a!r} > {b!r})"
@@ -153,7 +153,6 @@ class NormalX(_NormalDomain):
     x_max: float
     lower: Curve
     upper: Curve
-    probes: int = field(default=DEFAULT_INTERIOR_PROBES, compare=False)
 
     _var = "x"
     _curves = ("lower", "upper")
@@ -168,7 +167,6 @@ class NormalY(_NormalDomain):
     y_max: float
     left: Curve
     right: Curve
-    probes: int = field(default=DEFAULT_INTERIOR_PROBES, compare=False)
 
     _var = "y"
     _curves = ("left", "right")
@@ -183,7 +181,6 @@ class PolarSector:
     theta_max: float
     rho_min: Curve
     rho_max: Curve
-    probes: int = field(default=DEFAULT_INTERIOR_PROBES, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "theta_min", float(self.theta_min))
@@ -195,9 +192,9 @@ class PolarSector:
             raise InvalidRegionError(
                 f"theta_max - theta_min must be in (0, 2*pi], got {width!r}"
             )
-        rmin = _probe_curve(self.rho_min, self.theta_min, self.theta_max, self.probes, "rho_min")
-        rmax = _probe_curve(self.rho_max, self.theta_min, self.theta_max, self.probes, "rho_max")
-        for t, a, b in zip(_probe_points(self.theta_min, self.theta_max, self.probes), rmin, rmax):
+        rmin = _probe_curve(self.rho_min, self.theta_min, self.theta_max, "rho_min")
+        rmax = _probe_curve(self.rho_max, self.theta_min, self.theta_max, "rho_max")
+        for t, a, b in zip(_probe_points(self.theta_min, self.theta_max), rmin, rmax):
             if a < -_TOUCH_TOL:
                 raise InvalidRegionError(f"rho_min < 0 at theta={float(t)!r} ({a!r})")
             if a > b + _TOUCH_TOL:
@@ -404,7 +401,7 @@ def _sector_mask(region: PolarSector, xs: np.ndarray, ys: np.ndarray) -> np.ndar
         # reaches zero at one of the construction probes.
         mask[apex] = any(
             region.rho_min(float(t)) <= 0.0
-            for t in _probe_points(region.theta_min, region.theta_max, region.probes)
+            for t in _probe_points(region.theta_min, region.theta_max)
         )
     return mask
 

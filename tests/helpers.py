@@ -90,6 +90,19 @@ def straddling_disk_y():
                       rv.curve("-sqrt(1-y^2)", "y"), rv.curve("sqrt(1-y^2)", "y"))
 
 
+def squares_both_sides_x():
+    """Unit squares at x in [-3, -1] and [1, 3]: about x = 0 both sweep the
+    same solid, of volume 8*pi."""
+    return rv.UnionRegion((rv.NormalX(-3.0, -1.0, rv.curve("0", "x"), rv.curve("1", "x")),
+                           rv.NormalX(1.0, 3.0, rv.curve("0", "x"), rv.curve("1", "x"))))
+
+
+def squares_both_sides_y():
+    """The mirror image of ``squares_both_sides_x`` in y = x, as normal_y parts."""
+    return rv.UnionRegion((rv.NormalY(0.0, 1.0, rv.curve("-3", "y"), rv.curve("-1", "y")),
+                           rv.NormalY(0.0, 1.0, rv.curve("1", "y"), rv.curve("3", "y"))))
+
+
 # ---------------------------------------------------------------------------
 # Randomized-case builders (used by the property suites)
 

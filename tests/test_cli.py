@@ -18,6 +18,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_config(tmp_path, doc) -> str:
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
 class TestVolume:
     def test_sector_polar(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "volume",
@@ -101,8 +107,7 @@ class TestCompare:
             {"method": "disk", "error": "UnsupportedMethod",
              "message": "disk method needs a vertical axis with normal-y parts or a "
                         "horizontal axis with normal-x parts"},
-            {"method": "shell", "error": "AxisIntersectsRegion",
-             "message": "interval [-1.0, 1.0] straddles the axis at -0.0"},
+            {"method": "shell", "error": "AxisIntersectsRegion", "message": span},
             {"method": "polar", "error": "UnsupportedMethod",
              "message": "polar method needs polar-sector regions"},
             {"method": "pappus", "error": "AxisIntersectsRegion", "message": span},
@@ -117,6 +122,22 @@ class TestCompare:
             assert json.loads(out)["failures"] == expected
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_union_on_both_sides_of_the_axis_is_no_data(self, capsys, tmp_path):
+        # The parts sweep the same solid; shell used to add both (twice the
+        # volume) while every other route refused, so the verdict was "single".
+        square = {"type": "normal_x", "lower": "0", "upper": "1"}
+        config = write_config(tmp_path, {
+            "region": {"type": "union", "parts": [
+                {**square, "x_min": -3, "x_max": -1}, {**square, "x_min": 1, "x_max": 3}]},
+            "axis": "OY",
+        })
+        code, out, err = run_cli(capsys, "compare", "--config", config,
+                                 "--mc-samples", "1000")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["verdict"] == "no data" and not payload["reports"]
+        assert "no method" in err
 
     def test_csv_format(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "compare",
@@ -142,12 +163,42 @@ class TestCompare:
                                    report.error_estimate, report.evaluations,
                                    report.wall_time)
 
-        monkeypatch.setattr(methods, "volume_shell", broken_shell)
+        monkeypatch.setitem(methods.ROUTES, "shell", broken_shell)
         code, out, _ = run_cli(capsys, "compare",
                                "--config", str(fixtures_dir / "square_normalx.json"),
                                "--mc-samples", "50000")
         assert code == 4
         assert json.loads(out)["verdict"] == "disagree"
+
+
+class TestVolumeMatchesCompare:
+    def test_cli_binds_the_route_table(self):
+        # bench/spans.py replaces routes through this name.
+        import revolve.cli as cli
+        import revolve.methods as methods
+
+        assert cli._METHOD_RUNNERS is methods.ROUTES
+
+    def test_every_fixture(self, capsys, fixtures_dir):
+        # Both subcommands go through one route table: a route reports the
+        # same numbers alone and within compare, and fails the same way.
+        for path in sorted(fixtures_dir.glob("*.json")):
+            config = ["--config", str(path), "--mc-samples", "2000"]
+            code, out, _ = run_cli(capsys, "compare", *config)
+            assert code in (0, 3), path.name
+            payload = json.loads(out)
+            assert len(payload["reports"]) + len(payload["failures"]) == len(rv.METHODS)
+            for report in payload["reports"]:
+                code, out, _ = run_cli(capsys, "volume", *config, "--method", report["method"])
+                single = json.loads(out)
+                assert code == 0
+                assert [single[k] for k in ("method", "value", "error_estimate", "evaluations")] == [
+                    report[k] for k in ("method", "value", "error_estimate", "evaluations")
+                ], (path.name, report["method"])
+            for failure in payload["failures"]:
+                code, _, err = run_cli(capsys, "volume", *config, "--method", failure["method"])
+                assert code == 3
+                assert err == f"error: {failure['error']}: {failure['message']}\n"
 
 
 class TestCentroid:
@@ -227,6 +278,31 @@ class TestConfigErrors:
         assert code == 2
         assert "region.theta_min" in err
         assert "axis" in err
+
+    def test_integer_beyond_float_range(self, capsys, tmp_path):
+        config = tmp_path / "huge.json"
+        config.write_text(
+            '{"region": {"type": "normal_x", "x_min": 0, "x_max": 1' + "0" * 400
+            + ', "lower": "0", "upper": "1"}, "axis": "OY"}', encoding="utf-8")
+        code, out, err = run_cli(capsys, "volume", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: region.x_max: ")
+
+    def test_integer_too_long_to_read(self, capsys, tmp_path):
+        config = tmp_path / "long.json"
+        config.write_text('{"axis": 1' + "0" * 5000 + "}", encoding="utf-8")
+        code, _, err = run_cli(capsys, "check", "--config", str(config))
+        assert code == 2
+        assert "invalid JSON" in err
+
+    def test_non_finite_vertex_expression(self, capsys, tmp_path):
+        config = write_config(tmp_path, {
+            "region": {"type": "polygon", "vertices": [[0, 0], [1, 0], ["1e999", 1]]},
+            "axis": "OY",
+        })
+        code, _, err = run_cli(capsys, "check", "--config", config)
+        assert code == 2
+        assert err.startswith("config error: region.vertices[2][0]: ")
 
 
 class TestPrintNormalized:

@@ -101,6 +101,21 @@ class TestParseJob:
         job = parse_job(doc)
         assert job.region.vertices[2] == rv.Point(0.5, math.sqrt(3) / 2)
 
+    def test_integer_beyond_float_range_is_reported_at_its_path(self):
+        doc = minimal_doc()
+        doc["region"]["x_max"] = 10**400
+        with pytest.raises(ConfigError) as err:
+            parse_job(doc)
+        assert [path for path, _ in err.value.issues] == ["region.x_max"]
+
+    def test_infinite_counts_are_reported_at_their_paths(self):
+        doc = minimal_doc()
+        doc["tolerance"] = {"max_depth": math.inf}
+        doc["mc"] = {"samples": math.inf}
+        with pytest.raises(ConfigError) as err:
+            parse_job(doc)
+        assert [path for path, _ in err.value.issues] == ["tolerance", "mc"]
+
     def test_missing_fields(self):
         with pytest.raises(ConfigError) as err:
             parse_job({})

@@ -96,6 +96,11 @@ class TestEval:
         with pytest.raises(DomainError):
             ev(text, 1.0)
 
+    @pytest.mark.parametrize("text", ["x", "-x", "x+1", "x*2", "x*x"])
+    def test_integer_beyond_float_range(self, text):
+        with pytest.raises(DomainError):
+            ev(text, 10**400)
+
     def test_integer_power_of_negative_base(self):
         assert ev("(0-2)^2") == 4.0
 
@@ -111,6 +116,12 @@ class TestEval:
         assert rv.parse_scalar(0.75) == 0.75
         with pytest.raises(ExprSyntaxError):
             rv.parse_scalar("x+1")
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), "1e999", "1e308*10"],
+                             ids=["int", "negative-int", "literal", "product"])
+    def test_parse_scalar_beyond_float_range(self, value):
+        with pytest.raises(DomainError):
+            rv.parse_scalar(value)
 
 
 class TestEvalArray:

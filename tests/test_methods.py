@@ -30,6 +30,8 @@ from helpers import (
     sphere_normal_y,
     square_normal_x,
     square_normal_y,
+    squares_both_sides_x,
+    squares_both_sides_y,
     straddling_disk_x,
     straddling_disk_y,
     torus_normal_x,
@@ -125,6 +127,16 @@ class TestShell:
         with pytest.raises(AxisIntersectsRegion):
             rv.volume_shell(straddling_disk_x(), AXIS_OY)
 
+    def test_rejects_union_with_parts_on_both_sides(self):
+        # Both parts sweep the same solid: adding their shells would report
+        # twice its volume of 8*pi.
+        with pytest.raises(AxisIntersectsRegion):
+            rv.volume_shell(squares_both_sides_x(), rv.Axis.vertical(0))
+
+    def test_unsupported_before_the_side_check(self):
+        with pytest.raises(UnsupportedMethod):
+            rv.volume_shell(straddling_disk_y(), AXIS_OY)
+
     def test_polygon_about_horizontal_axis_uses_y_slabs(self):
         # y-slabs are the x-slabs of the mirrored polygon, bit for bit
         ell = rv.Polygon((rv.Point(0, 0), rv.Point(2, 0), rv.Point(2, 1),
@@ -184,6 +196,25 @@ class TestDisk:
     def test_rejects_straddling_axis(self):
         with pytest.raises(AxisIntersectsRegion):
             rv.volume_disk(straddling_disk_y(), AXIS_OY)
+
+    def test_rejects_union_with_parts_on_both_sides(self):
+        with pytest.raises(AxisIntersectsRegion):
+            rv.volume_disk(squares_both_sides_y(), rv.Axis.vertical(0))
+
+    def test_unsupported_before_the_side_check(self):
+        with pytest.raises(UnsupportedMethod):
+            rv.volume_disk(straddling_disk_x(), AXIS_OY)
+
+    def test_axis_with_negative_coefficient(self):
+        # -y + 2 = 0 with a tilt below the horizontal tolerance: the side
+        # check signs -y + 2, the washers need the side of y - 2.
+        axis = rv.Axis(1e-13, -1.0, 2.0)
+        assert axis.b == -1.0
+        disk = rv.volume_disk(cone_normal_x(), axis)
+        double = rv.volume_double_integral(cone_normal_x(), axis)
+        assert disk.value > 0.0
+        assert abs(disk.value - double.value) <= 10.0 * (
+            disk.error_estimate + double.error_estimate)
 
     def test_rejects_polygon_inside_nested_union(self):
         nested = rv.UnionRegion((rv.UnionRegion((unit_square_polygon(),)), cone_normal_x()))
@@ -479,6 +510,36 @@ class TestAdditivity:
         assert abs(vu.value - (v1.value + v2.value)) <= max(slack, 1e-12)
 
 
+class TestRouteTable:
+    def test_one_table_in_compare_order(self):
+        import revolve.methods as methods
+
+        assert tuple(methods.ROUTES) == methods.METHODS == (
+            "double_integral", "disk", "shell", "polar", "pappus", "monte_carlo")
+        for name, route in methods.ROUTES.items():
+            assert route is getattr(methods, f"volume_{name}")
+
+    def test_run_route_hands_each_route_its_settings(self):
+        import revolve.methods as methods
+
+        tol, cfg = rv.Tolerance(1e-8), rv.McConfig(1000, 3)
+        for name in ("double_integral", "shell", "pappus", "monte_carlo"):
+            report = methods.run_route(name, square_normal_x(), AXIS_OY, tol, cfg)
+            direct = methods.ROUTES[name](square_normal_x(), AXIS_OY,
+                                          cfg if name == "monte_carlo" else tol)
+            assert report.method == name and report.wall_time >= 0.0
+            assert (report.value, report.error_estimate, report.evaluations) == (
+                direct.value, direct.error_estimate, direct.evaluations)
+
+    def test_union_on_both_sides_is_refused_by_every_route(self):
+        for region in (squares_both_sides_x(), squares_both_sides_y()):
+            comparison = rv.compare_methods(region, rv.Axis.vertical(0),
+                                            cfg=rv.McConfig(1000, 0))
+            assert comparison.verdict == "no data"
+            assert {f.error for f in comparison.failures} <= {
+                "AxisIntersectsRegion", "UnsupportedMethod"}
+
+
 class TestCompare:
     def test_square_polygon_agrees(self):
         comparison = rv.compare_methods(unit_square_polygon(), AXIS_OY,
@@ -528,7 +589,7 @@ class TestCompare:
                                    report.error_estimate, report.evaluations,
                                    report.wall_time)
 
-        monkeypatch.setattr(methods, "volume_shell", broken_shell)
+        monkeypatch.setitem(methods.ROUTES, "shell", broken_shell)
         comparison = methods.compare_methods(square_normal_x(), AXIS_OY,
                                              cfg=rv.McConfig(50_000, 2))
         assert comparison.verdict == "disagree"
