@@ -20,14 +20,7 @@ from .errors import (
     UnsupportedMethod,
 )
 from .expr import ExprAst, eval_array, eval_expr, parse_expr, parse_scalar
-from .geometry import (
-    Axis,
-    Point,
-    RigidMotion,
-    apply_motion,
-    apply_motion_axis,
-    signed_distance,
-)
+from .geometry import Axis, Point, signed_distance
 from .region import (
     Curve,
     NormalX,
@@ -37,12 +30,10 @@ from .region import (
     Region,
     UnionRegion,
     axis_side_check,
-    boundary_points,
     bounding_box,
     contains,
     contains_mask,
     curve,
-    polygon_slabs,
 )
 from .quadrature import (
     QuadratureResult,
@@ -90,9 +81,6 @@ __all__ = [
     "parse_scalar",
     "Axis",
     "Point",
-    "RigidMotion",
-    "apply_motion",
-    "apply_motion_axis",
     "signed_distance",
     "Curve",
     "curve",
@@ -103,7 +91,6 @@ __all__ = [
     "Region",
     "UnionRegion",
     "axis_side_check",
-    "boundary_points",
     "bounding_box",
     "contains",
     "contains_mask",
@@ -111,7 +98,6 @@ __all__ = [
     "Tolerance",
     "integrate_1d",
     "integrate_region",
-    "polygon_slabs",
     "METHODS",
     "CentroidReport",
     "ComparisonReport",

@@ -1,4 +1,4 @@
-"""Plane points, axes of revolution, and rigid motions.
+"""Plane points and axes of revolution.
 
 The axis is the line a*x + b*y + c = 0, stored normalized so a^2 + b^2 = 1
 and the first nonzero of (a, b) is positive; that convention makes axes
@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidAxisError
 
-__all__ = [
-    "Point",
-    "Axis",
-    "RigidMotion",
-    "signed_distance",
-    "apply_motion",
-    "apply_motion_axis",
-]
+__all__ = ["Point", "Axis", "signed_distance"]
 
 
 @dataclass(frozen=True)
@@ -70,30 +63,3 @@ class Axis:
 def signed_distance(axis: Axis, p: Point) -> float:
     """a*x + b*y + c; |.| is the distance since the axis is normalized."""
     return axis.a * p.x + axis.b * p.y + axis.c
-
-
-@dataclass(frozen=True)
-class RigidMotion:
-    """Rotation about the origin followed by a translation."""
-
-    angle: float
-    translation: tuple[float, float]
-
-
-def apply_motion(m: RigidMotion, p: Point) -> Point:
-    c, s = math.cos(m.angle), math.sin(m.angle)
-    return Point(
-        c * p.x - s * p.y + m.translation[0],
-        s * p.x + c * p.y + m.translation[1],
-    )
-
-
-def apply_motion_axis(m: RigidMotion, axis: Axis) -> Axis:
-    # The normal rotates with the motion; the offset shifts by the moved
-    # normal dotted with the translation.  Renormalization may flip sign.
-    c, s = math.cos(m.angle), math.sin(m.angle)
-    na = c * axis.a - s * axis.b
-    nb = s * axis.a + c * axis.b
-    nc = axis.c - (na * m.translation[0] + nb * m.translation[1])
-    return Axis(na, nb, nc)
-

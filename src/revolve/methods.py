@@ -115,6 +115,11 @@ class CentroidReport:
     area: float
 
 
+# Largest Monte Carlo sample count: the estimate holds about 95 bytes per
+# sample at once, so about 3.2 GB here.
+_MAX_SAMPLES = 2**25
+
+
 @dataclass(frozen=True)
 class McConfig:
     samples: int = 1_000_000
@@ -123,6 +128,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 100:
             raise ValueError("need at least 100 samples")
+        if self.samples > _MAX_SAMPLES:
+            raise ValueError(f"need at most {_MAX_SAMPLES} samples")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 

@@ -38,11 +38,9 @@ __all__ = [
     "Piece",
     "pieces",
     "plane_map",
-    "polygon_slabs",
     "contains",
     "contains_mask",
     "bounding_box",
-    "boundary_points",
     "axis_side_check",
 ]
 
@@ -57,7 +55,9 @@ _TOUCH_TOL = 1e-9
 # Relative slack (times scale^2) of the on-edge test for polygons.
 _EDGE_TOL = 1e-12
 
-_BOX_SAMPLES = 1025
+# Samples per boundary curve in the cloud the guards read; odd, so the
+# midpoint of the outer interval is one of them.
+_CLOUD_SAMPLES = 1025
 _BOX_PAD = 1e-9
 
 # Maps from a piece's (outer u, inner v) to the plane.
@@ -289,7 +289,9 @@ def _edge_interp(p: Point, q: Point):
 
 
 def _slabs(verts) -> list:
-    """x-slabs of the polygon with these vertices; see polygon_slabs."""
+    """Cut the simple polygon with these vertices at every vertex abscissa
+    into x-slabs, each bounded below and above by a linear edge section:
+    a list of (x_lo, x_hi, lower_fn, upper_fn)."""
     n = len(verts)
     cuts = sorted({v.x for v in verts})
     slabs = []
@@ -317,15 +319,6 @@ def _slabs(verts) -> list:
                 )
             )
     return slabs
-
-
-def polygon_slabs(poly: Polygon):
-    """Cut a simple polygon at every vertex abscissa into x-slabs, each
-    bounded below/above by linear edge sections.
-
-    Returns a list of (x_lo, x_hi, lower_fn, upper_fn).
-    """
-    return _slabs(poly.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +357,7 @@ def pieces(region: Region, swap: bool = False) -> list[Piece]:
             # The x-slabs of the mirror image in y = x, listed counterclockwise.
             mirrored = [Point(v.y, v.x) for v in reversed(region.vertices)]
             return [Piece(*slab, SWAP) for slab in _slabs(mirrored)]
-        return [Piece(*slab, IDENTITY) for slab in polygon_slabs(region)]
+        return [Piece(*slab, IDENTITY) for slab in _slabs(region.vertices)]
     if isinstance(region, UnionRegion):
         return [piece for part in region.parts for piece in pieces(part, swap)]
     raise TypeError(f"not a region: {region!r}")
@@ -467,7 +460,15 @@ def contains_mask(region: Region, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Bounding boxes
+# The boundary cloud: bounding box and exterior-axis check
+#
+# Both guards want the extremes of a linear form over the closed region: of
+# x and of y for the box, of a*x + b*y + c for the side check.  A linear
+# form takes them on the boundary, which is each leaf's near and far curves
+# joined by straight end segments, whose extremes lie at their endpoints;
+# a polygon's lie at its vertices.  So the guards read one cloud of
+# boundary points per region.  It is sampled, not certified: a spike of a
+# curve between two samples goes unseen.
 
 def _pad_interval(lo: float, hi: float) -> tuple[float, float]:
     return (
@@ -476,133 +477,81 @@ def _pad_interval(lo: float, hi: float) -> tuple[float, float]:
     )
 
 
-def bounding_box(region: Region) -> tuple[float, float, float, float]:
-    """Conservative axis-aligned box (x_lo, x_hi, y_lo, y_hi).
-
-    Curve-bounded variants probe 1025 parameter points and pad by 1e-9
-    relative; polygons are exact.
-    """
-    if isinstance(region, _NormalDomain):
-        u_min, u_max, near, far = region.span
-        ts = np.linspace(u_min, u_max, _BOX_SAMPLES)
-        u_box = _pad_interval(u_min, u_max)
-        v_box = _pad_interval(float(np.nanmin(near.sample(ts))), float(np.nanmax(far.sample(ts))))
-        return (*v_box, *u_box) if region.map == SWAP else (*u_box, *v_box)
-    if isinstance(region, PolarSector):
-        ts = np.linspace(region.theta_min, region.theta_max, _BOX_SAMPLES)
-        cos_t, sin_t = np.cos(ts), np.sin(ts)
-        xs, ys = [], []
-        for r in (region.rho_min.sample(ts), region.rho_max.sample(ts)):
-            xs.append(r * cos_t)
-            ys.append(r * sin_t)
-        x_all = np.concatenate(xs)
-        y_all = np.concatenate(ys)
-        return (
-            *_pad_interval(float(np.nanmin(x_all)), float(np.nanmax(x_all))),
-            *_pad_interval(float(np.nanmin(y_all)), float(np.nanmax(y_all))),
-        )
-    if isinstance(region, Polygon):
-        xs = [v.x for v in region.vertices]
-        ys = [v.y for v in region.vertices]
-        return (min(xs), max(xs), min(ys), max(ys))
+def _leaf_clouds(region: Region) -> list[tuple[np.ndarray, np.ndarray, bool]]:
+    """(xs, ys, exact) for each leaf of the region: a polygon's vertices,
+    which are exact, or a curve leaf's near and far curves at
+    _CLOUD_SAMPLES points of its outer interval (the ends included), carried
+    to the plane, without the points where a curve is NaN."""
     if isinstance(region, UnionRegion):
-        boxes = [bounding_box(part) for part in region.parts]
-        return (
-            min(b[0] for b in boxes),
-            max(b[1] for b in boxes),
-            min(b[2] for b in boxes),
-            max(b[3] for b in boxes),
-        )
-    raise TypeError(f"not a region: {region!r}")
-
-
-# ---------------------------------------------------------------------------
-# Boundary sampling and the exterior-axis check
-
-def _lerp(a: float, b: float, t: float) -> float:
-    return a + (b - a) * t
-
-
-def boundary_points(region: Region, n: int = 256) -> list[Point]:
-    """About ``n`` points spread over the region boundary.  Points whose
-    curve evaluation fails are skipped."""
-    pts: list[Point] = []
-    if isinstance(region, (_NormalDomain, PolarSector)):
-        [(lo, hi, near, far, cmap)] = pieces(region)
-        to_plane = plane_map(cmap)
-        k = max(2, n // 4)
-        ts = np.linspace(lo, hi, k)
-        for c in (near, far):
-            for t, v in zip(ts, c.sample(ts)):
-                if math.isfinite(v):
-                    pts.append(to_plane(float(t), float(v)))
-        for t_end in (lo, hi):
-            try:
-                va, vb = near(t_end), far(t_end)
-            except DomainError:
-                continue
-            for s in np.linspace(0.0, 1.0, k):
-                pts.append(to_plane(t_end, _lerp(va, vb, float(s))))
-        return pts
+        return [leaf for part in region.parts for leaf in _leaf_clouds(part)]
     if isinstance(region, Polygon):
-        verts = region.vertices
-        m = len(verts)
-        lengths = []
-        for i in range(m):
-            p, q = verts[i], verts[(i + 1) % m]
-            lengths.append(math.hypot(q.x - p.x, q.y - p.y))
-        perimeter = sum(lengths) or 1.0
-        for i in range(m):
-            p, q = verts[i], verts[(i + 1) % m]
-            k = max(2, round(n * lengths[i] / perimeter))
-            for s in np.linspace(0.0, 1.0, k, endpoint=False):
-                pts.append(Point(_lerp(p.x, q.x, float(s)), _lerp(p.y, q.y, float(s))))
-        return pts
-    if isinstance(region, UnionRegion):
-        per_part = max(16, n // len(region.parts))
-        for part in region.parts:
-            pts.extend(boundary_points(part, per_part))
-        return pts
-    raise TypeError(f"not a region: {region!r}")
+        return [(np.array([v.x for v in region.vertices], dtype=np.float64),
+                 np.array([v.y for v in region.vertices], dtype=np.float64), True)]
+    [(u0, u1, near, far, cmap)] = pieces(region)
+    ts = np.linspace(u0, u1, _CLOUD_SAMPLES)
+    us, vs = np.concatenate([ts, ts]), np.concatenate([near.sample(ts), far.sample(ts)])
+    keep = ~np.isnan(vs)
+    us, vs = us[keep], vs[keep]
+    if cmap == POLAR:
+        us, vs = vs * np.cos(us), vs * np.sin(us)
+    elif cmap == SWAP:
+        us, vs = vs, us
+    return [(us, vs, False)]
 
 
-# Up to 64 regions' clouds at 16 bytes a point: about 70 KB each on the
-# default 64 x 64 grid.
+class _Cloud(NamedTuple):
+    xs: np.ndarray  # read-only
+    ys: np.ndarray  # read-only
+    box: tuple[float, float, float, float] | None  # None when there are no points
+
+
+# Up to 64 regions' clouds, at 2 x 1025 points of 16 bytes per curve leaf.
 @functools.lru_cache(maxsize=64)
-def _side_cloud(region: Region, grid: int, boundary: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The points the side check samples: the grid points over the bounding
-    box that the region contains, then the boundary probes, as read-only
-    coordinate arrays, and how many of them are grid points.  They depend
-    on the region alone; regions are frozen and compare by value, so equal
-    regions built separately share one entry."""
-    x_lo, x_hi, y_lo, y_hi = bounding_box(region)
-    gx, gy = np.meshgrid(np.linspace(x_lo, x_hi, grid), np.linspace(y_lo, y_hi, grid))
-    gx, gy = gx.ravel(), gy.ravel()
-    mask = contains_mask(region, gx, gy)
-    probes = boundary_points(region, boundary)
-    xs = np.concatenate([gx[mask], [p.x for p in probes]])
-    ys = np.concatenate([gy[mask], [p.y for p in probes]])
+def _boundary_cloud(region: Region) -> _Cloud:
+    """The region's boundary points and its bounding box: the min and max
+    of x and of y over each leaf, padded by 1e-9 relative on curve leaves.
+    They depend on the region alone; regions are frozen and compare by
+    value, so equal regions built separately share one entry."""
+    leaves = [leaf for leaf in _leaf_clouds(region) if leaf[0].size]
+    xs = np.concatenate([lx for lx, _, _ in leaves] or [np.empty(0)])
+    ys = np.concatenate([ly for _, ly, _ in leaves] or [np.empty(0)])
     xs.flags.writeable = ys.flags.writeable = False
-    return xs, ys, int(np.count_nonzero(mask))
+    boxes = []
+    for lx, ly, exact in leaves:
+        x_box = (float(lx.min()), float(lx.max()))
+        y_box = (float(ly.min()), float(ly.max()))
+        boxes.append((*x_box, *y_box) if exact else (*_pad_interval(*x_box), *_pad_interval(*y_box)))
+    box = None
+    if boxes:
+        box = (min(b[0] for b in boxes), max(b[1] for b in boxes),
+               min(b[2] for b in boxes), max(b[3] for b in boxes))
+    return _Cloud(xs, ys, box)
 
 
-def axis_side_check(region: Region, axis: Axis, grid: int = 64, boundary: int = 256) -> int:
+def _nonempty_cloud(region: Region) -> _Cloud:
+    cloud = _boundary_cloud(region)
+    if cloud.box is None:
+        raise InvalidRegionError("region produced no sample points")
+    return cloud
+
+
+def bounding_box(region: Region) -> tuple[float, float, float, float]:
+    """Axis-aligned box (x_lo, x_hi, y_lo, y_hi) of the boundary cloud:
+    exact for polygons, padded by 1e-9 relative around curve samples."""
+    return _nonempty_cloud(region).box
+
+
+def axis_side_check(region: Region, axis: Axis) -> int:
     """Which side of ``axis`` the region lies on: +1 or -1.
 
-    Samples signed distance on a grid of contained points plus boundary
-    probes (computed once per region, see ``_side_cloud``).  Touching the
-    axis (within 1e-9) is allowed; strictly mixed signs raise
+    Takes the extremes of the signed distance over the boundary cloud
+    (computed once per region, see ``_boundary_cloud``).  Touching the axis
+    (within 1e-9) is allowed; strictly mixed signs raise
     AxisIntersectsRegion.
     """
-    xs, ys, n_grid = _side_cloud(region, grid, boundary)
-    if not xs.size:
-        raise InvalidRegionError("region produced no sample points")
+    xs, ys, _ = _nonempty_cloud(region)
     dists = axis.a * xs + axis.b * ys + axis.c
-    # The first of equal extremes wins, and a grid sample is a numpy scalar
-    # while a boundary probe is a float, as when both were one Python list:
-    # the message prints them differently.
-    d_min, d_max = (dists[i] if i < n_grid else float(dists[i])
-                    for i in (int(dists.argmin()), int(dists.argmax())))
+    d_min, d_max = float(dists.min()), float(dists.max())
     if d_min >= -_TOUCH_TOL:
         return 1
     if d_max <= _TOUCH_TOL:

@@ -1,6 +1,7 @@
 """Shared builders for test regions, axes, and randomized cases."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,15 +173,44 @@ def exterior_oblique_axis(rng, polygon):
     return rv.Axis(nx, ny, -(max(dots) + gap))  # region on the negative side
 
 
+# ---------------------------------------------------------------------------
+# Rigid motions (for the invariance tests)
+
+@dataclass(frozen=True)
+class RigidMotion:
+    """Rotation about the origin followed by a translation."""
+
+    angle: float
+    translation: tuple[float, float]
+
+
+def apply_motion(m, p):
+    c, s = math.cos(m.angle), math.sin(m.angle)
+    return rv.Point(
+        c * p.x - s * p.y + m.translation[0],
+        s * p.x + c * p.y + m.translation[1],
+    )
+
+
+def apply_motion_axis(m, axis):
+    # The normal rotates with the motion; the offset shifts by the moved
+    # normal dotted with the translation.  Renormalization may flip sign.
+    c, s = math.cos(m.angle), math.sin(m.angle)
+    na = c * axis.a - s * axis.b
+    nb = s * axis.a + c * axis.b
+    nc = axis.c - (na * m.translation[0] + nb * m.translation[1])
+    return rv.Axis(na, nb, nc)
+
+
 def random_motion(rng):
-    return rv.RigidMotion(
+    return RigidMotion(
         float(rng.uniform(0.0, 2.0 * math.pi)),
         (float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0))),
     )
 
 
 def move_polygon(m, polygon):
-    return rv.Polygon(tuple(rv.apply_motion(m, v) for v in polygon.vertices))
+    return rv.Polygon(tuple(apply_motion(m, v) for v in polygon.vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +345,33 @@ def ref_eval_array(ast, values):
     return out
 
 
-def ref_axis_side_check(region, axis, grid=64, boundary=256):
+def ref_boundary_points(region):
+    """The side check's boundary cloud, drawn afresh: a polygon's vertices;
+    for any other leaf, its near and far curves at 1025 points of the outer
+    interval carried to the plane, skipping points where a curve is NaN."""
+    from revolve.region import POLAR, SWAP, pieces
+
+    if isinstance(region, rv.UnionRegion):
+        return [p for part in region.parts for p in ref_boundary_points(part)]
+    if isinstance(region, rv.Polygon):
+        return list(region.vertices)
+    [(u0, u1, near, far, cmap)] = pieces(region)
+    us = np.linspace(u0, u1, 1025)
+    points = []
+    for c in (near, far):
+        vs = c.sample(us)
+        if cmap == POLAR:  # numpy's cos and sin, which may differ from math's in the last bit
+            xs, ys = vs * np.cos(us), vs * np.sin(us)
+        else:
+            xs, ys = (vs, us) if cmap == SWAP else (us, vs)
+        points.extend(rv.Point(float(x), float(y)) for x, y, v in zip(xs, ys, vs)
+                      if not math.isnan(v))
+    return points
+
+
+def ref_axis_side_check(region, axis):
     """The side check with its samples drawn afresh on every call."""
-    x_lo, x_hi, y_lo, y_hi = rv.bounding_box(region)
-    gx, gy = np.meshgrid(np.linspace(x_lo, x_hi, grid), np.linspace(y_lo, y_hi, grid))
-    gx, gy = gx.ravel(), gy.ravel()
-    mask = rv.contains_mask(region, gx, gy)
-    samples = list(axis.a * gx[mask] + axis.b * gy[mask] + axis.c)
-    samples.extend(rv.signed_distance(axis, p) for p in rv.boundary_points(region, boundary))
+    samples = [rv.signed_distance(axis, p) for p in ref_boundary_points(region)]
     if not samples:
         raise rv.InvalidRegionError("region produced no sample points")
     d_min, d_max = min(samples), max(samples)

@@ -21,6 +21,7 @@ from helpers import (
     SECTOR_VOLUME,
     SPHERE_VOLUME,
     TORUS_VOLUME,
+    apply_motion_axis,
     cone_triangle,
     exterior_oblique_axis,
     exterior_vertical_axis,
@@ -155,7 +156,7 @@ def test_criterion_6_rigid_motion_invariance():
         motion = random_motion(rng)
         a = rv.volume_double_integral(poly, axis)
         b = rv.volume_double_integral(
-            move_polygon(motion, poly), rv.apply_motion_axis(motion, axis))
+            move_polygon(motion, poly), apply_motion_axis(motion, axis))
         if abs(a.value - b.value) > 10.0 * (a.error_estimate + b.error_estimate):
             failures.append((i, a.value, b.value))
     ok = not failures

@@ -305,6 +305,15 @@ class TestConfigErrors:
         assert err.startswith("config error: region.vertices[2][0]: ")
 
 
+    @pytest.mark.parametrize("samples", [str(10**30), str(2**25 + 1)])
+    def test_sample_count_is_bounded(self, capsys, fixtures_dir, samples):
+        code, out, err = run_cli(capsys, "volume",
+                                 "--config", str(fixtures_dir / "unit_square.json"),
+                                 "--method", "monte_carlo", "--mc-samples", samples)
+        assert (code, out) == (2, "")
+        assert err == "config error: mc: need at most 33554432 samples\n"
+
+
 class TestPrintNormalized:
     def test_roundtrip(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "volume",

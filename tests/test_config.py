@@ -116,6 +116,16 @@ class TestParseJob:
             parse_job(doc)
         assert [path for path, _ in err.value.issues] == ["tolerance", "mc"]
 
+    @pytest.mark.parametrize("samples", [10**30, 2**25 + 1])
+    def test_sample_count_is_bounded(self, samples):
+        doc = minimal_doc()
+        doc["mc"] = {"samples": samples}
+        with pytest.raises(ConfigError) as err:
+            parse_job(doc)
+        assert err.value.issues == [("mc", "need at most 33554432 samples")]
+        doc["mc"] = {"samples": 2**25}
+        assert parse_job(doc).mc.samples == 2**25
+
     def test_missing_fields(self):
         with pytest.raises(ConfigError) as err:
             parse_job({})

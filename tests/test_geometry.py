@@ -6,6 +6,8 @@ import pytest
 import revolve as rv
 from revolve.errors import InvalidAxisError
 
+from helpers import RigidMotion, apply_motion, apply_motion_axis
+
 
 class TestAxis:
     def test_normalization(self):
@@ -63,18 +65,18 @@ class TestSignedDistance:
 
 class TestRigidMotion:
     def test_identity(self):
-        m = rv.RigidMotion(0.0, (0.0, 0.0))
-        assert rv.apply_motion(m, rv.Point(1.5, -2.5)) == rv.Point(1.5, -2.5)
+        m = RigidMotion(0.0, (0.0, 0.0))
+        assert apply_motion(m, rv.Point(1.5, -2.5)) == rv.Point(1.5, -2.5)
 
     def test_quarter_turn(self):
-        m = rv.RigidMotion(math.pi / 2, (0.0, 0.0))
-        p = rv.apply_motion(m, rv.Point(1.0, 0.0))
+        m = RigidMotion(math.pi / 2, (0.0, 0.0))
+        p = apply_motion(m, rv.Point(1.0, 0.0))
         assert p.x == pytest.approx(0.0, abs=1e-15)
         assert p.y == pytest.approx(1.0, abs=1e-15)
 
     def test_rotate_vertical_axis_to_horizontal(self):
-        m = rv.RigidMotion(math.pi / 2, (0.0, 0.0))
-        moved = rv.apply_motion_axis(m, rv.Axis.vertical(1.0))
+        m = RigidMotion(math.pi / 2, (0.0, 0.0))
+        moved = apply_motion_axis(m, rv.Axis.vertical(1.0))
         want = rv.Axis.horizontal(1.0)
         assert moved.a == pytest.approx(want.a, abs=1e-12)
         assert moved.b == pytest.approx(want.b, abs=1e-12)
@@ -84,10 +86,10 @@ class TestRigidMotion:
         rng = np.random.default_rng(9)
         for _ in range(30):
             axis = rv.Axis(*rng.uniform(-2, 2, size=3))
-            m = rv.RigidMotion(rng.uniform(0, 2 * math.pi),
+            m = RigidMotion(rng.uniform(0, 2 * math.pi),
                                tuple(rng.uniform(-3, 3, size=2)))
             p = rv.Point(*rng.uniform(-4, 4, size=2))
             before = abs(rv.signed_distance(axis, p))
-            after = abs(rv.signed_distance(rv.apply_motion_axis(m, axis),
-                                           rv.apply_motion(m, p)))
+            after = abs(rv.signed_distance(apply_motion_axis(m, axis),
+                                           apply_motion(m, p)))
             assert after == pytest.approx(before, abs=1e-12)

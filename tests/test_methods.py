@@ -18,6 +18,8 @@ from helpers import (
     SPHERE_VOLUME,
     SQUARE_VOLUME,
     TORUS_VOLUME,
+    RigidMotion,
+    apply_motion_axis,
     cone_normal_x,
     cone_triangle,
     exterior_oblique_axis,
@@ -399,7 +401,7 @@ class TestPappus:
             motion = random_motion(rng)
             v1 = rv.volume_pappus(poly, axis).value
             v2 = rv.volume_pappus(move_polygon(motion, poly),
-                                  rv.apply_motion_axis(motion, axis)).value
+                                  apply_motion_axis(motion, axis)).value
             assert v2 == pytest.approx(v1, rel=1e-9)
 
     def test_scaling_law(self):
@@ -467,6 +469,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             rv.McConfig(1000, -1)
 
+    @pytest.mark.parametrize("samples", [10**30, 2**25 + 1])
+    def test_sample_count_is_bounded(self, samples):
+        with pytest.raises(ValueError, match="at most 33554432 samples"):
+            rv.McConfig(samples, 0)
+        assert rv.McConfig(2**25, 0).samples == 2**25
+
     def test_rejects_straddling_axis(self):
         with pytest.raises(AxisIntersectsRegion):
             rv.volume_monte_carlo(straddling_disk_x(), AXIS_OY, rv.McConfig(1000, 0))
@@ -487,9 +495,9 @@ class TestObliqueAndSeamCases:
     def test_rotated_scene_keeps_known_volume(self):
         # The square-about-its-nearby-axis solid has volume 3*pi; moving
         # square and axis together must not change that.
-        motion = rv.RigidMotion(math.pi / 6, (0.7, -1.3))
+        motion = RigidMotion(math.pi / 6, (0.7, -1.3))
         square = move_polygon(motion, unit_square_polygon())
-        axis = rv.apply_motion_axis(motion, AXIS_OY)
+        axis = apply_motion_axis(motion, AXIS_OY)
         d = rv.volume_double_integral(square, axis)
         p = rv.volume_pappus(square, axis)
         assert abs(d.value - SQUARE_VOLUME) <= 1e-9

@@ -6,6 +6,7 @@ import pytest
 import revolve as rv
 from revolve.errors import IntegrandError, QuadratureNoConvergence
 from revolve.quadrature import _domain_guard, moment_sections, sum_results
+from revolve.region import pieces
 
 from helpers import cone_triangle, sector_polar
 
@@ -258,7 +259,6 @@ class TestIntegrateRegion:
     def test_concave_polygon_slabs(self):
         ell = rv.Polygon((rv.Point(0, 0), rv.Point(2, 0), rv.Point(2, 1),
                           rv.Point(1, 1), rv.Point(1, 2), rv.Point(0, 2)))
-        slabs = rv.polygon_slabs(ell)
-        assert len(slabs) == 2  # one trapezoid per vertical slab
+        assert len(pieces(ell)) == 2  # one trapezoid per vertical slab
         res = rv.integrate_region(ell, lambda p: 1.0)
         assert abs(res.value - 3.0) <= 1e-12
