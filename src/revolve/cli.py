@@ -14,14 +14,16 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict
 
 import numpy as np
 
 from .config import JobConfig, load_job
 from .errors import ConfigError, RevolveError
-from .methods import ROUTES, VolumeReport, centroid, compare_methods, run_route
+from .methods import _MAX_SAMPLES, ROUTES, VolumeReport, centroid, compare_methods, run_route
 from .region import axis_side_check, bounding_box, contains_mask
 from .geometry import Point, signed_distance
 
@@ -30,6 +32,10 @@ __all__ = ["main", "run", "build_parser"]
 # methods.ROUTES itself, under the name bench/spans.py patches: a route it
 # replaces here is replaced for volume and compare alike.
 _METHOD_RUNNERS = ROUTES
+
+# revolve sample masks grid^2 points at once: at most as many as a Monte
+# Carlo estimate may draw.
+_MAX_GRID = math.isqrt(_MAX_SAMPLES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,11 +82,7 @@ def _g17(value: float) -> str:
     return format(value, ".17g")
 
 
-def _report_fields(report: VolumeReport) -> dict:
-    return asdict(report)
-
-
-def _print_csv(header: list[str], rows: list[list]) -> None:
+def _print_csv(header: list[str], rows: Iterable[list]) -> None:
     print(",".join(header))
     for row in rows:
         cells = [_g17(v) if isinstance(v, float) else str(v) for v in row]
@@ -89,7 +91,7 @@ def _print_csv(header: list[str], rows: list[list]) -> None:
 
 def _emit_volume(report: VolumeReport, fmt: str) -> None:
     if fmt == "json":
-        payload = {"command": "volume", **_report_fields(report)}
+        payload = {"command": "volume", **asdict(report)}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         _print_csv(
@@ -111,7 +113,7 @@ def _cmd_compare(job: JobConfig) -> int:
         payload = {
             "command": "compare",
             "verdict": comparison.verdict,
-            "reports": [_report_fields(r) for r in comparison.reports],
+            "reports": [asdict(r) for r in comparison.reports],
             "failures": [asdict(f) for f in comparison.failures],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -161,10 +163,10 @@ def _cmd_sample(job: JobConfig, grid: int) -> int:
     ys = [y_lo + (y_hi - y_lo) * iy / (grid - 1) for iy in range(grid)]
     # One mask call over the grid, rows ordered y-major.
     inside = contains_mask(job.region, np.tile(xs, grid), np.repeat(ys, grid))
-    rows = [
+    rows = (
         [x, y, int(m), abs(signed_distance(job.axis, Point(x, y)))]
         for (y, x), m in zip(itertools.product(ys, xs), inside)
-    ]
+    )
     _print_csv(["x", "y", "inside", "distance"], rows)
     return 0
 
@@ -190,6 +192,8 @@ def main(argv=None) -> int:
                                           "pick one method for volume")])
         if args.command == "sample" and args.grid < 2:
             raise ConfigError([("--grid", "need at least 2 points per side")])
+        if args.command == "sample" and args.grid > _MAX_GRID:
+            raise ConfigError([("--grid", f"need at most {_MAX_GRID} points per side")])
     except ConfigError as exc:
         for path, msg in exc.issues:
             print(f"config error: {path}: {msg}", file=sys.stderr)

@@ -16,7 +16,7 @@ their field paths and raised together as ConfigError.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import (
@@ -34,14 +34,12 @@ from .region import Curve, NormalX, NormalY, Polygon, PolarSector, Region, Union
 
 __all__ = ["JobConfig", "parse_job", "load_job", "region_doc"]
 
-_REGION_VARIABLES = {"normal_x": "x", "normal_y": "y", "polar": "theta"}
-
+# The curve variants; each class names its fields (u_min, u_max, near, far)
+# and its variable.
 _CURVE_REGIONS = {"normal_x": NormalX, "normal_y": NormalY, "polar": PolarSector}
 
 _REGION_FIELDS = {
-    "normal_x": ("x_min", "x_max", "lower", "upper"),
-    "normal_y": ("y_min", "y_max", "left", "right"),
-    "polar": ("theta_min", "theta_max", "rho_min", "rho_max"),
+    **{rtype: tuple(f.name for f in fields(cls)) for rtype, cls in _CURVE_REGIONS.items()},
     "polygon": ("vertices",),
     "union": ("parts",),
 }
@@ -84,13 +82,9 @@ def region_doc(region: Region) -> dict:
     for rtype, cls in _CURVE_REGIONS.items():
         if type(region) is cls:
             lo_key, hi_key, a_key, b_key = _REGION_FIELDS[rtype]
-            return {
-                "type": rtype,
-                lo_key: getattr(region, lo_key),
-                hi_key: getattr(region, hi_key),
-                a_key: getattr(region, a_key).text,
-                b_key: getattr(region, b_key).text,
-            }
+            u_min, u_max, near, far = region.span
+            return {"type": rtype, lo_key: u_min, hi_key: u_max,
+                    a_key: near.text, b_key: far.text}
     raise TypeError(f"not a region: {region!r}")
 
 
@@ -173,22 +167,19 @@ def _build_region(doc, path, issues):
                 verts.append(Point(x, y))
         if not ok:
             return None
-        try:
-            return Polygon(tuple(verts))
-        except InvalidRegionError as exc:
-            issues.append((path, str(exc)))
+        cls, args = Polygon, (tuple(verts),)
+    else:
+        cls = _CURVE_REGIONS[rtype]
+        lo_key, hi_key, a_key, b_key = _REGION_FIELDS[rtype]
+        lo = _scalar_field(doc.get(lo_key), f"{path}.{lo_key}", issues)
+        hi = _scalar_field(doc.get(hi_key), f"{path}.{hi_key}", issues)
+        ca = _curve_field(doc.get(a_key), cls._var, f"{path}.{a_key}", issues)
+        cb = _curve_field(doc.get(b_key), cls._var, f"{path}.{b_key}", issues)
+        args = (lo, hi, ca, cb)
+        if None in args:
             return None
-
-    variable = _REGION_VARIABLES[rtype]
-    lo_key, hi_key, a_key, b_key = _REGION_FIELDS[rtype]
-    lo = _scalar_field(doc.get(lo_key), f"{path}.{lo_key}", issues)
-    hi = _scalar_field(doc.get(hi_key), f"{path}.{hi_key}", issues)
-    ca = _curve_field(doc.get(a_key), variable, f"{path}.{a_key}", issues)
-    cb = _curve_field(doc.get(b_key), variable, f"{path}.{b_key}", issues)
-    if None in (lo, hi, ca, cb):
-        return None
     try:
-        return _CURVE_REGIONS[rtype](lo, hi, ca, cb)
+        return cls(*args)
     except InvalidRegionError as exc:
         issues.append((path, str(exc)))
         return None

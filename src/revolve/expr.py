@@ -108,9 +108,6 @@ class ExprAst:
     _scalar: Callable | None = field(default=None, init=False, repr=False, compare=False)
     _array: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
-    def eval(self, value: float) -> float:
-        return eval_expr(self, value)
-
     def __reduce__(self):
         # Generated functions do not pickle; a copy compiles its own.
         return ExprAst, (self.root, self.variable, self.text)

@@ -6,9 +6,10 @@ distance is linear in (x, y), so its inner integral over each
 cross-section is closed-form (a*Sx + b*Sy + c*A of the section, see
 ``quadrature.moment_sections``) and one adaptive 1D pass per piece remains.
 The classical routes are provided both as cross-checks and as the fast
-paths they are; shell and disk, like the quadrature, read a region through
-its pieces (``region.pieces``), so a normal_y region is a normal_x one with
-its coordinates swapped:
+paths they are.  Every route reads a union through its leaves
+(``region.leaves``), so a nested union is its flat union; shell and disk,
+like the quadrature, read each leaf through its pieces (``region.pieces``),
+so a normal_y region is a normal_x one with its coordinates swapped:
 
 * shell:  integral of 2*pi*|x - x0| * (upper - lower) dx   (vertical axis)
 * disk:   integral of pi * ((right - x0)^2 - (left - x0)^2) dy, signed by
@@ -70,11 +71,12 @@ from .region import (
     Piece,
     Polygon,
     Region,
-    UnionRegion,
     axis_side_check,
     bounding_box,
     contains_mask,
+    leaves,
     pieces,
+    shoelace,
 )
 
 __all__ = [
@@ -169,14 +171,6 @@ def _horizontal_offset(axis: Axis) -> float | None:
     return None
 
 
-def _parts(region: Region) -> list[Region]:
-    """The regions a union is made of, nested unions flattened; any other
-    region is its own only part."""
-    if isinstance(region, UnionRegion):
-        return [leaf for part in region.parts for leaf in _parts(part)]
-    return [region]
-
-
 # ---------------------------------------------------------------------------
 # The double-integral route
 
@@ -226,9 +220,8 @@ def volume_disk(region: Region, axis: Axis, tol: Tolerance | None = None) -> Qua
     tol = tol or Tolerance()
     x0 = _vertical_offset(axis)
     want, offset = (SWAP, x0) if x0 is not None else (IDENTITY, _horizontal_offset(axis))
-    part_pieces = [None if isinstance(part, Polygon) else pieces(part)[0]
-                   for part in _parts(region)]
-    if offset is None or any(piece is None or piece.map != want for piece in part_pieces):
+    if offset is None or any(isinstance(leaf, Polygon) or leaf.map != want
+                             for leaf in leaves(region)):
         raise UnsupportedMethod(
             "disk method needs a vertical axis with normal-y parts or a "
             "horizontal axis with normal-x parts"
@@ -237,7 +230,7 @@ def volume_disk(region: Region, axis: Axis, tol: Tolerance | None = None) -> Qua
     # inner coordinate, whose coefficient there may be negative.
     coefficient = axis.a if x0 is not None else axis.b
     side = axis_side_check(region, axis) * (1 if coefficient > 0.0 else -1)
-    return sum_results([_disk_piece(piece, offset, side, tol) for piece in part_pieces])
+    return sum_results([_disk_piece(piece, offset, side, tol) for piece in pieces(region)])
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +251,7 @@ def volume_shell(region: Region, axis: Axis, tol: Tolerance | None = None) -> Qu
     tol = tol or Tolerance()
     x0 = _vertical_offset(axis)
     want, offset = (IDENTITY, x0) if x0 is not None else (SWAP, _horizontal_offset(axis))
-    part_pieces = [pieces(part, swap=want == SWAP) for part in _parts(region)]
+    part_pieces = [pieces(leaf, swap=want == SWAP) for leaf in leaves(region)]
     if offset is None or any(piece.map != want for part in part_pieces for piece in part):
         raise UnsupportedMethod(
             "shell method needs a vertical axis with normal-x (or polygon) "
@@ -290,18 +283,11 @@ def volume_polar(region: Region, axis: Axis, tol: Tolerance | None = None) -> Qu
 # ---------------------------------------------------------------------------
 # Area, centroid, Pappus
 
-def _polygon_moments(poly: Polygon) -> QuadratureResult:
-    # Shoelace area and the closed-form centroid moments (exact, no quadrature).
-    a = sx = sy = 0.0
-    verts = poly.vertices
-    n = len(verts)
-    for i in range(n):
-        p, q = verts[i], verts[(i + 1) % n]
-        cross = p.x * q.y - q.x * p.y
-        a += cross
-        sx += (p.x + q.x) * cross
-        sy += (p.y + q.y) * cross
-    return QuadratureResult((0.5 * a, sx / 6.0, sy / 6.0), (0.0, 0.0, 0.0), 0)
+def _leaf_moments(leaf: Region, tol: Tolerance) -> QuadratureResult:
+    if isinstance(leaf, Polygon):
+        return QuadratureResult(shoelace(leaf.vertices), (0.0, 0.0, 0.0), 0)
+    [(u0, u1, section)] = moment_sections(leaf)  # a curve leaf is one piece
+    return integrate_1d(section, u0, u1, tol)
 
 
 @functools.lru_cache(maxsize=256)
@@ -309,19 +295,13 @@ def _region_moments(region: Region, tol: Tolerance) -> QuadratureResult:
     """Area and first moments: value (A, Sx, Sy), per-component error
     estimates, and the evaluations of the pass that produced them.
 
-    Polygons are exact; unions add their parts; everything else is one
-    vector-valued 1D pass per piece over the closed-form sections.  Regions
-    and tolerances are frozen and compare by value, so equal regions built
+    Summed over the leaves: a polygon is exact (shoelace), a curve leaf is
+    one vector-valued 1D pass over its closed-form sections.  Regions and
+    tolerances are frozen and compare by value, so equal regions built
     separately share one cache entry, and a cached result repeats the
     count of the pass that computed it.
     """
-    if isinstance(region, Polygon):
-        return _polygon_moments(region)
-    if isinstance(region, UnionRegion):
-        return sum_results([_region_moments(part, tol) for part in region.parts])
-    return sum_results([
-        integrate_1d(section, u0, u1, tol) for u0, u1, section in moment_sections(region)
-    ])
+    return sum_results([_leaf_moments(leaf, tol) for leaf in leaves(region)])
 
 
 def area(region: Region, tol: Tolerance | None = None) -> float:

@@ -11,8 +11,8 @@ A tuple-valued integrand is integrated in one pass: its components share
 the panels and the evaluations, and component k meets
 max(abs_tol, rel_tol * integral of |f_k|).
 
-Both 2D routes walk the region's pieces (``region.pieces``): an outer
-interval, inner bounds, and the map of (u, v) to the plane.  Area and
+Both 2D routes walk the region's pieces (``region.pieces``), leaf by leaf:
+an outer interval, inner bounds, and the map of (u, v) to the plane.  Area and
 first moments (A, Sx, Sy) have closed-form inner integrals on every piece
 (``moment_sections``), so they, and any integrand linear in (x, y) such as
 the distance to an axis, need only a 1D pass over the outer coordinate.
@@ -33,7 +33,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, IntegrandError, QuadratureNoConvergence
-from .region import POLAR, SWAP, Piece, Region, UnionRegion, pieces, plane_map
+from .geometry import Point
+from .region import POLAR, SWAP, Piece, Region, leaves, pieces
 
 __all__ = [
     "Tolerance",
@@ -86,6 +87,8 @@ class Tolerance:
     def __post_init__(self):
         if not (self.rel > 0.0 and self.abs > 0.0):
             raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.rel) and math.isfinite(self.abs)):
+            raise ValueError("tolerances must be finite")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
 
@@ -352,34 +355,37 @@ def moment_sections(region: Region) -> list:
 # ---------------------------------------------------------------------------
 # Iterated 2D integration of general integrands
 
-def _iterated(u0, u1, lower, upper, g, tol: Tolerance) -> QuadratureResult:
-    """Outer integral over u of the inner integral of g(u, v) for v between
-    lower(u) and upper(u).  Degenerate sections (upper <= lower) contribute 0."""
+def _iterated(piece: Piece, integrand, tol: Tolerance) -> QuadratureResult:
+    """Outer integral over u of the inner integral, for v between near(u)
+    and far(u), of the integrand at the piece's (u, v) times the area
+    element.  Degenerate sections (far <= near) contribute 0."""
+    g = _in_plane(integrand, piece.map)
     inner_tol = tol.tightened()
     inner_evals = [0]
 
     def section(u: float) -> float:
-        a = lower(u)
-        b = upper(u)
+        a = piece.near(u)
+        b = piece.far(u)
         if not b > a:
             return 0.0
         res = integrate_1d(lambda v: g(u, v), a, b, inner_tol)
         inner_evals[0] += res.evaluations
         return res.value
 
-    outer = integrate_1d(section, u0, u1, tol)
+    outer = integrate_1d(section, piece.u0, piece.u1, tol)
     return QuadratureResult(
         outer.value, outer.error_estimate, outer.evaluations + inner_evals[0]
     )
 
 
 def _in_plane(integrand, cmap: str):
-    """``integrand`` (of a Point) as a function of a piece's (u, v), times
-    the area element of the map."""
-    to_plane = plane_map(cmap)
+    """``integrand`` (of a Point) as a function of a piece's (u, v) under
+    the map ``cmap``, times the map's area element."""
     if cmap == POLAR:
-        return lambda th, r: integrand(to_plane(th, r)) * r
-    return lambda u, v: integrand(to_plane(u, v))
+        return lambda th, r: integrand(Point(r * math.cos(th), r * math.sin(th))) * r
+    if cmap == SWAP:
+        return lambda u, v: integrand(Point(v, u))
+    return lambda u, v: integrand(Point(u, v))
 
 
 def integrate_region(region: Region, integrand, tol: Tolerance | None = None) -> QuadratureResult:
@@ -387,11 +393,10 @@ def integrate_region(region: Region, integrand, tol: Tolerance | None = None) ->
     region, iterated over each piece: inner-y for normal_x and polygon
     x-slabs (the shell arrangement), inner-x for normal_y (the disk
     arrangement), inner-rho with Jacobian rho for polar sectors.  Pieces
-    are summed per region, and a union sums its parts' sums."""
+    are summed per leaf (``region.leaves``), then the leaves' sums in
+    order, so a nested union is its flat union."""
     tol = tol or Tolerance()
-    if isinstance(region, UnionRegion):
-        return sum_results([integrate_region(part, integrand, tol) for part in region.parts])
     return sum_results([
-        _iterated(piece.u0, piece.u1, piece.near, piece.far, _in_plane(integrand, piece.map), tol)
-        for piece in pieces(region)
+        sum_results([_iterated(piece, integrand, tol) for piece in pieces(leaf)])
+        for leaf in leaves(region)
     ])

@@ -1,16 +1,21 @@
 """Plane regions that can be revolved: normal domains, polar sectors,
 polygons, and disjoint unions.
 
+A region is a list of leaves (``leaves``, nested unions flattened): polygons
+and curve leaves.  A curve leaf (NormalX, NormalY, PolarSector) is
+near(u) <= v <= far(u) for u in [u_min, u_max], carried to the plane by its
+map; the three share one validator, one mask and one boundary sample.
+
 Construction probes every boundary curve at the interval endpoints plus 33
 interior points; curves must evaluate there and the ordering
-invariants (lower <= upper, 0 <= rho_min <= rho_max, ...) must hold at every
+invariants (near <= far, and rho_min >= 0 for a sector) must hold at every
 probe.  Boundary points count as inside: the region is closed, and
 containment is exact on polygon edges and at a sector's apex.
 
 Every region is also a list of pieces (``pieces``): an outer interval
 [u0, u1], inner bounds near(u) <= v <= far(u), and the map that carries
-(u, v) to the plane.  The quadrature and the shell, disk and polar routes
-work on pieces, not on the variants.
+(u, v) to the plane.  The quadrature and the routes work on leaves and
+pieces, not on the variants.
 """
 
 from __future__ import annotations
@@ -35,9 +40,10 @@ __all__ = [
     "Polygon",
     "UnionRegion",
     "Region",
+    "leaves",
+    "shoelace",
     "Piece",
     "pieces",
-    "plane_map",
     "contains",
     "contains_mask",
     "bounding_box",
@@ -111,12 +117,13 @@ def _probe_curve(c: Curve, lo: float, hi: float, what: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # Region variants
 
-class _NormalDomain:
+class _CurveLeaf:
     """Region between two curves of one coordinate u: near(u) <= v <= far(u)
     for u in [u_min, u_max].  NormalX has (x, y) = (u, v); NormalY is its
-    transpose, (x, y) = (v, u).  Each subclass names its fields."""
+    transpose, (x, y) = (v, u); PolarSector has (x, y) = (v cos u, v sin u).
+    Each subclass names its fields."""
 
-    _var: ClassVar[str]                # the outer coordinate, "x" or "y"
+    _var: ClassVar[str]                # the outer coordinate, "x", "y" or "theta"
     _curves: ClassVar[tuple[str, str]]  # field names of near and far
     map: ClassVar[str]
 
@@ -136,9 +143,16 @@ class _NormalDomain:
             raise InvalidRegionError(f"{v} bounds must be finite")
         if not u_min < u_max:
             raise InvalidRegionError(f"{v}_min {u_min!r} must be < {v}_max {u_max!r}")
+        polar = self.map == POLAR
+        if polar and u_max - u_min > TWO_PI + 1e-12:
+            raise InvalidRegionError(
+                f"theta_max - theta_min must be in (0, 2*pi], got {u_max - u_min!r}"
+            )
         lo = _probe_curve(near, u_min, u_max, f"{near_name} curve")
         hi = _probe_curve(far, u_min, u_max, f"{far_name} curve")
         for t, a, b in zip(_probe_points(u_min, u_max), lo, hi):
+            if polar and a < -_TOUCH_TOL:
+                raise InvalidRegionError(f"{near_name} < 0 at {v}={float(t)!r} ({a!r})")
             if a > b + _TOUCH_TOL:
                 raise InvalidRegionError(
                     f"{near_name} > {far_name} at {v}={float(t)!r} ({a!r} > {b!r})"
@@ -146,7 +160,7 @@ class _NormalDomain:
 
 
 @dataclass(frozen=True)
-class NormalX(_NormalDomain):
+class NormalX(_CurveLeaf):
     """Region between y = lower(x) and y = upper(x) for x in [x_min, x_max]."""
 
     x_min: float
@@ -160,7 +174,7 @@ class NormalX(_NormalDomain):
 
 
 @dataclass(frozen=True)
-class NormalY(_NormalDomain):
+class NormalY(_CurveLeaf):
     """Region between x = left(y) and x = right(y) for y in [y_min, y_max]."""
 
     y_min: float
@@ -174,31 +188,18 @@ class NormalY(_NormalDomain):
 
 
 @dataclass(frozen=True)
-class PolarSector:
-    """Region rho_min(theta) <= rho <= rho_max(theta), theta_min <= theta <= theta_max."""
+class PolarSector(_CurveLeaf):
+    """Region rho_min(theta) <= rho <= rho_max(theta), theta_min <= theta <= theta_max,
+    with 0 < theta_max - theta_min <= 2*pi and rho_min >= 0."""
 
     theta_min: float
     theta_max: float
     rho_min: Curve
     rho_max: Curve
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta_min", float(self.theta_min))
-        object.__setattr__(self, "theta_max", float(self.theta_max))
-        width = self.theta_max - self.theta_min
-        if not (math.isfinite(self.theta_min) and math.isfinite(self.theta_max)):
-            raise InvalidRegionError("theta bounds must be finite")
-        if not 0.0 < width <= TWO_PI + 1e-12:
-            raise InvalidRegionError(
-                f"theta_max - theta_min must be in (0, 2*pi], got {width!r}"
-            )
-        rmin = _probe_curve(self.rho_min, self.theta_min, self.theta_max, "rho_min")
-        rmax = _probe_curve(self.rho_max, self.theta_min, self.theta_max, "rho_max")
-        for t, a, b in zip(_probe_points(self.theta_min, self.theta_max), rmin, rmax):
-            if a < -_TOUCH_TOL:
-                raise InvalidRegionError(f"rho_min < 0 at theta={float(t)!r} ({a!r})")
-            if a > b + _TOUCH_TOL:
-                raise InvalidRegionError(f"rho_min > rho_max at theta={float(t)!r}")
+    _var = "theta"
+    _curves = ("rho_min", "rho_max")
+    map = POLAR
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ class Polygon:
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 3:
             raise InvalidRegionError("polygon needs at least 3 vertices")
-        if _shoelace_area(verts) <= 0.0:
+        if shoelace(verts)[0] <= 0.0:
             raise InvalidRegionError("polygon must be counterclockwise (positive area)")
         if not _is_simple(verts):
             raise InvalidRegionError("polygon edges self-intersect")
@@ -235,16 +236,29 @@ class UnionRegion:
 Region = NormalX | NormalY | PolarSector | Polygon | UnionRegion
 
 
+def leaves(region: Region) -> list[Region]:
+    """The region's curve leaves and polygons in order, nested unions
+    flattened: a union is the union of its leaves."""
+    if isinstance(region, UnionRegion):
+        return [leaf for part in region.parts for leaf in leaves(part)]
+    return [region]
+
+
 # ---------------------------------------------------------------------------
 # Polygon helpers
 
-def _shoelace_area(verts: tuple[Point, ...]) -> float:
-    acc = 0.0
+def shoelace(verts: tuple[Point, ...]) -> tuple[float, float, float]:
+    """Area and first moments (A, Sx, Sy) of the polygon with these
+    vertices; the area is positive when they run counterclockwise."""
+    a = sx = sy = 0.0
     n = len(verts)
     for i in range(n):
         p, q = verts[i], verts[(i + 1) % n]
-        acc += p.x * q.y - q.x * p.y
-    return 0.5 * acc
+        cross = p.x * q.y - q.x * p.y
+        a += cross
+        sx += (p.x + q.x) * cross
+        sy += (p.y + q.y) * cross
+    return 0.5 * a, sx / 6.0, sy / 6.0
 
 
 def _orient(p: Point, q: Point, r: Point) -> float:
@@ -335,32 +349,19 @@ class Piece(NamedTuple):
     map: str
 
 
-def plane_map(cmap: str) -> Callable[[float, float], Point]:
-    """The function (u, v) -> Point of the map ``cmap``."""
-    if cmap == POLAR:
-        return lambda u, v: Point(v * math.cos(u), v * math.sin(u))
-    if cmap == SWAP:
-        return lambda u, v: Point(v, u)
-    return Point
-
-
 def pieces(region: Region, swap: bool = False) -> list[Piece]:
-    """The region as a list of pieces: one for a normal domain or a sector,
+    """The region as a list of pieces, leaf by leaf: one for a curve leaf,
     one per slab for a polygon (x-slabs, or y-slabs with map SWAP when
-    ``swap``), and the parts' pieces in order for a union."""
-    if isinstance(region, _NormalDomain):
-        return [Piece(*region.span, region.map)]
-    if isinstance(region, PolarSector):
-        return [Piece(region.theta_min, region.theta_max, region.rho_min, region.rho_max, POLAR)]
-    if isinstance(region, Polygon):
-        if swap:
-            # The x-slabs of the mirror image in y = x, listed counterclockwise.
-            mirrored = [Point(v.y, v.x) for v in reversed(region.vertices)]
-            return [Piece(*slab, SWAP) for slab in _slabs(mirrored)]
-        return [Piece(*slab, IDENTITY) for slab in _slabs(region.vertices)]
-    if isinstance(region, UnionRegion):
-        return [piece for part in region.parts for piece in pieces(part, swap)]
-    raise TypeError(f"not a region: {region!r}")
+    ``swap``)."""
+    out = []
+    for leaf in leaves(region):
+        if isinstance(leaf, Polygon):
+            # y-slabs are the x-slabs of the mirror image in y = x, listed counterclockwise.
+            verts = [Point(v.y, v.x) for v in reversed(leaf.vertices)] if swap else leaf.vertices
+            out += [Piece(*slab, SWAP if swap else IDENTITY) for slab in _slabs(verts)]
+        else:
+            out.append(Piece(*leaf.span, leaf.map))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,30 +373,24 @@ def contains(region: Region, p: Point) -> bool:
     return bool(contains_mask(region, np.array([p.x]), np.array([p.y]))[0])
 
 
-def _normal_mask(region: _NormalDomain, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    u_min, u_max, near, far = region.span
-    us, vs = (ys, xs) if region.map == SWAP else (xs, ys)
-    lo = near.sample(us)
-    hi = far.sample(us)
-    return (us >= u_min) & (us <= u_max) & (vs >= lo) & (vs <= hi)
-
-
-def _sector_mask(region: PolarSector, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    rho = np.hypot(xs, ys)
-    theta = np.arctan2(ys, xs)
-    rel = np.mod(theta - region.theta_min, TWO_PI)
-    tn = region.theta_min + rel
-    rmin = region.rho_min.sample(tn)
-    rmax = region.rho_max.sample(tn)
-    mask = (tn <= region.theta_max) & (rho >= rmin) & (rho <= rmax)
-    apex = rho == 0.0
-    if apex.any():
-        # The apex has no angle: it belongs to the sector iff rho_min
-        # reaches zero at one of the construction probes.
-        mask[apex] = any(
-            region.rho_min(float(t)) <= 0.0
-            for t in _probe_points(region.theta_min, region.theta_max)
-        )
+def _curve_mask(leaf: _CurveLeaf, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """u_min <= u <= u_max and near(u) <= v <= far(u) at each point's (u, v):
+    for a sector, its angle in [theta_min, theta_min + 2*pi) and its radius.
+    The apex has no angle; it is inside iff rho_min <= 0 at a construction probe."""
+    u_min, u_max, near, far = leaf.span
+    if leaf.map == POLAR:
+        us = u_min + np.mod(np.arctan2(ys, xs) - u_min, TWO_PI)
+        vs = np.hypot(xs, ys)
+    else:
+        us, vs = (ys, xs) if leaf.map == SWAP else (xs, ys)
+    # One curve sample alive at a time: they are full-length arrays.
+    mask = (us >= u_min) & (us <= u_max)
+    mask &= vs >= near.sample(us)
+    mask &= vs <= far.sample(us)
+    if leaf.map == POLAR:
+        apex = vs == 0.0
+        if apex.any():
+            mask[apex] = any(near(float(t)) <= 0.0 for t in _probe_points(u_min, u_max))
     return mask
 
 
@@ -441,22 +436,15 @@ def _polygon_mask(poly: Polygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def contains_mask(region: Region, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized containment in the closed region over coordinate arrays.
-    Points where a boundary curve cannot be evaluated are outside."""
+    """Vectorized containment in the closed region over coordinate arrays:
+    in any of its leaves.  Points where a boundary curve cannot be
+    evaluated are outside."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if isinstance(region, _NormalDomain):
-        return _normal_mask(region, xs, ys)
-    if isinstance(region, PolarSector):
-        return _sector_mask(region, xs, ys)
-    if isinstance(region, Polygon):
-        return _polygon_mask(region, xs, ys)
-    if isinstance(region, UnionRegion):
-        mask = contains_mask(region.parts[0], xs, ys)
-        for part in region.parts[1:]:
-            mask = mask | contains_mask(part, xs, ys)
-        return mask
-    raise TypeError(f"not a region: {region!r}")
+    return functools.reduce(np.logical_or, (
+        (_polygon_mask if isinstance(leaf, Polygon) else _curve_mask)(leaf, xs, ys)
+        for leaf in leaves(region)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -477,26 +465,24 @@ def _pad_interval(lo: float, hi: float) -> tuple[float, float]:
     )
 
 
-def _leaf_clouds(region: Region) -> list[tuple[np.ndarray, np.ndarray, bool]]:
-    """(xs, ys, exact) for each leaf of the region: a polygon's vertices,
-    which are exact, or a curve leaf's near and far curves at
-    _CLOUD_SAMPLES points of its outer interval (the ends included), carried
-    to the plane, without the points where a curve is NaN."""
-    if isinstance(region, UnionRegion):
-        return [leaf for part in region.parts for leaf in _leaf_clouds(part)]
-    if isinstance(region, Polygon):
-        return [(np.array([v.x for v in region.vertices], dtype=np.float64),
-                 np.array([v.y for v in region.vertices], dtype=np.float64), True)]
-    [(u0, u1, near, far, cmap)] = pieces(region)
+def _leaf_cloud(leaf: Region) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(xs, ys, exact) of one leaf: a polygon's vertices, which are exact,
+    or a curve leaf's near and far curves at _CLOUD_SAMPLES points of its
+    outer interval (the ends included), carried to the plane, without the
+    points where a curve is NaN."""
+    if isinstance(leaf, Polygon):
+        return (np.array([v.x for v in leaf.vertices], dtype=np.float64),
+                np.array([v.y for v in leaf.vertices], dtype=np.float64), True)
+    u0, u1, near, far = leaf.span
     ts = np.linspace(u0, u1, _CLOUD_SAMPLES)
     us, vs = np.concatenate([ts, ts]), np.concatenate([near.sample(ts), far.sample(ts)])
     keep = ~np.isnan(vs)
     us, vs = us[keep], vs[keep]
-    if cmap == POLAR:
+    if leaf.map == POLAR:
         us, vs = vs * np.cos(us), vs * np.sin(us)
-    elif cmap == SWAP:
+    elif leaf.map == SWAP:
         us, vs = vs, us
-    return [(us, vs, False)]
+    return (us, vs, False)
 
 
 class _Cloud(NamedTuple):
@@ -512,12 +498,12 @@ def _boundary_cloud(region: Region) -> _Cloud:
     of x and of y over each leaf, padded by 1e-9 relative on curve leaves.
     They depend on the region alone; regions are frozen and compare by
     value, so equal regions built separately share one entry."""
-    leaves = [leaf for leaf in _leaf_clouds(region) if leaf[0].size]
-    xs = np.concatenate([lx for lx, _, _ in leaves] or [np.empty(0)])
-    ys = np.concatenate([ly for _, ly, _ in leaves] or [np.empty(0)])
+    clouds = [cloud for cloud in map(_leaf_cloud, leaves(region)) if cloud[0].size]
+    xs = np.concatenate([lx for lx, _, _ in clouds] or [np.empty(0)])
+    ys = np.concatenate([ly for _, ly, _ in clouds] or [np.empty(0)])
     xs.flags.writeable = ys.flags.writeable = False
     boxes = []
-    for lx, ly, exact in leaves:
+    for lx, ly, exact in clouds:
         x_box = (float(lx.min()), float(lx.max()))
         y_box = (float(ly.min()), float(ly.max()))
         boxes.append((*x_box, *y_box) if exact else (*_pad_interval(*x_box), *_pad_interval(*y_box)))

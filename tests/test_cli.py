@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -259,6 +260,26 @@ class TestSample:
         assert code == 2
         assert "--grid" in err
 
+    def test_grid_is_bounded(self, capsys, fixtures_dir):
+        # 5793^2 points exceed the Monte Carlo bound of 2^25.
+        code, out, err = run_cli(capsys, "sample",
+                                 "--config", str(fixtures_dir / "unit_square.json"),
+                                 "--grid", "5793")
+        assert (code, out) == (2, "")
+        assert err == "config error: --grid: need at most 5792 points per side\n"
+
+    # The rows are streamed; the output is the one they printed as a list.
+    @pytest.mark.parametrize("fixture, digest", [
+        ("unit_square", "149032def06f1143add90281df42bf12f7136cec528f7710542f4fc3705fd674"),
+        ("sector_polar", "883d865a67d1b062dd3216e8f9c9aceff004ff1ee26d80c1ba9466482a3dd959"),
+    ])
+    def test_grid_64_output_is_pinned(self, capsys, fixtures_dir, fixture, digest):
+        code, out, _ = run_cli(capsys, "sample",
+                               "--config", str(fixtures_dir / f"{fixture}.json"),
+                               "--grid", "64")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestConfigErrors:
     def test_missing_config_file(self, capsys, tmp_path):
@@ -304,6 +325,16 @@ class TestConfigErrors:
         assert code == 2
         assert err.startswith("config error: region.vertices[2][0]: ")
 
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
+    def test_infinite_tolerance_is_refused(self, capsys, fixtures_dir, flag):
+        # An infinite tolerance stops every quadrature after one panel, and
+        # --print-normalized would write a document that does not re-parse.
+        for extra in ([], ["--print-normalized"]):
+            code, out, err = run_cli(capsys, "check",
+                                     "--config", str(fixtures_dir / "torus_circle.json"),
+                                     flag, "inf", *extra)
+            assert (code, out) == (2, "")
+            assert err == "config error: tolerance: tolerances must be finite\n"
 
     @pytest.mark.parametrize("samples", [str(10**30), str(2**25 + 1)])
     def test_sample_count_is_bounded(self, capsys, fixtures_dir, samples):

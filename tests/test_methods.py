@@ -7,7 +7,7 @@ import pytest
 import revolve as rv
 from revolve.config import load_job, parse_job
 from revolve.errors import AxisIntersectsRegion, UnsupportedMethod
-from revolve.methods import _region_moments
+from revolve.methods import _region_moments, run_route
 
 from conftest import FIXTURES
 from helpers import (
@@ -153,11 +153,45 @@ class TestShell:
             rv.volume_shell(ell, rv.Axis.horizontal(1.0))
 
     def test_nested_union_is_its_flat_union(self):
-        parts = sector_shell_union().parts
-        nested = rv.UnionRegion((rv.UnionRegion(parts[:2]), parts[2]))
-        flat = rv.volume_shell(sector_shell_union(), AXIS_OY)
-        report = rv.volume_shell(nested, AXIS_OY)
-        assert (report.value, report.evaluations) == (flat.value, flat.evaluations)
+        # Every route, the moments and the guards read a union through its
+        # leaves, so nesting changes no bit: shell here, and all the others.
+        def nest(parts):
+            return rv.UnionRegion((rv.UnionRegion((parts[0], rv.UnionRegion(parts[1:2]))),
+                                   rv.UnionRegion(parts[2:])))
+
+        shell_parts = sector_shell_union().parts + (unit_square_polygon(),)
+        cuts = (-math.pi / 3, 0.0, math.pi / 8, math.pi / 4)
+        sectors = tuple(rv.PolarSector(a, b, rv.curve("0", "theta"), rv.curve("1", "theta"))
+                        for a, b in zip(cuts, cuts[1:]))
+        disk_parts = sector_disk_union().parts + (
+            rv.NormalY(0.0, 0.5, rv.curve("1.5", "y"), rv.curve("2", "y")),)
+        cfg = rv.McConfig(samples=20_000, seed=7)
+        cases = [
+            (shell_parts, ("shell", "double_integral", "pappus", "monte_carlo")),
+            (sectors, ("polar", "double_integral", "pappus", "monte_carlo")),
+            (disk_parts, ("disk", "double_integral", "pappus", "monte_carlo")),
+        ]
+        for parts, routes in cases:
+            flat, nested = rv.UnionRegion(parts), nest(parts)
+            assert flat != nested
+            for route in routes:
+                want, got = (run_route(route, region, AXIS_OY, cfg=cfg) for region in (flat, nested))
+                assert (got.value, got.error_estimate, got.evaluations) == (
+                    want.value, want.error_estimate, want.evaluations), route
+            assert rv.area(nested) == rv.area(flat)
+            assert rv.centroid(nested) == rv.centroid(flat)
+            box = rv.bounding_box(flat)
+            assert rv.bounding_box(nested) == box
+            xs, ys = np.meshgrid(np.linspace(box[0] - 0.1, box[1] + 0.1, 41),
+                                 np.linspace(box[2] - 0.1, box[3] + 0.1, 41))
+            assert (rv.contains_mask(nested, xs, ys) == rv.contains_mask(flat, xs, ys)).all()
+            assert rv.axis_side_check(nested, AXIS_OY) == rv.axis_side_check(flat, AXIS_OY)
+            refusals = []
+            for region in (flat, nested):
+                with pytest.raises(AxisIntersectsRegion) as refused:
+                    rv.axis_side_check(region, rv.Axis.vertical(0.5))
+                refusals.append(str(refused.value))
+            assert refusals[0] == refusals[1]
 
 
 class TestDisk:

@@ -74,6 +74,12 @@ class TestIntegrate1D:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             rv.Tolerance(rel=0.0)
+        for bad in ({"rel": -1.0}, {"abs": 0.0}, {"rel": math.nan}):
+            with pytest.raises(ValueError, match="^tolerances must be positive$"):
+                rv.Tolerance(**bad)
+        for bad in ({"rel": math.inf}, {"abs": math.inf}):
+            with pytest.raises(ValueError, match="^tolerances must be finite$"):
+                rv.Tolerance(**bad)
         with pytest.raises(ValueError):
             rv.Tolerance(max_depth=0)
         tight = rv.Tolerance().tightened()

@@ -7,7 +7,7 @@ import revolve as rv
 from revolve.errors import AxisIntersectsRegion, InvalidRegionError
 from revolve import region as region_module
 from revolve.config import load_job, parse_job
-from revolve.region import IDENTITY, POLAR, SWAP, pieces
+from revolve.region import IDENTITY, POLAR, SWAP, leaves, pieces
 
 from conftest import FIXTURES
 from helpers import (
@@ -184,6 +184,25 @@ class TestPieces:
         assert [p.map for p in pieces(union, swap=True)] == [POLAR, SWAP]
 
 
+class TestLeaves:
+    def test_a_leaf_is_its_own_only_leaf(self):
+        for region in (quarter_disk(), torus_normal_x(), unit_square_polygon()):
+            assert [id(leaf) for leaf in leaves(region)] == [id(region)]
+
+    def test_nested_unions_flatten_in_order(self):
+        a, b, c, d = quarter_disk(), unit_square_polygon(), torus_normal_x(), cone_triangle()
+        nested = rv.UnionRegion((a, rv.UnionRegion((b, rv.UnionRegion((c,)))), d))
+        assert [id(leaf) for leaf in leaves(nested)] == [id(a), id(b), id(c), id(d)]
+        assert leaves(rv.UnionRegion((rv.UnionRegion((d, a)),))) == [d, a]
+
+    def test_pieces_follow_the_leaves(self):
+        nested = rv.UnionRegion((rv.UnionRegion((unit_square_polygon(), quarter_disk())),
+                                 torus_normal_x()))
+        assert [p.map for p in pieces(nested)] == [IDENTITY, POLAR, IDENTITY]
+        assert [(p.u0, p.u1) for p in pieces(nested, swap=True)] == [
+            (0, 1), (0.0, math.pi / 2), (1.0, 3.0)]
+
+
 class TestBoundingBox:
     def test_polygon_exact(self):
         box = rv.bounding_box(cone_triangle())
@@ -266,6 +285,30 @@ class TestValidation:
     def test_negative_radius_rejected(self):
         with pytest.raises(InvalidRegionError):
             rv.PolarSector(0.0, 1.0, rv.curve("-1", "theta"), rv.curve("1", "theta"))
+
+    # A sector is a curve leaf: the normal domains' checks and messages,
+    # plus its width and a non-negative rho_min.
+    @pytest.mark.parametrize("build, message", [
+        (lambda: rv.PolarSector(0.0, 1.0, rv.curve("2", "theta"), rv.curve("1", "theta")),
+         "rho_min > rho_max at theta=0.0 (2.0 > 1.0)"),
+        (lambda: rv.PolarSector(0.0, 1.0, rv.curve("theta-0.5", "theta"), rv.curve("1", "theta")),
+         "rho_min < 0 at theta=0.0 (-0.5)"),
+        (lambda: rv.PolarSector(0.0, 7.0, rv.curve("0", "theta"), rv.curve("1", "theta")),
+         "theta_max - theta_min must be in (0, 2*pi], got 7.0"),
+        (lambda: rv.PolarSector(1.0, 1.0, rv.curve("0", "theta"), rv.curve("1", "theta")),
+         "theta_min 1.0 must be < theta_max 1.0"),
+        (lambda: rv.PolarSector(0.0, 1.0, rv.curve("0", "theta"), rv.curve("log(theta)", "theta")),
+         "rho_max curve 'log(theta)' is undefined at theta=0.0"),
+        (lambda: rv.NormalX(-2.0, 2.0, rv.curve("sqrt(1-x^2)", "x"), rv.curve("2", "x")),
+         "lower curve 'sqrt(1-x^2)' is undefined at x=-2.0"),
+        (lambda: rv.NormalY(0.0, 1.0, rv.curve("1", "y"), rv.curve("y", "y")),
+         "left > right at y=0.0 (1.0 > 0.0)"),
+    ], ids=["rho_min_above_rho_max", "rho_min_negative", "too_wide", "empty",
+            "rho_max_undefined", "normal_x_lower_undefined", "normal_y_left_above_right"])
+    def test_refusal_messages(self, build, message):
+        with pytest.raises(InvalidRegionError) as refused:
+            build()
+        assert str(refused.value) == message
 
     def test_polygon_needs_ccw(self):
         with pytest.raises(InvalidRegionError):
