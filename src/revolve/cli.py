@@ -15,6 +15,7 @@ import argparse
 import itertools
 import json
 import math
+import signal
 import sys
 from collections.abc import Iterable
 from dataclasses import asdict
@@ -23,7 +24,7 @@ import numpy as np
 
 from .config import JobConfig, load_job
 from .errors import ConfigError, RevolveError
-from .methods import _MAX_SAMPLES, ROUTES, VolumeReport, centroid, compare_methods, run_route
+from .methods import _CHUNK, _MAX_SAMPLES, ROUTES, VolumeReport, centroid, compare_methods, run_route
 from .region import axis_side_check, bounding_box, contains_mask
 from .geometry import Point, signed_distance
 
@@ -33,8 +34,9 @@ __all__ = ["main", "run", "build_parser"]
 # replaces here is replaced for volume and compare alike.
 _METHOD_RUNNERS = ROUTES
 
-# revolve sample masks grid^2 points at once: at most as many as a Monte
-# Carlo estimate may draw.
+# revolve sample masks its grid in blocks of whole rows, at most _CHUNK
+# points each, so memory does not grow with the grid.  The bound is one of
+# time: grid^2 is at most as many points as a Monte Carlo estimate may draw.
 _MAX_GRID = math.isqrt(_MAX_SAMPLES)
 
 
@@ -161,13 +163,18 @@ def _cmd_sample(job: JobConfig, grid: int) -> int:
     x_lo, x_hi, y_lo, y_hi = bounding_box(job.region)
     xs = [x_lo + (x_hi - x_lo) * ix / (grid - 1) for ix in range(grid)]
     ys = [y_lo + (y_hi - y_lo) * iy / (grid - 1) for iy in range(grid)]
-    # One mask call over the grid, rows ordered y-major.
-    inside = contains_mask(job.region, np.tile(xs, grid), np.repeat(ys, grid))
-    rows = (
-        [x, y, int(m), abs(signed_distance(job.axis, Point(x, y)))]
-        for (y, x), m in zip(itertools.product(ys, xs), inside)
-    )
-    _print_csv(["x", "y", "inside", "distance"], rows)
+    rows_per_block = max(1, _CHUNK // grid)
+
+    def rows():
+        # One mask call per block of whole rows, rows ordered y-major.
+        for start in range(0, grid, rows_per_block):
+            block = ys[start:start + rows_per_block]
+            inside = contains_mask(job.region, np.tile(xs, len(block)),
+                                   np.repeat(block, grid))
+            for (y, x), m in zip(itertools.product(block, xs), inside):
+                yield [x, y, int(m), abs(signed_distance(job.axis, Point(x, y)))]
+
+    _print_csv(["x", "y", "inside", "distance"], rows())
     return 0
 
 
@@ -219,6 +226,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # A closed stdout (revolve ... | head) ends the process silently, as it
+    # does cat, instead of in a BrokenPipeError traceback.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -117,8 +117,12 @@ class CentroidReport:
     area: float
 
 
-# Largest Monte Carlo sample count: the estimate holds about 95 bytes per
-# sample at once, so about 3.2 GB here.
+# Monte Carlo draws, masks and reduces its points in chunks of at most this
+# many, so its memory does not grow with the sample count.
+_CHUNK = 2**16
+
+# Largest Monte Carlo sample count, 2^9 chunks.  Memory stays flat, so this
+# bounds time alone.
 _MAX_SAMPLES = 2**25
 
 
@@ -341,21 +345,38 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
     value = box_area * mean(inside * 2*pi*|distance|); the error estimate
     is the standard error of that mean, and the evaluations are the
     samples.  Sampling is Philox 4x64 keyed with the seed; uniforms are
-    (raw >> 11) * 2^-53.
+    (raw >> 11) * 2^-53.  The points stream through in chunks of _CHUNK:
+    consecutive draws continue one Philox stream, so the points are those
+    of one long draw.  Each chunk's (count, mean, M2) merges into the
+    running one by the pairwise update of Chan, Golub and LeVeque (1983),
+    in chunk order.
     """
     cfg = cfg or McConfig()
     axis_side_check(region, axis)
     x_lo, x_hi, y_lo, y_hi = bounding_box(region)
-    raw = np.random.Philox(key=cfg.seed).random_raw(2 * cfg.samples)
-    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    xs = x_lo + (x_hi - x_lo) * u[0::2]
-    ys = y_lo + (y_hi - y_lo) * u[1::2]
-    inside = contains_mask(region, xs, ys)
-    vals = np.where(inside, TWO_PI * np.abs(axis.a * xs + axis.b * ys + axis.c), 0.0)
+    bit_generator = np.random.Philox(key=cfg.seed)
+    n, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, cfg.samples, _CHUNK):
+        m = min(_CHUNK, cfg.samples - start)
+        raw = bit_generator.random_raw(2 * m)
+        u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        xs = x_lo + (x_hi - x_lo) * u[0::2]
+        ys = y_lo + (y_hi - y_lo) * u[1::2]
+        inside = contains_mask(region, xs, ys)
+        vals = np.where(inside, TWO_PI * np.abs(axis.a * xs + axis.b * ys + axis.c), 0.0)
+        chunk_mean = float(vals.mean())
+        vals -= chunk_mean
+        # No BLAS (np.dot) here: its worker threads spin on after each call.
+        chunk_m2 = float(np.square(vals, out=vals).sum())
+        total = n + m
+        delta = chunk_mean - mean
+        mean += delta * m / total
+        m2 += chunk_m2 + delta * delta * n * m / total
+        n = total
     box_area = (x_hi - x_lo) * (y_hi - y_lo)
-    value = box_area * float(vals.mean())
-    stderr = box_area * float(vals.std(ddof=1)) / math.sqrt(cfg.samples)
-    return QuadratureResult(value, stderr, cfg.samples)
+    value = box_area * mean
+    stderr = box_area * math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    return QuadratureResult(value, stderr, n)
 
 
 METHODS = tuple(ROUTES)

@@ -390,7 +390,9 @@ def _curve_mask(leaf: _CurveLeaf, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     if leaf.map == POLAR:
         apex = vs == 0.0
         if apex.any():
-            mask[apex] = any(near(float(t)) <= 0.0 for t in _probe_points(u_min, u_max))
+            # np.where, not item assignment: the mask of 0-d input is a scalar.
+            at_apex = any(near(float(t)) <= 0.0 for t in _probe_points(u_min, u_max))
+            mask = np.where(apex, at_apex, mask)
     return mask
 
 

@@ -1,14 +1,17 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import revolve as rv
 from revolve.cli import main
 from revolve.config import parse_job
+from revolve.methods import _CHUNK
 
 from helpers import SECTOR_VOLUME, SQUARE_VOLUME
 
@@ -279,6 +282,35 @@ class TestSample:
                                "--grid", "64")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_blocks_of_rows_match_one_mask(self, capsys, fixtures_dir):
+        # 257 points a side: two blocks of whole rows, the second short.
+        grid = 257
+        assert grid * grid > _CHUNK
+        code, out, _ = run_cli(capsys, "sample",
+                               "--config", str(fixtures_dir / "sector_polar.json"),
+                               "--grid", str(grid))
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == grid * grid
+        region = rv.load_job(fixtures_dir / "sector_polar.json").region
+        xs = np.array([float(r[0]) for r in rows])
+        ys = np.array([float(r[1]) for r in rows])
+        assert [int(r[2]) for r in rows] == rv.contains_mask(region, xs, ys).astype(int).tolist()
+        assert np.all(np.diff(ys) >= 0.0)
+
+    def test_closed_stdout_ends_silently(self, fixtures_dir):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(fixtures_dir.parent / "src"), *filter(None, [env.get("PYTHONPATH")])])
+        with subprocess.Popen(
+                [sys.executable, "-m", "revolve.cli", "sample",
+                 "--config", str(fixtures_dir / "unit_square.json"), "--grid", "64"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"x,y,inside,distance\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert err == b""
 
 
 class TestConfigErrors:

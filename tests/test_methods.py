@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import revolve as rv
 from revolve.config import load_job, parse_job
 from revolve.errors import AxisIntersectsRegion, UnsupportedMethod
-from revolve.methods import _region_moments, run_route
+from revolve.methods import _CHUNK, _region_moments, run_route
 
 from conftest import FIXTURES
 from helpers import (
@@ -512,6 +513,49 @@ class TestMonteCarlo:
     def test_rejects_straddling_axis(self):
         with pytest.raises(AxisIntersectsRegion):
             rv.volume_monte_carlo(straddling_disk_x(), AXIS_OY, rv.McConfig(1000, 0))
+
+    @staticmethod
+    def _one_shot(region, axis, samples, seed):
+        """The estimate over one full-length draw: every point at once."""
+        x_lo, x_hi, y_lo, y_hi = rv.bounding_box(region)
+        raw = np.random.Philox(key=seed).random_raw(2 * samples)
+        u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        xs = x_lo + (x_hi - x_lo) * u[0::2]
+        ys = y_lo + (y_hi - y_lo) * u[1::2]
+        inside = rv.contains_mask(region, xs, ys)
+        vals = np.where(inside, 2.0 * math.pi * np.abs(axis.a * xs + axis.b * ys + axis.c), 0.0)
+        box_area = (x_hi - x_lo) * (y_hi - y_lo)
+        return (box_area * float(vals.mean()),
+                box_area * float(vals.std(ddof=1)) / math.sqrt(samples))
+
+    @pytest.mark.parametrize("samples", [100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("region", [unit_square_polygon, sector_polar])
+    def test_chunks_match_one_draw(self, region, samples):
+        region = region()
+        report = rv.volume_monte_carlo(region, AXIS_OY, rv.McConfig(samples, 11))
+        value, stderr = self._one_shot(region, AXIS_OY, samples, 11)
+        assert report.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert report.error_estimate == pytest.approx(stderr, rel=1e-12, abs=0.0)
+        assert report.evaluations == samples
+
+    def test_philox_draws_continue_one_stream(self):
+        # The chunked estimate rests on this: two draws are one longer draw.
+        split = np.random.Philox(key=5)
+        head, tail = split.random_raw(7), split.random_raw(_CHUNK + 3)
+        whole = np.random.Philox(key=5).random_raw(7 + _CHUNK + 3)
+        assert np.array_equal(np.concatenate([head, tail]), whole)
+
+    @pytest.mark.parametrize("fixture", ["unit_square", "sector_polar"])
+    def test_memory_does_not_grow_with_samples(self, fixture):
+        job = load_job(FIXTURES / f"{fixture}.json")
+        tracemalloc.start()
+        try:
+            rv.volume_monte_carlo(job.region, job.axis, rv.McConfig(2**20, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A full-length draw of 2^20 points would peak near 80 MiB.
+        assert peak < 16 * 2**20
 
 
 class TestObliqueAndSeamCases:

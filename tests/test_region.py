@@ -159,6 +159,13 @@ class TestContains:
         annulus = rv.PolarSector(math.pi / 2, math.pi, rv.curve("1", "theta"), rv.curve("2", "theta"))
         assert not rv.contains_mask(annulus, *apex)[0]
 
+    def test_mask_of_scalar_coordinates(self):
+        # 0-d input gives a 0-d mask, the apex included.
+        sector = rv.PolarSector(0, 1, rv.curve("0", "theta"), rv.curve("1", "theta"))
+        assert rv.contains_mask(sector, 0.0, 0.0)
+        for x, y in ((0.0, 0.0), (0.5, 0.2), (-0.5, 0.2)):
+            assert bool(rv.contains_mask(sector, x, y)) == rv.contains(sector, rv.Point(x, y))
+
 
 class TestPieces:
     def test_one_piece_per_curve_region(self):
