@@ -22,7 +22,6 @@ from .errors import (
 from .expr import ExprAst, eval_array, eval_expr, parse_expr, parse_scalar
 from .geometry import Axis, Point, signed_distance
 from .region import (
-    Curve,
     NormalX,
     NormalY,
     Polygon,
@@ -82,7 +81,6 @@ __all__ = [
     "Axis",
     "Point",
     "signed_distance",
-    "Curve",
     "curve",
     "NormalX",
     "NormalY",

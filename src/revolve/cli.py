@@ -12,7 +12,6 @@ disagreement (compare only).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import signal
@@ -26,7 +25,6 @@ from .config import JobConfig, load_job
 from .errors import ConfigError, RevolveError
 from .methods import _CHUNK, _MAX_SAMPLES, ROUTES, VolumeReport, centroid, compare_methods, run_route
 from .region import axis_side_check, bounding_box, contains_mask
-from .geometry import Point, signed_distance
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -164,15 +162,17 @@ def _cmd_sample(job: JobConfig, grid: int) -> int:
     xs = [x_lo + (x_hi - x_lo) * ix / (grid - 1) for ix in range(grid)]
     ys = [y_lo + (y_hi - y_lo) * iy / (grid - 1) for iy in range(grid)]
     rows_per_block = max(1, _CHUNK // grid)
+    a, b, c = job.axis.a, job.axis.b, job.axis.c
 
     def rows():
-        # One mask call per block of whole rows, rows ordered y-major.
+        # One mask call per block of whole rows, rows ordered y-major.  The
+        # distance is signed_distance's a*x + b*y + c, in the same order.
         for start in range(0, grid, rows_per_block):
             block = ys[start:start + rows_per_block]
-            inside = contains_mask(job.region, np.tile(xs, len(block)),
-                                   np.repeat(block, grid))
-            for (y, x), m in zip(itertools.product(block, xs), inside):
-                yield [x, y, int(m), abs(signed_distance(job.axis, Point(x, y)))]
+            bx, by = np.tile(xs, len(block)), np.repeat(block, grid)
+            inside = contains_mask(job.region, bx, by).astype(np.int64)
+            dist = np.abs(a * bx + b * by + c)
+            yield from zip(bx.tolist(), by.tolist(), inside.tolist(), dist.tolist())
 
     _print_csv(["x", "y", "inside", "distance"], rows())
     return 0

@@ -30,7 +30,7 @@ from .expr import parse_expr, parse_scalar
 from .geometry import Axis, Point
 from .methods import METHODS, McConfig
 from .quadrature import Tolerance
-from .region import Curve, NormalX, NormalY, Polygon, PolarSector, Region, UnionRegion
+from .region import NormalX, NormalY, Polygon, PolarSector, Region, UnionRegion
 
 __all__ = ["JobConfig", "parse_job", "load_job", "region_doc"]
 
@@ -110,7 +110,7 @@ def _curve_field(value, variable, path, issues):
         issues.append((path, f"expected an expression string in {variable!r}"))
         return None
     try:
-        return Curve(parse_expr(value, variable))
+        return parse_expr(value, variable)
     except ExprSyntaxError as exc:
         issues.append((path, str(exc)))
         return None

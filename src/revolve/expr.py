@@ -19,8 +19,9 @@ negative, log of a non-positive, division by zero) raises DomainError, and a
 non-finite result (NaN or +/-Inf, e.g. from overflow) is normalized to
 DomainError as well, so quadrature can treat all failures uniformly.
 
-Each expression is compiled once, on its first evaluation, into a
-straight-line Python function (see Compilation below); scalar and array
+Each expression is compiled once per distinct text and variable, when
+parsed (``parse_expr`` is a bounded cache), into a straight-line Python
+function per evaluator (see Compilation below); scalar and array
 evaluation compile alike, with two tables of helpers.  Array
 evaluation is NaN exactly where scalar evaluation raises: its helpers
 return NaN for a zero divisor and for a non-finite result from finite
@@ -33,6 +34,7 @@ inf for ``math.pow`` and NaN for numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -61,6 +63,9 @@ _FUNCTIONS = {
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+# Distinct (text, variable) pairs that parse_expr keeps parsed and compiled.
+_PARSE_CACHE_SIZE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +104,23 @@ Node = Const | Var | Neg | BinOp | Call
 
 @dataclass(frozen=True)
 class ExprAst:
-    """Immutable parsed expression in (at most) one variable."""
+    """Immutable parsed expression in (at most) one variable, with its
+    compiled evaluators: ``scalar`` is ``eval_expr``'s, ``array`` is
+    ``eval_array``'s.  They are not part of the value."""
 
     root: Node
     variable: str | None
     text: str
-    # The compiled evaluators, built on first use; not part of the value.
-    _scalar: Callable | None = field(default=None, init=False, repr=False, compare=False)
-    _array: Callable | None = field(default=None, init=False, repr=False, compare=False)
+    scalar: Callable[[float], float] = field(repr=False, compare=False)
+    array: Callable = field(repr=False, compare=False)
+
+    def __call__(self, value: float) -> float:
+        """``eval_expr(self, value)``."""
+        return self.scalar(value)
 
     def __reduce__(self):
-        # Generated functions do not pickle; a copy compiles its own.
-        return ExprAst, (self.root, self.variable, self.text)
+        # Generated functions do not pickle; a copy is parsed again.
+        return parse_expr, (self.text, self.variable)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +253,15 @@ class _Parser:
         self.fail("a value", tok)
 
 
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_expr(text: str, variable: str | None) -> ExprAst:
-    """Parse ``text`` as an expression in the single variable ``variable``.
+    """Parse ``text`` as an expression in the single variable ``variable``
+    and compile its evaluators.
 
     ``variable=None`` parses a constant expression (no variable allowed).
     Raises ExprSyntaxError or UnknownIdentifierError with a byte position.
+    ASTs are frozen and compare by value, so the result is cached by
+    (text, variable): parsing the same text again returns the same object.
     """
     if variable is not None:
         if not _IDENT_RE.fullmatch(variable):
@@ -257,7 +271,10 @@ def parse_expr(text: str, variable: str | None) -> ExprAst:
     if not text:
         raise ExprSyntaxError("empty expression", 0)
     root = _Parser(text, variable).parse()
-    return ExprAst(root, variable, text)
+    scalar = _compile(root, _SCALAR_HELPERS, functools.partial(_not_finite, text, variable))
+    with np.errstate(all="ignore"):  # folding a constant may divide by zero
+        array = _compile(root, _ARRAY_HELPERS)
+    return ExprAst(root, variable, text, scalar, array)
 
 
 def parse_scalar(text) -> float:
@@ -268,13 +285,11 @@ def parse_scalar(text) -> float:
             value = float(text)
         except OverflowError as exc:
             raise DomainError("integer beyond float range") from exc
-    else:
-        # A constant folds while it is compiled, so this runs no generated
-        # code unless some operation in it fails.
-        value = _compile(parse_expr(str(text), None).root, _SCALAR_HELPERS)(0.0)
-    if not math.isfinite(value):
-        raise DomainError(f"non-finite scalar {text!r}")
-    return value
+        if not math.isfinite(value):
+            raise DomainError(f"non-finite scalar {text!r}")
+        return value
+    # A constant folds while it is compiled; its function checks the value.
+    return parse_expr(str(text), None)(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +304,19 @@ def parse_scalar(text) -> float:
 # names t0, t1, ...: an operation replaces its operands, so each one is
 # released once used, as in a tree walk (which matters for large arrays).
 # A node whose operands are all constants is computed while compiling,
-# with the same operation, unless that fails.
+# with the same operation, unless that fails.  The scalar function ends in
+# eval_expr's check, so the curves' pieces can call it directly.
 
 _INLINE = {"+": (operator.add, "{} + {}"), "-": (operator.sub, "{} - {}"),
            "*": (operator.mul, "{} * {}")}
 _NEGATE = (operator.neg, "-{}")
 
 
-def _compile(root: Node, helpers: dict[str, Callable]) -> Callable:
+def _compile(root: Node, helpers: dict[str, Callable], fail: Callable | None = None) -> Callable:
     """The function x -> value of the expression ``root``, with ``/``, ``^``
-    and the functions taken from ``helpers``."""
+    and the functions taken from ``helpers``.  With ``fail`` (the scalar
+    evaluator), it raises ``fail(x)`` where the value is not finite or int
+    arithmetic leaves float range."""
     bound: dict[str, object] = {"__builtins__": {}}  # the function's globals
     consts: dict[str, float] = {}  # the bound names that are constants
     lines: list[str] = []
@@ -324,8 +342,8 @@ def _compile(root: Node, helpers: dict[str, Callable]) -> Callable:
         # The operands that are intermediate results are the top of the stack.
         top = height
         height -= sum(arg.startswith("t") for arg in args)
-        lines.append(f"    t{height} = " + template.format(*args))
-        lines.extend(f"    del t{k}" for k in range(height + 1, top))
+        lines.append(f"t{height} = " + template.format(*args))
+        lines.extend(f"del t{k}" for k in range(height + 1, top))
         height += 1
         return f"t{height - 1}"
 
@@ -346,20 +364,18 @@ def _compile(root: Node, helpers: dict[str, Callable]) -> Callable:
         return apply(helpers[node.func], None, [walk(node.arg)])
 
     result = walk(root)
-    if not lines:  # x or a constant: nothing to compile
-        value = consts.get(result)
-        return (lambda x: x) if result == "x" else (lambda x: value)
-    exec("def evaluate(x):\n" + "\n".join(lines) + f"\n    return {result}", bound)
+    if result in consts and (fail is None or math.isfinite(consts[result])):
+        value = consts[result]
+        return lambda x: value  # a constant that needs no check
+    if fail is None:
+        lines.append(f"return {result}")
+    else:
+        bound.update(isfinite=math.isfinite, fail=fail, OverflowError=OverflowError)
+        lines = ["try:", *("    " + line for line in lines),
+                 f"    if isfinite({result}): return {result}",
+                 "except OverflowError as exc: raise fail(x) from exc", "raise fail(x)"]
+    exec("def evaluate(x):\n" + "".join(f"    {line}\n" for line in lines), bound)
     return bound["evaluate"]
-
-
-def _evaluator(ast: ExprAst, slot: str, helpers: dict[str, Callable]) -> Callable:
-    """``ast``'s function compiled with ``helpers``, memoised in ``slot``."""
-    fn = getattr(ast, slot)
-    if fn is None:
-        fn = _compile(ast.root, helpers)
-        object.__setattr__(ast, slot, fn)
-    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +412,17 @@ _SCALAR_HELPERS = {"/": _divide, "^": _power,
                    **{name: _scalar_call(name, fns[0]) for name, fns in _FUNCTIONS.items()}}
 
 
+def _not_finite(text: str, variable: str | None, value) -> DomainError:
+    """The error of a value of ``text`` at ``value`` that is not finite."""
+    if variable is None:
+        return DomainError(f"non-finite scalar {text!r}")
+    return DomainError(f"{text!r} is not finite at {value!r}")
+
+
 def eval_expr(ast: ExprAst, value: float) -> float:
     """Evaluate at ``value``; deterministic, raises DomainError when the
     result is not a finite real."""
-    fn = ast._scalar or _evaluator(ast, "_scalar", _SCALAR_HELPERS)
-    try:
-        result = fn(value)
-        if math.isfinite(result):
-            return result
-    except OverflowError as exc:  # int arithmetic beyond float range
-        raise DomainError(f"{ast.text!r} is not finite at {value!r}") from exc
-    raise DomainError(f"{ast.text!r} is not finite at {value!r}")
+    return ast.scalar(value)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +487,7 @@ def eval_array(ast: ExprAst, values: np.ndarray) -> np.ndarray:
     as NaN instead, which comparison-based callers treat as "outside"."""
     xs = np.asarray(values, dtype=np.float64)
     with np.errstate(all="ignore"):
-        fn = ast._array or _evaluator(ast, "_array", _ARRAY_HELPERS)
-        out = fn(xs)
+        out = ast.array(xs)
         if out is xs or not isinstance(out, np.ndarray):
             out = np.array(np.broadcast_to(out, xs.shape))
         np.copyto(out, np.nan, where=np.isinf(out))  # NaN stays NaN

@@ -41,7 +41,14 @@ class Axis:
         norm = math.hypot(a, b)
         if norm == 0.0:
             raise InvalidAxisError("a and b cannot both be zero")
+        if math.isinf(norm):  # hypot overflowed: scale into range first
+            scale = max(abs(a), abs(b))
+            a, b, c = a / scale, b / scale, c / scale
+            norm = math.hypot(a, b)
         a, b, c = a / norm, b / norm, c / norm
+        if not all(map(math.isfinite, (a, b, c))):
+            raise InvalidAxisError(
+                f"coefficients ({self.a!r}, {self.b!r}, {self.c!r}) do not normalize to finite values")
         if a < 0.0 or (a == 0.0 and b < 0.0):
             a, b, c = -a, -b, -c
         # +0.0 turns any -0.0 into +0.0 so reprs are canonical

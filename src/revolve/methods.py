@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import RevolveError, UnsupportedMethod
+from .errors import InvalidRegionError, RevolveError, UnsupportedMethod
 from .geometry import Axis, Point, signed_distance
 from .quadrature import (
     QuadratureResult,
@@ -308,12 +308,21 @@ def _region_moments(region: Region, tol: Tolerance) -> QuadratureResult:
     return sum_results([_leaf_moments(leaf, tol) for leaf in leaves(region)])
 
 
+def _moments_with_area(region: Region, tol: Tolerance) -> QuadratureResult:
+    """``_region_moments``, refusing a region of zero area: it has no
+    centroid."""
+    moments = _region_moments(region, tol)
+    if moments.value[0] == 0.0:
+        raise InvalidRegionError("region has zero area, so it has no centroid")
+    return moments
+
+
 def area(region: Region, tol: Tolerance | None = None) -> float:
     return _region_moments(region, tol or Tolerance()).value[0]
 
 
 def centroid(region: Region, tol: Tolerance | None = None) -> CentroidReport:
-    a, sx, sy = _region_moments(region, tol or Tolerance()).value
+    a, sx, sy = _moments_with_area(region, tol or Tolerance()).value
     return CentroidReport(Point(sx / a, sy / a), a)
 
 
@@ -322,7 +331,7 @@ def volume_pappus(region: Region, axis: Axis, tol: Tolerance | None = None) -> Q
     """2*pi * distance(centroid, axis) * area."""
     tol = tol or Tolerance()
     axis_side_check(region, axis)
-    moments = _region_moments(region, tol)
+    moments = _moments_with_area(region, tol)
     a, sx, sy = moments.value
     ea, ex, ey = moments.error_estimate
     cx, cy = sx / a, sy / a

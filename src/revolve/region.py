@@ -32,7 +32,6 @@ from .expr import ExprAst, eval_array, eval_expr, parse_expr
 from .geometry import Axis, Point
 
 __all__ = [
-    "Curve",
     "curve",
     "NormalX",
     "NormalY",
@@ -72,41 +71,19 @@ SWAP = "swap"          # (x, y) = (v, u)
 POLAR = "polar"        # (x, y) = (v cos u, v sin u), area element v du dv
 
 
-@dataclass(frozen=True)
-class Curve:
-    """A boundary curve y = f(t) given by a parsed expression."""
-
-    ast: ExprAst
-
-    @property
-    def variable(self) -> str:
-        return self.ast.variable
-
-    @property
-    def text(self) -> str:
-        return self.ast.text
-
-    def __call__(self, t: float) -> float:
-        return eval_expr(self.ast, t)
-
-    def sample(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; out-of-domain points come back NaN."""
-        return eval_array(self.ast, ts)
-
-
-def curve(text: str, variable: str) -> Curve:
-    return Curve(parse_expr(text, variable))
+# A boundary curve is its parsed expression: curve("sqrt(1-x^2)", "x").
+curve = parse_expr
 
 
 def _probe_points(lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, DEFAULT_INTERIOR_PROBES + 2)
 
 
-def _probe_curve(c: Curve, lo: float, hi: float, what: str) -> list[float]:
+def _probe_curve(c: ExprAst, lo: float, hi: float, what: str) -> list[float]:
     values = []
     for t in _probe_points(lo, hi):
         try:
-            values.append(c(float(t)))
+            values.append(eval_expr(c, float(t)))
         except DomainError as exc:
             raise InvalidRegionError(
                 f"{what} {c.text!r} is undefined at {c.variable}={float(t)!r}"
@@ -128,7 +105,7 @@ class _CurveLeaf:
     map: ClassVar[str]
 
     @property
-    def span(self) -> tuple[float, float, Curve, Curve]:
+    def span(self) -> tuple[float, float, ExprAst, ExprAst]:
         """(u_min, u_max, near, far)."""
         near, far = self._curves
         return (getattr(self, self._var + "_min"), getattr(self, self._var + "_max"),
@@ -165,8 +142,8 @@ class NormalX(_CurveLeaf):
 
     x_min: float
     x_max: float
-    lower: Curve
-    upper: Curve
+    lower: ExprAst
+    upper: ExprAst
 
     _var = "x"
     _curves = ("lower", "upper")
@@ -179,8 +156,8 @@ class NormalY(_CurveLeaf):
 
     y_min: float
     y_max: float
-    left: Curve
-    right: Curve
+    left: ExprAst
+    right: ExprAst
 
     _var = "y"
     _curves = ("left", "right")
@@ -194,8 +171,8 @@ class PolarSector(_CurveLeaf):
 
     theta_min: float
     theta_max: float
-    rho_min: Curve
-    rho_max: Curve
+    rho_min: ExprAst
+    rho_max: ExprAst
 
     _var = "theta"
     _curves = ("rho_min", "rho_max")
@@ -351,7 +328,8 @@ class Piece(NamedTuple):
 
 def pieces(region: Region, swap: bool = False) -> list[Piece]:
     """The region as a list of pieces, leaf by leaf: one for a curve leaf,
-    one per slab for a polygon (x-slabs, or y-slabs with map SWAP when
+    whose near and far are its curves' compiled scalar evaluators, and one
+    per slab for a polygon (x-slabs, or y-slabs with map SWAP when
     ``swap``)."""
     out = []
     for leaf in leaves(region):
@@ -360,7 +338,8 @@ def pieces(region: Region, swap: bool = False) -> list[Piece]:
             verts = [Point(v.y, v.x) for v in reversed(leaf.vertices)] if swap else leaf.vertices
             out += [Piece(*slab, SWAP if swap else IDENTITY) for slab in _slabs(verts)]
         else:
-            out.append(Piece(*leaf.span, leaf.map))
+            u0, u1, near, far = leaf.span
+            out.append(Piece(u0, u1, near.scalar, far.scalar, leaf.map))
     return out
 
 
@@ -385,13 +364,13 @@ def _curve_mask(leaf: _CurveLeaf, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         us, vs = (ys, xs) if leaf.map == SWAP else (xs, ys)
     # One curve sample alive at a time: they are full-length arrays.
     mask = (us >= u_min) & (us <= u_max)
-    mask &= vs >= near.sample(us)
-    mask &= vs <= far.sample(us)
+    mask &= vs >= eval_array(near, us)
+    mask &= vs <= eval_array(far, us)
     if leaf.map == POLAR:
         apex = vs == 0.0
         if apex.any():
             # np.where, not item assignment: the mask of 0-d input is a scalar.
-            at_apex = any(near(float(t)) <= 0.0 for t in _probe_points(u_min, u_max))
+            at_apex = any(eval_expr(near, float(t)) <= 0.0 for t in _probe_points(u_min, u_max))
             mask = np.where(apex, at_apex, mask)
     return mask
 
@@ -477,7 +456,7 @@ def _leaf_cloud(leaf: Region) -> tuple[np.ndarray, np.ndarray, bool]:
                 np.array([v.y for v in leaf.vertices], dtype=np.float64), True)
     u0, u1, near, far = leaf.span
     ts = np.linspace(u0, u1, _CLOUD_SAMPLES)
-    us, vs = np.concatenate([ts, ts]), np.concatenate([near.sample(ts), far.sample(ts)])
+    us, vs = np.concatenate([ts, ts]), np.concatenate([eval_array(near, ts), eval_array(far, ts)])
     keep = ~np.isnan(vs)
     us, vs = us[keep], vs[keep]
     if leaf.map == POLAR:

@@ -349,17 +349,18 @@ def ref_boundary_points(region):
     """The side check's boundary cloud, drawn afresh: a polygon's vertices;
     for any other leaf, its near and far curves at 1025 points of the outer
     interval carried to the plane, skipping points where a curve is NaN."""
-    from revolve.region import POLAR, SWAP, pieces
+    from revolve.region import POLAR, SWAP
 
     if isinstance(region, rv.UnionRegion):
         return [p for part in region.parts for p in ref_boundary_points(part)]
     if isinstance(region, rv.Polygon):
         return list(region.vertices)
-    [(u0, u1, near, far, cmap)] = pieces(region)
+    u0, u1, near, far = region.span
+    cmap = region.map
     us = np.linspace(u0, u1, 1025)
     points = []
     for c in (near, far):
-        vs = c.sample(us)
+        vs = rv.eval_array(c, us)
         if cmap == POLAR:  # numpy's cos and sin, which may differ from math's in the last bit
             xs, ys = vs * np.cos(us), vs * np.sin(us)
         else:

@@ -223,6 +223,19 @@ class TestCentroid:
         pappus = 2.0 * math.pi * payload["centroid"]["x"] * payload["area"]
         assert abs(pappus - SECTOR_VOLUME) <= 1e-8
 
+    def test_zero_area_is_a_computation_error(self, capsys, tmp_path):
+        config = write_config(tmp_path, {
+            "region": {"type": "normal_x", "x_min": 0, "x_max": 1, "lower": "x", "upper": "x"},
+            "axis": {"vertical_at": -1},
+        })
+        code, out, err = run_cli(capsys, "centroid", "--config", config)
+        assert (code, out) == (3, "")
+        assert err == "error: InvalidRegionError: region has zero area, so it has no centroid\n"
+        code, out, _ = run_cli(capsys, "compare", "--config", config, "--mc-samples", "1000")
+        payload = json.loads(out)
+        assert (code, payload["verdict"]) == (0, "agree")
+        assert {f["method"]: f["error"] for f in payload["failures"]}["pappus"] == "InvalidRegionError"
+
 
 class TestCheck:
     def test_sector_touching_axis(self, capsys, fixtures_dir):

@@ -280,20 +280,25 @@ class TestCompiledMatchesTreeWalk:
 
     def test_compiled_once_and_not_part_of_the_value(self):
         ast = rv.parse_expr("x^2 - 1", "x")
+        assert rv.parse_expr("x^2 - 1", "x") is ast
+        rv.parse_expr.cache_clear()
         fresh = rv.parse_expr("x^2 - 1", "x")
-        assert ast._scalar is None and ast._array is None
-        rv.eval_expr(ast, 0.5)
-        rv.eval_array(ast, np.zeros(3))
-        scalar, array = ast._scalar, ast._array
-        rv.eval_expr(ast, 0.25)
-        rv.eval_array(ast, np.ones(2))
-        assert ast._scalar is scalar and ast._array is array
+        assert fresh is not ast and fresh.scalar is not ast.scalar
         assert ast == fresh and hash(ast) == hash(fresh) and repr(ast) == repr(fresh)
-        curve = rv.curve("x^2 - 1", "x")
-        curve(0.5)
-        copy = pickle.loads(pickle.dumps(curve))
-        assert copy.ast == ast and copy.ast._scalar is None
+        rv.parse_expr.cache_clear()
+        copy = pickle.loads(pickle.dumps(ast))
+        assert copy == ast and copy is not ast
         assert copy(0.5) == rv.eval_expr(ast, 0.5)
+        assert repr(rv.eval_array(copy, np.linspace(0, 1, 5))) == repr(
+            rv.eval_array(ast, np.linspace(0, 1, 5)))
+
+    def test_folded_constant_and_bare_variable_check_finiteness(self):
+        with pytest.raises(rv.InvalidRegionError, match=re.escape(
+                "upper curve '1e999' is undefined at x=0.0")) as err:
+            rv.NormalX(0.0, 1.0, rv.curve("0", "x"), rv.curve("1e999", "x"))
+        assert str(err.value.__cause__) == "'1e999' is not finite at 0.0"
+        with pytest.raises(DomainError, match=re.escape("'x' is not finite at inf")):
+            rv.eval_expr(rv.parse_expr("x", "x"), math.inf)
 
     def test_constant_folds_without_code(self):
         # parse_scalar runs no generated code when every operation succeeds.

@@ -34,6 +34,17 @@ class TestAxis:
         with pytest.raises(InvalidAxisError):
             rv.Axis(math.nan, 1.0, 0.0)
 
+    def test_overflowing_norm_scaled_first(self):
+        # hypot(1.7e308, 1.7e308) overflows; dividing by it gave a = b = c = 0.
+        axis = rv.Axis(1.7e308, 1.7e308, 0.0)
+        assert axis == rv.Axis(1.0, 1.0, 0.0)
+        assert abs(axis.a**2 + axis.b**2 - 1.0) <= 1e-15
+
+    def test_non_finite_normalized_coefficient_rejected(self):
+        # c / hypot(a, b) = 1e310 is beyond float range.
+        with pytest.raises(InvalidAxisError, match="do not normalize to finite values"):
+            rv.Axis(1e-300, 0.0, 1e10)
+
     def test_constructors(self):
         assert rv.Axis.vertical(2.0) == rv.Axis(1.0, 0.0, -2.0)
         assert rv.Axis.horizontal(-1.0) == rv.Axis(0.0, 1.0, 1.0)

@@ -347,6 +347,25 @@ class TestAreaCentroid:
             assert report.area > 0.0
 
 
+class TestZeroArea:
+    def test_centroid_and_pappus_refuse_zero_area(self):
+        flat = rv.NormalX(0.0, 1.0, rv.curve("x", "x"), rv.curve("x", "x"))
+        assert rv.area(flat) == 0.0
+        with pytest.raises(rv.InvalidRegionError, match="zero area"):
+            rv.centroid(flat)
+        with pytest.raises(rv.InvalidRegionError, match="zero area"):
+            rv.volume_pappus(flat, rv.Axis.vertical(-1.0))
+
+    def test_compare_lists_pappus_as_a_failure(self):
+        flat = rv.NormalX(0.0, 1.0, rv.curve("x", "x"), rv.curve("x", "x"))
+        comparison = rv.compare_methods(flat, rv.Axis.vertical(-1.0),
+                                        cfg=rv.McConfig(1000, 3))
+        failures = {f.method: f.error for f in comparison.failures}
+        assert failures["pappus"] == "InvalidRegionError"
+        assert {r.method for r in comparison.reports} == {"double_integral", "shell", "monte_carlo"}
+        assert comparison.verdict == "agree"
+
+
 class TestMomentCache:
     @staticmethod
     def _pappus(region):

@@ -174,7 +174,7 @@ class TestPieces:
         assert [(p.u0, p.u1, p.map) for p in pieces(nx)] == [(1.0, 3.0, IDENTITY)]
         assert [(p.u0, p.u1, p.map) for p in pieces(ny)] == [(-1.0, 1.0, SWAP)]
         assert [(p.u0, p.u1, p.map) for p in pieces(quarter_disk())] == [(0.0, math.pi / 2, POLAR)]
-        assert pieces(nx)[0].near is nx.lower and pieces(ny)[0].far is ny.right
+        assert pieces(nx)[0].near is nx.lower.scalar and pieces(ny)[0].far is ny.right.scalar
 
     def test_polygon_slabs_either_way(self):
         ell = rv.Polygon((rv.Point(0, 0), rv.Point(2, 0), rv.Point(2, 1),
