@@ -19,8 +19,6 @@ import sys
 from collections.abc import Iterable
 from dataclasses import asdict
 
-import numpy as np
-
 from .config import JobConfig, load_job
 from .errors import ConfigError, RevolveError
 from .methods import _CHUNK, _MAX_SAMPLES, ROUTES, VolumeReport, centroid, compare_methods, run_route
@@ -158,6 +156,8 @@ def _cmd_check(job: JobConfig) -> int:
 
 
 def _cmd_sample(job: JobConfig, grid: int) -> int:
+    import numpy as np
+
     x_lo, x_hi, y_lo, y_hi = bounding_box(job.region)
     xs = [x_lo + (x_hi - x_lo) * ix / (grid - 1) for ix in range(grid)]
     ys = [y_lo + (y_hi - y_lo) * iy / (grid - 1) for iy in range(grid)]

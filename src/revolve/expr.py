@@ -19,17 +19,29 @@ negative, log of a non-positive, division by zero) raises DomainError, and a
 non-finite result (NaN or +/-Inf, e.g. from overflow) is normalized to
 DomainError as well, so quadrature can treat all failures uniformly.
 
-Each expression is compiled once per distinct text and variable, when
-parsed (``parse_expr`` is a bounded cache), into a straight-line Python
-function per evaluator (see Compilation below); scalar and array
-evaluation compile alike, with two tables of helpers.  Array
-evaluation is NaN exactly where scalar evaluation raises: its helpers
+Each expression is compiled into a straight-line Python function per
+evaluator (see Compilation below), with one table of helpers each: the
+scalar evaluator when it is parsed (``parse_expr`` is a bounded cache by
+text and variable), the array and interval evaluators on first use.  Only
+the array evaluator needs numpy, and it imports it then.
+
+Array evaluation is NaN exactly where scalar evaluation raises: its helpers
 return NaN for a zero divisor and for a non-finite result from finite
 operands, and ``^`` keeps a NaN operand NaN (``nan^0`` would be 1).  The
 exceptions lie past an infinity that the scalar path carries on without
 raising (an overflow of + - or *, as in ``1e308*10``, or a literal like
 ``1e999``): from there the two may part, as at ``(0-1e999)^0.5``, which is
 inf for ``math.pow`` and NaN for numpy.
+
+Interval evaluation maps an interval (lo, hi) of the variable to an
+enclosure: an interval that holds the scalar value at every point of
+(lo, hi) where the scalar evaluator returns (Moore, Kearfott and Cloud,
+*Introduction to Interval Analysis*, SIAM 2009).  Its helpers round
+outward with ``math.nextafter`` and clip operands to a function's domain,
+so points where the curve is undefined add nothing; a result they cannot
+bound (a pole, a divisor interval that holds 0, an overflow) is
+(-inf, inf).  Past an infinity or a NaN, as above, the enclosure holds no
+promise.
 """
 
 from __future__ import annotations
@@ -41,23 +53,21 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 
 __all__ = ["ExprAst", "parse_expr", "parse_scalar", "eval_expr", "eval_array"]
 
 _FUNCTIONS = {
-    "sqrt": (math.sqrt, np.sqrt),
-    "sin": (math.sin, np.sin),
-    "cos": (math.cos, np.cos),
-    "tan": (math.tan, np.tan),
-    "asin": (math.asin, np.arcsin),
-    "acos": (math.acos, np.arccos),
-    "atan": (math.atan, np.arctan),
-    "exp": (math.exp, np.exp),
-    "log": (math.log, np.log),
-    "abs": (abs, np.abs),
+    "sqrt": math.sqrt,
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "asin": math.asin,
+    "acos": math.acos,
+    "atan": math.atan,
+    "exp": math.exp,
+    "log": math.log,
+    "abs": abs,
 }
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -106,17 +116,33 @@ Node = Const | Var | Neg | BinOp | Call
 class ExprAst:
     """Immutable parsed expression in (at most) one variable, with its
     compiled evaluators: ``scalar`` is ``eval_expr``'s, ``array`` is
-    ``eval_array``'s.  They are not part of the value."""
+    ``eval_array``'s and ``interval`` maps an interval (lo, hi) of the
+    variable to an enclosure of the values there.  The last two are
+    compiled on first use.  None of them is part of the value."""
 
     root: Node
     variable: str | None
     text: str
     scalar: Callable[[float], float] = field(repr=False, compare=False)
-    array: Callable = field(repr=False, compare=False)
 
     def __call__(self, value: float) -> float:
         """``eval_expr(self, value)``."""
         return self.scalar(value)
+
+    def __hash__(self):
+        # The text and variable determine the root; strings cache their hash.
+        return hash((self.text, self.variable))
+
+    @functools.cached_property
+    def array(self) -> Callable:
+        import numpy as np
+
+        with np.errstate(all="ignore"):  # folding a constant may divide by zero
+            return _compile(self.root, _array_helpers())
+
+    @functools.cached_property
+    def interval(self) -> Callable[[tuple[float, float]], tuple[float, float]]:
+        return _compile(self.root, _INTERVAL_HELPERS)
 
     def __reduce__(self):
         # Generated functions do not pickle; a copy is parsed again.
@@ -256,7 +282,7 @@ class _Parser:
 @functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_expr(text: str, variable: str | None) -> ExprAst:
     """Parse ``text`` as an expression in the single variable ``variable``
-    and compile its evaluators.
+    and compile its scalar evaluator.
 
     ``variable=None`` parses a constant expression (no variable allowed).
     Raises ExprSyntaxError or UnknownIdentifierError with a byte position.
@@ -272,9 +298,7 @@ def parse_expr(text: str, variable: str | None) -> ExprAst:
         raise ExprSyntaxError("empty expression", 0)
     root = _Parser(text, variable).parse()
     scalar = _compile(root, _SCALAR_HELPERS, functools.partial(_not_finite, text, variable))
-    with np.errstate(all="ignore"):  # folding a constant may divide by zero
-        array = _compile(root, _ARRAY_HELPERS)
-    return ExprAst(root, variable, text, scalar, array)
+    return ExprAst(root, variable, text, scalar)
 
 
 def parse_scalar(text) -> float:
@@ -299,8 +323,10 @@ def parse_scalar(text) -> float:
 # its AST: one assignment per operation, in the order of a left-to-right,
 # depth-first walk.  Constants and helpers are bound by name (as the
 # function's globals), never written into the source; + - * and negation
-# are inline, and / ^ and the functions call the helpers of the table the
-# function is compiled with.  Intermediate results live in a stack of
+# are inline unless the table the function is compiled with has its own
+# (under "+", "-", "*" and "neg"), and / ^ and the functions call the
+# table's helpers.  A table's "const", if any, turns each constant into a
+# value of its kind (an interval).  Intermediate results live in a stack of
 # names t0, t1, ...: an operation replaces its operands, so each one is
 # released once used, as in a tree walk (which matters for large arrays).
 # A node whose operands are all constants is computed while compiling,
@@ -308,13 +334,12 @@ def parse_scalar(text) -> float:
 # eval_expr's check, so the curves' pieces can call it directly.
 
 _INLINE = {"+": (operator.add, "{} + {}"), "-": (operator.sub, "{} - {}"),
-           "*": (operator.mul, "{} * {}")}
-_NEGATE = (operator.neg, "-{}")
+           "*": (operator.mul, "{} * {}"), "neg": (operator.neg, "-{}")}
 
 
 def _compile(root: Node, helpers: dict[str, Callable], fail: Callable | None = None) -> Callable:
-    """The function x -> value of the expression ``root``, with ``/``, ``^``
-    and the functions taken from ``helpers``.  With ``fail`` (the scalar
+    """The function x -> value of the expression ``root``, with ``/``, ``^``,
+    the functions and any of ``_INLINE`` taken from ``helpers``.  With ``fail`` (the scalar
     evaluator), it raises ``fail(x)`` where the value is not finite or int
     arithmetic leaves float range."""
     bound: dict[str, object] = {"__builtins__": {}}  # the function's globals
@@ -347,20 +372,23 @@ def _compile(root: Node, helpers: dict[str, Callable], fail: Callable | None = N
         height += 1
         return f"t{height - 1}"
 
+    def op(name: str) -> tuple[Callable, str | None]:
+        return (helpers[name], None) if name in helpers else _INLINE[name]
+
+    lift = helpers.get("const")
+
     def walk(node: Node) -> str:
         if isinstance(node, Const):
-            name = bind(node.value)
-            consts[name] = node.value
+            value = node.value if lift is None else lift(node.value)
+            name = bind(value)
+            consts[name] = value
             return name
         if isinstance(node, Var):
             return "x"
         if isinstance(node, Neg):
-            return apply(*_NEGATE, [walk(node.operand)])
+            return apply(*op("neg"), [walk(node.operand)])
         if isinstance(node, BinOp):
-            args = [walk(node.left), walk(node.right)]
-            if node.op in _INLINE:
-                return apply(*_INLINE[node.op], args)
-            return apply(helpers[node.op], None, args)
+            return apply(*op(node.op), [walk(node.left), walk(node.right)])
         return apply(helpers[node.func], None, [walk(node.arg)])
 
     result = walk(root)
@@ -409,7 +437,7 @@ def _scalar_call(name: str, fn: Callable) -> Callable:
 
 
 _SCALAR_HELPERS = {"/": _divide, "^": _power,
-                   **{name: _scalar_call(name, fns[0]) for name, fns in _FUNCTIONS.items()}}
+                   **{name: _scalar_call(name, fn) for name, fn in _FUNCTIONS.items()}}
 
 
 def _not_finite(text: str, variable: str | None, value) -> DomainError:
@@ -428,63 +456,66 @@ def eval_expr(ast: ExprAst, value: float) -> float:
 # ---------------------------------------------------------------------------
 # Vectorized evaluation: NaN wherever scalar evaluation raises
 
-def _nan_where(out, bad):
-    """``out`` with NaN where ``bad`` (nowhere if None); an array is
-    changed in place."""
-    if bad is None:
-        return out
-    if isinstance(out, np.ndarray):
-        np.copyto(out, np.nan, where=bad)
-        return out
-    return np.nan if bad else out
+@functools.cache
+def _array_helpers() -> dict[str, Callable]:
+    """The array evaluator's helpers; built, and numpy imported, on first
+    use."""
+    import numpy as np
+
+    def nan_where(out, bad):
+        """``out`` with NaN where ``bad`` (nowhere if None); an array is
+        changed in place."""
+        if bad is None:
+            return out
+        if isinstance(out, np.ndarray):
+            np.copyto(out, np.nan, where=bad)
+            return out
+        return np.nan if bad else out
+
+    def overflow(out, *args):
+        """Where ``out`` is infinite although every one of ``args`` is
+        finite (there the scalar operation raises), or None if nowhere."""
+        bad = np.isinf(out)
+        if not bad.any():
+            return None
+        for arg in args:
+            bad &= np.isfinite(arg)
+        return bad
+
+    def divide(left, right):
+        out = np.divide(left, right)
+        zero = np.equal(right, 0.0)
+        return nan_where(out, zero if zero.any() else None)
+
+    def power(left, right):
+        out = np.power(left, right)
+        bad = overflow(out, left, right)
+        if np.ndim(right) or right == 0.0 or math.isnan(right):
+            # nan^0 and 1^nan are 1: keep such a NaN operand NaN, so that a
+            # failure below the power does not vanish.
+            absorbed = (out == 1.0) & (np.isnan(left) | np.isnan(right))
+            bad = absorbed if bad is None else bad | absorbed
+        return nan_where(out, bad)
+
+    def finite_or_nan(fn: Callable) -> Callable:
+        def call(arg):
+            out = fn(arg)
+            return nan_where(out, overflow(out, arg))
+
+        return call
+
+    # numpy's functions give NaN by themselves wherever math's raise, except
+    # that exp overflows to inf and log(0) is -inf.
+    return {"/": divide, "^": power, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos,
+            "tan": np.tan, "asin": np.arcsin, "acos": np.arccos, "atan": np.arctan,
+            "exp": finite_or_nan(np.exp), "log": finite_or_nan(np.log), "abs": np.abs}
 
 
-def _overflow(out, *args):
-    """Where ``out`` is infinite although every one of ``args`` is finite
-    (there the scalar operation raises), or None if nowhere."""
-    bad = np.isinf(out)
-    if not bad.any():
-        return None
-    for arg in args:
-        bad &= np.isfinite(arg)
-    return bad
-
-
-def _divide_array(left, right):
-    out = np.divide(left, right)
-    zero = np.equal(right, 0.0)
-    return _nan_where(out, zero if zero.any() else None)
-
-
-def _power_array(left, right):
-    out = np.power(left, right)
-    bad = _overflow(out, left, right)
-    if np.ndim(right) or right == 0.0 or math.isnan(right):
-        # nan^0 and 1^nan are 1: keep such a NaN operand NaN, so that a
-        # failure below the power does not vanish.
-        absorbed = (out == 1.0) & (np.isnan(left) | np.isnan(right))
-        bad = absorbed if bad is None else bad | absorbed
-    return _nan_where(out, bad)
-
-
-def _finite_or_nan(fn: Callable) -> Callable:
-    def call(arg):
-        out = fn(arg)
-        return _nan_where(out, _overflow(out, arg))
-
-    return call
-
-
-# numpy's functions give NaN by themselves wherever math's raise, except
-# that exp overflows to inf and log(0) is -inf.
-_ARRAY_HELPERS = {"/": _divide_array, "^": _power_array,
-                  **{name: fns[1] for name, fns in _FUNCTIONS.items()},
-                  "exp": _finite_or_nan(np.exp), "log": _finite_or_nan(np.log)}
-
-
-def eval_array(ast: ExprAst, values: np.ndarray) -> np.ndarray:
+def eval_array(ast: ExprAst, values):
     """Evaluate over an array.  Points where ``eval_expr`` raises come back
     as NaN instead, which comparison-based callers treat as "outside"."""
+    import numpy as np
+
     xs = np.asarray(values, dtype=np.float64)
     with np.errstate(all="ignore"):
         out = ast.array(xs)
@@ -492,3 +523,163 @@ def eval_array(ast: ExprAst, values: np.ndarray) -> np.ndarray:
             out = np.array(np.broadcast_to(out, xs.shape))
         np.copyto(out, np.nan, where=np.isinf(out))  # NaN stays NaN
     return out
+
+
+# ---------------------------------------------------------------------------
+# Interval evaluation: an enclosure of the values over an interval of x
+#
+# An interval is a pair (lo, hi) with lo <= hi, possibly infinite.  Each
+# helper returns an interval holding its scalar helper's result at every
+# choice of operand points where that returns.  Results round outward:
+# one step of math.nextafter for the correctly rounded + - * and /, two for
+# the math library's functions and pow, which are faithful (within one
+# ulp) but need not be monotone to the last bit; a function's computed
+# extreme of +-1 is exact.  Operands are clipped to a function's domain
+# first.
+
+_WHOLE = (-math.inf, math.inf)
+
+
+def _down(v: float) -> float:
+    return math.nextafter(v, -math.inf)
+
+
+def _up(v: float) -> float:
+    return math.nextafter(v, math.inf)
+
+
+def _ilift(v: float) -> tuple[float, float]:
+    return (v, v)
+
+
+def _ineg(x):
+    return (-x[1], -x[0])
+
+
+def _iadd(x, y):
+    return (_down(x[0] + y[0]), _up(x[1] + y[1]))
+
+
+def _isub(x, y):
+    return (_down(x[0] - y[1]), _up(x[1] - y[0]))
+
+
+def _imul(x, y):
+    (a, b), (c, d) = x, y
+    # 0 * inf is NaN; a real 0 times any real is 0.
+    ps = [p if p == p else 0.0 for p in (a * c, a * d, b * c, b * d)]
+    return (_down(min(ps)), _up(max(ps)))
+
+
+def _idiv(x, y):
+    (a, b), (c, d) = x, y
+    if not (c > 0.0 or d < 0.0):
+        return _WHOLE  # the divisor can be 0, or is NaN
+    qs = (a / c, a / d, b / c, b / d)
+    if any(q != q for q in qs):
+        return _WHOLE  # inf / inf
+    return (_down(min(qs)), _up(max(qs)))
+
+
+def _pow_points(pairs) -> tuple[float, float]:
+    """Enclosure of math.pow over points where it takes its extremes."""
+    try:
+        values = [math.pow(p, q) for p, q in pairs]
+    except (ValueError, OverflowError):
+        return _WHOLE  # 0 to a negative power (a pole), or an overflow
+    return (_down(_down(min(values))), _up(_up(max(values))))
+
+
+def _ipow(x, y):
+    (a, b), (c, d) = x, y
+    if c == d and c.is_integer():
+        # x^n is monotone on each side of 0; any base has a value.
+        if c < 0.0 and a <= 0.0 <= b:
+            return _WHOLE
+        lo, hi = _pow_points(((a, c), (b, c)))
+        if c > 0.0 and c % 2.0 == 0.0 and a < 0.0 < b:
+            lo = 0.0
+        return (lo, hi)
+    if a < 0.0 and c != d:
+        return _WHOLE  # a negative base has values at the integers in y alone
+    # A base >= 0: monotone in each operand, so the extremes are at corners.
+    a, b = max(a, 0.0), max(b, 0.0)
+    return _pow_points(((a, c), (a, d), (b, c), (b, d)))
+
+
+def _at(fn: Callable, v: float, failed: float) -> float:
+    try:
+        return fn(v)
+    except (ValueError, OverflowError):
+        return failed
+
+
+def _monotone(fn: Callable, low: float, high: float, rising: bool = True) -> Callable:
+    """The helper of ``fn``, monotone on its domain [low, high]."""
+
+    def enclose(x):
+        a, b = (min(max(v, low), high) for v in x)
+        if not rising:
+            a, b = b, a
+        return (_down(_down(_at(fn, a, -math.inf))), _up(_up(_at(fn, b, math.inf))))
+
+    return enclose
+
+
+def _hits(a: float, b: float, phase: float, period: float) -> bool:
+    """Whether some phase + k*period may lie in [a, b]; when rounding leaves
+    it unsure, it does."""
+    slack = 1e-12 * (1.0 + abs(a) + abs(b))
+    k = math.floor((b + slack - phase) / period)
+    return phase + k * period >= a - slack
+
+
+def _periodic(fn: Callable, peak: float) -> Callable:
+    """The helper of sin or cos: 1 at peak + 2k*pi, -1 half a period on,
+    monotone between."""
+
+    def enclose(x):
+        a, b = x
+        if not b - a < 2.0 * math.pi:
+            return (-1.0, 1.0)
+        fa, fb = fn(a), fn(b)
+        lo = -1.0 if _hits(a, b, peak + math.pi, 2.0 * math.pi) else _down(_down(min(fa, fb)))
+        hi = 1.0 if _hits(a, b, peak, 2.0 * math.pi) else _up(_up(max(fa, fb)))
+        return (lo, hi)
+
+    return enclose
+
+
+_isin = _periodic(math.sin, 0.5 * math.pi)
+_icos = _periodic(math.cos, 0.0)
+
+
+def _itan(x):
+    a, b = x
+    if not b - a < math.pi or _hits(a, b, 0.5 * math.pi, math.pi):
+        return _WHOLE  # a pole may lie inside
+    return (_down(_down(math.tan(a))), _up(_up(math.tan(b))))
+
+
+def _iabs(x):
+    a, b = x
+    if a >= 0.0:
+        return x
+    if b <= 0.0:
+        return (-b, -a)
+    return (0.0, max(-a, b))
+
+
+_INTERVAL_HELPERS = {
+    "const": _ilift, "neg": _ineg, "+": _iadd, "-": _isub, "*": _imul, "/": _idiv, "^": _ipow,
+    "sqrt": _monotone(math.sqrt, 0.0, math.inf),
+    "sin": _isin,
+    "cos": _icos,
+    "tan": _itan,
+    "asin": _monotone(math.asin, -1.0, 1.0),
+    "acos": _monotone(math.acos, -1.0, 1.0, rising=False),
+    "atan": _monotone(math.atan, -math.inf, math.inf),
+    "exp": _monotone(math.exp, -math.inf, math.inf),
+    "log": _monotone(math.log, 0.0, math.inf),
+    "abs": _iabs,
+}

@@ -51,8 +51,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import InvalidRegionError, RevolveError, UnsupportedMethod
 from .geometry import Axis, Point, signed_distance
 from .quadrature import (
@@ -360,6 +358,8 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
     running one by the pairwise update of Chan, Golub and LeVeque (1983),
     in chunk order.
     """
+    import numpy as np
+
     cfg = cfg or McConfig()
     axis_side_check(region, axis)
     x_lo, x_hi, y_lo, y_hi = bounding_box(region)

@@ -7,28 +7,36 @@ near(u) <= v <= far(u) for u in [u_min, u_max], carried to the plane by its
 map; the three share one validator, one mask and one boundary sample.
 
 Construction probes every boundary curve at the interval endpoints plus 33
-interior points; curves must evaluate there and the ordering
-invariants (near <= far, and rho_min >= 0 for a sector) must hold at every
-probe.  Boundary points count as inside: the region is closed, and
-containment is exact on polygon edges and at a sector's apex.
+interior points (the points of ``np.linspace``, computed without numpy);
+curves must evaluate there and the ordering invariants (near <= far, and
+rho_min >= 0 for a sector) must hold at every probe.  The probe values are
+cached per (curve, interval), so a region seen again is not probed again.
+Boundary points count as inside: the region is closed, and containment is
+exact on polygon edges and at a sector's apex.
 
 Every region is also a list of pieces (``pieces``): an outer interval
 [u0, u1], inner bounds near(u) <= v <= far(u), and the map that carries
 (u, v) to the plane.  The quadrature and the routes work on leaves and
 pieces, not on the variants.
+
+The exterior-axis check (``axis_side_check``) is certified: it bounds the
+signed distance along each boundary curve by interval arithmetic
+(``ExprAst.interval``), and falls back to sampling only when a fixed box
+budget runs out.  The bounding box, which Monte Carlo and ``revolve
+sample`` use, is sampled.  numpy is imported only by containment and the
+sampled cloud.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple
 
-import numpy as np
-
 from .errors import AxisIntersectsRegion, DomainError, InvalidRegionError
-from .expr import ExprAst, eval_array, eval_expr, parse_expr
+from .expr import ExprAst, _down, _iadd, _icos, _imul, _isub, _up, eval_array, eval_expr, parse_expr
 from .geometry import Axis, Point
 
 __all__ = [
@@ -60,10 +68,16 @@ _TOUCH_TOL = 1e-9
 # Relative slack (times scale^2) of the on-edge test for polygons.
 _EDGE_TOL = 1e-12
 
-# Samples per boundary curve in the cloud the guards read; odd, so the
-# midpoint of the outer interval is one of them.
+# Samples per boundary curve in the sampled cloud; odd, so the midpoint of
+# the outer interval is one of them.
 _CLOUD_SAMPLES = 1025
 _BOX_PAD = 1e-9
+
+# Curve boxes one side check may bound before it falls back to the cloud.
+_SIDE_BOXES = 512
+
+# Distinct (curve, interval) pairs whose probe values are kept.
+_PROBE_CACHE_SIZE = 256
 
 # Maps from a piece's (outer u, inner v) to the plane.
 IDENTITY = "identity"  # (x, y) = (u, v)
@@ -75,20 +89,47 @@ POLAR = "polar"        # (x, y) = (v cos u, v sin u), area element v du dv
 curve = parse_expr
 
 
-def _probe_points(lo: float, hi: float) -> np.ndarray:
-    return np.linspace(lo, hi, DEFAULT_INTERIOR_PROBES + 2)
+def _probe_points(lo: float, hi: float) -> list[float]:
+    """``np.linspace(lo, hi, DEFAULT_INTERIOR_PROBES + 2)`` bit for bit: lo
+    plus i times the step, or i/n times the span where the step underflows
+    to 0, and hi itself last."""
+    n = DEFAULT_INTERIOR_PROBES + 1
+    span = hi - lo
+    step = span / n
+    if step == 0.0:
+        points = [i / n * span + lo for i in range(n)]
+    else:
+        points = [i * step + lo for i in range(n)]
+    return points + [hi]
 
 
-def _probe_curve(c: ExprAst, lo: float, hi: float, what: str) -> list[float]:
+class _Undefined(Exception):
+    """A curve failed to evaluate at the probe point ``at``."""
+
+    def __init__(self, at: float):
+        self.at = at
+
+
+@functools.lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def _probe_values(c: ExprAst, lo: float, hi: float) -> tuple[float, ...]:
+    """``c`` at the probe points of [lo, hi]; raises _Undefined, from the
+    DomainError, at the first point where it does not evaluate."""
     values = []
     for t in _probe_points(lo, hi):
         try:
-            values.append(eval_expr(c, float(t)))
+            values.append(eval_expr(c, t))
         except DomainError as exc:
-            raise InvalidRegionError(
-                f"{what} {c.text!r} is undefined at {c.variable}={float(t)!r}"
-            ) from exc
-    return values
+            raise _Undefined(t) from exc
+    return tuple(values)
+
+
+def _probe_curve(c: ExprAst, lo: float, hi: float, what: str) -> tuple[float, ...]:
+    try:
+        return _probe_values(c, lo, hi)
+    except _Undefined as exc:
+        raise InvalidRegionError(
+            f"{what} {c.text!r} is undefined at {c.variable}={exc.at!r}"
+        ) from exc.__cause__
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +170,10 @@ class _CurveLeaf:
         hi = _probe_curve(far, u_min, u_max, f"{far_name} curve")
         for t, a, b in zip(_probe_points(u_min, u_max), lo, hi):
             if polar and a < -_TOUCH_TOL:
-                raise InvalidRegionError(f"{near_name} < 0 at {v}={float(t)!r} ({a!r})")
+                raise InvalidRegionError(f"{near_name} < 0 at {v}={t!r} ({a!r})")
             if a > b + _TOUCH_TOL:
                 raise InvalidRegionError(
-                    f"{near_name} > {far_name} at {v}={float(t)!r} ({a!r} > {b!r})"
+                    f"{near_name} > {far_name} at {v}={t!r} ({a!r} > {b!r})"
                 )
 
 
@@ -349,13 +390,15 @@ def pieces(region: Region, swap: bool = False) -> list[Piece]:
 def contains(region: Region, p: Point) -> bool:
     """True iff ``p`` lies in the closed region: ``contains_mask`` at one
     point."""
-    return bool(contains_mask(region, np.array([p.x]), np.array([p.y]))[0])
+    return bool(contains_mask(region, [p.x], [p.y])[0])
 
 
-def _curve_mask(leaf: _CurveLeaf, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _curve_mask(leaf: _CurveLeaf, xs, ys):
     """u_min <= u <= u_max and near(u) <= v <= far(u) at each point's (u, v):
     for a sector, its angle in [theta_min, theta_min + 2*pi) and its radius.
     The apex has no angle; it is inside iff rho_min <= 0 at a construction probe."""
+    import numpy as np
+
     u_min, u_max, near, far = leaf.span
     if leaf.map == POLAR:
         us = u_min + np.mod(np.arctan2(ys, xs) - u_min, TWO_PI)
@@ -370,16 +413,18 @@ def _curve_mask(leaf: _CurveLeaf, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         apex = vs == 0.0
         if apex.any():
             # np.where, not item assignment: the mask of 0-d input is a scalar.
-            at_apex = any(eval_expr(near, float(t)) <= 0.0 for t in _probe_points(u_min, u_max))
+            at_apex = any(v <= 0.0 for v in _probe_values(near, u_min, u_max))
             mask = np.where(apex, at_apex, mask)
     return mask
 
 
-def _polygon_mask(poly: Polygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _polygon_mask(poly: Polygon, xs, ys):
     """Nonzero winding number, or on an edge: |cross| <= 1e-12 * scale^2 and
     the projection within the edge, with scale = max(1, |coordinates| of the
     edge and the point).  The edge test runs only on the points within the
     slack of the edge's line at the largest scale present."""
+    import numpy as np
+
     shape = xs.shape
     xs, ys = xs.ravel(), ys.ravel()
     wn = np.zeros(xs.shape, dtype=np.int64)
@@ -416,10 +461,12 @@ def _polygon_mask(poly: Polygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return mask.reshape(shape)
 
 
-def contains_mask(region: Region, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def contains_mask(region: Region, xs, ys):
     """Vectorized containment in the closed region over coordinate arrays:
     in any of its leaves.  Points where a boundary curve cannot be
     evaluated are outside."""
+    import numpy as np
+
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     return functools.reduce(np.logical_or, (
@@ -429,15 +476,133 @@ def contains_mask(region: Region, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The boundary cloud: bounding box and exterior-axis check
+# The exterior-axis check and the bounding box
 #
 # Both guards want the extremes of a linear form over the closed region: of
-# x and of y for the box, of a*x + b*y + c for the side check.  A linear
-# form takes them on the boundary, which is each leaf's near and far curves
-# joined by straight end segments, whose extremes lie at their endpoints;
-# a polygon's lie at its vertices.  So the guards read one cloud of
-# boundary points per region.  It is sampled, not certified: a spike of a
-# curve between two samples goes unseen.
+# a*x + b*y + c for the side check, of x and of y for the box.  A curve
+# leaf's map is linear in v for each u, so the form takes them on its near
+# and far curves (the straight end segments join their endpoints); a
+# polygon takes them at its vertices, which are exact.
+#
+# The side check is certified.  Along each curve it bounds the form over
+# boxes of u by interval arithmetic, best box first, and splits a box whose
+# bound does not settle the side, after evaluating the form at its
+# midpoint as a witness.  Curve end points and polygon vertices are
+# witnesses too.  A witness beyond the touching slack on the wrong side
+# refutes a side; after _SIDE_BOXES boxes it falls back to the sampled
+# cloud.  The box is read off that cloud: each curve at _CLOUD_SAMPLES
+# points, so a spike between two samples escapes it.
+
+def _distance_at(axis: Axis, cmap: str, c: ExprAst, u: float) -> float | None:
+    """The signed distance of the point of curve ``c`` at ``u`` under the
+    map ``cmap``, or None where the curve does not evaluate."""
+    try:
+        v = eval_expr(c, u)
+    except DomainError:
+        return None
+    if cmap == POLAR:
+        x, y = v * math.cos(u), v * math.sin(u)
+    else:
+        x, y = (v, u) if cmap == SWAP else (u, v)
+    return axis.a * x + axis.b * y + axis.c
+
+
+def _distance_bounds(axis: Axis, cmap: str, c: ExprAst, box: tuple[float, float]):
+    """An enclosure of the signed distance along curve ``c`` for u in
+    ``box``: a*x + b*y + c by interval arithmetic, v*r*cos(u - phi) + c for
+    a sector; unbounded where the curve's enclosure is."""
+    v = c.interval(box)
+    if not -math.inf < v[0] <= v[1] < math.inf:
+        return (-math.inf, math.inf)  # the curve is not bounded there (or NaN)
+    k = (axis.c, axis.c)
+    if cmap == POLAR:
+        # a*cos(u) + b*sin(u) is r*cos(u - phi): u appears once.
+        r, phi = math.hypot(axis.a, axis.b), math.atan2(axis.b, axis.a)
+        shifted = _isub(box, (_down(_down(phi)), _up(_up(phi))))
+        return _iadd(_imul(v, _imul((_down(r), _up(r)), _icos(shifted))), k)
+    a, b = (axis.a, axis.a), (axis.b, axis.b)
+    x, y = (v, box) if cmap == SWAP else (box, v)
+    return _iadd(_iadd(_imul(a, x), _imul(b, y)), k)
+
+
+def _side_holds(axis: Axis, arcs: list, side: int, seen: list[float],
+                budget: int) -> tuple[bool | None, int]:
+    """Whether side * distance >= -_TOUCH_TOL along every arc (cmap, curve,
+    u0, u1), and the boxes left of ``budget``: True when bounds settle it,
+    False when a witness (appended to ``seen``) refutes it, None when the
+    budget runs out."""
+    heap = []
+
+    def push(arc, lo: float, hi: float) -> None:
+        nonlocal budget
+        budget -= 1
+        d_lo, d_hi = _distance_bounds(axis, arc[0], arc[1], (lo, hi))
+        worst = d_lo if side > 0 else -d_hi
+        if worst < -_TOUCH_TOL:
+            # The worst bound first; the count left breaks ties, newest first.
+            heapq.heappush(heap, (worst, budget, arc, lo, hi))
+
+    for arc in arcs:
+        push(arc, arc[2], arc[3])
+    while heap:
+        if budget <= 0:
+            return None, budget
+        _, _, arc, lo, hi = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        d = _distance_at(axis, arc[0], arc[1], mid)
+        if d is not None:
+            seen.append(d)
+            if side * d < -_TOUCH_TOL:
+                return False, budget
+        push(arc, lo, mid)
+        push(arc, mid, hi)
+    return True, budget
+
+
+def _side_of(d_min: float, d_max: float) -> int:
+    """The side of signed distances that span [d_min, d_max]: +1 or -1
+    within the touching slack, else AxisIntersectsRegion."""
+    if d_min >= -_TOUCH_TOL:
+        return 1
+    if d_max <= _TOUCH_TOL:
+        return -1
+    raise AxisIntersectsRegion(
+        f"axis meets the region: signed distances span [{d_min!r}, {d_max!r}]"
+    )
+
+
+def axis_side_check(region: Region, axis: Axis) -> int:
+    """Which side of ``axis`` the region lies on: +1 or -1.
+
+    Touching the axis (within 1e-9) is allowed.  The side is certified by
+    bounds on the signed distance along every boundary curve; a region
+    with points beyond 1e-9 on both sides raises AxisIntersectsRegion,
+    giving the span of the signed distances at the points evaluated.
+    When the bounds take more than _SIDE_BOXES boxes, the verdict is the
+    sampled one of ``_sampled_side``.
+    """
+    seen: list[float] = []
+    arcs = []
+    for leaf in leaves(region):
+        if isinstance(leaf, Polygon):
+            seen += [axis.a * v.x + axis.b * v.y + axis.c for v in leaf.vertices]
+            continue
+        u0, u1, near, far = leaf.span
+        for c in (near, far):
+            arcs.append((leaf.map, c, u0, u1))
+            seen += [d for d in (_distance_at(axis, leaf.map, c, u) for u in (u0, u1))
+                     if d is not None]
+    budget = _SIDE_BOXES
+    for side in (1, -1):
+        if any(side * d < -_TOUCH_TOL for d in seen):
+            continue
+        holds, budget = _side_holds(axis, arcs, side, seen, budget)
+        if holds is None:
+            return _sampled_side(region, axis)
+        if holds:
+            return side
+    return _side_of(min(seen), max(seen))  # witnesses on both sides: raises
+
 
 def _pad_interval(lo: float, hi: float) -> tuple[float, float]:
     return (
@@ -446,11 +611,13 @@ def _pad_interval(lo: float, hi: float) -> tuple[float, float]:
     )
 
 
-def _leaf_cloud(leaf: Region) -> tuple[np.ndarray, np.ndarray, bool]:
+def _leaf_cloud(leaf: Region):
     """(xs, ys, exact) of one leaf: a polygon's vertices, which are exact,
     or a curve leaf's near and far curves at _CLOUD_SAMPLES points of its
     outer interval (the ends included), carried to the plane, without the
     points where a curve is NaN."""
+    import numpy as np
+
     if isinstance(leaf, Polygon):
         return (np.array([v.x for v in leaf.vertices], dtype=np.float64),
                 np.array([v.y for v in leaf.vertices], dtype=np.float64), True)
@@ -475,10 +642,12 @@ class _Cloud(NamedTuple):
 # Up to 64 regions' clouds, at 2 x 1025 points of 16 bytes per curve leaf.
 @functools.lru_cache(maxsize=64)
 def _boundary_cloud(region: Region) -> _Cloud:
-    """The region's boundary points and its bounding box: the min and max
-    of x and of y over each leaf, padded by 1e-9 relative on curve leaves.
-    They depend on the region alone; regions are frozen and compare by
-    value, so equal regions built separately share one entry."""
+    """The region's sampled boundary points and its bounding box: the min
+    and max of x and of y over each leaf, padded by 1e-9 relative on curve
+    leaves.  They depend on the region alone; regions are frozen and
+    compare by value, so equal regions built separately share one entry."""
+    import numpy as np
+
     clouds = [cloud for cloud in map(_leaf_cloud, leaves(region)) if cloud[0].size]
     xs = np.concatenate([lx for lx, _, _ in clouds] or [np.empty(0)])
     ys = np.concatenate([ly for _, ly, _ in clouds] or [np.empty(0)])
@@ -503,26 +672,15 @@ def _nonempty_cloud(region: Region) -> _Cloud:
 
 
 def bounding_box(region: Region) -> tuple[float, float, float, float]:
-    """Axis-aligned box (x_lo, x_hi, y_lo, y_hi) of the boundary cloud:
-    exact for polygons, padded by 1e-9 relative around curve samples."""
+    """Axis-aligned box (x_lo, x_hi, y_lo, y_hi) of the sampled boundary
+    cloud: exact for polygons, padded by 1e-9 relative around curve
+    samples."""
     return _nonempty_cloud(region).box
 
 
-def axis_side_check(region: Region, axis: Axis) -> int:
-    """Which side of ``axis`` the region lies on: +1 or -1.
-
-    Takes the extremes of the signed distance over the boundary cloud
-    (computed once per region, see ``_boundary_cloud``).  Touching the axis
-    (within 1e-9) is allowed; strictly mixed signs raise
-    AxisIntersectsRegion.
-    """
+def _sampled_side(region: Region, axis: Axis) -> int:
+    """The side check over the sampled cloud: the extremes of the signed
+    distance at its points."""
     xs, ys, _ = _nonempty_cloud(region)
     dists = axis.a * xs + axis.b * ys + axis.c
-    d_min, d_max = float(dists.min()), float(dists.max())
-    if d_min >= -_TOUCH_TOL:
-        return 1
-    if d_max <= _TOUCH_TOL:
-        return -1
-    raise AxisIntersectsRegion(
-        f"axis meets the region: signed distances span [{d_min!r}, {d_max!r}]"
-    )
+    return _side_of(float(dists.min()), float(dists.max()))

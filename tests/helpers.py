@@ -292,7 +292,7 @@ def ref_eval_node(node, x):
             return math.pow(left, right)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(f"{node.op!r} failed on ({left!r}, {right!r})") from exc
-    fn = _FUNCTIONS[node.func][0]
+    fn = _FUNCTIONS[node.func]
     arg = ref_eval_node(node.arg, x)
     try:
         return fn(arg)
@@ -309,10 +309,16 @@ def ref_eval_expr(ast, value):
     return result
 
 
+# numpy's function of each expression function, for the array tree walk.
+_NP_FUNCTIONS = {"sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "tan": np.tan,
+                 "asin": np.arcsin, "acos": np.arccos, "atan": np.arctan,
+                 "exp": np.exp, "log": np.log, "abs": np.abs}
+
+
 def ref_eval_node_array(node, xs):
     """Vectorized tree walk without masks: an intermediate inf or NaN is
     carried on, so a failure can vanish (1/(1/x) at 0 is 0)."""
-    from revolve.expr import _FUNCTIONS, BinOp, Const, Neg, Var
+    from revolve.expr import BinOp, Const, Neg, Var
 
     if isinstance(node, Const):
         return node.value
@@ -332,8 +338,7 @@ def ref_eval_node_array(node, xs):
         if node.op == "/":
             return np.divide(left, right)
         return np.power(left, right)
-    fn = _FUNCTIONS[node.func][1]
-    return fn(ref_eval_node_array(node.arg, xs))
+    return _NP_FUNCTIONS[node.func](ref_eval_node_array(node.arg, xs))
 
 
 def ref_eval_array(ast, values):

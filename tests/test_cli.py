@@ -415,3 +415,47 @@ class TestDeterminism:
             payload.pop("wall_time")
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
+
+
+# Runs CLI jobs in one fresh interpreter and reports, after a bare import
+# and after each job, whether numpy has been imported.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import revolve
+from revolve.cli import main
+seen = [["import revolve", None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    seen.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def _numpy_after(fixtures_dir, jobs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(fixtures_dir.parent / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(jobs)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestNumpyOnlyWhereArraysAre:
+    def test_check_volume_and_centroid_never_import_numpy(self, fixtures_dir):
+        jobs = [[command, "--config", str(path)]
+                for path in sorted(fixtures_dir.glob("*.json"))
+                for command in ("check", "volume", "centroid")]
+        seen = _numpy_after(fixtures_dir, jobs)
+        assert len(seen) == 1 + 36
+        assert [loaded for _, _, loaded in seen] == [False] * 37
+        assert {code for job, code, _ in seen[1:] if "straddle" not in job} == {0}
+
+    def test_compare_and_sample_import_numpy_and_work(self, fixtures_dir):
+        config = str(fixtures_dir / "torus_circle.json")
+        seen = _numpy_after(fixtures_dir, [["check", "--config", config],
+                                           ["compare", "--config", config, "--mc-samples", "1000"],
+                                           ["sample", "--config", config, "--grid", "4"]])
+        assert [(code, loaded) for _, code, loaded in seen] == [
+            (None, False), (0, False), (0, True), (0, True)]

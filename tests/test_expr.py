@@ -313,3 +313,117 @@ class TestCompiledMatchesTreeWalk:
     def test_source_text_never_reaches_the_compiler(self, text):
         with pytest.raises((ExprSyntaxError, UnknownIdentifierError)):
             rv.parse_expr(text, "x")
+
+
+# ---------------------------------------------------------------------------
+# The interval evaluator: enclosures of the scalar values
+
+_EDGES = [0.0, 1.0, -1.0, 0.5, 2.0, -2.0, 3.0, 1e-300, -1e-300, math.pi / 2,
+          -math.pi / 2, math.pi, 1e-9, 700.0, 1.5, -0.5]
+
+
+def _random_interval(rng):
+    """A point or a span, with ends at domain edges and poles or random."""
+    kind = rng.random()
+    if kind < 0.2:
+        v = rng.choice(_EDGES)
+        return (v, v)
+    ends = [rng.choice(_EDGES) if rng.random() < 0.4 else rng.uniform(-4.0, 4.0)
+            for _ in range(2)]
+    return (min(ends), max(ends))
+
+
+def _points(rng, box):
+    lo, hi = box
+    inside = [lo, hi, 0.5 * (lo + hi)] + [rng.uniform(lo, hi) for _ in range(5)]
+    return inside + [v for v in _EDGES + [math.floor(lo), math.ceil(hi)] if lo <= v <= hi]
+
+
+def _assert_encloses(enclosure, fn, *boxes_and_points):
+    lo, hi = enclosure
+    for args in boxes_and_points:
+        try:
+            value = fn(*args)
+        except DomainError:
+            continue  # no value here
+        if math.isfinite(value):
+            assert lo <= value <= hi, (args, value, enclosure)
+
+
+class TestIntervalEnclosures:
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])
+    def test_binary_operations(self, op):
+        scalar = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+                  "*": lambda a, b: a * b, "/": expr._divide, "^": expr._power}[op]
+        rng = random.Random(op)
+        for _ in range(1500):
+            x, y = _random_interval(rng), _random_interval(rng)
+            if op == "^" and rng.random() < 0.5:
+                n = float(rng.randint(-4, 4))  # integer exponents: any base has a value
+                y = (n, n)
+            pairs = [(a, b) for a in _points(rng, x) for b in _points(rng, y)]
+            _assert_encloses(expr._INTERVAL_HELPERS[op](x, y), scalar, *pairs)
+
+    def test_negation(self):
+        rng = random.Random(1)
+        for _ in range(1000):
+            x = _random_interval(rng)
+            _assert_encloses(expr._INTERVAL_HELPERS["neg"](x), lambda a: -a,
+                             *[(a,) for a in _points(rng, x)])
+
+    @pytest.mark.parametrize("name", sorted(expr._FUNCTIONS))
+    def test_functions(self, name):
+        scalar = expr._SCALAR_HELPERS[name]
+        rng = random.Random(name)
+        for _ in range(3000):
+            x = _random_interval(rng)
+            _assert_encloses(expr._INTERVAL_HELPERS[name](x), scalar,
+                             *[(a,) for a in _points(rng, x)])
+
+    @pytest.mark.parametrize("text, box, enclosure", [
+        ("sqrt(x)", (0.0, 0.0), (0.0, 0.0)),
+        ("sqrt(x)", (-1.0, 4.0), (0.0, 2.0)),          # the negative part is clipped
+        ("log(x)", (0.0, 1e-300), (-math.inf, -690.7755278982137)),
+        ("asin(x)", (0.5, 1.0), (math.asin(0.5), math.pi / 2)),
+        ("acos(x)", (-1.0, -0.5), (2 * math.pi / 3, math.pi)),
+        ("asin(x)", (1.0, 2.0), (math.pi / 2, math.pi / 2)),
+        ("tan(x)", (1.5, 1.7), (-math.inf, math.inf)),  # across the pole at pi/2
+        ("tan(x)", (-0.5, 1.5), (math.tan(-0.5), math.tan(1.5))),
+        ("x^0.5", (-1.0, 4.0), (0.0, 2.0)),            # a negative base has no value
+        ("x^(-0.5)", (0.0, 4.0), (-math.inf, math.inf)),
+        ("x^3", (-2.0, 1.0), (-8.0, 1.0)),
+        ("x^2", (-2.0, 1.0), (0.0, 4.0)),
+        ("x^(-2)", (-1.0, 1.0), (-math.inf, math.inf)),
+        ("1/x", (-1.0, 1.0), (-math.inf, math.inf)),   # the divisor holds 0
+        ("1/x", (0.0, 2.0), (-math.inf, math.inf)),
+        ("1/x", (0.5, 2.0), (0.5, 2.0)),
+        ("sin(x)", (0.0, math.pi), (0.0, 1.0)),
+        ("cos(x)", (-1.0, 4.0), (-1.0, 1.0)),
+        ("abs(x)", (-3.0, 2.0), (0.0, 3.0)),
+        ("exp(x)", (0.0, 1000.0), (1.0, math.inf)),    # overflow above
+    ])
+    def test_domain_edges(self, text, box, enclosure):
+        lo, hi = rv.parse_expr(text, "x").interval(box)
+        # Outward rounding moves each end by a few ulps at most.
+        assert lo <= enclosure[0] and hi >= enclosure[1]
+        assert lo == pytest.approx(enclosure[0], rel=1e-15, abs=1e-300)
+        assert hi == pytest.approx(enclosure[1], rel=1e-15, abs=1e-300)
+
+    def test_random_expressions(self):
+        rng = random.Random(20261018)
+        checked = 0
+        for ast in _random_asts():
+            for _ in range(10):
+                box = _random_interval(rng)
+                points = _points(rng, box)
+                _assert_encloses(ast.interval(box), lambda a: rv.eval_expr(ast, a),
+                                 *[(a,) for a in points])
+                checked += len(points)
+        assert checked > 30000
+
+    def test_compiled_on_first_use(self):
+        rv.parse_expr.cache_clear()
+        ast = rv.parse_expr("sqrt(1 - x^2)", "x")
+        assert "interval" not in vars(ast) and "array" not in vars(ast)
+        assert ast.interval((0.0, 1.0)) == ast.interval((0.0, 1.0))
+        assert "interval" in vars(ast) and "array" not in vars(ast)

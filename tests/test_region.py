@@ -422,28 +422,33 @@ _SIDE_VERDICTS = {
 }
 
 
+def _verdict(region, axis, check=rv.axis_side_check):
+    side = _side(region, axis, check)
+    return side[0] if isinstance(side, tuple) else side
+
+
 class TestSideCheckCache:
-    """The side check samples each region once; every call still answers
-    as the uncached check does, to the message bytes."""
+    """The side check bounds the curves on every call and reads no cloud;
+    its verdicts are those of the sampled check.  The bounding box samples
+    each region once."""
 
     @pytest.mark.parametrize("build", _SIDE_REGIONS)
     def test_verdicts_are_pinned(self, build):
-        verdicts = []
-        for axis in _SIDE_AXES:
-            side = _side(build(), axis)
-            verdicts.append(side[0] if isinstance(side, tuple) else side)
+        verdicts = [_verdict(build(), axis) for axis in _SIDE_AXES]
         assert verdicts == _SIDE_VERDICTS[build.__name__]
 
     @pytest.mark.parametrize("build", _SIDE_REGIONS)
     def test_cold_warm_cleared_and_equal_regions(self, build, cold_side_cloud):
         region = build()
-        expected = [_side(region, axis, ref_axis_side_check) for axis in _SIDE_AXES]
-        assert [_side(region, axis) for axis in _SIDE_AXES] == expected  # cold, then warm
+        expected = [_verdict(region, axis, ref_axis_side_check) for axis in _SIDE_AXES]
+        assert [_verdict(region, axis) for axis in _SIDE_AXES] == expected
+        assert [_verdict(build(), axis) for axis in _SIDE_AXES] == expected
+        assert cold_side_cloud.cache_info().misses == 0
+        box = rv.bounding_box(region)  # cold, then warm
+        assert rv.bounding_box(region) == box and rv.bounding_box(build()) == box
         assert cold_side_cloud.cache_info().misses == 1
-        assert [_side(region, axis) for axis in _SIDE_AXES] == expected
         cold_side_cloud.cache_clear()
-        assert [_side(region, axis) for axis in _SIDE_AXES] == expected
-        assert [_side(build(), axis) for axis in _SIDE_AXES] == expected
+        assert rv.bounding_box(build()) == box
         assert cold_side_cloud.cache_info().misses == 1
 
     def test_equal_regions_from_separate_configs_share_one_cloud(self, cold_side_cloud):
@@ -453,9 +458,10 @@ class TestSideCheckCache:
         first, second = parse_job(doc), parse_job(doc)
         assert first.region is not second.region
         for axis in _SIDE_AXES:
-            expected = _side(first.region, axis, ref_axis_side_check)
-            assert _side(first.region, axis) == expected
-            assert _side(second.region, axis) == expected
+            expected = _verdict(first.region, axis, ref_axis_side_check)
+            assert _verdict(first.region, axis) == expected
+            assert _verdict(second.region, axis) == expected
+        assert rv.bounding_box(first.region) == rv.bounding_box(second.region)
         assert cold_side_cloud.cache_info().misses == 1
 
     def test_refusal_prints_plain_floats(self, cold_side_cloud):
@@ -483,8 +489,9 @@ class TestSideCheckCache:
 
 
 class TestSampledGuardDefects:
-    """A spike narrower than the sample spacing escapes the sampled guards.
-    Certified extremes of the boundary curves would catch both."""
+    """A spike narrower than the sample spacing escapes the sampled box;
+    the certified side check sees it.  Certified extremes of the boundary
+    curves would catch both."""
 
     @pytest.mark.xfail(strict=True, reason="the box samples the curve; the spike peaks between samples")
     def test_box_holds_a_narrow_spike(self):
@@ -492,7 +499,6 @@ class TestSampledGuardDefects:
                             rv.curve("1 + 3*exp(-((x-0.50048828125)/0.0002)^2)", "x"))
         assert rv.bounding_box(region)[3] >= 4.0
 
-    @pytest.mark.xfail(strict=True, reason="the side check samples the curve; the spike peaks between samples")
     def test_side_check_sees_a_narrow_spike(self):
         region = rv.NormalX(0.0, 1.0, rv.curve("0", "x"),
                             rv.curve("1 + 5*exp(-((x-0.5003)/0.0002)^2)", "x"))
@@ -509,3 +515,90 @@ class TestUndefinedCurvePoints:
             region.upper(0.3)
         assert not rv.contains(region, rv.Point(0.3, 1.0))
         assert rv.contains(region, rv.Point(0.5, 1.0))
+
+
+class TestCertifiedSideCheck:
+    """The side check settles every curve by interval bounds, without the
+    sampled cloud, unless its box budget runs out."""
+
+    @pytest.mark.parametrize("region, axis, side", [
+        (torus_normal_x(), rv.Axis.vertical(1.0), 1),
+        (torus_normal_x(), rv.Axis.vertical(3.0), -1),
+        (torus_normal_x(), rv.Axis.horizontal(1.0), -1),
+        (sector_polar(), AXIS_OY, 1),
+        (quarter_disk(), rv.Axis(1.0, 1.0, -math.sqrt(2.0)), -1),
+    ], ids=["torus_x1", "torus_x3", "torus_y1", "sector_apex_oy", "quarter_disk_tangent"])
+    def test_tangent_touches_keep_their_side(self, region, axis, side, cold_side_cloud):
+        assert rv.axis_side_check(region, axis) == side
+        assert cold_side_cloud.cache_info().misses == 0
+
+    def test_fixture_verdicts_are_the_sampled_ones(self, cold_side_cloud):
+        for path in sorted(FIXTURES.glob("*.json")):
+            job = load_job(path)
+            assert _verdict(job.region, job.axis) == _verdict(
+                job.region, job.axis, ref_axis_side_check), path.name
+        assert cold_side_cloud.cache_info().misses == 0
+
+    def test_spike_refusal_spans_the_points_evaluated(self, cold_side_cloud):
+        region = rv.NormalX(0.0, 1.0, rv.curve("0", "x"),
+                            rv.curve("1 + 5*exp(-((x-0.5003)/0.0002)^2)", "x"))
+        with pytest.raises(AxisIntersectsRegion) as refused:
+            rv.axis_side_check(region, rv.Axis.horizontal(3.0))
+        d_min, d_max = map(float, str(refused.value).split("[")[1].rstrip("]").split(", "))
+        assert d_min == -3.0 and 1e-9 < d_max <= 3.0
+        assert cold_side_cloud.cache_info().misses == 0
+
+    def test_exhausted_budget_gives_the_sampled_verdict(self, cold_side_cloud):
+        # sin^2 + cos^2 is 1, but its bounds reach 2 until the boxes are far
+        # narrower than a period: the budget runs out first.
+        region = rv.NormalX(0.0, 1.0, rv.curve("0", "x"),
+                            rv.curve("sin(1537*pi*x)^2 + cos(1537*pi*x)^2", "x"))
+        axis = rv.Axis.horizontal(1.5)
+        assert rv.axis_side_check(region, axis) == ref_axis_side_check(region, axis) == -1
+        assert cold_side_cloud.cache_info().misses == 1
+
+    def test_curve_undefined_between_probes(self, cold_side_cloud):
+        # Undefined on (0.3, 0.31), between two probes: those points are no
+        # part of the region, and the bounds clip them away.
+        region = rv.NormalX(0.0, 1.0, rv.curve("0", "x"),
+                            rv.curve("1 + sqrt((x-0.3)*(x-0.31))", "x"))
+        assert rv.axis_side_check(region, rv.Axis.horizontal(2.0)) == -1
+        assert rv.axis_side_check(region, rv.Axis.horizontal(-1e-10)) == 1
+        assert cold_side_cloud.cache_info().misses == 0
+
+
+class TestProbes:
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 1.0), (-math.pi / 3, math.pi / 4), (1.0, 3.0), (-1e-300, 1e-300),
+        (0.0, 5e-324), (-7.25, 1e6), (0.1, 0.7), (2.0**-1074, 2.0**-1070), (-1e308, 1e308),
+    ])
+    def test_points_are_linspace_bit_for_bit(self, lo, hi):
+        with np.errstate(all="ignore"):  # the span of the last pair overflows
+            want = np.linspace(lo, hi, region_module.DEFAULT_INTERIOR_PROBES + 2)
+        got = region_module._probe_points(lo, hi)
+        assert [repr(t) for t in got] == [repr(float(t)) for t in want]
+
+    def test_random_intervals_are_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            lo, hi = sorted(rng.uniform(-10.0, 10.0, 2) * 10.0 ** rng.integers(-8, 8, 2))
+            want = np.linspace(lo, hi, region_module.DEFAULT_INTERIOR_PROBES + 2)
+            assert region_module._probe_points(lo, hi) == want.tolist()
+
+    def test_a_repeated_region_is_probed_once(self):
+        region_module._probe_values.cache_clear()
+        first = torus_normal_x()
+        assert region_module._probe_values.cache_info().misses == 2
+        assert torus_normal_x() == first
+        assert region_module._probe_values.cache_info().misses == 2
+
+    def test_refusals_repeat_byte_for_byte(self):
+        for _ in range(2):
+            with pytest.raises(InvalidRegionError) as refused:
+                rv.NormalX(-2.0, 2.0, rv.curve("sqrt(1-x^2)", "x"), rv.curve("2", "x"))
+            assert str(refused.value) == "lower curve 'sqrt(1-x^2)' is undefined at x=-2.0"
+            assert str(refused.value.__cause__) == "sqrt(-3.0) is undefined"
+            with pytest.raises(InvalidRegionError) as refused:
+                rv.NormalX(0.0, 1.0, rv.curve("2*x", "x"), rv.curve("1", "x"))
+            t = float(np.linspace(0.0, 1.0, 35)[18])  # the first probe past x = 1/2
+            assert str(refused.value) == f"lower > upper at x={t!r} ({2 * t!r} > 1.0)"
