@@ -41,7 +41,9 @@ outward with ``math.nextafter`` and clip operands to a function's domain,
 so points where the curve is undefined add nothing; a result they cannot
 bound (a pole, a divisor interval that holds 0, an overflow) is
 (-inf, inf).  Past an infinity or a NaN, as above, the enclosure holds no
-promise.
+promise.  The defined-only enclosure is the same, but None wherever the
+helpers would clip an operand or give an unbounded result, so a finite one
+also certifies that the expression is defined on the whole interval.
 """
 
 from __future__ import annotations
@@ -118,7 +120,8 @@ class ExprAst:
     compiled evaluators: ``scalar`` is ``eval_expr``'s, ``array`` is
     ``eval_array``'s and ``interval`` maps an interval (lo, hi) of the
     variable to an enclosure of the values there.  The last two are
-    compiled on first use.  None of them is part of the value."""
+    compiled on first use, as is ``defined_interval``.  None of them is
+    part of the value."""
 
     root: Node
     variable: str | None
@@ -143,6 +146,13 @@ class ExprAst:
     @functools.cached_property
     def interval(self) -> Callable[[tuple[float, float]], tuple[float, float]]:
         return _compile(self.root, _INTERVAL_HELPERS)
+
+    @functools.cached_property
+    def defined_interval(self) -> Callable[[tuple[float, float]], tuple[float, float] | None]:
+        """``interval``, but None where that would clip an operand to a
+        function's domain or not be finite: a result certifies that the
+        expression is defined, and finite, on the whole interval."""
+        return _compile(self.root, _DEFINED_HELPERS)
 
     def __reduce__(self):
         # Generated functions do not pickle; a copy is parsed again.
@@ -615,7 +625,8 @@ def _at(fn: Callable, v: float, failed: float) -> float:
 
 
 def _monotone(fn: Callable, low: float, high: float, rising: bool = True) -> Callable:
-    """The helper of ``fn``, monotone on its domain [low, high]."""
+    """The helper of ``fn``, monotone on its domain [low, high] (kept as
+    ``domain``)."""
 
     def enclose(x):
         a, b = (min(max(v, low), high) for v in x)
@@ -623,6 +634,7 @@ def _monotone(fn: Callable, low: float, high: float, rising: bool = True) -> Cal
             a, b = b, a
         return (_down(_down(_at(fn, a, -math.inf))), _up(_up(_at(fn, b, math.inf))))
 
+    enclose.domain = (low, high)
     return enclose
 
 
@@ -683,3 +695,30 @@ _INTERVAL_HELPERS = {
     "log": _monotone(math.log, 0.0, math.inf),
     "abs": _iabs,
 }
+
+
+# The defined-only table: each helper above, None for an operand that is
+# None, that it would clip (outside its domain, or a negative base to a
+# power that is not one integer), or for a result that is not finite.
+
+def _ipow_unclipped(x, y):
+    if x[0] < 0.0 and not (y[0] == y[1] and y[0].is_integer()):
+        return _WHOLE
+    return _ipow(x, y)
+
+
+def _defined(helper: Callable) -> Callable:
+    low, high = getattr(helper, "domain", _WHOLE)
+
+    def enclose(*operands):
+        if None in operands or not low <= operands[0][0] <= operands[0][1] <= high:
+            return None
+        lo, hi = helper(*operands)
+        return (lo, hi) if -math.inf < lo <= hi < math.inf else None
+
+    return enclose
+
+
+_DEFINED_HELPERS = {name: _defined(_ipow_unclipped if name == "^" else helper)
+                    for name, helper in _INTERVAL_HELPERS.items() if name != "const"}
+_DEFINED_HELPERS["const"] = lambda v: (v, v) if math.isfinite(v) else None

@@ -15,12 +15,14 @@ so a normal_y region is a normal_x one with its coordinates swapped:
 * disk:   integral of pi * ((right - x0)^2 - (left - x0)^2) dy, signed by
           which side of the axis the region lies on
 * polar:  the double integral in polar coordinates with Jacobian rho,
-          iterated 2D quadrature (``integrate_region``)
+          iterated 2D quadrature (``integrate_region``); its inner pass is
+          exact in one panel, so it walks double_integral's outer panels
 * pappus: 2*pi * distance(centroid, axis) * area, from the area and first
           moments; exact for polygons (shoelace), else one vector-valued 1D
           pass over the closed-form sections, cached per (region, tolerance)
           and shared with ``area`` and ``centroid``
-* monte_carlo: uniform rejection sampling over the bounding box
+* monte_carlo: uniform rejection sampling over the bounding box, its
+          containment read off the region's cell grid (``contains_mask``)
 
 ``ROUTES`` maps each name to its public ``volume_<name>`` in compare
 order; ``_route`` fills it, times each call and reports the route's
@@ -30,9 +32,13 @@ Carlo with an McConfig, the others with a Tolerance).
 Not all of them are independent checks of one another.  On a normal_x
 region about a vertical axis, double_integral and shell integrate the same
 1D integrand (the shell's height times its radius), so they agree by
-construction; pappus uses the same sections.  Polar (iterated, with its own
-inner rule), disk (a quadratic integrand) and Monte Carlo are independent
-of the sections.
+construction; pappus uses the same sections.  Polar is no independent
+check of double_integral either: its inner integrand is a quadratic in rho,
+which one Gauss-Kronrod panel integrates exactly, so it walks exactly
+double_integral's outer panels at 16 times the evaluations.  Disk (a
+quadratic integrand) and Monte Carlo are independent of the sections; disk
+does not apply to sectors, so there Monte Carlo is the only independent
+witness.
 
 Every route refuses an axis that crosses the region interior
 (AxisIntersectsRegion) by one whole-region side check, after its own
@@ -356,7 +362,9 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
     consecutive draws continue one Philox stream, so the points are those
     of one long draw.  Each chunk's (count, mean, M2) merges into the
     running one by the pairwise update of Chan, Golub and LeVeque (1983),
-    in chunk order.
+    in chunk order.  A chunk's containment reads the region's cell grid
+    and runs the exact tests on its boundary cells only; the mask is the
+    exact one bit for bit.
     """
     import numpy as np
 

@@ -12,7 +12,11 @@ curves must evaluate there and the ordering invariants (near <= far, and
 rho_min >= 0 for a sector) must hold at every probe.  The probe values are
 cached per (curve, interval), so a region seen again is not probed again.
 Boundary points count as inside: the region is closed, and containment is
-exact on polygon edges and at a sector's apex.
+exact on polygon edges and at a sector's apex.  A containment call on more
+points than _GRID x _GRID reads a grid of cells over the bounding box
+(``_cell_grid``, cached per region): inside, outside, or boundary where a
+box covering the boundary meets the cell.  The exact tests run only on the
+points in boundary cells or off the grid; the mask is theirs bit for bit.
 
 Every region is also a list of pieces (``pieces``): an outer interval
 [u0, u1], inner bounds near(u) <= v <= far(u), and the map that carries
@@ -22,13 +26,14 @@ pieces, not on the variants.
 The exterior-axis check (``axis_side_check``) is certified: it bounds the
 signed distance along each boundary curve by interval arithmetic
 (``ExprAst.interval``), and falls back to sampling only when a fixed box
-budget runs out.  The bounding box, which Monte Carlo and ``revolve
-sample`` use, is sampled.  numpy is imported only by containment and the
-sampled cloud.
+budget runs out; its verdict is cached per (region, axis).  The bounding
+box, which Monte Carlo and ``revolve sample`` use, is sampled.  numpy is
+imported only by containment and the sampled cloud.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import math
@@ -36,7 +41,10 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple
 
 from .errors import AxisIntersectsRegion, DomainError, InvalidRegionError
-from .expr import ExprAst, _down, _iadd, _icos, _imul, _isub, _up, eval_array, eval_expr, parse_expr
+from .expr import (
+    _WHOLE, ExprAst, _down, _iadd, _icos, _imul, _isin, _isub, _up, eval_array, eval_expr,
+    parse_expr,
+)
 from .geometry import Axis, Point
 
 __all__ = [
@@ -79,6 +87,20 @@ _SIDE_BOXES = 512
 # Distinct (curve, interval) pairs whose probe values are kept.
 _PROBE_CACHE_SIZE = 256
 
+# contains_mask on more points than this grid has cells reads a _GRID x
+# _GRID grid of cells over the bounding box (``_cell_grid``).
+_GRID = 64
+
+# Curve boxes one grid may bound; the boxes left are marked as they stand.
+_GRID_BOXES = 2048
+
+# The size, in cells, of the pieces that a boundary is cut into.
+_PIECE = 0.75
+
+# Margin of every marked box, relative to the grid's largest coordinate (at
+# least 1): far above the array evaluator's departures from the scalar one.
+_GRID_MARGIN = 1e-9
+
 # Maps from a piece's (outer u, inner v) to the plane.
 IDENTITY = "identity"  # (x, y) = (u, v)
 SWAP = "swap"          # (x, y) = (v, u)
@@ -90,13 +112,17 @@ curve = parse_expr
 
 
 def _probe_points(lo: float, hi: float) -> list[float]:
-    """``np.linspace(lo, hi, DEFAULT_INTERIOR_PROBES + 2)`` bit for bit: lo
-    plus i times the step, or i/n times the span where the step underflows
-    to 0, and hi itself last."""
+    """``np.linspace(lo, hi, DEFAULT_INTERIOR_PROBES + 2)`` bit for bit where
+    the span is finite: lo plus i times the step, or i/n times the span
+    where the step underflows to 0, and hi itself last.  Where the span
+    overflows (np.linspace gives NaN and inf there), lo plus i times hi/n,
+    less i times lo/n: every term, and so every probe, is finite."""
     n = DEFAULT_INTERIOR_PROBES + 1
     span = hi - lo
     step = span / n
-    if step == 0.0:
+    if not math.isfinite(span):
+        points = [lo + i * (hi / n) - i * (lo / n) for i in range(n)]
+    elif step == 0.0:
         points = [i / n * span + lo for i in range(n)]
     else:
         points = [i * step + lo for i in range(n)]
@@ -461,18 +487,37 @@ def _polygon_mask(poly: Polygon, xs, ys):
     return mask.reshape(shape)
 
 
+def _exact_mask(region: Region, xs, ys):
+    """The exact tests: in any of the region's leaves.  An infinite
+    coordinate makes NaN there, silently: such points are outside."""
+    import numpy as np
+
+    with np.errstate(invalid="ignore"):
+        return functools.reduce(np.logical_or, (
+            (_polygon_mask if isinstance(leaf, Polygon) else _curve_mask)(leaf, xs, ys)
+            for leaf in leaves(region)
+        ))
+
+
 def contains_mask(region: Region, xs, ys):
     """Vectorized containment in the closed region over coordinate arrays:
     in any of its leaves.  Points where a boundary curve cannot be
-    evaluated are outside."""
+    evaluated are outside.
+
+    A call with more points than the region's cell grid has cells reads
+    the grid (``_cell_grid``), and runs the exact tests only on the points
+    in boundary cells or off the grid; the mask is the exact one bit for
+    bit.
+    """
     import numpy as np
 
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    return functools.reduce(np.logical_or, (
-        (_polygon_mask if isinstance(leaf, Polygon) else _curve_mask)(leaf, xs, ys)
-        for leaf in leaves(region)
-    ))
+    if xs.size > _GRID * _GRID and xs.shape == ys.shape:
+        grid = _cell_grid(region)
+        if grid is not None:
+            return _grid_mask(region, grid, xs, ys).reshape(xs.shape)
+    return _exact_mask(region, xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +538,13 @@ def contains_mask(region: Region, xs, ys):
 # cloud.  The box is read off that cloud: each curve at _CLOUD_SAMPLES
 # points, so a spike between two samples escapes it.
 
+def _plane_point(cmap: str, u: float, v: float) -> tuple[float, float]:
+    """The point (x, y) of (u, v) under the map ``cmap``."""
+    if cmap == POLAR:
+        return v * math.cos(u), v * math.sin(u)
+    return (v, u) if cmap == SWAP else (u, v)
+
+
 def _distance_at(axis: Axis, cmap: str, c: ExprAst, u: float) -> float | None:
     """The signed distance of the point of curve ``c`` at ``u`` under the
     map ``cmap``, or None where the curve does not evaluate."""
@@ -500,10 +552,7 @@ def _distance_at(axis: Axis, cmap: str, c: ExprAst, u: float) -> float | None:
         v = eval_expr(c, u)
     except DomainError:
         return None
-    if cmap == POLAR:
-        x, y = v * math.cos(u), v * math.sin(u)
-    else:
-        x, y = (v, u) if cmap == SWAP else (u, v)
+    x, y = _plane_point(cmap, u, v)
     return axis.a * x + axis.b * y + axis.c
 
 
@@ -571,6 +620,7 @@ def _side_of(d_min: float, d_max: float) -> int:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def axis_side_check(region: Region, axis: Axis) -> int:
     """Which side of ``axis`` the region lies on: +1 or -1.
 
@@ -580,6 +630,10 @@ def axis_side_check(region: Region, axis: Axis) -> int:
     giving the span of the signed distances at the points evaluated.
     When the bounds take more than _SIDE_BOXES boxes, the verdict is the
     sampled one of ``_sampled_side``.
+
+    Regions and axes are frozen and compare by value, so the side is cached
+    per equal (region, axis).  A refusal is not cached: it is worked out
+    again, to the same message, on every call.
     """
     seen: list[float] = []
     arcs = []
@@ -622,7 +676,11 @@ def _leaf_cloud(leaf: Region):
         return (np.array([v.x for v in leaf.vertices], dtype=np.float64),
                 np.array([v.y for v in leaf.vertices], dtype=np.float64), True)
     u0, u1, near, far = leaf.span
-    ts = np.linspace(u0, u1, _CLOUD_SAMPLES)
+    if math.isfinite(u1 - u0):
+        ts = np.linspace(u0, u1, _CLOUD_SAMPLES)
+    else:  # np.linspace gives NaN and inf; weights keep each point finite
+        k = np.arange(_CLOUD_SAMPLES) / (_CLOUD_SAMPLES - 1)
+        ts = u0 - k * u0 + k * u1
     us, vs = np.concatenate([ts, ts]), np.concatenate([eval_array(near, ts), eval_array(far, ts)])
     keep = ~np.isnan(vs)
     us, vs = us[keep], vs[keep]
@@ -684,3 +742,166 @@ def _sampled_side(region: Region, axis: Axis) -> int:
     xs, ys, _ = _nonempty_cloud(region)
     dists = axis.a * xs + axis.b * ys + axis.c
     return _side_of(float(dists.min()), float(dists.max()))
+
+
+# ---------------------------------------------------------------------------
+# The cell grid
+#
+# contains_mask's verdict can change only across the boundary: polygon
+# edges, a curve leaf's near and far curves and its straight ends, a
+# sector's apex, and where a curve is undefined.  _cell_grid covers each of
+# them by boxes of about _PIECE cells, widened by a margin far above the
+# round-off of the exact tests and the polygon edge slack, and marks every
+# cell that a box meets.  No boundary lies within the margin of an unmarked
+# cell, so the exact mask is constant there and on the points that rounding
+# of a cell index can bring in: the cell takes the exact mask's verdict at
+# its centre.  A curve box is bounded by the defined-only enclosure
+# (``ExprAst.defined_interval``); where the curve may be undefined, the box
+# spans the clipped enclosures of both curves of its leaf.
+
+_OUTSIDE, _INSIDE, _BOUNDARY = 0, 1, 2
+
+
+class _CellGrid(NamedTuple):
+    x0: float  # the left and lower edges of the border cells
+    y0: float
+    sx: float  # cells per unit of x and of y
+    sy: float
+    codes: np.ndarray  # (_GRID + 2)^2 read-only uint8 codes, row (y) major; the border is _BOUNDARY
+
+
+def _plane_box(cmap: str, u: tuple[float, float], v: tuple[float, float]):
+    """Enclosures of x and of y over the points (u, v) of the boxes ``u`` and
+    ``v`` under the map ``cmap``."""
+    if cmap == POLAR:
+        return _imul(v, _icos(u)), _imul(v, _isin(u))
+    return (v, u) if cmap == SWAP else (u, v)
+
+
+def _cell_range(lo: float, hi: float, origin: float, scale: float, margin: float) -> slice:
+    """The cells, of ``scale`` per unit from ``origin``, that [lo, hi]
+    widened by ``margin`` meets; all of them where a bound is NaN."""
+    t0, t1 = (lo - margin - origin) * scale, (hi + margin - origin) * scale
+    if not t0 <= t1:
+        return slice(0, _GRID)
+    return slice(math.floor(min(max(t0, 0.0), _GRID)), math.floor(min(max(t1, -1.0), _GRID - 1)) + 1)
+
+
+# Up to 64 regions' grids, of (_GRID + 2)^2 bytes each.
+@functools.lru_cache(maxsize=64)
+def _cell_grid(region: Region) -> _CellGrid | None:
+    """The region's cells over its bounding box, each _INSIDE, _OUTSIDE or
+    _BOUNDARY; None where the box has no points or a cell width that is 0
+    or not finite.  Cached by value, as ``_boundary_cloud`` is."""
+    import numpy as np
+
+    box = _boundary_cloud(region).box
+    if box is None:
+        return None
+    x_lo, x_hi, y_lo, y_hi = box
+    cell_x, cell_y = (x_hi - x_lo) / _GRID, (y_hi - y_lo) / _GRID
+    if not all(0.0 < w < math.inf and 1.0 / w < math.inf for w in (cell_x, cell_y)):
+        return None
+    sx, sy = 1.0 / cell_x, 1.0 / cell_y
+    reach = max(1.0, *map(abs, box))
+    margin = _GRID_MARGIN * reach
+    radius = _up(max(math.hypot(x, y) for x in (x_lo, x_hi) for y in (y_lo, y_hi)))
+    marked = np.zeros((_GRID, _GRID), dtype=bool)
+
+    def mark(bx, by, m: float) -> None:
+        marked[_cell_range(*by, y_lo, sy, m), _cell_range(*bx, x_lo, sx, m)] = True
+
+    def segment(a: tuple[float, float], b: tuple[float, float], m: float) -> None:
+        """Mark the straight segment ab in pieces of about _PIECE cells."""
+        steps = max(abs(b[0] - a[0]) * sx, abs(b[1] - a[1]) * sy) / _PIECE
+        k = max(1, math.ceil(min(4 * _GRID, steps)))  # NaN reads as large
+        for i in range(k):
+            px = [a[0] + (b[0] - a[0]) * (j / k) for j in (i, i + 1)]
+            py = [a[1] + (b[1] - a[1]) * (j / k) for j in (i, i + 1)]
+            mark((min(px), max(px)), (min(py), max(py)), m)
+
+    arcs = []
+    for leaf in leaves(region):
+        if isinstance(leaf, Polygon):
+            verts = leaf.vertices
+            for p, q in zip(verts, verts[1:] + verts[:1]):
+                # The on-edge test reaches _EDGE_TOL * scale^2 / |pq| off the edge.
+                top = max(reach, abs(p.x), abs(p.y), abs(q.x), abs(q.y))
+                slack = 4.0 * _EDGE_TOL * top * top / math.hypot(q.x - p.x, q.y - p.y)
+                segment((p.x, p.y), (q.x, q.y), margin + slack)
+            continue
+        u0, u1, near, far = leaf.span
+        # A sector's angle is rounded in proportion to its size.
+        m = margin * max(1.0, abs(u0), abs(u1)) if leaf.map == POLAR else margin
+        near_at, far_at = _probe_values(near, u0, u1), _probe_values(far, u0, u1)
+        for i, u in ((0, u0), (-1, u1)):
+            segment(_plane_point(leaf.map, u, near_at[i]), _plane_point(leaf.map, u, far_at[i]), m)
+        if leaf.map == POLAR:
+            mark((0.0, 0.0), (0.0, 0.0), m)
+        arcs += [(leaf.map, near, far, u0, u1, m), (leaf.map, far, near, u0, u1, m)]
+
+    # A curve box is cut in proportion to its size, in cells, into pieces of
+    # about _PIECE cells.  Where a curve may be undefined, the points of the
+    # region lie between the clipped enclosures of both curves: the box
+    # spans them, and is cut only until it is that narrow along u.
+    u_scale = {IDENTITY: sx, SWAP: sy, POLAR: radius * max(sx, sy)}
+    queue = collections.deque(arcs)
+    budget = _GRID_BOXES - len(queue)
+    while queue:
+        cmap, c, other, lo, hi, m = queue.popleft()
+        v = c.defined_interval((lo, hi))
+        defined = v is not None
+        if not defined:
+            cv, ov = c.interval((lo, hi)), other.interval((lo, hi))
+            v = (min(cv[0], ov[0]), max(cv[1], ov[1])) if cv[0] <= cv[1] and ov[0] <= ov[1] else _WHOLE
+        bx, by = _plane_box(cmap, (lo, hi), v)
+        size = max((bx[1] - bx[0]) * sx, (by[1] - by[0]) * sy)
+        if not defined:
+            size = min(size, (hi - lo) * u_scale[cmap])
+        k = math.ceil(min(4 * _GRID, budget, size / _PIECE))  # NaN reads as large
+        if k < 2:
+            mark(bx, by, m)
+            continue
+        budget -= k
+        cuts = [lo + (hi - lo) * (i / k) for i in range(k)] + [hi]
+        queue += [(cmap, c, other, a, b, m) for a, b in zip(cuts, cuts[1:])]
+
+    centres = [lo + (np.arange(_GRID) + 0.5) * w for lo, w in ((x_lo, cell_x), (y_lo, cell_y))]
+    inside = _exact_mask(region, *np.meshgrid(*centres))
+    codes = np.full((_GRID + 2, _GRID + 2), _BOUNDARY, dtype=np.uint8)
+    codes[1:-1, 1:-1] = np.where(marked, _BOUNDARY, inside)
+    codes = codes.ravel()
+    codes.flags.writeable = False
+    return _CellGrid(x_lo - cell_x, y_lo - cell_y, sx, sy, codes)
+
+
+def _cell_index(values, origin: float, scale: float):
+    """The column (or row) of the border-padded grid of each coordinate:
+    (values - origin) * scale, clamped to the border cells (NaN to the
+    first) where any lies off the grid, and truncated."""
+    import numpy as np
+
+    t = np.subtract(values, origin)
+    t *= scale
+    if not (0.0 <= t.min() and t.max() <= _GRID + 1):  # NaN fails both
+        np.fmax(t, 0.0, out=t)
+        np.fmin(t, _GRID + 1, out=t)
+    return t.astype(np.int32)
+
+
+def _grid_mask(region: Region, grid: _CellGrid, xs, ys):
+    """Containment read off ``grid``, with the exact tests on the points in
+    boundary cells and off the grid (NaN and infinite ones too)."""
+    import numpy as np
+
+    xs, ys = xs.ravel(), ys.ravel()
+    index = _cell_index(ys, grid.y0, grid.sy)
+    index *= _GRID + 2
+    index += _cell_index(xs, grid.x0, grid.sx)
+    codes = grid.codes.take(index)
+    del index
+    mask = codes == _INSIDE
+    edge = np.flatnonzero(codes == _BOUNDARY)
+    if edge.size:
+        mask[edge] = _exact_mask(region, xs[edge], ys[edge])
+    return mask

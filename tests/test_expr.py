@@ -421,6 +421,51 @@ class TestIntervalEnclosures:
                 checked += len(points)
         assert checked > 30000
 
+    @pytest.mark.parametrize("text, box, defined", [
+        ("sqrt(x)", (0.0, 4.0), True),
+        ("sqrt(x)", (-1.0, 4.0), False),             # clipped
+        ("sqrt(x)*0 + 1", (-1.0, 4.0), False),       # a product with 0 keeps it
+        ("sqrt(1 - x^2)", (0.5, 0.9), True),
+        ("sqrt(1 - x^2)", (0.5, 1.0), False),        # outward rounding dips below 0
+        ("log(x)", (0.0, 1.0), False),               # unbounded
+        ("log(x)", (0.5, 1.0), True),
+        ("asin(x)", (1.0, 2.0), False),
+        ("acos(x)", (-1.0, 1.0), True),
+        ("x^0.5", (-1.0, 4.0), False),
+        ("x^0.5", (0.0, 4.0), True),
+        ("x^2", (-2.0, 1.0), True),
+        ("x^(-2)", (-1.0, 1.0), False),
+        ("(-8)^x", (1.0, 2.0), False),
+        ("1/x", (0.5, 2.0), True),
+        ("1/x", (-1.0, 1.0), False),
+        ("tan(x)", (1.5, 1.7), False),
+        ("exp(x)", (0.0, 1000.0), False),
+        ("1e999*0 + x", (0.0, 1.0), False),
+        ("abs(x) + sin(x)", (-3.0, 2.0), True),
+    ])
+    def test_defined_only_enclosures(self, text, box, defined):
+        ast = rv.parse_expr(text, "x")
+        got = ast.defined_interval(box)
+        assert (got is not None) == defined
+        if defined:
+            assert got == ast.interval(box)
+
+    def test_defined_only_random_expressions(self):
+        # A finite defined-only enclosure is the clipped one, and every point
+        # of its interval evaluates.
+        rng = random.Random(11)
+        certified = 0
+        for ast in _random_asts():
+            for _ in range(10):
+                box = _random_interval(rng)
+                got = ast.defined_interval(box)
+                if got is None:
+                    continue
+                certified += 1
+                assert got == ast.interval(box)
+                assert all(math.isfinite(rv.eval_expr(ast, a)) for a in _points(rng, box))
+        assert certified > 100
+
     def test_compiled_on_first_use(self):
         rv.parse_expr.cache_clear()
         ast = rv.parse_expr("sqrt(1 - x^2)", "x")

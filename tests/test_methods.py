@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -575,6 +576,30 @@ class TestMonteCarlo:
             tracemalloc.stop()
         # A full-length draw of 2^20 points would peak near 80 MiB.
         assert peak < 16 * 2**20
+
+
+_MC_PINS = json.loads((pathlib.Path(__file__).parent / "monte_carlo_pins.json").read_text())
+
+
+class TestMonteCarloPins:
+    """Estimates pinned bit for bit, as the exact containment tests gave them
+    before the cell grid: the 15 mc_sample benchmark jobs of seed 4242
+    (4e6 samples each) and every fixture with its own Monte Carlo config."""
+
+    @pytest.mark.parametrize("pin", _MC_PINS["mc_sample_seed_4242"],
+                             ids=[f"{i}-{pin['doc']['region']['type']}"
+                                  for i, pin in enumerate(_MC_PINS["mc_sample_seed_4242"])])
+    def test_benchmark_estimates(self, pin):
+        job = parse_job(pin["doc"])
+        report = rv.volume_monte_carlo(job.region, job.axis, job.mc)
+        assert (report.value, report.error_estimate) == (pin["value"], pin["error_estimate"])
+
+    @pytest.mark.parametrize("name", sorted(_MC_PINS["fixtures"]))
+    def test_fixture_estimates(self, name):
+        job = load_job(FIXTURES / name)
+        report = rv.volume_monte_carlo(job.region, job.axis, job.mc)
+        pin = _MC_PINS["fixtures"][name]
+        assert (report.value, report.error_estimate) == (pin["value"], pin["error_estimate"])
 
 
 class TestObliqueAndSeamCases:

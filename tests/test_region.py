@@ -167,6 +167,218 @@ class TestContains:
             assert bool(rv.contains_mask(sector, x, y)) == rv.contains(sector, rv.Point(x, y))
 
 
+def _star(n, scale=1.0, seed=3):
+    """A polygon star-shaped about (3, -2) * scale, of n vertices."""
+    rng = np.random.default_rng(seed)
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=n))
+    radii = rng.uniform(0.5, 1.5, size=n)
+    return rv.Polygon(tuple(rv.Point(scale * (3 + r * math.cos(a)), scale * (r * math.sin(a) - 2))
+                            for r, a in zip(radii, angles)))
+
+
+def _gap_region():
+    # upper is undefined on a column about 1.7e-4 wide, between two probes.
+    return rv.NormalX(0.0, 1.0, rv.curve("0", "x"),
+                      rv.curve("2 + sqrt(1 - 2*exp(-((x-0.5001)/0.0001)^2))", "x"))
+
+
+def _spike_region():
+    return rv.NormalX(0.0, 1.0, rv.curve("0", "x"),
+                      rv.curve("1 + 3*exp(-((x-0.50048828125)/0.0002)^2)", "x"))
+
+
+def _full_sector():
+    return rv.PolarSector(-1.0, -1.0 + 2.0 * math.pi, rv.curve("0", "theta"),
+                          rv.curve("1 + 0.3*cos(3*theta) + 0.1*theta", "theta"))
+
+
+def _short_edge_tip():
+    # A triangle whose tip is an edge 1e-7 long, 3e-6 below a row of cells:
+    # the on-edge slack, 1e-12 / 1e-7 = 1e-5 off that edge, reaches the row
+    # above.  The square sets the box to [0.2, 0.8] x [0.1, 1].
+    top = 0.1 + 13 * 0.9 / 64 - 3e-6
+    tip = rv.Polygon((rv.Point(0.2, 0.1), rv.Point(0.8, 0.1), rv.Point(0.5, top),
+                      rv.Point(0.5 - 1e-7, top)))
+    square = rv.Polygon((rv.Point(0.7, 0.9), rv.Point(0.8, 0.9), rv.Point(0.8, 1.0),
+                         rv.Point(0.7, 1.0)))
+    return rv.UnionRegion((tip, square))
+
+
+_GRID_REGIONS = {
+    "quarter_disk": quarter_disk,
+    "sector_polar": sector_polar,
+    "sector_disk_union": sector_disk_union,
+    "full_sector": _full_sector,
+    "annulus": lambda: rv.PolarSector(1.8125, 4.0625, rv.curve("0.625", "theta"),
+                                      rv.curve("1.3125", "theta")),
+    "torus_x": torus_normal_x,
+    "disk_y": lambda: rv.NormalY(-3.0, -0.75, rv.curve("2.1875 - sqrt(1.265625-(y+1.875)^2)", "y"),
+                                 rv.curve("2.1875 + sqrt(1.265625-(y+1.875)^2)", "y")),
+    "oscillating": lambda: rv.NormalX(0.0, 1.0, rv.curve("0", "x"),
+                                      rv.curve("1 + 0.5*sin(1537*pi*x)^64", "x")),
+    "spike": _spike_region,
+    "gap": _gap_region,
+    "square": unit_square_polygon,
+    "star10": lambda: _star(10),
+    "star_tiny": lambda: _star(9, 1e-3),
+    "star_large": lambda: _star(9, 1e6),
+    "short_edge_tip": _short_edge_tip,
+    "concave_union": lambda: rv.UnionRegion((cone_triangle(), unit_square_polygon(), _star(7, 0.3))),
+}
+
+
+def _grid_matches_exact(region, xs, ys):
+    """The grid's mask, asserted equal to the exact tests' bit for bit."""
+    xs, ys = np.asarray(xs, dtype=np.float64).ravel(), np.asarray(ys, dtype=np.float64).ravel()
+    grid = region_module._cell_grid(region)
+    assert grid is not None
+    got = region_module._grid_mask(region, grid, xs, ys)
+    want = region_module._exact_mask(region, xs, ys)
+    assert got.dtype == want.dtype == np.bool_
+    bad = np.flatnonzero(got != want)
+    assert bad.size == 0, list(zip(xs[bad][:5].tolist(), ys[bad][:5].tolist()))
+    return got
+
+
+def _nudged(values, ulps):
+    """``values`` moved by each of ``ulps`` units in the last place."""
+    out = []
+    for k in ulps:
+        v = np.array(values, dtype=np.float64)
+        for _ in range(abs(k)):
+            v = np.nextafter(v, math.copysign(math.inf, k))
+        out.append(v)
+    return np.concatenate(out)
+
+
+class TestCellGrid:
+    """contains_mask reads a grid of cells on large calls and runs the exact
+    tests on boundary cells only; its masks are the exact tests' bit for
+    bit."""
+
+    @pytest.mark.parametrize("name", sorted(_GRID_REGIONS))
+    def test_random_points_over_and_around_the_box(self, name):
+        region = _GRID_REGIONS[name]()
+        x_lo, x_hi, y_lo, y_hi = rv.bounding_box(region)
+        rng = np.random.default_rng(len(name))
+        w, h = x_hi - x_lo, y_hi - y_lo
+        xs = rng.uniform(x_lo - 0.05 * w, x_hi + 0.05 * w, 20000)
+        ys = rng.uniform(y_lo - 0.05 * h, y_hi + 0.05 * h, 20000)
+        got = _grid_matches_exact(region, xs, ys)
+        assert (rv.contains_mask(region, xs, ys) == got).all()
+        assert 0 < got.sum() < got.size
+
+    @pytest.mark.parametrize("name", ["square", "star10", "star_tiny", "star_large", "concave_union",
+                                      "short_edge_tip"])
+    def test_points_at_polygon_edges_and_vertices(self, name):
+        region = _GRID_REGIONS[name]()
+        pts = []
+        for poly in leaves(region):
+            verts = poly.vertices
+            for p, q in zip(verts, verts[1:] + verts[:1]):
+                length = math.hypot(q.x - p.x, q.y - p.y)
+                nx, ny = (p.y - q.y) / length, (q.x - p.x) / length
+                scale = max(1.0, abs(p.x), abs(p.y), abs(q.x), abs(q.y))
+                slack = 1e-12 * scale * scale / length
+                for t in (0.0, 1e-13, 0.25, 0.5, 0.8, 1.0, 1.0 + 1e-13, -1e-9, 1.0 + 1e-9):
+                    for off in (0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0, 1e3, -1e3):
+                        pts.append((p.x + (q.x - p.x) * t + off * slack * nx,
+                                    p.y + (q.y - p.y) * t + off * slack * ny))
+        xs, ys = np.array(pts).T
+        ulps = (0, 1, -1, 3, -3)
+        _grid_matches_exact(region, _nudged(xs, ulps).repeat(len(ulps)),
+                            np.tile(_nudged(ys, ulps).reshape(len(ulps), -1), len(ulps)).ravel())
+
+    @pytest.mark.parametrize("name", ["quarter_disk", "sector_polar", "full_sector", "annulus",
+                                      "torus_x", "disk_y", "oscillating", "spike", "gap"])
+    def test_points_near_curve_values(self, name):
+        region = _GRID_REGIONS[name]()
+        rng = np.random.default_rng(7)
+        xs, ys = [], []
+        for leaf in leaves(region):
+            u0, u1, near, far = leaf.span
+            us = np.concatenate([[u0, u1], rng.uniform(u0, u1, 3000)])
+            us = _nudged(us, (0, 1, -1))
+            for c in (near, far):
+                vs = rv.eval_array(c, us)
+                for dv in (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6):
+                    for k in (0, 1, -1):
+                        v = _nudged(vs + dv, (k,))
+                        if leaf.map == POLAR:
+                            xs.append(v * np.cos(us)), ys.append(v * np.sin(us))
+                        elif leaf.map == SWAP:
+                            xs.append(v), ys.append(us)
+                        else:
+                            xs.append(us), ys.append(v)
+        _grid_matches_exact(region, np.concatenate(xs), np.concatenate(ys))
+
+    def test_sector_apex_and_the_theta_min_ray_of_a_full_turn(self):
+        region = _full_sector()
+        radii = np.linspace(0.0, 1.6, 801)
+        thetas = _nudged(np.full(radii.size, -1.0), (0, 1, -1, 2, -2, 8, -8))
+        rs = np.tile(radii, 7)
+        tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-12, -1e-12])
+        apex_x, apex_y = (g.ravel() for g in np.meshgrid(tiny, tiny))
+        got = _grid_matches_exact(region, np.concatenate([rs * np.cos(thetas), apex_x]),
+                                  np.concatenate([rs * np.sin(thetas), apex_y]))
+        assert got[-apex_x.size:][0]  # the apex: rho_min is 0
+
+    @pytest.mark.parametrize("name", ["star10", "full_sector", "torus_x", "concave_union"])
+    def test_nan_and_infinite_coordinates(self, name):
+        region = _GRID_REGIONS[name]()
+        x_lo, x_hi, y_lo, y_hi = rv.bounding_box(region)
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(x_lo, x_hi, 6000)
+        ys = rng.uniform(y_lo, y_hi, 6000)
+        bad = np.array([math.nan, math.inf, -math.inf])
+        xs[:3000:3], ys[1:3000:3] = np.resize(bad, 1000), np.resize(bad[::-1], 1000)
+        got = _grid_matches_exact(region, xs, ys)
+        assert not got[np.isnan(xs) | np.isnan(ys)].any()
+        assert got[3000:].any()
+
+    def test_points_above_the_sampled_box_of_a_spike(self):
+        region = _spike_region()
+        top = rv.bounding_box(region)[3]
+        assert top < 1.01  # the sampled box misses the spike
+        rng = np.random.default_rng(9)
+        xs = 0.50048828125 + rng.uniform(-0.001, 0.001, 8000)
+        ys = rng.uniform(0.0, 4.5, 8000)
+        got = _grid_matches_exact(region, xs, ys)
+        assert got[ys > top].any()
+
+    def test_the_gap_column_is_outside(self):
+        region = _gap_region()
+        rng = np.random.default_rng(13)
+        xs = rng.uniform(0.50003, 0.50017, 1000)  # upper is undefined there
+        ys = rng.uniform(0.0, 2.0, 1000)
+        assert np.isnan(rv.eval_array(region.upper, xs)).all()
+        got = _grid_matches_exact(region, np.concatenate([xs, rng.uniform(0.0, 1.0, 5000)]),
+                                  np.concatenate([ys, rng.uniform(0.0, 3.0, 5000)]))
+        assert not got[:1000].any() and got[1000:].any()
+
+    def test_small_calls_skip_the_grid(self):
+        region = _star(8, seed=21)
+        region_module._cell_grid.cache_clear()
+        side = region_module._GRID
+        xs, ys = np.meshgrid(np.linspace(2.0, 4.0, side), np.linspace(-3.0, -1.0, side))
+        assert rv.contains_mask(region, xs, ys).shape == (side, side)
+        assert rv.contains(region, rv.Point(3.0, -2.0))
+        assert region_module._cell_grid.cache_info().currsize == 0
+        xs, ys = np.append(xs, 3.0), np.append(ys, -2.0)
+        assert rv.contains_mask(region, xs, ys)[-1]
+        assert region_module._cell_grid.cache_info().currsize == 1
+
+    def test_equal_regions_share_one_grid(self):
+        region_module._cell_grid.cache_clear()
+        xs, ys = np.random.default_rng(2).uniform(0.0, 3.0, (2, 5000))
+        first = rv.contains_mask(torus_normal_x(), xs, ys)
+        assert (rv.contains_mask(torus_normal_x(), xs, ys) == first).all()
+        assert region_module._cell_grid.cache_info().misses == 1
+        grid = region_module._cell_grid(torus_normal_x())
+        with pytest.raises(ValueError):
+            grid.codes[0] = 0
+
+
 class TestPieces:
     def test_one_piece_per_curve_region(self):
         nx = torus_normal_x()
@@ -395,9 +607,12 @@ def _side(region, axis, check=rv.axis_side_check):
 
 @pytest.fixture
 def cold_side_cloud():
-    region_module._boundary_cloud.cache_clear()
+    """The boundary cloud's cache, cleared, with the side check's verdicts."""
+    for cache in (region_module._boundary_cloud, region_module.axis_side_check):
+        cache.cache_clear()
     yield region_module._boundary_cloud
-    region_module._boundary_cloud.cache_clear()
+    for cache in (region_module._boundary_cloud, region_module.axis_side_check):
+        cache.cache_clear()
 
 
 _SIDE_AXES = [rv.Axis.vertical(2.0), rv.Axis.horizontal(0.0), rv.Axis(1.0, 1.0, -1.0),
@@ -567,16 +782,51 @@ class TestCertifiedSideCheck:
         assert cold_side_cloud.cache_info().misses == 0
 
 
+class TestSideCheckVerdictCache:
+    def test_verdicts_are_cached_by_value_and_refusals_are_worked_out_again(self, cold_side_cloud):
+        check = region_module.axis_side_check
+        doc = {"region": {"type": "polar", "theta_min": "0.1", "theta_max": "1.4",
+                          "rho_min": "0.2", "rho_max": "1 + 0.3*cos(3*theta)"},
+               "axis": {"vertical_at": "-2"}}
+        first, second = parse_job(doc), parse_job(doc)
+        assert first.region is not second.region
+        assert check(first.region, first.axis) == check(second.region, second.axis) == 1
+        assert (check.cache_info().hits, check.cache_info().misses) == (1, 1)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(AxisIntersectsRegion) as refused:
+                rv.axis_side_check(torus_normal_x(), rv.Axis.vertical(2.0))
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1] == "axis meets the region: signed distances span [-1.0, 1.0]"
+        assert (check.cache_info().hits, check.cache_info().misses) == (1, 3)
+
+
 class TestProbes:
     @pytest.mark.parametrize("lo, hi", [
         (0.0, 1.0), (-math.pi / 3, math.pi / 4), (1.0, 3.0), (-1e-300, 1e-300),
-        (0.0, 5e-324), (-7.25, 1e6), (0.1, 0.7), (2.0**-1074, 2.0**-1070), (-1e308, 1e308),
+        (0.0, 5e-324), (-7.25, 1e6), (0.1, 0.7), (2.0**-1074, 2.0**-1070),
     ])
     def test_points_are_linspace_bit_for_bit(self, lo, hi):
-        with np.errstate(all="ignore"):  # the span of the last pair overflows
-            want = np.linspace(lo, hi, region_module.DEFAULT_INTERIOR_PROBES + 2)
+        want = np.linspace(lo, hi, region_module.DEFAULT_INTERIOR_PROBES + 2)
         got = region_module._probe_points(lo, hi)
         assert [repr(t) for t in got] == [repr(float(t)) for t in want]
+
+    def test_an_overflowing_span_is_probed_at_points_of_the_interval(self):
+        # hi - lo is inf here, so np.linspace gives NaN and inf.
+        got = region_module._probe_points(-1e308, 1e308)
+        assert got[0] == -1e308 and got[-1] == 1e308
+        assert all(math.isfinite(t) for t in got) and got == sorted(got)
+        assert len(set(got)) == region_module.DEFAULT_INTERIOR_PROBES + 2
+        constant = rv.NormalX(-1e308, 1e308, rv.curve("0", "x"), rv.curve("1+x*0", "x"))
+        assert constant.upper(got[1]) == 1.0
+        with pytest.raises(InvalidRegionError) as refused:
+            rv.NormalX(-1e308, 1e308, rv.curve("0", "x"), rv.curve("sqrt(x)", "x"))
+        assert str(refused.value) == "upper curve 'sqrt(x)' is undefined at x=-1e+308"
+        # Its box is 2e308 wide: the cell grid steps aside for the exact tests.
+        assert region_module._cell_grid(constant) is None
+        rng = np.random.default_rng(11)
+        xs, ys = rng.uniform(-1.0, 1.0, 5000) * 1e308, rng.uniform(-0.5, 1.5, 5000)
+        assert (rv.contains_mask(constant, xs, ys) == ((ys >= 0.0) & (ys <= 1.0))).all()
 
     def test_random_intervals_are_linspace_bit_for_bit(self):
         rng = np.random.default_rng(4)
