@@ -23,7 +23,10 @@ Each expression is compiled into a straight-line Python function per
 evaluator (see Compilation below), with one table of helpers each: the
 scalar evaluator when it is parsed (``parse_expr`` is a bounded cache by
 text and variable), the array and interval evaluators on first use.  Only
-the array evaluator needs numpy, and it imports it then.
+the array evaluator needs numpy, and it imports it then.  The scalar
+evaluator calls math inline; where it fails, it hands over to a checked
+twin, compiled on the first failure, whose DomainError names the failing
+operation.
 
 Array evaluation is NaN exactly where scalar evaluation raises: its helpers
 return NaN for a zero divisor and for a non-finite result from finite
@@ -307,8 +310,8 @@ def parse_expr(text: str, variable: str | None) -> ExprAst:
     if not text:
         raise ExprSyntaxError("empty expression", 0)
     root = _Parser(text, variable).parse()
-    scalar = _compile(root, _SCALAR_HELPERS, functools.partial(_not_finite, text, variable))
-    return ExprAst(root, variable, text, scalar)
+    checked = _compiled_on_first_call(root, functools.partial(_not_finite, text, variable))
+    return ExprAst(root, variable, text, _compile(root, _INLINE_SCALAR, retry=checked))
 
 
 def parse_scalar(text) -> float:
@@ -335,23 +338,35 @@ def parse_scalar(text) -> float:
 # function's globals), never written into the source; + - * and negation
 # are inline unless the table the function is compiled with has its own
 # (under "+", "-", "*" and "neg"), and / ^ and the functions call the
-# table's helpers.  A table's "const", if any, turns each constant into a
-# value of its kind (an interval).  Intermediate results live in a stack of
-# names t0, t1, ...: an operation replaces its operands, so each one is
-# released once used, as in a tree walk (which matters for large arrays).
-# A node whose operands are all constants is computed while compiling,
-# with the same operation, unless that fails.  The scalar function ends in
-# eval_expr's check, so the curves' pieces can call it directly.
+# table's helpers.  A table entry may instead be a pair (fold, code): the
+# operation folds constants with ``fold`` and is written as ``code``, a
+# template or a function to call.  A table's "const", if any, turns each
+# constant into a value of its kind (an interval).  Intermediate results
+# live in a stack of names t0, t1, ...: an operation replaces its operands,
+# so each one is released once used, as in a tree walk (which matters for
+# large arrays).  A node whose operands are all constants is computed while
+# compiling, with the same operation, unless that fails.
+#
+# The scalar evaluator is two functions.  The one eval_expr calls divides
+# and calls math.pow and the math functions inline; where an operation
+# raises or the value is not finite, it returns what the checked one does.
+# That one calls the helpers below, which name the failing operation in a
+# DomainError, and ends in eval_expr's check; it is compiled on the first
+# failure, so a curve that never fails has one function.  Both do the same
+# operations in the same order, so their values are the same.
 
 _INLINE = {"+": (operator.add, "{} + {}"), "-": (operator.sub, "{} - {}"),
            "*": (operator.mul, "{} * {}"), "neg": (operator.neg, "-{}")}
 
 
-def _compile(root: Node, helpers: dict[str, Callable], fail: Callable | None = None) -> Callable:
+def _compile(root: Node, helpers: dict, fail: Callable | None = None,
+             retry: Callable | None = None) -> Callable:
     """The function x -> value of the expression ``root``, with ``/``, ``^``,
-    the functions and any of ``_INLINE`` taken from ``helpers``.  With ``fail`` (the scalar
-    evaluator), it raises ``fail(x)`` where the value is not finite or int
-    arithmetic leaves float range."""
+    the functions and any of ``_INLINE`` taken from ``helpers``.  With
+    ``fail`` (the checked scalar evaluator), it raises ``fail(x)`` where the
+    value is not finite or int arithmetic leaves float range.  With
+    ``retry``, it returns ``retry(x)`` where the value is not finite or an
+    operation raises ValueError, ZeroDivisionError or OverflowError."""
     bound: dict[str, object] = {"__builtins__": {}}  # the function's globals
     consts: dict[str, float] = {}  # the bound names that are constants
     lines: list[str] = []
@@ -362,28 +377,29 @@ def _compile(root: Node, helpers: dict[str, Callable], fail: Callable | None = N
         bound[name] = value
         return name
 
-    def apply(fn, template: str | None, args: list[str]) -> str:
+    def apply(fold: Callable, code, args: list[str]) -> str:
         nonlocal height
         if all(arg in consts for arg in args):
             try:
-                name = bind(fn(*(consts[arg] for arg in args)))
+                name = bind(fold(*(consts[arg] for arg in args)))
             except DomainError:
                 pass  # keep the failing operation, it raises when evaluated
             else:
                 consts[name] = bound[name]
                 return name
-        if template is None:
-            template = bind(fn) + "(" + ", ".join(["{}"] * len(args)) + ")"
+        if not isinstance(code, str):
+            code = bind(code) + "(" + ", ".join(["{}"] * len(args)) + ")"
         # The operands that are intermediate results are the top of the stack.
         top = height
         height -= sum(arg.startswith("t") for arg in args)
-        lines.append(f"t{height} = " + template.format(*args))
+        lines.append(f"t{height} = " + code.format(*args))
         lines.extend(f"del t{k}" for k in range(height + 1, top))
         height += 1
         return f"t{height - 1}"
 
-    def op(name: str) -> tuple[Callable, str | None]:
-        return (helpers[name], None) if name in helpers else _INLINE[name]
+    def op(name: str) -> tuple:
+        entry = helpers[name] if name in helpers else _INLINE[name]
+        return entry if isinstance(entry, tuple) else (entry, entry)
 
     lift = helpers.get("const")
 
@@ -399,21 +415,38 @@ def _compile(root: Node, helpers: dict[str, Callable], fail: Callable | None = N
             return apply(*op("neg"), [walk(node.operand)])
         if isinstance(node, BinOp):
             return apply(*op(node.op), [walk(node.left), walk(node.right)])
-        return apply(helpers[node.func], None, [walk(node.arg)])
+        return apply(*op(node.func), [walk(node.arg)])
 
     result = walk(root)
-    if result in consts and (fail is None or math.isfinite(consts[result])):
+    checked = fail is not None or retry is not None
+    if result in consts and (not checked or math.isfinite(consts[result])):
         value = consts[result]
         return lambda x: value  # a constant that needs no check
-    if fail is None:
-        lines.append(f"return {result}")
-    else:
+    body = ["try:", *("    " + line for line in lines),
+            f"    if isfinite({result}): return {result}"]
+    if fail is not None:
         bound.update(isfinite=math.isfinite, fail=fail, OverflowError=OverflowError)
-        lines = ["try:", *("    " + line for line in lines),
-                 f"    if isfinite({result}): return {result}",
-                 "except OverflowError as exc: raise fail(x) from exc", "raise fail(x)"]
+        lines = [*body, "except OverflowError as exc: raise fail(x) from exc", "raise fail(x)"]
+    elif retry is not None:
+        bound.update(isfinite=math.isfinite, retry=retry, errors=_BINOP_ERRORS)
+        lines = [*body, "except errors: pass", "return retry(x)"]
+    else:
+        lines.append(f"return {result}")
     exec("def evaluate(x):\n" + "".join(f"    {line}\n" for line in lines), bound)
     return bound["evaluate"]
+
+
+def _compiled_on_first_call(root: Node, fail: Callable) -> Callable:
+    """The checked scalar evaluator of ``root``, compiled when first
+    called."""
+    compiled = []
+
+    def checked(x):
+        if not compiled:
+            compiled.append(_compile(root, _SCALAR_HELPERS, fail))
+        return compiled[0](x)
+
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +481,10 @@ def _scalar_call(name: str, fn: Callable) -> Callable:
 
 _SCALAR_HELPERS = {"/": _divide, "^": _power,
                    **{name: _scalar_call(name, fn) for name, fn in _FUNCTIONS.items()}}
+
+# The same operations, inline: each folds constants with its helper above.
+_INLINE_SCALAR = {"/": (_divide, "{} / {}"), "^": (_power, math.pow),
+                  **{name: (_SCALAR_HELPERS[name], fn) for name, fn in _FUNCTIONS.items()}}
 
 
 def _not_finite(text: str, variable: str | None, value) -> DomainError:

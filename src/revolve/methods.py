@@ -4,7 +4,7 @@
 over the region; it works for any region and any exterior axis.  The
 distance is linear in (x, y), so its inner integral over each
 cross-section is closed-form (a*Sx + b*Sy + c*A of the section, see
-``quadrature.moment_sections``) and one adaptive 1D pass per piece remains.
+``quadrature.linear_sections``) and one adaptive 1D pass per piece remains.
 The classical routes are provided both as cross-checks and as the fast
 paths they are.  Every route reads a union through its leaves
 (``region.leaves``), so a nested union is its flat union; shell and disk,
@@ -64,6 +64,7 @@ from .quadrature import (
     Tolerance,
     integrate_1d,
     integrate_region,
+    linear_sections,
     moment_sections,
     sum_results,
 )
@@ -182,17 +183,6 @@ def _horizontal_offset(axis: Axis) -> float | None:
 # ---------------------------------------------------------------------------
 # The double-integral route
 
-def _distance_integrand(section, axis: Axis, side: int):
-    """The inner integral of 2*pi*side*distance(axis) over the section at u:
-    the distance is linear, so it is a*Sx + b*Sy + c*A of the section."""
-
-    def integrand(u: float) -> float:
-        m1, mx, my = section(u)
-        return TWO_PI * side * (axis.a * mx + axis.b * my + axis.c * m1)
-
-    return integrand
-
-
 @_route
 def volume_double_integral(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
     """Integral of 2*pi*distance(axis) over the region: closed-form inner
@@ -201,8 +191,8 @@ def volume_double_integral(region: Region, axis: Axis, tol: Tolerance | None = N
     tol = tol or Tolerance()
     side = axis_side_check(region, axis)
     return sum_results([
-        integrate_1d(_distance_integrand(section, axis, side), u0, u1, tol)
-        for u0, u1, section in moment_sections(region)
+        integrate_1d(form, u0, u1, tol)
+        for u0, u1, form in linear_sections(region, TWO_PI * side, axis.a, axis.b, axis.c)
     ])
 
 
@@ -371,14 +361,20 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
     cfg = cfg or McConfig()
     axis_side_check(region, axis)
     x_lo, x_hi, y_lo, y_hi = bounding_box(region)
+    width, height = x_hi - x_lo, y_hi - y_lo
+    box_area = width * height
+    if not math.isfinite(box_area):  # as it is not when the width or height is not
+        raise InvalidRegionError(
+            f"bounding box [{x_lo!r}, {x_hi!r}] x [{y_lo!r}, {y_hi!r}] is too large to "
+            "sample: its width, height or area is not finite")
     bit_generator = np.random.Philox(key=cfg.seed)
     n, mean, m2 = 0, 0.0, 0.0
     for start in range(0, cfg.samples, _CHUNK):
         m = min(_CHUNK, cfg.samples - start)
         raw = bit_generator.random_raw(2 * m)
         u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        xs = x_lo + (x_hi - x_lo) * u[0::2]
-        ys = y_lo + (y_hi - y_lo) * u[1::2]
+        xs = x_lo + width * u[0::2]
+        ys = y_lo + height * u[1::2]
         inside = contains_mask(region, xs, ys)
         vals = np.where(inside, TWO_PI * np.abs(axis.a * xs + axis.b * ys + axis.c), 0.0)
         chunk_mean = float(vals.mean())
@@ -390,7 +386,6 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
         mean += delta * m / total
         m2 += chunk_m2 + delta * delta * n * m / total
         n = total
-    box_area = (x_hi - x_lo) * (y_hi - y_lo)
     value = box_area * mean
     stderr = box_area * math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return QuadratureResult(value, stderr, n)

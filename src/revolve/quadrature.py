@@ -23,7 +23,12 @@ the outer estimate dominates the reported error.
 All nodes are interior, so endpoint singularities like sqrt(1-x^2) at x=1
 are never sampled directly; an integrand failure within 1e-9 of an endpoint
 is retried once with a 1e-12 relative inward nudge, and a failure in the
-interior is a hard IntegrandError.
+interior is a hard IntegrandError.  Each panel is one guarded pass: its 15
+nodes are evaluated in one loop and counted together, and the per-node
+guard (``_domain_guard``, the one home of the nudge rule) runs only where a
+node raised or a value is not finite, from the first such node on, without
+evaluating any node twice.  Evaluation counts, nudges and error messages
+are those of guarding every node.  An integral that overflows is refused.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "QuadratureResult",
     "integrate_1d",
     "integrate_region",
+    "linear_sections",
     "moment_sections",
     "sum_results",
 ]
@@ -109,88 +115,134 @@ class QuadratureResult:
 
 _ROUNDOFF = 50.0 * 2.220446049250313e-16  # 50 * double epsilon, per QUADPACK
 
+# What a failing integrand may raise: a curve's DomainError or a math error.
+_FAILURES = (DomainError, ValueError, ZeroDivisionError, OverflowError)
+_UNTRIED = object()  # a node the panel's pass did not reach
 
-def _rule(half: float, samples) -> tuple[float, float, float]:
+
+def _rule(half: float, fc, l1, h1, l2, h2, l3, h3, l4, h4, l5, h5, l6, h6, l7, h7):
     """Gauss-Kronrod 7/15 sums of one scalar component on a panel of
     half-width ``half``: (K15, error estimate, K15 of |f|).
 
-    ``samples`` is the centre value followed by the symmetric pairs in
-    abscissa order.  The estimate is |K15 - G7| floored at the round-off
-    level of the weighted sum, so an exactly-integrated panel still reports
-    the unavoidable floating-point uncertainty instead of zero.
+    The samples are the centre value followed by the symmetric pairs, low
+    node first, in abscissa order.  The sums run in that order, pair sums
+    first.  The estimate is |K15 - G7| floored at the round-off level of
+    the weighted sum, so an exactly-integrated panel still reports the
+    unavoidable floating-point uncertainty instead of zero.
     """
-    fc = samples[0]
-    lows = samples[1::2]
-    highs = samples[2::2]
-    resk = _WGK_CENTER * fc
-    resabs = _WGK_CENTER * abs(fc)
-    for w, f1, f2 in zip(_WGK, lows, highs):
-        resk += w * (f1 + f2)
-        resabs += w * (abs(f1) + abs(f2))
-    # The Gauss-7 nodes are the odd-index Kronrod abscissae.
-    resg = _WG_CENTER * fc
-    for w, f1, f2 in zip(_WG, lows[1::2], highs[1::2]):
-        resg += w * (f1 + f2)
+    w1, w2, w3, w4, w5, w6, w7 = _WGK
+    s2, s4, s6 = l2 + h2, l4 + h4, l6 + h6
+    resk = (_WGK_CENTER * fc + w1 * (l1 + h1) + w2 * s2 + w3 * (l3 + h3) + w4 * s4
+            + w5 * (l5 + h5) + w6 * s6 + w7 * (l7 + h7))
+    resabs = (_WGK_CENTER * abs(fc) + w1 * (abs(l1) + abs(h1)) + w2 * (abs(l2) + abs(h2))
+              + w3 * (abs(l3) + abs(h3)) + w4 * (abs(l4) + abs(h4)) + w5 * (abs(l5) + abs(h5))
+              + w6 * (abs(l6) + abs(h6)) + w7 * (abs(l7) + abs(h7)))
+    # The Gauss-7 nodes are the even pairs of the Kronrod abscissae.
+    g1, g2, g3 = _WG
+    resg = _WG_CENTER * fc + g1 * s2 + g2 * s4 + g3 * s6
     err = abs(half * (resk - resg))
-    return half * resk, max(err, _ROUNDOFF * abs(half) * resabs), abs(half) * resabs
+    scale = abs(half)
+    floor = _ROUNDOFF * scale * resabs
+    return half * resk, floor if floor > err else err, scale * resabs
 
 
-def _gk15(f, a: float, b: float):
-    """One Gauss-Kronrod 7/15 application on [a, b].
+def _rules(half: float, samples: list):
+    """The rule of a panel's samples: one (K15, error, mass) triple, or a
+    tuple of them, one per component, for tuple-valued samples."""
+    if type(samples[0]) is tuple:
+        return tuple(_rule(half, *component) for component in zip(*samples))
+    return _rule(half, *samples)
 
-    Returns (values, errors, masses, vector): per-component tuples of the
-    K15 sum, its error estimate and the K15 sum of |f| (QUADPACK's resabs),
-    and whether ``f`` returned a tuple.  A scalar ``f`` is one component.
-    """
+
+def _center_and_half(a: float, b: float) -> tuple[float, float]:
+    """The centre and half-width of [a, b]; from the halved ends where
+    a + b or b - a overflows, so the centre stays inside."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    samples = [f(center)]
-    for x in _XGK:
-        dx = half * x
-        samples.append(f(center - dx))
-        samples.append(f(center + dx))
-    if type(samples[0]) is not tuple:
-        v, e, m = _rule(half, samples)
-        return (v,), (e,), (m,), False
-    rules = [_rule(half, component) for component in zip(*samples)]
-    return (
-        tuple(r[0] for r in rules),
-        tuple(r[1] for r in rules),
-        tuple(r[2] for r in rules),
-        True,
-    )
+    if half == math.inf or abs(center) == math.inf:
+        return 0.5 * a + 0.5 * b, 0.5 * b - 0.5 * a
+    return center, half
+
+
+def _gk15(f, guard, a: float, b: float, counter: list[int]):
+    """One Gauss-Kronrod 7/15 application of ``f`` on [a, b]: ``_rules``
+    of its values at the 15 nodes.
+
+    The nodes are evaluated in one pass and counted.  A value that raised
+    or is not finite leaves some mass non-finite (|f| sums to inf or NaN),
+    and only then are the values settled by ``guard``, node by node in
+    order from the first: it keeps the values the pass reached and
+    evaluates only the nodes past the one that raised.
+    """
+    center, half = _center_and_half(a, b)
+    x1, x2, x3, x4, x5, x6, x7 = _XGK
+    d1, d2, d3, d4 = half * x1, half * x2, half * x3, half * x4
+    d5, d6, d7 = half * x5, half * x6, half * x7
+    nodes = [center, center - d1, center + d1, center - d2, center + d2, center - d3, center + d3,
+             center - d4, center + d4, center - d5, center + d5, center - d6, center + d6,
+             center - d7, center + d7]
+    values = []
+    append = values.append
+    try:
+        for x in nodes:
+            append(f(x))
+    except _FAILURES:
+        append(None)
+    counter[0] += len(values)
+    if len(values) == 15:
+        rules = _rules(half, values)
+        if type(rules[0]) is tuple:
+            finite = all(math.isfinite(rule[2]) for rule in rules)
+        else:
+            finite = math.isfinite(rules[2])
+        if finite:
+            return rules
+    reached = len(values)
+    return _rules(half, [guard(x, values[k] if k < reached else _UNTRIED)
+                         for k, x in enumerate(nodes)])
+
+
+def _finite(y) -> bool:
+    if type(y) is tuple:
+        return all(map(math.isfinite, y))
+    return y is not None and math.isfinite(y)
 
 
 def _domain_guard(f, lo: float, hi: float, counter: list[int]):
-    """Wrap an integrand: count calls, normalize failures.
+    """The guarded value of ``f`` at a node x of [lo, hi]: ``guard(x)``
+    evaluates it, counted; ``guard(x, y)`` takes ``y`` as the value of a
+    first evaluation already counted, None where that raised.
 
-    DomainError (or a non-finite value, in any component of a tuple) within
-    1e-9*(hi-lo) of either endpoint is retried once, nudged 1e-12*(hi-lo)
-    into the interval; anywhere else it raises IntegrandError.
+    DomainError (or a math error, or a non-finite value, in any component
+    of a tuple) within 1e-9*(hi-lo) of either endpoint is retried once,
+    nudged 1e-12*(hi-lo) into the interval; anywhere else it raises
+    IntegrandError.
     """
     span = hi - lo
-    edge = _EDGE_FRACTION * span
-    nudge = _NUDGE_FRACTION * span
+    if span == math.inf:  # the span overflows; its fractions need not
+        edge = _EDGE_FRACTION * hi - _EDGE_FRACTION * lo
+        nudge = _NUDGE_FRACTION * hi - _NUDGE_FRACTION * lo
+    else:
+        edge = _EDGE_FRACTION * span
+        nudge = _NUDGE_FRACTION * span
 
     def attempt(x):
         counter[0] += 1
         try:
-            y = f(x)
-        except (DomainError, ValueError, ZeroDivisionError, OverflowError):
+            return f(x)
+        except _FAILURES:
             return None
-        if type(y) is tuple:
-            return y if all(map(math.isfinite, y)) else None
-        return y if math.isfinite(y) else None
 
-    def guarded(x: float):
-        y = attempt(x)
-        if y is not None:
+    def guarded(x: float, y=_UNTRIED):
+        if y is _UNTRIED:
+            y = attempt(x)
+        if _finite(y):
             return y
         if abs(x - lo) <= edge:
             y = attempt(x + nudge)
         elif abs(hi - x) <= edge:
             y = attempt(x - nudge)
-        if y is None:
+        if not _finite(y):
             raise IntegrandError(f"integrand undefined at {x!r} inside [{lo!r}, {hi!r}]")
         return y
 
@@ -218,7 +270,9 @@ def integrate_1d(f, lo: float, hi: float, tol: Tolerance | None = None) -> Quadr
     max(abs, rel * M_k), where M_k is the integral of |f_k|: a component
     that cancels to ~0 by symmetry is then held relative to its own size,
     not to an unreachable 1e-12.  The panel bisected next is the one with
-    the largest error relative to those scales.
+    the largest error relative to those scales.  An integral whose value or
+    error estimate is not finite (it overflows) raises
+    QuadratureNoConvergence.
     """
     tol = tol or Tolerance()
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -227,13 +281,72 @@ def integrate_1d(f, lo: float, hi: float, tol: Tolerance | None = None) -> Quadr
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
 
     counter = [0]
-    wf = _domain_guard(f, lo, hi, counter)
+    guard = _domain_guard(f, lo, hi, counter)
+    first = _gk15(f, guard, lo, hi, counter)
+    if type(first[0]) is tuple:
+        value, err = _vector_pass(f, guard, lo, hi, tol, counter, first)
+        finite = all(map(math.isfinite, value + err))
+    else:
+        value, err = _scalar_pass(f, guard, lo, hi, tol, counter, first)
+        finite = math.isfinite(value) and math.isfinite(err)
+    if not finite:
+        # Finite values whose integral overflows: no number to report.
+        raise QuadratureNoConvergence(
+            f"integral {value!r} with error estimate {err!r} over [{lo!r}, {hi!r}] is not finite"
+        )
+    return QuadratureResult(value, err, counter[0])
 
-    value, err, mass, vector = _gk15(wf, lo, hi)
-    # Panels are bisected in order of error over a fixed per-component
-    # scale: 1 for a scalar integral, the first pass's M_k budget for a
-    # vector one.
-    scale = tuple(max(tol.abs, tol.rel * m) for m in mass) if vector else (1.0,)
+
+def _scalar_pass(f, guard, lo: float, hi: float, tol: Tolerance, counter: list[int], first):
+    """The adaptive loop of a scalar integrand from its first panel's rule:
+    (value, error estimate).  The panel bisected next is the one with the
+    largest error."""
+    value, err, _ = first
+    # heap entries: (-error, seq, a, b, value, error, depth)
+    heap = [(-err, 0, lo, hi, value, err, 0)]
+    seq = 1
+    total_value, total_err = value, err
+    splits = 0
+    while True:
+        budget = max(tol.abs, tol.rel * abs(total_value))
+        if total_err <= budget:
+            break
+        _, _, a, b, v0, e0, depth = heapq.heappop(heap)
+        mid = _center_and_half(a, b)[0]
+        if depth >= tol.max_depth or not a < mid < b:
+            raise QuadratureNoConvergence(
+                f"error estimate {total_err!r} above tolerance {budget!r} "
+                f"after depth {depth} near [{a!r}, {b!r}]"
+            )
+        v1, e1, _ = _gk15(f, guard, a, mid, counter)
+        v2, e2, _ = _gk15(f, guard, mid, b, counter)
+        total_value = total_value + ((v1 + v2) - v0)
+        total_err = total_err + ((e1 + e2) - e0)
+        heapq.heappush(heap, (-e1, seq, a, mid, v1, e1, depth + 1))
+        heapq.heappush(heap, (-e2, seq + 1, mid, b, v2, e2, depth + 1))
+        seq += 2
+        splits += 1
+        if splits > _MAX_SUBDIVISIONS:
+            raise QuadratureNoConvergence(
+                f"exceeded {_MAX_SUBDIVISIONS} subdivisions with error {total_err!r}"
+            )
+    # Fixed reduction order (by left endpoint) keeps results
+    # bit-reproducible regardless of the pop history above.
+    heap.sort(key=lambda item: item[2])
+    return math.fsum([item[4] for item in heap]), math.fsum([item[5] for item in heap])
+
+
+def _vector_pass(f, guard, lo: float, hi: float, tol: Tolerance, counter: list[int], first):
+    """The adaptive loop of a tuple-valued integrand from its first panel's
+    rules: per-component (values, error estimates).  Panels are bisected in
+    order of error over a fixed per-component scale, the first pass's M_k
+    budget."""
+
+    def split(rules):
+        return tuple(zip(*rules))
+
+    value, err, mass = split(first)
+    scale = tuple(max(tol.abs, tol.rel * m) for m in mass)
 
     def priority(e: tuple) -> float:
         return max(ek / sk for ek, sk in zip(e, scale))
@@ -244,21 +357,18 @@ def integrate_1d(f, lo: float, hi: float, tol: Tolerance | None = None) -> Quadr
     total_value, total_err, total_mass = value, err, mass
     splits = 0
     while True:
-        if vector:
-            budget = tuple(max(tol.abs, tol.rel * m) for m in total_mass)
-        else:
-            budget = (max(tol.abs, tol.rel * abs(total_value[0])),)
+        budget = tuple(max(tol.abs, tol.rel * m) for m in total_mass)
         if all(e <= b for e, b in zip(total_err, budget)):
             break
         _, _, a, b, v0, e0, m0, depth = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
+        mid = _center_and_half(a, b)[0]
         if depth >= tol.max_depth or not a < mid < b:
             raise QuadratureNoConvergence(
                 f"error estimate {_shown(total_err)!r} above tolerance {_shown(budget)!r} "
                 f"after depth {depth} near [{a!r}, {b!r}]"
             )
-        v1, e1, m1, _ = _gk15(wf, a, mid)
-        v2, e2, m2, _ = _gk15(wf, mid, b)
+        v1, e1, m1 = split(_gk15(f, guard, a, mid, counter))
+        v2, e2, m2 = split(_gk15(f, guard, mid, b, counter))
         total_value = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_value, v1, v2, v0))
         total_err = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_err, e1, e2, e0))
         total_mass = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_mass, m1, m2, m0))
@@ -270,15 +380,8 @@ def integrate_1d(f, lo: float, hi: float, tol: Tolerance | None = None) -> Quadr
             raise QuadratureNoConvergence(
                 f"exceeded {_MAX_SUBDIVISIONS} subdivisions with error {_shown(total_err)!r}"
             )
-
-    # Fixed reduction order (sorted by left endpoint) keeps results
-    # bit-reproducible regardless of the pop history above.
-    segments = sorted((item[2], item[4], item[5]) for item in heap)
-    value = _fsum_components([s[1] for s in segments])
-    err = _fsum_components([s[2] for s in segments])
-    if vector:
-        return QuadratureResult(value, err, counter[0])
-    return QuadratureResult(value[0], err[0], counter[0])
+    heap.sort(key=lambda item: item[2])
+    return _fsum_components([item[4] for item in heap]), _fsum_components([item[5] for item in heap])
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +443,46 @@ def _section(piece: Piece):
     if piece.map == POLAR:
         return _polar_section(piece.near, piece.far)
     return _normal_section(piece.near, piece.far, piece.map == SWAP)
+
+
+def _linear_section(piece: Piece, scale: float, a: float, b: float, c: float):
+    """scale * (a*Sx + b*Sy + c*A) of the section of ``piece`` at u.  A
+    normal piece's is one closure over its curves, with the operations of
+    its moment section in the same order; a polar piece's reads its moment
+    section."""
+    if piece.map == POLAR:
+        section = _polar_section(piece.near, piece.far)
+
+        def form(u: float) -> float:
+            m1, mx, my = section(u)
+            return scale * (a * mx + b * my + c * m1)
+
+        return form
+
+    lower, upper = piece.near, piece.far
+    # The coefficients of u * width and of the inner moment; a SWAP
+    # piece's outer coordinate is y.  (Addition commutes bit for bit.)
+    p, q = (b, a) if piece.map == SWAP else (a, b)
+    empty = scale * (a * 0.0 + b * 0.0 + c * 0.0)
+
+    def form(u: float) -> float:
+        lo = lower(u)
+        hi = upper(u)
+        if not hi > lo:
+            return empty
+        width = hi - lo
+        return scale * (p * (u * width) + q * (0.5 * width * (hi + lo)) + c * width)
+
+    return form
+
+
+def linear_sections(region: Region, scale: float, a: float, b: float, c: float) -> list:
+    """The region's pieces as (u0, u1, form), where form(u) is the inner
+    integral of scale * (a*x + b*y + c) over the cross-section at u, in
+    closed form: scale * (a*Sx + b*Sy + c*A) of ``moment_sections``'
+    section, computed alike."""
+    return [(piece.u0, piece.u1, _linear_section(piece, scale, a, b, c))
+            for piece in pieces(region)]
 
 
 def moment_sections(region: Region) -> list:

@@ -388,3 +388,257 @@ def ref_axis_side_check(region, axis):
     raise rv.AxisIntersectsRegion(
         f"axis meets the region: signed distances span [{d_min!r}, {d_max!r}]"
     )
+
+
+# ---------------------------------------------------------------------------
+# Quadrature pins: a seeded corpus of job documents and the results pinned
+# for each (tests/quadrature_pins.json)
+
+QUADRATURE_ROUTES = ("double_integral", "disk", "shell", "polar", "pappus")
+
+# Seed of the pinned corpus.
+QUADRATURE_PIN_SEED = 20261018
+
+
+def _disk_doc(rng, kind):
+    """A disk between two sqrt arcs, steep at its ends: panels crowd there."""
+    u, v = ("x", "y") if kind == "normal_x" else ("y", "x")
+    # Dyadic centre and radius: the ends, and r^2, are exact.
+    cu, cv = (int(k) / 16.0 for k in rng.integers(-32, 33, size=2))
+    r = int(rng.integers(5, 25)) / 16.0
+    arc = f"sqrt({r * r!r}-({u}-({cu!r}))^2)"
+    near, far = ("lower", "upper") if kind == "normal_x" else ("left", "right")
+    return {"type": kind, f"{u}_min": repr(cu - r), f"{u}_max": repr(cu + r),
+            near: f"({cv!r})-{arc}", far: f"({cv!r})+{arc}"}
+
+
+def _poly_doc(rng, kind, shift=0.0):
+    """A band between a cubic and the cubic plus a positive quadratic."""
+    u = "x" if kind == "normal_x" else "y"
+    lo = float(rng.uniform(-2, 1)) + shift
+    hi = lo + float(rng.uniform(0.5, 2.0))
+    near = poly_expr(rng.uniform(-1.0, 1.0, size=4), u)
+    mid, gap, bow = (float(v) for v in (rng.uniform(lo, hi), rng.uniform(0.05, 1.5),
+                                        rng.uniform(0.0, 2.0)))
+    far = f"({near})+({gap!r})+({bow!r})*({u}-({mid!r}))^2"
+    names = ("lower", "upper") if kind == "normal_x" else ("left", "right")
+    return {"type": kind, f"{u}_min": repr(lo), f"{u}_max": repr(hi),
+            names[0]: near, names[1]: far}
+
+
+def _polar_doc(rng):
+    t0 = float(rng.uniform(-3.0, 2.0))
+    t1 = t0 + float(rng.uniform(0.5, 3.0))
+    inner = float(rng.uniform(0.0, 0.8))
+    outer = inner + float(rng.uniform(0.3, 1.2))
+    wave = float(rng.uniform(0.0, 0.25)) * (outer - inner)
+    k = int(rng.integers(1, 5))
+    return {"type": "polar", "theta_min": repr(t0), "theta_max": repr(t1),
+            "rho_min": repr(inner), "rho_max": f"{outer!r}+{wave!r}*cos({k}*theta)"}
+
+
+def _polygon_doc(rng, shift=0.0):
+    poly = random_convex_polygon(rng)
+    return {"type": "polygon", "vertices": [[repr(v.x + shift), repr(v.y)] for v in poly.vertices]}
+
+
+def _exterior_axis_doc(rng, region, orientation):
+    """An axis clear of the region's bounding box by a random gap."""
+    x_lo, x_hi, y_lo, y_hi = rv.bounding_box(region)
+    gap = float(rng.uniform(0.05, 2.0))
+    below = rng.uniform() < 0.5
+    if orientation == "vertical":
+        return {"vertical_at": repr(x_lo - gap if below else x_hi + gap)}
+    if orientation == "horizontal":
+        return {"horizontal_at": repr(y_lo - gap if below else y_hi + gap)}
+    phi = float(rng.uniform(0.0, 2.0 * math.pi))
+    nx, ny = math.cos(phi), math.sin(phi)
+    dots = [nx * x + ny * y for x in (x_lo, x_hi) for y in (y_lo, y_hi)]
+    c = gap - min(dots) if below else -(max(dots) + gap)
+    return {"a": repr(nx), "b": repr(ny), "c": repr(c)}
+
+
+def quadrature_pin_cases(seed=QUADRATURE_PIN_SEED):
+    """(id, job document) pairs: two regions of each of the five variants
+    (sqrt disks and polynomial bands, polar sectors, convex polygons, unions
+    of a band and a polygon), each about a vertical, a horizontal and an
+    oblique exterior axis."""
+    from revolve.config import parse_job
+
+    rng = np.random.default_rng(seed)
+    regions = [
+        ("normal_x", _disk_doc(rng, "normal_x")), ("normal_x", _poly_doc(rng, "normal_x")),
+        ("normal_y", _disk_doc(rng, "normal_y")), ("normal_y", _poly_doc(rng, "normal_y")),
+        ("polar", _polar_doc(rng)), ("polar", _polar_doc(rng)),
+        ("polygon", _polygon_doc(rng)), ("polygon", _polygon_doc(rng)),
+    ]
+    for _ in range(2):
+        regions.append(("union", {"type": "union", "parts": [
+            _poly_doc(rng, "normal_x", shift=-4.0), _polygon_doc(rng, shift=4.0)]}))
+    cases = []
+    for i, (kind, region_doc) in enumerate(regions):
+        region = parse_job({"region": region_doc, "axis": "OY"}).region
+        for orientation in ("vertical", "horizontal", "oblique"):
+            doc = {"region": region_doc, "axis": _exterior_axis_doc(rng, region, orientation)}
+            cases.append((f"{i}-{kind}-{orientation}", doc))
+    return cases
+
+
+def quadrature_pin(job):
+    """What the quadrature pins hold for a job: for each route of
+    QUADRATURE_ROUTES, [repr(value), repr(error estimate), evaluations] or
+    the name of the error it raised; and the centroid with its moment pass."""
+    from revolve.methods import _region_moments, run_route
+
+    pin = {}
+    for name in QUADRATURE_ROUTES:
+        try:
+            r = run_route(name, job.region, job.axis, job.tolerance)
+        except rv.RevolveError as exc:
+            pin[name] = type(exc).__name__
+        else:
+            pin[name] = [repr(r.value), repr(r.error_estimate), r.evaluations]
+    try:
+        c = rv.centroid(job.region, job.tolerance)
+    except rv.RevolveError as exc:
+        pin["centroid"] = type(exc).__name__
+    else:
+        m = _region_moments(job.region, job.tolerance)
+        pin["centroid"] = [repr(c.centroid.x), repr(c.centroid.y), repr(c.area),
+                           repr(m.value), repr(m.error_estimate), m.evaluations]
+    return pin
+
+
+# ---------------------------------------------------------------------------
+# Reference quadrature: the per-node guarded Gauss-Kronrod pass that
+# integrate_1d's one-pass-per-panel kernel replaces, with its heap loop.
+
+def _ref_rule(half, samples):
+    from revolve.quadrature import _ROUNDOFF, _WG, _WG_CENTER, _WGK, _WGK_CENTER
+
+    fc = samples[0]
+    lows = samples[1::2]
+    highs = samples[2::2]
+    resk = _WGK_CENTER * fc
+    resabs = _WGK_CENTER * abs(fc)
+    for w, f1, f2 in zip(_WGK, lows, highs):
+        resk += w * (f1 + f2)
+        resabs += w * (abs(f1) + abs(f2))
+    resg = _WG_CENTER * fc
+    for w, f1, f2 in zip(_WG, lows[1::2], highs[1::2]):
+        resg += w * (f1 + f2)
+    err = abs(half * (resk - resg))
+    return half * resk, max(err, _ROUNDOFF * abs(half) * resabs), abs(half) * resabs
+
+
+def _ref_gk15(f, a, b):
+    from revolve.quadrature import _XGK
+
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    samples = [f(center)]
+    for x in _XGK:
+        dx = half * x
+        samples.append(f(center - dx))
+        samples.append(f(center + dx))
+    if type(samples[0]) is not tuple:
+        v, e, m = _ref_rule(half, samples)
+        return (v,), (e,), (m,), False
+    rules = [_ref_rule(half, component) for component in zip(*samples)]
+    return (tuple(r[0] for r in rules), tuple(r[1] for r in rules),
+            tuple(r[2] for r in rules), True)
+
+
+def _ref_domain_guard(f, lo, hi, counter):
+    from revolve.errors import DomainError, IntegrandError
+
+    span = hi - lo
+    edge = 1e-9 * span
+    nudge = 1e-12 * span
+
+    def attempt(x):
+        counter[0] += 1
+        try:
+            y = f(x)
+        except (DomainError, ValueError, ZeroDivisionError, OverflowError):
+            return None
+        if type(y) is tuple:
+            return y if all(map(math.isfinite, y)) else None
+        return y if math.isfinite(y) else None
+
+    def guarded(x):
+        y = attempt(x)
+        if y is not None:
+            return y
+        if abs(x - lo) <= edge:
+            y = attempt(x + nudge)
+        elif abs(hi - x) <= edge:
+            y = attempt(x - nudge)
+        if y is None:
+            raise IntegrandError(f"integrand undefined at {x!r} inside [{lo!r}, {hi!r}]")
+        return y
+
+    return guarded
+
+
+def ref_integrate_1d(f, lo, hi, tol=None):
+    """``integrate_1d`` with every node guarded on its own."""
+    import heapq
+
+    from revolve.errors import QuadratureNoConvergence
+    from revolve.quadrature import _MAX_SUBDIVISIONS
+
+    def fsum_components(values):
+        if values and type(values[0]) is tuple:
+            return tuple(math.fsum(component) for component in zip(*values))
+        return math.fsum(values)
+
+    def shown(components):
+        return components[0] if len(components) == 1 else components
+
+    tol = tol or rv.Tolerance()
+    counter = [0]
+    wf = _ref_domain_guard(f, lo, hi, counter)
+    value, err, mass, vector = _ref_gk15(wf, lo, hi)
+    scale = tuple(max(tol.abs, tol.rel * m) for m in mass) if vector else (1.0,)
+
+    def priority(e):
+        return max(ek / sk for ek, sk in zip(e, scale))
+
+    heap = [(-priority(err), 0, lo, hi, value, err, mass, 0)]
+    seq = 1
+    total_value, total_err, total_mass = value, err, mass
+    splits = 0
+    while True:
+        if vector:
+            budget = tuple(max(tol.abs, tol.rel * m) for m in total_mass)
+        else:
+            budget = (max(tol.abs, tol.rel * abs(total_value[0])),)
+        if all(e <= b for e, b in zip(total_err, budget)):
+            break
+        _, _, a, b, v0, e0, m0, depth = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        if depth >= tol.max_depth or not a < mid < b:
+            raise QuadratureNoConvergence(
+                f"error estimate {shown(total_err)!r} above tolerance {shown(budget)!r} "
+                f"after depth {depth} near [{a!r}, {b!r}]"
+            )
+        v1, e1, m1, _ = _ref_gk15(wf, a, mid)
+        v2, e2, m2, _ = _ref_gk15(wf, mid, b)
+        total_value = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_value, v1, v2, v0))
+        total_err = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_err, e1, e2, e0))
+        total_mass = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_mass, m1, m2, m0))
+        heapq.heappush(heap, (-priority(e1), seq, a, mid, v1, e1, m1, depth + 1))
+        heapq.heappush(heap, (-priority(e2), seq + 1, mid, b, v2, e2, m2, depth + 1))
+        seq += 2
+        splits += 1
+        if splits > _MAX_SUBDIVISIONS:
+            raise QuadratureNoConvergence(
+                f"exceeded {_MAX_SUBDIVISIONS} subdivisions with error {shown(total_err)!r}"
+            )
+    segments = sorted((item[2], item[4], item[5]) for item in heap)
+    value = fsum_components([s[1] for s in segments])
+    err = fsum_components([s[2] for s in segments])
+    if vector:
+        return rv.QuadratureResult(value, err, counter[0])
+    return rv.QuadratureResult(value[0], err[0], counter[0])

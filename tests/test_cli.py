@@ -53,6 +53,21 @@ class TestVolume:
         assert code == 3
         assert "AxisIntersectsRegion" in err
 
+    @pytest.mark.parametrize("command", [
+        ["volume"], ["volume", "--method", "monte_carlo", "--mc-samples", "70000"],
+        ["volume", "--method", "pappus"], ["centroid"],
+    ], ids=["double_integral", "monte_carlo", "pappus", "centroid"])
+    def test_span_beyond_float_range_exits_3(self, capsys, tmp_path, command):
+        # x in [-1e308, 1e308]: the first panel's width, the area and the
+        # Monte Carlo box all overflow.  Each is a clean error, not a NaN.
+        path = write_config(tmp_path, {
+            "region": {"type": "normal_x", "x_min": "-1e308", "x_max": "1e308",
+                       "lower": "0", "upper": "1+x*0"},
+            "axis": {"horizontal_at": -1}})
+        code, out, err = run_cli(capsys, command[0], "--config", path, *command[1:])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_method_all_is_config_error(self, capsys, fixtures_dir):
         code, _, err = run_cli(capsys, "volume",
                                "--config", str(fixtures_dir / "sector_polar.json"),

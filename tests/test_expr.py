@@ -308,6 +308,70 @@ class TestCompiledMatchesTreeWalk:
         assert str(err.value) == "'/' failed on (1.0, 0.0)"
         assert isinstance(err.value.__cause__, ZeroDivisionError)
 
+    @pytest.mark.parametrize("text,x,message,cause", [
+        ("1/x", 0.0, "'/' failed on (1.0, 0.0)", ZeroDivisionError),
+        ("1/(x-x)", 2.0, "'/' failed on (1.0, 0.0)", ZeroDivisionError),
+        ("x^0.5", -1.0, "'^' failed on (-1.0, 0.5)", ValueError),
+        ("x^-1", 0.0, "'^' failed on (0.0, -1.0)", ValueError),
+        ("10^x", 400.0, "'^' failed on (10.0, 400.0)", OverflowError),
+        ("sqrt(x)", -1.0, "sqrt(-1.0) is undefined", ValueError),
+        ("sin(x)", math.inf, "sin(inf) is undefined", ValueError),
+        ("cos(x)", -math.inf, "cos(-inf) is undefined", ValueError),
+        ("tan(x)", math.inf, "tan(inf) is undefined", ValueError),
+        ("asin(x)", 2.0, "asin(2.0) is undefined", ValueError),
+        ("acos(x)", -2.0, "acos(-2.0) is undefined", ValueError),
+        ("atan(x)", math.nan, "'atan(x)' is not finite at nan", None),
+        ("exp(x)", 1000.0, "exp(1000.0) is undefined", OverflowError),
+        ("log(x)", 0.0, "log(0.0) is undefined", ValueError),
+        ("log(x)", -1.0, "log(-1.0) is undefined", ValueError),
+        ("abs(x)", math.inf, "'abs(x)' is not finite at inf", None),
+        ("x*1e308*10", 1.0, "'x*1e308*10' is not finite at 1.0", None),
+        pytest.param("x*2", 10**400, f"'x*2' is not finite at {10**400!r}", OverflowError,
+                     id="int-beyond-float-range"),
+    ])
+    def test_error_messages_pinned(self, text, x, message, cause):
+        with pytest.raises(DomainError) as err:
+            rv.eval_expr(rv.parse_expr(text, "x"), x)
+        assert str(err.value) == message
+        assert (err.value.__cause__ is None) if cause is None else (
+            type(err.value.__cause__) is cause)
+
+    @pytest.mark.parametrize("text,message,cause", [
+        ("1e308*10", "non-finite scalar '1e308*10'", None),
+        ("1e999", "non-finite scalar '1e999'", None),
+        ("1/0", "'/' failed on (1.0, 0.0)", ZeroDivisionError),
+        ("(0-1)^0.5", "'^' failed on (-1.0, 0.5)", ValueError),
+    ])
+    def test_constant_error_messages_pinned(self, text, message, cause):
+        with pytest.raises(DomainError) as err:
+            rv.parse_scalar(text)
+        assert str(err.value) == message
+        assert (err.value.__cause__ is None) if cause is None else (
+            type(err.value.__cause__) is cause)
+
+    def test_checked_evaluator_compiled_on_first_failure(self, monkeypatch):
+        compiled = []
+        real = expr._compile
+
+        def counting(*args, **kwargs):
+            compiled.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(expr, "_compile", counting)
+        rv.parse_expr.cache_clear()
+        try:
+            ast = rv.parse_expr("sqrt(1 - x^2)/(x + 2)", "x")
+            for x in (-1.0, -0.5, 0.0, 0.25, 1.0):
+                assert rv.eval_expr(ast, x) == ref_eval_expr(ast, x)
+            assert len(compiled) == 1  # a curve that never fails: one function
+            for _ in range(2):
+                with pytest.raises(DomainError, match=re.escape("sqrt(-3.0) is undefined")):
+                    rv.eval_expr(ast, 2.0)
+            assert len(compiled) == 2  # the checked one, once
+            assert rv.eval_expr(ast, 0.5) == ref_eval_expr(ast, 0.5)
+        finally:
+            rv.parse_expr.cache_clear()
+
     @pytest.mark.parametrize("text", ["x + __import__('os')", "__import__", "x.__class__",
                                       "b1", "t0", "evaluate(x)", "x; 1", "x\n1"])
     def test_source_text_never_reaches_the_compiler(self, text):

@@ -565,6 +565,12 @@ class TestMonteCarlo:
         whole = np.random.Philox(key=5).random_raw(7 + _CHUNK + 3)
         assert np.array_equal(np.concatenate([head, tail]), whole)
 
+    def test_box_beyond_float_range_is_refused(self):
+        # The box's width overflows; sampling it would give NaN.
+        region = rv.NormalX(-1e308, 1e308, rv.curve("0", "x"), rv.curve("1+x*0", "x"))
+        with pytest.raises(rv.InvalidRegionError, match="too large to sample"):
+            rv.volume_monte_carlo(region, rv.Axis.horizontal(-1.0), rv.McConfig(1000, 0))
+
     @pytest.mark.parametrize("fixture", ["unit_square", "sector_polar"])
     def test_memory_does_not_grow_with_samples(self, fixture):
         job = load_job(FIXTURES / f"{fixture}.json")

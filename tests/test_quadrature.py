@@ -1,14 +1,19 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 import revolve as rv
-from revolve.errors import IntegrandError, QuadratureNoConvergence
-from revolve.quadrature import _domain_guard, moment_sections, sum_results
+from revolve.config import load_job, parse_job
+from revolve.errors import DomainError, IntegrandError, QuadratureNoConvergence
+from revolve.quadrature import _XGK, _domain_guard, moment_sections, sum_results
 from revolve.region import pieces
 
-from helpers import cone_triangle, sector_polar
+from conftest import FIXTURES
+from helpers import (cone_triangle, quadrature_pin, quadrature_pin_cases, ref_integrate_1d,
+                     sector_polar)
 
 
 class TestIntegrate1D:
@@ -63,6 +68,30 @@ class TestIntegrate1D:
             rv.integrate_1d(lambda x: x, 1.0, 1.0)
         with pytest.raises(ValueError):
             rv.integrate_1d(lambda x: x, 0.0, math.inf)
+
+    def test_nodes_stay_inside_a_span_beyond_float_range(self):
+        # b - a overflows: the nodes come from the halved ends.
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 1e-300
+
+        res = rv.integrate_1d(f, -1e308, 1e308)
+        assert all(-1e308 < x < 1e308 for x in seen)
+        assert res.value == pytest.approx(2e8, rel=1e-12)
+
+    def test_panels_split_inside_a_span_beyond_float_range(self):
+        # a + b overflows: the panels are bisected at the halved ends' sum.
+        k = 1e-307
+        res = rv.integrate_1d(lambda x: math.sin(k * x), 1e308, 1.7e308)
+        assert res.evaluations > 15
+        assert res.value == pytest.approx((math.cos(10.0) - math.cos(17.0)) / k, rel=1e-9)
+
+    @pytest.mark.parametrize("f", [lambda x: 1.0, lambda x: (1.0, x)], ids=["scalar", "vector"])
+    def test_integral_beyond_float_range_is_refused(self, f):
+        with pytest.raises(QuadratureNoConvergence, match=r"over \[-1e\+308, 1e\+308\] is not finite"):
+            rv.integrate_1d(f, -1e308, 1e308)
 
     def test_deterministic(self):
         runs = {
@@ -181,10 +210,134 @@ class TestDomainGuard:
         with pytest.raises(IntegrandError):
             guard(0.5)
 
+    def test_nudge_stays_inside_a_span_beyond_float_range(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            if x == -1e308:
+                raise rv.DomainError("edge")
+            return 2.0
+
+        guard = _domain_guard(f, -1e308, 1e308, [0])
+        assert guard(-1e308) == 2.0
+        assert seen[0] == -1e308 < seen[1] < -0.99e308
+
     def test_nan_treated_as_failure(self):
         guard = _domain_guard(lambda x: math.nan, 0.0, 1.0, [0])
         with pytest.raises(IntegrandError):
             guard(0.5)
+
+
+def _panel_nodes(a, b):
+    """The 15 Kronrod nodes of the panel [a, b], in the order they are
+    evaluated: the centre, then each symmetric pair."""
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    nodes = [center]
+    for x in _XGK:
+        nodes += [center - half * x, center + half * x]
+    return nodes
+
+
+def _failing_at(f, points, how):
+    """``f``, but raising DomainError (how="raise") or returning NaN at
+    exactly these points."""
+    points = set(points)
+
+    def g(x):
+        if x in points:
+            if how == "raise":
+                raise DomainError("fails here")
+            return math.nan
+        return f(x)
+
+    return g
+
+
+def _outcome(integrate, f, lo, hi, tol=None):
+    try:
+        res = integrate(f, lo, hi, tol)
+    except IntegrandError as exc:
+        return str(exc)
+    return repr(res.value), repr(res.error_estimate), res.evaluations
+
+
+_TIGHT = rv.Tolerance(rel=1e-13, abs=1e-15)
+
+
+class TestOnePassMatchesPerNodeGuard:
+    """integrate_1d evaluates a panel's nodes in one pass and guards them
+    only from the first failure on; the reference guards every node
+    (helpers.ref_integrate_1d).  Values, error estimates, evaluation counts
+    and the first IntegrandError message agree."""
+
+    def check(self, f, lo=0.0, hi=1.0, tol=None):
+        got = _outcome(rv.integrate_1d, f, lo, hi, tol)
+        assert got == _outcome(ref_integrate_1d, f, lo, hi, tol)
+        return got
+
+    def test_endpoint_nudges_of_log(self):
+        # Nodes below 5e-13 raise; each is retried 1e-12 further in.
+        _, _, evaluations = self.check(lambda x: math.log(x - 5e-13), tol=_TIGHT)
+        assert evaluations % 15 != 0
+
+    @pytest.mark.parametrize("how", ["raise", "nan"])
+    def test_endpoint_nudge_of_sqrt(self, how):
+        # The panel [0, 2^-23] has its first pair's low node within 1e-9 of 0.
+        node = _panel_nodes(0.0, 2.0**-23)[1]
+        assert node <= 1e-9
+        _, _, evaluations = self.check(_failing_at(math.sqrt, [node], how), tol=_TIGHT)
+        assert evaluations % 15 == 1
+
+    @pytest.mark.parametrize("how", ["raise", "nan"])
+    def test_nudged_node_then_interior_failure_in_one_panel(self, how):
+        nodes = _panel_nodes(0.0, 2.0**-23)
+        near_edge, interior = nodes[1], nodes[3]
+        assert near_edge <= 1e-9 < interior
+        message = self.check(_failing_at(math.log, [near_edge, interior], how))
+        assert message == f"integrand undefined at {interior!r} inside [0.0, 1.0]"
+
+    def test_raise_and_nan_in_one_panel(self):
+        nodes = _panel_nodes(0.0, 2.0**-23)
+        f = _failing_at(_failing_at(math.log, [nodes[1]], "raise"), [nodes[3]], "nan")
+        assert isinstance(self.check(f), str)
+        g = _failing_at(_failing_at(math.log, [nodes[3]], "raise"), [nodes[1]], "nan")
+        assert self.check(g) == f"integrand undefined at {nodes[3]!r} inside [0.0, 1.0]"
+
+    def test_non_finite_from_the_integrands_own_arithmetic(self):
+        message = self.check(lambda x: 1e308 * (2.0 + x))
+        assert message == "integrand undefined at 0.5 inside [0.0, 1.0]"
+
+    def test_vector_with_one_non_finite_component(self):
+        def f(x):
+            return (x, math.log(x) if x > 5e-13 else math.inf)
+
+        _, _, evaluations = self.check(f, tol=_TIGHT)
+        assert evaluations % 15 != 0
+        message = self.check(lambda x: (1.0, math.nan if x == 0.5 else x))
+        assert message == "integrand undefined at 0.5 inside [0.0, 1.0]"
+
+    @pytest.mark.parametrize("f", [lambda x: 3, lambda x: int(4 * x), lambda x: (1, int(4 * x))],
+                             ids=["constant", "steps", "vector"])
+    def test_integrand_returning_ints(self, f):
+        self.check(f)
+
+    @pytest.mark.parametrize("f,lo,hi", [
+        (math.sin, 0.0, math.pi), (lambda x: math.exp(-x * x), -2.0, 3.0),
+        (math.sqrt, 0.0, 1.0), (lambda x: (1.0, x, math.exp(x)), 0.0, 2.0),
+        (lambda x: (1.0, 1e6 * x * math.sqrt(1.0 - x * x)), -1.0, 1.0),
+    ], ids=["sin", "gauss", "sqrt", "vector", "cancelling"])
+    def test_smooth_integrands(self, f, lo, hi):
+        self.check(f, lo, hi)
+
+    def test_no_convergence_message(self):
+        tol = rv.Tolerance(rel=1e-14, abs=1e-15, max_depth=3)
+        messages = []
+        for integrate in (rv.integrate_1d, ref_integrate_1d):
+            with pytest.raises(QuadratureNoConvergence) as err:
+                integrate(lambda x: math.sin(50.0 * x), 0.0, 10.0, tol)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 class TestIntegrateRegion:
@@ -268,3 +421,26 @@ class TestIntegrateRegion:
         assert len(pieces(ell)) == 2  # one trapezoid per vertical slab
         res = rv.integrate_region(ell, lambda p: 1.0)
         assert abs(res.value - 3.0) <= 1e-12
+
+
+_QUAD_PINS = json.loads((pathlib.Path(__file__).parent / "quadrature_pins.json").read_text())
+_PIN_CASES = quadrature_pin_cases()
+
+
+class TestQuadraturePins:
+    """Every quadrature route's value, error estimate and evaluations, and
+    the centroid with its moment pass, pinned bit for bit as the per-node
+    guarded Gauss-Kronrod rule gave them (``helpers.quadrature_pin``): the
+    12 fixtures, and a seeded corpus of all five variants about vertical,
+    horizontal and oblique exterior axes."""
+
+    @pytest.mark.parametrize("name", sorted(_QUAD_PINS["fixtures"]))
+    def test_fixture(self, name):
+        assert quadrature_pin(load_job(FIXTURES / name)) == _QUAD_PINS["fixtures"][name]
+
+    def test_corpus_is_the_pinned_one(self):
+        assert [case_id for case_id, _ in _PIN_CASES] == list(_QUAD_PINS["corpus"])
+
+    @pytest.mark.parametrize("case_id,doc", _PIN_CASES, ids=[c for c, _ in _PIN_CASES])
+    def test_corpus(self, case_id, doc):
+        assert quadrature_pin(parse_job(doc)) == _QUAD_PINS["corpus"][case_id]
