@@ -22,7 +22,9 @@ DomainError as well, so quadrature can treat all failures uniformly.
 Each expression is compiled into a straight-line Python function per
 evaluator (see Compilation below), with one table of helpers each: the
 scalar evaluator when it is parsed (``parse_expr`` is a bounded cache by
-text and variable), the array and interval evaluators on first use.  Only
+text and variable), the array and interval evaluators on first use.  The
+generated source holds no constant, so expressions of one shape share one
+compiled code object, each with its own constants bound.  Only
 the array evaluator needs numpy, and it imports it then.  The scalar
 evaluator calls math inline; where it fails, it hands over to a checked
 twin, compiled on the first failure, whose DomainError names the failing
@@ -81,6 +83,9 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 # Distinct (text, variable) pairs that parse_expr keeps parsed and compiled.
 _PARSE_CACHE_SIZE = 256
+
+# Distinct generated sources that _compile keeps compiled to code objects.
+_CODE_CACHE_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +350,11 @@ def parse_scalar(text) -> float:
 # live in a stack of names t0, t1, ...: an operation replaces its operands,
 # so each one is released once used, as in a tree walk (which matters for
 # large arrays).  A node whose operands are all constants is computed while
-# compiling, with the same operation, unless that fails.
+# compiling, with the same operation, unless that fails.  So the source
+# depends only on the shape of the AST (which constants fold included) and
+# on the table, never on a constant's value or the expression's text: it is
+# compiled once per distinct source (``_code``, a bounded cache), and each
+# expression executes that code object into its own globals.
 #
 # The scalar evaluator is two functions.  The one eval_expr calls divides
 # and calls math.pow and the math functions inline; where an operation
@@ -432,8 +441,15 @@ def _compile(root: Node, helpers: dict, fail: Callable | None = None,
         lines = [*body, "except errors: pass", "return retry(x)"]
     else:
         lines.append(f"return {result}")
-    exec("def evaluate(x):\n" + "".join(f"    {line}\n" for line in lines), bound)
+    exec(_code("def evaluate(x):\n" + "".join(f"    {line}\n" for line in lines)), bound)
     return bound["evaluate"]
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code(source: str):
+    """``source`` compiled; sources that recur (same-shaped expressions)
+    are compiled once."""
+    return compile(source, "<string>", "exec")
 
 
 def _compiled_on_first_call(root: Node, fail: Callable) -> Callable:

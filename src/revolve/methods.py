@@ -14,9 +14,9 @@ so a normal_y region is a normal_x one with its coordinates swapped:
 * shell:  integral of 2*pi*|x - x0| * (upper - lower) dx   (vertical axis)
 * disk:   integral of pi * ((right - x0)^2 - (left - x0)^2) dy, signed by
           which side of the axis the region lies on
-* polar:  the double integral in polar coordinates with Jacobian rho,
-          iterated 2D quadrature (``integrate_region``); its inner pass is
-          exact in one panel, so it walks double_integral's outer panels
+* polar:  the double integral in polar coordinates with Jacobian rho:
+          double_integral's pass on sectors, whose closed-form sections
+          integrate over rho
 * pappus: 2*pi * distance(centroid, axis) * area, from the area and first
           moments; exact for polygons (shoelace), else one vector-valued 1D
           pass over the closed-form sections, cached per (region, tolerance)
@@ -32,13 +32,11 @@ Carlo with an McConfig, the others with a Tolerance).
 Not all of them are independent checks of one another.  On a normal_x
 region about a vertical axis, double_integral and shell integrate the same
 1D integrand (the shell's height times its radius), so they agree by
-construction; pappus uses the same sections.  Polar is no independent
-check of double_integral either: its inner integrand is a quadratic in rho,
-which one Gauss-Kronrod panel integrates exactly, so it walks exactly
-double_integral's outer panels at 16 times the evaluations.  Disk (a
-quadratic integrand) and Monte Carlo are independent of the sections; disk
-does not apply to sectors, so there Monte Carlo is the only independent
-witness.
+construction; pappus uses the same sections.  Polar is double_integral's
+pass (``_distance_pass``) on sectors, so the two agree bit for bit there.
+Disk (a quadratic integrand) and Monte Carlo are independent of the
+sections; disk does not apply to sectors, so there Monte Carlo is the only
+independent witness.
 
 Every route refuses an axis that crosses the region interior
 (AxisIntersectsRegion) by one whole-region side check, after its own
@@ -63,7 +61,6 @@ from .quadrature import (
     QuadratureResult,
     Tolerance,
     integrate_1d,
-    integrate_region,
     linear_sections,
     moment_sections,
     sum_results,
@@ -183,17 +180,21 @@ def _horizontal_offset(axis: Axis) -> float | None:
 # ---------------------------------------------------------------------------
 # The double-integral route
 
-@_route
-def volume_double_integral(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
-    """Integral of 2*pi*distance(axis) over the region: closed-form inner
-    integrals, one adaptive 1D pass per piece over the outer coordinate,
-    converging on the volume itself."""
-    tol = tol or Tolerance()
+def _distance_pass(region: Region, axis: Axis, tol: Tolerance) -> QuadratureResult:
+    """Integral of 2*pi*distance(axis) over the region, after the side
+    check: closed-form inner integrals, one adaptive 1D pass per piece over
+    the outer coordinate, converging on the volume itself."""
     side = axis_side_check(region, axis)
     return sum_results([
         integrate_1d(form, u0, u1, tol)
         for u0, u1, form in linear_sections(region, TWO_PI * side, axis.a, axis.b, axis.c)
     ])
+
+
+@_route
+def volume_double_integral(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
+    """Integral of 2*pi*distance(axis) over the region (``_distance_pass``)."""
+    return _distance_pass(region, axis, tol or Tolerance())
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +268,12 @@ def volume_shell(region: Region, axis: Axis, tol: Tolerance | None = None) -> Qu
 
 @_route
 def volume_polar(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
-    """The double integral evaluated in polar coordinates; the region must
-    be a polar sector (or a union of them)."""
-    tol = tol or Tolerance()
+    """The double integral in polar coordinates: over theta, the closed-form
+    integral over rho of 2*pi*distance*rho (``_distance_pass``).  The region
+    must be a polar sector (or a union of them)."""
     if any(piece.map != POLAR for piece in pieces(region)):
         raise UnsupportedMethod("polar method needs polar-sector regions")
-    side = axis_side_check(region, axis)
-    return integrate_region(
-        region, lambda p: TWO_PI * side * signed_distance(axis, p), tol
-    )
+    return _distance_pass(region, axis, tol or Tolerance())
 
 
 # ---------------------------------------------------------------------------

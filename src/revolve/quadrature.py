@@ -15,10 +15,11 @@ Both 2D routes walk the region's pieces (``region.pieces``), leaf by leaf:
 an outer interval, inner bounds, and the map of (u, v) to the plane.  Area and
 first moments (A, Sx, Sy) have closed-form inner integrals on every piece
 (``moment_sections``), so they, and any integrand linear in (x, y) such as
-the distance to an axis, need only a 1D pass over the outer coordinate.
-``integrate_region`` keeps the iterated route for general integrands:
-inner integral per outer node, with the inner tolerance tightened 10x so
-the outer estimate dominates the reported error.
+the distance to an axis, need only a 1D pass over the outer coordinate;
+every volume route takes that pass.  ``integrate_region`` keeps the
+iterated route for general integrands, which no volume route uses: inner
+integral per outer node, with the inner tolerance tightened 10x so the
+outer estimate dominates the reported error.
 
 All nodes are interior, so endpoint singularities like sqrt(1-x^2) at x=1
 are never sampled directly; an integrand failure within 1e-9 of an endpoint

@@ -448,18 +448,20 @@ def _polygon_mask(poly: Polygon, xs, ys):
     """Nonzero winding number, or on an edge: |cross| <= 1e-12 * scale^2 and
     the projection within the edge, with scale = max(1, |coordinates| of the
     edge and the point).  The edge test runs only on the points within the
-    slack of the edge's line at the largest scale present."""
+    slack of the edge's line at the largest scale present.  A point with a
+    coordinate that is not finite is outside."""
     import numpy as np
 
     shape = xs.shape
     xs, ys = xs.ravel(), ys.ravel()
     wn = np.zeros(xs.shape, dtype=np.int64)
     on_edge = []
-    # The largest point coordinate, NaN points ignored (they are outside).
+    # The largest finite point coordinate: the others are outside, and an
+    # infinite one would make every slack infinite.
+    finite = np.isfinite(xs) & np.isfinite(ys)
     reach = 1.0
-    if xs.size:
-        reach = max(reach, -np.fmin.reduce(xs), np.fmax.reduce(xs),
-                    -np.fmin.reduce(ys), np.fmax.reduce(ys))
+    if finite.any():
+        reach = max(reach, float(np.abs(xs[finite]).max()), float(np.abs(ys[finite]).max()))
     verts = poly.vertices
     n = len(verts)
     for i in range(n):
@@ -482,6 +484,7 @@ def _polygon_mask(poly: Polygon, xs, ys):
             hit = (is_left[near] <= slack) & (dot >= -slack) & (dot <= length2 + slack)
             on_edge.append(near[hit])
     mask = wn != 0
+    mask &= finite
     for idx in on_edge:
         mask[idx] = True
     return mask.reshape(shape)

@@ -379,6 +379,73 @@ class TestCompiledMatchesTreeWalk:
             rv.parse_expr(text, "x")
 
 
+class TestCodeCache:
+    """The generated source holds no constant, so expressions of one shape
+    compile to one code object, each run with its own constants."""
+
+    def test_same_shape_compiles_once_and_keeps_its_values(self):
+        rv.parse_expr.cache_clear()
+        expr._code.cache_clear()
+        try:
+            one = rv.parse_expr("sqrt(1-x^2)", "x")
+            assert expr._code.cache_info().misses == 1
+            two = rv.parse_expr("sqrt(2-x^2)", "x")
+            assert expr._code.cache_info().misses == 1  # the scalar source recurs
+            for name in ("scalar", "array", "interval", "defined_interval"):
+                assert getattr(one, name).__code__ is getattr(two, name).__code__
+            # The two interval tables call a helper for every operation, so
+            # their sources are the same: three sources in all.
+            assert expr._code.cache_info().misses == 3
+            xs = np.linspace(-1.0, 1.0, 9)
+            for ast, r2 in ((one, 1.0), (two, 2.0)):
+                for x in xs:
+                    assert rv.eval_expr(ast, x) == math.sqrt(r2 - x * x) == ref_eval_expr(ast, x)
+                assert repr(rv.eval_array(ast, xs)) == repr(ref_eval_array(ast, xs))
+                lo, hi = ast.interval((0.0, 0.5))
+                assert all(lo <= ast(x) <= hi for x in np.linspace(0.0, 0.5, 11))
+                assert ast.defined_interval((0.0, 0.5)) == (lo, hi)
+            assert one.interval((0.0, 0.5))[1] < 1.01 < two.interval((0.0, 0.5))[0]
+            assert one.defined_interval((0.0, 1.2)) is None
+            assert two.defined_interval((0.0, 1.2)) is not None
+        finally:
+            rv.parse_expr.cache_clear()
+
+    def test_checked_twin_names_its_own_text(self):
+        rv.parse_expr.cache_clear()
+        try:
+            for text in ("x*1e308*10", "x*1e300*1e10"):
+                with pytest.raises(DomainError) as err:
+                    rv.eval_expr(rv.parse_expr(text, "x"), 1.0)
+                assert str(err.value) == f"{text!r} is not finite at 1.0"
+        finally:
+            rv.parse_expr.cache_clear()
+
+    def test_cache_is_bounded(self):
+        assert expr._code.cache_info().maxsize == expr._CODE_CACHE_SIZE
+        try:
+            for k in range(expr._CODE_CACHE_SIZE + 5):
+                expr._code(f"def evaluate(x):\n    return x + {k}\n")
+            assert expr._code.cache_info().currsize == expr._CODE_CACHE_SIZE
+        finally:
+            expr._code.cache_clear()
+
+    def test_reparse_after_clearing_gives_equal_values(self):
+        texts = ["sqrt(1-x^2)", "sqrt(2-x^2)", "x^3 - 2*x + exp(-x)", "1/(x+3)"]
+        xs = np.linspace(-1.0, 1.0, 7)
+
+        def values(ast):
+            return ([ast(x) for x in xs], repr(rv.eval_array(ast, xs)),
+                    ast.interval((-0.5, 0.5)), ast.defined_interval((-0.5, 0.5)))
+
+        before = [values(rv.parse_expr(text, "x")) for text in texts]
+        rv.parse_expr.cache_clear()
+        expr._code.cache_clear()
+        try:
+            assert [values(rv.parse_expr(text, "x")) for text in texts] == before
+        finally:
+            rv.parse_expr.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # The interval evaluator: enclosures of the scalar values
 

@@ -26,6 +26,7 @@ from helpers import (
     cone_triangle,
     exterior_oblique_axis,
     move_polygon,
+    quadrature_pin_cases,
     random_convex_polygon,
     random_motion,
     sector_disk_union,
@@ -79,8 +80,9 @@ class TestDoubleIntegral:
         assert abs(double.value - TORUS_VOLUME) <= 1e-7
 
     def test_oblique_axis_on_every_variant(self):
-        # a*Sx + b*Sy + c*A against the independent polar and Monte Carlo
-        # routes, about a line that is neither vertical nor horizontal.
+        # a*Sx + b*Sy + c*A against pappus's moments, and polar against the
+        # double integral, about a line that is neither vertical nor
+        # horizontal.
         axis = rv.Axis(1.0, 1.0, 3.0)
         for region in (sector_polar(), torus_normal_y(), unit_square_polygon()):
             double = rv.volume_double_integral(region, axis)
@@ -280,6 +282,26 @@ class TestPolar:
                               rv.curve("0", "theta"), rv.curve("1", "theta"))
         with pytest.raises(AxisIntersectsRegion):
             rv.volume_polar(disk, AXIS_OY)
+
+    def test_is_the_double_integral_on_every_sector(self):
+        # Polar runs double_integral's pass over the closed-form polar
+        # sections: the same value, error estimate and evaluations.
+        jobs = [load_job(FIXTURES / name) for name in ("sector_polar.json",
+                                                        "half_annulus_polar.json")]
+        jobs += [parse_job(doc) for _, doc in quadrature_pin_cases()
+                 if doc["region"]["type"] == "polar"]
+        lens = rv.PolarSector(1.0, 2.0, rv.curve("0.2", "theta"),
+                              rv.curve("1 + 0.3*cos(3*theta)", "theta"))
+        union = rv.UnionRegion((sector_polar(), rv.UnionRegion((lens,))))
+        cases = [(job.region, job.axis, job.tolerance) for job in jobs]
+        cases += [(union, rv.Axis.vertical(-2.0), rv.Tolerance()),
+                  (union, rv.Axis(1.0, 1.0, 3.0), rv.Tolerance(rel=1e-12))]
+        assert len(cases) == 2 + 6 + 2
+        for region, axis, tol in cases:
+            polar = rv.volume_polar(region, axis, tol)
+            double = rv.volume_double_integral(region, axis, tol)
+            assert (polar.value, polar.error_estimate, polar.evaluations) == (
+                double.value, double.error_estimate, double.evaluations)
 
 
 class TestTransposeSymmetry:

@@ -91,6 +91,25 @@ class TestContains:
         assert rv.contains(ell, rv.Point(1.5, 0.5))
         assert not rv.contains(ell, rv.Point(1.5, 1.5))
 
+    def test_polygon_point_at_an_infinite_coordinate_is_outside(self):
+        # The on-edge slack scales with the point's coordinates; an infinite
+        # one must not make it infinite.
+        triangle = rv.Polygon((rv.Point(2, -3), rv.Point(5, -2), rv.Point(2, -1)))
+        bad = [(math.inf, -2.0), (-math.inf, -2.0), (3.0, math.inf), (3.0, -math.inf),
+               (math.inf, math.inf), (math.nan, -2.0)]
+        xs, ys = (np.array(v) for v in zip(*bad, (3.0, -2.0)))
+        assert rv.contains_mask(triangle, xs, ys).tolist() == [False] * len(bad) + [True]
+        # More points than the grid has cells: the grid sends them to the
+        # exact test.
+        rng = np.random.default_rng(3)
+        xs = np.concatenate([np.resize(xs, 600), rng.uniform(1.5, 5.5, 5000)])
+        ys = np.concatenate([np.resize(ys, 600), rng.uniform(-3.5, -0.5, 5000)])
+        assert xs.size > region_module._GRID ** 2
+        mask = rv.contains_mask(triangle, xs, ys)
+        assert not mask[:600][np.resize([True] * len(bad) + [False], 600)].any()
+        assert mask[:600][np.resize([False] * len(bad) + [True], 600)].all()
+        assert (mask == region_module._exact_mask(triangle, xs, ys)).all()
+
     def test_union_is_disjunction(self):
         union = rv.UnionRegion((unit_square_polygon(), cone_triangle()))
         assert rv.contains(union, rv.Point(0.2, 0.2))
@@ -333,7 +352,7 @@ class TestCellGrid:
         bad = np.array([math.nan, math.inf, -math.inf])
         xs[:3000:3], ys[1:3000:3] = np.resize(bad, 1000), np.resize(bad[::-1], 1000)
         got = _grid_matches_exact(region, xs, ys)
-        assert not got[np.isnan(xs) | np.isnan(ys)].any()
+        assert not got[~(np.isfinite(xs) & np.isfinite(ys))].any()
         assert got[3000:].any()
 
     def test_points_above_the_sampled_box_of_a_spike(self):
