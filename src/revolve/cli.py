@@ -12,6 +12,7 @@ disagreement (compare only).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import signal
@@ -20,7 +21,7 @@ from collections.abc import Iterable
 from dataclasses import asdict
 
 from .config import JobConfig, load_job
-from .errors import ConfigError, RevolveError
+from .errors import ConfigError, InvalidRegionError, RevolveError
 from .methods import _CHUNK, _MAX_SAMPLES, ROUTES, VolumeReport, centroid, compare_methods, run_route
 from .region import axis_side_check, bounding_box, contains_mask
 
@@ -163,18 +164,26 @@ def _cmd_sample(job: JobConfig, grid: int) -> int:
     ys = [y_lo + (y_hi - y_lo) * iy / (grid - 1) for iy in range(grid)]
     rows_per_block = max(1, _CHUNK // grid)
     a, b, c = job.axis.a, job.axis.b, job.axis.c
+    # The coordinates are monotone in the index, and so is the distance in
+    # each of them, under rounding too: the corners bound every distance.
+    if not all(math.isfinite(a * x + b * y + c) for x in (xs[0], xs[-1]) for y in (ys[0], ys[-1])):
+        raise InvalidRegionError(
+            f"grid over [{x_lo!r}, {x_hi!r}] x [{y_lo!r}, {y_hi!r}] has points whose "
+            "distance to the axis is not finite")
 
-    def rows():
+    def block_rows(start: int):
         # One mask call per block of whole rows, rows ordered y-major.  The
         # distance is signed_distance's a*x + b*y + c, in the same order.
-        for start in range(0, grid, rows_per_block):
-            block = ys[start:start + rows_per_block]
-            bx, by = np.tile(xs, len(block)), np.repeat(block, grid)
-            inside = contains_mask(job.region, bx, by).astype(np.int64)
-            dist = np.abs(a * bx + b * by + c)
-            yield from zip(bx.tolist(), by.tolist(), inside.tolist(), dist.tolist())
+        block = ys[start:start + rows_per_block]
+        bx, by = np.tile(xs, len(block)), np.repeat(block, grid)
+        inside = contains_mask(job.region, bx, by).astype(np.int64)
+        dist = np.abs(a * bx + b * by + c)
+        return zip(bx.tolist(), by.tolist(), inside.tolist(), dist.tolist())
 
-    _print_csv(["x", "y", "inside", "distance"], rows())
+    blocks = map(block_rows, range(0, grid, rows_per_block))
+    first = next(blocks)  # before the header: a refusal prints nothing
+    _print_csv(["x", "y", "inside", "distance"],
+               itertools.chain(first, itertools.chain.from_iterable(blocks)))
     return 0
 
 

@@ -16,6 +16,7 @@ their field paths and raised together as ConfigError.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -100,6 +101,18 @@ def _scalar_field(value, path, issues):
     except (ExprSyntaxError, DomainError) as exc:
         issues.append((path, f"not a number or constant expression: {exc}"))
         return None
+
+
+def _whole_field(value, path, issues) -> bool:
+    """False, with an issue at ``path``, where int() would change ``value``
+    into another number: a bool, or a finite float with a fraction.  What
+    int() refuses (a NaN or infinite float, a string that is not an
+    integer) is left to its caller."""
+    if isinstance(value, bool) or (
+            isinstance(value, float) and math.isfinite(value) and not value.is_integer()):
+        issues.append((path, f"expected an integer, got {value!r}"))
+        return False
+    return True
 
 
 def _curve_field(value, variable, path, issues):
@@ -253,7 +266,8 @@ def parse_job(doc, overrides: dict | None = None) -> JobConfig:
         abs_tol = _scalar_field(tol_doc.get("abs", 1e-12), "tolerance.abs", issues)
     max_depth = tol_doc.get("max_depth", 50)
     tolerance = None
-    if rel is not None and abs_tol is not None:
+    if (_whole_field(max_depth, "tolerance.max_depth", issues)
+            and rel is not None and abs_tol is not None):
         try:
             tolerance = Tolerance(rel, abs_tol, int(max_depth))
         except (ValueError, TypeError, OverflowError) as exc:
@@ -267,10 +281,12 @@ def parse_job(doc, overrides: dict | None = None) -> JobConfig:
     samples = overrides.get("mc_samples", mc_doc.get("samples", 1_000_000))
     seed = overrides.get("seed", mc_doc.get("seed", 0))
     mc = None
-    try:
-        mc = McConfig(int(samples), int(seed))
-    except (ValueError, TypeError, OverflowError) as exc:
-        issues.append(("mc", str(exc)))
+    # A list, not a generator: both fields are checked and reported.
+    if all([_whole_field(samples, "mc.samples", issues), _whole_field(seed, "mc.seed", issues)]):
+        try:
+            mc = McConfig(int(samples), int(seed))
+        except (ValueError, TypeError, OverflowError) as exc:
+            issues.append(("mc", str(exc)))
 
     out_format = overrides.get("format") or doc.get("format", "json")
     if out_format not in ("json", "csv"):

@@ -301,11 +301,16 @@ def _region_moments(region: Region, tol: Tolerance) -> QuadratureResult:
 
 
 def _moments_with_area(region: Region, tol: Tolerance) -> QuadratureResult:
-    """``_region_moments``, refusing a region of zero area: it has no
-    centroid."""
+    """``_region_moments``, refusing a region of zero area, or of moments
+    or a centroid that are not finite: it has no centroid."""
     moments = _region_moments(region, tol)
-    if moments.value[0] == 0.0:
+    a, sx, sy = moments.value
+    if a == 0.0:
         raise InvalidRegionError("region has zero area, so it has no centroid")
+    if not all(map(math.isfinite, (a, sx, sy, sx / a, sy / a))):
+        raise InvalidRegionError(
+            f"region's area and first moments ({a!r}, {sx!r}, {sy!r}) give no finite "
+            "centroid")
     return moments
 
 
@@ -339,20 +344,45 @@ def volume_pappus(region: Region, axis: Axis, tol: Tolerance | None = None) -> Q
 # ---------------------------------------------------------------------------
 # Monte Carlo oracle
 
+def _scaled_distance(axis: Axis, xs, ys, out, scratch):
+    """2*pi*|a*x + b*y + c| at the points (xs, ys), into ``out`` (``scratch``
+    holds b*y): the order of operations of the expression, without
+    temporaries."""
+    import numpy as np
+
+    np.multiply(xs, axis.a, out=out)
+    np.multiply(ys, axis.b, out=scratch)
+    out += scratch
+    out += axis.c
+    np.abs(out, out=out)
+    out *= TWO_PI
+    return out
+
+
 @_route
 def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) -> QuadratureResult:
     """Estimate the volume by uniform sampling over the bounding box.
 
     value = box_area * mean(inside * 2*pi*|distance|); the error estimate
     is the standard error of that mean, and the evaluations are the
-    samples.  Sampling is Philox 4x64 keyed with the seed; uniforms are
-    (raw >> 11) * 2^-53.  The points stream through in chunks of _CHUNK:
-    consecutive draws continue one Philox stream, so the points are those
-    of one long draw.  Each chunk's (count, mean, M2) merges into the
+    samples.  Sampling is Philox 4x64 keyed with the seed; the uniforms
+    come from ``Generator.random``, the doubles (raw >> 11) * 2^-53 of the
+    raw stream in its order.  The points stream through in chunks of
+    _CHUNK: consecutive draws continue one Philox stream, so the points are
+    those of one long draw.  Each chunk's (count, mean, M2) merges into the
     running one by the pairwise update of Chan, Golub and LeVeque (1983),
     in chunk order.  A chunk's containment reads the region's cell grid
     and runs the exact tests on its boundary cells only; the mask is the
     exact one bit for bit.
+
+    The uniforms, coordinates and distances of a chunk go into buffers
+    allocated once per call, and points outside get 0 by a multiply with
+    the mask.  The multiply is the select wherever the distance is finite,
+    so a box with a corner whose distance is not finite is refused
+    (InvalidRegionError): the distance is monotone in each coordinate,
+    under rounding too, so the corners bound it over every sample.  So is
+    an estimate or standard error that overflows as the distances are
+    summed and squared.
     """
     import numpy as np
 
@@ -365,27 +395,46 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
         raise InvalidRegionError(
             f"bounding box [{x_lo!r}, {x_hi!r}] x [{y_lo!r}, {y_hi!r}] is too large to "
             "sample: its width, height or area is not finite")
-    bit_generator = np.random.Philox(key=cfg.seed)
+    # In _scaled_distance's order of operations, on floats that overflow silently.
+    reach = [TWO_PI * abs(axis.a * x + axis.b * y + axis.c)
+             for x in (x_lo, x_lo + width) for y in (y_lo, y_lo + height)]
+    if not all(map(math.isfinite, reach)):
+        raise InvalidRegionError(
+            f"bounding box [{x_lo!r}, {x_hi!r}] x [{y_lo!r}, {y_hi!r}] is too far from "
+            "the axis to sample: 2*pi times a corner's distance is not finite")
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    size = min(_CHUNK, cfg.samples)
+    u = np.empty(2 * size)
+    xs, ys, vals, scratch = (np.empty(size) for _ in range(4))
     n, mean, m2 = 0, 0.0, 0.0
-    for start in range(0, cfg.samples, _CHUNK):
-        m = min(_CHUNK, cfg.samples - start)
-        raw = bit_generator.random_raw(2 * m)
-        u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        xs = x_lo + width * u[0::2]
-        ys = y_lo + height * u[1::2]
-        inside = contains_mask(region, xs, ys)
-        vals = np.where(inside, TWO_PI * np.abs(axis.a * xs + axis.b * ys + axis.c), 0.0)
-        chunk_mean = float(vals.mean())
-        vals -= chunk_mean
-        # No BLAS (np.dot) here: its worker threads spin on after each call.
-        chunk_m2 = float(np.square(vals, out=vals).sum())
-        total = n + m
-        delta = chunk_mean - mean
-        mean += delta * m / total
-        m2 += chunk_m2 + delta * delta * n * m / total
-        n = total
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for start in range(0, cfg.samples, _CHUNK):
+            m = min(_CHUNK, cfg.samples - start)
+            if m < size:  # the last chunk is short
+                u, xs, ys, vals, scratch = u[:2 * m], xs[:m], ys[:m], vals[:m], scratch[:m]
+            rng.random(out=u)
+            np.multiply(u[0::2], width, out=xs)
+            xs += x_lo
+            np.multiply(u[1::2], height, out=ys)
+            ys += y_lo
+            inside = contains_mask(region, xs, ys)
+            _scaled_distance(axis, xs, ys, vals, scratch)
+            vals *= inside
+            chunk_mean = float(vals.mean())
+            vals -= chunk_mean
+            # No BLAS (np.dot) here: its worker threads spin on after each call.
+            chunk_m2 = float(np.square(vals, out=vals).sum())
+            total = n + m
+            delta = chunk_mean - mean
+            mean += delta * m / total
+            m2 += chunk_m2 + delta * delta * n * m / total
+            n = total
     value = box_area * mean
     stderr = box_area * math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    if not (math.isfinite(value) and math.isfinite(stderr)):
+        raise InvalidRegionError(
+            f"Monte Carlo estimate {value!r} with standard error {stderr!r} is not finite: "
+            "the distances over the bounding box are too large to sum or square")
     return QuadratureResult(value, stderr, n)
 
 

@@ -449,7 +449,9 @@ def _polygon_mask(poly: Polygon, xs, ys):
     the projection within the edge, with scale = max(1, |coordinates| of the
     edge and the point).  The edge test runs only on the points within the
     slack of the edge's line at the largest scale present.  A point with a
-    coordinate that is not finite is outside."""
+    coordinate that is not finite is outside.  An edge whose squared length
+    or slack is not finite raises InvalidRegionError: an infinite slack
+    would put every point on it."""
     import numpy as np
 
     shape = xs.shape
@@ -466,12 +468,21 @@ def _polygon_mask(poly: Polygon, xs, ys):
     n = len(verts)
     for i in range(n):
         p, q = verts[i], verts[(i + 1) % n]
-        is_left = (q.x - p.x) * (ys - p.y) - (xs - p.x) * (q.y - p.y)
-        wn += (p.y <= ys) & (q.y > ys) & (is_left > 0.0)
-        wn -= (p.y > ys) & (q.y <= ys) & (is_left < 0.0)
         edge_scale = max(1.0, abs(p.x), abs(p.y), abs(q.x), abs(q.y))
         top = max(edge_scale, reach)
         bound = _EDGE_TOL * top * top
+        try:
+            length2 = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
+        except OverflowError:
+            length2 = math.inf
+        if not (math.isfinite(bound) and math.isfinite(length2)):
+            raise InvalidRegionError(
+                f"polygon edge ({p.x!r}, {p.y!r}) to ({q.x!r}, {q.y!r}) is too near the "
+                "float range to test containment: its squared length or on-edge slack "
+                "is not finite")
+        is_left = (q.x - p.x) * (ys - p.y) - (xs - p.x) * (q.y - p.y)
+        wn += (p.y <= ys) & (q.y > ys) & (is_left > 0.0)
+        wn -= (p.y > ys) & (q.y <= ys) & (is_left < 0.0)
         # is_left is not needed signed any more: |cross| in place.
         close = np.abs(is_left, out=is_left) <= bound
         if close.any():
@@ -480,7 +491,6 @@ def _polygon_mask(poly: Polygon, xs, ys):
             scale = np.maximum(edge_scale, np.maximum(np.abs(px), np.abs(py)))
             slack = _EDGE_TOL * scale * scale
             dot = (px - p.x) * (q.x - p.x) + (py - p.y) * (q.y - p.y)
-            length2 = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
             hit = (is_left[near] <= slack) & (dot >= -slack) & (dot <= length2 + slack)
             on_edge.append(near[hit])
     mask = wn != 0

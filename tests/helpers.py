@@ -642,3 +642,40 @@ def ref_integrate_1d(f, lo, hi, tol=None):
     if vector:
         return rv.QuadratureResult(value, err, counter[0])
     return rv.QuadratureResult(value[0], err[0], counter[0])
+
+
+# ---------------------------------------------------------------------------
+# Reference Monte Carlo: the chunk loop that volume_monte_carlo's reused
+# buffers replace, with its raw-stream uniforms and its select.
+
+def ref_monte_carlo(region, axis, cfg):
+    """``volume_monte_carlo`` with fresh arrays per chunk: uniforms
+    (raw >> 11) * 2^-53 of the raw Philox stream, and outside points zeroed
+    by ``np.where``.  No side check."""
+    from revolve.methods import _CHUNK
+    from revolve.region import TWO_PI
+
+    x_lo, x_hi, y_lo, y_hi = rv.bounding_box(region)
+    width, height = x_hi - x_lo, y_hi - y_lo
+    box_area = width * height
+    bit_generator = np.random.Philox(key=cfg.seed)
+    n, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, cfg.samples, _CHUNK):
+        m = min(_CHUNK, cfg.samples - start)
+        raw = bit_generator.random_raw(2 * m)
+        u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        xs = x_lo + width * u[0::2]
+        ys = y_lo + height * u[1::2]
+        inside = rv.contains_mask(region, xs, ys)
+        vals = np.where(inside, TWO_PI * np.abs(axis.a * xs + axis.b * ys + axis.c), 0.0)
+        chunk_mean = float(vals.mean())
+        vals -= chunk_mean
+        chunk_m2 = float(np.square(vals, out=vals).sum())
+        total = n + m
+        delta = chunk_mean - mean
+        mean += delta * m / total
+        m2 += chunk_m2 + delta * delta * n * m / total
+        n = total
+    value = box_area * mean
+    stderr = box_area * math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    return rv.QuadratureResult(value, stderr, n)

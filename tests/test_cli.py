@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -396,6 +397,14 @@ class TestConfigErrors:
             assert (code, out) == (2, "")
             assert err == "config error: tolerance: tolerances must be finite\n"
 
+    def test_fractional_seed_is_refused(self, capsys, tmp_path):
+        config = write_config(tmp_path, {"region": {"type": "polygon",
+                                                    "vertices": [[1, 0], [2, 0], [2, 1], [1, 1]]},
+                                         "axis": "OY", "mc": {"seed": 1.5}})
+        code, out, err = run_cli(capsys, "volume", "--config", config, "--method", "monte_carlo")
+        assert (code, out) == (2, "")
+        assert err == "config error: mc.seed: expected an integer, got 1.5\n"
+
     @pytest.mark.parametrize("samples", [str(10**30), str(2**25 + 1)])
     def test_sample_count_is_bounded(self, capsys, fixtures_dir, samples):
         code, out, err = run_cli(capsys, "volume",
@@ -403,6 +412,71 @@ class TestConfigErrors:
                                  "--method", "monte_carlo", "--mc-samples", samples)
         assert (code, out) == (2, "")
         assert err == "config error: mc: need at most 33554432 samples\n"
+
+
+# Configs near float range: a normal_x box whose distance to the axis
+# overflows, a rectangle whose squared edge length and first moments
+# overflow, and a thin triangle whose on-edge slack and moments overflow.
+_NEAR_FLOAT_RANGE = {
+    "far_axis": {"region": {"type": "normal_x", "x_min": "1.5e308", "x_max": "1.6e308",
+                            "lower": "0", "upper": "1"},
+                 "axis": {"vertical_at": "-1.7e308"}},
+    "wide_rectangle": {"region": {"type": "polygon",
+                                  "vertices": [[0, 0], [1e155, 0], [1e155, 1], [0, 1]]},
+                       "axis": {"horizontal_at": -1}},
+    "thin_triangle": {"region": {"type": "polygon",
+                                 "vertices": [[1e200, 0], [1.0000000001e200, 0], [1e200, 1]]},
+                      "axis": {"horizontal_at": -1}},
+}
+
+
+def _strict_json(text):
+    """The document in ``text``, refusing NaN and Infinity, which JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestNearFloatRange:
+    @pytest.mark.parametrize("command", [["volume", "--method", "monte_carlo"],
+                                         ["volume", "--method", "pappus"], ["centroid"],
+                                         ["compare"], ["sample", "--grid", "3"]])
+    @pytest.mark.parametrize("name", sorted(_NEAR_FLOAT_RANGE))
+    def test_clean_answer_or_refusal(self, capsys, tmp_path, name, command):
+        config = write_config(tmp_path, _NEAR_FLOAT_RANGE[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *command, "--config", config,
+                                     "--mc-samples", "1000")
+        assert code in (0, 3)
+        if command[0] == "compare":
+            report = _strict_json(out)  # printed on exit 3 too, when no route ran
+            failures = {f["method"]: f["error"] for f in report["failures"]}
+            assert {"monte_carlo", "pappus"} <= set(failures)
+        elif code == 3:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        elif command[0] != "sample":
+            _strict_json(out)
+
+    @pytest.mark.parametrize("command", [["volume", "--method", "monte_carlo"],
+                                         ["sample", "--grid", "3"]])
+    def test_distance_beyond_float_range_is_refused(self, capsys, tmp_path, command):
+        config = write_config(tmp_path, _NEAR_FLOAT_RANGE["far_axis"])
+        code, out, err = run_cli(capsys, *command, "--config", config)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: InvalidRegionError: ")
+        assert "distance" in err
+
+    @pytest.mark.parametrize("name", ["wide_rectangle", "thin_triangle"])
+    def test_polygon_failures_are_listed_by_compare(self, capsys, tmp_path, name):
+        config = write_config(tmp_path, _NEAR_FLOAT_RANGE[name])
+        code, out, _ = run_cli(capsys, "compare", "--config", config, "--mc-samples", "1000")
+        assert code == 0
+        report = _strict_json(out)
+        failures = {f["method"]: f["error"] for f in report["failures"]}
+        assert failures["pappus"] == failures["monte_carlo"] == "InvalidRegionError"
+        assert "double_integral" in {r["method"] for r in report["reports"]}
 
 
 class TestPrintNormalized:

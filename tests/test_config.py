@@ -126,6 +126,27 @@ class TestParseJob:
         doc["mc"] = {"samples": 2**25}
         assert parse_job(doc).mc.samples == 2**25
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("mc", "seed", 1.5),
+        ("mc", "seed", True),
+        ("mc", "samples", 250000.9),
+        ("tolerance", "max_depth", 7.9),
+    ])
+    def test_integer_that_int_would_change_is_refused(self, section, field, value):
+        doc = minimal_doc()
+        doc[section] = {field: value}
+        with pytest.raises(ConfigError) as err:
+            parse_job(doc)
+        assert err.value.issues == [(f"{section}.{field}", f"expected an integer, got {value!r}")]
+
+    def test_integral_floats_and_integer_strings_are_integers(self):
+        doc = minimal_doc()
+        doc["mc"] = {"samples": 1e6, "seed": "1000"}
+        doc["tolerance"] = {"max_depth": 7.0}
+        job = parse_job(doc)
+        assert (job.mc.samples, job.mc.seed, job.tolerance.max_depth) == (1_000_000, 1000, 7)
+        assert type(job.mc.samples) is type(job.mc.seed) is type(job.tolerance.max_depth) is int
+
     def test_missing_fields(self):
         with pytest.raises(ConfigError) as err:
             parse_job({})

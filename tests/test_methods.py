@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from helpers import (
     exterior_oblique_axis,
     move_polygon,
     quadrature_pin_cases,
+    ref_monte_carlo,
     random_convex_polygon,
     random_motion,
     sector_disk_union,
@@ -43,6 +45,17 @@ from helpers import (
     torus_normal_y,
     unit_square_polygon,
 )
+
+
+# Two polygons near float range, about y = -1: the rectangle's squared edge
+# length and the thin triangle's on-edge slack overflow, and so do their
+# first moments.
+_WIDE_RECTANGLE = [[0, 0], [1e155, 0], [1e155, 1], [0, 1]]
+_THIN_TRIANGLE = [[1e200, 0], [1.0000000001e200, 0], [1e200, 1]]
+
+
+def _polygon(vertices):
+    return rv.Polygon(tuple(rv.Point(x, y) for x, y in vertices))
 
 
 class TestDoubleIntegral:
@@ -389,6 +402,35 @@ class TestZeroArea:
         assert comparison.verdict == "agree"
 
 
+class TestMomentsNearFloatRange:
+    """Polygons whose first moments overflow: centroid and pappus refuse
+    them, and so does containment, while the quadrature routes run."""
+
+    @pytest.mark.parametrize("vertices", [_WIDE_RECTANGLE, _THIN_TRIANGLE])
+    def test_centroid_and_pappus_refuse(self, vertices):
+        region = _polygon(vertices)
+        with pytest.raises(rv.InvalidRegionError, match="give no finite centroid"):
+            rv.centroid(region)
+        with pytest.raises(rv.InvalidRegionError, match="give no finite centroid"):
+            rv.volume_pappus(region, rv.Axis.horizontal(-1.0))
+
+    @pytest.mark.parametrize("vertices", [_WIDE_RECTANGLE, _THIN_TRIANGLE])
+    def test_compare_lists_pappus_and_monte_carlo_as_failures(self, vertices):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comparison = rv.compare_methods(_polygon(vertices), rv.Axis.horizontal(-1.0),
+                                            cfg=rv.McConfig(1000, 3))
+        failures = {f.method: f.error for f in comparison.failures}
+        assert failures["pappus"] == failures["monte_carlo"] == "InvalidRegionError"
+        assert "double_integral" in {r.method for r in comparison.reports}
+        assert all(math.isfinite(r.value) for r in comparison.reports)
+
+    def test_wide_rectangle_volume(self):
+        # 2*pi * 1.5 (the centroid's distance) * 1e155 (the area).
+        report = rv.volume_double_integral(_polygon(_WIDE_RECTANGLE), rv.Axis.horizontal(-1.0))
+        assert report.value == pytest.approx(3.0 * math.pi * 1e155, rel=1e-12)
+
+
 class TestMomentCache:
     @staticmethod
     def _pappus(region):
@@ -604,6 +646,84 @@ class TestMonteCarlo:
             tracemalloc.stop()
         # A full-length draw of 2^20 points would peak near 80 MiB.
         assert peak < 16 * 2**20
+
+
+# One region of each variant, and an oblique axis exterior to all of them.
+_MC_VARIANTS = {
+    "polygon": unit_square_polygon,
+    "normal_x": torus_normal_x,
+    "normal_y": torus_normal_y,
+    "sector": sector_polar,
+    "union": sector_disk_union,
+}
+_MC_OBLIQUE = rv.Axis(1.0, 0.5, 1.0)
+
+class TestMonteCarloReference:
+    """The chunk loop of reused buffers, ``Generator.random`` and the
+    multiply by the mask is the reference loop (``ref_monte_carlo``) bit for
+    bit: value, error estimate and evaluations."""
+
+    @pytest.mark.parametrize("key", [0, 42, 2**64 - 1])
+    @pytest.mark.parametrize("samples", [100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("variant", sorted(_MC_VARIANTS))
+    def test_equals_reference(self, variant, samples, key):
+        region = _MC_VARIANTS[variant]()
+        cfg = rv.McConfig(samples, key)
+        report = rv.volume_monte_carlo(region, _MC_OBLIQUE, cfg)
+        ref = ref_monte_carlo(region, _MC_OBLIQUE, cfg)
+        assert report.value == ref.value
+        assert report.error_estimate == ref.error_estimate
+        assert report.evaluations == ref.evaluations == samples
+
+    @pytest.mark.parametrize("chunk", [_CHUNK, 2 * _CHUNK])
+    @pytest.mark.parametrize("key", [0, 42, 2**64 - 1])
+    @pytest.mark.parametrize("count", [100, 65537, 70001, 131072])
+    def test_generator_random_is_the_raw_conversion(self, count, key, chunk):
+        raw = np.random.Philox(key=key).random_raw(count)
+        want = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        rng = np.random.Generator(np.random.Philox(key=key))
+        buf = np.empty(min(chunk, count))
+        got = []
+        for start in range(0, count, chunk):
+            part = buf[:min(chunk, count - start)]
+            rng.random(out=part)
+            got.append(part.copy())
+        assert np.array_equal(np.concatenate(got), want)
+
+    def test_distance_beyond_float_range_is_refused(self):
+        # 2*pi*|x + 1.7e308| overflows on the whole box: the select would
+        # give inf, the multiply NaN.
+        region = rv.NormalX(1.5e308, 1.6e308, rv.curve("0", "x"), rv.curve("1", "x"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rv.InvalidRegionError, match="too far from the axis to sample"):
+                rv.volume_monte_carlo(region, rv.Axis.vertical(-1.7e308), rv.McConfig(1000, 0))
+
+    @pytest.mark.parametrize("offset", [2.5e307, 1e160])
+    def test_estimate_beyond_float_range_is_refused(self, offset):
+        # Every corner's distance is finite, but their sum (2.5e307) or the
+        # squares of their deviations (1e160) are not.
+        region = rv.NormalX(1.0, 2.0, rv.curve("0", "x"), rv.curve("1", "x"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rv.InvalidRegionError, match="standard error .* is not finite"):
+                rv.volume_monte_carlo(region, rv.Axis.vertical(-offset), rv.McConfig(1000, 0))
+
+    def test_distances_far_from_the_box_are_the_reference(self):
+        region = rv.NormalX(1.0, 2.0, rv.curve("0", "x"), rv.curve("1", "x"))
+        axis, cfg = rv.Axis.vertical(-1e100), rv.McConfig(1000, 0)
+        report = rv.volume_monte_carlo(region, axis, cfg)
+        ref = ref_monte_carlo(region, axis, cfg)
+        assert (report.value, report.error_estimate) == (ref.value, ref.error_estimate)
+        assert report.value == pytest.approx(2.0 * math.pi * 1e100, rel=1e-6)
+
+    @pytest.mark.parametrize("vertices", [_WIDE_RECTANGLE, _THIN_TRIANGLE])
+    def test_polygon_near_float_range_is_refused(self, vertices):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rv.InvalidRegionError, match="too near the float range"):
+                rv.volume_monte_carlo(_polygon(vertices), rv.Axis.horizontal(-1.0),
+                                      rv.McConfig(1000, 0))
 
 
 _MC_PINS = json.loads((pathlib.Path(__file__).parent / "monte_carlo_pins.json").read_text())

@@ -186,6 +186,24 @@ class TestContains:
             assert bool(rv.contains_mask(sector, x, y)) == rv.contains(sector, rv.Point(x, y))
 
 
+    @pytest.mark.parametrize("vertices", [
+        [[0, 0], [1e155, 0], [1e155, 1], [0, 1]],  # the squared edge length overflows
+        [[1e200, 0], [1.0000000001e200, 0], [1e200, 1]],  # the on-edge slack overflows
+    ])
+    @pytest.mark.parametrize("count", [3, 5000])  # the exact tests, and the cell grid
+    def test_polygon_near_float_range_is_refused(self, vertices, count):
+        # An infinite slack would put every point on an edge.
+        poly = rv.Polygon(tuple(rv.Point(x, y) for x, y in vertices))
+        xs = np.linspace(vertices[0][0], vertices[1][0], count)
+        with pytest.raises(InvalidRegionError, match="too near the float range"):
+            rv.contains_mask(poly, xs, np.full(count, 0.5))
+
+    def test_polygon_far_out_but_in_range_is_tested(self):
+        poly = rv.Polygon((rv.Point(0, 0), rv.Point(1e150, 0), rv.Point(1e150, 1),
+                           rv.Point(0, 1)))
+        assert rv.contains(poly, rv.Point(5e149, 0.5))
+
+
 def _star(n, scale=1.0, seed=3):
     """A polygon star-shaped about (3, -2) * scale, of n vertices."""
     rng = np.random.default_rng(seed)
