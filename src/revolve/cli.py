@@ -18,7 +18,6 @@ import math
 import signal
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict
 
 from .config import JobConfig, load_job
 from .errors import ConfigError, InvalidRegionError, RevolveError
@@ -88,9 +87,14 @@ def _print_csv(header: list[str], rows: Iterable[list]) -> None:
         print(",".join(cells))
 
 
+def _fields(report) -> dict:
+    """A report's fields by name."""
+    return {name: getattr(report, name) for name in report._fields}
+
+
 def _emit_volume(report: VolumeReport, fmt: str) -> None:
     if fmt == "json":
-        payload = {"command": "volume", **asdict(report)}
+        payload = {"command": "volume", **_fields(report)}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         _print_csv(
@@ -112,8 +116,8 @@ def _cmd_compare(job: JobConfig) -> int:
         payload = {
             "command": "compare",
             "verdict": comparison.verdict,
-            "reports": [asdict(r) for r in comparison.reports],
-            "failures": [asdict(f) for f in comparison.failures],
+            "reports": [_fields(r) for r in comparison.reports],
+            "failures": [_fields(f) for f in comparison.failures],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
 
+from ._record import record
 from .errors import (
     ConfigError,
     DomainError,
@@ -40,13 +40,13 @@ __all__ = ["JobConfig", "parse_job", "load_job", "region_doc"]
 _CURVE_REGIONS = {"normal_x": NormalX, "normal_y": NormalY, "polar": PolarSector}
 
 _REGION_FIELDS = {
-    **{rtype: tuple(f.name for f in fields(cls)) for rtype, cls in _CURVE_REGIONS.items()},
+    **{rtype: cls._fields for rtype, cls in _CURVE_REGIONS.items()},
     "polygon": ("vertices",),
     "union": ("parts",),
 }
 
 
-@dataclass(frozen=True)
+@record
 class JobConfig:
     region: Region
     axis: Axis

@@ -57,9 +57,9 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from typing import Callable
 
+from ._record import record
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 
 __all__ = ["ExprAst", "parse_expr", "parse_scalar", "eval_expr", "eval_array"]
@@ -91,29 +91,29 @@ _CODE_CACHE_SIZE = 1024
 # ---------------------------------------------------------------------------
 # AST nodes
 
-@dataclass(frozen=True)
+@record
 class Const:
     value: float
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Neg:
     operand: "Node"
 
 
-@dataclass(frozen=True)
+@record
 class BinOp:
     op: str  # one of + - * / ^
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     func: str
     arg: "Node"
@@ -122,7 +122,7 @@ class Call:
 Node = Const | Var | Neg | BinOp | Call
 
 
-@dataclass(frozen=True)
+@record
 class ExprAst:
     """Immutable parsed expression in (at most) one variable, with its
     compiled evaluators: ``scalar`` is ``eval_expr``'s, ``array`` is
@@ -134,15 +134,24 @@ class ExprAst:
     root: Node
     variable: str | None
     text: str
-    scalar: Callable[[float], float] = field(repr=False, compare=False)
+    scalar: Callable[[float], float]
 
     def __call__(self, value: float) -> float:
         """``eval_expr(self, value)``."""
         return self.scalar(value)
 
+    # ``scalar`` is compiled from the root: it is neither compared nor shown.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.root, self.variable, self.text) == (other.root, other.variable, other.text)
+        return NotImplemented
+
     def __hash__(self):
         # The text and variable determine the root; strings cache their hash.
         return hash((self.text, self.variable))
+
+    def __repr__(self):
+        return f"ExprAst(root={self.root!r}, variable={self.variable!r}, text={self.text!r})"
 
     @functools.cached_property
     def array(self) -> Callable:
@@ -170,12 +179,9 @@ class ExprAst:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "ident" | "op" | "end"
-    text: str
-    pos: int  # character offset into the source
-
+# A token is a tuple (kind, text, pos): kind is "num", "ident", "op" or
+# "end", and pos the character offset into the source.
+_Token = tuple[str, str, int]
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -199,9 +205,9 @@ def _tokenize(text: str) -> list[_Token]:
                 f"unexpected character {text[i]!r}", _byte_pos(text, i)
             )
         if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), i))
+            tokens.append((m.lastgroup, m.group(), i))
         i = m.end()
-    tokens.append(_Token("end", "", len(text)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -224,66 +230,65 @@ class _Parser:
         return tok
 
     def fail(self, expected: str, tok: _Token):
-        found = "end of input" if tok.kind == "end" else repr(tok.text)
+        kind, text, pos = tok
+        found = "end of input" if kind == "end" else repr(text)
         raise ExprSyntaxError(
-            f"expected {expected}, found {found}", _byte_pos(self.text, tok.pos)
+            f"expected {expected}, found {found}", _byte_pos(self.text, pos)
         )
 
     def expect_op(self, op: str):
         tok = self.peek()
-        if tok.kind == "op" and tok.text == op:
+        if tok[:2] == ("op", op):
             return self.advance()
         self.fail(f"'{op}'", tok)
 
     def parse(self) -> Node:
         node = self.sum()
         tok = self.peek()
-        if tok.kind != "end":
+        if tok[0] != "end":
             self.fail("end of input", tok)
         return node
 
     def sum(self) -> Node:
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+        while self.peek()[:2] in (("op", "+"), ("op", "-")):
+            op = self.advance()[1]
             node = BinOp(op, node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+        while self.peek()[:2] in (("op", "*"), ("op", "/")):
+            op = self.advance()[1]
             node = BinOp(op, node, self.unary())
         return node
 
     def unary(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if self.peek()[:2] == ("op", "-"):
             self.advance()
             return Neg(self.unary())
         return self.power()
 
     def power(self) -> Node:
         node = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+        if self.peek()[:2] == ("op", "^"):
             self.advance()
             node = BinOp("^", node, self.unary())
         return node
 
     def atom(self) -> Node:
         tok = self.peek()
-        if tok.kind == "num":
+        kind, name, pos = tok
+        if kind == "num":
             self.advance()
-            return Const(float(tok.text))
-        if tok.kind == "op" and tok.text == "(":
+            return Const(float(name))
+        if tok[:2] == ("op", "("):
             self.advance()
             node = self.sum()
             self.expect_op(")")
             return node
-        if tok.kind == "ident":
+        if kind == "ident":
             self.advance()
-            name = tok.text
             if name in _FUNCTIONS:
                 self.expect_op("(")
                 arg = self.sum()
@@ -293,7 +298,7 @@ class _Parser:
                 return Var(name)
             if name in _CONSTANTS:
                 return Const(_CONSTANTS[name])
-            raise UnknownIdentifierError(name, _byte_pos(self.text, tok.pos))
+            raise UnknownIdentifierError(name, _byte_pos(self.text, pos))
         self.fail("a value", tok)
 
 

@@ -9,14 +9,14 @@ volume formula only needs |.|, but the exterior-side check needs the sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import InvalidAxisError
 
 __all__ = ["Point", "Axis", "signed_distance"]
 
 
-@dataclass(frozen=True)
+@record
 class Point:
     x: float
     y: float
@@ -26,7 +26,7 @@ class Point:
             raise ValueError(f"non-finite point ({self.x!r}, {self.y!r})")
 
 
-@dataclass(frozen=True)
+@record
 class Axis:
     """Line a*x + b*y + c = 0, normalized at construction."""
 

@@ -52,9 +52,9 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable
 
+from ._record import record
 from .errors import InvalidRegionError, RevolveError, UnsupportedMethod
 from .geometry import Axis, Point, signed_distance
 from .quadrature import (
@@ -104,7 +104,7 @@ __all__ = [
 _VERTICAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class VolumeReport:
     method: str
     value: float
@@ -113,7 +113,7 @@ class VolumeReport:
     wall_time: float
 
 
-@dataclass(frozen=True)
+@record
 class CentroidReport:
     centroid: Point
     area: float
@@ -128,7 +128,7 @@ _CHUNK = 2**16
 _MAX_SAMPLES = 2**25
 
 
-@dataclass(frozen=True)
+@record
 class McConfig:
     samples: int = 1_000_000
     seed: int = 0
@@ -456,14 +456,14 @@ def run_route(
 # ---------------------------------------------------------------------------
 # Cross-method comparison
 
-@dataclass(frozen=True)
+@record
 class MethodFailure:
     method: str
     error: str
     message: str
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonReport:
     reports: tuple[VolumeReport, ...]
     failures: tuple[MethodFailure, ...]

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import DomainError, IntegrandError, QuadratureNoConvergence
 from .geometry import Point
 from .region import POLAR, SWAP, Piece, Region, leaves, pieces
@@ -85,7 +85,7 @@ _EDGE_FRACTION = 1e-9
 _NUDGE_FRACTION = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class Tolerance:
     rel: float = 1e-10
     abs: float = 1e-12
@@ -104,7 +104,7 @@ class Tolerance:
         return Tolerance(self.rel * 0.1, self.abs * 0.1, self.max_depth)
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureResult:
     """Value and error estimate: floats, or per-component tuples for a
     tuple-valued integrand."""
@@ -273,7 +273,8 @@ def integrate_1d(f, lo: float, hi: float, tol: Tolerance | None = None) -> Quadr
     not to an unreachable 1e-12.  The panel bisected next is the one with
     the largest error relative to those scales.  An integral whose value or
     error estimate is not finite (it overflows) raises
-    QuadratureNoConvergence.
+    QuadratureNoConvergence, as soon as a running total of the adaptive
+    loop is: a NaN or infinite total never meets the tolerance.
     """
     tol = tol or Tolerance()
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -292,10 +293,14 @@ def integrate_1d(f, lo: float, hi: float, tol: Tolerance | None = None) -> Quadr
         finite = math.isfinite(value) and math.isfinite(err)
     if not finite:
         # Finite values whose integral overflows: no number to report.
-        raise QuadratureNoConvergence(
-            f"integral {value!r} with error estimate {err!r} over [{lo!r}, {hi!r}] is not finite"
-        )
+        raise _not_finite(value, err, lo, hi)
     return QuadratureResult(value, err, counter[0])
+
+
+def _not_finite(value, err, lo: float, hi: float) -> QuadratureNoConvergence:
+    return QuadratureNoConvergence(
+        f"integral {value!r} with error estimate {err!r} over [{lo!r}, {hi!r}] is not finite"
+    )
 
 
 def _scalar_pass(f, guard, lo: float, hi: float, tol: Tolerance, counter: list[int], first):
@@ -312,6 +317,8 @@ def _scalar_pass(f, guard, lo: float, hi: float, tol: Tolerance, counter: list[i
         budget = max(tol.abs, tol.rel * abs(total_value))
         if total_err <= budget:
             break
+        if not (math.isfinite(total_value) and math.isfinite(total_err)):
+            raise _not_finite(total_value, total_err, lo, hi)
         _, _, a, b, v0, e0, depth = heapq.heappop(heap)
         mid = _center_and_half(a, b)[0]
         if depth >= tol.max_depth or not a < mid < b:
@@ -361,6 +368,8 @@ def _vector_pass(f, guard, lo: float, hi: float, tol: Tolerance, counter: list[i
         budget = tuple(max(tol.abs, tol.rel * m) for m in total_mass)
         if all(e <= b for e, b in zip(total_err, budget)):
             break
+        if not all(map(math.isfinite, total_value + total_err + total_mass)):
+            raise _not_finite(_shown(total_value), _shown(total_err), lo, hi)
         _, _, a, b, v0, e0, m0, depth = heapq.heappop(heap)
         mid = _center_and_half(a, b)[0]
         if depth >= tol.max_depth or not a < mid < b:

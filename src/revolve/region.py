@@ -37,9 +37,9 @@ import collections
 import functools
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple
 
+from ._record import record
 from .errors import AxisIntersectsRegion, DomainError, InvalidRegionError
 from .expr import (
     _WHOLE, ExprAst, _down, _iadd, _icos, _imul, _isin, _isub, _up, eval_array, eval_expr,
@@ -73,7 +73,8 @@ DEFAULT_INTERIOR_PROBES = 33
 # Absolute slack for "touching" comparisons (side checks, ordering).
 _TOUCH_TOL = 1e-9
 
-# Relative slack (times scale^2) of the on-edge test for polygons.
+# Relative slack of the on-edge test for polygons: a distance of _EDGE_TOL
+# times the coordinates' size, across and along the edge (_polygon_mask).
 _EDGE_TOL = 1e-12
 
 # Samples per boundary curve in the sampled cloud; odd, so the midpoint of
@@ -203,7 +204,7 @@ class _CurveLeaf:
                 )
 
 
-@dataclass(frozen=True)
+@record
 class NormalX(_CurveLeaf):
     """Region between y = lower(x) and y = upper(x) for x in [x_min, x_max]."""
 
@@ -217,7 +218,7 @@ class NormalX(_CurveLeaf):
     map = IDENTITY
 
 
-@dataclass(frozen=True)
+@record
 class NormalY(_CurveLeaf):
     """Region between x = left(y) and x = right(y) for y in [y_min, y_max]."""
 
@@ -231,7 +232,7 @@ class NormalY(_CurveLeaf):
     map = SWAP
 
 
-@dataclass(frozen=True)
+@record
 class PolarSector(_CurveLeaf):
     """Region rho_min(theta) <= rho <= rho_max(theta), theta_min <= theta <= theta_max,
     with 0 < theta_max - theta_min <= 2*pi and rho_min >= 0."""
@@ -246,7 +247,7 @@ class PolarSector(_CurveLeaf):
     map = POLAR
 
 
-@dataclass(frozen=True)
+@record
 class Polygon:
     """Simple polygon, vertices in counterclockwise order."""
 
@@ -263,7 +264,7 @@ class Polygon:
             raise InvalidRegionError("polygon edges self-intersect")
 
 
-@dataclass(frozen=True)
+@record
 class UnionRegion:
     """Disjoint union of regions.  Interior-disjointness is a caller
     contract and is not checked."""
@@ -445,13 +446,15 @@ def _curve_mask(leaf: _CurveLeaf, xs, ys):
 
 
 def _polygon_mask(poly: Polygon, xs, ys):
-    """Nonzero winding number, or on an edge: |cross| <= 1e-12 * scale^2 and
-    the projection within the edge, with scale = max(1, |coordinates| of the
-    edge and the point).  The edge test runs only on the points within the
-    slack of the edge's line at the largest scale present.  A point with a
-    coordinate that is not finite is outside.  An edge whose squared length
-    or slack is not finite raises InvalidRegionError: an infinite slack
-    would put every point on it."""
+    """Nonzero winding number, or on an edge pq: within 1e-12 * (sx*|n_x| +
+    sy*|n_y|) of its line, n the unit normal, and within 1e-12 * (sx*|t_x| +
+    sy*|t_y|) of the segment along it, t the unit direction, where sx =
+    max(1, |x| of the point, p and q) and sy likewise: the slack of each
+    coordinate's round-off, seen across and along the edge.  The edge test
+    runs only on the points within the slack of the edge's line at the
+    largest scales present.  A point with a coordinate that is not finite
+    is outside.  An edge whose squared length or slack is not finite raises
+    InvalidRegionError: an infinite slack would put every point on it."""
     import numpy as np
 
     shape = xs.shape
@@ -461,16 +464,19 @@ def _polygon_mask(poly: Polygon, xs, ys):
     # The largest finite point coordinate: the others are outside, and an
     # infinite one would make every slack infinite.
     finite = np.isfinite(xs) & np.isfinite(ys)
-    reach = 1.0
+    reach_x = reach_y = 1.0
     if finite.any():
-        reach = max(reach, float(np.abs(xs[finite]).max()), float(np.abs(ys[finite]).max()))
+        reach_x = max(reach_x, float(np.abs(xs[finite]).max()))
+        reach_y = max(reach_y, float(np.abs(ys[finite]).max()))
     verts = poly.vertices
     n = len(verts)
     for i in range(n):
         p, q = verts[i], verts[(i + 1) % n]
-        edge_scale = max(1.0, abs(p.x), abs(p.y), abs(q.x), abs(q.y))
-        top = max(edge_scale, reach)
-        bound = _EDGE_TOL * top * top
+        edge_sx, edge_sy = max(1.0, abs(p.x), abs(q.x)), max(1.0, abs(p.y), abs(q.y))
+        # |cross| is |pq| times the distance to the line, dot |pq| times the
+        # distance along it from p.
+        tx, ty = _EDGE_TOL * abs(q.x - p.x), _EDGE_TOL * abs(q.y - p.y)
+        bound = tx * max(edge_sy, reach_y) + max(edge_sx, reach_x) * ty
         try:
             length2 = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
         except OverflowError:
@@ -488,10 +494,11 @@ def _polygon_mask(poly: Polygon, xs, ys):
         if close.any():
             near = np.flatnonzero(close)
             px, py = xs[near], ys[near]
-            scale = np.maximum(edge_scale, np.maximum(np.abs(px), np.abs(py)))
-            slack = _EDGE_TOL * scale * scale
+            sx, sy = np.maximum(edge_sx, np.abs(px)), np.maximum(edge_sy, np.abs(py))
+            across = tx * sy + sx * ty
+            along = sx * tx + sy * ty
             dot = (px - p.x) * (q.x - p.x) + (py - p.y) * (q.y - p.y)
-            hit = (is_left[near] <= slack) & (dot >= -slack) & (dot <= length2 + slack)
+            hit = (is_left[near] <= across) & (dot >= -along) & (dot <= length2 + along)
             on_edge.append(near[hit])
     mask = wn != 0
     mask &= finite
@@ -838,10 +845,10 @@ def _cell_grid(region: Region) -> _CellGrid | None:
         if isinstance(leaf, Polygon):
             verts = leaf.vertices
             for p, q in zip(verts, verts[1:] + verts[:1]):
-                # The on-edge test reaches _EDGE_TOL * scale^2 / |pq| off the edge.
+                # The on-edge test reaches at most 2 * _EDGE_TOL * top off the
+                # edge, across it and along it.
                 top = max(reach, abs(p.x), abs(p.y), abs(q.x), abs(q.y))
-                slack = 4.0 * _EDGE_TOL * top * top / math.hypot(q.x - p.x, q.y - p.y)
-                segment((p.x, p.y), (q.x, q.y), margin + slack)
+                segment((p.x, p.y), (q.x, q.y), margin + 4.0 * _EDGE_TOL * top)
             continue
         u0, u1, near, far = leaf.span
         # A sector's angle is rounded in proportion to its size.

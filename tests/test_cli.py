@@ -548,3 +548,34 @@ class TestNumpyOnlyWhereArraysAre:
                                            ["sample", "--config", config, "--grid", "4"]])
         assert [(code, loaded) for _, code, loaded in seen] == [
             (None, False), (0, False), (0, True), (0, True)]
+
+
+# Runs CLI jobs in one fresh interpreter after ``import revolve`` and prints
+# the names of the modules loaded by then.
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+import revolve
+from revolve.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+class TestNoDataclassesOnTheCliPath:
+    def test_numpy_free_jobs_load_neither_dataclasses_nor_inspect(self, fixtures_dir):
+        # revolve's types are records built without dataclasses, which
+        # would also bring in inspect.
+        jobs = [[command, "--config", str(path)]
+                for path in sorted(fixtures_dir.glob("*.json"))
+                for command in ("check", "volume", "centroid")]
+        assert len(jobs) == 36
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(fixtures_dir.parent / "src"), *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps(jobs)],
+                              capture_output=True, text=True, env=env, check=True)
+        loaded = set(json.loads(proc.stdout))
+        assert {"revolve.cli", "revolve.methods", "revolve.region"} <= loaded
+        assert not loaded & {"dataclasses", "inspect"}

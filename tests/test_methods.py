@@ -47,9 +47,8 @@ from helpers import (
 )
 
 
-# Two polygons near float range, about y = -1: the rectangle's squared edge
-# length and the thin triangle's on-edge slack overflow, and so do their
-# first moments.
+# Two polygons near float range, about y = -1: the squared length of an
+# edge of each overflows, and so do their first moments.
 _WIDE_RECTANGLE = [[0, 0], [1e155, 0], [1e155, 1], [0, 1]]
 _THIN_TRIANGLE = [[1e200, 0], [1.0000000001e200, 0], [1e200, 1]]
 
@@ -560,6 +559,17 @@ class TestMonteCarlo:
         report = rv.volume_monte_carlo(sector_polar(), AXIS_OY,
                                        rv.McConfig(200_000, 3))
         assert abs(report.value - SECTOR_VOLUME) <= 4.0 * report.error_estimate
+
+    def test_long_thin_triangle_within_four_sigma(self):
+        # 1e10 long and 1 high: an on-edge slack that grew with the square of
+        # the coordinates put a band 0.01 high above the long edge inside,
+        # about ten standard errors here.
+        triangle = rv.Polygon((rv.Point(0, 0), rv.Point(1e10, 0), rv.Point(1e10, 1)))
+        axis = rv.Axis.horizontal(-1.0)
+        report = rv.volume_monte_carlo(triangle, axis, rv.McConfig(200_000, 1))
+        exact = 2.0 * math.pi * 5e9 * (1.0 + 1.0 / 3.0)  # 2*pi * area * centroid distance
+        assert rv.volume_double_integral(triangle, axis).value == pytest.approx(exact, rel=1e-12)
+        assert abs(report.value - exact) <= 4.0 * report.error_estimate
 
     def test_consistency_over_seeds(self):
         # |MC - double| within 4 standard errors for at least 28 of 30 seeds

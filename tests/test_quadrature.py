@@ -93,6 +93,27 @@ class TestIntegrate1D:
         with pytest.raises(QuadratureNoConvergence, match=r"over \[-1e\+308, 1e\+308\] is not finite"):
             rv.integrate_1d(f, -1e308, 1e308)
 
+    @pytest.mark.parametrize("f", [lambda x: 1e308, lambda x: (1.0, 1e308)], ids=["scalar", "vector"])
+    def test_non_finite_running_total_is_refused_at_once(self, f):
+        # Finite values whose first panel's sums overflow: the error estimate
+        # is NaN, which no bisection brings below the tolerance.
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        with pytest.raises(QuadratureNoConvergence, match=r"over \[0.0, 10.0\] is not finite"):
+            rv.integrate_1d(counted, 0.0, 10.0)
+        assert len(calls) == 15
+
+    def test_centroid_with_non_finite_moments_is_refused_at_once(self):
+        # Sx overflows: refused from the first panel, not after bisecting to
+        # the subdivision cap.
+        region = rv.NormalX(1.5e308, 1.6e308, rv.curve("0", "x"), rv.curve("1", "x"))
+        with pytest.raises(QuadratureNoConvergence, match=r"is not finite$"):
+            rv.centroid(region)
+
     def test_deterministic(self):
         runs = {
             repr(rv.integrate_1d(lambda x: math.exp(-x * x), -2.0, 3.0).value)

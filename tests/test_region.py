@@ -28,17 +28,22 @@ def quarter_disk():
 
 def _scalar_polygon_contains(poly, x, y):
     """Reference rule for polygon containment, one point at a time: on an
-    edge (cross product and projection within 1e-12 * scale^2, scale the
-    largest coordinate magnitude involved, at least 1) or a nonzero
-    winding number."""
+    edge or a nonzero winding number.  On an edge ab: the distance to its
+    line within 1e-12 * (sx*|n_x| + sy*|n_y|), n the unit normal, and the
+    projection within the edge up to 1e-12 * (sx*|t_x| + sy*|t_y|) along
+    it, t the unit direction, where sx is the largest |x| of a, b and the
+    point, at least 1, and sy likewise."""
     wn = 0
     verts = poly.vertices
     for a, b in zip(verts, verts[1:] + verts[:1]):
-        scale = max(1.0, abs(a.x), abs(a.y), abs(b.x), abs(b.y), abs(x), abs(y))
-        slack = 1e-12 * scale * scale
+        sx = max(1.0, abs(a.x), abs(b.x), abs(x))
+        sy = max(1.0, abs(a.y), abs(b.y), abs(y))
+        tx, ty = 1e-12 * abs(b.x - a.x), 1e-12 * abs(b.y - a.y)
         cross = (b.x - a.x) * (y - a.y) - (x - a.x) * (b.y - a.y)
         dot = (x - a.x) * (b.x - a.x) + (y - a.y) * (b.y - a.y)
-        if abs(cross) <= slack and -slack <= dot <= (b.x - a.x) ** 2 + (b.y - a.y) ** 2 + slack:
+        along = sx * tx + sy * ty
+        if (abs(cross) <= tx * sy + sx * ty
+                and -along <= dot <= (b.x - a.x) ** 2 + (b.y - a.y) ** 2 + along):
             return True
         if a.y <= y < b.y and cross > 0.0:
             wn += 1
@@ -188,7 +193,7 @@ class TestContains:
 
     @pytest.mark.parametrize("vertices", [
         [[0, 0], [1e155, 0], [1e155, 1], [0, 1]],  # the squared edge length overflows
-        [[1e200, 0], [1.0000000001e200, 0], [1e200, 1]],  # the on-edge slack overflows
+        [[1e200, 0], [1.0000000001e200, 0], [1e200, 1]],  # so does a thin triangle's
     ])
     @pytest.mark.parametrize("count", [3, 5000])  # the exact tests, and the cell grid
     def test_polygon_near_float_range_is_refused(self, vertices, count):
@@ -202,6 +207,26 @@ class TestContains:
         poly = rv.Polygon((rv.Point(0, 0), rv.Point(1e150, 0), rv.Point(1e150, 1),
                            rv.Point(0, 1)))
         assert rv.contains(poly, rv.Point(5e149, 0.5))
+
+    @pytest.mark.parametrize("count", [1, 5000])  # the exact tests, and the cell grid
+    def test_on_edge_slack_is_a_distance_from_the_edge(self, count):
+        # The slack is 1e-12 of the coordinates' size across the edge: the
+        # y of a long flat edge, the x of a short upright one.
+        rect = rv.Polygon((rv.Point(0, 0), rv.Point(1e150, 0), rv.Point(1e150, 1),
+                           rv.Point(0, 1)))
+        triangle = rv.Polygon((rv.Point(0, 0), rv.Point(1e10, 0), rv.Point(1e10, 1)))
+        cases = [
+            (rect, (3e150, 0.5), False), (rect, (5e149, 7.0), False), (rect, (5e149, 1.0), True),
+            (rect, (1e150, 0.5), True), (rect, (5e149, 0.0), True), (rect, (0.0, 1.0), True),
+            (triangle, (5e9, 0.505), False), (triangle, (5e9, 0.5 + 1e-9), False),
+            (triangle, (5e9, 0.5), True), (triangle, (1e10, 0.25), True),
+            (triangle, (2.5e9, 0.25), True), (triangle, (1e10 + 1e-3, 0.5), True),
+            (triangle, (1e10 + 0.1, 0.5), False),
+        ]
+        for region, (x, y), inside in cases:
+            assert rv.contains(region, rv.Point(x, y)) is inside, (x, y)
+            mask = rv.contains_mask(region, np.full(count, x), np.full(count, y))
+            assert mask.all() if inside else not mask.any(), (x, y)
 
 
 def _star(n, scale=1.0, seed=3):
@@ -230,9 +255,9 @@ def _full_sector():
 
 
 def _short_edge_tip():
-    # A triangle whose tip is an edge 1e-7 long, 3e-6 below a row of cells:
-    # the on-edge slack, 1e-12 / 1e-7 = 1e-5 off that edge, reaches the row
-    # above.  The square sets the box to [0.2, 0.8] x [0.1, 1].
+    # A triangle whose tip is an edge 1e-7 long, 3e-6 below a row of cells.
+    # The on-edge slack is a distance, about 1e-12 off any edge whatever its
+    # length.  The square sets the box to [0.2, 0.8] x [0.1, 1].
     top = 0.1 + 13 * 0.9 / 64 - 3e-6
     tip = rv.Polygon((rv.Point(0.2, 0.1), rv.Point(0.8, 0.1), rv.Point(0.5, top),
                       rv.Point(0.5 - 1e-7, top)))
@@ -315,8 +340,9 @@ class TestCellGrid:
             for p, q in zip(verts, verts[1:] + verts[:1]):
                 length = math.hypot(q.x - p.x, q.y - p.y)
                 nx, ny = (p.y - q.y) / length, (q.x - p.x) / length
-                scale = max(1.0, abs(p.x), abs(p.y), abs(q.x), abs(q.y))
-                slack = 1e-12 * scale * scale / length
+                # The on-edge slack across the edge.
+                sx, sy = max(1.0, abs(p.x), abs(q.x)), max(1.0, abs(p.y), abs(q.y))
+                slack = 1e-12 * (sx * abs(nx) + sy * abs(ny))
                 for t in (0.0, 1e-13, 0.25, 0.5, 0.8, 1.0, 1.0 + 1e-13, -1e-9, 1.0 + 1e-9):
                     for off in (0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0, 1e3, -1e3):
                         pts.append((p.x + (q.x - p.x) * t + off * slack * nx,
