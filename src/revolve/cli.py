@@ -3,7 +3,7 @@
 Subcommands: volume, compare, centroid, sample, check.  Every run takes a
 JSON job config (--config); flags override the matching config fields.
 Reports go to stdout as JSON (default) or CSV with 17-significant-digit
-numbers; errors go to stderr.
+numbers; sample always writes CSV.  Errors go to stderr.
 
 Exit codes: 0 ok, 2 config error, 3 computation error, 4 method
 disagreement (compare only).
@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("centroid", parents=[common],
                    help="area and centroid of the region")
     sample = sub.add_parser("sample", parents=[common],
-                            help="CSV grid of containment and axis distance")
+                            help="CSV grid of containment and axis distance "
+                                 "(always CSV: --format json is refused)")
     sample.add_argument("--grid", type=int, default=32, metavar="N",
                         help="grid points per side (default 32)")
     sub.add_parser("check", parents=[common],
@@ -210,6 +211,8 @@ def main(argv=None) -> int:
         if args.command == "volume" and job.method == "all":
             raise ConfigError([("method", "'all' is the compare subcommand's job; "
                                           "pick one method for volume")])
+        if args.command == "sample" and args.out_format == "json":
+            raise ConfigError([("--format", "sample always writes CSV")])
         if args.command == "sample" and args.grid < 2:
             raise ConfigError([("--grid", "need at least 2 points per side")])
         if args.command == "sample" and args.grid > _MAX_GRID:

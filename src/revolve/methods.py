@@ -58,6 +58,7 @@ from ._record import record
 from .errors import InvalidRegionError, RevolveError, UnsupportedMethod
 from .geometry import Axis, Point, signed_distance
 from .quadrature import (
+    PieceIntegrand,
     QuadratureResult,
     Tolerance,
     integrate_1d,
@@ -201,13 +202,10 @@ def volume_double_integral(region: Region, axis: Axis, tol: Tolerance | None = N
 # Disk (washer) method
 
 def _disk_piece(piece: Piece, offset: float, side: int, tol: Tolerance) -> QuadratureResult:
-    near, far = piece.near, piece.far
-    return integrate_1d(
-        lambda t: math.pi * side * ((far(t) - offset) ** 2 - (near(t) - offset) ** 2),
-        piece.u0,
-        piece.u1,
-        tol,
-    )
+    def washer(t: float, near: float, far: float) -> float:
+        return math.pi * side * ((far - offset) ** 2 - (near - offset) ** 2)
+
+    return integrate_1d(PieceIntegrand(piece, washer), piece.u0, piece.u1, tol)
 
 
 @_route
@@ -236,10 +234,10 @@ def volume_disk(region: Region, axis: Axis, tol: Tolerance | None = None) -> Qua
 # Shell method
 
 def _shell_piece(piece: Piece, offset: float, tol: Tolerance) -> QuadratureResult:
-    near, far = piece.near, piece.far
-    return integrate_1d(
-        lambda t: TWO_PI * abs(t - offset) * (far(t) - near(t)), piece.u0, piece.u1, tol
-    )
+    def shell(t: float, near: float, far: float) -> float:
+        return TWO_PI * abs(t - offset) * (far - near)
+
+    return integrate_1d(PieceIntegrand(piece, shell), piece.u0, piece.u1, tol)
 
 
 @_route

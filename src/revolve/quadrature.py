@@ -21,6 +21,17 @@ iterated route for general integrands, which no volume route uses: inner
 integral per outer node, with the inner tolerance tightened 10x so the
 outer estimate dominates the reported error.
 
+Every route, about every axis, bisects a piece's interval from the same
+ends, so the same panels come back.  A piece's integrand is
+g(u, near(u), far(u)) for a pure g (``PieceIntegrand``): the sections and
+their linear forms here, the washer and the shell in ``methods``.  The
+first pass over a panel keeps near and far at its 15 nodes in the piece's
+memo (at most _PANELS panels per leaf, and only panels whose curves all
+evaluated); a later pass over it, by any route, applies its g to the kept
+values.  A raise or a non-finite mass still goes to the guard below, which
+alone nudges and words errors, so values, error estimates and counts are
+those of evaluating afresh.
+
 All nodes are interior, so endpoint singularities like sqrt(1-x^2) at x=1
 are never sampled directly; an integrand failure within 1e-9 of an endpoint
 is retried once with a 1e-12 relative inward nudge, and a failure in the
@@ -40,11 +51,12 @@ import math
 from ._record import record
 from .errors import DomainError, IntegrandError, QuadratureNoConvergence
 from .geometry import Point
-from .region import POLAR, SWAP, Piece, Region, leaves, pieces
+from .region import IDENTITY, POLAR, SWAP, Piece, Region, leaves, pieces
 
 __all__ = [
     "Tolerance",
     "QuadratureResult",
+    "PieceIntegrand",
     "integrate_1d",
     "integrate_region",
     "linear_sections",
@@ -120,6 +132,9 @@ _ROUNDOFF = 50.0 * 2.220446049250313e-16  # 50 * double epsilon, per QUADPACK
 _FAILURES = (DomainError, ValueError, ZeroDivisionError, OverflowError)
 _UNTRIED = object()  # a node the panel's pass did not reach
 
+# Panels whose near and far values one leaf's memo keeps (``PieceIntegrand``).
+_PANELS = 256
+
 
 def _rule(half: float, fc, l1, h1, l2, h2, l3, h3, l4, h4, l5, h5, l6, h6, l7, h7):
     """Gauss-Kronrod 7/15 sums of one scalar component on a panel of
@@ -165,15 +180,17 @@ def _center_and_half(a: float, b: float) -> tuple[float, float]:
     return center, half
 
 
-def _gk15(f, guard, a: float, b: float, counter: list[int]):
-    """One Gauss-Kronrod 7/15 application of ``f`` on [a, b]: ``_rules``
-    of its values at the 15 nodes.
+def _gk15(sample, guard, a: float, b: float, counter: list[int]):
+    """One Gauss-Kronrod 7/15 application on [a, b]: ``_rules`` of the
+    integrand's values at the 15 nodes.
 
-    The nodes are evaluated in one pass and counted.  A value that raised
-    or is not finite leaves some mass non-finite (|f| sums to inf or NaN),
-    and only then are the values settled by ``guard``, node by node in
-    order from the first: it keeps the values the pass reached and
-    evaluates only the nodes past the one that raised.
+    ``sample(nodes, a, b)`` evaluates the nodes in one pass, in order, and
+    stops at the first that raised, which it lists as None; they are
+    counted.  A value that raised or is not finite leaves some mass
+    non-finite (|f| sums to inf or NaN), and only then are the values
+    settled by ``guard``, node by node in order from the first: it keeps
+    the values the pass reached and evaluates only the nodes past the one
+    that raised.
     """
     center, half = _center_and_half(a, b)
     x1, x2, x3, x4, x5, x6, x7 = _XGK
@@ -182,13 +199,7 @@ def _gk15(f, guard, a: float, b: float, counter: list[int]):
     nodes = [center, center - d1, center + d1, center - d2, center + d2, center - d3, center + d3,
              center - d4, center + d4, center - d5, center + d5, center - d6, center + d6,
              center - d7, center + d7]
-    values = []
-    append = values.append
-    try:
-        for x in nodes:
-            append(f(x))
-    except _FAILURES:
-        append(None)
+    values = sample(nodes, a, b)
     counter[0] += len(values)
     if len(values) == 15:
         rules = _rules(half, values)
@@ -201,6 +212,93 @@ def _gk15(f, guard, a: float, b: float, counter: list[int]):
     reached = len(values)
     return _rules(half, [guard(x, values[k] if k < reached else _UNTRIED)
                          for k, x in enumerate(nodes)])
+
+
+def _sampler(f):
+    """The ``sample`` of a plain integrand: ``f`` at each node."""
+
+    def sample(nodes: list, a: float, b: float) -> list:
+        values = []
+        append = values.append
+        try:
+            for x in nodes:
+                append(f(x))
+        except _FAILURES:
+            append(None)
+        return values
+
+    return sample
+
+
+class PieceIntegrand:
+    """The integrand u -> g(u, near(u), far(u)) of a piece, where ``g`` is
+    pure: a section, a linear form of one, a washer or a shell.
+
+    ``integrate_1d`` samples it through ``sample``, which keeps near and
+    far at the nodes of each panel (a, b) in the piece's memo
+    (``Piece.panels``), as two lists, and applies ``g`` to the kept values
+    when the panel comes back, for this integrand or another on the same
+    piece.
+    Only panels whose 15 curve values all evaluated are kept, and only
+    while the memo holds fewer than _PANELS of them.  The values are those
+    of evaluating afresh, and so is everything integrate_1d derives from
+    them.
+    """
+
+    __slots__ = ("g", "near", "far", "panels")
+
+    def __init__(self, piece: Piece, g):
+        self.g, self.near, self.far, self.panels = g, piece.near, piece.far, piece.panels
+
+    def __call__(self, u: float):
+        return self.g(u, self.near(u), self.far(u))
+
+    def sample(self, nodes: list, a: float, b: float) -> list:
+        """``_gk15``'s pass over the panel (a, b): the values at ``nodes``,
+        up to the first that raised, which is None."""
+        g, panels = self.g, self.panels
+        stored = panels.get((a, b))
+        if stored is not None:
+            try:
+                return list(map(g, nodes, *stored))
+            except _FAILURES:
+                return self._until_failure(nodes, *stored)
+        values = []
+        append = values.append
+        near, far = self.near, self.far
+        if len(panels) >= _PANELS:
+            try:
+                for x in nodes:
+                    append(g(x, near(x), far(x)))
+            except _FAILURES:
+                append(None)
+            return values
+        lows, highs = [], []
+        low, high = lows.append, highs.append
+        try:
+            for x in nodes:
+                lo = near(x)
+                hi = far(x)
+                low(lo)
+                high(hi)
+                append(g(x, lo, hi))
+        except _FAILURES:
+            append(None)
+            return values
+        panels[a, b] = (lows, highs)
+        return values
+
+    def _until_failure(self, nodes: list, lows: list, highs: list) -> list:
+        """``g`` at the nodes and kept values, in order, up to the first node
+        that raises: a kept panel's pass again, as ``g`` is pure."""
+        g = self.g
+        values = []
+        try:
+            for x, lo, hi in zip(nodes, lows, highs):
+                values.append(g(x, lo, hi))
+        except _FAILURES:
+            values.append(None)
+        return values
 
 
 def _finite(y) -> bool:
@@ -284,12 +382,13 @@ def integrate_1d(f, lo: float, hi: float, tol: Tolerance | None = None) -> Quadr
 
     counter = [0]
     guard = _domain_guard(f, lo, hi, counter)
-    first = _gk15(f, guard, lo, hi, counter)
+    sample = f.sample if type(f) is PieceIntegrand else _sampler(f)
+    first = _gk15(sample, guard, lo, hi, counter)
     if type(first[0]) is tuple:
-        value, err = _vector_pass(f, guard, lo, hi, tol, counter, first)
+        value, err = _vector_pass(sample, guard, lo, hi, tol, counter, first)
         finite = all(map(math.isfinite, value + err))
     else:
-        value, err = _scalar_pass(f, guard, lo, hi, tol, counter, first)
+        value, err = _scalar_pass(sample, guard, lo, hi, tol, counter, first)
         finite = math.isfinite(value) and math.isfinite(err)
     if not finite:
         # Finite values whose integral overflows: no number to report.
@@ -303,7 +402,7 @@ def _not_finite(value, err, lo: float, hi: float) -> QuadratureNoConvergence:
     )
 
 
-def _scalar_pass(f, guard, lo: float, hi: float, tol: Tolerance, counter: list[int], first):
+def _scalar_pass(sample, guard, lo: float, hi: float, tol: Tolerance, counter: list[int], first):
     """The adaptive loop of a scalar integrand from its first panel's rule:
     (value, error estimate).  The panel bisected next is the one with the
     largest error."""
@@ -326,8 +425,8 @@ def _scalar_pass(f, guard, lo: float, hi: float, tol: Tolerance, counter: list[i
                 f"error estimate {total_err!r} above tolerance {budget!r} "
                 f"after depth {depth} near [{a!r}, {b!r}]"
             )
-        v1, e1, _ = _gk15(f, guard, a, mid, counter)
-        v2, e2, _ = _gk15(f, guard, mid, b, counter)
+        v1, e1, _ = _gk15(sample, guard, a, mid, counter)
+        v2, e2, _ = _gk15(sample, guard, mid, b, counter)
         total_value = total_value + ((v1 + v2) - v0)
         total_err = total_err + ((e1 + e2) - e0)
         heapq.heappush(heap, (-e1, seq, a, mid, v1, e1, depth + 1))
@@ -344,7 +443,7 @@ def _scalar_pass(f, guard, lo: float, hi: float, tol: Tolerance, counter: list[i
     return math.fsum([item[4] for item in heap]), math.fsum([item[5] for item in heap])
 
 
-def _vector_pass(f, guard, lo: float, hi: float, tol: Tolerance, counter: list[int], first):
+def _vector_pass(sample, guard, lo: float, hi: float, tol: Tolerance, counter: list[int], first):
     """The adaptive loop of a tuple-valued integrand from its first panel's
     rules: per-component (values, error estimates).  Panels are bisected in
     order of error over a fixed per-component scale, the first pass's M_k
@@ -377,8 +476,8 @@ def _vector_pass(f, guard, lo: float, hi: float, tol: Tolerance, counter: list[i
                 f"error estimate {_shown(total_err)!r} above tolerance {_shown(budget)!r} "
                 f"after depth {depth} near [{a!r}, {b!r}]"
             )
-        v1, e1, m1 = split(_gk15(f, guard, a, mid, counter))
-        v2, e2, m2 = split(_gk15(f, guard, mid, b, counter))
+        v1, e1, m1 = split(_gk15(sample, guard, a, mid, counter))
+        v2, e2, m2 = split(_gk15(sample, guard, mid, b, counter))
         total_value = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_value, v1, v2, v0))
         total_err = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_err, e1, e2, e0))
         total_mass = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_mass, m1, m2, m0))
@@ -414,70 +513,56 @@ def sum_results(results: list[QuadratureResult]) -> QuadratureResult:
 _NO_SECTION = (0.0, 0.0, 0.0)
 
 
-def _normal_section(lower, upper, transpose: bool):
-    """Section of an IDENTITY or SWAP piece at outer coordinate u, the inner
-    variable v running from lower(u) to upper(u): (v-length, u * length,
-    integral of v dv), reordered to (A, Sx, Sy) terms.  ``transpose`` marks
-    an inner x (SWAP), otherwise the inner variable is y."""
-
-    def section(u: float) -> tuple[float, float, float]:
-        lo = lower(u)
-        hi = upper(u)
-        if not hi > lo:
-            return _NO_SECTION
-        width = hi - lo
-        outer = u * width
-        inner = 0.5 * width * (hi + lo)
-        return (width, inner, outer) if transpose else (width, outer, inner)
-
-    return section
+def _x_section(u: float, lo: float, hi: float) -> tuple[float, float, float]:
+    """Section of an IDENTITY piece at outer coordinate u, the inner y
+    running from lo to hi: (length, u * length, integral of y dy)."""
+    if not hi > lo:
+        return _NO_SECTION
+    width = hi - lo
+    return (width, u * width, 0.5 * width * (hi + lo))
 
 
-def _polar_section(rho_min, rho_max):
-    """Section of a polar sector at angle theta, rho-Jacobian included:
-    ((R^2 - r^2)/2, (R^3 - r^3)/3 * cos theta, (R^3 - r^3)/3 * sin theta)."""
-
-    def section(theta: float) -> tuple[float, float, float]:
-        r = rho_min(theta)
-        big = rho_max(theta)
-        if not big > r:
-            return _NO_SECTION
-        first = (big - r) * (big * big + big * r + r * r) / 3.0
-        return (0.5 * (big - r) * (big + r), first * math.cos(theta), first * math.sin(theta))
-
-    return section
+def _y_section(u: float, lo: float, hi: float) -> tuple[float, float, float]:
+    """Section of a SWAP piece, the inner x running from lo to hi: the
+    transpose of ``_x_section``."""
+    if not hi > lo:
+        return _NO_SECTION
+    width = hi - lo
+    return (width, 0.5 * width * (hi + lo), u * width)
 
 
-def _section(piece: Piece):
-    """The closed-form section function of a piece, by its map."""
-    if piece.map == POLAR:
-        return _polar_section(piece.near, piece.far)
-    return _normal_section(piece.near, piece.far, piece.map == SWAP)
+def _polar_section(theta: float, r: float, big: float) -> tuple[float, float, float]:
+    """Section of a polar sector at angle theta, rho from r to R, rho-Jacobian
+    included: ((R^2 - r^2)/2, (R^3 - r^3)/3 * cos theta, (R^3 - r^3)/3 * sin theta)."""
+    if not big > r:
+        return _NO_SECTION
+    first = (big - r) * (big * big + big * r + r * r) / 3.0
+    return (0.5 * (big - r) * (big + r), first * math.cos(theta), first * math.sin(theta))
 
 
-def _linear_section(piece: Piece, scale: float, a: float, b: float, c: float):
-    """scale * (a*Sx + b*Sy + c*A) of the section of ``piece`` at u.  A
-    normal piece's is one closure over its curves, with the operations of
-    its moment section in the same order; a polar piece's reads its moment
+# The closed-form section g(u, near, far) of a piece, by its map.
+_SECTIONS = {IDENTITY: _x_section, SWAP: _y_section, POLAR: _polar_section}
+
+
+def _linear_form(cmap: str, scale: float, a: float, b: float, c: float):
+    """g(u, near, far) = scale * (a*Sx + b*Sy + c*A) of the section of a
+    piece with map ``cmap``.  A normal piece's has the operations of its
+    moment section in the same order; a polar piece's reads its moment
     section."""
-    if piece.map == POLAR:
-        section = _polar_section(piece.near, piece.far)
+    if cmap == POLAR:
 
-        def form(u: float) -> float:
-            m1, mx, my = section(u)
+        def polar_form(u: float, r: float, big: float) -> float:
+            m1, mx, my = _polar_section(u, r, big)
             return scale * (a * mx + b * my + c * m1)
 
-        return form
+        return polar_form
 
-    lower, upper = piece.near, piece.far
     # The coefficients of u * width and of the inner moment; a SWAP
     # piece's outer coordinate is y.  (Addition commutes bit for bit.)
-    p, q = (b, a) if piece.map == SWAP else (a, b)
+    p, q = (b, a) if cmap == SWAP else (a, b)
     empty = scale * (a * 0.0 + b * 0.0 + c * 0.0)
 
-    def form(u: float) -> float:
-        lo = lower(u)
-        hi = upper(u)
+    def form(u: float, lo: float, hi: float) -> float:
         if not hi > lo:
             return empty
         width = hi - lo
@@ -490,8 +575,8 @@ def linear_sections(region: Region, scale: float, a: float, b: float, c: float) 
     """The region's pieces as (u0, u1, form), where form(u) is the inner
     integral of scale * (a*x + b*y + c) over the cross-section at u, in
     closed form: scale * (a*Sx + b*Sy + c*A) of ``moment_sections``'
-    section, computed alike."""
-    return [(piece.u0, piece.u1, _linear_section(piece, scale, a, b, c))
+    section, computed alike.  Each form is a ``PieceIntegrand``."""
+    return [(piece.u0, piece.u1, PieceIntegrand(piece, _linear_form(piece.map, scale, a, b, c)))
             for piece in pieces(region)]
 
 
@@ -501,8 +586,10 @@ def moment_sections(region: Region) -> list:
     at outer coordinate u: x for normal_x and polygon slabs, y for normal_y,
     theta for polar sectors.  Integrating a section over [u0, u1] gives the
     piece's area and first moments (A, Sx, Sy); any integrand linear in
-    (x, y) is a fixed combination of them."""
-    return [(piece.u0, piece.u1, _section(piece)) for piece in pieces(region)]
+    (x, y) is a fixed combination of them.  Each section is a
+    ``PieceIntegrand``."""
+    return [(piece.u0, piece.u1, PieceIntegrand(piece, _SECTIONS[piece.map]))
+            for piece in pieces(region)]
 
 
 # ---------------------------------------------------------------------------

@@ -484,14 +484,15 @@ def quadrature_pin_cases(seed=QUADRATURE_PIN_SEED):
     return cases
 
 
-def quadrature_pin(job):
+def quadrature_pin(job, routes=QUADRATURE_ROUTES):
     """What the quadrature pins hold for a job: for each route of
-    QUADRATURE_ROUTES, [repr(value), repr(error estimate), evaluations] or
-    the name of the error it raised; and the centroid with its moment pass."""
+    QUADRATURE_ROUTES, run in the order of ``routes``, [repr(value),
+    repr(error estimate), evaluations] or the name of the error it raised;
+    and the centroid with its moment pass."""
     from revolve.methods import _region_moments, run_route
 
     pin = {}
-    for name in QUADRATURE_ROUTES:
+    for name in routes:
         try:
             r = run_route(name, job.region, job.axis, job.tolerance)
         except rv.RevolveError as exc:

@@ -292,6 +292,24 @@ class TestSample:
         assert code == 2
         assert "--grid" in err
 
+    def test_json_format_is_config_error(self, capsys, fixtures_dir):
+        code, out, err = run_cli(capsys, "sample",
+                                 "--config", str(fixtures_dir / "unit_square.json"),
+                                 "--grid", "2", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == "config error: --format: sample always writes CSV\n"
+
+    def test_always_csv(self, capsys, tmp_path, fixtures_dir):
+        # An explicit --format csv, or a config file's format field, changes nothing.
+        doc = json.loads((fixtures_dir / "unit_square.json").read_text())
+        outs = [run_cli(capsys, "sample", "--config", str(fixtures_dir / "unit_square.json"),
+                        "--grid", "2", *extra)
+                for extra in ([], ["--format", "csv"])]
+        outs.append(run_cli(capsys, "sample", "--config",
+                            write_config(tmp_path, {**doc, "format": "json"}), "--grid", "2"))
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0][0] == 0 and outs[0][1].startswith("x,y,inside,distance\n")
+
     def test_grid_is_bounded(self, capsys, fixtures_dir):
         # 5793^2 points exceed the Monte Carlo bound of 2^25.
         code, out, err = run_cli(capsys, "sample",

@@ -8,12 +8,15 @@ import pytest
 import revolve as rv
 from revolve.config import load_job, parse_job
 from revolve.errors import DomainError, IntegrandError, QuadratureNoConvergence
-from revolve.quadrature import _XGK, _domain_guard, moment_sections, sum_results
+from revolve import methods
+from revolve import region as region_module
+from revolve.quadrature import (_PANELS, _XGK, PieceIntegrand, _domain_guard, linear_sections,
+                                moment_sections, sum_results)
 from revolve.region import pieces
 
 from conftest import FIXTURES
-from helpers import (cone_triangle, quadrature_pin, quadrature_pin_cases, ref_integrate_1d,
-                     sector_polar)
+from helpers import (QUADRATURE_ROUTES, cone_triangle, quadrature_pin, quadrature_pin_cases,
+                     ref_integrate_1d, sector_polar, straddling_disk_x)
 
 
 class TestIntegrate1D:
@@ -361,6 +364,79 @@ class TestOnePassMatchesPerNodeGuard:
         assert messages[0] == messages[1]
 
 
+class TestPanelMemoMatchesPerNodeGuard:
+    """A piece's integrand reads the near and far values of a panel seen
+    before from the piece's memo (``PieceIntegrand``).  On a fresh memo and
+    on the memo that pass left, values, error estimates, evaluation counts
+    and the first IntegrandError message are those of the per-node guarded
+    reference."""
+
+    @staticmethod
+    def outcomes(piece, g, tol=None):
+        """The panel path's outcome on a fresh memo, then on the memo it
+        left, and the reference's."""
+        near, far = piece.near, piece.far
+        f = PieceIntegrand(piece, g)
+        return ([_outcome(rv.integrate_1d, f, piece.u0, piece.u1, tol) for _ in range(2)],
+                _outcome(ref_integrate_1d, lambda u: g(u, near(u), far(u)), piece.u0, piece.u1, tol))
+
+    def test_sqrt_disk_endpoint_nudge(self):
+        # The sqrt arcs of the disk crowd panels at x = -1; the panel
+        # [-1, -1 + 2^-22] has its first pair's low node within 1e-9 * 2 of
+        # the end, where the lower arc is made to fail once.
+        [(u0, u1, form)] = linear_sections(straddling_disk_x(), 2.0 * math.pi, 1.0, 0.0, 2.0)
+        node = _panel_nodes(-1.0, -1.0 + 2.0**-22)[1]
+        assert node - u0 <= 1e-9 * (u1 - u0)
+        piece = pieces(straddling_disk_x())[0]
+        piece = piece._replace(near=_failing_at(piece.near, [node], "raise"), panels={})
+        (first, again), ref = self.outcomes(piece, form.g, _TIGHT)
+        assert first == again == ref
+        assert first[2] % 15 == 1  # one nudged retry
+        assert len(piece.panels) == (first[2] - 1) // 15 - 1  # all but the nudged panel kept
+
+    def test_interior_failure_is_never_kept(self):
+        # The upper curve is undefined at one node of the panel [0.5, 1],
+        # a node no construction probe meets.
+        node = _panel_nodes(0.5, 1.0)[3]
+        leaf = rv.NormalX(0.0, 1.0, rv.curve("0", "x"),
+                          rv.curve(f"2+sin(20*x)+0*log(abs(x-{node!r}))", "x"))
+        piece = pieces(leaf)[0]._replace(panels={})
+        (first, again), ref = self.outcomes(piece, moment_sections(leaf)[0][2].g)
+        assert first == again == ref == f"integrand undefined at {node!r} inside [0.0, 1.0]"
+        assert (0.0, 1.0) in piece.panels and (0.5, 1.0) not in piece.panels
+
+    @pytest.mark.parametrize("where", ["edge", "interior"])
+    def test_kept_panel_where_another_integrand_raises(self, where):
+        # The disk's distance form fills the memo; an integrand of the same
+        # curve values that divides by zero at one node then reads it.
+        [(u0, u1, form)] = linear_sections(straddling_disk_x(), 2.0 * math.pi, 1.0, 0.0, 2.0)
+        piece = pieces(straddling_disk_x())[0]._replace(panels={})
+        rv.integrate_1d(PieceIntegrand(piece, form.g), u0, u1, _TIGHT)
+        panel = (-1.0, -1.0 + 2.0**-22) if where == "edge" else (u0, u1)
+        assert panel in piece.panels
+        node = _panel_nodes(*panel)[1 if where == "edge" else 3]
+
+        def g(u, lo, hi):
+            return form.g(u, lo, hi) + 0.0 / (u - node)
+
+        (first, again), ref = self.outcomes(piece, g, _TIGHT)
+        assert first == again == ref
+        if where == "edge":
+            assert first[2] % 15 == 1  # one nudged retry
+        else:
+            assert first == f"integrand undefined at {node!r} inside [-1.0, 1.0]"
+
+    def test_readme_oscillation_stops_at_the_cap(self):
+        leaf = rv.NormalX(0.0, 1.0, rv.curve("0", "x"),
+                          rv.curve("1 + 0.5*sin(1537*pi*x)^64", "x"))
+        [(_, _, form)] = linear_sections(leaf, 2.0 * math.pi, 1.0, 0.0, 1.0)
+        piece = pieces(leaf)[0]._replace(panels={})
+        (first, again), ref = self.outcomes(piece, form.g, rv.Tolerance(rel=1e-8))
+        assert first == again == ref
+        assert first[2] == 255075
+        assert len(piece.panels) == _PANELS
+
+
 class TestIntegrateRegion:
     def test_unit_square_area(self):
         square = rv.NormalX(0.0, 1.0, rv.curve("0", "x"), rv.curve("1", "x"))
@@ -465,3 +541,29 @@ class TestQuadraturePins:
     @pytest.mark.parametrize("case_id,doc", _PIN_CASES, ids=[c for c, _ in _PIN_CASES])
     def test_corpus(self, case_id, doc):
         assert quadrature_pin(parse_job(doc)) == _QUAD_PINS["corpus"][case_id]
+
+
+_PIN_JOBS = ([("fixtures", name) for name in sorted(_QUAD_PINS["fixtures"])]
+             + [("corpus", case_id) for case_id, _ in _PIN_CASES])
+
+
+class TestPinsOrderAndCacheFree:
+    """The routes run in reverse order give the pins too, with every cache
+    that routes share cleared first (the leaf pieces and their panel
+    memos, the moments and the side check), and again warm: no result
+    depends on which route ran first or on what is cached."""
+
+    @pytest.mark.parametrize("section,job_id", _PIN_JOBS, ids=[j for _, j in _PIN_JOBS])
+    def test_routes_reversed_cold_then_warm(self, section, job_id):
+        def job():
+            if section == "fixtures":
+                return load_job(FIXTURES / job_id)
+            return parse_job(dict(_PIN_CASES)[job_id])
+
+        routes = QUADRATURE_ROUTES[::-1]
+        region_module._leaf_pieces.cache_clear()
+        methods._region_moments.cache_clear()
+        rv.axis_side_check.cache_clear()
+        cold = quadrature_pin(job(), routes)
+        warm = quadrature_pin(job(), routes)
+        assert cold == warm == _QUAD_PINS[section][job_id]

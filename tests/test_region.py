@@ -444,6 +444,8 @@ class TestCellGrid:
 
 class TestPieces:
     def test_one_piece_per_curve_region(self):
+        # An equal leaf cached earlier would lend its own curves' evaluators.
+        region_module._leaf_pieces.cache_clear()
         nx = torus_normal_x()
         ny = rv.NormalY(-1.0, 1.0, rv.curve("y^2", "y"), rv.curve("2", "y"))
         assert [(p.u0, p.u1, p.map) for p in pieces(nx)] == [(1.0, 3.0, IDENTITY)]
@@ -464,6 +466,19 @@ class TestPieces:
         union = rv.UnionRegion((quarter_disk(), unit_square_polygon()))
         assert [p.map for p in pieces(union)] == [POLAR, IDENTITY]
         assert [p.map for p in pieces(union, swap=True)] == [POLAR, SWAP]
+
+    def test_equal_leaves_share_one_piece_list(self):
+        # Cached by value: a leaf built again reads the same pieces, memo included.
+        first, again = pieces(torus_normal_x()), pieces(torus_normal_x())
+        assert first[0] is again[0]
+        # A curve leaf's pieces do not depend on swap; a polygon's do.
+        assert pieces(torus_normal_x(), swap=True)[0] is first[0]
+        ell = rv.Polygon((rv.Point(0, 0), rv.Point(2, 0), rv.Point(2, 1),
+                          rv.Point(1, 1), rv.Point(1, 2), rv.Point(0, 2)))
+        columns, rows = pieces(ell), pieces(ell, swap=True)
+        # One memo per leaf and slab direction, shared by its slabs.
+        assert columns[0].panels is columns[1].panels
+        assert rows[0].panels is rows[1].panels is not columns[0].panels
 
 
 class TestLeaves:
