@@ -25,12 +25,13 @@ Every route, about every axis, bisects a piece's interval from the same
 ends, so the same panels come back.  A piece's integrand is
 g(u, near(u), far(u)) for a pure g (``PieceIntegrand``): the sections and
 their linear forms here, the washer and the shell in ``methods``.  The
-first pass over a panel keeps near and far at its 15 nodes in the piece's
-memo (at most _PANELS panels per leaf, and only panels whose curves all
-evaluated); a later pass over it, by any route, applies its g to the kept
-values.  A raise or a non-finite mass still goes to the guard below, which
-alone nudges and words errors, so values, error estimates and counts are
-those of evaluating afresh.
+first pass over a panel keeps near and far at its 15 nodes in the memo of
+the curve pair (near, far): at most _PANELS panels in each of the memos of
+the last _MEMOS pairs, and only panels whose curves all evaluated.  A later
+pass over it, by any route, applies its g to the kept values.  A raise or
+a non-finite mass still goes to the guard below, which alone nudges and
+words errors, so values, error estimates and counts are those of
+evaluating afresh.
 
 All nodes are interior, so endpoint singularities like sqrt(1-x^2) at x=1
 are never sampled directly; an integrand failure within 1e-9 of an endpoint
@@ -45,6 +46,7 @@ are those of guarding every node.  An integral that overflows is refused.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 
@@ -132,8 +134,10 @@ _ROUNDOFF = 50.0 * 2.220446049250313e-16  # 50 * double epsilon, per QUADPACK
 _FAILURES = (DomainError, ValueError, ZeroDivisionError, OverflowError)
 _UNTRIED = object()  # a node the panel's pass did not reach
 
-# Panels whose near and far values one leaf's memo keeps (``PieceIntegrand``).
-_PANELS = 256
+# Curve pairs whose panel memos are kept, and panels one memo keeps
+# (``PieceIntegrand``).
+_MEMOS = 16
+_PANELS = 128
 
 
 def _rule(half: float, fc, l1, h1, l2, h2, l3, h3, l4, h4, l5, h5, l6, h6, l7, h7):
@@ -230,15 +234,22 @@ def _sampler(f):
     return sample
 
 
+@functools.lru_cache(maxsize=_MEMOS)
+def _memo(near, far) -> dict:
+    """The panel memo of the curve pair (near, far): panel (a, b) -> their
+    values at its 15 nodes, as two lists.  Pieces with the same pair share
+    it, as the values depend on the nodes alone."""
+    return {}
+
+
 class PieceIntegrand:
     """The integrand u -> g(u, near(u), far(u)) of a piece, where ``g`` is
     pure: a section, a linear form of one, a washer or a shell.
 
     ``integrate_1d`` samples it through ``sample``, which keeps near and
-    far at the nodes of each panel (a, b) in the piece's memo
-    (``Piece.panels``), as two lists, and applies ``g`` to the kept values
-    when the panel comes back, for this integrand or another on the same
-    piece.
+    far at the nodes of each panel (a, b) in the memo of the piece's curve
+    pair (``_memo``) and applies ``g`` to the kept values when the panel
+    comes back, for this integrand or another of the same curves.
     Only panels whose 15 curve values all evaluated are kept, and only
     while the memo holds fewer than _PANELS of them.  The values are those
     of evaluating afresh, and so is everything integrate_1d derives from
@@ -248,7 +259,8 @@ class PieceIntegrand:
     __slots__ = ("g", "near", "far", "panels")
 
     def __init__(self, piece: Piece, g):
-        self.g, self.near, self.far, self.panels = g, piece.near, piece.far, piece.panels
+        near, far = piece.near, piece.far
+        self.g, self.near, self.far, self.panels = g, near, far, _memo(near, far)
 
     def __call__(self, u: float):
         return self.g(u, self.near(u), self.far(u))
@@ -513,22 +525,22 @@ def sum_results(results: list[QuadratureResult]) -> QuadratureResult:
 _NO_SECTION = (0.0, 0.0, 0.0)
 
 
-def _x_section(u: float, lo: float, hi: float) -> tuple[float, float, float]:
-    """Section of an IDENTITY piece at outer coordinate u, the inner y
-    running from lo to hi: (length, u * length, integral of y dy)."""
-    if not hi > lo:
-        return _NO_SECTION
-    width = hi - lo
-    return (width, u * width, 0.5 * width * (hi + lo))
+def _normal_section(transpose: bool):
+    """The section g(u, lo, hi) of an IDENTITY or SWAP piece at outer
+    coordinate u, the inner variable v running from lo to hi: (v-length,
+    u * length, integral of v dv), reordered to (A, Sx, Sy) terms.
+    ``transpose`` marks an inner x (SWAP), otherwise the inner variable is
+    y."""
 
+    def section(u: float, lo: float, hi: float) -> tuple[float, float, float]:
+        if not hi > lo:
+            return _NO_SECTION
+        width = hi - lo
+        outer = u * width
+        inner = 0.5 * width * (hi + lo)
+        return (width, inner, outer) if transpose else (width, outer, inner)
 
-def _y_section(u: float, lo: float, hi: float) -> tuple[float, float, float]:
-    """Section of a SWAP piece, the inner x running from lo to hi: the
-    transpose of ``_x_section``."""
-    if not hi > lo:
-        return _NO_SECTION
-    width = hi - lo
-    return (width, 0.5 * width * (hi + lo), u * width)
+    return section
 
 
 def _polar_section(theta: float, r: float, big: float) -> tuple[float, float, float]:
@@ -541,7 +553,7 @@ def _polar_section(theta: float, r: float, big: float) -> tuple[float, float, fl
 
 
 # The closed-form section g(u, near, far) of a piece, by its map.
-_SECTIONS = {IDENTITY: _x_section, SWAP: _y_section, POLAR: _polar_section}
+_SECTIONS = {IDENTITY: _normal_section(False), SWAP: _normal_section(True), POLAR: _polar_section}
 
 
 def _linear_form(cmap: str, scale: float, a: float, b: float, c: float):

@@ -21,10 +21,11 @@ points in boundary cells or off the grid; the mask is theirs bit for bit.
 Every region is also a list of pieces (``pieces``): an outer interval
 [u0, u1], inner bounds near(u) <= v <= far(u), and the map that carries
 (u, v) to the plane.  The quadrature and the routes work on leaves and
-pieces, not on the variants.  The pieces of the last few leaves are cached
-by value (a polygon's per slab direction), so a region parsed again, and
-every route and axis, reads one piece list per leaf and one panel memo,
-where the quadrature keeps the curve values at the nodes it evaluated.
+pieces, not on the variants.  A curve leaf's near and far are its curves'
+compiled evaluators, which a curve parsed again shares (``parse_expr`` is
+cached); a polygon's slabs are cached for the last few polygons, by value,
+so a polygon parsed again has the same near and far functions too.  The
+quadrature keeps its curve values per (near, far) pair.
 
 The exterior-axis check (``axis_side_check``) is certified: it bounds the
 signed distance along each boundary curve by interval arithmetic
@@ -91,8 +92,8 @@ _SIDE_BOXES = 512
 # Distinct (curve, interval) pairs whose probe values are kept.
 _PROBE_CACHE_SIZE = 256
 
-# Leaves whose pieces, and the panel memo they share, are kept.
-_PIECE_CACHE_SIZE = 4
+# Polygons whose slabs, as pieces, are kept (each slab direction apart).
+_SLAB_CACHE_SIZE = 4
 
 # contains_mask on more points than this grid has cells reads a _GRID x
 # _GRID grid of cells over the bounding box (``_cell_grid``).
@@ -269,6 +270,13 @@ class Polygon:
         if not _is_simple(verts):
             raise InvalidRegionError("polygon edges self-intersect")
 
+    @functools.cached_property
+    def _exact(self) -> tuple:
+        """The type and sign of each coordinate: what equal polygons can
+        still differ in (0 == -0.0 == 0.0), and their slabs' bounds with
+        them."""
+        return tuple((type(c), math.copysign(1.0, c)) for v in self.vertices for c in (v.x, v.y))
+
 
 @record
 class UnionRegion:
@@ -391,41 +399,38 @@ def _slabs(verts) -> list:
 
 class Piece(NamedTuple):
     """near(u) <= v <= far(u) for u in [u0, u1], carried to the plane by
-    ``map`` (IDENTITY, SWAP or POLAR).  ``panels`` is the quadrature's memo
-    of near and far at the nodes of the panels it has evaluated, shared by
-    the pieces of one leaf (``quadrature.PieceIntegrand``)."""
+    ``map`` (IDENTITY, SWAP or POLAR)."""
 
     u0: float
     u1: float
     near: Callable[[float], float]
     far: Callable[[float], float]
     map: str
-    panels: dict
 
 
 def pieces(region: Region, swap: bool = False) -> list[Piece]:
     """The region as a list of pieces, leaf by leaf: one for a curve leaf,
     whose near and far are its curves' compiled scalar evaluators, and one
     per slab for a polygon (x-slabs, or y-slabs with map SWAP when
-    ``swap``).  Each leaf's pieces are cached (``_leaf_pieces``)."""
+    ``swap``), cached (``_polygon_pieces``)."""
     out = []
     for leaf in leaves(region):
-        out += _leaf_pieces(leaf, swap and isinstance(leaf, Polygon))
+        if isinstance(leaf, Polygon):
+            out += _polygon_pieces(leaf, swap, leaf._exact)
+        else:
+            u0, u1, near, far = leaf.span
+            out.append(Piece(u0, u1, near.scalar, far.scalar, leaf.map))
     return out
 
 
-@functools.lru_cache(maxsize=_PIECE_CACHE_SIZE)
-def _leaf_pieces(leaf: Region, swap: bool) -> tuple[Piece, ...]:
-    """The pieces of one leaf, with one panel memo between them.  Leaves
-    compare by value, so equal leaves built separately share one entry,
-    memo included; ``swap`` is part of the key for polygons alone."""
-    panels: dict = {}
-    if isinstance(leaf, Polygon):
-        # y-slabs are the x-slabs of the mirror image in y = x, listed counterclockwise.
-        verts = [Point(v.y, v.x) for v in reversed(leaf.vertices)] if swap else leaf.vertices
-        return tuple(Piece(*slab, SWAP if swap else IDENTITY, panels) for slab in _slabs(verts))
-    u0, u1, near, far = leaf.span
-    return (Piece(u0, u1, near.scalar, far.scalar, leaf.map, panels),)
+@functools.lru_cache(maxsize=_SLAB_CACHE_SIZE)
+def _polygon_pieces(polygon: Polygon, swap: bool, exact: tuple) -> tuple[Piece, ...]:
+    """The slabs of a polygon as pieces.  Polygons compare by value, so an
+    equal polygon built again reads the same slab functions; ``exact``
+    (``Polygon._exact``) keeps apart equal polygons whose slabs differ."""
+    # y-slabs are the x-slabs of the mirror image in y = x, listed counterclockwise.
+    verts = [Point(v.y, v.x) for v in reversed(polygon.vertices)] if swap else polygon.vertices
+    return tuple(Piece(*slab, SWAP if swap else IDENTITY) for slab in _slabs(verts))
 
 
 # ---------------------------------------------------------------------------

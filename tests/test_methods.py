@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import revolve as rv
+from revolve import quadrature
+from revolve import region as region_module
 from revolve.config import load_job, parse_job
 from revolve.errors import AxisIntersectsRegion, UnsupportedMethod
 from revolve.methods import _CHUNK, _region_moments, run_route
@@ -469,6 +471,33 @@ class TestMomentCache:
         loose = rv.volume_pappus(region, AXIS_OY, rv.Tolerance(rel=1e-6))
         tight = rv.volume_pappus(region, AXIS_OY, rv.Tolerance(rel=1e-12))
         assert loose.evaluations < tight.evaluations
+
+
+class TestSlabsSharingAColumn:
+    """A C-shaped polygon has two slabs over x in [1, 3], each between
+    curves of its own; every route integrates each over its own curves,
+    whatever the panel memos hold, on cleared caches and warm."""
+
+    C_SHAPE = [[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [3, 2], [3, 4], [0, 4]]
+
+    @pytest.mark.parametrize("axis,volume", [
+        (rv.Axis.vertical(-1.0), 2.0 * math.pi * 2.4 * 10.0),  # area 10, centroid x 1.4
+        (rv.Axis.horizontal(-1.0), 2.0 * math.pi * 3.1 * 10.0),  # centroid y 2.1
+    ])
+    def test_every_route_gives_the_exact_volume(self, axis, volume):
+        region_module._polygon_pieces.cache_clear()
+        quadrature._memo.cache_clear()
+        _region_moments.cache_clear()
+        values = []
+        for _ in range(2):
+            for name in ("double_integral", "disk", "shell", "pappus"):
+                try:
+                    values.append((name, run_route(name, _polygon(self.C_SHAPE), axis).value))
+                except UnsupportedMethod:
+                    pass
+        assert len(values) == 6
+        for name, value in values:
+            assert abs(value - volume) <= 1e-12 * volume, name
 
 
 class TestNearZeroMoments:

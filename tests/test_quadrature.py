@@ -10,7 +10,7 @@ from revolve.config import load_job, parse_job
 from revolve.errors import DomainError, IntegrandError, QuadratureNoConvergence
 from revolve import methods
 from revolve import region as region_module
-from revolve.quadrature import (_PANELS, _XGK, PieceIntegrand, _domain_guard, linear_sections,
+from revolve.quadrature import (_PANELS, _XGK, PieceIntegrand, _domain_guard, _memo, linear_sections,
                                 moment_sections, sum_results)
 from revolve.region import pieces
 
@@ -388,11 +388,12 @@ class TestPanelMemoMatchesPerNodeGuard:
         node = _panel_nodes(-1.0, -1.0 + 2.0**-22)[1]
         assert node - u0 <= 1e-9 * (u1 - u0)
         piece = pieces(straddling_disk_x())[0]
-        piece = piece._replace(near=_failing_at(piece.near, [node], "raise"), panels={})
+        piece = piece._replace(near=_failing_at(piece.near, [node], "raise"))
         (first, again), ref = self.outcomes(piece, form.g, _TIGHT)
         assert first == again == ref
         assert first[2] % 15 == 1  # one nudged retry
-        assert len(piece.panels) == (first[2] - 1) // 15 - 1  # all but the nudged panel kept
+        # A fresh memo, as near is a new function; all but the nudged panel kept.
+        assert len(_memo(piece.near, piece.far)) == (first[2] - 1) // 15 - 1
 
     def test_interior_failure_is_never_kept(self):
         # The upper curve is undefined at one node of the panel [0.5, 1],
@@ -400,20 +401,34 @@ class TestPanelMemoMatchesPerNodeGuard:
         node = _panel_nodes(0.5, 1.0)[3]
         leaf = rv.NormalX(0.0, 1.0, rv.curve("0", "x"),
                           rv.curve(f"2+sin(20*x)+0*log(abs(x-{node!r}))", "x"))
-        piece = pieces(leaf)[0]._replace(panels={})
+        piece = pieces(leaf)[0]
+        _memo.cache_clear()
         (first, again), ref = self.outcomes(piece, moment_sections(leaf)[0][2].g)
         assert first == again == ref == f"integrand undefined at {node!r} inside [0.0, 1.0]"
-        assert (0.0, 1.0) in piece.panels and (0.5, 1.0) not in piece.panels
+        panels = _memo(piece.near, piece.far)
+        assert (0.0, 1.0) in panels and (0.5, 1.0) not in panels
+
+    def test_messages_word_the_callers_bounds(self):
+        # Equal leaves share one memo, as their curves are the same
+        # evaluators, yet 0.0 and -0.0 read apart in a message.
+        node = _panel_nodes(0.5, 1.0)[3]
+        upper = rv.curve(f"2+sin(20*x)+0*log(abs(x-{node!r}))", "x")
+        _memo.cache_clear()
+        for lo in (0.0, -0.0, 0.0, -0.0):
+            [(u0, u1, section)] = moment_sections(rv.NormalX(lo, 1.0, rv.curve("0", "x"), upper))
+            assert (_outcome(rv.integrate_1d, section, u0, u1)
+                    == f"integrand undefined at {node!r} inside [{lo!r}, 1.0]")
 
     @pytest.mark.parametrize("where", ["edge", "interior"])
     def test_kept_panel_where_another_integrand_raises(self, where):
         # The disk's distance form fills the memo; an integrand of the same
         # curve values that divides by zero at one node then reads it.
         [(u0, u1, form)] = linear_sections(straddling_disk_x(), 2.0 * math.pi, 1.0, 0.0, 2.0)
-        piece = pieces(straddling_disk_x())[0]._replace(panels={})
+        piece = pieces(straddling_disk_x())[0]
+        _memo.cache_clear()
         rv.integrate_1d(PieceIntegrand(piece, form.g), u0, u1, _TIGHT)
         panel = (-1.0, -1.0 + 2.0**-22) if where == "edge" else (u0, u1)
-        assert panel in piece.panels
+        assert panel in _memo(piece.near, piece.far)
         node = _panel_nodes(*panel)[1 if where == "edge" else 3]
 
         def g(u, lo, hi):
@@ -430,11 +445,12 @@ class TestPanelMemoMatchesPerNodeGuard:
         leaf = rv.NormalX(0.0, 1.0, rv.curve("0", "x"),
                           rv.curve("1 + 0.5*sin(1537*pi*x)^64", "x"))
         [(_, _, form)] = linear_sections(leaf, 2.0 * math.pi, 1.0, 0.0, 1.0)
-        piece = pieces(leaf)[0]._replace(panels={})
+        piece = pieces(leaf)[0]
+        _memo.cache_clear()
         (first, again), ref = self.outcomes(piece, form.g, rv.Tolerance(rel=1e-8))
         assert first == again == ref
         assert first[2] == 255075
-        assert len(piece.panels) == _PANELS
+        assert len(_memo(piece.near, piece.far)) == _PANELS
 
 
 class TestIntegrateRegion:
@@ -549,8 +565,8 @@ _PIN_JOBS = ([("fixtures", name) for name in sorted(_QUAD_PINS["fixtures"])]
 
 class TestPinsOrderAndCacheFree:
     """The routes run in reverse order give the pins too, with every cache
-    that routes share cleared first (the leaf pieces and their panel
-    memos, the moments and the side check), and again warm: no result
+    that routes share cleared first (the polygon slabs, the panel memos,
+    the moments and the side check), and again warm: no result
     depends on which route ran first or on what is cached."""
 
     @pytest.mark.parametrize("section,job_id", _PIN_JOBS, ids=[j for _, j in _PIN_JOBS])
@@ -561,7 +577,8 @@ class TestPinsOrderAndCacheFree:
             return parse_job(dict(_PIN_CASES)[job_id])
 
         routes = QUADRATURE_ROUTES[::-1]
-        region_module._leaf_pieces.cache_clear()
+        region_module._polygon_pieces.cache_clear()
+        _memo.cache_clear()
         methods._region_moments.cache_clear()
         rv.axis_side_check.cache_clear()
         cold = quadrature_pin(job(), routes)

@@ -444,8 +444,6 @@ class TestCellGrid:
 
 class TestPieces:
     def test_one_piece_per_curve_region(self):
-        # An equal leaf cached earlier would lend its own curves' evaluators.
-        region_module._leaf_pieces.cache_clear()
         nx = torus_normal_x()
         ny = rv.NormalY(-1.0, 1.0, rv.curve("y^2", "y"), rv.curve("2", "y"))
         assert [(p.u0, p.u1, p.map) for p in pieces(nx)] == [(1.0, 3.0, IDENTITY)]
@@ -467,18 +465,33 @@ class TestPieces:
         assert [p.map for p in pieces(union)] == [POLAR, IDENTITY]
         assert [p.map for p in pieces(union, swap=True)] == [POLAR, SWAP]
 
-    def test_equal_leaves_share_one_piece_list(self):
-        # Cached by value: a leaf built again reads the same pieces, memo included.
-        first, again = pieces(torus_normal_x()), pieces(torus_normal_x())
-        assert first[0] is again[0]
-        # A curve leaf's pieces do not depend on swap; a polygon's do.
-        assert pieces(torus_normal_x(), swap=True)[0] is first[0]
-        ell = rv.Polygon((rv.Point(0, 0), rv.Point(2, 0), rv.Point(2, 1),
-                          rv.Point(1, 1), rv.Point(1, 2), rv.Point(0, 2)))
-        columns, rows = pieces(ell), pieces(ell, swap=True)
-        # One memo per leaf and slab direction, shared by its slabs.
-        assert columns[0].panels is columns[1].panels
-        assert rows[0].panels is rows[1].panels is not columns[0].panels
+    def test_equal_leaves_share_their_curve_functions(self):
+        # A curve parsed again is the same evaluator, and a polygon built
+        # again reads its cached slabs: equal leaves share the panel memos
+        # that the quadrature keys by (near, far).
+        assert pieces(torus_normal_x())[0].near is pieces(torus_normal_x())[0].near
+        columns, again = pieces(_ell()), pieces(_ell())
+        assert all(p.near is q.near and p.far is q.far for p, q in zip(columns, again))
+        # Each slab has curves of its own, and each slab direction too.
+        rows = pieces(_ell(), swap=True)
+        assert len({p.near for p in columns + rows}) == 4
+
+    def test_bounds_are_the_callers_own(self):
+        # 0 == 0.0 == -0.0, so equal leaves can still differ in their
+        # bounds' reprs; a leaf's pieces carry its own.
+        region_module._polygon_pieces.cache_clear()
+        square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        for x0 in (0, 0.0, -0.0, 0):
+            polygon = rv.Polygon(tuple(rv.Point(x0 if x == 0 else x, y) for x, y in square))
+            assert repr(pieces(polygon)[0].u0) == repr(x0)
+        for x0 in (0.0, -0.0, 0.0):
+            leaf = rv.NormalX(x0, 1.0, rv.curve("0", "x"), rv.curve("1", "x"))
+            assert repr(pieces(leaf)[0].u0) == repr(x0)
+
+
+def _ell():
+    return rv.Polygon((rv.Point(0, 0), rv.Point(2, 0), rv.Point(2, 1),
+                       rv.Point(1, 1), rv.Point(1, 2), rv.Point(0, 2)))
 
 
 class TestLeaves:
