@@ -355,11 +355,13 @@ def parse_scalar(text) -> float:
 # live in a stack of names t0, t1, ...: an operation replaces its operands,
 # so each one is released once used, as in a tree walk (which matters for
 # large arrays).  A node whose operands are all constants is computed while
-# compiling, with the same operation, unless that fails.  So the source
-# depends only on the shape of the AST (which constants fold included) and
-# on the table, never on a constant's value or the expression's text: it is
-# compiled once per distinct source (``_code``, a bounded cache), and each
-# expression executes that code object into its own globals.
+# compiling, with the same operation, unless that fails.  Bound names are
+# numbered in the order the source first uses them.  So the source depends
+# only on the shape of the AST once constants are folded (``-0.5 - 0.5*x``
+# is ``0.75 - 0.5*x``) and on the table, never on a constant's value or the
+# expression's text: it is compiled once per distinct source (``_code``, a
+# bounded cache), and each expression executes that code object into its
+# own globals.
 #
 # The scalar evaluator is two functions.  The one eval_expr calls divides
 # and calls math.pow and the math functions inline; where an operation
@@ -382,31 +384,44 @@ def _compile(root: Node, helpers: dict, fail: Callable | None = None,
     ``retry``, it returns ``retry(x)`` where the value is not finite or an
     operation raises ValueError, ZeroDivisionError or OverflowError."""
     bound: dict[str, object] = {"__builtins__": {}}  # the function's globals
-    consts: dict[str, float] = {}  # the bound names that are constants
+    held: dict[str, object] = {}   # token -> the constant or helper it stands for
+    consts: set[str] = set()       # the tokens that are constants
+    named: dict[str, str] = {}     # token -> its bound name in the source
     lines: list[str] = []
     height = 0                     # how many of t0, t1, ... hold a value
 
     def bind(value) -> str:
-        name = f"b{len(bound)}"
-        bound[name] = value
-        return name
+        token = f"k{len(held)}"
+        held[token] = value
+        return token
+
+    def name(arg: str) -> str:
+        """``arg`` as the source writes it: x, t0, t1, ... as they are, a
+        token as the bound name b0, b1, ... numbered in order of first use,
+        so that a constant folded away leaves no gap in the names."""
+        if arg not in held:
+            return arg
+        if arg not in named:
+            named[arg] = f"b{len(named)}"
+            bound[named[arg]] = held[arg]
+        return named[arg]
 
     def apply(fold: Callable, code, args: list[str]) -> str:
         nonlocal height
         if all(arg in consts for arg in args):
             try:
-                name = bind(fold(*(consts[arg] for arg in args)))
+                token = bind(fold(*(held[arg] for arg in args)))
             except DomainError:
                 pass  # keep the failing operation, it raises when evaluated
             else:
-                consts[name] = bound[name]
-                return name
+                consts.add(token)
+                return token
         if not isinstance(code, str):
-            code = bind(code) + "(" + ", ".join(["{}"] * len(args)) + ")"
+            code = name(bind(code)) + "(" + ", ".join(["{}"] * len(args)) + ")"
         # The operands that are intermediate results are the top of the stack.
         top = height
         height -= sum(arg.startswith("t") for arg in args)
-        lines.append(f"t{height} = " + code.format(*args))
+        lines.append(f"t{height} = " + code.format(*map(name, args)))
         lines.extend(f"del t{k}" for k in range(height + 1, top))
         height += 1
         return f"t{height - 1}"
@@ -420,9 +435,9 @@ def _compile(root: Node, helpers: dict, fail: Callable | None = None,
     def walk(node: Node) -> str:
         if isinstance(node, Const):
             value = node.value if lift is None else lift(node.value)
-            name = bind(value)
-            consts[name] = value
-            return name
+            token = bind(value)
+            consts.add(token)
+            return token
         if isinstance(node, Var):
             return "x"
         if isinstance(node, Neg):
@@ -433,9 +448,10 @@ def _compile(root: Node, helpers: dict, fail: Callable | None = None,
 
     result = walk(root)
     checked = fail is not None or retry is not None
-    if result in consts and (not checked or math.isfinite(consts[result])):
-        value = consts[result]
+    if result in consts and (not checked or math.isfinite(held[result])):
+        value = held[result]
         return lambda x: value  # a constant that needs no check
+    result = name(result)
     body = ["try:", *("    " + line for line in lines),
             f"    if isfinite({result}): return {result}"]
     if fail is not None:

@@ -5,15 +5,23 @@ over the region; it works for any region and any exterior axis.  The
 distance is linear in (x, y), so its inner integral over each
 cross-section is closed-form (a*Sx + b*Sy + c*A of the section, see
 ``quadrature.linear_sections``) and one adaptive 1D pass per piece remains.
-The classical routes are provided both as cross-checks and as the fast
-paths they are.  Every route reads a union through its leaves
-(``region.leaves``), so a nested union is its flat union; shell and disk,
-like the quadrature, read each leaf through its pieces (``region.pieces``),
-so a normal_y region is a normal_x one with its coordinates swapped:
+The classical routes are provided as cross-checks.  Every route reads a
+union through its leaves (``region.leaves``), so a nested union is its flat
+union.  Disk, shell and polar apply where their classical formula does, and
+then run double_integral's pass (``_distance_pass``, cached per region,
+axis, tolerance and slab direction), because each formula is that pass's
+closed-form section over one of the orders it integrates in:
 
-* shell:  integral of 2*pi*|x - x0| * (upper - lower) dx   (vertical axis)
-* disk:   integral of pi * ((right - x0)^2 - (left - x0)^2) dy, signed by
-          which side of the axis the region lies on
+* shell:  integral of 2*pi*|x - x0| * (upper - lower) dx over x-pieces
+          about a vertical axis, y-pieces about a horizontal one.  On a
+          polygon about a horizontal axis the pieces are its y-slabs
+          (``region.pieces(swap=True)``), the other order of
+          double_integral's x-slabs; elsewhere they are double_integral's
+          own pieces.
+* disk:   integral of pi * ((right - x0)^2 - (left - x0)^2) dy, the
+          integral of 2*pi*(x - x0) from left to right: double_integral's
+          section of a normal_y region about a vertical axis (normal_x about
+          a horizontal one)
 * polar:  the double integral in polar coordinates with Jacobian rho:
           double_integral's pass on sectors, whose closed-form sections
           integrate over rho
@@ -29,14 +37,12 @@ order; ``_route`` fills it, times each call and reports the route's
 QuadratureResult as a VolumeReport.  ``run_route`` runs one by name (Monte
 Carlo with an McConfig, the others with a Tolerance).
 
-Not all of them are independent checks of one another.  On a normal_x
-region about a vertical axis, double_integral and shell integrate the same
-1D integrand (the shell's height times its radius), so they agree by
-construction; pappus uses the same sections.  Polar is double_integral's
-pass (``_distance_pass``) on sectors, so the two agree bit for bit there.
-Disk (a quadratic integrand) and Monte Carlo are independent of the
-sections; disk does not apply to sectors, so there Monte Carlo is the only
-independent witness.
+Not all of them are independent checks of one another.  Disk, polar, and
+shell apart from polygons about a horizontal axis, give double_integral's
+value, error estimate and evaluations bit for bit: they check where each
+formula applies, not the number.  Shell on a polygon about a horizontal
+axis integrates the same sections in the other order; pappus reads the
+same sections too.  Only Monte Carlo is independent of the sections.
 
 Every route refuses an axis that crosses the region interior
 (AxisIntersectsRegion) by one whole-region side check, after its own
@@ -58,7 +64,6 @@ from ._record import record
 from .errors import InvalidRegionError, RevolveError, UnsupportedMethod
 from .geometry import Axis, Point, signed_distance
 from .quadrature import (
-    PieceIntegrand,
     QuadratureResult,
     Tolerance,
     integrate_1d,
@@ -71,7 +76,6 @@ from .region import (
     POLAR,
     SWAP,
     TWO_PI,
-    Piece,
     Polygon,
     Region,
     axis_side_check,
@@ -164,105 +168,89 @@ def _route(compute: Callable[..., QuadratureResult]) -> Callable[..., VolumeRepo
     return route
 
 
-def _vertical_offset(axis: Axis) -> float | None:
-    """x0 for an axis x = x0, else None."""
+def _outer_map(axis: Axis) -> str | None:
+    """The map of the pieces whose outer coordinate runs across ``axis``:
+    IDENTITY (outer x) for an axis x = x0, SWAP (outer y) for an axis
+    y = y0, None for an oblique one.  An axis within _VERTICAL_TOL of
+    vertical or horizontal counts as such here; the routes still integrate
+    its exact distance."""
     if abs(axis.b) <= _VERTICAL_TOL:
-        return -axis.c / axis.a
-    return None
-
-
-def _horizontal_offset(axis: Axis) -> float | None:
-    """y0 for an axis y = y0, else None."""
+        return IDENTITY
     if abs(axis.a) <= _VERTICAL_TOL:
-        return -axis.c / axis.b
+        return SWAP
     return None
 
 
 # ---------------------------------------------------------------------------
-# The double-integral route
+# The double-integral route, and the disk, shell and polar routes that read it
 
-def _distance_pass(region: Region, axis: Axis, tol: Tolerance) -> QuadratureResult:
+@functools.lru_cache(maxsize=256)
+def _distance_pass(region: Region, axis: Axis, tol: Tolerance, swap: bool) -> QuadratureResult:
     """Integral of 2*pi*distance(axis) over the region, after the side
     check: closed-form inner integrals, one adaptive 1D pass per piece over
-    the outer coordinate, converging on the volume itself."""
+    the outer coordinate, converging on the volume itself.  ``swap`` cuts
+    polygons into y-slabs (``region.pieces``).
+
+    Regions, axes and tolerances are frozen and compare by value, so equal
+    arguments share one cache entry, and a cached result repeats the value,
+    error estimate and evaluations of the pass that computed it.  A refusal
+    is not cached: it is raised again, to the same message, on every call.
+    Callers pass all four arguments, so that equal passes have equal keys.
+    """
     side = axis_side_check(region, axis)
     return sum_results([
         integrate_1d(form, u0, u1, tol)
-        for u0, u1, form in linear_sections(region, TWO_PI * side, axis.a, axis.b, axis.c)
+        for u0, u1, form in linear_sections(region, TWO_PI * side, axis.a, axis.b, axis.c, swap)
     ])
 
 
 @_route
 def volume_double_integral(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
     """Integral of 2*pi*distance(axis) over the region (``_distance_pass``)."""
-    return _distance_pass(region, axis, tol or Tolerance())
-
-
-# ---------------------------------------------------------------------------
-# Disk (washer) method
-
-def _disk_piece(piece: Piece, offset: float, side: int, tol: Tolerance) -> QuadratureResult:
-    def washer(t: float, near: float, far: float) -> float:
-        return math.pi * side * ((far - offset) ** 2 - (near - offset) ** 2)
-
-    return integrate_1d(PieceIntegrand(piece, washer), piece.u0, piece.u1, tol)
+    return _distance_pass(region, axis, tol or Tolerance(), False)
 
 
 @_route
 def volume_disk(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
     """Washer integral over normal domains whose inner coordinate runs
     across the axis: normal_y about a vertical axis, normal_x about a
-    horizontal one.  Washers sample the boundary curves, so polygons are
-    left to the shell route."""
-    tol = tol or Tolerance()
-    x0 = _vertical_offset(axis)
-    want, offset = (SWAP, x0) if x0 is not None else (IDENTITY, _horizontal_offset(axis))
-    if offset is None or any(isinstance(leaf, Polygon) or leaf.map != want
-                             for leaf in leaves(region)):
+    horizontal one.  A washer pi*((R - x0)^2 - (r - x0)^2) is the integral
+    of 2*pi*(x - x0) from r to R, the closed-form section of
+    ``_distance_pass``, so the route is that pass.  Washers sample the
+    boundary curves, so polygons are left to the shell route."""
+    outer = _outer_map(axis)
+    want = {IDENTITY: SWAP, SWAP: IDENTITY}.get(outer)
+    if want is None or any(isinstance(leaf, Polygon) or leaf.map != want
+                           for leaf in leaves(region)):
         raise UnsupportedMethod(
             "disk method needs a vertical axis with normal-y parts or a "
             "horizontal axis with normal-x parts"
         )
-    # The side check signs a*x + b*y + c; the washers are signed by the
-    # inner coordinate, whose coefficient there may be negative.
-    coefficient = axis.a if x0 is not None else axis.b
-    side = axis_side_check(region, axis) * (1 if coefficient > 0.0 else -1)
-    return sum_results([_disk_piece(piece, offset, side, tol) for piece in pieces(region)])
-
-
-# ---------------------------------------------------------------------------
-# Shell method
-
-def _shell_piece(piece: Piece, offset: float, tol: Tolerance) -> QuadratureResult:
-    def shell(t: float, near: float, far: float) -> float:
-        return TWO_PI * abs(t - offset) * (far - near)
-
-    return integrate_1d(PieceIntegrand(piece, shell), piece.u0, piece.u1, tol)
+    return _distance_pass(region, axis, tol or Tolerance(), False)
 
 
 @_route
 def volume_shell(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
     """Cylindrical-shell integral over pieces whose outer coordinate runs
     across the axis: x-pieces (normal_x, polygon x-slabs) about a vertical
-    axis, y-pieces (normal_y, polygon y-slabs) about a horizontal one."""
-    tol = tol or Tolerance()
-    x0 = _vertical_offset(axis)
-    want, offset = (IDENTITY, x0) if x0 is not None else (SWAP, _horizontal_offset(axis))
-    part_pieces = [pieces(leaf, swap=want == SWAP) for leaf in leaves(region)]
-    if offset is None or any(piece.map != want for part in part_pieces for piece in part):
+    axis, y-pieces (normal_y, polygon y-slabs) about a horizontal one.  A
+    shell 2*pi*|t - x0|*(far - near) is the section of ``_distance_pass``
+    over those pieces, so the route is that pass: double_integral's own,
+    except on a polygon about a horizontal axis, whose y-slabs are the
+    other order."""
+    want = _outer_map(axis)
+    parts = leaves(region)
+    if want is None or any(not isinstance(leaf, Polygon) and leaf.map != want
+                           for leaf in parts):
         raise UnsupportedMethod(
             "shell method needs a vertical axis with normal-x (or polygon) "
             "parts, or a horizontal axis with normal-y (or polygon) parts"
         )
-    axis_side_check(region, axis)
-    return sum_results([
-        sum_results([_shell_piece(piece, offset, tol) for piece in part])
-        for part in part_pieces
-    ])
+    # Only polygons are cut differently under swap: without one, the pass
+    # is double_integral's, under its key.
+    swap = want == SWAP and any(isinstance(leaf, Polygon) for leaf in parts)
+    return _distance_pass(region, axis, tol or Tolerance(), swap)
 
-
-# ---------------------------------------------------------------------------
-# Polar route
 
 @_route
 def volume_polar(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
@@ -271,7 +259,7 @@ def volume_polar(region: Region, axis: Axis, tol: Tolerance | None = None) -> Qu
     must be a polar sector (or a union of them)."""
     if any(piece.map != POLAR for piece in pieces(region)):
         raise UnsupportedMethod("polar method needs polar-sector regions")
-    return _distance_pass(region, axis, tol or Tolerance())
+    return _distance_pass(region, axis, tol or Tolerance(), False)
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,14 @@ outer estimate dominates the reported error.
 
 Every route, about every axis, bisects a piece's interval from the same
 ends, so the same panels come back.  A piece's integrand is
-g(u, near(u), far(u)) for a pure g (``PieceIntegrand``): the sections and
-their linear forms here, the washer and the shell in ``methods``.  The
-first pass over a panel keeps near and far at its 15 nodes in the memo of
-the curve pair (near, far): at most _PANELS panels in each of the memos of
-the last _MEMOS pairs, and only panels whose curves all evaluated.  A later
-pass over it, by any route, applies its g to the kept values.  A raise or
-a non-finite mass still goes to the guard below, which alone nudges and
-words errors, so values, error estimates and counts are those of
-evaluating afresh.
+g(u, near(u), far(u)) for a pure g (``PieceIntegrand``): a section or its
+linear form.  The first pass over a panel keeps near and far at its 15
+nodes in the memo of the curve pair (near, far): at most _PANELS panels in
+each of the memos of the last _MEMOS pairs, and only panels whose curves
+all evaluated.  A later pass over it, by any route, applies its g to the
+kept values.  A raise or a non-finite mass still goes to the guard below,
+which alone nudges and words errors, so values, error estimates and counts
+are those of evaluating afresh.
 
 All nodes are interior, so endpoint singularities like sqrt(1-x^2) at x=1
 are never sampled directly; an integrand failure within 1e-9 of an endpoint
@@ -244,7 +243,7 @@ def _memo(near, far) -> dict:
 
 class PieceIntegrand:
     """The integrand u -> g(u, near(u), far(u)) of a piece, where ``g`` is
-    pure: a section, a linear form of one, a washer or a shell.
+    pure: a section or a linear form of one.
 
     ``integrate_1d`` samples it through ``sample``, which keeps near and
     far at the nodes of each panel (a, b) in the memo of the piece's curve
@@ -583,13 +582,15 @@ def _linear_form(cmap: str, scale: float, a: float, b: float, c: float):
     return form
 
 
-def linear_sections(region: Region, scale: float, a: float, b: float, c: float) -> list:
-    """The region's pieces as (u0, u1, form), where form(u) is the inner
-    integral of scale * (a*x + b*y + c) over the cross-section at u, in
-    closed form: scale * (a*Sx + b*Sy + c*A) of ``moment_sections``'
-    section, computed alike.  Each form is a ``PieceIntegrand``."""
+def linear_sections(region: Region, scale: float, a: float, b: float, c: float,
+                    swap: bool = False) -> list:
+    """The region's pieces (``region.pieces``, polygons cut into y-slabs
+    when ``swap``) as (u0, u1, form), where form(u) is the inner integral
+    of scale * (a*x + b*y + c) over the cross-section at u, in closed form:
+    scale * (a*Sx + b*Sy + c*A) of ``moment_sections``' section, computed
+    alike.  Each form is a ``PieceIntegrand``."""
     return [(piece.u0, piece.u1, PieceIntegrand(piece, _linear_form(piece.map, scale, a, b, c)))
-            for piece in pieces(region)]
+            for piece in pieces(region, swap)]
 
 
 def moment_sections(region: Region) -> list:

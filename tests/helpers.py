@@ -488,9 +488,11 @@ def quadrature_pin(job, routes=QUADRATURE_ROUTES):
     """What the quadrature pins hold for a job: for each route of
     QUADRATURE_ROUTES, run in the order of ``routes``, [repr(value),
     repr(error estimate), evaluations] or the name of the error it raised;
-    and the centroid with its moment pass."""
-    from revolve.methods import _region_moments, run_route
+    and the centroid with its moment pass.  The cached distance pass is
+    cleared first, so the routes that read it read the pass of this job."""
+    from revolve.methods import _distance_pass, _region_moments, run_route
 
+    _distance_pass.cache_clear()
     pin = {}
     for name in routes:
         try:

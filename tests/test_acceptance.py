@@ -108,7 +108,9 @@ def test_criterion_3_cone_and_sphere():
 
 def test_criterion_4_shell_and_disk_equivalence():
     """100 random normal-x shell cases and 100 normal-y disk cases agree
-    with the double integral within 10x summed error estimates."""
+    with the double integral within 10x summed error estimates.  Shell and
+    disk run double_integral's pass on these regions, so this checks their
+    applicability and plumbing, not an independent order."""
     rng = np.random.default_rng(20250810)
     failures = []
     for i in range(100):

@@ -410,6 +410,25 @@ class TestCodeCache:
         finally:
             rv.parse_expr.cache_clear()
 
+    def test_a_folded_constant_leaves_no_gap_in_the_names(self):
+        # -0.5 folds from 0.5 and its negation: folded, the expression has
+        # the shape of 0.75 - 0.5*x, so it has its code too.
+        rv.parse_expr.cache_clear()
+        try:
+            one = rv.parse_expr("-0.5 - 0.5*x", "x")
+            two = rv.parse_expr("0.75 - 0.5*x", "x")
+            for name in ("scalar", "array", "interval", "defined_interval"):
+                assert getattr(one, name).__code__ is getattr(two, name).__code__
+            xs = np.linspace(-1.0, 1.0, 9)
+            for ast, c in ((one, -0.5), (two, 0.75)):
+                for x in xs:
+                    assert rv.eval_expr(ast, x) == c - 0.5 * x == ref_eval_expr(ast, x)
+                assert repr(rv.eval_array(ast, xs)) == repr(ref_eval_array(ast, xs))
+                lo, hi = ast.interval((0.0, 1.0))
+                assert lo <= c - 0.5 < c <= hi
+        finally:
+            rv.parse_expr.cache_clear()
+
     def test_checked_twin_names_its_own_text(self):
         rv.parse_expr.cache_clear()
         try:

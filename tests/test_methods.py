@@ -12,7 +12,7 @@ from revolve import quadrature
 from revolve import region as region_module
 from revolve.config import load_job, parse_job
 from revolve.errors import AxisIntersectsRegion, UnsupportedMethod
-from revolve.methods import _CHUNK, _region_moments, run_route
+from revolve.methods import _CHUNK, _distance_pass, _region_moments, run_route
 
 from conftest import FIXTURES
 from helpers import (
@@ -318,6 +318,116 @@ class TestPolar:
                 double.value, double.error_estimate, double.evaluations)
 
 
+def _triple(report):
+    return report.value, report.error_estimate, report.evaluations
+
+
+def _pass_jobs():
+    """(name, region, axis, tol) of every fixture and pinned corpus case."""
+    jobs = [(path.name, load_job(path)) for path in sorted(FIXTURES.glob("*.json"))]
+    jobs += [(case_id, parse_job(doc)) for case_id, doc in quadrature_pin_cases()]
+    return [(name, job.region, job.axis, job.tolerance) for name, job in jobs]
+
+
+def _polygon_y_slabs(region, axis):
+    """Whether shell cuts ``region``'s polygons into y-slabs about ``axis``."""
+    return abs(axis.a) <= 1e-12 and any(isinstance(leaf, rv.Polygon)
+                                        for leaf in region_module.leaves(region))
+
+
+class TestRoutesReadTheDistancePass:
+    """Disk, shell and polar are double_integral's pass, cached by value
+    (``methods._distance_pass``); shell on a polygon about a horizontal
+    axis is the one route with an order of its own, its y-slabs."""
+
+    def test_is_the_double_integral_wherever_it_applies(self):
+        applied = {"disk": 0, "shell": 0, "polar": 0}
+        for name, region, axis, tol in _pass_jobs():
+            for route in applied:
+                if route == "shell" and _polygon_y_slabs(region, axis):
+                    continue
+                _distance_pass.cache_clear()
+                try:
+                    cold = run_route(route, region, axis, tol)
+                except (UnsupportedMethod, AxisIntersectsRegion):
+                    continue
+                double = rv.volume_double_integral(region, axis, tol)
+                _distance_pass.cache_clear()
+                fresh = rv.volume_double_integral(region, axis, tol)
+                warm = run_route(route, region, axis, tol)
+                assert (_triple(cold) == _triple(double) == _triple(fresh)
+                        == _triple(warm)), (name, route)
+                applied[route] += 1
+        # Fixtures and corpus cases where each route applies.
+        assert applied == {"disk": 4 + 4, "shell": 5 + 8, "polar": 2 + 6}
+
+    def test_shell_on_polygon_y_slabs_is_its_own_pass(self):
+        c_shape = _polygon([[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [3, 2], [3, 4], [0, 4]])
+        cases = [(c_shape, rv.Axis.horizontal(-1.0), rv.Tolerance())]
+        cases += [(region, axis, tol) for _, region, axis, tol in _pass_jobs()
+                  if _polygon_y_slabs(region, axis)]
+        applied = 0
+        for region, axis, tol in cases:
+            _distance_pass.cache_clear()
+            double = rv.volume_double_integral(region, axis, tol)
+            try:
+                shell = rv.volume_shell(region, axis, tol)
+            except UnsupportedMethod:  # a union with a normal_x part
+                continue
+            assert _distance_pass.cache_info().currsize == 2
+            assert abs(shell.value - double.value) <= 10.0 * (
+                shell.error_estimate + double.error_estimate)
+            applied += 1
+        assert applied == 1 + 2
+        assert abs(rv.volume_shell(c_shape, rv.Axis.horizontal(-1.0)).value
+                   - 62.0 * math.pi) <= 1e-12 * 62.0 * math.pi
+
+    def test_refusals_are_raised_on_every_call(self):
+        job = load_job(FIXTURES / "straddle.json")
+        _distance_pass.cache_clear()
+        messages = set()
+        for route in ("double_integral", "shell", "double_integral", "shell"):
+            with pytest.raises(AxisIntersectsRegion) as refused:
+                run_route(route, job.region, job.axis, job.tolerance)
+            messages.add(str(refused.value))
+        assert len(messages) == 1
+        assert _distance_pass.cache_info().currsize == 0
+        for route in ("disk", "polar"):
+            with pytest.raises(UnsupportedMethod):
+                run_route(route, job.region, job.axis, job.tolerance)
+
+    def test_a_second_call_is_a_cache_hit(self):
+        job = load_job(FIXTURES / "torus_disk.json")
+        _distance_pass.cache_clear()
+        first = rv.volume_disk(job.region, job.axis, job.tolerance)
+        assert _distance_pass.cache_info()[:2] == (0, 1)  # (hits, misses)
+        again = rv.volume_disk(job.region, job.axis, job.tolerance)
+        double = rv.volume_double_integral(load_job(FIXTURES / "torus_disk.json").region,
+                                           job.axis, job.tolerance)
+        assert _distance_pass.cache_info()[:2] == (2, 1)
+        assert _triple(first) == _triple(again) == _triple(double) == (
+            39.478417604518725, 2.7992287396193797e-09, 945)
+
+    def test_nearly_vertical_or_horizontal_axis_is_integrated_exactly(self):
+        # The b*y (a*x) term of such an axis moves these volumes by about
+        # 8e-10, far above their estimates of about 2e-13; the routes apply
+        # as about an axis x = x0 (y = y0) but integrate its exact distance.
+        near_vertical, near_horizontal = rv.Axis(1.0, 1e-13, 1.0), rv.Axis(1e-13, 1.0, 2.0)
+        cases = [
+            ("shell", rv.NormalX(0.0, 1.0, rv.curve("1000", "x"), rv.curve("1001 + x^2", "x")),
+             near_vertical),
+            ("disk", rv.NormalY(1000.0, 1001.0, rv.curve("0", "y"),
+                                rv.curve("1 + (y - 1000)^2", "y")), near_vertical),
+            ("disk", rv.NormalX(1000.0, 1001.0, rv.curve("0", "x"),
+                                rv.curve("1 + (x - 1000)^2", "x")), near_horizontal),
+        ]
+        for route, region, axis in cases:
+            _distance_pass.cache_clear()
+            got = run_route(route, region, axis)
+            double = rv.volume_double_integral(region, axis)
+            assert _triple(got) == _triple(double), route
+
+
 class TestTransposeSymmetry:
     # A NormalY with the curves of a NormalX is its mirror image in y = x.
     @staticmethod
@@ -488,6 +598,7 @@ class TestSlabsSharingAColumn:
         region_module._polygon_pieces.cache_clear()
         quadrature._memo.cache_clear()
         _region_moments.cache_clear()
+        _distance_pass.cache_clear()
         values = []
         for _ in range(2):
             for name in ("double_integral", "disk", "shell", "pappus"):

@@ -566,7 +566,7 @@ _PIN_JOBS = ([("fixtures", name) for name in sorted(_QUAD_PINS["fixtures"])]
 class TestPinsOrderAndCacheFree:
     """The routes run in reverse order give the pins too, with every cache
     that routes share cleared first (the polygon slabs, the panel memos,
-    the moments and the side check), and again warm: no result
+    the moments, the distance pass and the side check), and again warm: no result
     depends on which route ran first or on what is cached."""
 
     @pytest.mark.parametrize("section,job_id", _PIN_JOBS, ids=[j for _, j in _PIN_JOBS])
@@ -580,6 +580,7 @@ class TestPinsOrderAndCacheFree:
         region_module._polygon_pieces.cache_clear()
         _memo.cache_clear()
         methods._region_moments.cache_clear()
+        methods._distance_pass.cache_clear()
         rv.axis_side_check.cache_clear()
         cold = quadrature_pin(job(), routes)
         warm = quadrature_pin(job(), routes)
