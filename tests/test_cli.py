@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -524,6 +528,66 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+
+# Every report the CLI writes, pinned by digest: on each fixture, check,
+# centroid, compare, sample and volume with every route, in JSON and in
+# CSV, and the normalized config.  Regenerate with
+# ``PYTHONPATH=src python tests/test_cli.py`` only where a change of the
+# output is meant.
+GOLDEN = pathlib.Path(__file__).resolve().parent / "cli_outputs.json"
+_GOLDEN_COMMANDS = [
+    *([*command, "--format", fmt]
+      for command in (["check"], ["centroid"], ["compare", "--mc-samples", "20000"],
+                      *(["volume", "--method", m, "--mc-samples", "20000"] for m in rv.METHODS),
+                      ["sample", "--grid", "8"])
+      for fmt in ("json", "csv")),
+    ["check", "--print-normalized"],
+]
+
+
+def _mask_wall_time(out: str) -> str:
+    """``out`` with each wall_time value, in JSON or in a CSV column, as *."""
+    if out.startswith("{"):
+        return re.sub(r'("wall_time": )[^,\n]+', r"\1*", out)
+    lines = out.split("\n")
+    if "wall_time" not in lines[0].split(","):
+        return out
+    column = lines[0].split(",").index("wall_time")
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        if len(cells) > column:
+            cells[column] = "*"
+            lines[i] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def golden_outputs(fixtures_dir) -> dict:
+    """Run -> [exit code, sha256 of stdout with wall_time masked, sha256 of
+    stderr], running ``main`` in-process."""
+    runs = {}
+    for path in sorted(fixtures_dir.glob("*.json")):
+        for command in _GOLDEN_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, "--config", str(path)])
+            assert str(fixtures_dir) not in err.getvalue()
+            runs[" ".join([path.stem, *command])] = [
+                code,
+                hashlib.sha256(_mask_wall_time(out.getvalue()).encode()).hexdigest(),
+                hashlib.sha256(err.getvalue().encode()).hexdigest(),
+            ]
+    return runs
+
+
+class TestGoldenOutputs:
+    def test_every_report_is_byte_identical(self, fixtures_dir):
+        expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        actual = golden_outputs(fixtures_dir)
+        assert len(actual) == 12 * 21
+        assert {run: got for run, got in actual.items() if expected.get(run) != got} == {}
+        assert actual.keys() == expected.keys()
+
+
 # Runs CLI jobs in one fresh interpreter and reports, after a bare import
 # and after each job, whether numpy has been imported.
 _NUMPY_PROBE = """
@@ -597,3 +661,11 @@ class TestNoDataclassesOnTheCliPath:
         loaded = set(json.loads(proc.stdout))
         assert {"revolve.cli", "revolve.methods", "revolve.region"} <= loaded
         assert not loaded & {"dataclasses", "inspect"}
+
+
+if __name__ == "__main__":
+    from conftest import FIXTURES
+
+    lines = [f"  {json.dumps(run)}: {json.dumps(got)}"
+             for run, got in golden_outputs(FIXTURES).items()]
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
