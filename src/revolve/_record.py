@@ -11,7 +11,7 @@ as its fields in order, and gives the class
   fields, else NotImplemented;
 * ``__hash__``: the hash of the fields' tuple;
 * ``__repr__``: ``Name(field=value, ...)``;
-* ``_fields``: the field names.
+* ``_fields``: the field names, which ``fields(obj)`` pairs with values.
 
 A method the class defines itself is kept.
 
@@ -26,7 +26,7 @@ running ``exec``.
 
 from __future__ import annotations
 
-__all__ = ["record"]
+__all__ = ["record", "fields"]
 
 _set = object.__setattr__
 
@@ -201,3 +201,8 @@ def record(cls):
             setattr(cls, name, method)
     cls._fields = names
     return cls
+
+
+def fields(obj) -> dict:
+    """A record's fields by name, in order."""
+    return {name: getattr(obj, name) for name in obj._fields}

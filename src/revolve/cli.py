@@ -3,7 +3,10 @@
 Subcommands: volume, compare, centroid, sample, check.  Every run takes a
 JSON job config (--config); flags override the matching config fields.
 Reports go to stdout as JSON (default) or CSV with 17-significant-digit
-numbers; sample always writes CSV.  Errors go to stderr.
+numbers, both written by ``_emit``; sample always writes CSV.  The
+records are the schema: a JSON report holds their fields by name
+(``fields``), and the volume and compare CSV columns are VolumeReport's
+fields.  Errors go to stderr.
 
 Exit codes: 0 ok, 2 config error, 3 computation error, 4 method
 disagreement (compare only).
@@ -19,7 +22,8 @@ import signal
 import sys
 from collections.abc import Iterable
 
-from .config import JobConfig, load_job
+from ._record import fields
+from .config import FORMATS, JobConfig, load_job
 from .errors import ConfigError, InvalidRegionError, RevolveError
 from .methods import _CHUNK, _MAX_SAMPLES, ROUTES, VolumeReport, centroid, compare_methods, run_route
 from .region import axis_side_check, bounding_box, contains_mask
@@ -50,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Monte Carlo sample count override")
     common.add_argument("--seed", type=int, metavar="S",
                         help="Monte Carlo seed override")
-    common.add_argument("--format", choices=("json", "csv"), dest="out_format",
+    common.add_argument("--format", choices=FORMATS,
                         help="report format (default json)")
     common.add_argument("--print-normalized", action="store_true",
                         help="echo the validated config with defaults filled in and exit")
@@ -81,52 +85,32 @@ def _g17(value: float) -> str:
     return format(value, ".17g")
 
 
-def _print_csv(header: list[str], rows: Iterable[list]) -> None:
+def _print_csv(header: Iterable[str], rows: Iterable[Iterable]) -> None:
     print(",".join(header))
     for row in rows:
         cells = [_g17(v) if isinstance(v, float) else str(v) for v in row]
         print(",".join(cells))
 
 
-def _fields(report) -> dict:
-    """A report's fields by name."""
-    return {name: getattr(report, name) for name in report._fields}
-
-
-def _emit_volume(report: VolumeReport, fmt: str) -> None:
-    if fmt == "json":
-        payload = {"command": "volume", **_fields(report)}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(job: JobConfig, payload: dict, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Print one report: ``payload`` as JSON, with each record in it as its
+    fields, or ``header`` and ``rows`` as CSV."""
+    if job.out_format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True, default=fields))
     else:
-        _print_csv(
-            ["method", "value", "error_estimate", "evaluations", "wall_time"],
-            [[report.method, report.value, report.error_estimate,
-              report.evaluations, report.wall_time]],
-        )
+        _print_csv(header, rows)
 
 
 def _cmd_volume(job: JobConfig) -> int:
-    report = run_route(job.method, job.region, job.axis, job.tolerance, job.mc)
-    _emit_volume(report, job.out_format)
+    report = fields(run_route(job.method, job.region, job.axis, job.tolerance, job.mc))
+    _emit(job, {"command": "volume", **report}, VolumeReport._fields, [report.values()])
     return 0
 
 
 def _cmd_compare(job: JobConfig) -> int:
     comparison = compare_methods(job.region, job.axis, job.tolerance, job.mc)
-    if job.out_format == "json":
-        payload = {
-            "command": "compare",
-            "verdict": comparison.verdict,
-            "reports": [_fields(r) for r in comparison.reports],
-            "failures": [_fields(f) for f in comparison.failures],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _print_csv(
-            ["method", "value", "error_estimate", "evaluations", "wall_time", "verdict"],
-            [[r.method, r.value, r.error_estimate, r.evaluations, r.wall_time,
-              comparison.verdict] for r in comparison.reports],
-        )
+    _emit(job, {"command": "compare", **fields(comparison)}, [*VolumeReport._fields, "verdict"],
+          [[*fields(r).values(), comparison.verdict] for r in comparison.reports])
     if comparison.verdict in ("agree", "single"):
         return 0
     if comparison.verdict == "disagree":
@@ -137,27 +121,14 @@ def _cmd_compare(job: JobConfig) -> int:
 
 def _cmd_centroid(job: JobConfig) -> int:
     report = centroid(job.region, job.tolerance)
-    if job.out_format == "json":
-        payload = {
-            "command": "centroid",
-            "centroid": {"x": report.centroid.x, "y": report.centroid.y},
-            "area": report.area,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _print_csv(
-            ["centroid_x", "centroid_y", "area"],
-            [[report.centroid.x, report.centroid.y, report.area]],
-        )
+    _emit(job, {"command": "centroid", **fields(report)}, ["centroid_x", "centroid_y", "area"],
+          [[report.centroid.x, report.centroid.y, report.area]])
     return 0
 
 
 def _cmd_check(job: JobConfig) -> int:
     side = axis_side_check(job.region, job.axis)
-    if job.out_format == "json":
-        print(json.dumps({"command": "check", "side": side}, indent=2, sort_keys=True))
-    else:
-        _print_csv(["side"], [[side]])
+    _emit(job, {"command": "check", "side": side}, ["side"], [[side]])
     return 0
 
 
@@ -192,26 +163,22 @@ def _cmd_sample(job: JobConfig, grid: int) -> int:
     return 0
 
 
+_COMMANDS = {"volume": _cmd_volume, "compare": _cmd_compare,
+             "centroid": _cmd_centroid, "check": _cmd_check}
+
+# The flags that override config fields, by their names in parse_job.
+_OVERRIDES = ("method", "rel_tol", "abs_tol", "mc_samples", "seed", "format")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        key: value
-        for key, value in (
-            ("method", args.method),
-            ("rel_tol", args.rel_tol),
-            ("abs_tol", args.abs_tol),
-            ("mc_samples", args.mc_samples),
-            ("seed", args.seed),
-            ("format", args.out_format),
-        )
-        if value is not None
-    }
+    overrides = {key: getattr(args, key) for key in _OVERRIDES if getattr(args, key) is not None}
     try:
         job = load_job(args.config, overrides)
         if args.command == "volume" and job.method == "all":
             raise ConfigError([("method", "'all' is the compare subcommand's job; "
                                           "pick one method for volume")])
-        if args.command == "sample" and args.out_format == "json":
+        if args.command == "sample" and args.format == "json":
             raise ConfigError([("--format", "sample always writes CSV")])
         if args.command == "sample" and args.grid < 2:
             raise ConfigError([("--grid", "need at least 2 points per side")])
@@ -227,15 +194,9 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        if args.command == "volume":
-            return _cmd_volume(job)
-        if args.command == "compare":
-            return _cmd_compare(job)
-        if args.command == "centroid":
-            return _cmd_centroid(job)
-        if args.command == "check":
-            return _cmd_check(job)
-        return _cmd_sample(job, args.grid)
+        if args.command == "sample":
+            return _cmd_sample(job, args.grid)
+        return _COMMANDS[args.command](job)
     except RevolveError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

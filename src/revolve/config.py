@@ -9,6 +9,10 @@ constant expression string, so a bound can be written "-pi/3" or
 "sqrt(2)/2" verbatim.  Axis forms: {"a","b","c"}, {"vertical_at": x0},
 {"horizontal_at": y0}, or the shorthands "OX" / "OY".
 
+The records are the schema: the keys of tolerance, mc and an {"a","b","c"}
+axis are the fields of Tolerance, McConfig and Axis, and every default is
+a class attribute of JobConfig, Tolerance or McConfig.
+
 Validation never stops at the first problem: all issues are collected with
 their field paths and raised together as ConfigError.
 """
@@ -19,7 +23,7 @@ import json
 import math
 from pathlib import Path
 
-from ._record import record
+from ._record import fields, record
 from .errors import (
     ConfigError,
     DomainError,
@@ -34,6 +38,8 @@ from .quadrature import Tolerance
 from .region import NormalX, NormalY, Polygon, PolarSector, Region, UnionRegion
 
 __all__ = ["JobConfig", "parse_job", "load_job", "region_doc"]
+
+FORMATS = ("json", "csv")  # report formats, the first the default
 
 # The curve variants; each class names its fields (u_min, u_max, near, far)
 # and its variable.
@@ -53,21 +59,17 @@ class JobConfig:
     method: str = "double_integral"
     tolerance: Tolerance = Tolerance()
     mc: McConfig = McConfig()
-    out_format: str = "json"
+    out_format: str = FORMATS[0]
 
     def normalized(self) -> dict:
         """Config document with defaults filled in and scalars evaluated;
         re-parsing it yields an identical job."""
         return {
             "region": region_doc(self.region),
-            "axis": {"a": self.axis.a, "b": self.axis.b, "c": self.axis.c},
+            "axis": fields(self.axis),
             "method": self.method,
-            "tolerance": {
-                "rel": self.tolerance.rel,
-                "abs": self.tolerance.abs,
-                "max_depth": self.tolerance.max_depth,
-            },
-            "mc": {"samples": self.mc.samples, "seed": self.mc.seed},
+            "tolerance": fields(self.tolerance),
+            "mc": fields(self.mc),
             "format": self.out_format,
         }
 
@@ -133,6 +135,17 @@ def _check_keys(doc, allowed, path, issues):
     for key in doc:
         if key not in allowed:
             issues.append((f"{path}.{key}", "unknown field"))
+
+
+def _options(doc, key, cls, issues) -> dict:
+    """The fields of the record ``cls`` read from the optional object
+    ``doc[key]``, with the class's defaults where it has none."""
+    sub = doc.get(key, {})
+    if not isinstance(sub, dict):
+        issues.append((key, "expected an object"))
+        sub = {}
+    _check_keys(sub, cls._fields, key, issues)
+    return {name: sub.get(name, getattr(cls, name)) for name in cls._fields}
 
 
 def _build_region(doc, path, issues):
@@ -217,14 +230,12 @@ def _build_axis(doc, path, issues):
         _check_keys(doc, ("horizontal_at",), path, issues)
         y0 = _scalar_field(doc.get("horizontal_at"), f"{path}.horizontal_at", issues)
         return None if y0 is None else Axis.horizontal(y0)
-    _check_keys(doc, ("a", "b", "c"), path, issues)
-    a = _scalar_field(doc.get("a"), f"{path}.a", issues)
-    b = _scalar_field(doc.get("b"), f"{path}.b", issues)
-    c = _scalar_field(doc.get("c"), f"{path}.c", issues)
-    if None in (a, b, c):
+    _check_keys(doc, Axis._fields, path, issues)
+    coefficients = [_scalar_field(doc.get(key), f"{path}.{key}", issues) for key in Axis._fields]
+    if None in coefficients:
         return None
     try:
-        return Axis(a, b, c)
+        return Axis(*coefficients)
     except InvalidAxisError as exc:
         issues.append((path, str(exc)))
         return None
@@ -249,22 +260,18 @@ def parse_job(doc, overrides: dict | None = None) -> JobConfig:
     if "axis" not in doc:
         issues.append(("axis", "missing required field"))
 
-    method = overrides.get("method") or doc.get("method", "double_integral")
+    method = overrides.get("method") or doc.get("method", JobConfig.method)
     if method not in METHODS + ("all",):
         issues.append(("method", f"expected one of {list(METHODS) + ['all']}, got {method!r}"))
 
-    tol_doc = doc.get("tolerance", {})
-    if not isinstance(tol_doc, dict):
-        issues.append(("tolerance", "expected an object"))
-        tol_doc = {}
-    _check_keys(tol_doc, ("rel", "abs", "max_depth"), "tolerance", issues)
+    tol_opts = _options(doc, "tolerance", Tolerance, issues)
     rel = overrides.get("rel_tol")
     abs_tol = overrides.get("abs_tol")
     if rel is None:
-        rel = _scalar_field(tol_doc.get("rel", 1e-10), "tolerance.rel", issues)
+        rel = _scalar_field(tol_opts["rel"], "tolerance.rel", issues)
     if abs_tol is None:
-        abs_tol = _scalar_field(tol_doc.get("abs", 1e-12), "tolerance.abs", issues)
-    max_depth = tol_doc.get("max_depth", 50)
+        abs_tol = _scalar_field(tol_opts["abs"], "tolerance.abs", issues)
+    max_depth = tol_opts["max_depth"]
     tolerance = None
     if (_whole_field(max_depth, "tolerance.max_depth", issues)
             and rel is not None and abs_tol is not None):
@@ -273,13 +280,9 @@ def parse_job(doc, overrides: dict | None = None) -> JobConfig:
         except (ValueError, TypeError, OverflowError) as exc:
             issues.append(("tolerance", str(exc)))
 
-    mc_doc = doc.get("mc", {})
-    if not isinstance(mc_doc, dict):
-        issues.append(("mc", "expected an object"))
-        mc_doc = {}
-    _check_keys(mc_doc, ("samples", "seed"), "mc", issues)
-    samples = overrides.get("mc_samples", mc_doc.get("samples", 1_000_000))
-    seed = overrides.get("seed", mc_doc.get("seed", 0))
+    mc_opts = _options(doc, "mc", McConfig, issues)
+    samples = overrides.get("mc_samples", mc_opts["samples"])
+    seed = overrides.get("seed", mc_opts["seed"])
     mc = None
     # A list, not a generator: both fields are checked and reported.
     if all([_whole_field(samples, "mc.samples", issues), _whole_field(seed, "mc.seed", issues)]):
@@ -288,9 +291,9 @@ def parse_job(doc, overrides: dict | None = None) -> JobConfig:
         except (ValueError, TypeError, OverflowError) as exc:
             issues.append(("mc", str(exc)))
 
-    out_format = overrides.get("format") or doc.get("format", "json")
-    if out_format not in ("json", "csv"):
-        issues.append(("format", f"expected 'json' or 'csv', got {out_format!r}"))
+    out_format = overrides.get("format") or doc.get("format", JobConfig.out_format)
+    if out_format not in FORMATS:
+        issues.append(("format", f"expected {' or '.join(map(repr, FORMATS))}, got {out_format!r}"))
 
     if issues or region is None or axis is None or tolerance is None or mc is None:
         raise ConfigError(issues)

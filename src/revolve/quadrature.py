@@ -277,13 +277,6 @@ class PieceIntegrand:
         values = []
         append = values.append
         near, far = self.near, self.far
-        if len(panels) >= _PANELS:
-            try:
-                for x in nodes:
-                    append(g(x, near(x), far(x)))
-            except _FAILURES:
-                append(None)
-            return values
         lows, highs = [], []
         low, high = lows.append, highs.append
         try:
@@ -296,7 +289,8 @@ class PieceIntegrand:
         except _FAILURES:
             append(None)
             return values
-        panels[a, b] = (lows, highs)
+        if len(panels) < _PANELS:
+            panels[a, b] = (lows, highs)
         return values
 
     def _until_failure(self, nodes: list, lows: list, highs: list) -> list:

@@ -31,8 +31,10 @@ The exterior-axis check (``axis_side_check``) is certified: it bounds the
 signed distance along each boundary curve by interval arithmetic
 (``ExprAst.interval``), and falls back to sampling only when a fixed box
 budget runs out; its verdict is cached per (region, axis).  The bounding
-box, which Monte Carlo and ``revolve sample`` use, is sampled.  numpy is
-imported only by containment and the sampled cloud.
+box, which Monte Carlo and ``revolve sample`` use, is sampled; only the box
+is cached per region, and the sampled cloud is built again where the
+fallback needs it.  numpy is imported only by containment and the sampled
+cloud.
 """
 
 from __future__ import annotations
@@ -733,56 +735,46 @@ def _leaf_cloud(leaf: Region):
     return (us, vs, False)
 
 
-class _Cloud(NamedTuple):
-    xs: np.ndarray  # read-only
-    ys: np.ndarray  # read-only
-    box: tuple[float, float, float, float] | None  # None when there are no points
-
-
-# Up to 64 regions' clouds, at 2 x 1025 points of 16 bytes per curve leaf.
+# Up to 64 regions' boxes.
 @functools.lru_cache(maxsize=64)
-def _boundary_cloud(region: Region) -> _Cloud:
-    """The region's sampled boundary points and its bounding box: the min
-    and max of x and of y over each leaf, padded by 1e-9 relative on curve
-    leaves.  They depend on the region alone; regions are frozen and
-    compare by value, so equal regions built separately share one entry."""
-    import numpy as np
-
-    clouds = [cloud for cloud in map(_leaf_cloud, leaves(region)) if cloud[0].size]
-    xs = np.concatenate([lx for lx, _, _ in clouds] or [np.empty(0)])
-    ys = np.concatenate([ly for _, ly, _ in clouds] or [np.empty(0)])
-    xs.flags.writeable = ys.flags.writeable = False
+def _sampled_box(region: Region) -> tuple[float, float, float, float] | None:
+    """The min and max of x and of y over each leaf's cloud (``_leaf_cloud``),
+    padded by 1e-9 relative on curve leaves; None when no leaf has points.
+    The box depends on the region alone; regions are frozen and compare by
+    value, so equal regions built separately share one entry."""
     boxes = []
-    for lx, ly, exact in clouds:
-        x_box = (float(lx.min()), float(lx.max()))
-        y_box = (float(ly.min()), float(ly.max()))
-        boxes.append((*x_box, *y_box) if exact else (*_pad_interval(*x_box), *_pad_interval(*y_box)))
-    box = None
-    if boxes:
-        box = (min(b[0] for b in boxes), max(b[1] for b in boxes),
-               min(b[2] for b in boxes), max(b[3] for b in boxes))
-    return _Cloud(xs, ys, box)
+    for lx, ly, exact in map(_leaf_cloud, leaves(region)):
+        if lx.size:
+            box = (float(lx.min()), float(lx.max()), float(ly.min()), float(ly.max()))
+            boxes.append(box if exact else (*_pad_interval(*box[:2]), *_pad_interval(*box[2:])))
+    if not boxes:
+        return None
+    x_lo, x_hi, y_lo, y_hi = zip(*boxes)
+    return min(x_lo), max(x_hi), min(y_lo), max(y_hi)
 
 
-def _nonempty_cloud(region: Region) -> _Cloud:
-    cloud = _boundary_cloud(region)
-    if cloud.box is None:
+def _nonempty_box(region: Region) -> tuple[float, float, float, float]:
+    box = _sampled_box(region)
+    if box is None:
         raise InvalidRegionError("region produced no sample points")
-    return cloud
+    return box
 
 
 def bounding_box(region: Region) -> tuple[float, float, float, float]:
     """Axis-aligned box (x_lo, x_hi, y_lo, y_hi) of the sampled boundary
     cloud: exact for polygons, padded by 1e-9 relative around curve
     samples."""
-    return _nonempty_cloud(region).box
+    return _nonempty_box(region)
 
 
 def _sampled_side(region: Region, axis: Axis) -> int:
     """The side check over the sampled cloud: the extremes of the signed
-    distance at its points."""
-    xs, ys, _ = _nonempty_cloud(region)
-    dists = axis.a * xs + axis.b * ys + axis.c
+    distance at its points.  The leaf clouds are built again on each call."""
+    import numpy as np
+
+    _nonempty_box(region)
+    dists = np.concatenate([axis.a * xs + axis.b * ys + axis.c
+                            for xs, ys, _ in map(_leaf_cloud, leaves(region))])
     return _side_of(float(dists.min()), float(dists.max()))
 
 
@@ -834,10 +826,10 @@ def _cell_range(lo: float, hi: float, origin: float, scale: float, margin: float
 def _cell_grid(region: Region) -> _CellGrid | None:
     """The region's cells over its bounding box, each _INSIDE, _OUTSIDE or
     _BOUNDARY; None where the box has no points or a cell width that is 0
-    or not finite.  Cached by value, as ``_boundary_cloud`` is."""
+    or not finite.  Cached by value, as ``_sampled_box`` is."""
     import numpy as np
 
-    box = _boundary_cloud(region).box
+    box = _sampled_box(region)
     if box is None:
         return None
     x_lo, x_hi, y_lo, y_hi = box

@@ -681,7 +681,7 @@ class TestAxisSideCheck:
             rv.axis_side_check(square, rv.Axis(1.0, 1.0, -2.0))
 
     def test_cloud_lies_on_the_boundary(self):
-        xs, ys, _ = region_module._boundary_cloud(quarter_disk())
+        xs, ys, _ = region_module._leaf_cloud(quarter_disk())
         assert xs.size == 2 * 1025
         for x, y in zip(xs, ys):
             on_arc = abs(math.hypot(x, y) - 1.0) <= 1e-9
@@ -698,11 +698,11 @@ def _side(region, axis, check=rv.axis_side_check):
 
 @pytest.fixture
 def cold_side_cloud():
-    """The boundary cloud's cache, cleared, with the side check's verdicts."""
-    for cache in (region_module._boundary_cloud, region_module.axis_side_check):
+    """The sampled box's cache, cleared, with the side check's verdicts."""
+    for cache in (region_module._sampled_box, region_module.axis_side_check):
         cache.cache_clear()
-    yield region_module._boundary_cloud
-    for cache in (region_module._boundary_cloud, region_module.axis_side_check):
+    yield region_module._sampled_box
+    for cache in (region_module._sampled_box, region_module.axis_side_check):
         cache.cache_clear()
 
 
@@ -786,12 +786,6 @@ class TestSideCheckCache:
                 with pytest.raises(InvalidRegionError, match="region produced no sample points"):
                     guard()
         assert cold_side_cloud.cache_info().misses == 1
-
-    def test_cloud_is_read_only(self, cold_side_cloud):
-        xs, ys, _ = region_module._boundary_cloud(sector_polar())
-        assert xs.size == ys.size == 2 * 1025
-        with pytest.raises(ValueError):
-            xs[0] = 0.0
 
 
 class TestSampledGuardDefects:
