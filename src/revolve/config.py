@@ -138,14 +138,14 @@ def _check_keys(doc, allowed, path, issues):
 
 
 def _options(doc, key, cls, issues) -> dict:
-    """The fields of the record ``cls`` read from the optional object
-    ``doc[key]``, with the class's defaults where it has none."""
+    """The optional object ``doc[key]`` of the record ``cls``'s fields; {}
+    where it is absent or not an object."""
     sub = doc.get(key, {})
     if not isinstance(sub, dict):
         issues.append((key, "expected an object"))
-        sub = {}
+        return {}
     _check_keys(sub, cls._fields, key, issues)
-    return {name: sub.get(name, getattr(cls, name)) for name in cls._fields}
+    return sub
 
 
 def _build_region(doc, path, issues):
@@ -264,14 +264,14 @@ def parse_job(doc, overrides: dict | None = None) -> JobConfig:
     if method not in METHODS + ("all",):
         issues.append(("method", f"expected one of {list(METHODS) + ['all']}, got {method!r}"))
 
-    tol_opts = _options(doc, "tolerance", Tolerance, issues)
+    tol_doc = _options(doc, "tolerance", Tolerance, issues)
     rel = overrides.get("rel_tol")
     abs_tol = overrides.get("abs_tol")
     if rel is None:
-        rel = _scalar_field(tol_opts["rel"], "tolerance.rel", issues)
+        rel = _scalar_field(tol_doc.get("rel", Tolerance.rel), "tolerance.rel", issues)
     if abs_tol is None:
-        abs_tol = _scalar_field(tol_opts["abs"], "tolerance.abs", issues)
-    max_depth = tol_opts["max_depth"]
+        abs_tol = _scalar_field(tol_doc.get("abs", Tolerance.abs), "tolerance.abs", issues)
+    max_depth = tol_doc.get("max_depth", Tolerance.max_depth)
     tolerance = None
     if (_whole_field(max_depth, "tolerance.max_depth", issues)
             and rel is not None and abs_tol is not None):
@@ -280,9 +280,9 @@ def parse_job(doc, overrides: dict | None = None) -> JobConfig:
         except (ValueError, TypeError, OverflowError) as exc:
             issues.append(("tolerance", str(exc)))
 
-    mc_opts = _options(doc, "mc", McConfig, issues)
-    samples = overrides.get("mc_samples", mc_opts["samples"])
-    seed = overrides.get("seed", mc_opts["seed"])
+    mc_doc = _options(doc, "mc", McConfig, issues)
+    samples = overrides.get("mc_samples", mc_doc.get("samples", McConfig.samples))
+    seed = overrides.get("seed", mc_doc.get("seed", McConfig.seed))
     mc = None
     # A list, not a generator: both fields are checked and reported.
     if all([_whole_field(samples, "mc.samples", issues), _whole_field(seed, "mc.seed", issues)]):
