@@ -163,6 +163,8 @@ def _cmd_sample(job: JobConfig, grid: int) -> int:
     return 0
 
 
+# The handlers, which look up what they call when they run: bench/spans.py
+# replaces centroid, compare_methods and the rest here by name.
 _COMMANDS = {"volume": _cmd_volume, "compare": _cmd_compare,
              "centroid": _cmd_centroid, "check": _cmd_check}
 
