@@ -154,6 +154,59 @@ class TestParseJob:
         assert paths == {"region", "axis"}
 
 
+
+def _region_doc_with(**changes):
+    """minimal_doc() with its region's fields changed; a value None drops
+    the field."""
+    doc = minimal_doc()
+    doc["region"].update(changes)
+    doc["region"] = {key: value for key, value in doc["region"].items() if value is not None}
+    return doc
+
+
+def _doc_with(key, value):
+    doc = minimal_doc()
+    doc[key] = value
+    return doc
+
+
+_TYPES = "['normal_x', 'normal_y', 'polar', 'polygon', 'union']"
+
+
+@pytest.mark.parametrize("doc, issues", [
+    (_region_doc_with(x_min=None), [("region.x_min", "missing required field")]),
+    (_region_doc_with(lower=None), [("region.lower", "missing required field")]),
+    (_region_doc_with(lower=0), [("region.lower", "expected an expression string in 'x'")]),
+    (_doc_with("region", {"type": "union", "parts": [
+        {"type": "polar", "theta_min": 0, "theta_max": 1, "rho_min": "0", "rho_max": 1}]}),
+     [("region.parts[0].rho_max", "expected an expression string in 'theta'")]),
+    (_doc_with("region", {"type": "normal_y", "y_max": 1, "left": "0", "right": "y"}),
+     [("region.y_min", "missing required field")]),
+    (_doc_with("tolerance", [1e-9]), [("tolerance", "expected an object")]),
+    (_doc_with("mc", 5), [("mc", "expected an object")]),
+    (_doc_with("region", "square"), [("region", "expected a region object")]),
+    (_doc_with("region", {"type": "hexagon"}),
+     [("region.type", f"expected one of {_TYPES}, got 'hexagon'")]),
+    (_doc_with("region", {"type": "union", "parts": {}}),
+     [("region.parts", "expected a non-empty list of regions")]),
+    (_doc_with("region", {"type": "union", "parts": []}),
+     [("region.parts", "expected a non-empty list of regions")]),
+    (_doc_with("region", {"type": "polygon", "vertices": "0,0 1,0 0,1"}),
+     [("region.vertices", "expected a list of [x, y] pairs")]),
+    (_doc_with("region", {"type": "polygon", "vertices": [[0, 0], [1, 0, 0], 5]}),
+     [("region.vertices[1]", "expected an [x, y] pair"),
+      ("region.vertices[2]", "expected an [x, y] pair")]),
+    (_doc_with("axis", "OZ"), [("axis", "expected 'OX', 'OY', or an axis object, got 'OZ'")]),
+    (_doc_with("axis", 0), [("axis", "expected an axis object or 'OX'/'OY'")]),
+    (_doc_with("axis", {"a": 1, "b": 0}), [("axis.c", "missing required field")]),
+    ([], [("$", "top-level config must be an object")]),
+])
+def test_refusal_lists_every_issue(doc, issues):
+    with pytest.raises(ConfigError) as err:
+        parse_job(doc)
+    assert err.value.issues == issues
+
+
 class TestRoundTrip:
     def test_normalized_reparses_to_identical_job(self, fixtures_dir):
         for path in sorted(fixtures_dir.glob("*.json")):
