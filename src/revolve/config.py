@@ -9,9 +9,10 @@ constant expression string, so a bound can be written "-pi/3" or
 "sqrt(2)/2" verbatim.  Axis forms: {"a","b","c"}, {"vertical_at": x0},
 {"horizontal_at": y0}, or the shorthands "OX" / "OY".
 
-The records are the schema: the keys of tolerance, mc and an {"a","b","c"}
-axis are the fields of Tolerance, McConfig and Axis, and every default is
-a class attribute of JobConfig, Tolerance or McConfig.
+The records are the schema: one table maps each region type to its
+record, whose fields are the region's keys, and the keys of tolerance, mc
+and an {"a","b","c"} axis are the fields of Tolerance, McConfig and Axis.
+Every default is a class attribute of JobConfig, Tolerance or McConfig.
 
 Validation never stops at the first problem: all issues are collected with
 their field paths and raised together as ConfigError.
@@ -41,15 +42,10 @@ __all__ = ["JobConfig", "parse_job", "load_job", "region_doc"]
 
 FORMATS = ("json", "csv")  # report formats, the first the default
 
-# The curve variants; each class names its fields (u_min, u_max, near, far)
-# and its variable.
-_CURVE_REGIONS = {"normal_x": NormalX, "normal_y": NormalY, "polar": PolarSector}
-
-_REGION_FIELDS = {
-    **{rtype: cls._fields for rtype, cls in _CURVE_REGIONS.items()},
-    "polygon": ("vertices",),
-    "union": ("parts",),
-}
+# The region variants by type; each record's fields are its document's keys.
+_REGIONS = {"normal_x": NormalX, "normal_y": NormalY, "polar": PolarSector,
+            "polygon": Polygon, "union": UnionRegion}
+_TYPES = {cls: rtype for rtype, cls in _REGIONS.items()}
 
 
 @record
@@ -75,20 +71,16 @@ class JobConfig:
 
 
 def region_doc(region: Region) -> dict:
-    if isinstance(region, Polygon):
-        return {
-            "type": "polygon",
-            "vertices": [[v.x, v.y] for v in region.vertices],
-        }
-    if isinstance(region, UnionRegion):
-        return {"type": "union", "parts": [region_doc(p) for p in region.parts]}
-    for rtype, cls in _CURVE_REGIONS.items():
-        if type(region) is cls:
-            lo_key, hi_key, a_key, b_key = _REGION_FIELDS[rtype]
-            u_min, u_max, near, far = region.span
-            return {"type": rtype, lo_key: u_min, hi_key: u_max,
-                    a_key: near.text, b_key: far.text}
-    raise TypeError(f"not a region: {region!r}")
+    rtype = _TYPES.get(type(region))
+    if rtype == "polygon":
+        return {"type": rtype, "vertices": [[v.x, v.y] for v in region.vertices]}
+    if rtype == "union":
+        return {"type": rtype, "parts": [region_doc(p) for p in region.parts]}
+    if rtype is None:
+        raise TypeError(f"not a region: {region!r}")
+    lo_key, hi_key, a_key, b_key = region._fields
+    u_min, u_max, near, far = region.span
+    return {"type": rtype, lo_key: u_min, hi_key: u_max, a_key: near.text, b_key: far.text}
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +145,11 @@ def _build_region(doc, path, issues):
         issues.append((path, "expected a region object"))
         return None
     rtype = doc.get("type")
-    if rtype not in _REGION_FIELDS:
-        issues.append(
-            (f"{path}.type", f"expected one of {sorted(_REGION_FIELDS)}, got {rtype!r}")
-        )
+    cls = _REGIONS.get(rtype) if type(rtype) is str else None
+    if cls is None:
+        issues.append((f"{path}.type", f"expected one of {sorted(_REGIONS)}, got {rtype!r}"))
         return None
-    _check_keys(doc, ("type",) + _REGION_FIELDS[rtype], path, issues)
+    _check_keys(doc, ("type",) + cls._fields, path, issues)
 
     if rtype == "union":
         parts_doc = doc.get("parts")
@@ -193,10 +184,9 @@ def _build_region(doc, path, issues):
                 verts.append(Point(x, y))
         if not ok:
             return None
-        cls, args = Polygon, (tuple(verts),)
+        args = (tuple(verts),)
     else:
-        cls = _CURVE_REGIONS[rtype]
-        lo_key, hi_key, a_key, b_key = _REGION_FIELDS[rtype]
+        lo_key, hi_key, a_key, b_key = cls._fields
         lo = _scalar_field(doc.get(lo_key), f"{path}.{lo_key}", issues)
         hi = _scalar_field(doc.get(hi_key), f"{path}.{hi_key}", issues)
         ca = _curve_field(doc.get(a_key), cls._var, f"{path}.{a_key}", issues)
@@ -260,7 +250,7 @@ def parse_job(doc, overrides: dict | None = None) -> JobConfig:
     if "axis" not in doc:
         issues.append(("axis", "missing required field"))
 
-    method = overrides.get("method") or doc.get("method", JobConfig.method)
+    method = overrides.get("method", doc.get("method", JobConfig.method))
     if method not in METHODS + ("all",):
         issues.append(("method", f"expected one of {list(METHODS) + ['all']}, got {method!r}"))
 
@@ -291,7 +281,7 @@ def parse_job(doc, overrides: dict | None = None) -> JobConfig:
         except (ValueError, TypeError, OverflowError) as exc:
             issues.append(("mc", str(exc)))
 
-    out_format = overrides.get("format") or doc.get("format", JobConfig.out_format)
+    out_format = overrides.get("format", doc.get("format", JobConfig.out_format))
     if out_format not in FORMATS:
         issues.append(("format", f"expected {' or '.join(map(repr, FORMATS))}, got {out_format!r}"))
 
@@ -308,6 +298,6 @@ def load_job(path, overrides: dict | None = None) -> JobConfig:
         raise ConfigError([(str(path), f"cannot read config: {exc}")]) from exc
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
+    except (ValueError, RecursionError) as exc:  # bad JSON, too long an integer, too deep
         raise ConfigError([(str(path), f"invalid JSON: {exc}")]) from exc
     return parse_job(doc, overrides)

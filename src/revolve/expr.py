@@ -19,10 +19,11 @@ negative, log of a non-positive, division by zero) raises DomainError, and a
 non-finite result (NaN or +/-Inf, e.g. from overflow) is normalized to
 DomainError as well, so quadrature can treat all failures uniformly.
 
-Each expression is compiled into a straight-line Python function per
-evaluator (see Compilation below), with one table of helpers each: the
-scalar evaluator when it is parsed (``parse_expr`` is a bounded cache by
-text and variable), the array and interval evaluators on first use.  The
+An ``ExprAst`` is the record (root, variable, text); its evaluators are
+not fields.  Each is compiled into a straight-line Python function (see
+Compilation below), with one table of helpers each: the scalar evaluator
+when the ExprAst is built (``parse_expr`` is a bounded cache by text and
+variable), the array and interval evaluators on first use.  The
 generated source holds no constant, so expressions of one shape share one
 compiled code object, each with its own constants bound.  Only
 the array evaluator needs numpy, and it imports it then.  The scalar
@@ -127,31 +128,27 @@ class ExprAst:
     """Immutable parsed expression in (at most) one variable, with its
     compiled evaluators: ``scalar`` is ``eval_expr``'s, ``array`` is
     ``eval_array``'s and ``interval`` maps an interval (lo, hi) of the
-    variable to an enclosure of the values there.  The last two are
-    compiled on first use, as is ``defined_interval``.  None of them is
-    part of the value."""
+    variable to an enclosure of the values there.  ``scalar`` is compiled
+    at construction, the others on first use, as is ``defined_interval``.
+    None of them is a field: the value is (root, variable, text)."""
 
     root: Node
     variable: str | None
     text: str
-    scalar: Callable[[float], float]
+
+    def __post_init__(self):
+        # A plain attribute: eval_expr reads it faster than a cached_property.
+        checked = _compiled_on_first_call(
+            self.root, functools.partial(_not_finite, self.text, self.variable))
+        object.__setattr__(self, "scalar", _compile(self.root, _INLINE_SCALAR, retry=checked))
 
     def __call__(self, value: float) -> float:
         """``eval_expr(self, value)``."""
         return self.scalar(value)
 
-    # ``scalar`` is compiled from the root: it is neither compared nor shown.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.root, self.variable, self.text) == (other.root, other.variable, other.text)
-        return NotImplemented
-
     def __hash__(self):
         # The text and variable determine the root; strings cache their hash.
         return hash((self.text, self.variable))
-
-    def __repr__(self):
-        return f"ExprAst(root={self.root!r}, variable={self.variable!r}, text={self.text!r})"
 
     @functools.cached_property
     def array(self) -> Callable:
@@ -319,9 +316,7 @@ def parse_expr(text: str, variable: str | None) -> ExprAst:
             raise ValueError(f"variable name {variable!r} shadows a builtin")
     if not text:
         raise ExprSyntaxError("empty expression", 0)
-    root = _Parser(text, variable).parse()
-    checked = _compiled_on_first_call(root, functools.partial(_not_finite, text, variable))
-    return ExprAst(root, variable, text, _compile(root, _INLINE_SCALAR, retry=checked))
+    return ExprAst(_Parser(text, variable).parse(), variable, text)
 
 
 def parse_scalar(text) -> float:

@@ -273,7 +273,7 @@ class PieceIntegrand:
             try:
                 return list(map(g, nodes, *stored))
             except _FAILURES:
-                return self._until_failure(nodes, *stored)
+                pass  # the pass below stops at the same node: near, far and g are pure
         values = []
         append = values.append
         near, far = self.near, self.far
@@ -291,18 +291,6 @@ class PieceIntegrand:
             return values
         if len(panels) < _PANELS:
             panels[a, b] = (lows, highs)
-        return values
-
-    def _until_failure(self, nodes: list, lows: list, highs: list) -> list:
-        """``g`` at the nodes and kept values, in order, up to the first node
-        that raises: a kept panel's pass again, as ``g`` is pure."""
-        g = self.g
-        values = []
-        try:
-            for x, lo, hi in zip(nodes, lows, highs):
-                values.append(g(x, lo, hi))
-        except _FAILURES:
-            values.append(None)
         return values
 
 

@@ -4,7 +4,9 @@ polygons, and disjoint unions.
 A region is a list of leaves (``leaves``, nested unions flattened): polygons
 and curve leaves.  A curve leaf (NormalX, NormalY, PolarSector) is
 near(u) <= v <= far(u) for u in [u_min, u_max], carried to the plane by its
-map; the three share one validator, one mask and one boundary sample.
+map; its fields are (u_min, u_max, near, far) under its own names, which
+the validator's messages and the config document use.  The three share one
+validator, one mask and one boundary sample.
 
 Construction probes every boundary curve at the interval endpoints plus 33
 interior points (the points of ``np.linspace``, computed without numpy);
@@ -139,33 +141,27 @@ def _probe_points(lo: float, hi: float) -> list[float]:
     return points + [hi]
 
 
-class _Undefined(Exception):
-    """A curve failed to evaluate at the probe point ``at``."""
-
-    def __init__(self, at: float):
-        self.at = at
-
-
 @functools.lru_cache(maxsize=_PROBE_CACHE_SIZE)
 def _probe_values(c: ExprAst, lo: float, hi: float) -> tuple[float, ...]:
-    """``c`` at the probe points of [lo, hi]; raises _Undefined, from the
-    DomainError, at the first point where it does not evaluate."""
+    """``c`` at the probe points of [lo, hi]; the DomainError of the first
+    point where it does not evaluate carries that point as ``at``."""
     values = []
     for t in _probe_points(lo, hi):
         try:
             values.append(eval_expr(c, t))
         except DomainError as exc:
-            raise _Undefined(t) from exc
+            exc.at = t
+            raise
     return tuple(values)
 
 
 def _probe_curve(c: ExprAst, lo: float, hi: float, what: str) -> tuple[float, ...]:
     try:
         return _probe_values(c, lo, hi)
-    except _Undefined as exc:
+    except DomainError as exc:
         raise InvalidRegionError(
             f"{what} {c.text!r} is undefined at {c.variable}={exc.at!r}"
-        ) from exc.__cause__
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -175,28 +171,25 @@ class _CurveLeaf:
     """Region between two curves of one coordinate u: near(u) <= v <= far(u)
     for u in [u_min, u_max].  NormalX has (x, y) = (u, v); NormalY is its
     transpose, (x, y) = (v, u); PolarSector has (x, y) = (v cos u, v sin u).
-    Each subclass names its fields."""
+    Each subclass's fields are (u_min, u_max, near, far), named for it."""
 
-    _var: ClassVar[str]                # the outer coordinate, "x", "y" or "theta"
-    _curves: ClassVar[tuple[str, str]]  # field names of near and far
+    _var: ClassVar[str]  # the outer coordinate, "x", "y" or "theta"
     map: ClassVar[str]
 
     @property
     def span(self) -> tuple[float, float, ExprAst, ExprAst]:
-        """(u_min, u_max, near, far)."""
-        near, far = self._curves
-        return (getattr(self, self._var + "_min"), getattr(self, self._var + "_max"),
-                getattr(self, near), getattr(self, far))
+        """(u_min, u_max, near, far): the fields in order."""
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __post_init__(self):
-        v, (near_name, far_name) = self._var, self._curves
-        for bound in (v + "_min", v + "_max"):
+        v, (min_name, max_name, near_name, far_name) = self._var, self._fields
+        for bound in (min_name, max_name):
             object.__setattr__(self, bound, float(getattr(self, bound)))
         u_min, u_max, near, far = self.span
         if not (math.isfinite(u_min) and math.isfinite(u_max)):
             raise InvalidRegionError(f"{v} bounds must be finite")
         if not u_min < u_max:
-            raise InvalidRegionError(f"{v}_min {u_min!r} must be < {v}_max {u_max!r}")
+            raise InvalidRegionError(f"{min_name} {u_min!r} must be < {max_name} {u_max!r}")
         polar = self.map == POLAR
         if polar and u_max - u_min > TWO_PI + 1e-12:
             raise InvalidRegionError(
@@ -223,7 +216,6 @@ class NormalX(_CurveLeaf):
     upper: ExprAst
 
     _var = "x"
-    _curves = ("lower", "upper")
     map = IDENTITY
 
 
@@ -237,7 +229,6 @@ class NormalY(_CurveLeaf):
     right: ExprAst
 
     _var = "y"
-    _curves = ("left", "right")
     map = SWAP
 
 
@@ -252,7 +243,6 @@ class PolarSector(_CurveLeaf):
     rho_max: ExprAst
 
     _var = "theta"
-    _curves = ("rho_min", "rho_max")
     map = POLAR
 
 

@@ -427,6 +427,27 @@ class TestConfigErrors:
         assert (code, out) == (2, "")
         assert err == "config error: mc.seed: expected an integer, got 1.5\n"
 
+    def test_region_type_that_is_not_a_string(self, capsys, tmp_path):
+        config = write_config(tmp_path, {"region": {"type": ["polygon"]}, "axis": "OY"})
+        code, out, err = run_cli(capsys, "check", "--config", config)
+        assert (code, out) == (2, "")
+        assert err == ("config error: region.type: expected one of ['normal_x', 'normal_y', "
+                       "'polar', 'polygon', 'union'], got ['polygon']\n")
+
+    def test_nesting_past_the_decoder_limit(self, capsys, tmp_path):
+        config = tmp_path / "deep.json"
+        config.write_text('{"region": ' + "[" * 100_000, encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {config}: invalid JSON: maximum recursion depth")
+
+    def test_empty_method_is_refused(self, capsys, fixtures_dir):
+        code, out, err = run_cli(capsys, "volume",
+                                 "--config", str(fixtures_dir / "unit_square.json"),
+                                 "--method", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: method: expected one of [") and err.endswith(", got ''\n")
+
     @pytest.mark.parametrize("samples", [str(10**30), str(2**25 + 1)])
     def test_sample_count_is_bounded(self, capsys, fixtures_dir, samples):
         code, out, err = run_cli(capsys, "volume",

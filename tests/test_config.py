@@ -57,6 +57,13 @@ class TestParseJob:
         assert job.mc == rv.McConfig(500, 99)
         assert job.tolerance.rel == 1e-6
 
+    @pytest.mark.parametrize("key", ["method", "format"])
+    def test_empty_override_is_refused(self, key):
+        with pytest.raises(ConfigError) as err:
+            parse_job(minimal_doc(), {key: ""})
+        assert [path for path, _ in err.value.issues] == [key]
+        assert err.value.issues[0][1].endswith("got ''")
+
     def test_errors_are_aggregated_with_paths(self):
         doc = {
             "region": {"type": "normal_x", "x_min": 0, "x_max": 1,

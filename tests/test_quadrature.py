@@ -8,7 +8,7 @@ import pytest
 import revolve as rv
 from revolve.config import load_job, parse_job
 from revolve.errors import DomainError, IntegrandError, QuadratureNoConvergence
-from revolve import methods
+from revolve import methods, quadrature
 from revolve import region as region_module
 from revolve.quadrature import (_PANELS, _XGK, PieceIntegrand, _domain_guard, _memo, linear_sections,
                                 moment_sections, sum_results)
@@ -182,6 +182,26 @@ class TestVectorIntegrand:
             for _ in range(3)
         }
         assert len(runs) == 1
+
+
+class TestRefusals:
+    """The adaptive loops' two refusals, scalar and vector: the subdivision
+    cap (lowered here) and the depth limit."""
+
+    @pytest.mark.parametrize("f, shown", [
+        (lambda x: math.sin(50.0 * x), r"[0-9.e+-]+"),
+        (lambda x: (1.0, math.sin(50.0 * x)), r"\([0-9.e+-]+, [0-9.e+-]+\)"),
+    ], ids=["scalar", "vector"])
+    def test_subdivision_cap(self, monkeypatch, f, shown):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
+        with pytest.raises(QuadratureNoConvergence, match=f"^exceeded 3 subdivisions with error {shown}$"):
+            rv.integrate_1d(f, 0.0, 10.0, rv.Tolerance(rel=1e-14, abs=1e-15))
+
+    def test_vector_depth_limit(self):
+        tol = rv.Tolerance(rel=1e-14, abs=1e-15, max_depth=3)
+        with pytest.raises(QuadratureNoConvergence,
+                           match=r"^error estimate \(.*\) above tolerance \(.*\) after depth 3 near \["):
+            rv.integrate_1d(lambda x: (1.0, math.sin(50.0 * x)), 0.0, 10.0, tol)
 
 
 class TestMomentSections:

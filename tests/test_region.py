@@ -632,7 +632,8 @@ class TestValidation:
         ((0, 0), (2, 0), (2, 2), (1, 0), (0, 2)),          # a vertex touches an edge
         ((0, 0), (2, 0), (2, 2), (1, 1), (0, 2), (1, 1)),  # a repeated vertex
         ((0, 0), (3, 0), (1, 0), (1, 1)),                  # an edge folds back
-    ], ids=["vertex_on_edge", "repeated_vertex", "fold_back"])
+        ((0, 0), (3, 0), (3, 2), (1, -1), (0, 2)),         # two edges cross; area 1.5
+    ], ids=["vertex_on_edge", "repeated_vertex", "fold_back", "edges_cross"])
     def test_polygon_rejects_touching_edges(self, verts):
         with pytest.raises(InvalidRegionError, match="self-intersect"):
             rv.Polygon(tuple(rv.Point(x, y) for x, y in verts))
@@ -856,6 +857,32 @@ class TestCertifiedSideCheck:
         axis = rv.Axis.horizontal(1.5)
         assert rv.axis_side_check(region, axis) == ref_axis_side_check(region, axis) == -1
         assert cold_side_cloud.cache_info().misses == 1
+
+    def test_exhausted_budget_gives_the_sampled_plus_one(self, cold_side_cloud):
+        # The same curve as the lower one, with the axis below it.
+        region = rv.NormalX(0.0, 1.0, rv.curve("sin(1537*pi*x)^2 + cos(1537*pi*x)^2", "x"),
+                            rv.curve("3", "x"))
+        axis = rv.Axis.horizontal(0.5)
+        assert rv.axis_side_check(region, axis) == ref_axis_side_check(region, axis) == 1
+        assert cold_side_cloud.cache_info().misses == 1
+
+    def test_midpoints_where_the_curve_is_undefined_are_skipped(self, cold_side_cloud,
+                                                               monkeypatch):
+        # The lower curve is 1 except at x = 0.3125, a midpoint of the
+        # bisection, where it is undefined: no distance there.
+        skipped = []
+        distance_at = region_module._distance_at
+
+        def spy(axis, cmap, c, u):
+            d = distance_at(axis, cmap, c, u)
+            if d is None:
+                skipped.append(u)
+            return d
+
+        monkeypatch.setattr(region_module, "_distance_at", spy)
+        region = rv.NormalX(0.0, 1.0, rv.curve("(x-0.3125)/(x-0.3125)", "x"), rv.curve("3", "x"))
+        assert rv.axis_side_check(region, rv.Axis.horizontal(0.5)) == 1
+        assert set(skipped) == {0.3125} and len(skipped) == 202
 
     def test_curve_undefined_between_probes(self, cold_side_cloud):
         # Undefined on (0.3, 0.31), between two probes: those points are no
