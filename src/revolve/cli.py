@@ -10,6 +10,12 @@ fields.  Errors go to stderr.
 
 Exit codes: 0 ok, 2 config error, 3 computation error, 4 method
 disagreement (compare only).
+
+A process that imports this module runs OpenBLAS on one thread unless
+OPENBLAS_NUM_THREADS is already set.  revolve calls no BLAS routine, and
+numpy's import otherwise starts a worker per extra core, each of which
+busy-waits before it sleeps: about a quarter of the CPU time of a job
+that loads numpy.  ``import revolve`` by itself does not touch it.
 """
 
 from __future__ import annotations
@@ -18,9 +24,14 @@ import argparse
 import itertools
 import json
 import math
+import os
 import signal
 import sys
 from collections.abc import Iterable
+
+# Before anything here can import numpy, which reads it once at load: the
+# idle OpenBLAS workers would spin on this process's CPU time for nothing.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from ._record import fields
 from .config import FORMATS, JobConfig, load_job

@@ -408,7 +408,8 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
             vals *= inside
             chunk_mean = float(vals.mean())
             vals -= chunk_mean
-            # No BLAS (np.dot) here: its worker threads spin on after each call.
+            # No BLAS (np.dot) here: a library caller may have BLAS worker
+            # threads, which spin on after each call (the CLI starts none).
             chunk_m2 = float(np.square(vals, out=vals).sum())
             total = n + m
             delta = chunk_mean - mean

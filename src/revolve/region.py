@@ -568,9 +568,10 @@ def contains_mask(region: Region, xs, ys):
 # bound does not settle the side, after evaluating the form at its
 # midpoint as a witness.  Curve end points and polygon vertices are
 # witnesses too.  A witness beyond the touching slack on the wrong side
-# refutes a side; after _SIDE_BOXES boxes it falls back to the sampled
-# cloud.  The box is read off that cloud: each curve at _CLOUD_SAMPLES
-# points, so a spike between two samples escapes it.
+# refutes a side; after _SIDE_BOXES boxes, or at a box too narrow to
+# split, it falls back to the sampled cloud.  The box is read off that
+# cloud: each curve at _CLOUD_SAMPLES points, so a spike between two
+# samples escapes it.
 
 def _plane_point(cmap: str, u: float, v: float) -> tuple[float, float]:
     """The point (x, y) of (u, v) under the map ``cmap``."""
@@ -613,7 +614,7 @@ def _side_holds(axis: Axis, arcs: list, side: int, seen: list[float],
     """Whether side * distance >= -_TOUCH_TOL along every arc (cmap, curve,
     u0, u1), and the boxes left of ``budget``: True when bounds settle it,
     False when a witness (appended to ``seen``) refutes it, None when the
-    budget runs out."""
+    budget runs out or a box too narrow to split stays unsettled."""
     heap = []
 
     def push(arc, lo: float, hi: float) -> None:
@@ -632,6 +633,8 @@ def _side_holds(axis: Axis, arcs: list, side: int, seen: list[float],
             return None, budget
         _, _, arc, lo, hi = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the box cannot split: its halves are itself
+            return None, budget
         d = _distance_at(axis, arc[0], arc[1], mid)
         if d is not None:
             seen.append(d)
@@ -662,8 +665,9 @@ def axis_side_check(region: Region, axis: Axis) -> int:
     bounds on the signed distance along every boundary curve; a region
     with points beyond 1e-9 on both sides raises AxisIntersectsRegion,
     giving the span of the signed distances at the points evaluated.
-    When the bounds take more than _SIDE_BOXES boxes, the verdict is the
-    sampled one of ``_sampled_side``.
+    When the bounds take more than _SIDE_BOXES boxes, or leave a box too
+    narrow to split unsettled, the verdict is the sampled one of
+    ``_sampled_side``.
 
     Regions and axes are frozen and compare by value, so the side is cached
     per equal (region, axis).  A refusal is not cached: it is worked out

@@ -684,6 +684,54 @@ class TestNoDataclassesOnTheCliPath:
         assert not loaded & {"dataclasses", "inspect"}
 
 
+def _child(fixtures_dir, args, blas_threads=None):
+    """Run ``python *args`` with revolve on its path and
+    OPENBLAS_NUM_THREADS set to ``blas_threads``, or unset when None."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(fixtures_dir.parent / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, check=True)
+
+
+class TestOneBlasThread:
+    """A process that imports revolve.cli runs OpenBLAS on one thread,
+    unless OPENBLAS_NUM_THREADS says otherwise; the library leaves it be."""
+
+    _PROBE = ("import json, os, sys; import revolve.cli; "
+              "print(json.dumps(['numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS')]))")
+
+    def test_importing_the_cli_sets_one_thread_before_numpy(self, fixtures_dir):
+        out = _child(fixtures_dir, ["-c", self._PROBE]).stdout
+        assert json.loads(out) == [False, "1"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_numpy_then_runs_one_thread(self, fixtures_dir):
+        out = _child(fixtures_dir, ["-c", "import os, revolve.cli, numpy; "
+                                          "print(len(os.listdir('/proc/self/task')))"]).stdout
+        assert out == "1\n"
+
+    def test_a_preset_value_is_kept(self, fixtures_dir):
+        out = _child(fixtures_dir, ["-c", self._PROBE], blas_threads="3").stdout
+        assert json.loads(out) == [False, "3"]
+
+    def test_the_library_leaves_it_unset(self, fixtures_dir):
+        out = _child(fixtures_dir, ["-c", "import os, revolve; "
+                                          "print(os.environ.get('OPENBLAS_NUM_THREADS'))"]).stdout
+        assert out == "None\n"
+
+    def test_compare_prints_the_same_with_any_thread_count(self, fixtures_dir):
+        args = ["-m", "revolve.cli", "compare", "--config",
+                str(fixtures_dir / "torus_circle.json"), "--mc-samples", "20000"]
+        outs = [_mask_wall_time(_child(fixtures_dir, args, threads).stdout)
+                for threads in (None, "2")]
+        assert outs[0] == outs[1]
+        assert '"verdict": "agree"' in outs[0]
+
+
 if __name__ == "__main__":
     from conftest import FIXTURES
 

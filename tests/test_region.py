@@ -869,12 +869,15 @@ class TestCertifiedSideCheck:
     def test_midpoints_where_the_curve_is_undefined_are_skipped(self, cold_side_cloud,
                                                                monkeypatch):
         # The lower curve is 1 except at x = 0.3125, a midpoint of the
-        # bisection, where it is undefined: no distance there.
-        skipped = []
+        # bisection, where it is undefined: no distance there.  The boxes
+        # next to it keep an unbounded enclosure down to a width that
+        # cannot split, where the check stops and takes the sampled side.
+        skipped, calls = [], []
         distance_at = region_module._distance_at
 
         def spy(axis, cmap, c, u):
             d = distance_at(axis, cmap, c, u)
+            calls.append(u)
             if d is None:
                 skipped.append(u)
             return d
@@ -882,7 +885,9 @@ class TestCertifiedSideCheck:
         monkeypatch.setattr(region_module, "_distance_at", spy)
         region = rv.NormalX(0.0, 1.0, rv.curve("(x-0.3125)/(x-0.3125)", "x"), rv.curve("3", "x"))
         assert rv.axis_side_check(region, rv.Axis.horizontal(0.5)) == 1
-        assert set(skipped) == {0.3125} and len(skipped) == 202
+        assert skipped == [0.3125]
+        assert len(calls) == 58  # 4 end points and 54 midpoints: the budget is not spent
+        assert cold_side_cloud.cache_info().misses == 1
 
     def test_curve_undefined_between_probes(self, cold_side_cloud):
         # Undefined on (0.3, 0.31), between two probes: those points are no
