@@ -22,15 +22,18 @@ integral per outer node, with the inner tolerance tightened 10x so the
 outer estimate dominates the reported error.
 
 Every route, about every axis, bisects a piece's interval from the same
-ends, so the same panels come back.  A piece's integrand is
-g(u, near(u), far(u)) for a pure g (``PieceIntegrand``): a section or its
-linear form.  The first pass over a panel keeps near and far at its 15
-nodes in the memo of the curve pair (near, far): at most _PANELS panels in
-each of the memos of the last _MEMOS pairs, and only panels whose curves
-all evaluated.  A later pass over it, by any route, applies its g to the
-kept values.  A raise or a non-finite mass still goes to the guard below,
-which alone nudges and words errors, so values, error estimates and counts
-are those of evaluating afresh.
+ends, so the same panels come back.  A piece's integrand is its section or
+the section's linear form (``PieceIntegrand``).  The first pass over a
+panel keeps the sections (A, Sx, Sy) at its 15 nodes in the memo of the
+piece's map and curve pair: at most _PANELS panels in each of the memos of
+the last _MEMOS keys, and only panels whose sections all evaluated.  A
+later pass over it, by any route, reads the kept sections or takes their
+linear form scale * (a*Sx + b*Sy + c*A), node by node, which cannot raise.
+A non-finite mass still goes to the guard below, which alone nudges and
+words errors, so values, error estimates and counts are those of
+evaluating afresh.  Of the 1678 panels of a timed pass of the benchmark's
+quad_sweep workload (seed 4242), 73% are read from a memo, and 40% of the
+411 of ``revolve compare`` over the 12 bundled fixtures.
 
 All nodes are interior, so endpoint singularities like sqrt(1-x^2) at x=1
 are never sampled directly; an integrand failure within 1e-9 of an endpoint
@@ -139,16 +142,17 @@ _MEMOS = 16
 _PANELS = 128
 
 
-def _rule(half: float, fc, l1, h1, l2, h2, l3, h3, l4, h4, l5, h5, l6, h6, l7, h7):
+def _rule(half: float, samples):
     """Gauss-Kronrod 7/15 sums of one scalar component on a panel of
     half-width ``half``: (K15, error estimate, K15 of |f|).
 
-    The samples are the centre value followed by the symmetric pairs, low
+    The 15 samples are the centre value followed by the symmetric pairs, low
     node first, in abscissa order.  The sums run in that order, pair sums
     first.  The estimate is |K15 - G7| floored at the round-off level of
     the weighted sum, so an exactly-integrated panel still reports the
     unavoidable floating-point uncertainty instead of zero.
     """
+    fc, l1, h1, l2, h2, l3, h3, l4, h4, l5, h5, l6, h6, l7, h7 = samples
     w1, w2, w3, w4, w5, w6, w7 = _WGK
     s2, s4, s6 = l2 + h2, l4 + h4, l6 + h6
     resk = (_WGK_CENTER * fc + w1 * (l1 + h1) + w2 * s2 + w3 * (l3 + h3) + w4 * s4
@@ -169,8 +173,8 @@ def _rules(half: float, samples: list):
     """The rule of a panel's samples: one (K15, error, mass) triple, or a
     tuple of them, one per component, for tuple-valued samples."""
     if type(samples[0]) is tuple:
-        return tuple(_rule(half, *component) for component in zip(*samples))
-    return _rule(half, *samples)
+        return tuple(_rule(half, component) for component in zip(*samples))
+    return _rule(half, samples)
 
 
 def _center_and_half(a: float, b: float) -> tuple[float, float]:
@@ -183,28 +187,34 @@ def _center_and_half(a: float, b: float) -> tuple[float, float]:
     return center, half
 
 
+def _nodes(center: float, half: float) -> list:
+    """The 15 Kronrod nodes of the panel of this centre and half-width: the
+    centre, then each symmetric pair, low node first, in abscissa order."""
+    x1, x2, x3, x4, x5, x6, x7 = _XGK
+    d1, d2, d3, d4 = half * x1, half * x2, half * x3, half * x4
+    d5, d6, d7 = half * x5, half * x6, half * x7
+    return [center, center - d1, center + d1, center - d2, center + d2, center - d3, center + d3,
+            center - d4, center + d4, center - d5, center + d5, center - d6, center + d6,
+            center - d7, center + d7]
+
+
 def _gk15(sample, guard, a: float, b: float, counter: list[int]):
     """One Gauss-Kronrod 7/15 application on [a, b]: ``_rules`` of the
-    integrand's values at the 15 nodes.
+    integrand's values at the 15 nodes (``_nodes``).
 
-    ``sample(nodes, a, b)`` evaluates the nodes in one pass, in order, and
-    stops at the first that raised, which it lists as None; they are
-    counted.  A value that raised or is not finite leaves some mass
+    ``sample(center, half, a, b)`` evaluates the nodes in one pass, in
+    order, and stops at the first that raised, which it lists as None; they
+    are counted.  A value that raised or is not finite leaves some mass
     non-finite (|f| sums to inf or NaN), and only then are the values
     settled by ``guard``, node by node in order from the first: it keeps
     the values the pass reached and evaluates only the nodes past the one
     that raised.
     """
     center, half = _center_and_half(a, b)
-    x1, x2, x3, x4, x5, x6, x7 = _XGK
-    d1, d2, d3, d4 = half * x1, half * x2, half * x3, half * x4
-    d5, d6, d7 = half * x5, half * x6, half * x7
-    nodes = [center, center - d1, center + d1, center - d2, center + d2, center - d3, center + d3,
-             center - d4, center + d4, center - d5, center + d5, center - d6, center + d6,
-             center - d7, center + d7]
-    values = sample(nodes, a, b)
-    counter[0] += len(values)
-    if len(values) == 15:
+    values = sample(center, half, a, b)
+    reached = len(values)
+    counter[0] += reached
+    if reached == 15:
         rules = _rules(half, values)
         if type(rules[0]) is tuple:
             finite = all(math.isfinite(rule[2]) for rule in rules)
@@ -212,19 +222,18 @@ def _gk15(sample, guard, a: float, b: float, counter: list[int]):
             finite = math.isfinite(rules[2])
         if finite:
             return rules
-    reached = len(values)
     return _rules(half, [guard(x, values[k] if k < reached else _UNTRIED)
-                         for k, x in enumerate(nodes)])
+                         for k, x in enumerate(_nodes(center, half))])
 
 
 def _sampler(f):
     """The ``sample`` of a plain integrand: ``f`` at each node."""
 
-    def sample(nodes: list, a: float, b: float) -> list:
+    def sample(center: float, half: float, a: float, b: float) -> list:
         values = []
         append = values.append
         try:
-            for x in nodes:
+            for x in _nodes(center, half):
                 append(f(x))
         except _FAILURES:
             append(None)
@@ -234,64 +243,68 @@ def _sampler(f):
 
 
 @functools.lru_cache(maxsize=_MEMOS)
-def _memo(near, far) -> dict:
-    """The panel memo of the curve pair (near, far): panel (a, b) -> their
-    values at its 15 nodes, as two lists.  Pieces with the same pair share
-    it, as the values depend on the nodes alone."""
+def _memo(cmap: str, near, far) -> dict:
+    """The panel memo of a piece's map and curve pair: panel (a, b) -> the
+    list of the sections (A, Sx, Sy) at its 15 nodes.  Pieces with the same
+    key share it, as the sections depend on the nodes alone."""
     return {}
 
 
 class PieceIntegrand:
-    """The integrand u -> g(u, near(u), far(u)) of a piece, where ``g`` is
-    pure: a section or a linear form of one.
+    """The integrand of a piece: its closed-form section (A, Sx, Sy) at u
+    between near(u) and far(u), or, given ``coefficients`` (scale, a, b,
+    c), the section's linear form scale * (a*Sx + b*Sy + c*A).
 
-    ``integrate_1d`` samples it through ``sample``, which keeps near and
-    far at the nodes of each panel (a, b) in the memo of the piece's curve
-    pair (``_memo``) and applies ``g`` to the kept values when the panel
-    comes back, for this integrand or another of the same curves.
-    Only panels whose 15 curve values all evaluated are kept, and only
-    while the memo holds fewer than _PANELS of them.  The values are those
-    of evaluating afresh, and so is everything integrate_1d derives from
-    them.
+    ``integrate_1d`` samples it through ``sample``.  The first pass over a
+    panel (a, b) keeps the sections of its 15 nodes, as the section
+    function returned them, in the memo of the piece's map and curves
+    (``_memo``).  A later pass over it, by this integrand or another of the
+    same piece, reads the kept sections or takes their linear form, which
+    cannot raise.  Only panels whose 15 sections all evaluated are kept,
+    and only while the memo holds fewer than _PANELS of them: a kept panel
+    takes about 2.2 KB (its list, the 15 tuples and their 45 floats, by
+    tracemalloc), so the memos hold at most about 4.3 MiB.  The values are
+    those of evaluating afresh, and so is everything integrate_1d derives
+    from them.
     """
 
-    __slots__ = ("g", "near", "far", "panels")
+    __slots__ = ("section", "near", "far", "coefficients", "panels")
 
-    def __init__(self, piece: Piece, g):
+    def __init__(self, piece: Piece, coefficients: tuple[float, float, float, float] | None = None):
         near, far = piece.near, piece.far
-        self.g, self.near, self.far, self.panels = g, near, far, _memo(near, far)
+        self.section, self.near, self.far = _SECTIONS[piece.map], near, far
+        self.coefficients, self.panels = coefficients, _memo(piece.map, near, far)
 
     def __call__(self, u: float):
-        return self.g(u, self.near(u), self.far(u))
+        return self._values((self.section(u, self.near(u), self.far(u)),))[0]
 
-    def sample(self, nodes: list, a: float, b: float) -> list:
-        """``_gk15``'s pass over the panel (a, b): the values at ``nodes``,
-        up to the first that raised, which is None."""
-        g, panels = self.g, self.panels
-        stored = panels.get((a, b))
-        if stored is not None:
-            try:
-                return list(map(g, nodes, *stored))
-            except _FAILURES:
-                pass  # the pass below stops at the same node: near, far and g are pure
-        values = []
-        append = values.append
-        near, far = self.near, self.far
-        lows, highs = [], []
-        low, high = lows.append, highs.append
+    def sample(self, center: float, half: float, a: float, b: float) -> list:
+        """``_gk15``'s pass over the panel (a, b): the values at its nodes,
+        up to the first that raised, which is None.  A kept panel's values
+        need no node."""
+        panels = self.panels
+        sections = panels.get((a, b))
+        if sections is not None:
+            return self._values(sections)
+        sections = []
+        append = sections.append
+        section, near, far = self.section, self.near, self.far
         try:
-            for x in nodes:
-                lo = near(x)
-                hi = far(x)
-                low(lo)
-                high(hi)
-                append(g(x, lo, hi))
+            for x in _nodes(center, half):
+                append(section(x, near(x), far(x)))
         except _FAILURES:
-            append(None)
-            return values
+            return self._values(sections) + [None]
         if len(panels) < _PANELS:
-            panels[a, b] = (lows, highs)
-        return values
+            panels[a, b] = sections
+        return self._values(sections)
+
+    def _values(self, sections) -> list:
+        """The integrand at nodes of these sections: the sections, or
+        their linear form."""
+        if self.coefficients is None:
+            return list(sections)
+        scale, a, b, c = self.coefficients
+        return [scale * (a * mx + b * my + c * m1) for m1, mx, my in sections]
 
 
 def _finite(y) -> bool:
@@ -537,41 +550,14 @@ def _polar_section(theta: float, r: float, big: float) -> tuple[float, float, fl
 _SECTIONS = {IDENTITY: _normal_section(False), SWAP: _normal_section(True), POLAR: _polar_section}
 
 
-def _linear_form(cmap: str, scale: float, a: float, b: float, c: float):
-    """g(u, near, far) = scale * (a*Sx + b*Sy + c*A) of the section of a
-    piece with map ``cmap``.  A normal piece's has the operations of its
-    moment section in the same order; a polar piece's reads its moment
-    section."""
-    if cmap == POLAR:
-
-        def polar_form(u: float, r: float, big: float) -> float:
-            m1, mx, my = _polar_section(u, r, big)
-            return scale * (a * mx + b * my + c * m1)
-
-        return polar_form
-
-    # The coefficients of u * width and of the inner moment; a SWAP
-    # piece's outer coordinate is y.  (Addition commutes bit for bit.)
-    p, q = (b, a) if cmap == SWAP else (a, b)
-    empty = scale * (a * 0.0 + b * 0.0 + c * 0.0)
-
-    def form(u: float, lo: float, hi: float) -> float:
-        if not hi > lo:
-            return empty
-        width = hi - lo
-        return scale * (p * (u * width) + q * (0.5 * width * (hi + lo)) + c * width)
-
-    return form
-
-
 def linear_sections(region: Region, scale: float, a: float, b: float, c: float,
                     swap: bool = False) -> list:
     """The region's pieces (``region.pieces``, polygons cut into y-slabs
     when ``swap``) as (u0, u1, form), where form(u) is the inner integral
     of scale * (a*x + b*y + c) over the cross-section at u, in closed form:
-    scale * (a*Sx + b*Sy + c*A) of ``moment_sections``' section, computed
-    alike.  Each form is a ``PieceIntegrand``."""
-    return [(piece.u0, piece.u1, PieceIntegrand(piece, _linear_form(piece.map, scale, a, b, c)))
+    scale * (a*Sx + b*Sy + c*A) of ``moment_sections``' section.  Each form
+    is a ``PieceIntegrand``."""
+    return [(piece.u0, piece.u1, PieceIntegrand(piece, (scale, a, b, c)))
             for piece in pieces(region, swap)]
 
 
@@ -583,8 +569,7 @@ def moment_sections(region: Region) -> list:
     piece's area and first moments (A, Sx, Sy); any integrand linear in
     (x, y) is a fixed combination of them.  Each section is a
     ``PieceIntegrand``."""
-    return [(piece.u0, piece.u1, PieceIntegrand(piece, _SECTIONS[piece.map]))
-            for piece in pieces(region)]
+    return [(piece.u0, piece.u1, PieceIntegrand(piece)) for piece in pieces(region)]
 
 
 # ---------------------------------------------------------------------------

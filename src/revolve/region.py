@@ -27,7 +27,7 @@ pieces, not on the variants.  A curve leaf's near and far are its curves'
 compiled evaluators, which a curve parsed again shares (``parse_expr`` is
 cached); a polygon's slabs are cached for the last few polygons, by value,
 so a polygon parsed again has the same near and far functions too.  The
-quadrature keeps its curve values per (near, far) pair.
+quadrature keeps its sections per map and (near, far) pair.
 
 The exterior-axis check (``axis_side_check``) is certified: it bounds the
 signed distance along each boundary curve by interval arithmetic

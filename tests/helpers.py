@@ -648,6 +648,50 @@ def ref_integrate_1d(f, lo, hi, tol=None):
 
 
 # ---------------------------------------------------------------------------
+# Reference distance form: the per-map closed form that the piece
+# integrand's linear form of the kept moment sections replaces.
+
+def ref_linear_form(cmap, scale, a, b, c):
+    """g(u, near, far) = scale * (a*Sx + b*Sy + c*A) of the section of a
+    piece with map ``cmap``, per map: a normal piece's repeats the
+    operations of its moment section in place, a polar piece's reads its
+    moment section."""
+    from revolve.quadrature import _polar_section
+    from revolve.region import POLAR, SWAP
+
+    if cmap == POLAR:
+
+        def polar_form(u, r, big):
+            m1, mx, my = _polar_section(u, r, big)
+            return scale * (a * mx + b * my + c * m1)
+
+        return polar_form
+
+    # The coefficients of u * width and of the inner moment; a SWAP
+    # piece's outer coordinate is y.
+    p, q = (b, a) if cmap == SWAP else (a, b)
+    empty = scale * (a * 0.0 + b * 0.0 + c * 0.0)
+
+    def form(u, lo, hi):
+        if not hi > lo:
+            return empty
+        width = hi - lo
+        return scale * (p * (u * width) + q * (0.5 * width * (hi + lo)) + c * width)
+
+    return form
+
+
+def ref_piece_integrand(piece, coefficients=None):
+    """u -> the piece's section (``coefficients`` None) or ``ref_linear_form``
+    of (scale, a, b, c), at u between near(u) and far(u), evaluated afresh."""
+    from revolve.quadrature import _SECTIONS
+
+    g = _SECTIONS[piece.map] if coefficients is None else ref_linear_form(piece.map, *coefficients)
+    near, far = piece.near, piece.far
+    return lambda u: g(u, near(u), far(u))
+
+
+# ---------------------------------------------------------------------------
 # Reference Monte Carlo: the chunk loop that volume_monte_carlo's reused
 # buffers replace, with its raw-stream uniforms and its select.
 

@@ -16,7 +16,8 @@ from revolve.region import pieces
 
 from conftest import FIXTURES
 from helpers import (QUADRATURE_ROUTES, cone_triangle, quadrature_pin, quadrature_pin_cases,
-                     ref_integrate_1d, sector_polar, straddling_disk_x)
+                     ref_integrate_1d, ref_linear_form, ref_piece_integrand, sector_polar, straddling_disk_x,
+                     straddling_disk_y, torus_normal_x, torus_normal_y)
 
 
 class TestIntegrate1D:
@@ -385,20 +386,21 @@ class TestOnePassMatchesPerNodeGuard:
 
 
 class TestPanelMemoMatchesPerNodeGuard:
-    """A piece's integrand reads the near and far values of a panel seen
-    before from the piece's memo (``PieceIntegrand``).  On a fresh memo and
-    on the memo that pass left, values, error estimates, evaluation counts
-    and the first IntegrandError message are those of the per-node guarded
-    reference."""
+    """A piece's integrand reads the sections of a panel seen before from
+    the memo of the piece's map and curves (``PieceIntegrand``).  On a fresh
+    memo and on the memo that pass left, values, error estimates,
+    evaluation counts and the first IntegrandError message are those of
+    the per-node guarded reference, which evaluates the section or the
+    per-map distance form afresh (``helpers.ref_piece_integrand``)."""
 
     @staticmethod
-    def outcomes(piece, g, tol=None):
+    def outcomes(piece, coefficients, tol=None):
         """The panel path's outcome on a fresh memo, then on the memo it
         left, and the reference's."""
-        near, far = piece.near, piece.far
-        f = PieceIntegrand(piece, g)
+        f = PieceIntegrand(piece, coefficients)
         return ([_outcome(rv.integrate_1d, f, piece.u0, piece.u1, tol) for _ in range(2)],
-                _outcome(ref_integrate_1d, lambda u: g(u, near(u), far(u)), piece.u0, piece.u1, tol))
+                _outcome(ref_integrate_1d, ref_piece_integrand(piece, coefficients),
+                         piece.u0, piece.u1, tol))
 
     def test_sqrt_disk_endpoint_nudge(self):
         # The sqrt arcs of the disk crowd panels at x = -1; the panel
@@ -409,11 +411,11 @@ class TestPanelMemoMatchesPerNodeGuard:
         assert node - u0 <= 1e-9 * (u1 - u0)
         piece = pieces(straddling_disk_x())[0]
         piece = piece._replace(near=_failing_at(piece.near, [node], "raise"))
-        (first, again), ref = self.outcomes(piece, form.g, _TIGHT)
+        (first, again), ref = self.outcomes(piece, form.coefficients, _TIGHT)
         assert first == again == ref
         assert first[2] % 15 == 1  # one nudged retry
         # A fresh memo, as near is a new function; all but the nudged panel kept.
-        assert len(_memo(piece.near, piece.far)) == (first[2] - 1) // 15 - 1
+        assert len(_memo(piece.map, piece.near, piece.far)) == (first[2] - 1) // 15 - 1
 
     def test_interior_failure_is_never_kept(self):
         # The upper curve is undefined at one node of the panel [0.5, 1],
@@ -423,9 +425,9 @@ class TestPanelMemoMatchesPerNodeGuard:
                           rv.curve(f"2+sin(20*x)+0*log(abs(x-{node!r}))", "x"))
         piece = pieces(leaf)[0]
         _memo.cache_clear()
-        (first, again), ref = self.outcomes(piece, moment_sections(leaf)[0][2].g)
+        (first, again), ref = self.outcomes(piece, None)
         assert first == again == ref == f"integrand undefined at {node!r} inside [0.0, 1.0]"
-        panels = _memo(piece.near, piece.far)
+        panels = _memo(piece.map, piece.near, piece.far)
         assert (0.0, 1.0) in panels and (0.5, 1.0) not in panels
 
     def test_messages_word_the_callers_bounds(self):
@@ -439,27 +441,19 @@ class TestPanelMemoMatchesPerNodeGuard:
             assert (_outcome(rv.integrate_1d, section, u0, u1)
                     == f"integrand undefined at {node!r} inside [{lo!r}, 1.0]")
 
-    @pytest.mark.parametrize("where", ["edge", "interior"])
-    def test_kept_panel_where_another_integrand_raises(self, where):
-        # The disk's distance form fills the memo; an integrand of the same
-        # curve values that divides by zero at one node then reads it.
-        [(u0, u1, form)] = linear_sections(straddling_disk_x(), 2.0 * math.pi, 1.0, 0.0, 2.0)
-        piece = pieces(straddling_disk_x())[0]
+    @pytest.mark.parametrize("build", [straddling_disk_x, straddling_disk_y, sector_polar],
+                             ids=["identity", "swap", "polar"])
+    def test_kept_panel_whose_linear_form_is_not_finite(self, build):
+        # The moments pass fills the memo; a distance form whose scale
+        # overflows in the middle of the region then reads its first panel,
+        # which goes to the guard with the kept sections' non-finite form.
+        [piece] = pieces(build())
         _memo.cache_clear()
-        rv.integrate_1d(PieceIntegrand(piece, form.g), u0, u1, _TIGHT)
-        panel = (-1.0, -1.0 + 2.0**-22) if where == "edge" else (u0, u1)
-        assert panel in _memo(piece.near, piece.far)
-        node = _panel_nodes(*panel)[1 if where == "edge" else 3]
-
-        def g(u, lo, hi):
-            return form.g(u, lo, hi) + 0.0 / (u - node)
-
-        (first, again), ref = self.outcomes(piece, g, _TIGHT)
+        rv.integrate_1d(PieceIntegrand(piece), piece.u0, piece.u1, _TIGHT)
+        assert (piece.u0, piece.u1) in _memo(piece.map, piece.near, piece.far)
+        (first, again), ref = self.outcomes(piece, (1e308, 1.0, 1.0, 4.0), _TIGHT)
         assert first == again == ref
-        if where == "edge":
-            assert first[2] % 15 == 1  # one nudged retry
-        else:
-            assert first == f"integrand undefined at {node!r} inside [-1.0, 1.0]"
+        assert first.startswith("integrand undefined at ")
 
     def test_readme_oscillation_stops_at_the_cap(self):
         leaf = rv.NormalX(0.0, 1.0, rv.curve("0", "x"),
@@ -467,10 +461,135 @@ class TestPanelMemoMatchesPerNodeGuard:
         [(_, _, form)] = linear_sections(leaf, 2.0 * math.pi, 1.0, 0.0, 1.0)
         piece = pieces(leaf)[0]
         _memo.cache_clear()
-        (first, again), ref = self.outcomes(piece, form.g, rv.Tolerance(rel=1e-8))
+        (first, again), ref = self.outcomes(piece, form.coefficients, rv.Tolerance(rel=1e-8))
         assert first == again == ref
         assert first[2] == 255075
-        assert len(_memo(piece.near, piece.far)) == _PANELS
+        assert len(_memo(piece.map, piece.near, piece.far)) == _PANELS
+
+
+class TestKeptSectionsAreNotRecomputed:
+    """After a distance pass, the moments pass and a distance pass about a
+    second exterior axis compute a section only at the nodes of panels
+    not yet kept; every other panel is read from the memo.  Their
+    evaluation counts are those of a cold memo."""
+
+    @pytest.mark.parametrize("leaf,first_axis,second_axis", [
+        (torus_normal_x(), (1.0, 0.0, 0.0), (0.0, 1.0, 2.0)),  # x = 0, y = -2
+        (torus_normal_y(), (1.0, 0.0, -4.0), (0.0, 1.0, 1.5)),  # x = 4, y = -1.5
+        (rv.PolarSector(-math.pi / 3, math.pi / 4, rv.curve("0", "theta"),
+                        rv.curve("2+sin(5*theta)", "theta")),
+         (1.0, 0.0, 4.0), (0.0, 1.0, 4.0)),  # x = -4, y = -4
+    ], ids=["identity", "swap", "polar"])
+    def test_section_calls_are_fifteen_per_new_panel(self, monkeypatch, leaf, first_axis,
+                                                     second_axis):
+        [piece] = pieces(leaf)
+        section = quadrature._SECTIONS[piece.map]
+        calls = [0]
+
+        def spy(u, lo, hi):
+            calls[0] += 1
+            return section(u, lo, hi)
+
+        monkeypatch.setitem(quadrature._SECTIONS, piece.map, spy)
+        later = [moment_sections(leaf)[0], linear_sections(leaf, 2.0 * math.pi, *second_axis)[0]]
+        cold = []
+        for u0, u1, f in later:
+            f.panels.clear()
+            cold.append(rv.integrate_1d(f, u0, u1).evaluations)
+        f.panels.clear()
+        [(u0, u1, f)] = linear_sections(leaf, 2.0 * math.pi, *first_axis)
+        rv.integrate_1d(f, u0, u1)
+        for (u0, u1, f), evaluations in zip(later, cold):
+            kept, calls[0] = len(f.panels), 0
+            assert rv.integrate_1d(f, u0, u1).evaluations == evaluations
+            assert len(f.panels) < _PANELS
+            assert calls[0] == 15 * (len(f.panels) - kept)
+            assert calls[0] < evaluations  # a kept panel was read
+
+
+_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+             2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 1.0, -1.0, 0.5)
+
+
+def _draw(rng):
+    """A float: a special value (a third of draws), or a random sign times
+    a magnitude uniform in [0, 10) or log-uniform over the whole range."""
+    pick = rng.random()
+    if pick < 1 / 3:
+        return rng.choice(_SPECIALS)
+    magnitude = rng.uniform(0.0, 10.0) if pick < 2 / 3 else 10.0 ** rng.uniform(-323.0, 308.0)
+    return math.copysign(magnitude, rng.random() - 0.5)
+
+
+def _same(x, y) -> bool:
+    """x and y are the same float: NaN matches NaN, and the sign of a zero
+    is compared."""
+    if x is None or y is None:
+        return x is y
+    if type(x) is tuple:
+        return len(x) == len(y) and all(map(_same, x, y))
+    return (x != x and y != y) or (x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
+
+
+def _reference_values(g, nodes, lows, highs) -> list:
+    """g at each node, up to the first that raised, which is None."""
+    values = []
+    for node, lo, hi in zip(nodes, lows, highs):
+        try:
+            values.append(g(node, lo, hi))
+        except ValueError:
+            values.append(None)
+            break
+    return values
+
+
+class TestLinearFormOfKeptSections:
+    """A distance pass's value at a node is scale * (a*Sx + b*Sy + c*A) of
+    the node's moment section, fresh or kept, and equals the per-map form
+    it replaced (``helpers.ref_linear_form``) bit for bit, on 100 005
+    seeded draws of (scale, a, b, c, u, near, far) per map.  Every float is
+    drawn among ±0, ±inf, NaN, subnormals and 1e308 as well as ordinary
+    values, so that half the sections are empty (near >= far) and many
+    forms overflow."""
+
+    PANELS = 6667  # of 15 nodes: 100 005 draws
+
+    @pytest.mark.parametrize("cmap", [region_module.IDENTITY, region_module.SWAP,
+                                      region_module.POLAR])
+    def test_bit_for_bit_on_seeded_draws(self, monkeypatch, cmap):
+        import random
+
+        rng = random.Random(20261019)
+        drawn = {}
+        piece = region_module.Piece(0.0, 1.0, lambda u: next(drawn["near"]),
+                                    lambda u: next(drawn["far"]), cmap)
+        # A panel's nodes are the drawn ones, whatever its centre and half-width.
+        monkeypatch.setattr(quadrature, "_nodes", lambda center, half: drawn["nodes"])
+        section = quadrature._SECTIONS[cmap]
+        empty = 0
+        for k in range(self.PANELS):
+            coefficients = tuple(_draw(rng) for _ in range(4))
+            nodes, lows, highs = ([_draw(rng) for _ in range(15)] for _ in range(3))
+            form = PieceIntegrand(piece, coefficients)
+            form.panels.clear()
+            drawn.update(nodes=nodes, near=iter(lows), far=iter(highs))
+            first = form.sample(0.5, 0.5, k, k + 1)
+            ref = _reference_values(ref_linear_form(cmap, *coefficients), nodes, lows, highs)
+            assert all(map(_same, first, ref)) and len(first) == len(ref), (k, first, ref)
+            if ref[-1] is not None:  # kept: read again without drawing a bound
+                kept = form.sample(0.5, 0.5, k, k + 1)
+                assert all(map(_same, kept, ref)) and len(kept) == 15, (k, kept, ref)
+                sections = PieceIntegrand(piece).sample(0.5, 0.5, k, k + 1)
+                assert all(map(_same, sections, map(section, nodes, lows, highs)))
+            for node, lo, hi, value in zip(nodes, lows, highs, ref):
+                drawn.update(near=iter((lo,)), far=iter((hi,)))
+                if value is None:
+                    with pytest.raises(ValueError):
+                        form(node)
+                else:
+                    assert _same(form(node), value), (k, node, lo, hi)
+            empty += sum(not hi > lo for lo, hi in zip(lows, highs))
+        assert empty > self.PANELS * 15 // 2
 
 
 class TestIntegrateRegion:
