@@ -15,16 +15,18 @@ as its fields in order, and gives the class
 
 A method the class defines itself is kept.
 
-Nothing is compiled per class.  ``__init__``, ``__eq__`` and ``__hash__``
-are written below once per field count over the placeholder fields
-``_0``, ``_1``, ...; ``record`` copies a shape's functions and renames the
-placeholders to the class's fields (``CodeType.replace``).  So each class
-gets the bytecode that ``dataclasses`` would generate for it, with
-keywords bound by the interpreter, without importing ``dataclasses`` or
-running ``exec``.
+Nothing is compiled per class.  Only ``__init__`` is written per field
+count, over the placeholder fields ``_0``, ``_1``, ..., so that the
+interpreter binds its keywords; ``record`` copies that shape's function
+and renames the placeholders to the class's fields (``CodeType.replace``),
+without importing ``dataclasses`` or running ``exec``.  ``==`` and ``hash``
+read the record's value, the tuple of its fields, through one
+``operator.attrgetter`` per class.
 """
 
 from __future__ import annotations
+
+import operator
 
 __all__ = ["record", "fields"]
 
@@ -37,15 +39,7 @@ def _shape1(post):
         if post:
             self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self._0,) == (other._0,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._0,))
-
-    return __init__, __eq__, __hash__
+    return __init__
 
 
 def _shape2(post):
@@ -55,15 +49,7 @@ def _shape2(post):
         if post:
             self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self._0, self._1) == (other._0, other._1)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._0, self._1))
-
-    return __init__, __eq__, __hash__
+    return __init__
 
 
 def _shape3(post):
@@ -74,15 +60,7 @@ def _shape3(post):
         if post:
             self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self._0, self._1, self._2) == (other._0, other._1, other._2)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._0, self._1, self._2))
-
-    return __init__, __eq__, __hash__
+    return __init__
 
 
 def _shape4(post):
@@ -94,15 +72,7 @@ def _shape4(post):
         if post:
             self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self._0, self._1, self._2, self._3) == (other._0, other._1, other._2, other._3)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._0, self._1, self._2, self._3))
-
-    return __init__, __eq__, __hash__
+    return __init__
 
 
 def _shape5(post):
@@ -115,16 +85,7 @@ def _shape5(post):
         if post:
             self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self._0, self._1, self._2, self._3, self._4)
-                    == (other._0, other._1, other._2, other._3, other._4))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._0, self._1, self._2, self._3, self._4))
-
-    return __init__, __eq__, __hash__
+    return __init__
 
 
 def _shape6(post):
@@ -138,16 +99,7 @@ def _shape6(post):
         if post:
             self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self._0, self._1, self._2, self._3, self._4, self._5)
-                    == (other._0, other._1, other._2, other._3, other._4, other._5))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._0, self._1, self._2, self._3, self._4, self._5))
-
-    return __init__, __eq__, __hash__
+    return __init__
 
 
 _SHAPES = (None, _shape1, _shape2, _shape3, _shape4, _shape5, _shape6)
@@ -175,24 +127,33 @@ def record(cls):
     # Placeholder _i becomes field i: parameters, attribute names and the
     # attribute-name constants of __init__.
     rename = {f"_{i}": name for i, name in enumerate(names)}.get
+    __init__ = _SHAPES[len(names)](hasattr(cls, "__post_init__"))
+    __init__.__defaults__ = defaults or None
+    code = __init__.__code__
+    __init__.__code__ = code.replace(**{
+        key: tuple(rename(s, s) if type(s) is str else s for s in getattr(code, key))
+        for key in ("co_varnames", "co_names", "co_consts")})
+    value = operator.attrgetter(*names)  # the fields' tuple, from two fields on
+    if len(names) == 1:  # where it gets the field alone
+        field = value
 
-    def renamed(seq):
-        return tuple(rename(s, s) if type(s) is str else s for s in seq)
+        def value(obj):
+            return (field(obj),)
 
-    methods = dict(zip(("__init__", "__eq__", "__hash__"),
-                       _SHAPES[len(names)](hasattr(cls, "__post_init__"))))
-    methods["__init__"].__defaults__ = defaults or None
-    for method in methods.values():
-        code = method.__code__
-        method.__code__ = code.replace(co_varnames=renamed(code.co_varnames),
-                                       co_names=renamed(code.co_names),
-                                       co_consts=renamed(code.co_consts))
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return value(self) == value(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(value(self))
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({shown})"
 
-    methods["__repr__"] = __repr__
+    methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": __hash__,
+               "__repr__": __repr__}
     for name, method in methods.items():
         method.__qualname__ = f"{cls.__qualname__}.{name}"
     methods.update(__setattr__=_setattr, __delattr__=_delattr)

@@ -66,6 +66,7 @@ from .geometry import Axis, Point, signed_distance
 from .quadrature import (
     QuadratureResult,
     Tolerance,
+    check_count,
     integrate_1d,
     linear_sections,
     moment_sections,
@@ -139,6 +140,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_count("samples", self.samples)
+        check_count("seed", self.seed)
         if self.samples < 100:
             raise ValueError("need at least 100 samples")
         if self.samples > _MAX_SAMPLES:

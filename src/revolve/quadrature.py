@@ -101,6 +101,12 @@ _EDGE_FRACTION = 1e-9
 _NUDGE_FRACTION = 1e-12
 
 
+def check_count(name: str, value) -> None:
+    """Refuse a count that is a bool or no integer (has no ``__index__``)."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name}: expected an integer, got {value!r}")
+
+
 @record
 class Tolerance:
     rel: float = 1e-10
@@ -108,6 +114,7 @@ class Tolerance:
     max_depth: int = 50
 
     def __post_init__(self):
+        check_count("max_depth", self.max_depth)
         if not (self.rel > 0.0 and self.abs > 0.0):
             raise ValueError("tolerances must be positive")
         if not (math.isfinite(self.rel) and math.isfinite(self.abs)):

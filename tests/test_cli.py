@@ -69,7 +69,9 @@ class TestVolume:
             "region": {"type": "normal_x", "x_min": "-1e308", "x_max": "1e308",
                        "lower": "0", "upper": "1+x*0"},
             "axis": {"horizontal_at": -1}})
-        code, out, err = run_cli(capsys, command[0], "--config", path, *command[1:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nor a RuntimeWarning
+            code, out, err = run_cli(capsys, command[0], "--config", path, *command[1:])
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and "Traceback" not in err
 
@@ -392,6 +394,33 @@ class TestConfigErrors:
         assert (code, out) == (2, "")
         assert err.startswith("config error: region.x_max: ")
 
+    def test_json_infinity_bound(self, capsys, tmp_path):
+        config = write_config(tmp_path, {  # json.dumps writes inf as Infinity
+            "region": {"type": "normal_x", "x_min": 0, "x_max": math.inf,
+                       "lower": "0", "upper": "1"},
+            "axis": "OY"})
+        code, out, err = run_cli(capsys, "volume", "--config", config)
+        assert (code, out) == (2, "")
+        assert err == ("config error: region.x_max: not a number or constant expression: "
+                       "non-finite scalar inf\n")
+
+    def test_json_nan_sample_count(self, capsys, tmp_path):
+        config = write_config(tmp_path, {"region": {"type": "polygon",
+                                                    "vertices": [[1, 0], [2, 0], [2, 1], [1, 1]]},
+                                         "axis": "OY", "mc": {"samples": math.nan}})
+        code, out, err = run_cli(capsys, "volume", "--config", config)
+        assert (code, out) == (2, "")
+        assert err == "config error: mc: cannot convert float NaN to integer\n"
+
+    def test_axis_that_does_not_normalize(self, capsys, tmp_path):
+        config = write_config(tmp_path, {"region": {"type": "polygon",
+                                                    "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+                                         "axis": {"a": 1e-300, "b": 0, "c": 1e10}})
+        code, out, err = run_cli(capsys, "check", "--config", config)
+        assert (code, out) == (2, "")
+        assert err == ("config error: axis: coefficients (1e-300, 0.0, 10000000000.0) "
+                       "do not normalize to finite values\n")
+
     def test_integer_too_long_to_read(self, capsys, tmp_path):
         config = tmp_path / "long.json"
         config.write_text('{"axis": 1' + "0" * 5000 + "}", encoding="utf-8")
@@ -625,6 +654,11 @@ print(json.dumps(seen))
 """
 
 
+def _pappus_csv_job(fixtures_dir):
+    return ["volume", "--config", str(fixtures_dir / "torus_disk.json"),
+            "--method", "pappus", "--format", "csv"]
+
+
 def _numpy_after(fixtures_dir, jobs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -652,6 +686,10 @@ class TestNumpyOnlyWhereArraysAre:
         assert [(code, loaded) for _, code, loaded in seen] == [
             (None, False), (0, False), (0, True), (0, True)]
 
+    def test_pappus_csv_never_imports_numpy(self, fixtures_dir):
+        seen = _numpy_after(fixtures_dir, [_pappus_csv_job(fixtures_dir)])
+        assert [(code, loaded) for _, code, loaded in seen] == [(None, False), (0, False)]
+
 
 # Runs CLI jobs in one fresh interpreter after ``import revolve`` and prints
 # the names of the modules loaded by then.
@@ -666,22 +704,31 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
+def _modules_after(fixtures_dir, jobs) -> set:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(fixtures_dir.parent / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps(jobs)],
+                          capture_output=True, text=True, env=env, check=True)
+    return set(json.loads(proc.stdout))
+
+
 class TestNoDataclassesOnTheCliPath:
+    # revolve's types are records built without dataclasses, which would
+    # also bring in inspect.
     def test_numpy_free_jobs_load_neither_dataclasses_nor_inspect(self, fixtures_dir):
-        # revolve's types are records built without dataclasses, which
-        # would also bring in inspect.
         jobs = [[command, "--config", str(path)]
                 for path in sorted(fixtures_dir.glob("*.json"))
                 for command in ("check", "volume", "centroid")]
         assert len(jobs) == 36
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(fixtures_dir.parent / "src"), *filter(None, [env.get("PYTHONPATH")])])
-        proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps(jobs)],
-                              capture_output=True, text=True, env=env, check=True)
-        loaded = set(json.loads(proc.stdout))
+        loaded = _modules_after(fixtures_dir, jobs)
         assert {"revolve.cli", "revolve.methods", "revolve.region"} <= loaded
         assert not loaded & {"dataclasses", "inspect"}
+
+    def test_pappus_csv_loads_neither_dataclasses_nor_inspect(self, fixtures_dir):
+        loaded = _modules_after(fixtures_dir, [_pappus_csv_job(fixtures_dir)])
+        assert "revolve.methods" in loaded
+        assert not loaded & {"dataclasses", "inspect", "numpy"}
 
 
 def _child(fixtures_dir, args, blas_threads=None):

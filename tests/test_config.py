@@ -232,6 +232,10 @@ class TestRoundTrip:
         assert doc["parts"][0]["type"] == "normal_x"
         assert doc["parts"][1]["vertices"] == [[2.0, 0.0], [3.0, 0.0], [2.0, 1.0]]
 
+    def test_region_doc_refuses_what_is_no_region(self):
+        with pytest.raises(TypeError, match="^not a region: <object object at 0x"):
+            region_doc(object())
+
 
 class TestLoadJob:
     def test_missing_file(self, tmp_path):

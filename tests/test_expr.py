@@ -514,6 +514,10 @@ class TestIntervalEnclosures:
             pairs = [(a, b) for a in _points(rng, x) for b in _points(rng, y)]
             _assert_encloses(expr._INTERVAL_HELPERS[op](x, y), scalar, *pairs)
 
+    def test_infinite_over_infinite_is_the_whole_line(self):
+        # Every corner quotient is inf / inf, NaN: no bound is known.
+        assert expr._idiv((math.inf, math.inf), (math.inf, math.inf)) == (-math.inf, math.inf)
+
     def test_negation(self):
         rng = random.Random(1)
         for _ in range(1000):

@@ -10,6 +10,7 @@ import pytest
 import revolve as rv
 from revolve import quadrature
 from revolve import region as region_module
+from revolve._record import fields
 from revolve.config import load_job, parse_job
 from revolve.errors import AxisIntersectsRegion, UnsupportedMethod
 from revolve.methods import _CHUNK, _distance_pass, _region_moments, run_route
@@ -467,6 +468,52 @@ class TestTransposeSymmetry:
         assert _region_moments.cache_info().currsize == 2
 
 
+class TestRecordsAsCacheKeys:
+    """The side check and the distance pass are cached by the value of
+    their records: equal records built separately are one key, and records
+    of two classes with the same fields are two."""
+
+    def test_axis_equals_its_normalized_twin(self):
+        doubled, axis = rv.Axis(2, 0, 4), rv.Axis(1, 0, 2)
+        assert fields(doubled) == fields(axis) == {"a": 1.0, "b": 0.0, "c": 2.0}
+        assert doubled == axis and hash(doubled) == hash(axis)
+
+    def test_int_bounds_equal_their_float_twin(self):
+        ints = rv.NormalX(0, 1, rv.curve("0", "x"), rv.curve("1 - x^2", "x"))
+        floats = rv.NormalX(0.0, 1.0, rv.curve("0", "x"), rv.curve("1 - x^2", "x"))
+        assert type(ints.x_min) is type(ints.x_max) is float
+        assert ints == floats and hash(ints) == hash(floats)
+
+    def test_equal_regions_share_one_entry(self):
+        def build():
+            return rv.NormalX(1.0, 2.0, rv.curve("0", "x"), rv.curve("1 + x^2", "x"))
+
+        first, second = build(), build()
+        assert first is not second
+        axis, tol = rv.Axis.vertical(-1.0), rv.Tolerance()
+        rv.axis_side_check.cache_clear()
+        assert rv.axis_side_check(first, axis) == rv.axis_side_check(second, axis) == 1
+        assert rv.axis_side_check.cache_info()[:2] == (1, 1)  # (hits, misses)
+        _distance_pass.cache_clear()
+        kept = _distance_pass(first, axis, tol, False)
+        assert _distance_pass(second, axis, tol, False) is kept
+        assert _distance_pass.cache_info()[:2] == (1, 1)
+
+    def test_two_classes_with_equal_fields_are_two_keys(self):
+        low, high = rv.curve("0", "x"), rv.curve("1", "x")
+        nx, ny = rv.NormalX(2.0, 3.0, low, high), rv.NormalY(2.0, 3.0, low, high)
+        assert tuple(fields(nx).values()) == tuple(fields(ny).values())
+        assert nx != ny and hash(nx) == hash(ny)
+        axis, tol = rv.Axis.vertical(-1.0), rv.Tolerance()
+        rv.axis_side_check.cache_clear()
+        _distance_pass.cache_clear()
+        for region in (nx, ny):
+            _distance_pass(region, axis, tol, False)
+        for cached in (rv.axis_side_check, _distance_pass):
+            info = cached.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (0, 2, 2), cached
+
+
 class TestAreaCentroid:
     def test_square_exact(self):
         report = rv.centroid(unit_square_polygon())
@@ -737,6 +784,28 @@ class TestMonteCarlo:
             rv.McConfig(10, 0)
         with pytest.raises(ValueError):
             rv.McConfig(1000, -1)
+
+    def test_float_sample_count_is_refused_before_sampling(self):
+        # At construction: not after the side check, in the chunk loop.
+        with pytest.raises(TypeError, match="^samples: expected an integer, got 1000000.0$"):
+            rv.volume_monte_carlo(unit_square_polygon(), AXIS_OY, rv.McConfig(samples=1e6))
+
+    def test_fractional_seed_is_refused(self):
+        # numpy would truncate it to the Philox key 1.
+        with pytest.raises(TypeError, match="^seed: expected an integer, got 1.5$"):
+            rv.McConfig(1000, 1.5)
+
+    @pytest.mark.parametrize("kwargs", [{"samples": True}, {"seed": False}])
+    def test_bool_count_is_refused(self, kwargs):
+        with pytest.raises(TypeError, match=f"^{next(iter(kwargs))}: expected an integer"):
+            rv.McConfig(**kwargs)
+
+    def test_numpy_integers_are_counts(self):
+        square = unit_square_polygon()
+        numpy_cfg = rv.McConfig(np.int64(20_000), np.uint64(7))
+        assert numpy_cfg == rv.McConfig(20_000, 7)
+        assert (rv.volume_monte_carlo(square, AXIS_OY, numpy_cfg).value
+                == rv.volume_monte_carlo(square, AXIS_OY, rv.McConfig(20_000, 7)).value)
 
     @pytest.mark.parametrize("samples", [10**30, 2**25 + 1])
     def test_sample_count_is_bounded(self, samples):

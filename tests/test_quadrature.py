@@ -140,6 +140,14 @@ class TestIntegrate1D:
         assert tight.rel == pytest.approx(1e-11)
         assert tight.abs == pytest.approx(1e-13)
 
+    @pytest.mark.parametrize("depth", [2.5, True])
+    def test_max_depth_is_an_integer(self, depth):
+        with pytest.raises(TypeError, match=f"^max_depth: expected an integer, got {depth}$"):
+            rv.Tolerance(max_depth=depth)
+
+    def test_numpy_integer_max_depth(self):
+        assert rv.Tolerance(max_depth=np.int32(3)) == rv.Tolerance(max_depth=3)
+
 
 class TestVectorIntegrand:
     def test_components_match_scalar_passes(self):

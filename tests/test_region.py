@@ -330,6 +330,9 @@ class TestCellGrid:
         assert (rv.contains_mask(region, xs, ys) == got).all()
         assert 0 < got.sum() < got.size
 
+    def test_nan_bound_meets_every_cell(self):
+        assert region_module._cell_range(math.nan, 1.0, 0.0, 1.0, 0.0) == slice(0, 64)
+
     @pytest.mark.parametrize("name", ["square", "star10", "star_tiny", "star_large", "concave_union",
                                       "short_edge_tip"])
     def test_points_at_polygon_edges_and_vertices(self, name):
@@ -573,6 +576,10 @@ class TestValidation:
     def test_needs_ordered_interval(self):
         with pytest.raises(InvalidRegionError):
             rv.NormalX(1.0, 1.0, rv.curve("0", "x"), rv.curve("1", "x"))
+
+    def test_infinite_bound_rejected(self):
+        with pytest.raises(InvalidRegionError, match="^x bounds must be finite$"):
+            rv.NormalX(0.0, math.inf, rv.curve("0", "x"), rv.curve("1", "x"))
 
     def test_lower_above_upper_rejected(self):
         with pytest.raises(InvalidRegionError):
