@@ -21,7 +21,6 @@ their field paths and raised together as ConfigError.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from ._record import fields, record
@@ -98,12 +97,11 @@ def _scalar_field(value, path, issues):
 
 
 def _whole_field(value, path, issues) -> bool:
-    """False, with an issue at ``path``, where int() would change ``value``
-    into another number: a bool, or a finite float with a fraction.  What
-    int() refuses (a NaN or infinite float, a string that is not an
-    integer) is left to its caller."""
-    if isinstance(value, bool) or (
-            isinstance(value, float) and math.isfinite(value) and not value.is_integer()):
+    """False, with an issue at ``path``, where int() would not give the
+    same number: a bool, or a float with a fraction, NaN or infinite.  What
+    int() refuses otherwise (a string that is not an integer) is left to
+    its caller."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         issues.append((path, f"expected an integer, got {value!r}"))
         return False
     return True

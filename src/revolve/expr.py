@@ -21,15 +21,16 @@ DomainError as well, so quadrature can treat all failures uniformly.
 
 An ``ExprAst`` is the record (root, variable, text); its evaluators are
 not fields.  Each is compiled into a straight-line Python function (see
-Compilation below), with one table of helpers each: the scalar evaluator
-when the ExprAst is built (``parse_expr`` is a bounded cache by text and
-variable), the array and interval evaluators on first use.  The
-generated source holds no constant, so expressions of one shape share one
-compiled code object, each with its own constants bound.  Only
-the array evaluator needs numpy, and it imports it then.  The scalar
-evaluator calls math inline; where it fails, it hands over to a checked
-twin, compiled on the first failure, whose DomainError names the failing
-operation.
+Compilation below) in one walk of the AST, with one table of operations
+each: the scalar evaluator when the ExprAst is built (``parse_expr`` is a
+bounded cache by text and variable), the array and interval evaluators on
+first use.  The generated source holds no constant, so expressions of one
+shape share one compiled code object, each with its own constants bound.
+``parse_scalar`` takes a finite number literal, or its negation, as its
+float, unparsed.  Only the array evaluator needs numpy, and it imports it
+then.  The scalar evaluator calls math inline; where it fails, it hands
+over to a checked twin, compiled on the first failure, whose DomainError
+names the failing operation.
 
 Array evaluation is NaN exactly where scalar evaluation raises: its helpers
 return NaN for a zero divisor and for a non-finite result from finite
@@ -82,7 +83,8 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
-# Distinct (text, variable) pairs that parse_expr keeps parsed and compiled.
+# Distinct (text, variable) pairs that parse_expr keeps parsed and compiled;
+# the number literals that parse_scalar takes as they are do not use it.
 _PARSE_CACHE_SIZE = 256
 
 # Distinct generated sources that _compile keeps compiled to code objects.
@@ -159,14 +161,14 @@ class ExprAst:
 
     @functools.cached_property
     def interval(self) -> Callable[[tuple[float, float]], tuple[float, float]]:
-        return _compile(self.root, _INTERVAL_HELPERS)
+        return _compile(self.root, _INTERVAL_TABLE)
 
     @functools.cached_property
     def defined_interval(self) -> Callable[[tuple[float, float]], tuple[float, float] | None]:
         """``interval``, but None where that would clip an operand to a
         function's domain or not be finite: a result certifies that the
         expression is defined, and finite, on the whole interval."""
-        return _compile(self.root, _DEFINED_HELPERS)
+        return _compile(self.root, _DEFINED_TABLE)
 
     def __reduce__(self):
         # Generated functions do not pickle; a copy is parsed again.
@@ -330,30 +332,34 @@ def parse_scalar(text) -> float:
         if not math.isfinite(value):
             raise DomainError(f"non-finite scalar {text!r}")
         return value
+    text = str(text)
+    # One number token, or its negation: the compiler folds it to its float.
+    literal = _TOKEN_RE.fullmatch(text, 1 if text[:1] == "-" else 0)
+    if literal and literal.lastgroup == "num" and math.isfinite(value := float(text)):
+        return value
     # A constant folds while it is compiled; its function checks the value.
-    return parse_expr(str(text), None)(0.0)
+    return parse_expr(text, None)(0.0)
 
 
 # ---------------------------------------------------------------------------
 # Compilation
 #
 # An expression is evaluated by one straight-line function generated from
-# its AST: one assignment per operation, in the order of a left-to-right,
-# depth-first walk.  Constants and helpers are bound by name (as the
-# function's globals), never written into the source; + - * and negation
-# are inline unless the table the function is compiled with has its own
-# (under "+", "-", "*" and "neg"), and / ^ and the functions call the
-# table's helpers.  A table entry may instead be a pair (fold, code): the
-# operation folds constants with ``fold`` and is written as ``code``, a
-# template or a function to call.  A table's "const", if any, turns each
-# constant into a value of its kind (an interval).  Intermediate results
-# live in a stack of names t0, t1, ...: an operation replaces its operands,
-# so each one is released once used, as in a tree walk (which matters for
-# large arrays).  A node whose operands are all constants is computed while
-# compiling, with the same operation, unless that fails.  Bound names are
-# numbered in the order the source first uses them.  So the source depends
-# only on the shape of the AST once constants are folded (``-0.5 - 0.5*x``
-# is ``0.75 - 0.5*x``) and on the table, never on a constant's value or the
+# its AST in one left-to-right, depth-first walk: one assignment per
+# operation.  An operand is x, an intermediate result in a stack of names
+# t0, t1, ... (an operation replaces its operands, so each is released once
+# used, as in a tree walk, which matters for large arrays) or a constant
+# held as its value.  A table, normalised once where it is defined
+# (``_table``), gives each operation as (fold, template, helper): a node
+# whose operands are all constants is computed while compiling with
+# ``fold``, unless that fails, and any other is written as ``template``,
+# which may call ``helper`` (+ - * and negation are inline unless the table
+# has its own).  The table's "const", if any, turns each constant into a
+# value of its kind (an interval).  Constants and helpers are never written
+# into the source: each is bound (in the function's globals) to a name b0,
+# b1, ... where the source first writes it.  So the source depends only on
+# the shape of the AST once constants are folded (``-0.5 - 0.5*x`` is
+# ``0.75 - 0.5*x``) and on the table, never on a constant's value or the
 # expression's text: it is compiled once per distinct source (``_code``, a
 # bounded cache), and each expression executes that code object into its
 # own globals.
@@ -366,89 +372,86 @@ def parse_scalar(text) -> float:
 # failure, so a curve that never fails has one function.  Both do the same
 # operations in the same order, so their values are the same.
 
-_INLINE = {"+": (operator.add, "{} + {}"), "-": (operator.sub, "{} - {}"),
-           "*": (operator.mul, "{} * {}"), "neg": (operator.neg, "-{}")}
+_INLINE = {"+": (operator.add, "{1} + {2}"), "-": (operator.sub, "{1} - {2}"),
+           "*": (operator.mul, "{1} * {2}"), "neg": (operator.neg, "-{1}")}
 
 
-def _compile(root: Node, helpers: dict, fail: Callable | None = None,
+def _table(helpers: dict) -> dict:
+    """The table ``_compile`` reads: each operation of ``helpers`` (a helper,
+    which also folds, or a pair (fold, template or helper)) or else of
+    ``_INLINE`` as (fold, template, helper), where the template's field 0 is
+    the helper, 1 and 2 the operands; "const" lifts a constant, or is None."""
+    table = {"const": helpers.get("const")}
+    for op, entry in {**_INLINE, **helpers}.items():
+        if op != "const":
+            fold, code = entry if type(entry) is tuple else (entry, entry)
+            call = "{0}({1}, {2})" if op in "+-*/^" else "{0}({1})"
+            table[op] = (fold, code, None) if type(code) is str else (fold, call, code)
+    return table
+
+
+def _compile(root: Node, table: dict, fail: Callable | None = None,
              retry: Callable | None = None) -> Callable:
-    """The function x -> value of the expression ``root``, with ``/``, ``^``,
-    the functions and any of ``_INLINE`` taken from ``helpers``.  With
-    ``fail`` (the checked scalar evaluator), it raises ``fail(x)`` where the
-    value is not finite or int arithmetic leaves float range.  With
-    ``retry``, it returns ``retry(x)`` where the value is not finite or an
-    operation raises ValueError, ZeroDivisionError or OverflowError."""
+    """The function x -> value of the expression ``root``, each operation
+    as ``table`` (``_table``) gives it.  With ``fail`` (the checked scalar
+    evaluator), it raises ``fail(x)`` where the value is not finite or int
+    arithmetic leaves float range.  With ``retry``, it returns ``retry(x)``
+    where the value is not finite or an operation raises ValueError,
+    ZeroDivisionError or OverflowError."""
     bound: dict[str, object] = {"__builtins__": {}}  # the function's globals
-    held: dict[str, object] = {}   # token -> the constant or helper it stands for
-    consts: set[str] = set()       # the tokens that are constants
-    named: dict[str, str] = {}     # token -> its bound name in the source
     lines: list[str] = []
-    height = 0                     # how many of t0, t1, ... hold a value
+    height = 0  # how many of t0, t1, ... hold a value
+    lift = table["const"]
 
-    def bind(value) -> str:
-        token = f"k{len(held)}"
-        held[token] = value
-        return token
+    def name(operand) -> str:
+        """``operand`` as the source writes it: a constant or helper as the
+        next bound name, so a constant folded away leaves no gap."""
+        if type(operand) is str:
+            return operand
+        key = f"b{len(bound) - 1}"
+        bound[key] = operand
+        return key
 
-    def name(arg: str) -> str:
-        """``arg`` as the source writes it: x, t0, t1, ... as they are, a
-        token as the bound name b0, b1, ... numbered in order of first use,
-        so that a constant folded away leaves no gap in the names."""
-        if arg not in held:
-            return arg
-        if arg not in named:
-            named[arg] = f"b{len(named)}"
-            bound[named[arg]] = held[arg]
-        return named[arg]
-
-    def apply(fold: Callable, code, args: list[str]) -> str:
+    def walk(node: Node):
         nonlocal height
-        if all(arg in consts for arg in args):
-            try:
-                token = bind(fold(*(held[arg] for arg in args)))
-            except DomainError:
-                pass  # keep the failing operation, it raises when evaluated
-            else:
-                consts.add(token)
-                return token
-        if not isinstance(code, str):
-            code = name(bind(code)) + "(" + ", ".join(["{}"] * len(args)) + ")"
+        kind = type(node)
+        if kind is BinOp:
+            op, args = node.op, (walk(node.left), walk(node.right))
+        elif kind is Const:
+            return node.value if lift is None else lift(node.value)
+        elif kind is Var:
+            return "x"
+        elif kind is Call:
+            op, args = node.func, (walk(node.arg),)
+        else:
+            op, args = "neg", (walk(node.operand),)
+        fold, template, helper = table[op]
         # The operands that are intermediate results are the top of the stack.
         top = height
-        height -= sum(arg.startswith("t") for arg in args)
-        lines.append(f"t{height} = " + code.format(*map(name, args)))
-        lines.extend(f"del t{k}" for k in range(height + 1, top))
+        constant = True
+        for arg in args:
+            if type(arg) is str:
+                constant = False
+                if arg != "x":
+                    height -= 1
+        if constant:
+            try:
+                return fold(*args)
+            except DomainError:
+                pass  # keep the failing operation, it raises when evaluated
+        lines.append(f"t{height} = " + template.format(helper and name(helper), *map(name, args)))
+        if top - height == 2:
+            lines.append(f"del t{height + 1}")
         height += 1
         return f"t{height - 1}"
 
-    def op(name: str) -> tuple:
-        entry = helpers[name] if name in helpers else _INLINE[name]
-        return entry if isinstance(entry, tuple) else (entry, entry)
-
-    lift = helpers.get("const")
-
-    def walk(node: Node) -> str:
-        if isinstance(node, Const):
-            value = node.value if lift is None else lift(node.value)
-            token = bind(value)
-            consts.add(token)
-            return token
-        if isinstance(node, Var):
-            return "x"
-        if isinstance(node, Neg):
-            return apply(*op("neg"), [walk(node.operand)])
-        if isinstance(node, BinOp):
-            return apply(*op(node.op), [walk(node.left), walk(node.right)])
-        return apply(*op(node.func), [walk(node.arg)])
-
     result = walk(root)
     checked = fail is not None or retry is not None
-    if result in consts and (not checked or math.isfinite(held[result])):
-        value = held[result]
-        return lambda x: value  # a constant that needs no check
-    result = name(result)
+    if type(result) is not str and (not checked or math.isfinite(result)):
+        return lambda x: result  # a constant that needs no check
+    out = name(result)
     body = ["try:", *("    " + line for line in lines),
-            f"    if isfinite({result}): return {result}"]
+            f"    if isfinite({out}): return {out}"]
     if fail is not None:
         bound.update(isfinite=math.isfinite, fail=fail, OverflowError=OverflowError)
         lines = [*body, "except OverflowError as exc: raise fail(x) from exc", "raise fail(x)"]
@@ -456,7 +459,7 @@ def _compile(root: Node, helpers: dict, fail: Callable | None = None,
         bound.update(isfinite=math.isfinite, retry=retry, errors=_BINOP_ERRORS)
         lines = [*body, "except errors: pass", "return retry(x)"]
     else:
-        lines.append(f"return {result}")
+        lines.append(f"return {out}")
     exec(_code("def evaluate(x):\n" + "".join(f"    {line}\n" for line in lines)), bound)
     return bound["evaluate"]
 
@@ -471,14 +474,8 @@ def _code(source: str):
 def _compiled_on_first_call(root: Node, fail: Callable) -> Callable:
     """The checked scalar evaluator of ``root``, compiled when first
     called."""
-    compiled = []
-
-    def checked(x):
-        if not compiled:
-            compiled.append(_compile(root, _SCALAR_HELPERS, fail))
-        return compiled[0](x)
-
-    return checked
+    compiled = functools.cache(lambda: _compile(root, _SCALAR_TABLE, fail))
+    return lambda x: compiled()(x)
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +510,11 @@ def _scalar_call(name: str, fn: Callable) -> Callable:
 
 _SCALAR_HELPERS = {"/": _divide, "^": _power,
                    **{name: _scalar_call(name, fn) for name, fn in _FUNCTIONS.items()}}
+_SCALAR_TABLE = _table(_SCALAR_HELPERS)
 
 # The same operations, inline: each folds constants with its helper above.
-_INLINE_SCALAR = {"/": (_divide, "{} / {}"), "^": (_power, math.pow),
-                  **{name: (_SCALAR_HELPERS[name], fn) for name, fn in _FUNCTIONS.items()}}
+_INLINE_SCALAR = _table({"/": (_divide, "{1} / {2}"), "^": (_power, math.pow),
+                         **{name: (_SCALAR_HELPERS[name], fn) for name, fn in _FUNCTIONS.items()}})
 
 
 def _not_finite(text: str, variable: str | None, value) -> DomainError:
@@ -536,9 +534,9 @@ def eval_expr(ast: ExprAst, value: float) -> float:
 # Vectorized evaluation: NaN wherever scalar evaluation raises
 
 @functools.cache
-def _array_helpers() -> dict[str, Callable]:
-    """The array evaluator's helpers; built, and numpy imported, on first
-    use."""
+def _array_helpers() -> dict:
+    """The array evaluator's table of helpers; built, and numpy imported,
+    on first use."""
     import numpy as np
 
     def nan_where(out, bad):
@@ -585,9 +583,9 @@ def _array_helpers() -> dict[str, Callable]:
 
     # numpy's functions give NaN by themselves wherever math's raise, except
     # that exp overflows to inf and log(0) is -inf.
-    return {"/": divide, "^": power, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos,
-            "tan": np.tan, "asin": np.arcsin, "acos": np.arccos, "atan": np.arctan,
-            "exp": finite_or_nan(np.exp), "log": finite_or_nan(np.log), "abs": np.abs}
+    return _table({"/": divide, "^": power, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos,
+                   "tan": np.tan, "asin": np.arcsin, "acos": np.arccos, "atan": np.arctan,
+                   "exp": finite_or_nan(np.exp), "log": finite_or_nan(np.log), "abs": np.abs})
 
 
 def eval_array(ast: ExprAst, values):
@@ -764,6 +762,7 @@ _INTERVAL_HELPERS = {
     "log": _monotone(math.log, 0.0, math.inf),
     "abs": _iabs,
 }
+_INTERVAL_TABLE = _table(_INTERVAL_HELPERS)
 
 
 # The defined-only table: each helper above, None for an operand that is
@@ -788,6 +787,6 @@ def _defined(helper: Callable) -> Callable:
     return enclose
 
 
-_DEFINED_HELPERS = {name: _defined(_ipow_unclipped if name == "^" else helper)
-                    for name, helper in _INTERVAL_HELPERS.items() if name != "const"}
-_DEFINED_HELPERS["const"] = lambda v: (v, v) if math.isfinite(v) else None
+_DEFINED_TABLE = _table({name: _defined(_ipow_unclipped if name == "^" else helper)
+                         for name, helper in _INTERVAL_HELPERS.items() if name != "const"}
+                        | {"const": lambda v: (v, v) if math.isfinite(v) else None})

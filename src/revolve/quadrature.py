@@ -180,7 +180,7 @@ def _rules(half: float, samples: list):
     """The rule of a panel's samples: one (K15, error, mass) triple, or a
     tuple of them, one per component, for tuple-valued samples."""
     if type(samples[0]) is tuple:
-        return tuple(_rule(half, component) for component in zip(*samples))
+        return tuple([_rule(half, component) for component in zip(*samples)])
     return _rule(half, samples)
 
 
@@ -224,7 +224,7 @@ def _gk15(sample, guard, a: float, b: float, counter: list[int]):
     if reached == 15:
         rules = _rules(half, values)
         if type(rules[0]) is tuple:
-            finite = all(math.isfinite(rule[2]) for rule in rules)
+            finite = all([math.isfinite(rule[2]) for rule in rules])
         else:
             finite = math.isfinite(rules[2])
         if finite:
@@ -461,49 +461,53 @@ def _vector_pass(sample, guard, lo: float, hi: float, tol: Tolerance, counter: l
     rules: per-component (values, error estimates).  Panels are bisected in
     order of error over a fixed per-component scale, the first pass's M_k
     budget."""
+    scale = [max(tol.abs, tol.rel * m) for _, _, m in first]
 
-    def split(rules):
-        return tuple(zip(*rules))
+    def priority(rules) -> float:
+        return max([rule[1] / sk for rule, sk in zip(rules, scale)])
 
-    value, err, mass = split(first)
-    scale = tuple(max(tol.abs, tol.rel * m) for m in mass)
-
-    def priority(e: tuple) -> float:
-        return max(ek / sk for ek, sk in zip(e, scale))
-
-    # heap entries: (-priority, seq, a, b, values, errors, masses, depth)
-    heap = [(-priority(err), 0, lo, hi, value, err, mass, 0)]
+    # heap entries: (-priority, seq, a, b, rules, depth); the running totals
+    # are one [value, error, mass] per component.
+    heap = [(-priority(first), 0, lo, hi, first, 0)]
     seq = 1
-    total_value, total_err, total_mass = value, err, mass
+    totals = [list(rule) for rule in first]
+
+    def shown(k: int):
+        return _shown(tuple(total[k] for total in totals))
+
     splits = 0
     while True:
-        budget = tuple(max(tol.abs, tol.rel * m) for m in total_mass)
-        if all(e <= b for e, b in zip(total_err, budget)):
+        budget = [max(tol.abs, tol.rel * m) for _, _, m in totals]
+        if all([total[1] <= b for total, b in zip(totals, budget)]):
             break
-        if not all(map(math.isfinite, total_value + total_err + total_mass)):
-            raise _not_finite(_shown(total_value), _shown(total_err), lo, hi)
-        _, _, a, b, v0, e0, m0, depth = heapq.heappop(heap)
+        if not all([math.isfinite(v) and math.isfinite(e) and math.isfinite(m)
+                    for v, e, m in totals]):
+            raise _not_finite(shown(0), shown(1), lo, hi)
+        _, _, a, b, rules0, depth = heapq.heappop(heap)
         mid = _center_and_half(a, b)[0]
         if depth >= tol.max_depth or not a < mid < b:
             raise QuadratureNoConvergence(
-                f"error estimate {_shown(total_err)!r} above tolerance {_shown(budget)!r} "
+                f"error estimate {shown(1)!r} above tolerance {_shown(tuple(budget))!r} "
                 f"after depth {depth} near [{a!r}, {b!r}]"
             )
-        v1, e1, m1 = split(_gk15(sample, guard, a, mid, counter))
-        v2, e2, m2 = split(_gk15(sample, guard, mid, b, counter))
-        total_value = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_value, v1, v2, v0))
-        total_err = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_err, e1, e2, e0))
-        total_mass = tuple(t + ((x + y) - z) for t, x, y, z in zip(total_mass, m1, m2, m0))
-        heapq.heappush(heap, (-priority(e1), seq, a, mid, v1, e1, m1, depth + 1))
-        heapq.heappush(heap, (-priority(e2), seq + 1, mid, b, v2, e2, m2, depth + 1))
+        rules1 = _gk15(sample, guard, a, mid, counter)
+        rules2 = _gk15(sample, guard, mid, b, counter)
+        for total, x, y, z in zip(totals, rules1, rules2, rules0):
+            total[0] = total[0] + ((x[0] + y[0]) - z[0])
+            total[1] = total[1] + ((x[1] + y[1]) - z[1])
+            total[2] = total[2] + ((x[2] + y[2]) - z[2])
+        heapq.heappush(heap, (-priority(rules1), seq, a, mid, rules1, depth + 1))
+        heapq.heappush(heap, (-priority(rules2), seq + 1, mid, b, rules2, depth + 1))
         seq += 2
         splits += 1
         if splits > _MAX_SUBDIVISIONS:
             raise QuadratureNoConvergence(
-                f"exceeded {_MAX_SUBDIVISIONS} subdivisions with error {_shown(total_err)!r}"
+                f"exceeded {_MAX_SUBDIVISIONS} subdivisions with error {shown(1)!r}"
             )
     heap.sort(key=lambda item: item[2])
-    return _fsum_components([item[4] for item in heap]), _fsum_components([item[5] for item in heap])
+    components = list(zip(*[item[4] for item in heap]))
+    return (tuple(math.fsum([rule[0] for rule in c]) for c in components),
+            tuple(math.fsum([rule[1] for rule in c]) for c in components))
 
 
 # ---------------------------------------------------------------------------

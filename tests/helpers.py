@@ -1,6 +1,7 @@
 """Shared builders for test regions, axes, and randomized cases."""
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,6 +349,113 @@ def ref_eval_array(ast, values):
         out = np.broadcast_to(out, xs.shape).copy()
         out[~np.isfinite(out)] = np.nan
     return out
+
+
+# The inline operations of the reference compiler, where a table has none.
+_REF_INLINE = {"+": (operator.add, "{} + {}"), "-": (operator.sub, "{} - {}"),
+               "*": (operator.mul, "{} * {}"), "neg": (operator.neg, "-{}")}
+
+
+def ref_helpers(table):
+    """A compile table in the reference compiler's form: each operation as
+    its (fold, template) pair, the template's fields the operands alone, or
+    its (fold, helper) pair; the "const" lift as it is."""
+    out = {}
+    for op, entry in table.items():
+        if op != "const":
+            fold, template, helper = entry
+            out[op] = (fold, template.format(None, "{}", "{}") if helper is None else helper)
+        elif entry is not None:
+            out[op] = entry
+    return out
+
+
+def ref_compile(root, helpers, fail=None, retry=None):
+    """The expression compiler with its token maps, kept as the reference
+    for ``expr._compile``: the function x -> value of ``root``, with ``/``, ``^``, the functions and any of
+    ``_REF_INLINE`` taken from ``helpers``, where an entry is a helper or a
+    (fold, template or helper) pair.  Its source goes through
+    ``expr._code``, so a test can capture it."""
+    from revolve import expr
+    from revolve.errors import DomainError
+
+    bound = {"__builtins__": {}}  # the function's globals
+    held = {}    # token -> the constant or helper it stands for
+    consts = set()  # the tokens that are constants
+    named = {}   # token -> its bound name in the source
+    lines = []
+    height = 0   # how many of t0, t1, ... hold a value
+
+    def bind(value):
+        token = f"k{len(held)}"
+        held[token] = value
+        return token
+
+    def name(arg):
+        if arg not in held:
+            return arg
+        if arg not in named:
+            named[arg] = f"b{len(named)}"
+            bound[named[arg]] = held[arg]
+        return named[arg]
+
+    def apply(fold, code, args):
+        nonlocal height
+        if all(arg in consts for arg in args):
+            try:
+                token = bind(fold(*(held[arg] for arg in args)))
+            except DomainError:
+                pass
+            else:
+                consts.add(token)
+                return token
+        if not isinstance(code, str):
+            code = name(bind(code)) + "(" + ", ".join(["{}"] * len(args)) + ")"
+        top = height
+        height -= sum(arg.startswith("t") for arg in args)
+        lines.append(f"t{height} = " + code.format(*map(name, args)))
+        lines.extend(f"del t{k}" for k in range(height + 1, top))
+        height += 1
+        return f"t{height - 1}"
+
+    def op(name):
+        entry = helpers[name] if name in helpers else _REF_INLINE[name]
+        return entry if isinstance(entry, tuple) else (entry, entry)
+
+    lift = helpers.get("const")
+
+    def walk(node):
+        if isinstance(node, expr.Const):
+            value = node.value if lift is None else lift(node.value)
+            token = bind(value)
+            consts.add(token)
+            return token
+        if isinstance(node, expr.Var):
+            return "x"
+        if isinstance(node, expr.Neg):
+            return apply(*op("neg"), [walk(node.operand)])
+        if isinstance(node, expr.BinOp):
+            return apply(*op(node.op), [walk(node.left), walk(node.right)])
+        return apply(*op(node.func), [walk(node.arg)])
+
+    result = walk(root)
+    checked = fail is not None or retry is not None
+    if result in consts and (not checked or math.isfinite(held[result])):
+        value = held[result]
+        return lambda x: value
+    result = name(result)
+    body = ["try:", *("    " + line for line in lines),
+            f"    if isfinite({result}): return {result}"]
+    if fail is not None:
+        bound.update(isfinite=math.isfinite, fail=fail, OverflowError=OverflowError)
+        lines = [*body, "except OverflowError as exc: raise fail(x) from exc", "raise fail(x)"]
+    elif retry is not None:
+        bound.update(isfinite=math.isfinite, retry=retry, errors=expr._BINOP_ERRORS)
+        lines = [*body, "except errors: pass", "return retry(x)"]
+    else:
+        lines.append(f"return {result}")
+    exec(expr._code("def evaluate(x):\n" + "".join(f"    {line}\n" for line in lines)), bound)
+    return bound["evaluate"]
 
 
 def ref_boundary_points(region):

@@ -410,7 +410,7 @@ class TestConfigErrors:
                                          "axis": "OY", "mc": {"samples": math.nan}})
         code, out, err = run_cli(capsys, "volume", "--config", config)
         assert (code, out) == (2, "")
-        assert err == "config error: mc: cannot convert float NaN to integer\n"
+        assert err == "config error: mc.samples: expected an integer, got nan\n"
 
     def test_axis_that_does_not_normalize(self, capsys, tmp_path):
         config = write_config(tmp_path, {"region": {"type": "polygon",

@@ -121,7 +121,7 @@ class TestParseJob:
         doc["mc"] = {"samples": math.inf}
         with pytest.raises(ConfigError) as err:
             parse_job(doc)
-        assert [path for path, _ in err.value.issues] == ["tolerance", "mc"]
+        assert [path for path, _ in err.value.issues] == ["tolerance.max_depth", "mc.samples"]
 
     @pytest.mark.parametrize("samples", [10**30, 2**25 + 1])
     def test_sample_count_is_bounded(self, samples):
@@ -207,6 +207,12 @@ _TYPES = "['normal_x', 'normal_y', 'polar', 'polygon', 'union']"
     (_doc_with("axis", 0), [("axis", "expected an axis object or 'OX'/'OY'")]),
     (_doc_with("axis", {"a": 1, "b": 0}), [("axis.c", "missing required field")]),
     ([], [("$", "top-level config must be an object")]),
+    (_doc_with("mc", {"samples": math.nan}), [("mc.samples", "expected an integer, got nan")]),
+    (_doc_with("mc", {"seed": math.inf}), [("mc.seed", "expected an integer, got inf")]),
+    (_doc_with("tolerance", {"max_depth": -math.inf}),
+     [("tolerance.max_depth", "expected an integer, got -inf")]),
+    (_doc_with("mc", {"samples": math.inf, "seed": math.nan}),
+     [("mc.samples", "expected an integer, got inf"), ("mc.seed", "expected an integer, got nan")]),
 ])
 def test_refusal_lists_every_issue(doc, issues):
     with pytest.raises(ConfigError) as err:

@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 import random
@@ -11,8 +12,8 @@ import revolve as rv
 from revolve import expr
 from revolve.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 
-from helpers import (MALFORMED_CASES, PRECEDENCE_CASES, ref_eval_array, ref_eval_expr,
-                     ref_eval_node)
+from helpers import (MALFORMED_CASES, PRECEDENCE_CASES, ref_compile, ref_eval_array,
+                     ref_eval_expr, ref_eval_node, ref_helpers)
 
 
 def ev(text, value=0.0, var="x"):
@@ -461,6 +462,177 @@ class TestCodeCache:
         expr._code.cache_clear()
         try:
             assert [values(rv.parse_expr(text, "x")) for text in texts] == before
+        finally:
+            rv.parse_expr.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# The compiler against the reference compiler it replaces
+
+# The expressions of the README.
+_README_TEXTS = ["sqrt(1-x^2)", "sqrt(2-x^2)", "sin(1537*pi*x)^2 + cos(1537*pi*x)^2",
+                 "1 + 0.5*sin(1537*pi*x)^64", "sqrt(2)/2", "-pi/3", "pi/4", "-2^2", "2^3^2",
+                 "pi*(sqrt(2)+sqrt(3))/3", "0", "1", "1e999", "1/(1/x)", "1.8125", "-0.4375"]
+
+# Constants that make folds fail (sqrt(-1), log(0), 1/0, 0^-1) or leave
+# float range (1e308*10, exp(700*2)), besides plain ones.
+_FOLD_CONSTS = [0.0, -1.0, 1.0, 2.0, 0.5, -0.5, 3.0, 1e308, 700.0, 1e-320, math.inf]
+
+
+def _random_root(rng, depth):
+    """A random AST, built from its nodes; a subtree without x folds."""
+    kind = rng.random() if depth > 0 else rng.random() * 0.4
+    if kind < 0.1:
+        return expr.Var("x")
+    if kind < 0.4:
+        return expr.Const(rng.choice(_FOLD_CONSTS))
+    if kind < 0.5:
+        return expr.Neg(_random_root(rng, depth - 1))
+    if kind < 0.8:
+        return expr.BinOp(rng.choice("+-*/^"), _random_root(rng, depth - 1),
+                          _random_root(rng, depth - 1))
+    return expr.Call(rng.choice(_FUNCS), _random_root(rng, depth - 1))
+
+
+def _fixture_roots(fixtures_dir):
+    """The root of every string of the fixtures' regions that parses in
+    one of the region variables, or as a constant."""
+    roots = []
+
+    def strings(doc):
+        if isinstance(doc, str):
+            yield doc
+        elif isinstance(doc, dict):
+            for value in doc.values():
+                yield from strings(value)
+        elif isinstance(doc, list):
+            for value in doc:
+                yield from strings(value)
+
+    for path in sorted(fixtures_dir.glob("*.json")):
+        for text in strings(json.loads(path.read_text())["region"]):
+            for variable in ("x", "y", "theta", None):
+                try:
+                    roots.append(rv.parse_expr(text, variable).root)
+                except (ExprSyntaxError, UnknownIdentifierError):
+                    pass
+    return roots
+
+
+def _retry(x):
+    return x
+
+
+def _tables():
+    """Each of the five tables with the keyword its evaluator is compiled with."""
+    return [(expr._INLINE_SCALAR, {"retry": _retry}), (expr._SCALAR_TABLE, {"fail": _retry}),
+            (expr._array_helpers(), {}), (expr._INTERVAL_TABLE, {}), (expr._DEFINED_TABLE, {})]
+
+
+class TestCompilerMatchesReference:
+    """The source and bound globals of every table are those of the
+    reference compiler: helpers the same objects, constants of equal repr."""
+
+    @staticmethod
+    def _compiled(compile_fn, root, table, kwargs, sources):
+        sources.clear()
+        try:
+            with np.errstate(all="ignore"):
+                fn = compile_fn(root, table, **kwargs)
+        except Exception as exc:
+            return ("raises", type(exc), str(exc))
+        if not sources:
+            return ("constant", repr(fn(0.0)))
+        bound = [(key, value if callable(value) else repr(value))
+                 for key, value in fn.__globals__.items() if key != "evaluate"]
+        return (*sources, bound)
+
+    def _assert_same(self, roots, monkeypatch):
+        sources = []
+        code = expr._code
+
+        def capture(source):
+            sources.append(source)
+            return code(source)
+
+        monkeypatch.setattr(expr, "_code", capture)
+        compiled = 0
+        for root in roots:
+            for table, kwargs in _tables():
+                new = self._compiled(expr._compile, root, table, kwargs, sources)
+                old = self._compiled(ref_compile, root, ref_helpers(table), kwargs, sources)
+                assert len(new) == len(old), (root, new, old)
+                assert new[:-1] == old[:-1], root
+                if new[0] not in ("raises", "constant"):
+                    compiled += 1
+                    assert [key for key, _ in new[-1]] == [key for key, _ in old[-1]], root
+                    assert all(a is b if callable(a) else a == b
+                               for (_, a), (_, b) in zip(new[-1], old[-1])), (root, new, old)
+                else:
+                    assert new == old, root
+        return compiled
+
+    def test_fixture_curves(self, fixtures_dir, monkeypatch):
+        roots = _fixture_roots(fixtures_dir)
+        assert len(roots) > 30
+        assert self._assert_same(roots, monkeypatch) > 0
+
+    def test_readme_expressions(self, monkeypatch):
+        roots = [rv.parse_expr(text, "x").root for text in _README_TEXTS]
+        assert self._assert_same(roots, monkeypatch) > 0
+
+    def test_random_asts(self, monkeypatch):
+        rng = random.Random(20261019)
+        roots = [_random_root(rng, rng.randint(1, 5)) for _ in range(400)]
+        assert self._assert_same(roots, monkeypatch) > 300
+        # Folds that fail, and constants past float range, were among them.
+        failed = nonfinite = 0
+        for root in roots:
+            for node in _subtrees(root):
+                if "x" in _variables(node):
+                    continue
+                try:
+                    value = ref_eval_node(node, 0.0)
+                except DomainError:
+                    failed += 1
+                else:
+                    nonfinite += not math.isfinite(value)
+        assert failed > 20 and nonfinite > 20
+
+
+def _subtrees(node):
+    yield node
+    for child in (getattr(node, name, None) for name in ("operand", "left", "right", "arg")):
+        if child is not None:
+            yield from _subtrees(child)
+
+
+def _variables(node):
+    return {n.name for n in _subtrees(node) if isinstance(n, expr.Var)}
+
+
+class TestLiteral:
+    """A number literal, or its negation, is its float; every other string
+    is compiled."""
+
+    @pytest.mark.parametrize("text", [
+        "0", "-0", ".5", "5.", "007", "1e-400", "-1e-400", "4.9e-324", "1" * 30, "1e999",
+        "-1e999", " 1", "+1", "1_0", "nan", "inf", "--1", ""])
+    def test_same_value_or_error_as_compiled(self, text):
+        def outcome(fn):
+            try:
+                return repr(fn(text))
+            except Exception as exc:
+                return (type(exc), str(exc))
+
+        assert outcome(rv.parse_scalar) == outcome(lambda t: rv.parse_expr(t, None)(0.0))
+
+    def test_skips_the_parse_cache(self):
+        rv.parse_expr.cache_clear()
+        try:
+            before = rv.parse_expr.cache_info().currsize
+            assert rv.parse_scalar("1.5") == 1.5
+            assert rv.parse_expr.cache_info().currsize == before
         finally:
             rv.parse_expr.cache_clear()
 
