@@ -96,15 +96,17 @@ def _scalar_field(value, path, issues):
         return None
 
 
-def _whole_field(value, path, issues) -> bool:
-    """False, with an issue at ``path``, where int() would not give the
-    same number: a bool, or a float with a fraction, NaN or infinite.  What
-    int() refuses otherwise (a string that is not an integer) is left to
-    its caller."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        issues.append((path, f"expected an integer, got {value!r}"))
-        return False
-    return True
+def _int_field(value, path, issues) -> int | None:
+    """``value`` as an integer, an integer string such as "1000" too; None,
+    with an issue at ``path``, where it is a bool, a float with a fraction,
+    NaN or infinite, or anything else int() refuses."""
+    try:
+        if not (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    issues.append((path, f"expected an integer, got {value!r}"))
+    return None
 
 
 def _curve_field(value, variable, path, issues):
@@ -259,24 +261,24 @@ def parse_job(doc, overrides: dict | None = None) -> JobConfig:
         rel = _scalar_field(tol_doc.get("rel", Tolerance.rel), "tolerance.rel", issues)
     if abs_tol is None:
         abs_tol = _scalar_field(tol_doc.get("abs", Tolerance.abs), "tolerance.abs", issues)
-    max_depth = tol_doc.get("max_depth", Tolerance.max_depth)
+    max_depth = _int_field(tol_doc.get("max_depth", Tolerance.max_depth), "tolerance.max_depth",
+                           issues)
     tolerance = None
-    if (_whole_field(max_depth, "tolerance.max_depth", issues)
-            and rel is not None and abs_tol is not None):
+    if max_depth is not None and rel is not None and abs_tol is not None:
         try:
-            tolerance = Tolerance(rel, abs_tol, int(max_depth))
-        except (ValueError, TypeError, OverflowError) as exc:
+            tolerance = Tolerance(rel, abs_tol, max_depth)
+        except (ValueError, TypeError) as exc:  # TypeError: an override that is no number
             issues.append(("tolerance", str(exc)))
 
     mc_doc = _options(doc, "mc", McConfig, issues)
-    samples = overrides.get("mc_samples", mc_doc.get("samples", McConfig.samples))
-    seed = overrides.get("seed", mc_doc.get("seed", McConfig.seed))
+    samples = _int_field(overrides.get("mc_samples", mc_doc.get("samples", McConfig.samples)),
+                         "mc.samples", issues)
+    seed = _int_field(overrides.get("seed", mc_doc.get("seed", McConfig.seed)), "mc.seed", issues)
     mc = None
-    # A list, not a generator: both fields are checked and reported.
-    if all([_whole_field(samples, "mc.samples", issues), _whole_field(seed, "mc.seed", issues)]):
+    if samples is not None and seed is not None:
         try:
-            mc = McConfig(int(samples), int(seed))
-        except (ValueError, TypeError, OverflowError) as exc:
+            mc = McConfig(samples, seed)
+        except ValueError as exc:
             issues.append(("mc", str(exc)))
 
     out_format = overrides.get("format", doc.get("format", JobConfig.out_format))

@@ -709,6 +709,8 @@ def _hits(a: float, b: float, phase: float, period: float) -> bool:
     """Whether some phase + k*period may lie in [a, b]; when rounding leaves
     it unsure, it does."""
     slack = 1e-12 * (1.0 + abs(a) + abs(b))
+    if slack == math.inf:  # |a| + |b| overflows: k * period rounds by far more than 2*pi
+        return True
     k = math.floor((b + slack - phase) / period)
     return phase + k * period >= a - slack
 

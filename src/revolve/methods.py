@@ -2,9 +2,9 @@
 
 ``volume_double_integral`` integrates 2*pi times the distance to the axis
 over the region; it works for any region and any exterior axis.  The
-distance is linear in (x, y), so its inner integral over each
+distance is linear in (x, y), so its inner integral over each piece's
 cross-section is closed-form (a*Sx + b*Sy + c*A of the section, see
-``quadrature.linear_sections``) and one adaptive 1D pass per piece remains.
+``quadrature.PieceIntegrand``) and one adaptive 1D pass per piece remains.
 The classical routes are provided as cross-checks.  Every route reads a
 union through its leaves (``region.leaves``), so a nested union is its flat
 union.  Disk, shell and polar apply where their classical formula does, and
@@ -64,12 +64,11 @@ from ._record import record
 from .errors import InvalidRegionError, RevolveError, UnsupportedMethod
 from .geometry import Axis, Point, signed_distance
 from .quadrature import (
+    PieceIntegrand,
     QuadratureResult,
     Tolerance,
     check_count,
     integrate_1d,
-    linear_sections,
-    moment_sections,
     sum_results,
 )
 from .region import (
@@ -201,10 +200,9 @@ def _distance_pass(region: Region, axis: Axis, tol: Tolerance, swap: bool) -> Qu
     Callers pass all four arguments, so that equal passes have equal keys.
     """
     side = axis_side_check(region, axis)
-    return sum_results([
-        integrate_1d(form, u0, u1, tol)
-        for u0, u1, form in linear_sections(region, TWO_PI * side, axis.a, axis.b, axis.c, swap)
-    ])
+    coefficients = (TWO_PI * side, axis.a, axis.b, axis.c)
+    return sum_results([integrate_1d(PieceIntegrand(piece, coefficients), piece.u0, piece.u1, tol)
+                        for piece in pieces(region, swap)])
 
 
 @_route
@@ -271,8 +269,8 @@ def volume_polar(region: Region, axis: Axis, tol: Tolerance | None = None) -> Qu
 def _leaf_moments(leaf: Region, tol: Tolerance) -> QuadratureResult:
     if isinstance(leaf, Polygon):
         return QuadratureResult(shoelace(leaf.vertices), (0.0, 0.0, 0.0), 0)
-    [(u0, u1, section)] = moment_sections(leaf)  # a curve leaf is one piece
-    return integrate_1d(section, u0, u1, tol)
+    [piece] = pieces(leaf)  # a curve leaf is one piece
+    return integrate_1d(PieceIntegrand(piece), piece.u0, piece.u1, tol)
 
 
 @functools.lru_cache(maxsize=256)

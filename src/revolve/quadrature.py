@@ -14,12 +14,12 @@ max(abs_tol, rel_tol * integral of |f_k|).
 Both 2D routes walk the region's pieces (``region.pieces``), leaf by leaf:
 an outer interval, inner bounds, and the map of (u, v) to the plane.  Area and
 first moments (A, Sx, Sy) have closed-form inner integrals on every piece
-(``moment_sections``), so they, and any integrand linear in (x, y) such as
+(``PieceIntegrand``), so they, and any integrand linear in (x, y) such as
 the distance to an axis, need only a 1D pass over the outer coordinate;
-every volume route takes that pass.  ``integrate_region`` keeps the
-iterated route for general integrands, which no volume route uses: inner
-integral per outer node, with the inner tolerance tightened 10x so the
-outer estimate dominates the reported error.
+every volume route takes that pass on each piece.  ``integrate_region``
+keeps the iterated route for general integrands, which no volume route
+uses: inner integral per outer node, with the inner tolerance tightened
+10x so the outer estimate dominates the reported error.
 
 Every route, about every axis, bisects a piece's interval from the same
 ends, so the same panels come back.  A piece's integrand is its section or
@@ -55,7 +55,7 @@ import math
 from ._record import record
 from .errors import DomainError, IntegrandError, QuadratureNoConvergence
 from .geometry import Point
-from .region import IDENTITY, POLAR, SWAP, Piece, Region, leaves, pieces
+from .region import IDENTITY, POLAR, SWAP, Piece, Region, leaves, pieces, plane_point
 
 __all__ = [
     "Tolerance",
@@ -63,8 +63,6 @@ __all__ = [
     "PieceIntegrand",
     "integrate_1d",
     "integrate_region",
-    "linear_sections",
-    "moment_sections",
     "sum_results",
 ]
 
@@ -258,9 +256,11 @@ def _memo(cmap: str, near, far) -> dict:
 
 
 class PieceIntegrand:
-    """The integrand of a piece: its closed-form section (A, Sx, Sy) at u
-    between near(u) and far(u), or, given ``coefficients`` (scale, a, b,
-    c), the section's linear form scale * (a*Sx + b*Sy + c*A).
+    """The integrand of a piece of ``region.pieces``: its closed-form
+    section (A, Sx, Sy) at u, the inner integrals of 1, x and y between
+    near(u) and far(u), or, given ``coefficients`` (scale, a, b, c), the
+    section's linear form scale * (a*Sx + b*Sy + c*A).  Over [u0, u1] they
+    integrate to the piece's area and moments, and to its volume.
 
     ``integrate_1d`` samples it through ``sample``.  The first pass over a
     panel (a, b) keeps the sections of its 15 nodes, as the section
@@ -561,38 +561,20 @@ def _polar_section(theta: float, r: float, big: float) -> tuple[float, float, fl
 _SECTIONS = {IDENTITY: _normal_section(False), SWAP: _normal_section(True), POLAR: _polar_section}
 
 
-def linear_sections(region: Region, scale: float, a: float, b: float, c: float,
-                    swap: bool = False) -> list:
-    """The region's pieces (``region.pieces``, polygons cut into y-slabs
-    when ``swap``) as (u0, u1, form), where form(u) is the inner integral
-    of scale * (a*x + b*y + c) over the cross-section at u, in closed form:
-    scale * (a*Sx + b*Sy + c*A) of ``moment_sections``' section.  Each form
-    is a ``PieceIntegrand``."""
-    return [(piece.u0, piece.u1, PieceIntegrand(piece, (scale, a, b, c)))
-            for piece in pieces(region, swap)]
-
-
-def moment_sections(region: Region) -> list:
-    """The region's pieces as (u0, u1, section), where section(u) returns
-    the closed-form inner integrals (of 1, x and y) over the cross-section
-    at outer coordinate u: x for normal_x and polygon slabs, y for normal_y,
-    theta for polar sectors.  Integrating a section over [u0, u1] gives the
-    piece's area and first moments (A, Sx, Sy); any integrand linear in
-    (x, y) is a fixed combination of them.  Each section is a
-    ``PieceIntegrand``."""
-    return [(piece.u0, piece.u1, PieceIntegrand(piece)) for piece in pieces(region)]
-
-
 # ---------------------------------------------------------------------------
 # Iterated 2D integration of general integrands
 
 def _iterated(piece: Piece, integrand, tol: Tolerance) -> QuadratureResult:
-    """Outer integral over u of the inner integral, for v between near(u)
-    and far(u), of the integrand at the piece's (u, v) times the area
-    element.  Degenerate sections (far <= near) contribute 0."""
-    g = _in_plane(integrand, piece.map)
+    """Outer integral over u of the inner integral, for v from near(u) to
+    far(u), of the integrand at the piece's ``plane_point`` times the area
+    element (v if polar).  Degenerate sections (far <= near) contribute 0."""
+    cmap = piece.map
     inner_tol = tol.tightened()
     inner_evals = [0]
+
+    def g(u: float, v: float) -> float:
+        value = integrand(Point(*plane_point(cmap, u, v)))
+        return value * v if cmap == POLAR else value
 
     def section(u: float) -> float:
         a = piece.near(u)
@@ -607,16 +589,6 @@ def _iterated(piece: Piece, integrand, tol: Tolerance) -> QuadratureResult:
     return QuadratureResult(
         outer.value, outer.error_estimate, outer.evaluations + inner_evals[0]
     )
-
-
-def _in_plane(integrand, cmap: str):
-    """``integrand`` (of a Point) as a function of a piece's (u, v) under
-    the map ``cmap``, times the map's area element."""
-    if cmap == POLAR:
-        return lambda th, r: integrand(Point(r * math.cos(th), r * math.sin(th))) * r
-    if cmap == SWAP:
-        return lambda u, v: integrand(Point(v, u))
-    return lambda u, v: integrand(Point(u, v))
 
 
 def integrate_region(region: Region, integrand, tol: Tolerance | None = None) -> QuadratureResult:

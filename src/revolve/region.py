@@ -45,6 +45,7 @@ import collections
 import functools
 import heapq
 import math
+import operator
 from typing import Callable, ClassVar, NamedTuple
 
 from ._record import record
@@ -113,10 +114,19 @@ _PIECE = 0.75
 # least 1): far above the array evaluator's departures from the scalar one.
 _GRID_MARGIN = 1e-9
 
-# Maps from a piece's (outer u, inner v) to the plane.
+# Maps from a piece's (outer u, inner v) to the plane (``plane_point``).
 IDENTITY = "identity"  # (x, y) = (u, v)
 SWAP = "swap"          # (x, y) = (v, u)
 POLAR = "polar"        # (x, y) = (v cos u, v sin u), area element v du dv
+
+
+def plane_point(cmap: str, u, v, cos=math.cos, sin=math.sin, mul=operator.mul):
+    """The point (x, y) of (u, v) under the map ``cmap``: of floats, of
+    numpy arrays given np.cos and np.sin, or enclosures of x and y over the
+    boxes u and v given _icos, _isin and _imul."""
+    if cmap == POLAR:
+        return mul(v, cos(u)), mul(v, sin(u))
+    return (v, u) if cmap == SWAP else (u, v)
 
 
 # A boundary curve is its parsed expression: curve("sqrt(1-x^2)", "x").
@@ -573,13 +583,6 @@ def contains_mask(region: Region, xs, ys):
 # cloud: each curve at _CLOUD_SAMPLES points, so a spike between two
 # samples escapes it.
 
-def _plane_point(cmap: str, u: float, v: float) -> tuple[float, float]:
-    """The point (x, y) of (u, v) under the map ``cmap``."""
-    if cmap == POLAR:
-        return v * math.cos(u), v * math.sin(u)
-    return (v, u) if cmap == SWAP else (u, v)
-
-
 def _distance_at(axis: Axis, cmap: str, c: ExprAst, u: float) -> float | None:
     """The signed distance of the point of curve ``c`` at ``u`` under the
     map ``cmap``, or None where the curve does not evaluate."""
@@ -587,7 +590,7 @@ def _distance_at(axis: Axis, cmap: str, c: ExprAst, u: float) -> float | None:
         v = eval_expr(c, u)
     except DomainError:
         return None
-    x, y = _plane_point(cmap, u, v)
+    x, y = plane_point(cmap, u, v)
     return axis.a * x + axis.b * y + axis.c
 
 
@@ -605,7 +608,7 @@ def _distance_bounds(axis: Axis, cmap: str, c: ExprAst, box: tuple[float, float]
         shifted = _isub(box, (_down(_down(phi)), _up(_up(phi))))
         return _iadd(_imul(v, _imul((_down(r), _up(r)), _icos(shifted))), k)
     a, b = (axis.a, axis.a), (axis.b, axis.b)
-    x, y = (v, box) if cmap == SWAP else (box, v)
+    x, y = plane_point(cmap, box, v)
     return _iadd(_iadd(_imul(a, x), _imul(b, y)), k)
 
 
@@ -721,12 +724,7 @@ def _leaf_cloud(leaf: Region):
         ts = u0 - k * u0 + k * u1
     us, vs = np.concatenate([ts, ts]), np.concatenate([eval_array(near, ts), eval_array(far, ts)])
     keep = ~np.isnan(vs)
-    us, vs = us[keep], vs[keep]
-    if leaf.map == POLAR:
-        us, vs = vs * np.cos(us), vs * np.sin(us)
-    elif leaf.map == SWAP:
-        us, vs = vs, us
-    return (us, vs, False)
+    return (*plane_point(leaf.map, us[keep], vs[keep], np.cos, np.sin), False)
 
 
 # Up to 64 regions' boxes.
@@ -747,18 +745,14 @@ def _sampled_box(region: Region) -> tuple[float, float, float, float] | None:
     return min(x_lo), max(x_hi), min(y_lo), max(y_hi)
 
 
-def _nonempty_box(region: Region) -> tuple[float, float, float, float]:
-    box = _sampled_box(region)
-    if box is None:
-        raise InvalidRegionError("region produced no sample points")
-    return box
-
-
 def bounding_box(region: Region) -> tuple[float, float, float, float]:
     """Axis-aligned box (x_lo, x_hi, y_lo, y_hi) of the sampled boundary
     cloud: exact for polygons, padded by 1e-9 relative around curve
     samples."""
-    return _nonempty_box(region)
+    box = _sampled_box(region)
+    if box is None:
+        raise InvalidRegionError("region produced no sample points")
+    return box
 
 
 def _sampled_side(region: Region, axis: Axis) -> int:
@@ -766,7 +760,7 @@ def _sampled_side(region: Region, axis: Axis) -> int:
     distance at its points.  The leaf clouds are built again on each call."""
     import numpy as np
 
-    _nonempty_box(region)
+    bounding_box(region)
     dists = np.concatenate([axis.a * xs + axis.b * ys + axis.c
                             for xs, ys, _ in map(_leaf_cloud, leaves(region))])
     return _side_of(float(dists.min()), float(dists.max()))
@@ -796,14 +790,6 @@ class _CellGrid(NamedTuple):
     sx: float  # cells per unit of x and of y
     sy: float
     codes: np.ndarray  # (_GRID + 2)^2 read-only uint8 codes, row (y) major; the border is _BOUNDARY
-
-
-def _plane_box(cmap: str, u: tuple[float, float], v: tuple[float, float]):
-    """Enclosures of x and of y over the points (u, v) of the boxes ``u`` and
-    ``v`` under the map ``cmap``."""
-    if cmap == POLAR:
-        return _imul(v, _icos(u)), _imul(v, _isin(u))
-    return (v, u) if cmap == SWAP else (u, v)
 
 
 def _cell_range(lo: float, hi: float, origin: float, scale: float, margin: float) -> slice:
@@ -863,7 +849,7 @@ def _cell_grid(region: Region) -> _CellGrid | None:
         m = margin * max(1.0, abs(u0), abs(u1)) if leaf.map == POLAR else margin
         near_at, far_at = _probe_values(near, u0, u1), _probe_values(far, u0, u1)
         for i, u in ((0, u0), (-1, u1)):
-            segment(_plane_point(leaf.map, u, near_at[i]), _plane_point(leaf.map, u, far_at[i]), m)
+            segment(plane_point(leaf.map, u, near_at[i]), plane_point(leaf.map, u, far_at[i]), m)
         if leaf.map == POLAR:
             mark((0.0, 0.0), (0.0, 0.0), m)
         arcs += [(leaf.map, near, far, u0, u1, m), (leaf.map, far, near, u0, u1, m)]
@@ -882,7 +868,7 @@ def _cell_grid(region: Region) -> _CellGrid | None:
         if not defined:
             cv, ov = c.interval((lo, hi)), other.interval((lo, hi))
             v = (min(cv[0], ov[0]), max(cv[1], ov[1])) if cv[0] <= cv[1] and ov[0] <= ov[1] else _WHOLE
-        bx, by = _plane_box(cmap, (lo, hi), v)
+        bx, by = plane_point(cmap, (lo, hi), v, _icos, _isin, _imul)
         size = max((bx[1] - bx[0]) * sx, (by[1] - by[0]) * sy)
         if not defined:
             size = min(size, (hi - lo) * u_scale[cmap])

@@ -213,6 +213,9 @@ _TYPES = "['normal_x', 'normal_y', 'polar', 'polygon', 'union']"
      [("tolerance.max_depth", "expected an integer, got -inf")]),
     (_doc_with("mc", {"samples": math.inf, "seed": math.nan}),
      [("mc.samples", "expected an integer, got inf"), ("mc.seed", "expected an integer, got nan")]),
+    ({**minimal_doc(), "mc": {"samples": "abc", "seed": "1.5"}, "tolerance": {"max_depth": [3]}},
+     [("tolerance.max_depth", "expected an integer, got [3]"),
+      ("mc.samples", "expected an integer, got 'abc'"), ("mc.seed", "expected an integer, got '1.5'")]),
 ])
 def test_refusal_lists_every_issue(doc, issues):
     with pytest.raises(ConfigError) as err:

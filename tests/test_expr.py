@@ -690,6 +690,14 @@ class TestIntervalEnclosures:
         # Every corner quotient is inf / inf, NaN: no bound is known.
         assert expr._idiv((math.inf, math.inf), (math.inf, math.inf)) == (-math.inf, math.inf)
 
+    @pytest.mark.parametrize("name", ["sin", "cos"])
+    def test_periodic_at_a_point_near_the_float_range(self, name):
+        # |a| + |b| overflows in the rounding slack of the peak test: no
+        # peak is ruled out there, so the bounds are the function's range.
+        x = 1.3674786627359863e308
+        assert rv.curve(f"{name}(x)", "x").interval((x, x)) == (-1.0, 1.0)
+        assert rv.curve(f"{name}(x)", "x").interval((-x, -x)) == (-1.0, 1.0)
+
     def test_negation(self):
         rng = random.Random(1)
         for _ in range(1000):

@@ -10,8 +10,7 @@ from revolve.config import load_job, parse_job
 from revolve.errors import DomainError, IntegrandError, QuadratureNoConvergence
 from revolve import methods, quadrature
 from revolve import region as region_module
-from revolve.quadrature import (_PANELS, _XGK, PieceIntegrand, _domain_guard, _memo, linear_sections,
-                                moment_sections, sum_results)
+from revolve.quadrature import _PANELS, _XGK, PieceIntegrand, _domain_guard, _memo, sum_results
 from revolve.region import pieces
 
 from conftest import FIXTURES
@@ -224,8 +223,8 @@ class TestMomentSections:
     ], ids=["normal_x", "normal_y", "polar", "polygon"])
     def test_sections_integrate_to_iterated_moments(self, region):
         # The closed-form inner integrals against the iterated 2D route.
-        pieces = moment_sections(region)
-        moments = sum_results([rv.integrate_1d(sec, u0, u1) for u0, u1, sec in pieces])
+        moments = sum_results([rv.integrate_1d(PieceIntegrand(piece), piece.u0, piece.u1)
+                               for piece in pieces(region)])
         for k, f in enumerate((lambda p: 1.0, lambda p: p.x, lambda p: p.y)):
             ref = rv.integrate_region(region, f)
             slack = 10.0 * (ref.error_estimate + moments.error_estimate[k])
@@ -233,15 +232,15 @@ class TestMomentSections:
 
     def test_degenerate_section_is_zero(self):
         flat = rv.NormalX(0.0, 1.0, rv.curve("x", "x"), rv.curve("x", "x"))
-        [(u0, u1, section)] = moment_sections(flat)
-        assert section(0.5) == (0.0, 0.0, 0.0)
+        [piece] = pieces(flat)
+        assert PieceIntegrand(piece)(0.5) == (0.0, 0.0, 0.0)
 
     def test_union_flattens_parts(self):
         left = rv.NormalX(0.0, 1.0, rv.curve("0", "x"), rv.curve("1", "x"))
         ell = rv.Polygon((rv.Point(2, 0), rv.Point(4, 0), rv.Point(4, 1),
                           rv.Point(3, 1), rv.Point(3, 2), rv.Point(2, 2)))
-        pieces = moment_sections(rv.UnionRegion((left, ell)))
-        assert [(u0, u1) for u0, u1, _ in pieces] == [(0.0, 1.0), (2.0, 3.0), (3.0, 4.0)]
+        union = pieces(rv.UnionRegion((left, ell)))
+        assert [(piece.u0, piece.u1) for piece in union] == [(0.0, 1.0), (2.0, 3.0), (3.0, 4.0)]
 
 
 class TestDomainGuard:
@@ -414,12 +413,11 @@ class TestPanelMemoMatchesPerNodeGuard:
         # The sqrt arcs of the disk crowd panels at x = -1; the panel
         # [-1, -1 + 2^-22] has its first pair's low node within 1e-9 * 2 of
         # the end, where the lower arc is made to fail once.
-        [(u0, u1, form)] = linear_sections(straddling_disk_x(), 2.0 * math.pi, 1.0, 0.0, 2.0)
+        [piece] = pieces(straddling_disk_x())
         node = _panel_nodes(-1.0, -1.0 + 2.0**-22)[1]
-        assert node - u0 <= 1e-9 * (u1 - u0)
-        piece = pieces(straddling_disk_x())[0]
+        assert node - piece.u0 <= 1e-9 * (piece.u1 - piece.u0)
         piece = piece._replace(near=_failing_at(piece.near, [node], "raise"))
-        (first, again), ref = self.outcomes(piece, form.coefficients, _TIGHT)
+        (first, again), ref = self.outcomes(piece, (2.0 * math.pi, 1.0, 0.0, 2.0), _TIGHT)
         assert first == again == ref
         assert first[2] % 15 == 1  # one nudged retry
         # A fresh memo, as near is a new function; all but the nudged panel kept.
@@ -445,8 +443,8 @@ class TestPanelMemoMatchesPerNodeGuard:
         upper = rv.curve(f"2+sin(20*x)+0*log(abs(x-{node!r}))", "x")
         _memo.cache_clear()
         for lo in (0.0, -0.0, 0.0, -0.0):
-            [(u0, u1, section)] = moment_sections(rv.NormalX(lo, 1.0, rv.curve("0", "x"), upper))
-            assert (_outcome(rv.integrate_1d, section, u0, u1)
+            [piece] = pieces(rv.NormalX(lo, 1.0, rv.curve("0", "x"), upper))
+            assert (_outcome(rv.integrate_1d, PieceIntegrand(piece), piece.u0, piece.u1)
                     == f"integrand undefined at {node!r} inside [{lo!r}, 1.0]")
 
     @pytest.mark.parametrize("build", [straddling_disk_x, straddling_disk_y, sector_polar],
@@ -466,10 +464,10 @@ class TestPanelMemoMatchesPerNodeGuard:
     def test_readme_oscillation_stops_at_the_cap(self):
         leaf = rv.NormalX(0.0, 1.0, rv.curve("0", "x"),
                           rv.curve("1 + 0.5*sin(1537*pi*x)^64", "x"))
-        [(_, _, form)] = linear_sections(leaf, 2.0 * math.pi, 1.0, 0.0, 1.0)
-        piece = pieces(leaf)[0]
+        [piece] = pieces(leaf)
         _memo.cache_clear()
-        (first, again), ref = self.outcomes(piece, form.coefficients, rv.Tolerance(rel=1e-8))
+        (first, again), ref = self.outcomes(piece, (2.0 * math.pi, 1.0, 0.0, 1.0),
+                                            rv.Tolerance(rel=1e-8))
         assert first == again == ref
         assert first[2] == 255075
         assert len(_memo(piece.map, piece.near, piece.far)) == _PANELS
@@ -499,17 +497,16 @@ class TestKeptSectionsAreNotRecomputed:
             return section(u, lo, hi)
 
         monkeypatch.setitem(quadrature._SECTIONS, piece.map, spy)
-        later = [moment_sections(leaf)[0], linear_sections(leaf, 2.0 * math.pi, *second_axis)[0]]
+        later = [PieceIntegrand(piece), PieceIntegrand(piece, (2.0 * math.pi, *second_axis))]
         cold = []
-        for u0, u1, f in later:
+        for f in later:
             f.panels.clear()
-            cold.append(rv.integrate_1d(f, u0, u1).evaluations)
+            cold.append(rv.integrate_1d(f, piece.u0, piece.u1).evaluations)
         f.panels.clear()
-        [(u0, u1, f)] = linear_sections(leaf, 2.0 * math.pi, *first_axis)
-        rv.integrate_1d(f, u0, u1)
-        for (u0, u1, f), evaluations in zip(later, cold):
+        rv.integrate_1d(PieceIntegrand(piece, (2.0 * math.pi, *first_axis)), piece.u0, piece.u1)
+        for f, evaluations in zip(later, cold):
             kept, calls[0] = len(f.panels), 0
-            assert rv.integrate_1d(f, u0, u1).evaluations == evaluations
+            assert rv.integrate_1d(f, piece.u0, piece.u1).evaluations == evaluations
             assert len(f.panels) < _PANELS
             assert calls[0] == 15 * (len(f.panels) - kept)
             assert calls[0] < evaluations  # a kept panel was read

@@ -7,7 +7,8 @@ import revolve as rv
 from revolve.errors import AxisIntersectsRegion, InvalidRegionError
 from revolve import region as region_module
 from revolve.config import load_job, parse_job
-from revolve.region import IDENTITY, POLAR, SWAP, leaves, pieces
+from revolve.expr import _icos, _imul, _isin
+from revolve.region import IDENTITY, POLAR, SWAP, leaves, pieces, plane_point
 
 from conftest import FIXTURES
 from helpers import (
@@ -495,6 +496,69 @@ class TestPieces:
 def _ell():
     return rv.Polygon((rv.Point(0, 0), rv.Point(2, 0), rv.Point(2, 1),
                        rv.Point(1, 1), rv.Point(1, 2), rv.Point(0, 2)))
+
+
+_MAPS = pytest.mark.parametrize("cmap", [IDENTITY, SWAP, POLAR])
+
+_PLANE_SPECIALS = (0.0, -0.0, 1.0, -1.0, math.pi, -math.pi / 2, 5e-324, -5e-324,
+                   1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def _plane_draws(rng, n):
+    """n seeded coordinates: a third in [-10, 10], a third of magnitude
+    0.5e308 to 1.79e308 of either sign, a third from _PLANE_SPECIALS (±0.0
+    among them)."""
+    kind = rng.integers(0, 3, n)
+    out = rng.uniform(-10.0, 10.0, n)
+    big = kind == 1
+    out[big] = rng.uniform(0.5, 1.79, big.sum()) * 1e308 * rng.choice([-1.0, 1.0], big.sum())
+    special = kind == 2
+    out[special] = rng.choice(np.array(_PLANE_SPECIALS), special.sum())
+    return out
+
+
+def _random_box(rng):
+    """A box: between two draws, or a draw and a step of at most 1 past it."""
+    lo, hi = _plane_draws(rng, 2).tolist()
+    if rng.random() < 0.5:
+        hi = lo + float(rng.uniform(0.0, 1.0))
+    return (lo, hi) if lo <= hi else (hi, lo)
+
+
+class TestPlanePoint:
+    """The one map of (u, v) to the plane, in the three arithmetics that
+    call it: floats, numpy arrays and intervals."""
+
+    def test_the_three_maps(self):
+        assert plane_point(IDENTITY, 1.5, -2.0) == (1.5, -2.0)
+        assert plane_point(SWAP, 1.5, -2.0) == (-2.0, 1.5)
+        assert plane_point(POLAR, math.pi / 3, 2.0) == (2.0 * math.cos(math.pi / 3),
+                                                         2.0 * math.sin(math.pi / 3))
+
+    @_MAPS
+    def test_arrays_are_the_floats_bit_for_bit(self, cmap):
+        rng = np.random.default_rng(24_001)
+        us, vs = _plane_draws(rng, 20_000), _plane_draws(rng, 20_000)
+        xs, ys = plane_point(cmap, us, vs, np.cos, np.sin)
+        points = [plane_point(cmap, u, v) for u, v in zip(us.tolist(), vs.tolist())]
+        for got, want in zip((xs, ys), zip(*points)):
+            # The int64 view compares every bit: the sign of a zero too.
+            assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+        assert (np.signbit(us) & (us == 0.0)).any()  # a -0.0 was drawn
+
+    @_MAPS
+    def test_intervals_enclose_the_points(self, cmap):
+        rng = np.random.default_rng(24_002)
+        for _ in range(2000):
+            u, v = _random_box(rng), _random_box(rng)
+            bx, by = plane_point(cmap, u, v, _icos, _isin, _imul)
+            # The corners, and two sampled points between the ends of each box.
+            us, vs = ([lo, hi, *(min(max(lo * (1.0 - t) + hi * t, lo), hi)
+                                 for t in rng.random(2).tolist())] for lo, hi in (u, v))
+            for pu in us:
+                for pv in vs:
+                    x, y = plane_point(cmap, pu, pv)
+                    assert bx[0] <= x <= bx[1] and by[0] <= y <= by[1], (u, v, pu, pv)
 
 
 class TestLeaves:
