@@ -5,26 +5,24 @@ over the region; it works for any region and any exterior axis.  The
 distance is linear in (x, y), so its inner integral over each piece's
 cross-section is closed-form (a*Sx + b*Sy + c*A of the section, see
 ``quadrature.PieceIntegrand``) and one adaptive 1D pass per piece remains.
-The classical routes are provided as cross-checks.  Every route reads a
-union through its leaves (``region.leaves``), so a nested union is its flat
-union.  Disk, shell and polar apply where their classical formula does, and
-then run double_integral's pass (``_distance_pass``, cached per region,
-axis, tolerance and slab direction), because each formula is that pass's
-closed-form section over one of the orders it integrates in:
+The classical routes are provided as cross-checks, and disk, shell and
+polar are that one rule too: each picks the map its formula integrates
+in, cuts the region into pieces of that map (``region.pieces``, which
+walks a union through its leaves and cuts a polygon into x-slabs, or
+y-slabs under SWAP), refuses a region with a piece of another map, and
+integrates the cut (``_distance_pass``, cached by the pieces, the linear
+form and the tolerance).  Each formula is the closed-form section over
+its pieces:
 
 * shell:  integral of 2*pi*|x - x0| * (upper - lower) dx over x-pieces
-          about a vertical axis, y-pieces about a horizontal one.  On a
-          polygon about a horizontal axis the pieces are its y-slabs
-          (``region.pieces(swap=True)``), the other order of
-          double_integral's x-slabs; elsewhere they are double_integral's
-          own pieces.
+          (normal_x, polygon x-slabs) about a vertical axis, y-pieces
+          (normal_y, polygon y-slabs) about a horizontal one
 * disk:   integral of pi * ((right - x0)^2 - (left - x0)^2) dy, the
-          integral of 2*pi*(x - x0) from left to right: double_integral's
-          section of a normal_y region about a vertical axis (normal_x about
-          a horizontal one)
-* polar:  the double integral in polar coordinates with Jacobian rho:
-          double_integral's pass on sectors, whose closed-form sections
-          integrate over rho
+          integral of 2*pi*(x - x0) from left to right, over the pieces
+          whose inner coordinate runs across the axis: y-pieces about a
+          vertical axis, x-pieces about a horizontal one
+* polar:  the double integral in polar coordinates with Jacobian rho, over
+          sectors, whose closed-form sections integrate over rho
 * pappus: 2*pi * distance(centroid, axis) * area, from the area and first
           moments; exact for polygons (shoelace), else one vector-valued 1D
           pass over the closed-form sections, cached per (region, tolerance)
@@ -37,12 +35,14 @@ order; ``_route`` fills it, times each call and reports the route's
 QuadratureResult as a VolumeReport.  ``run_route`` runs one by name (Monte
 Carlo with an McConfig, the others with a Tolerance).
 
-Not all of them are independent checks of one another.  Disk, polar, and
-shell apart from polygons about a horizontal axis, give double_integral's
-value, error estimate and evaluations bit for bit: they check where each
-formula applies, not the number.  Shell on a polygon about a horizontal
-axis integrates the same sections in the other order; pappus reads the
-same sections too.  Only Monte Carlo is independent of the sections.
+Not all of them are independent checks of one another.  Where a route's
+cut is double_integral's own (every curve leaf, and polygon x-slabs), it
+reads double_integral's cached pass and gives its value, error estimate
+and evaluations bit for bit: it checks where the formula applies, not the
+number.  On a polygon about a vertical or horizontal axis, shell and disk
+are the two Fubini orders, x-slabs and y-slabs, and one of them is
+double_integral's; pappus reads the same sections too.  Only Monte Carlo
+is independent of the sections.
 
 Every route refuses an axis that crosses the region interior
 (AxisIntersectsRegion) by one whole-region side check, after its own
@@ -76,6 +76,7 @@ from .region import (
     POLAR,
     SWAP,
     TWO_PI,
+    Piece,
     Polygon,
     Region,
     axis_side_check,
@@ -184,83 +185,74 @@ def _outer_map(axis: Axis) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# The double-integral route, and the disk, shell and polar routes that read it
+# The distance pass, and the routes that cut the region for it
 
 @functools.lru_cache(maxsize=256)
-def _distance_pass(region: Region, axis: Axis, tol: Tolerance, swap: bool) -> QuadratureResult:
-    """Integral of 2*pi*distance(axis) over the region, after the side
-    check: closed-form inner integrals, one adaptive 1D pass per piece over
-    the outer coordinate, converging on the volume itself.  ``swap`` cuts
-    polygons into y-slabs (``region.pieces``).
+def _distance_pass(cut: tuple[Piece, ...], form: tuple[float, float, float, float],
+                   tol: Tolerance) -> QuadratureResult:
+    """Integral of the linear form ``form`` = (2*pi*side, a, b, c) of the
+    closed-form sections over the pieces ``cut``: one adaptive 1D pass per
+    piece over its outer coordinate, converging on the volume itself.
 
-    Regions, axes and tolerances are frozen and compare by value, so equal
-    arguments share one cache entry, and a cached result repeats the value,
-    error estimate and evaluations of the pass that computed it.  A refusal
-    is not cached: it is raised again, to the same message, on every call.
-    Callers pass all four arguments, so that equal passes have equal keys.
-    """
+    A piece compares by its bounds, map and curve evaluators, which an
+    equal curve or polygon built again shares, so equal cuts share one
+    cache entry, and a cached result repeats the value, error estimate and
+    evaluations of the pass that computed it."""
+    return sum_results([integrate_1d(PieceIntegrand(piece, form), piece.u0, piece.u1, tol)
+                        for piece in cut])
+
+
+def _volume(region: Region, axis: Axis, tol: Tolerance | None, cut: list[Piece]) -> QuadratureResult:
+    """Integral of 2*pi*distance(axis) over ``region``, cut as ``cut``:
+    ``_distance_pass`` after the side check.  A refusal is not cached: it
+    is raised again, to the same message, on every call."""
     side = axis_side_check(region, axis)
-    coefficients = (TWO_PI * side, axis.a, axis.b, axis.c)
-    return sum_results([integrate_1d(PieceIntegrand(piece, coefficients), piece.u0, piece.u1, tol)
-                        for piece in pieces(region, swap)])
+    return _distance_pass(tuple(cut), (TWO_PI * side, axis.a, axis.b, axis.c), tol or Tolerance())
+
+
+def _cut(region: Region, want: str | None, refusal: str) -> list[Piece]:
+    """The region's pieces under the map ``want``, polygons cut into
+    y-slabs for SWAP (``region.pieces``), or UnsupportedMethod(refusal)
+    when ``want`` is None or a piece has another map."""
+    if want is not None:
+        cut = pieces(region, want == SWAP)
+        if all(piece.map == want for piece in cut):
+            return cut
+    raise UnsupportedMethod(refusal)
 
 
 @_route
 def volume_double_integral(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
-    """Integral of 2*pi*distance(axis) over the region (``_distance_pass``)."""
-    return _distance_pass(region, axis, tol or Tolerance(), False)
+    """Integral of 2*pi*distance(axis) over the region's own pieces."""
+    return _volume(region, axis, tol, pieces(region))
 
 
 @_route
 def volume_disk(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
-    """Washer integral over normal domains whose inner coordinate runs
-    across the axis: normal_y about a vertical axis, normal_x about a
-    horizontal one.  A washer pi*((R - x0)^2 - (r - x0)^2) is the integral
-    of 2*pi*(x - x0) from r to R, the closed-form section of
-    ``_distance_pass``, so the route is that pass.  Washers sample the
-    boundary curves, so polygons are left to the shell route."""
-    outer = _outer_map(axis)
-    want = {IDENTITY: SWAP, SWAP: IDENTITY}.get(outer)
-    if want is None or any(isinstance(leaf, Polygon) or leaf.map != want
-                           for leaf in leaves(region)):
-        raise UnsupportedMethod(
-            "disk method needs a vertical axis with normal-y parts or a "
-            "horizontal axis with normal-x parts"
-        )
-    return _distance_pass(region, axis, tol or Tolerance(), False)
+    """Washer integral over the pieces whose inner coordinate runs across
+    the axis: y-pieces about a vertical axis, x-pieces about a horizontal
+    one."""
+    want = {IDENTITY: SWAP, SWAP: IDENTITY}.get(_outer_map(axis))
+    return _volume(region, axis, tol, _cut(
+        region, want, "disk method needs a vertical axis with normal-y parts or a "
+        "horizontal axis with normal-x parts"))
 
 
 @_route
 def volume_shell(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
-    """Cylindrical-shell integral over pieces whose outer coordinate runs
-    across the axis: x-pieces (normal_x, polygon x-slabs) about a vertical
-    axis, y-pieces (normal_y, polygon y-slabs) about a horizontal one.  A
-    shell 2*pi*|t - x0|*(far - near) is the section of ``_distance_pass``
-    over those pieces, so the route is that pass: double_integral's own,
-    except on a polygon about a horizontal axis, whose y-slabs are the
-    other order."""
-    want = _outer_map(axis)
-    parts = leaves(region)
-    if want is None or any(not isinstance(leaf, Polygon) and leaf.map != want
-                           for leaf in parts):
-        raise UnsupportedMethod(
-            "shell method needs a vertical axis with normal-x (or polygon) "
-            "parts, or a horizontal axis with normal-y (or polygon) parts"
-        )
-    # Only polygons are cut differently under swap: without one, the pass
-    # is double_integral's, under its key.
-    swap = want == SWAP and any(isinstance(leaf, Polygon) for leaf in parts)
-    return _distance_pass(region, axis, tol or Tolerance(), swap)
+    """Cylindrical-shell integral over the pieces whose outer coordinate
+    runs across the axis (``_outer_map``)."""
+    return _volume(region, axis, tol, _cut(
+        region, _outer_map(axis), "shell method needs a vertical axis with normal-x (or "
+        "polygon) parts, or a horizontal axis with normal-y (or polygon) parts"))
 
 
 @_route
 def volume_polar(region: Region, axis: Axis, tol: Tolerance | None = None) -> QuadratureResult:
     """The double integral in polar coordinates: over theta, the closed-form
-    integral over rho of 2*pi*distance*rho (``_distance_pass``).  The region
-    must be a polar sector (or a union of them)."""
-    if any(piece.map != POLAR for piece in pieces(region)):
-        raise UnsupportedMethod("polar method needs polar-sector regions")
-    return _distance_pass(region, axis, tol or Tolerance(), False)
+    integral over rho of 2*pi*distance*rho.  The region must be a polar
+    sector (or a union of them)."""
+    return _volume(region, axis, tol, _cut(region, POLAR, "polar method needs polar-sector regions"))
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,14 @@ def exterior_vertical_axis(rng, region):
     return rv.Axis.vertical(x_hi + gap)
 
 
+def exterior_horizontal_axis(rng, region):
+    _, _, y_lo, y_hi = rv.bounding_box(region)
+    gap = float(rng.uniform(0.05, 2.0))
+    if rng.uniform() < 0.5:
+        return rv.Axis.horizontal(y_lo - gap)
+    return rv.Axis.horizontal(y_hi + gap)
+
+
 def exterior_oblique_axis(rng, polygon):
     """Random-direction line kept clear of the polygon by a support offset."""
     phi = float(rng.uniform(0.0, 2.0 * math.pi))

@@ -11,6 +11,8 @@ import numpy as np
 import revolve as rv
 from revolve.config import load_job
 from revolve.errors import AxisIntersectsRegion, ExprSyntaxError
+from revolve.methods import _distance_pass
+from revolve.region import shoelace
 
 from conftest import FIXTURES
 from helpers import (
@@ -23,6 +25,7 @@ from helpers import (
     TORUS_VOLUME,
     apply_motion_axis,
     cone_triangle,
+    exterior_horizontal_axis,
     exterior_oblique_axis,
     exterior_vertical_axis,
     move_polygon,
@@ -109,8 +112,15 @@ def test_criterion_3_cone_and_sphere():
 def test_criterion_4_shell_and_disk_equivalence():
     """100 random normal-x shell cases and 100 normal-y disk cases agree
     with the double integral within 10x summed error estimates.  Shell and
-    disk run double_integral's pass on these regions, so this checks their
-    applicability and plumbing, not an independent order."""
+    disk run double_integral's own pass on these curve regions, so they
+    check only where each formula applies.
+
+    On 100 random convex polygons about exterior vertical and horizontal
+    axes, shell and disk are the paper's two Fubini orders: one integrates
+    the x-slabs and the other the y-slabs, so exactly one of them reads
+    double_integral's cached pass.  Each equals the closed form
+    2*pi*|a*Sx + b*Sy + c*A| of the polygon's shoelace moments within 10x
+    its own error estimate."""
     rng = np.random.default_rng(20250810)
     failures = []
     for i in range(100):
@@ -127,8 +137,23 @@ def test_criterion_4_shell_and_disk_equivalence():
         b = rv.volume_double_integral(region, axis)
         if abs(a.value - b.value) > 10.0 * (a.error_estimate + b.error_estimate):
             failures.append(("disk", i, a.value, b.value))
+    rng = np.random.default_rng(20251019)
+    for i in range(100):
+        poly = random_convex_polygon(rng)
+        exterior_axis = exterior_vertical_axis if i % 2 == 0 else exterior_horizontal_axis
+        axis = exterior_axis(rng, poly)
+        area, sx, sy = shoelace(poly.vertices)
+        exact = 2.0 * math.pi * abs(axis.a * sx + axis.b * sy + axis.c * area)
+        _distance_pass.cache_clear()
+        rv.volume_double_integral(poly, axis)
+        shell, disk = rv.volume_shell(poly, axis), rv.volume_disk(poly, axis)
+        info = _distance_pass.cache_info()
+        if ((info.hits, info.misses, info.currsize) != (1, 2, 2)
+                or any(abs(r.value - exact) > 10.0 * r.error_estimate for r in (shell, disk))):
+            failures.append(("polygon", i, info, shell, disk, exact))
     ok = not failures
-    verdict(4, ok, f"shell/disk vs double integral: {200 - len(failures)}/200 agree")
+    verdict(4, ok, f"shell/disk vs double integral and the polygon closed form: "
+                   f"{300 - len(failures)}/300 agree")
     assert ok, failures
 
 

@@ -244,9 +244,14 @@ class TestDisk:
         with pytest.raises(UnsupportedMethod):
             rv.volume_disk(sector_polar(), AXIS_OY)
         with pytest.raises(UnsupportedMethod):
-            rv.volume_disk(unit_square_polygon(), AXIS_OY)
-        with pytest.raises(UnsupportedMethod):
             rv.volume_disk(square_normal_y(), rv.Axis(1.0, 1.0, 5.0))
+        with pytest.raises(UnsupportedMethod):
+            rv.volume_disk(unit_square_polygon(), rv.Axis(1.0, 1.0, 5.0))
+        # A polygon about a vertical axis is cut into y-slabs, so disk takes it.
+        disk = rv.volume_disk(unit_square_polygon(), AXIS_OY)
+        double = rv.volume_double_integral(unit_square_polygon(), AXIS_OY)
+        assert abs(disk.value - double.value) <= 10.0 * (
+            disk.error_estimate + double.error_estimate)
 
     def test_rejects_straddling_axis(self):
         with pytest.raises(AxisIntersectsRegion):
@@ -271,10 +276,14 @@ class TestDisk:
         assert abs(disk.value - double.value) <= 10.0 * (
             disk.error_estimate + double.error_estimate)
 
-    def test_rejects_polygon_inside_nested_union(self):
+    def test_polygon_inside_nested_union(self):
         nested = rv.UnionRegion((rv.UnionRegion((unit_square_polygon(),)), cone_normal_x()))
-        with pytest.raises(UnsupportedMethod):
-            rv.volume_disk(nested, AXIS_OX)
+        disk = rv.volume_disk(nested, AXIS_OX)
+        double = rv.volume_double_integral(nested, AXIS_OX)
+        assert abs(disk.value - double.value) <= 10.0 * (
+            disk.error_estimate + double.error_estimate)
+        with pytest.raises(UnsupportedMethod):  # the normal_x part, about a vertical axis
+            rv.volume_disk(nested, AXIS_OY)
 
 
 class TestPolar:
@@ -330,22 +339,26 @@ def _pass_jobs():
     return [(name, job.region, job.axis, job.tolerance) for name, job in jobs]
 
 
-def _polygon_y_slabs(region, axis):
-    """Whether shell cuts ``region``'s polygons into y-slabs about ``axis``."""
-    return abs(axis.a) <= 1e-12 and any(isinstance(leaf, rv.Polygon)
-                                        for leaf in region_module.leaves(region))
+def _polygon_y_slabs(route, region, axis):
+    """Whether ``route`` cuts ``region``'s polygons into y-slabs about
+    ``axis``: shell about a horizontal axis, disk about a vertical one."""
+    across = {"shell": axis.a, "disk": axis.b}.get(route)
+    return across is not None and abs(across) <= 1e-12 and any(
+        isinstance(leaf, rv.Polygon) for leaf in region_module.leaves(region))
 
 
 class TestRoutesReadTheDistancePass:
-    """Disk, shell and polar are double_integral's pass, cached by value
-    (``methods._distance_pass``); shell on a polygon about a horizontal
-    axis is the one route with an order of its own, its y-slabs."""
+    """Disk, shell and polar integrate a cut of the region that is
+    double_integral's own, and so read its pass, cached by the pieces it
+    integrates (``methods._distance_pass``); on a polygon, shell about a
+    horizontal axis and disk about a vertical one integrate its y-slabs,
+    the other order, as a pass of their own."""
 
     def test_is_the_double_integral_wherever_it_applies(self):
         applied = {"disk": 0, "shell": 0, "polar": 0}
         for name, region, axis, tol in _pass_jobs():
             for route in applied:
-                if route == "shell" and _polygon_y_slabs(region, axis):
+                if _polygon_y_slabs(route, region, axis):
                     continue
                 _distance_pass.cache_clear()
                 try:
@@ -360,28 +373,38 @@ class TestRoutesReadTheDistancePass:
                         == _triple(warm)), (name, route)
                 applied[route] += 1
         # Fixtures and corpus cases where each route applies.
-        assert applied == {"disk": 4 + 4, "shell": 5 + 8, "polar": 2 + 6}
+        assert applied == {"disk": 4 + 8, "shell": 5 + 8, "polar": 2 + 6}
 
-    def test_shell_on_polygon_y_slabs_is_its_own_pass(self):
+    @staticmethod
+    def _own_pass(route, axis, volume):
+        """``route`` on the C-shaped polygon about ``axis``, and on every
+        pinned job where it integrates polygon y-slabs: a second cache
+        entry beside double_integral's, agreeing with it.  Returns the
+        number of jobs it applied to; the C-shape gives ``volume``."""
         c_shape = _polygon([[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [3, 2], [3, 4], [0, 4]])
-        cases = [(c_shape, rv.Axis.horizontal(-1.0), rv.Tolerance())]
-        cases += [(region, axis, tol) for _, region, axis, tol in _pass_jobs()
-                  if _polygon_y_slabs(region, axis)]
+        cases = [(c_shape, axis, rv.Tolerance())]
+        cases += [(region, about, tol) for _, region, about, tol in _pass_jobs()
+                  if _polygon_y_slabs(route, region, about)]
         applied = 0
-        for region, axis, tol in cases:
+        for region, about, tol in cases:
             _distance_pass.cache_clear()
-            double = rv.volume_double_integral(region, axis, tol)
+            double = rv.volume_double_integral(region, about, tol)
             try:
-                shell = rv.volume_shell(region, axis, tol)
+                own = run_route(route, region, about, tol)
             except UnsupportedMethod:  # a union with a normal_x part
                 continue
             assert _distance_pass.cache_info().currsize == 2
-            assert abs(shell.value - double.value) <= 10.0 * (
-                shell.error_estimate + double.error_estimate)
+            assert abs(own.value - double.value) <= 10.0 * (
+                own.error_estimate + double.error_estimate)
             applied += 1
-        assert applied == 1 + 2
-        assert abs(rv.volume_shell(c_shape, rv.Axis.horizontal(-1.0)).value
-                   - 62.0 * math.pi) <= 1e-12 * 62.0 * math.pi
+        assert abs(run_route(route, c_shape, axis).value - volume) <= 1e-12 * volume
+        return applied
+
+    def test_shell_on_polygon_y_slabs_is_its_own_pass(self):
+        assert self._own_pass("shell", rv.Axis.horizontal(-1.0), 62.0 * math.pi) == 1 + 2
+
+    def test_disk_on_polygon_y_slabs_is_its_own_pass(self):
+        assert self._own_pass("disk", rv.Axis.vertical(-1.0), 48.0 * math.pi) == 1 + 3
 
     def test_refusals_are_raised_on_every_call(self):
         job = load_job(FIXTURES / "straddle.json")
@@ -469,9 +492,10 @@ class TestTransposeSymmetry:
 
 
 class TestRecordsAsCacheKeys:
-    """The side check and the distance pass are cached by the value of
-    their records: equal records built separately are one key, and records
-    of two classes with the same fields are two."""
+    """The side check is cached by the value of its records, and the
+    distance pass by the pieces they cut into: equal records built
+    separately are one key, and records of two classes with the same
+    fields are two."""
 
     def test_axis_equals_its_normalized_twin(self):
         doubled, axis = rv.Axis(2, 0, 4), rv.Axis(1, 0, 2)
@@ -495,8 +519,8 @@ class TestRecordsAsCacheKeys:
         assert rv.axis_side_check(first, axis) == rv.axis_side_check(second, axis) == 1
         assert rv.axis_side_check.cache_info()[:2] == (1, 1)  # (hits, misses)
         _distance_pass.cache_clear()
-        kept = _distance_pass(first, axis, tol, False)
-        assert _distance_pass(second, axis, tol, False) is kept
+        kept = rv.volume_double_integral(first, axis, tol)
+        assert _triple(rv.volume_double_integral(second, axis, tol)) == _triple(kept)
         assert _distance_pass.cache_info()[:2] == (1, 1)
 
     def test_two_classes_with_equal_fields_are_two_keys(self):
@@ -508,7 +532,7 @@ class TestRecordsAsCacheKeys:
         rv.axis_side_check.cache_clear()
         _distance_pass.cache_clear()
         for region in (nx, ny):
-            _distance_pass(region, axis, tol, False)
+            rv.volume_double_integral(region, axis, tol)
         for cached in (rv.axis_side_check, _distance_pass):
             info = cached.cache_info()
             assert (info.hits, info.misses, info.currsize) == (0, 2, 2), cached
@@ -653,7 +677,7 @@ class TestSlabsSharingAColumn:
                     values.append((name, run_route(name, _polygon(self.C_SHAPE), axis).value))
                 except UnsupportedMethod:
                     pass
-        assert len(values) == 6
+        assert len(values) == 8
         for name, value in values:
             assert abs(value - volume) <= 1e-12 * volume, name
 
@@ -1043,9 +1067,9 @@ class TestCompare:
                                         cfg=rv.McConfig(100_000, 5))
         assert comparison.verdict == "agree"
         ran = {r.method for r in comparison.reports}
-        assert ran == {"double_integral", "shell", "pappus", "monte_carlo"}
+        assert ran == {"double_integral", "disk", "shell", "pappus", "monte_carlo"}
         skipped = {f.method: f.error for f in comparison.failures}
-        assert skipped == {"disk": "UnsupportedMethod", "polar": "UnsupportedMethod"}
+        assert skipped == {"polar": "UnsupportedMethod"}
 
     def test_straddling_disk_no_data(self):
         comparison = rv.compare_methods(straddling_disk_x(), AXIS_OY,
