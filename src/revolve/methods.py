@@ -234,8 +234,8 @@ def volume_disk(region: Region, axis: Axis, tol: Tolerance | None = None) -> Qua
     one."""
     want = {IDENTITY: SWAP, SWAP: IDENTITY}.get(_outer_map(axis))
     return _volume(region, axis, tol, _cut(
-        region, want, "disk method needs a vertical axis with normal-y parts or a "
-        "horizontal axis with normal-x parts"))
+        region, want, "disk method needs a vertical axis with normal-y (or polygon) parts, "
+        "or a horizontal axis with normal-x (or polygon) parts"))
 
 
 @_route
@@ -326,7 +326,7 @@ def volume_pappus(region: Region, axis: Axis, tol: Tolerance | None = None) -> Q
 def _scaled_distance(axis: Axis, xs, ys, out, scratch):
     """2*pi*|a*x + b*y + c| at the points (xs, ys), into ``out`` (``scratch``
     holds b*y): the order of operations of the expression, without
-    temporaries."""
+    temporaries.  ``out`` and ``scratch`` may be ``xs`` and ``ys``."""
     import numpy as np
 
     np.multiply(xs, axis.a, out=out)
@@ -354,14 +354,17 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
     and runs the exact tests on its boundary cells only; the mask is the
     exact one bit for bit.
 
-    The uniforms, coordinates and distances of a chunk go into buffers
-    allocated once per call, and points outside get 0 by a multiply with
-    the mask.  The multiply is the select wherever the distance is finite,
-    so a box with a corner whose distance is not finite is refused
-    (InvalidRegionError): the distance is monotone in each coordinate,
-    under rounding too, so the corners bound it over every sample.  So is
-    an estimate or standard error that overflows as the distances are
-    summed and squared.
+    A call allocates three buffers once: a chunk's x and y coordinates,
+    and a quarter chunk of uniforms.  A chunk's uniforms are drawn a
+    quarter at a time, and each block is scaled into its slice of the
+    coordinates.  Once the chunk is masked, its distances are computed in
+    place over the x coordinates (the y ones hold b*y), and points outside
+    get 0 by a multiply with the mask.  The multiply is the select wherever
+    the distance is finite, so a box with a corner whose distance is not
+    finite is refused (InvalidRegionError): the distance is monotone in
+    each coordinate, under rounding too, so the corners bound it over every
+    sample.  So is an estimate or standard error that overflows as the
+    distances are summed and squared.
     """
     import numpy as np
 
@@ -383,21 +386,25 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
             "the axis to sample: 2*pi times a corner's distance is not finite")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     size = min(_CHUNK, cfg.samples)
-    u = np.empty(2 * size)
-    xs, ys, vals, scratch = (np.empty(size) for _ in range(4))
+    block = min(_CHUNK // 4, size)
+    u = np.empty(2 * block)
+    xs, ys = np.empty(size), np.empty(size)
     n, mean, m2 = 0, 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         for start in range(0, cfg.samples, _CHUNK):
             m = min(_CHUNK, cfg.samples - start)
             if m < size:  # the last chunk is short
-                u, xs, ys, vals, scratch = u[:2 * m], xs[:m], ys[:m], vals[:m], scratch[:m]
-            rng.random(out=u)
-            np.multiply(u[0::2], width, out=xs)
-            xs += x_lo
-            np.multiply(u[1::2], height, out=ys)
-            ys += y_lo
+                xs, ys = xs[:m], ys[:m]
+            for lo in range(0, m, block):
+                k = min(block, m - lo)
+                draw, x, y = u[:2 * k], xs[lo:lo + k], ys[lo:lo + k]
+                rng.random(out=draw)
+                np.multiply(draw[0::2], width, out=x)
+                x += x_lo
+                np.multiply(draw[1::2], height, out=y)
+                y += y_lo
             inside = contains_mask(region, xs, ys)
-            _scaled_distance(axis, xs, ys, vals, scratch)
+            vals = _scaled_distance(axis, xs, ys, out=xs, scratch=ys)
             vals *= inside
             chunk_mean = float(vals.mean())
             vals -= chunk_mean

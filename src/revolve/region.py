@@ -104,6 +104,9 @@ _SLAB_CACHE_SIZE = 4
 # _GRID grid of cells over the bounding box (``_cell_grid``).
 _GRID = 64
 
+# _cell_codes builds the cell index of this many points at a time.
+_SLICE = 2**14
+
 # Curve boxes one grid may bound; the boxes left are marked as they stand.
 _GRID_BOXES = 2048
 
@@ -903,17 +906,31 @@ def _cell_index(values, origin: float, scale: float):
     return t.astype(np.int32)
 
 
+def _cell_codes(grid: _CellGrid, xs, ys):
+    """The code of each point's cell in ``grid``: row times (_GRID + 2)
+    plus column indexes the codes.  The index is built _SLICE points at a
+    time, so its temporaries do not grow with the points."""
+    import numpy as np
+
+    codes = np.empty(xs.size, dtype=np.uint8)
+    for lo in range(0, xs.size, _SLICE):
+        part = slice(lo, lo + _SLICE)
+        index = _cell_index(ys[part], grid.y0, grid.sy)
+        index *= _GRID + 2
+        index += _cell_index(xs[part], grid.x0, grid.sx)
+        grid.codes.take(index, out=codes[part])
+    return codes
+
+
 def _grid_mask(region: Region, grid: _CellGrid, xs, ys):
     """Containment read off ``grid``, with the exact tests on the points in
-    boundary cells and off the grid (NaN and infinite ones too)."""
+    boundary cells and off the grid (NaN and infinite ones too).  Its only
+    arrays as long as the points are the codes and the mask, a byte per
+    point each."""
     import numpy as np
 
     xs, ys = xs.ravel(), ys.ravel()
-    index = _cell_index(ys, grid.y0, grid.sy)
-    index *= _GRID + 2
-    index += _cell_index(xs, grid.x0, grid.sx)
-    codes = grid.codes.take(index)
-    del index
+    codes = _cell_codes(grid, xs, ys)
     mask = codes == _INSIDE
     edge = np.flatnonzero(codes == _BOUNDARY)
     if edge.size:

@@ -842,3 +842,23 @@ def ref_monte_carlo(region, axis, cfg):
     value = box_area * mean
     stderr = box_area * math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return rv.QuadratureResult(value, stderr, n)
+
+
+# ---------------------------------------------------------------------------
+# Reference cell lookup: the full-length construction that the sliced one
+# in region._cell_codes replaces.
+
+def ref_cell_index(grid, xs, ys):
+    """The cell of each point in the border-padded grid: (y - y0) * sy and
+    (x - x0) * sx, each clamped to [0, _GRID + 1] over the whole array
+    (NaN to 0) where any lies off the grid, truncated, and joined as
+    row * (_GRID + 2) + column."""
+    from revolve.region import _GRID
+
+    def axis_index(values, origin, scale):
+        t = (np.asarray(values, dtype=np.float64) - origin) * scale
+        if not (0.0 <= t.min() and t.max() <= _GRID + 1):
+            t = np.fmin(np.fmax(t, 0.0), _GRID + 1)
+        return t.astype(np.int32)
+
+    return axis_index(ys, grid.y0, grid.sy) * (_GRID + 2) + axis_index(xs, grid.x0, grid.sx)

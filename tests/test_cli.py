@@ -131,8 +131,8 @@ class TestCompare:
         expected = [
             {"method": "double_integral", "error": "AxisIntersectsRegion", "message": span},
             {"method": "disk", "error": "UnsupportedMethod",
-             "message": "disk method needs a vertical axis with normal-y parts or a "
-                        "horizontal axis with normal-x parts"},
+             "message": "disk method needs a vertical axis with normal-y (or polygon) "
+                        "parts, or a horizontal axis with normal-x (or polygon) parts"},
             {"method": "shell", "error": "AxisIntersectsRegion", "message": span},
             {"method": "polar", "error": "UnsupportedMethod",
              "message": "polar method needs polar-sector regions"},

@@ -890,6 +890,24 @@ class TestMonteCarlo:
         # A full-length draw of 2^20 points would peak near 80 MiB.
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("fixture", ["unit_square", "sector_polar", "torus_disk",
+                                         "sector_disk_union"])
+    def test_a_chunk_streams_through_two_coordinate_buffers(self, fixture):
+        job = load_job(FIXTURES / f"{fixture}.json")
+        # Untraced first: the cell grid, and numpy.random's first-use imports.
+        rv.volume_monte_carlo(job.region, job.axis, rv.McConfig(2 * _CHUNK, 1))
+        tracemalloc.start()
+        try:
+            rv.volume_monte_carlo(job.region, job.axis, rv.McConfig(2**20, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # x and y of a chunk (1 MiB) and a quarter chunk of uniforms (0.25
+        # MiB), then the cell lookup of a slice and the exact tests on the
+        # boundary cells.  Separate uniform, distance and scratch buffers
+        # with a full-length cell index peak near 4.1 MiB.
+        assert peak <= 2.5 * 2**20
+
 
 # One region of each variant, and an oblique axis exterior to all of them.
 _MC_VARIANTS = {
@@ -907,7 +925,9 @@ class TestMonteCarloReference:
     bit: value, error estimate and evaluations."""
 
     @pytest.mark.parametrize("key", [0, 42, 2**64 - 1])
-    @pytest.mark.parametrize("samples", [100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("samples", [
+        100, 101, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 3, 2 * _CHUNK + _CHUNK // 4 + 1,
+        3 * _CHUNK + 5])  # chunks and their quarter-chunk draws, whole and split unevenly
     @pytest.mark.parametrize("variant", sorted(_MC_VARIANTS))
     def test_equals_reference(self, variant, samples, key):
         region = _MC_VARIANTS[variant]()

@@ -15,6 +15,7 @@ from helpers import (
     AXIS_OY,
     cone_triangle,
     ref_axis_side_check,
+    ref_cell_index,
     sector_disk_union,
     sector_polar,
     straddling_disk_x,
@@ -402,6 +403,34 @@ class TestCellGrid:
         got = _grid_matches_exact(region, xs, ys)
         assert not got[~(np.isfinite(xs) & np.isfinite(ys))].any()
         assert got[3000:].any()
+
+    @pytest.mark.parametrize("name", ["square", "sector_polar", "star_large", "disk_y"])
+    def test_cell_index_is_the_full_length_one(self, name):
+        grid = region_module._cell_grid(_GRID_REGIONS[name]())
+        size = region_module._GRID + 2
+        # Two grids whose codes are the low and high bytes of each cell's
+        # number read back the index itself.
+        cells = np.arange(size * size)
+        low, high = (grid._replace(codes=c.astype(np.uint8)) for c in (cells % 256, cells // 256))
+        rng = np.random.default_rng(len(name))
+        n = 2 * region_module._SLICE + 1234  # three slices, the last short
+
+        def coordinates(origin, scale):
+            # The first slice stays on the grid, so it is not clamped; the
+            # rest mix cell edges and 1-3 ulps either side, NaN, the
+            # infinities and points beyond the border.
+            on_grid = origin + rng.uniform(0.0, size - 2, region_module._SLICE) / scale
+            edges = _nudged(origin + np.arange(size + 1) / scale, (0, 1, -1, 2, -2, 3, -3))
+            beyond = origin + np.array([-1.0, -1e-3, size + 1e-3, 2 * size, -1e6, 1e6]) / scale
+            special = np.concatenate([edges, beyond, [math.nan, math.inf, -math.inf, 1e308, -1e308]])
+            return np.concatenate([on_grid, rng.choice(special, n - on_grid.size)])
+
+        xs, ys = coordinates(grid.x0, grid.sx), coordinates(grid.y0, grid.sy)
+        with np.errstate(over="ignore"):  # (1e308 - origin) * scale
+            got = (region_module._cell_codes(low, xs, ys).astype(np.int64)
+                   + 256 * region_module._cell_codes(high, xs, ys).astype(np.int64))
+            assert np.array_equal(got, ref_cell_index(grid, xs, ys))
+        assert {0, size - 1, size * size - 1} <= set(got.tolist())
 
     def test_points_above_the_sampled_box_of_a_spike(self):
         region = _spike_region()
