@@ -9,7 +9,11 @@ records are the schema: a JSON report holds their fields by name
 fields.  Errors go to stderr.
 
 Exit codes: 0 ok, 2 config error, 3 computation error, 4 method
-disagreement (compare only).
+disagreement (compare only).  ``main`` returns the code; ``run``, the
+console script and ``python -m revolve.cli``, ends the process with it as
+soon as stdout and stderr are flushed, skipping the interpreter's
+teardown, so exit handlers that other code registers do not run.  A
+traced or profiled process, or one whose flush fails, exits normally.
 
 A process that imports this module runs OpenBLAS on one thread unless
 OPENBLAS_NUM_THREADS is already set.  revolve calls no BLAS routine, and
@@ -21,7 +25,6 @@ that loads numpy.  ``import revolve`` by itself does not touch it.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -158,19 +161,22 @@ def _cmd_sample(job: JobConfig, grid: int) -> int:
             f"grid over [{x_lo!r}, {x_hi!r}] x [{y_lo!r}, {y_hi!r}] has points whose "
             "distance to the axis is not finite")
 
-    def block_rows(start: int):
+    def block_text(start: int) -> str:
         # One mask call per block of whole rows, rows ordered y-major.  The
         # distance is signed_distance's a*x + b*y + c, in the same order.
+        # The block's CSV lines are _print_csv's, formatted as one string.
         block = ys[start:start + rows_per_block]
         bx, by = np.tile(xs, len(block)), np.repeat(block, grid)
         inside = contains_mask(job.region, bx, by).astype(np.int64)
         dist = np.abs(a * bx + b * by + c)
-        return zip(bx.tolist(), by.tolist(), inside.tolist(), dist.tolist())
+        return "".join(f"{x:.17g},{y:.17g},{i},{d:.17g}\n" for x, y, i, d in
+                       zip(bx.tolist(), by.tolist(), inside.tolist(), dist.tolist()))
 
-    blocks = map(block_rows, range(0, grid, rows_per_block))
+    blocks = map(block_text, range(0, grid, rows_per_block))
     first = next(blocks)  # before the header: a refusal prints nothing
-    _print_csv(["x", "y", "inside", "distance"],
-               itertools.chain(first, itertools.chain.from_iterable(blocks)))
+    sys.stdout.write("x,y,inside,distance\n" + first)
+    for text in blocks:
+        sys.stdout.write(text)
     return 0
 
 
@@ -215,12 +221,38 @@ def main(argv=None) -> int:
         return 3
 
 
+def _observed() -> bool:
+    """Whether a tracer, a profiler or a sys.monitoring tool (Python 3.12
+    and later) watches this process: coverage, pdb, cProfile, trace."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(  # tool ids are 0 to 5
+        monitoring.get_tool(tool) is not None for tool in range(6))
+
+
 def run() -> None:
+    """The console script: main() on the command line, then the exit.
+
+    Once stdout and stderr are flushed the process ends by os._exit: the
+    interpreter's teardown (final collections, module clean-up) costs more
+    than a check or volume job's own work.  A failed flush, or an observed
+    process, exits by sys.exit instead, so a tracer or profiler still sees
+    the exit and writes its results."""
     # A closed stdout (revolve ... | head) ends the process silently, as it
     # does cat, instead of in a BrokenPipeError traceback.
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(main())
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except (OSError, ValueError):  # a full disk, a closed pipe or file
+        sys.exit(code)
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

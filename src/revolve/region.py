@@ -913,12 +913,13 @@ def _cell_codes(grid: _CellGrid, xs, ys):
     import numpy as np
 
     codes = np.empty(xs.size, dtype=np.uint8)
-    for lo in range(0, xs.size, _SLICE):
-        part = slice(lo, lo + _SLICE)
-        index = _cell_index(ys[part], grid.y0, grid.sy)
-        index *= _GRID + 2
-        index += _cell_index(xs[part], grid.x0, grid.sx)
-        grid.codes.take(index, out=codes[part])
+    with np.errstate(over="ignore"):  # a far coordinate scales to inf, which _cell_index clamps
+        for lo in range(0, xs.size, _SLICE):
+            part = slice(lo, lo + _SLICE)
+            index = _cell_index(ys[part], grid.y0, grid.sy)
+            index *= _GRID + 2
+            index += _cell_index(xs[part], grid.x0, grid.sx)
+            grid.codes.take(index, out=codes[part])
     return codes
 
 

@@ -731,9 +731,10 @@ class TestNoDataclassesOnTheCliPath:
         assert not loaded & {"dataclasses", "inspect", "numpy"}
 
 
-def _child(fixtures_dir, args, blas_threads=None):
+def _child(fixtures_dir, args, blas_threads=None, check=True):
     """Run ``python *args`` with revolve on its path and
-    OPENBLAS_NUM_THREADS set to ``blas_threads``, or unset when None."""
+    OPENBLAS_NUM_THREADS set to ``blas_threads``, or unset when None;
+    with ``check``, a nonzero exit raises."""
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
@@ -741,7 +742,7 @@ def _child(fixtures_dir, args, blas_threads=None):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(fixtures_dir.parent / "src"), *filter(None, [env.get("PYTHONPATH")])])
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=env, check=check)
 
 
 class TestOneBlasThread:
@@ -777,6 +778,44 @@ class TestOneBlasThread:
                 for threads in (None, "2")]
         assert outs[0] == outs[1]
         assert '"verdict": "agree"' in outs[0]
+
+
+class TestProcessExit:
+    """``python -m revolve.cli`` goes through ``run()``, which ends a plain
+    process once its report is flushed; its exit code and bytes are those
+    of ``main()`` in-process, and an observed process exits normally."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "--config", "unit_square.json"], 0),
+        (["check", "--config", "unit_square.json", "--rel-tol", "inf"], 2),
+        (["compare", "--config", "straddle.json", "--mc-samples", "1000"], 3),
+    ], ids=["ok", "config_error", "no_method"])
+    def test_exit_code_and_bytes_are_mains(self, capsys, fixtures_dir, argv, code):
+        argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
+        proc = _child(fixtures_dir, ["-m", "revolve.cli", *argv], check=False)
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == code
+        assert (proc.returncode, _mask_wall_time(proc.stdout), proc.stderr) == (
+            code, _mask_wall_time(expected[1]), expected[2])
+
+    def test_sample_through_a_pipe_writes_every_line(self, capsys, fixtures_dir):
+        argv = ["sample", "--config", str(fixtures_dir / "sector_polar.json"), "--grid", "300"]
+        proc = _child(fixtures_dir, ["-m", "revolve.cli", *argv])
+        assert proc.stdout.count("\n") == 300 * 300 + 1
+        assert (proc.stdout, proc.stderr) == run_cli(capsys, *argv)[1:]
+
+    def test_a_profiled_process_still_prints_its_table(self, fixtures_dir):
+        proc = _child(fixtures_dir, ["-m", "cProfile", "-m", "revolve.cli", "check",
+                                     "--config", str(fixtures_dir / "unit_square.json")])
+        assert proc.stdout.startswith('{\n  "command": "check",\n  "side": 1\n}\n')
+        assert "function calls" in proc.stdout and "ncalls" in proc.stdout
+
+    def test_a_plain_process_skips_exit_handlers(self, fixtures_dir):
+        script = ("import atexit, sys; from revolve.cli import run; "
+                  "atexit.register(print, 'exit handler ran'); "
+                  "sys.argv[1:] = ['check', '--config', sys.argv[1]]; run()")
+        proc = _child(fixtures_dir, ["-c", script, str(fixtures_dir / "unit_square.json")])
+        assert proc.stdout == '{\n  "command": "check",\n  "side": 1\n}\n'
 
 
 if __name__ == "__main__":

@@ -404,6 +404,18 @@ class TestCellGrid:
         assert not got[~(np.isfinite(xs) & np.isfinite(ys))].any()
         assert got[3000:].any()
 
+    def test_a_far_coordinate_reads_the_grid_without_a_warning(self):
+        # 5000 points take the grid; x = 1e308 scales past the float range
+        # to inf, which the lookup clamps to the border column.  Under the
+        # suite's filterwarnings = error a RuntimeWarning fails the test.
+        region = unit_square_polygon()
+        rng = np.random.default_rng(3)
+        xs, ys = rng.uniform(0.5, 2.5, 5000), rng.uniform(-0.5, 1.5, 5000)
+        xs[17] = 1e308
+        got = rv.contains_mask(region, xs, ys)
+        assert (got == region_module._exact_mask(region, xs, ys)).all()
+        assert not got[17] and 0 < got.sum() < got.size
+
     @pytest.mark.parametrize("name", ["square", "sector_polar", "star_large", "disk_y"])
     def test_cell_index_is_the_full_length_one(self, name):
         grid = region_module._cell_grid(_GRID_REGIONS[name]())
