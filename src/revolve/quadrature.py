@@ -7,9 +7,11 @@ the segment with the worst estimate is bisected until the summed estimate
 meets max(abs_tol, rel_tol * |integral|) or a segment reaches max_depth.
 |K15 - G7| tracks the error of the *7-point* rule, so the reported estimate
 is a deliberate overestimate of the error in the returned 15-point sum.
-A tuple-valued integrand is integrated in one pass: its components share
-the panels and the evaluations, and component k meets
-max(abs_tol, rel_tol * integral of |f_k|).
+A tuple-valued integrand runs the same loop: its components share the
+panels and the evaluations.  Two values differ, both picked once: the total
+a component is held to, the integral of |f_k| for component k of a tuple
+(|integral| for a float), and the scale its panel errors are ranked by,
+the first pass's max(abs_tol, rel_tol * integral of |f_k|) (1 for a float).
 
 Both 2D routes walk the region's pieces (``region.pieces``), leaf by leaf:
 an outer interval, inner bounds, and the map of (u, v) to the plane.  Area and
@@ -51,6 +53,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 
 from ._record import record
 from .errors import DomainError, IntegrandError, QuadratureNoConvergence
@@ -140,6 +143,8 @@ _ROUNDOFF = 50.0 * 2.220446049250313e-16  # 50 * double epsilon, per QUADPACK
 # What a failing integrand may raise: a curve's DomainError or a math error.
 _FAILURES = (DomainError, ValueError, ZeroDivisionError, OverflowError)
 _UNTRIED = object()  # a node the panel's pass did not reach
+# A heap entry's left end and rules (``integrate_1d``).
+_LEFT, _RULES = operator.itemgetter(2), operator.itemgetter(4)
 
 # Curve pairs whose panel memos are kept, and panels one memo keeps
 # (``PieceIntegrand``).
@@ -367,23 +372,31 @@ def _fsum_components(values: list):
     return math.fsum(values)
 
 
-def _shown(components: tuple):
-    return components[0] if len(components) == 1 else components
+def _shown(components: list):
+    """Per-component figures as a message shows them: a float's bare."""
+    return components[0] if len(components) == 1 else tuple(components)
+
+
+def _column(totals: list, k: int):
+    """Column k of the running totals (0 value, 1 error), as shown."""
+    return _shown([total[k] for total in totals])
 
 
 def integrate_1d(f, lo: float, hi: float, tol: Tolerance | None = None) -> QuadratureResult:
     """Adaptive integral of ``f`` over [lo, hi] with an error estimate.
 
-    ``f`` returns a float, or a tuple of floats for a vector integrand;
-    the result's value and error estimate have the same shape.  All
-    components share one heap of panels, one set of evaluations and one
-    error norm.  A scalar integral stops when its estimate meets
-    max(abs, rel * |integral|).  Component k of a vector integral must meet
-    max(abs, rel * M_k), where M_k is the integral of |f_k|: a component
-    that cancels to ~0 by symmetry is then held relative to its own size,
-    not to an unreachable 1e-12.  The panel bisected next is the one with
-    the largest error relative to those scales.  An integral whose value or
-    error estimate is not finite (it overflows) raises
+    ``f`` returns a float, or a tuple of floats for a vector integrand; the
+    result's value and error estimate have the same shape.  One loop serves
+    both: the components, one for a float, share one heap of panels and one
+    set of evaluations.  Two values, picked once by the type of the first
+    panel's values, tell the kinds apart.  Component k must meet
+    max(abs, rel * H_k), where the total H_k it is held to is |integral|
+    for a float and M_k, the integral of |f_k|, for a tuple: a component
+    that cancels to ~0 by symmetry is held to its own size, not to an
+    unreachable 1e-12.  The panel bisected next has the largest error over
+    a scale: 1.0 for a float, the first pass's max(abs, rel * M_k) for
+    component k of a tuple, even of one component.  An integral whose value
+    or error estimate is not finite (it overflows) raises
     QuadratureNoConvergence, as soon as a running total of the adaptive
     loop is: a NaN or infinite total never meets the tolerance.
     """
@@ -397,12 +410,74 @@ def integrate_1d(f, lo: float, hi: float, tol: Tolerance | None = None) -> Quadr
     guard = _domain_guard(f, lo, hi, counter)
     sample = f.sample if type(f) is PieceIntegrand else _sampler(f)
     first = _gk15(sample, guard, lo, hi, counter)
-    if type(first[0]) is tuple:
-        value, err = _vector_pass(sample, guard, lo, hi, tol, counter, first)
-        finite = all(map(math.isfinite, value + err))
+    rel, floor, isfinite = tol.rel, tol.abs, math.isfinite
+    # Rules are one (K15, error, mass) triple per component, a float's
+    # wrapped as one.  x / 1.0 == x: a float's panels rank by their errors.
+    vector = type(first[0]) is tuple
+    if vector:
+        scale = [max(floor, rel * m) for _, _, m in first]
     else:
-        value, err = _scalar_pass(sample, guard, lo, hi, tol, counter, first)
-        finite = math.isfinite(value) and math.isfinite(err)
+        first, scale = (first,), (1.0,)
+    # heap entries: (-priority, seq, a, b, rules, depth), the root's
+    # priority unused as it is popped first; the running totals are one
+    # [value, error, mass] per component.
+    heap = [(0.0, 0, lo, hi, first, 0)]
+    totals = list(map(list, first))
+    # The root's tests, as in the pass below: e <= max(abs, rel * H_k).
+    met = finite = True
+    for v, e, m in first:
+        h = m if vector else abs(v)
+        met = met and (e <= floor or e <= rel * h)
+        finite = finite and isfinite(v) and isfinite(e) and isfinite(h)
+    seq, splits = 1, 0
+    while not met:
+        if not finite:
+            raise _not_finite(_column(totals, 0), _column(totals, 1), lo, hi)
+        _, _, a, b, rules0, depth = heapq.heappop(heap)
+        mid = _center_and_half(a, b)[0]
+        if depth >= tol.max_depth or not a < mid < b:
+            budget = [max(floor, rel * (m if vector else abs(v))) for v, _, m in totals]
+            raise QuadratureNoConvergence(
+                f"error estimate {_column(totals, 1)!r} above tolerance {_shown(budget)!r} "
+                f"after depth {depth} near [{a!r}, {b!r}]"
+            )
+        rules1 = _gk15(sample, guard, a, mid, counter)
+        rules2 = _gk15(sample, guard, mid, b, counter)
+        if not vector:
+            rules1, rules2 = (rules1,), (rules2,)
+        # One pass over the components: the totals, the next round's stop
+        # and finiteness tests, and the children's priorities.  A running
+        # max is builtin max's on finite errors; a NaN or infinite error
+        # leaves a total non-finite, refused before its panel is popped.
+        met = finite = True
+        p1 = p2 = -math.inf
+        for total, x, y, z, s in zip(totals, rules1, rules2, rules0, scale):
+            v = total[0] = total[0] + ((x[0] + y[0]) - z[0])
+            e = total[1] = total[1] + ((x[1] + y[1]) - z[1])
+            m = total[2] = total[2] + ((x[2] + y[2]) - z[2])
+            h = m if vector else abs(v)
+            met = met and (e <= floor or e <= rel * h)
+            finite = finite and isfinite(v) and isfinite(e) and isfinite(h)
+            q1, q2 = x[1] / s, y[1] / s
+            p1, p2 = q1 if q1 > p1 else p1, q2 if q2 > p2 else p2
+        heapq.heappush(heap, (-p1, seq, a, mid, rules1, depth + 1))
+        heapq.heappush(heap, (-p2, seq + 1, mid, b, rules2, depth + 1))
+        seq += 2
+        splits += 1
+        if splits > _MAX_SUBDIVISIONS:
+            raise QuadratureNoConvergence(
+                f"exceeded {_MAX_SUBDIVISIONS} subdivisions with error {_column(totals, 1)!r}"
+            )
+    # Fixed reduction order (by left endpoint) keeps results
+    # bit-reproducible regardless of the pop history above.
+    heap.sort(key=_LEFT)
+    values, errors = [], []
+    for rules in zip(*map(_RULES, heap)):  # one component's panels
+        v, e, _ = zip(*rules)
+        values.append(math.fsum(v))
+        errors.append(math.fsum(e))
+    finite = all(map(isfinite, values + errors))
+    value, err = (tuple(values), tuple(errors)) if vector else (values[0], errors[0])
     if not finite:
         # Finite values whose integral overflows: no number to report.
         raise _not_finite(value, err, lo, hi)
@@ -413,101 +488,6 @@ def _not_finite(value, err, lo: float, hi: float) -> QuadratureNoConvergence:
     return QuadratureNoConvergence(
         f"integral {value!r} with error estimate {err!r} over [{lo!r}, {hi!r}] is not finite"
     )
-
-
-def _scalar_pass(sample, guard, lo: float, hi: float, tol: Tolerance, counter: list[int], first):
-    """The adaptive loop of a scalar integrand from its first panel's rule:
-    (value, error estimate).  The panel bisected next is the one with the
-    largest error."""
-    value, err, _ = first
-    # heap entries: (-error, seq, a, b, value, error, depth)
-    heap = [(-err, 0, lo, hi, value, err, 0)]
-    seq = 1
-    total_value, total_err = value, err
-    splits = 0
-    while True:
-        budget = max(tol.abs, tol.rel * abs(total_value))
-        if total_err <= budget:
-            break
-        if not (math.isfinite(total_value) and math.isfinite(total_err)):
-            raise _not_finite(total_value, total_err, lo, hi)
-        _, _, a, b, v0, e0, depth = heapq.heappop(heap)
-        mid = _center_and_half(a, b)[0]
-        if depth >= tol.max_depth or not a < mid < b:
-            raise QuadratureNoConvergence(
-                f"error estimate {total_err!r} above tolerance {budget!r} "
-                f"after depth {depth} near [{a!r}, {b!r}]"
-            )
-        v1, e1, _ = _gk15(sample, guard, a, mid, counter)
-        v2, e2, _ = _gk15(sample, guard, mid, b, counter)
-        total_value = total_value + ((v1 + v2) - v0)
-        total_err = total_err + ((e1 + e2) - e0)
-        heapq.heappush(heap, (-e1, seq, a, mid, v1, e1, depth + 1))
-        heapq.heappush(heap, (-e2, seq + 1, mid, b, v2, e2, depth + 1))
-        seq += 2
-        splits += 1
-        if splits > _MAX_SUBDIVISIONS:
-            raise QuadratureNoConvergence(
-                f"exceeded {_MAX_SUBDIVISIONS} subdivisions with error {total_err!r}"
-            )
-    # Fixed reduction order (by left endpoint) keeps results
-    # bit-reproducible regardless of the pop history above.
-    heap.sort(key=lambda item: item[2])
-    return math.fsum([item[4] for item in heap]), math.fsum([item[5] for item in heap])
-
-
-def _vector_pass(sample, guard, lo: float, hi: float, tol: Tolerance, counter: list[int], first):
-    """The adaptive loop of a tuple-valued integrand from its first panel's
-    rules: per-component (values, error estimates).  Panels are bisected in
-    order of error over a fixed per-component scale, the first pass's M_k
-    budget."""
-    scale = [max(tol.abs, tol.rel * m) for _, _, m in first]
-
-    def priority(rules) -> float:
-        return max([rule[1] / sk for rule, sk in zip(rules, scale)])
-
-    # heap entries: (-priority, seq, a, b, rules, depth); the running totals
-    # are one [value, error, mass] per component.
-    heap = [(-priority(first), 0, lo, hi, first, 0)]
-    seq = 1
-    totals = [list(rule) for rule in first]
-
-    def shown(k: int):
-        return _shown(tuple(total[k] for total in totals))
-
-    splits = 0
-    while True:
-        budget = [max(tol.abs, tol.rel * m) for _, _, m in totals]
-        if all([total[1] <= b for total, b in zip(totals, budget)]):
-            break
-        if not all([math.isfinite(v) and math.isfinite(e) and math.isfinite(m)
-                    for v, e, m in totals]):
-            raise _not_finite(shown(0), shown(1), lo, hi)
-        _, _, a, b, rules0, depth = heapq.heappop(heap)
-        mid = _center_and_half(a, b)[0]
-        if depth >= tol.max_depth or not a < mid < b:
-            raise QuadratureNoConvergence(
-                f"error estimate {shown(1)!r} above tolerance {_shown(tuple(budget))!r} "
-                f"after depth {depth} near [{a!r}, {b!r}]"
-            )
-        rules1 = _gk15(sample, guard, a, mid, counter)
-        rules2 = _gk15(sample, guard, mid, b, counter)
-        for total, x, y, z in zip(totals, rules1, rules2, rules0):
-            total[0] = total[0] + ((x[0] + y[0]) - z[0])
-            total[1] = total[1] + ((x[1] + y[1]) - z[1])
-            total[2] = total[2] + ((x[2] + y[2]) - z[2])
-        heapq.heappush(heap, (-priority(rules1), seq, a, mid, rules1, depth + 1))
-        heapq.heappush(heap, (-priority(rules2), seq + 1, mid, b, rules2, depth + 1))
-        seq += 2
-        splits += 1
-        if splits > _MAX_SUBDIVISIONS:
-            raise QuadratureNoConvergence(
-                f"exceeded {_MAX_SUBDIVISIONS} subdivisions with error {shown(1)!r}"
-            )
-    heap.sort(key=lambda item: item[2])
-    components = list(zip(*[item[4] for item in heap]))
-    return (tuple(math.fsum([rule[0] for rule in c]) for c in components),
-            tuple(math.fsum([rule[1] for rule in c]) for c in components))
 
 
 # ---------------------------------------------------------------------------

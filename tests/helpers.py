@@ -862,3 +862,40 @@ def ref_cell_index(grid, xs, ys):
         return t.astype(np.int32)
 
     return axis_index(ys, grid.y0, grid.sy) * (_GRID + 2) + axis_index(xs, grid.x0, grid.sx)
+
+
+# ---------------------------------------------------------------------------
+# Named defects with closed-form volumes: normal_x regions on [0, 1] with
+# lower 0, revolved about x = -1, whose upper curve has a feature narrower
+# than the points a check or a panel samples.
+
+DEFECT_AXIS = rv.Axis.vertical(-1.0)
+SPIKE = "1 + 3*exp(-((x-0.50048828125)/0.0002)^2)"
+OSCILLATION = "1 + 0.5*sin(1537*pi*x)^64"
+DIP = "1 - 2*exp(-((x-0.5001)/0.0001)^2)"
+
+
+def defect_region(upper):
+    return rv.NormalX(0.0, 1.0, rv.curve("0", "x"), rv.curve(upper, "x"))
+
+
+def bump_volume(h, c, s):
+    """The volume of the region under 1 + h*exp(-((x-c)/s)^2) about x = -1:
+    2*pi times the integral over [0, 1] of (x + 1) times the curve, from
+    the Gaussian's integral (erf) and its first moment about c (exp)."""
+    gauss = 0.5 * s * math.sqrt(math.pi) * (math.erf((1.0 - c) / s) + math.erf(c / s))
+    moment = 0.5 * s * s * (math.exp(-(c / s) ** 2) - math.exp(-((1.0 - c) / s) ** 2))
+    return 2.0 * math.pi * (1.5 + h * ((c + 1.0) * gauss + moment))
+
+
+def oscillation_volume():
+    """The volume of the region under OSCILLATION about x = -1:
+    3*pi*(1 + C(64,32)/2^65), as [0, 1] holds 1537 whole periods, over
+    each of which sin^64 averages C(64,32)/2^64."""
+    return 3.0 * math.pi * (1.0 + math.comb(64, 32) / 2.0**65)
+
+
+def confidently_wrong(value, estimate, reference, rel):
+    """A volume off its reference by more than ten times its own error
+    estimate and more than ten times the requested relative tolerance."""
+    return abs(value - reference) > max(10.0 * estimate, 10.0 * rel * abs(reference))

@@ -191,6 +191,21 @@ class TestVectorIntegrand:
         }
         assert len(runs) == 1
 
+    def test_the_loop_follows_the_value_type(self):
+        # One integrand, as a float and as a one-component tuple.  The float
+        # is held to |integral| and its panels ranked by their errors; the
+        # tuple is held to the integral of |f| and its panels ranked by their
+        # errors over the first pass's budget, so it stops sooner here.
+        def f(x):
+            return x * math.sqrt(abs(x))
+
+        scalar = rv.integrate_1d(f, -1.0, 1.001)
+        vector = rv.integrate_1d(lambda x: (f(x),), -1.0, 1.001)
+        assert (repr(scalar.value), repr(scalar.error_estimate), scalar.evaluations) == (
+            "0.0010007501249872206", "7.094421518840726e-13", 585)
+        assert (repr(vector.value), repr(vector.error_estimate), vector.evaluations) == (
+            "(0.0010007501215030413,)", "(2.2739711542275707e-11,)", 525)
+
 
 class TestRefusals:
     """The adaptive loops' two refusals, scalar and vector: the subdivision
@@ -204,6 +219,33 @@ class TestRefusals:
         monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
         with pytest.raises(QuadratureNoConvergence, match=f"^exceeded 3 subdivisions with error {shown}$"):
             rv.integrate_1d(f, 0.0, 10.0, rv.Tolerance(rel=1e-14, abs=1e-15))
+
+    @pytest.mark.parametrize("f, shown", [
+        (abs, r"[0-9.e+-]+"), (lambda x: (abs(x), 1.0), r"\([0-9.e+-]+, [0-9.e+-]+\)"),
+    ], ids=["scalar", "vector"])
+    def test_cap_is_checked_after_a_split_that_meets_the_tolerance(self, monkeypatch, f, shown):
+        # |x| on [-1, 1] converges after one split, at 45 evaluations.
+        assert rv.integrate_1d(f, -1.0, 1.0).evaluations == 45
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 0)
+        with pytest.raises(QuadratureNoConvergence, match=f"^exceeded 0 subdivisions with error {shown}$"):
+            rv.integrate_1d(f, -1.0, 1.0)
+
+    def test_a_met_component_with_an_infinite_value_still_refuses(self):
+        # The first component's value overflows while its estimate stays
+        # finite, so its budget is infinite and met; the second is unmet.
+        # Every component is tested for finiteness, so the first panel is
+        # refused instead of bisected.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return (1e10, math.sin(1e-299 * x))
+
+        with pytest.raises(QuadratureNoConvergence,
+                           match=r"^integral \(inf, [0-9.e+-]+\) with error estimate \([0-9.e+-]+, "
+                                 r"[0-9.e+-]+\) over \[0.0, 3e\+300\] is not finite$"):
+            rv.integrate_1d(f, 0.0, 3e300)
+        assert len(calls) == 15
 
     def test_vector_depth_limit(self):
         tol = rv.Tolerance(rel=1e-14, abs=1e-15, max_depth=3)
