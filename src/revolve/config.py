@@ -13,6 +13,9 @@ The records are the schema: one table maps each region type to its
 record, whose fields are the region's keys, and the keys of tolerance, mc
 and an {"a","b","c"} axis are the fields of Tolerance, McConfig and Axis.
 Every default is a class attribute of JobConfig, Tolerance or McConfig.
+One builder reads them all: a field's annotation picks its reader.  A CLI
+override of rel or abs, where not None, is taken as it is for Tolerance to
+check; one of samples or seed stands for the document's value.
 
 Validation never stops at the first problem: all issues are collected with
 their field paths and raised together as ConfigError.
@@ -83,9 +86,10 @@ def region_doc(region: Region) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Builders: return None on failure and append (path, message) to issues.
+# Readers ``(value, path, issues, cls)`` of a field of the record ``cls``, and
+# builders: each returns None on failure and appends (path, message) to issues.
 
-def _scalar_field(value, path, issues):
+def _scalar_field(value, path, issues, cls=None):
     if value is None:
         issues.append((path, "missing required field"))
         return None
@@ -96,7 +100,7 @@ def _scalar_field(value, path, issues):
         return None
 
 
-def _int_field(value, path, issues) -> int | None:
+def _int_field(value, path, issues, cls=None) -> int | None:
     """``value`` as an integer, an integer string such as "1000" too; None,
     with an issue at ``path``, where it is a bool, a float with a fraction,
     NaN or infinite, or anything else int() refuses."""
@@ -109,16 +113,69 @@ def _int_field(value, path, issues) -> int | None:
     return None
 
 
-def _curve_field(value, variable, path, issues):
+def _curve_field(value, path, issues, cls):
+    """An expression string in the variable of the curve leaf ``cls``."""
     if value is None:
         issues.append((path, "missing required field"))
         return None
     if not isinstance(value, str):
-        issues.append((path, f"expected an expression string in {variable!r}"))
+        issues.append((path, f"expected an expression string in {cls._var!r}"))
         return None
     try:
-        return parse_expr(value, variable)
+        return parse_expr(value, cls._var)
     except ExprSyntaxError as exc:
+        issues.append((path, str(exc)))
+        return None
+
+
+def _vertices(value, path, issues, cls):
+    if not isinstance(value, list):
+        issues.append((path, "expected a list of [x, y] pairs"))
+        return None
+    verts = []
+    for i, pair in enumerate(value):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            issues.append((f"{path}[{i}]", "expected an [x, y] pair"))
+            verts.append(None)
+            continue
+        x = _scalar_field(pair[0], f"{path}[{i}][0]", issues)
+        y = _scalar_field(pair[1], f"{path}[{i}][1]", issues)
+        verts.append(None if x is None or y is None else Point(x, y))
+    return None if None in verts else tuple(verts)
+
+
+def _parts(value, path, issues, cls):
+    if not isinstance(value, list) or not value:
+        issues.append((path, "expected a non-empty list of regions"))
+        return None
+    parts = tuple(_build_region(part, f"{path}[{i}]", issues) for i, part in enumerate(value))
+    return None if None in parts else parts
+
+
+# A field's reader by its annotation, a string as annotations are postponed.
+_READERS = {"float": _scalar_field, "int": _int_field, "ExprAst": _curve_field,
+            "tuple[Point, ...]": _vertices, "tuple['Region', ...]": _parts}
+
+# Each record's (field, reader, default) in order; None stands for no default.
+_FIELDS = {cls: tuple((name, _READERS[cls.__dict__["__annotations__"][name]],
+                       cls.__dict__.get(name)) for name in cls._fields)
+           for cls in (*_REGIONS.values(), Axis, Tolerance, McConfig)}
+
+
+def _build(cls, doc, path, issues, refused, given=()):
+    """The record ``cls`` of the fields of ``doc``, each read by its
+    annotation's reader at ``path``.field, or taken as it is from
+    ``given``; None where a field is refused, or where ``cls`` raises one
+    of ``refused``, which is reported at ``path``."""
+    args = []
+    for name, read, default in _FIELDS[cls]:  # a loop: a comprehension is slower here
+        args.append(given[name] if name in given
+                    else read(doc.get(name, default), f"{path}.{name}", issues, cls))
+    if None in args:
+        return None
+    try:
+        return cls(*args)
+    except refused as exc:
         issues.append((path, str(exc)))
         return None
 
@@ -150,55 +207,7 @@ def _build_region(doc, path, issues):
         issues.append((f"{path}.type", f"expected one of {sorted(_REGIONS)}, got {rtype!r}"))
         return None
     _check_keys(doc, ("type",) + cls._fields, path, issues)
-
-    if rtype == "union":
-        parts_doc = doc.get("parts")
-        if not isinstance(parts_doc, list) or not parts_doc:
-            issues.append((f"{path}.parts", "expected a non-empty list of regions"))
-            return None
-        parts = [
-            _build_region(part, f"{path}.parts[{i}]", issues)
-            for i, part in enumerate(parts_doc)
-        ]
-        if any(part is None for part in parts):
-            return None
-        return UnionRegion(tuple(parts))
-
-    if rtype == "polygon":
-        verts_doc = doc.get("vertices")
-        if not isinstance(verts_doc, list):
-            issues.append((f"{path}.vertices", "expected a list of [x, y] pairs"))
-            return None
-        verts = []
-        ok = True
-        for i, pair in enumerate(verts_doc):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                issues.append((f"{path}.vertices[{i}]", "expected an [x, y] pair"))
-                ok = False
-                continue
-            x = _scalar_field(pair[0], f"{path}.vertices[{i}][0]", issues)
-            y = _scalar_field(pair[1], f"{path}.vertices[{i}][1]", issues)
-            if x is None or y is None:
-                ok = False
-            else:
-                verts.append(Point(x, y))
-        if not ok:
-            return None
-        args = (tuple(verts),)
-    else:
-        lo_key, hi_key, a_key, b_key = cls._fields
-        lo = _scalar_field(doc.get(lo_key), f"{path}.{lo_key}", issues)
-        hi = _scalar_field(doc.get(hi_key), f"{path}.{hi_key}", issues)
-        ca = _curve_field(doc.get(a_key), cls._var, f"{path}.{a_key}", issues)
-        cb = _curve_field(doc.get(b_key), cls._var, f"{path}.{b_key}", issues)
-        args = (lo, hi, ca, cb)
-        if None in args:
-            return None
-    try:
-        return cls(*args)
-    except InvalidRegionError as exc:
-        issues.append((path, str(exc)))
-        return None
+    return _build(cls, doc, path, issues, InvalidRegionError)
 
 
 def _build_axis(doc, path, issues):
@@ -212,23 +221,13 @@ def _build_axis(doc, path, issues):
     if not isinstance(doc, dict):
         issues.append((path, "expected an axis object or 'OX'/'OY'"))
         return None
-    if "vertical_at" in doc:
-        _check_keys(doc, ("vertical_at",), path, issues)
-        x0 = _scalar_field(doc.get("vertical_at"), f"{path}.vertical_at", issues)
-        return None if x0 is None else Axis.vertical(x0)
-    if "horizontal_at" in doc:
-        _check_keys(doc, ("horizontal_at",), path, issues)
-        y0 = _scalar_field(doc.get("horizontal_at"), f"{path}.horizontal_at", issues)
-        return None if y0 is None else Axis.horizontal(y0)
+    for key, line in (("vertical_at", Axis.vertical), ("horizontal_at", Axis.horizontal)):
+        if key in doc:
+            _check_keys(doc, (key,), path, issues)
+            at = _scalar_field(doc[key], f"{path}.{key}", issues)
+            return None if at is None else line(at)
     _check_keys(doc, Axis._fields, path, issues)
-    coefficients = [_scalar_field(doc.get(key), f"{path}.{key}", issues) for key in Axis._fields]
-    if None in coefficients:
-        return None
-    try:
-        return Axis(*coefficients)
-    except InvalidAxisError as exc:
-        issues.append((path, str(exc)))
-        return None
+    return _build(Axis, doc, path, issues, InvalidAxisError)
 
 
 def parse_job(doc, overrides: dict | None = None) -> JobConfig:
@@ -254,32 +253,15 @@ def parse_job(doc, overrides: dict | None = None) -> JobConfig:
     if method not in METHODS + ("all",):
         issues.append(("method", f"expected one of {list(METHODS) + ['all']}, got {method!r}"))
 
-    tol_doc = _options(doc, "tolerance", Tolerance, issues)
-    rel = overrides.get("rel_tol")
-    abs_tol = overrides.get("abs_tol")
-    if rel is None:
-        rel = _scalar_field(tol_doc.get("rel", Tolerance.rel), "tolerance.rel", issues)
-    if abs_tol is None:
-        abs_tol = _scalar_field(tol_doc.get("abs", Tolerance.abs), "tolerance.abs", issues)
-    max_depth = _int_field(tol_doc.get("max_depth", Tolerance.max_depth), "tolerance.max_depth",
-                           issues)
-    tolerance = None
-    if max_depth is not None and rel is not None and abs_tol is not None:
-        try:
-            tolerance = Tolerance(rel, abs_tol, max_depth)
-        except (ValueError, TypeError) as exc:  # TypeError: an override that is no number
-            issues.append(("tolerance", str(exc)))
-
+    given = {field: overrides[key] for key, field in (("rel_tol", "rel"), ("abs_tol", "abs"))
+             if overrides.get(key) is not None} if overrides else ()
+    tolerance = _build(Tolerance, _options(doc, "tolerance", Tolerance, issues), "tolerance",
+                       issues, (ValueError, TypeError), given)  # TypeError: a non-number override
     mc_doc = _options(doc, "mc", McConfig, issues)
-    samples = _int_field(overrides.get("mc_samples", mc_doc.get("samples", McConfig.samples)),
-                         "mc.samples", issues)
-    seed = _int_field(overrides.get("seed", mc_doc.get("seed", McConfig.seed)), "mc.seed", issues)
-    mc = None
-    if samples is not None and seed is not None:
-        try:
-            mc = McConfig(samples, seed)
-        except ValueError as exc:
-            issues.append(("mc", str(exc)))
+    if overrides:
+        mc_doc = {**mc_doc, **{field: overrides[key] for key, field in
+                               (("mc_samples", "samples"), ("seed", "seed")) if key in overrides}}
+    mc = _build(McConfig, mc_doc, "mc", issues, ValueError)
 
     out_format = overrides.get("format", doc.get("format", JobConfig.out_format))
     if out_format not in FORMATS:

@@ -61,7 +61,7 @@ import time
 from typing import Callable
 
 from ._record import record
-from .errors import InvalidRegionError, RevolveError, UnsupportedMethod
+from .errors import InvalidRegionError, QuadratureNoConvergence, RevolveError, UnsupportedMethod
 from .geometry import Axis, Point, signed_distance
 from .quadrature import (
     PieceIntegrand,
@@ -157,13 +157,18 @@ ROUTES: dict[str, Callable[..., VolumeReport]] = {}
 def _route(compute: Callable[..., QuadratureResult]) -> Callable[..., VolumeReport]:
     """Register ``compute`` (named ``volume_<name>``) in ROUTES as the public
     route: a call is timed, and the (value, error estimate, evaluations) it
-    returns become a VolumeReport."""
+    returns become a VolumeReport.  A value or estimate that is not finite
+    (say 2*pi*|d|*A overflows) is refused, QuadratureNoConvergence."""
     name = compute.__name__.removeprefix("volume_")
 
     @functools.wraps(compute)
     def route(*args, **kwargs) -> VolumeReport:
         t0 = time.perf_counter()
         res = compute(*args, **kwargs)
+        if not (math.isfinite(res.value) and math.isfinite(res.error_estimate)):
+            raise QuadratureNoConvergence(
+                f"{name} volume {res.value!r} with error estimate {res.error_estimate!r} "
+                "is not finite")
         return VolumeReport(name, res.value, res.error_estimate, res.evaluations,
                             time.perf_counter() - t0)
 

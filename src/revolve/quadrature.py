@@ -366,10 +366,19 @@ def _domain_guard(f, lo: float, hi: float, counter: list[int]):
     return guarded
 
 
+def _sum(values) -> float:
+    """fsum of ``values``; where fsum overflows, their plain sum, an inf or
+    nan that the caller refuses, not an OverflowError."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return sum(values)
+
+
 def _fsum_components(values: list):
     if values and type(values[0]) is tuple:
-        return tuple(math.fsum(component) for component in zip(*values))
-    return math.fsum(values)
+        return tuple(_sum(component) for component in zip(*values))
+    return _sum(values)
 
 
 def _shown(components: list):
@@ -474,8 +483,8 @@ def integrate_1d(f, lo: float, hi: float, tol: Tolerance | None = None) -> Quadr
     values, errors = [], []
     for rules in zip(*map(_RULES, heap)):  # one component's panels
         v, e, _ = zip(*rules)
-        values.append(math.fsum(v))
-        errors.append(math.fsum(e))
+        values.append(_sum(v))
+        errors.append(_sum(e))
     finite = all(map(isfinite, values + errors))
     value, err = (tuple(values), tuple(errors)) if vector else (values[0], errors[0])
     if not finite:

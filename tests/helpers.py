@@ -899,3 +899,14 @@ def confidently_wrong(value, estimate, reference, rel):
     """A volume off its reference by more than ten times its own error
     estimate and more than ten times the requested relative tolerance."""
     return abs(value - reference) > max(10.0 * estimate, 10.0 * rel * abs(reference))
+
+
+def overflowing_union_doc():
+    """A job document whose volume is beyond float range while its area and
+    moments are not: three normal_x leaves of height 4.7e153 on [0, 1],
+    [2, 3] and [4, 5], about the x axis.  Each leaf's distance pass is
+    finite, and their sum, like 2*pi*|d|*A, overflows."""
+    leaf = {"type": "normal_x", "lower": "0", "upper": "4.7e153"}
+    return {"region": {"type": "union", "parts": [{**leaf, "x_min": x, "x_max": x + 1}
+                                                  for x in (0, 2, 4)]},
+            "axis": "OX"}

@@ -18,7 +18,7 @@ from revolve.cli import main
 from revolve.config import parse_job
 from revolve.methods import _CHUNK
 
-from helpers import SECTOR_VOLUME, SQUARE_VOLUME
+from helpers import SECTOR_VOLUME, SQUARE_VOLUME, overflowing_union_doc
 
 
 def run_cli(capsys, *argv):
@@ -549,6 +549,32 @@ class TestNearFloatRange:
         failures = {f["method"]: f["error"] for f in report["failures"]}
         assert failures["pappus"] == failures["monte_carlo"] == "InvalidRegionError"
         assert "double_integral" in {r["method"] for r in report["reports"]}
+
+
+class TestVolumeBeyondFloatRange:
+    """A volume that overflows while the area does not: a refusal with exit
+    3, never a traceback or an Infinity that JSON lacks."""
+
+    @pytest.mark.parametrize("method", ["double_integral", "disk", "pappus"])
+    def test_volume_is_refused(self, capsys, tmp_path, method):
+        config = write_config(tmp_path, overflowing_union_doc())
+        code, out, err = run_cli(capsys, "volume", "--method", method, "--config", config)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: QuadratureNoConvergence: {method} volume inf ")
+        assert err.count("\n") == 1
+
+    def test_compare_has_no_data(self, capsys, tmp_path):
+        config = write_config(tmp_path, overflowing_union_doc())
+        code, out, _ = run_cli(capsys, "compare", "--config", config, "--mc-samples", "1000")
+        assert code == 3
+        report = _strict_json(out)
+        assert (report["reports"], report["verdict"]) == ([], "no data")
+
+    def test_centroid_is_reported(self, capsys, tmp_path):
+        config = write_config(tmp_path, overflowing_union_doc())
+        code, out, _ = run_cli(capsys, "centroid", "--config", config)
+        assert code == 0
+        assert _strict_json(out)["area"] == pytest.approx(1.41e154, rel=1e-12)
 
 
 class TestPrintNormalized:

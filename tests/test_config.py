@@ -178,6 +178,9 @@ def _doc_with(key, value):
 
 
 _TYPES = "['normal_x', 'normal_y', 'polar', 'polygon', 'union']"
+_TRI = {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}
+_BAD_OPTIONS = {**_doc_with("tolerance", {"rel": "x", "foo": 1, "max_depth": 0}),
+                "mc": {"seed": -1, "bar": 2}}
 
 
 @pytest.mark.parametrize("doc, issues", [
@@ -216,11 +219,60 @@ _TYPES = "['normal_x', 'normal_y', 'polar', 'polygon', 'union']"
     ({**minimal_doc(), "mc": {"samples": "abc", "seed": "1.5"}, "tolerance": {"max_depth": [3]}},
      [("tolerance.max_depth", "expected an integer, got [3]"),
       ("mc.samples", "expected an integer, got 'abc'"), ("mc.seed", "expected an integer, got '1.5'")]),
+    ({"region": {"type": "union", "parts": [
+        {"type": "normal_x", "x_min": 0, "x_max": "a", "lower": "0", "upper": "1-x+"},
+        {"type": "polygon", "vertices": [["b", 0], [1], [1, 1]], "extra": 1}]}, "axis": "OY"},
+     [("region.parts[0].x_max",
+       "not a number or constant expression: unknown identifier 'a' (at position 0)"),
+      ("region.parts[0].upper", "expected a value, found end of input (at position 4)"),
+      ("region.parts[1].extra", "unknown field"),
+      ("region.parts[1].vertices[0][0]",
+       "not a number or constant expression: unknown identifier 'b' (at position 0)"),
+      ("region.parts[1].vertices[1]", "expected an [x, y] pair")]),
+    ({"region": _TRI, "axis": {"a": "1/0", "b": 1, "d": 2}},
+     [("axis.d", "unknown field"),
+      ("axis.a", "not a number or constant expression: '/' failed on (1.0, 0.0)"),
+      ("axis.c", "missing required field")]),
+    ({"region": _TRI, "axis": {"vertical_at": "q", "c": 1}},
+     [("axis.c", "unknown field"),
+      ("axis.vertical_at",
+       "not a number or constant expression: unknown identifier 'q' (at position 0)")]),
+    (_BAD_OPTIONS,
+     [("tolerance.foo", "unknown field"),
+      ("tolerance.rel",
+       "not a number or constant expression: unknown identifier 'x' (at position 0)"),
+      ("mc.bar", "unknown field"), ("mc", "seed must fit in 64 bits")]),
 ])
 def test_refusal_lists_every_issue(doc, issues):
     with pytest.raises(ConfigError) as err:
         parse_job(doc)
     assert err.value.issues == issues
+
+
+@pytest.mark.parametrize("doc, overrides, issues", [
+    (_BAD_OPTIONS, {"rel_tol": 1e-6, "seed": "7", "mc_samples": 50},
+     [("tolerance.foo", "unknown field"), ("tolerance", "max_depth must be >= 1"),
+      ("mc.bar", "unknown field"), ("mc", "need at least 100 samples")]),
+    (minimal_doc(), {"seed": None}, [("mc.seed", "expected an integer, got None")]),
+    (_doc_with("tolerance", {"rel": "x"}), {"rel_tol": None},
+     [("tolerance.rel",
+       "not a number or constant expression: unknown identifier 'x' (at position 0)")]),
+])
+def test_overrides_keep_the_refusal_order(doc, overrides, issues):
+    """A tolerance override that is not None is Tolerance's to check; an mc
+    override is read as the document's value would be."""
+    with pytest.raises(ConfigError) as err:
+        parse_job(doc, overrides)
+    assert err.value.issues == issues
+
+
+def test_every_config_field_has_a_reader():
+    """A record field of a new annotation needs a reader in config._READERS."""
+    from revolve import config
+
+    for cls in (*config._REGIONS.values(), rv.Axis, rv.Tolerance, rv.McConfig):
+        for name in cls._fields:
+            assert cls.__dict__["__annotations__"][name] in config._READERS, (cls, name)
 
 
 class TestRoundTrip:

@@ -12,7 +12,7 @@ from revolve import quadrature
 from revolve import region as region_module
 from revolve._record import fields
 from revolve.config import load_job, parse_job
-from revolve.errors import AxisIntersectsRegion, UnsupportedMethod
+from revolve.errors import AxisIntersectsRegion, QuadratureNoConvergence, UnsupportedMethod
 from revolve.methods import _CHUNK, _distance_pass, _region_moments, run_route
 
 from conftest import FIXTURES
@@ -30,6 +30,7 @@ from helpers import (
     cone_triangle,
     exterior_oblique_axis,
     move_polygon,
+    overflowing_union_doc,
     quadrature_pin_cases,
     ref_monte_carlo,
     random_convex_polygon,
@@ -611,6 +612,30 @@ class TestMomentsNearFloatRange:
         # 2*pi * 1.5 (the centroid's distance) * 1e155 (the area).
         report = rv.volume_double_integral(_polygon(_WIDE_RECTANGLE), rv.Axis.horizontal(-1.0))
         assert report.value == pytest.approx(3.0 * math.pi * 1e155, rel=1e-12)
+
+
+class TestVolumeBeyondFloatRange:
+    """A union whose area and moments are finite and whose volume is not:
+    every route refuses it rather than report an infinite volume."""
+
+    @pytest.mark.parametrize("route", ["double_integral", "disk", "pappus"])
+    def test_route_refuses_every_time(self, route):
+        job = parse_job(overflowing_union_doc())
+        for _ in range(2):  # the second call reads the cached pass
+            with pytest.raises(QuadratureNoConvergence,
+                               match=rf"^{route} volume inf with error estimate [0-9.e+]+ "
+                                     r"is not finite$"):
+                run_route(route, job.region, job.axis)
+
+    def test_compare_has_no_data(self):
+        job = parse_job(overflowing_union_doc())
+        comparison = rv.compare_methods(job.region, job.axis, cfg=rv.McConfig(1000, 3))
+        failures = {f.method: f.error for f in comparison.failures}
+        assert (comparison.reports, comparison.verdict) == ((), "no data")
+        assert failures == {"double_integral": "QuadratureNoConvergence",
+                            "disk": "QuadratureNoConvergence", "shell": "UnsupportedMethod",
+                            "polar": "UnsupportedMethod", "pappus": "QuadratureNoConvergence",
+                            "monte_carlo": "InvalidRegionError"}
 
 
 class TestMomentCache:

@@ -247,6 +247,25 @@ class TestRefusals:
             rv.integrate_1d(f, 0.0, 3e300)
         assert len(calls) == 15
 
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    def test_panels_whose_sum_overflows_refuse(self, vector):
+        # Every panel's value is finite, but their sum is not: its running
+        # total goes to inf, which meets an infinite budget, and the final
+        # sum of the panels is refused instead of raising OverflowError.
+        def f(x):
+            y = 0.44e308 + 0.45e308 * math.exp(-((x - 1.386) / 0.06) ** 2)
+            return (y, 1.0) if vector else y
+
+        with pytest.raises(QuadratureNoConvergence, match=r"^integral \(?inf.* is not finite$"):
+            rv.integrate_1d(f, 0.0, 4.0)
+
+    def test_sum_results_of_pieces_whose_sum_overflows_is_infinite(self):
+        piece = quadrature.QuadratureResult(1e308, 1.0, 15)
+        total = sum_results([piece, piece])
+        assert (total.value, total.error_estimate, total.evaluations) == (math.inf, 2.0, 30)
+        moments = quadrature.QuadratureResult((1.0, 1e308), (0.0, 0.0), 15)
+        assert sum_results([moments, moments]).value == (2.0, math.inf)
+
     def test_vector_depth_limit(self):
         tol = rv.Tolerance(rel=1e-14, abs=1e-15, max_depth=3)
         with pytest.raises(QuadratureNoConvergence,
