@@ -13,6 +13,11 @@ so ``^`` is right-associative and binds tighter than unary minus
 (``-2^2 == -4``, ``2^3^2 == 512``).  There is no implicit multiplication.
 Identifiers must be the declared variable, a known function (sqrt, sin, cos,
 tan, asin, acos, atan, exp, log, abs) or a known constant (pi, e; lowercase).
+Depth is bounded, so that neither the parser nor the compiler's walk can
+recurse past the interpreter's limit: a group's or call's '(', unary '-' and
+the exponent of '^' each open a level, at most 100 deep, and an AST is at
+most 900 nodes high, as a chain of 900 terms is.  Past either bound the
+parse is an ExprSyntaxError at the token that crossed it.
 
 Evaluation is pure.  Any operation that leaves the real domain (sqrt of a
 negative, log of a non-positive, division by zero) raises DomainError, and a
@@ -89,6 +94,14 @@ _PARSE_CACHE_SIZE = 256
 
 # Distinct generated sources that _compile keeps compiled to code objects.
 _CODE_CACHE_SIZE = 1024
+
+# Levels of nesting the parser takes: each group or call's '(', unary '-'
+# and '^' opens one, and one level costs the parser up to six frames.
+_MAX_NESTING = 100
+
+# Nodes on an AST's longest path from its root: the compiler's walk takes a
+# frame for each.  A chain of 900 terms, 1+x+...+x, is that high.
+_MAX_HEIGHT = 900
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +232,8 @@ class _Parser:
         self.variable = variable
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # levels of nesting open
+        self.height = 0  # of the node parsed last
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -234,6 +249,25 @@ class _Parser:
         raise ExprSyntaxError(
             f"expected {expected}, found {found}", _byte_pos(self.text, pos)
         )
+
+    def nested(self, parse: Callable[[], Node]) -> Node:
+        """``parse()``, one level deeper than the token just read."""
+        if self.depth == _MAX_NESTING:
+            pos = self.tokens[self.i - 1][2]
+            raise ExprSyntaxError(f"nesting deeper than {_MAX_NESTING} levels",
+                                  _byte_pos(self.text, pos))
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
+    def grow(self, op: _Token, other: int = 0) -> None:
+        """The height of the node of operator ``op`` over the node parsed
+        last and, for a binary one, an operand of height ``other``."""
+        self.height = max(self.height, other) + 1
+        if self.height > _MAX_HEIGHT:
+            raise ExprSyntaxError(f"expression tree deeper than {_MAX_HEIGHT} nodes",
+                                  _byte_pos(self.text, op[2]))
 
     def expect_op(self, op: str):
         tok = self.peek()
@@ -251,28 +285,33 @@ class _Parser:
     def sum(self) -> Node:
         node = self.term()
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.term())
+            op, left = self.advance(), self.height
+            node = BinOp(op[1], node, self.term())
+            self.grow(op, left)
         return node
 
     def term(self) -> Node:
         node = self.unary()
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.unary())
+            op, left = self.advance(), self.height
+            node = BinOp(op[1], node, self.unary())
+            self.grow(op, left)
         return node
 
     def unary(self) -> Node:
         if self.peek()[:2] == ("op", "-"):
-            self.advance()
-            return Neg(self.unary())
+            op = self.advance()
+            node = Neg(self.nested(self.unary))
+            self.grow(op)
+            return node
         return self.power()
 
     def power(self) -> Node:
         node = self.atom()
         if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            node = BinOp("^", node, self.unary())
+            op, left = self.advance(), self.height
+            node = BinOp("^", node, self.nested(self.unary))
+            self.grow(op, left)
         return node
 
     def atom(self) -> Node:
@@ -280,18 +319,21 @@ class _Parser:
         kind, name, pos = tok
         if kind == "num":
             self.advance()
+            self.height = 1
             return Const(float(name))
         if tok[:2] == ("op", "("):
             self.advance()
-            node = self.sum()
+            node = self.nested(self.sum)
             self.expect_op(")")
             return node
         if kind == "ident":
             self.advance()
+            self.height = 1
             if name in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.sum()
+                arg = self.nested(self.sum)
                 self.expect_op(")")
+                self.grow(tok)
                 return Call(name, arg)
             if name == self.variable:
                 return Var(name)

@@ -369,7 +369,9 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
     finite is refused (InvalidRegionError): the distance is monotone in
     each coordinate, under rounding too, so the corners bound it over every
     sample.  So is an estimate or standard error that overflows as the
-    distances are summed and squared.
+    distances are summed and squared, at the first chunk that makes the
+    merged mean or M2 not finite: neither can be finite again, and the
+    refusal quotes the estimate of the chunks merged so far.
     """
     import numpy as np
 
@@ -421,6 +423,8 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
             mean += delta * m / total
             m2 += chunk_m2 + delta * delta * n * m / total
             n = total
+            if not (math.isfinite(mean) and math.isfinite(m2)):
+                break  # neither can be finite again: refused below
     value = box_area * mean
     stderr = box_area * math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     if not (math.isfinite(value) and math.isfinite(stderr)):

@@ -271,6 +271,20 @@ MALFORMED_CASES = [
 ]
 
 
+# Curves in x, n levels deep, as (make(n), bound, position(n)): groups,
+# calls, powers and minuses nest, up to expr._MAX_NESTING levels, and a chain
+# of n terms is n nodes high, up to expr._MAX_HEIGHT.  position(n) is the
+# byte where the parser refuses the shape at n levels, past its bound: the
+# token that opens the last level, or the operator of the last node.
+DEEP_SHAPES = {
+    "groups": (lambda n: "(" * n + "x" + ")" * n, "_MAX_NESTING", lambda n: n - 1),
+    "calls": (lambda n: "sin(" * n + "x" + ")" * n, "_MAX_NESTING", lambda n: 4 * n - 1),
+    "powers": (lambda n: "^".join(["x"] * (n + 1)), "_MAX_NESTING", lambda n: 2 * n - 1),
+    "minuses": (lambda n: "-" * n + "x", "_MAX_NESTING", lambda n: n - 1),
+    "chain": (lambda n: "1" + "+x" * (n - 1), "_MAX_HEIGHT", lambda n: 2 * n - 3),
+}
+
+
 # ---------------------------------------------------------------------------
 # Reference implementations: the tree-walking evaluators and the uncached
 # side check that the compiled evaluators and the cached side check replace.
@@ -862,6 +876,81 @@ def ref_cell_index(grid, xs, ys):
         return t.astype(np.int32)
 
     return axis_index(ys, grid.y0, grid.sy) * (_GRID + 2) + axis_index(xs, grid.x0, grid.sx)
+
+
+# ---------------------------------------------------------------------------
+# Reference polygon checks: the all-pairs simplicity test and the per-cut
+# edge scan that region._is_simple and region._slabs replace.
+
+def ref_is_simple(verts):
+    """No two edges meet, except neighbours at their shared vertex, nor
+    fold back along each other: every pair of edges tested."""
+    from revolve.region import _orient, _segments_meet
+
+    n = len(verts)
+    edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
+    for i, (a, b) in enumerate(edges):
+        c = edges[(i + 1) % n][1]
+        forward = (b.x - a.x) * (c.x - b.x) + (b.y - a.y) * (c.y - b.y)
+        if _orient(a, b, c) == 0.0 and forward < 0.0:
+            return False
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue  # the closing edge is edge 0's other neighbour
+            if _segments_meet(a, b, *edges[j]):
+                return False
+    return True
+
+
+def ref_slabs(verts):
+    """The x-slabs (x_lo, x_hi, lower_fn, upper_fn) of a simple polygon:
+    at each pair of neighbouring vertex abscissas, every edge is scanned,
+    and those covering the slab are sorted by their value at its middle."""
+    from revolve.region import _edge_interp
+
+    n = len(verts)
+    cuts = sorted({v.x for v in verts})
+    slabs = []
+    for xa, xb in zip(cuts, cuts[1:]):
+        mid = 0.5 * (xa + xb)
+        covering = []
+        for i in range(n):
+            p, q = verts[i], verts[(i + 1) % n]
+            if p.x == q.x:
+                continue
+            if min(p.x, q.x) <= xa and max(p.x, q.x) >= xb:
+                covering.append((_edge_interp(p, q)(mid), p, q))
+        covering.sort(key=lambda item: item[0])
+        if len(covering) % 2:
+            raise rv.InvalidRegionError(f"polygon slab [{xa!r}, {xb!r}] has an odd edge count")
+        for j in range(0, len(covering), 2):
+            slabs.append((xa, xb, _edge_interp(covering[j][1], covering[j][2]),
+                          _edge_interp(covering[j + 1][1], covering[j + 1][2])))
+    return slabs
+
+
+def random_polygon_vertices(rng):
+    """3 to 12 vertices: on a 5 x 5 integer grid one time in three, which
+    makes collinear, touching and folded edges common, else uniform in the
+    square [-1, 1]^2; half the time in order of their angle about their
+    mean, which makes most of them simple, else in random order."""
+    n = rng.randint(3, 12)
+    if rng.random() < 1.0 / 3.0:
+        points = [(float(rng.randint(0, 4)), float(rng.randint(0, 4))) for _ in range(n)]
+    else:
+        points = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)]
+    if rng.random() < 0.5:
+        mx, my = sum(x for x, _ in points) / n, sum(y for _, y in points) / n
+        points.sort(key=lambda p: math.atan2(p[1] - my, p[0] - mx))
+    return tuple(rv.Point(x, y) for x, y in points)
+
+
+def regular_polygon(n, radius=1.0, centre=(0.0, 0.0)):
+    """The regular n-gon inscribed in the circle of ``radius`` about
+    ``centre``, counterclockwise from angle 0."""
+    return rv.Polygon(tuple(
+        rv.Point(centre[0] + radius * math.cos(2.0 * math.pi * k / n),
+                 centre[1] + radius * math.sin(2.0 * math.pi * k / n)) for k in range(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import revolve as rv
+from revolve import expr
 from revolve.cli import main
 from revolve.config import parse_job
 from revolve.methods import _CHUNK
 
-from helpers import SECTOR_VOLUME, SQUARE_VOLUME, overflowing_union_doc
+from helpers import DEEP_SHAPES, SECTOR_VOLUME, SQUARE_VOLUME, overflowing_union_doc
 
 
 def run_cli(capsys, *argv):
@@ -549,6 +550,41 @@ class TestNearFloatRange:
         failures = {f["method"]: f["error"] for f in report["failures"]}
         assert failures["pappus"] == failures["monte_carlo"] == "InvalidRegionError"
         assert "double_integral" in {r["method"] for r in report["reports"]}
+
+
+def _deep_curve_doc(shape, n):
+    """normal_x on [0, 1] under the curve ``shape`` (DEEP_SHAPES) at n
+    levels, which is at least 0 there, about x = -1."""
+    return {"region": {"type": "normal_x", "x_min": 0, "x_max": 1, "lower": "0",
+                       "upper": DEEP_SHAPES[shape][0](n)},
+            "axis": {"vertical_at": -1}}
+
+
+class TestDeepCurves:
+    """A curve past the parser's nesting or the AST's height bound is a
+    config error (exit 2), not a traceback; one at the bound runs."""
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    @pytest.mark.parametrize("past", [1, 98])
+    def test_past_the_bound_exits_2(self, capsys, tmp_path, shape, past):
+        _, bound, position = DEEP_SHAPES[shape]
+        limit = getattr(expr, bound)
+        config = write_config(tmp_path, _deep_curve_doc(shape, limit + past))
+        code, out, err = run_cli(capsys, "volume", "--config", config)
+        assert (code, out) == (2, "")
+        what = ("nesting deeper than 100 levels" if bound == "_MAX_NESTING"
+                else "expression tree deeper than 900 nodes")
+        # The parser stops at the first token past the bound.
+        assert err == f"config error: region.upper: {what} (at position {position(limit + 1)})\n"
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_at_the_bound_compare_runs(self, capsys, tmp_path, shape):
+        _, bound, _ = DEEP_SHAPES[shape]
+        config = write_config(tmp_path, _deep_curve_doc(shape, getattr(expr, bound)))
+        code, out, _ = run_cli(capsys, "check", "--config", config)
+        assert code == 0 and json.loads(out)["side"] == 1
+        code, out, _ = run_cli(capsys, "compare", "--config", config, "--mc-samples", "20000")
+        assert code == 0 and json.loads(out)["verdict"] == "agree"
 
 
 class TestVolumeBeyondFloatRange:

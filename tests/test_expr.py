@@ -12,8 +12,8 @@ import revolve as rv
 from revolve import expr
 from revolve.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 
-from helpers import (MALFORMED_CASES, PRECEDENCE_CASES, ref_compile, ref_eval_array,
-                     ref_eval_expr, ref_eval_node, ref_helpers)
+from helpers import (DEEP_SHAPES, MALFORMED_CASES, PRECEDENCE_CASES, ref_compile,
+                     ref_eval_array, ref_eval_expr, ref_eval_node, ref_helpers)
 
 
 def ev(text, value=0.0, var="x"):
@@ -76,6 +76,69 @@ class TestParse:
         b = rv.parse_expr("sin(x)^2 + cos(x)^2", "x")
         assert a == b
         assert repr(rv.eval_expr(a, 0.7)) == repr(rv.eval_expr(b, 0.7))
+
+
+class TestDepthBounds:
+    """The parser's nesting and the AST's height are bounded, so a deep
+    curve is a syntax error at the offending token, never a RecursionError."""
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_one_past_the_bound_is_refused_at_its_token(self, shape):
+        make, bound, position = DEEP_SHAPES[shape]
+        n = getattr(expr, bound) + 1
+        with pytest.raises(ExprSyntaxError) as err:
+            rv.parse_expr(make(n), "x")
+        assert err.value.position == position(n)
+        what = "nesting deeper than 100 levels" if bound == "_MAX_NESTING" else (
+            "expression tree deeper than 900 nodes")
+        assert str(err.value) == f"{what} (at position {position(n)})"
+        # Far past it too: the parser stops at the same token.
+        with pytest.raises(ExprSyntaxError, match=re.escape(f"(at position {position(n)})")):
+            rv.parse_expr(make(4 * n), "x")
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_at_the_bound_every_evaluator_works(self, shape):
+        make, bound, _ = DEEP_SHAPES[shape]
+        text = make(getattr(expr, bound))
+        rv.parse_expr.cache_clear()
+        try:
+            ast = rv.parse_expr(text, "x")
+            assert rv.parse_expr(text, "x") is ast
+            assert expr.ExprAst(ast.root, "x", text) == ast
+            value = ast(0.5)
+            assert math.isfinite(value)
+            assert rv.eval_array(ast, np.array([0.5]))[0] == pytest.approx(value, rel=1e-12)
+            lo, hi = ast.interval((0.5, 0.5))
+            assert lo <= value <= hi
+            assert ast.defined_interval((0.25, 0.75)) is not None
+            with pytest.raises(DomainError):  # compiles the checked evaluator
+                ast(math.inf)
+            if bound == "_MAX_NESTING":
+                # Two trees compared node by node, and the repr.  A record's
+                # == and repr take three and four frames a level, so on a
+                # 900-node chain both recurse past the interpreter's limit.
+                rv.parse_expr.cache_clear()
+                fresh = rv.parse_expr(text, "x")
+                assert fresh.root is not ast.root and fresh == ast
+                assert repr(fresh) == repr(ast) and repr(ast).startswith("ExprAst(root=")
+        finally:
+            rv.parse_expr.cache_clear()
+
+    def test_bounds_add_up_in_mixed_shapes(self):
+        # Nesting counts every kind of level together.
+        text = "sin(" * 50 + "-" * 25 + "(" * 24 + "x^x" + ")" * 74
+        value = -math.pow(0.5, 0.5)
+        for _ in range(50):
+            value = math.sin(value)
+        assert rv.parse_expr(text, "x")(0.5) == value
+        with pytest.raises(ExprSyntaxError, match="nesting deeper than 100 levels"):
+            rv.parse_expr("-" + text, "x")
+        # Height adds along a path: a chain of 450 terms, grouped, heads
+        # one of 451.
+        inner = "(1" + "+x" * 449 + ")"
+        assert rv.parse_expr(inner + "+x" * 450, "x")(0.0) == 1.0
+        with pytest.raises(ExprSyntaxError, match="expression tree deeper than 900 nodes"):
+            rv.parse_expr(inner + "+x" * 451, "x")
 
 
 class TestEval:

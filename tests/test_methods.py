@@ -903,6 +903,21 @@ class TestMonteCarlo:
         with pytest.raises(rv.InvalidRegionError, match="too large to sample"):
             rv.volume_monte_carlo(region, rv.Axis.horizontal(-1.0), rv.McConfig(1000, 0))
 
+    def test_overflowing_estimate_is_refused_at_the_first_chunk(self, monkeypatch):
+        # The first chunk's squared distances already sum past float range,
+        # and the merged M2 cannot be finite again: the other 15 chunks of
+        # 1e6 samples are not drawn.
+        job = parse_job(overflowing_union_doc())
+        calls = []
+        monkeypatch.setattr("revolve.methods.contains_mask",
+                            lambda *args: calls.append(1) or rv.contains_mask(*args))
+        with pytest.raises(rv.InvalidRegionError) as err:
+            rv.volume_monte_carlo(job.region, job.axis, rv.McConfig(10**6, 0))
+        assert str(err.value) == (
+            "Monte Carlo estimate inf with standard error inf is not finite: "
+            "the distances over the bounding box are too large to sum or square")
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("fixture", ["unit_square", "sector_polar"])
     def test_memory_does_not_grow_with_samples(self, fixture):
         job = load_job(FIXTURES / f"{fixture}.json")

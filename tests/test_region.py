@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,8 +15,12 @@ from conftest import FIXTURES
 from helpers import (
     AXIS_OY,
     cone_triangle,
+    random_polygon_vertices,
     ref_axis_side_check,
     ref_cell_index,
+    ref_is_simple,
+    ref_slabs,
+    regular_polygon,
     sector_disk_union,
     sector_polar,
     straddling_disk_x,
@@ -771,6 +776,90 @@ class TestValidation:
             poly = random_convex_polygon(rng)
             c = rv.centroid(poly).centroid
             assert rv.contains(poly, c)
+
+
+def _slab_outcome(slabs, verts):
+    """The slabs of ``slabs(verts)`` as the reprs of their bounds and of
+    their lower and upper functions at each end and the middle, or the
+    refusal's message."""
+    try:
+        found = slabs(verts)
+    except InvalidRegionError as exc:
+        return str(exc)
+    return [[repr(v) for v in (x0, x1, *(f(x) for f in (lo, hi)
+                                         for x in (x0, 0.5 * (x0 + x1), x1)))]
+            for x0, x1, lo, hi in found]
+
+
+def _both_directions(verts):
+    """The vertices and their mirror image in y = x, listed in reverse: the
+    polygon whose x-slabs are the y-slabs (``_polygon_pieces``)."""
+    return verts, tuple(rv.Point(v.y, v.x) for v in reversed(verts))
+
+
+def _comb(teeth, height=3.0):
+    """A comb, counterclockwise: a base along y = 0 with ``teeth`` teeth of
+    width 1 rising to ``height``, 1 apart; every y-slab above the base
+    crosses each tooth."""
+    points = [(0.0, 0.0), (2.0 * teeth - 1.0, 0.0)]
+    for i in reversed(range(teeth)):
+        points += [(2.0 * i + 1.0, height), (2.0 * i, height)]
+        if i:
+            points += [(2.0 * i, 1.0), (2.0 * i - 1.0, 1.0)]
+    return tuple(rv.Point(x, y) for x, y in points)
+
+
+class TestPolygonSweeps:
+    """_is_simple tests only edges whose x-ranges overlap, and _slabs puts
+    each edge into the slabs its x-range covers: the answers of the
+    all-pairs test and the per-cut scan they replace (helpers)."""
+
+    def test_random_polygons_match_the_references(self):
+        rng = random.Random(20261020)
+        simple = 0
+        for _ in range(3000):
+            verts = random_polygon_vertices(rng)
+            is_simple = ref_is_simple(verts)
+            assert region_module._is_simple(verts) == is_simple, verts
+            if is_simple:
+                simple += 1
+                for w in _both_directions(verts):
+                    assert _slab_outcome(region_module._slabs, w) == _slab_outcome(ref_slabs, w)
+        assert simple > 1000
+
+    @pytest.mark.parametrize("verts", [
+        regular_polygon(300).vertices,
+        _comb(12),
+        rv.Polygon(_comb(12)).vertices[::-1],  # clockwise
+        _star(200).vertices,
+    ], ids=["regular_300", "comb", "comb_clockwise", "star_200"])
+    def test_large_and_comb_polygons_match_the_references(self, verts):
+        assert region_module._is_simple(verts) == ref_is_simple(verts)
+        for w in _both_directions(verts):
+            assert _slab_outcome(region_module._slabs, w) == _slab_outcome(ref_slabs, w)
+
+    def test_comb_slabs_cross_every_tooth(self):
+        x_slabs, y_slabs = (region_module._slabs(w) for w in _both_directions(_comb(12)))
+        assert len(x_slabs) == 23
+        assert len(y_slabs) == 1 + 12  # the base's, then one a tooth
+
+    def test_pair_tests_on_a_regular_polygon(self, monkeypatch):
+        # ref_is_simple tests all n(n-3)/2 pairs: 7 994 000 at n = 4000.
+        calls = []
+        meet = region_module._segments_meet
+        monkeypatch.setattr(region_module, "_segments_meet",
+                            lambda *points: calls.append(1) or meet(*points))
+        regular_polygon(4000)  # construction runs _is_simple
+        assert 0 < len(calls) <= 2 * 4000
+
+    def test_each_slab_builds_its_two_edges(self, monkeypatch):
+        # ref_slabs builds each covering edge's function twice.
+        calls = []
+        interp = region_module._edge_interp
+        monkeypatch.setattr(region_module, "_edge_interp",
+                            lambda p, q: calls.append(1) or interp(p, q))
+        slabs = region_module._slabs(regular_polygon(4000).vertices)
+        assert len(calls) == 2 * len(slabs)
 
 
 class TestAxisSideCheck:
