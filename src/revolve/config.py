@@ -49,6 +49,10 @@ _REGIONS = {"normal_x": NormalX, "normal_y": NormalY, "polar": PolarSector,
             "polygon": Polygon, "union": UnionRegion}
 _TYPES = {cls: rtype for rtype, cls in _REGIONS.items()}
 
+# Levels of unions the builder takes, each a part of the one above it: a
+# level costs the builder, and every walk of the region, a few frames.
+_MAX_UNION_NESTING = 100
+
 
 @record
 class JobConfig:
@@ -205,6 +209,9 @@ def _build_region(doc, path, issues):
     cls = _REGIONS.get(rtype) if type(rtype) is str else None
     if cls is None:
         issues.append((f"{path}.type", f"expected one of {sorted(_REGIONS)}, got {rtype!r}"))
+        return None
+    if cls is UnionRegion and path.count(".parts[") == _MAX_UNION_NESTING:  # one per union above
+        issues.append((path, f"unions nested deeper than {_MAX_UNION_NESTING} levels"))
         return None
     _check_keys(doc, ("type",) + cls._fields, path, issues)
     return _build(cls, doc, path, issues, InvalidRegionError)

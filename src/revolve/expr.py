@@ -13,24 +13,29 @@ so ``^`` is right-associative and binds tighter than unary minus
 (``-2^2 == -4``, ``2^3^2 == 512``).  There is no implicit multiplication.
 Identifiers must be the declared variable, a known function (sqrt, sin, cos,
 tan, asin, acos, atan, exp, log, abs) or a known constant (pi, e; lowercase).
-Depth is bounded, so that neither the parser nor the compiler's walk can
+Nesting is bounded, so that neither the parser nor the compiler's walk can
 recurse past the interpreter's limit: a group's or call's '(', unary '-' and
-the exponent of '^' each open a level, at most 100 deep, and an AST is at
-most 900 nodes high, as a chain of 900 terms is.  Past either bound the
-parse is an ExprSyntaxError at the token that crossed it.
+the exponent of '^' each open a level, at most 100 deep.  Past the bound the
+parse is an ExprSyntaxError at the token that crossed it.  A chain of terms
+or factors of any length is fine: the parser reads it in a loop, and the
+compiler's walk follows its left operands in a loop, recursing only into
+right operands, which nest.
 
 Evaluation is pure.  Any operation that leaves the real domain (sqrt of a
 negative, log of a non-positive, division by zero) raises DomainError, and a
 non-finite result (NaN or +/-Inf, e.g. from overflow) is normalized to
 DomainError as well, so quadrature can treat all failures uniformly.
 
-An ``ExprAst`` is the record (root, variable, text); its evaluators are
-not fields.  Each is compiled into a straight-line Python function (see
-Compilation below) in one walk of the AST, with one table of operations
-each: the scalar evaluator when the ExprAst is built (``parse_expr`` is a
-bounded cache by text and variable), the array and interval evaluators on
-first use.  The generated source holds no constant, so expressions of one
-shape share one compiled code object, each with its own constants bound.
+An ``ExprAst`` is the record (text, variable): it compares, hashes and
+prints by them, never by walking a tree.  Its AST (``root``) and its
+evaluators are derived, not fields.  The text is parsed when the ExprAst
+is built, and each evaluator is compiled into a straight-line Python
+function (see Compilation below) in one walk of the AST, with one table of
+operations each: the scalar evaluator when the ExprAst is built
+(``parse_expr`` is a bounded cache by text and variable), the array and
+interval evaluators on first use.  The generated source holds no constant,
+so expressions of one shape share one compiled code object, each with its
+own constants bound.
 ``parse_scalar`` takes a finite number literal, or its negation, as its
 float, unparsed.  Only the array evaluator needs numpy, and it imports it
 then.  The scalar evaluator calls math inline; where it fails, it hands
@@ -99,10 +104,6 @@ _CODE_CACHE_SIZE = 1024
 # and '^' opens one, and one level costs the parser up to six frames.
 _MAX_NESTING = 100
 
-# Nodes on an AST's longest path from its root: the compiler's walk takes a
-# frame for each.  A chain of 900 terms, 1+x+...+x, is that high.
-_MAX_HEIGHT = 900
-
 
 # ---------------------------------------------------------------------------
 # AST nodes
@@ -143,27 +144,25 @@ class ExprAst:
     """Immutable parsed expression in (at most) one variable, with its
     compiled evaluators: ``scalar`` is ``eval_expr``'s, ``array`` is
     ``eval_array``'s and ``interval`` maps an interval (lo, hi) of the
-    variable to an enclosure of the values there.  ``scalar`` is compiled
-    at construction, the others on first use, as is ``defined_interval``.
-    None of them is a field: the value is (root, variable, text)."""
+    variable to an enclosure of the values there.  The value is (text,
+    variable): ``root``, the parsed text, and ``scalar`` are set at
+    construction, the other evaluators on first use, as is
+    ``defined_interval``, and none of them is a field."""
 
-    root: Node
-    variable: str | None
     text: str
+    variable: str | None
 
     def __post_init__(self):
-        # A plain attribute: eval_expr reads it faster than a cached_property.
+        # Plain attributes: eval_expr reads them faster than a cached_property.
+        root = _Parser(self.text, self.variable).parse()
         checked = _compiled_on_first_call(
-            self.root, functools.partial(_not_finite, self.text, self.variable))
-        object.__setattr__(self, "scalar", _compile(self.root, _INLINE_SCALAR, retry=checked))
+            root, functools.partial(_not_finite, self.text, self.variable))
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "scalar", _compile(root, _INLINE_SCALAR, retry=checked))
 
     def __call__(self, value: float) -> float:
         """``eval_expr(self, value)``."""
         return self.scalar(value)
-
-    def __hash__(self):
-        # The text and variable determine the root; strings cache their hash.
-        return hash((self.text, self.variable))
 
     @functools.cached_property
     def array(self) -> Callable:
@@ -233,7 +232,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0  # levels of nesting open
-        self.height = 0  # of the node parsed last
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -261,14 +259,6 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def grow(self, op: _Token, other: int = 0) -> None:
-        """The height of the node of operator ``op`` over the node parsed
-        last and, for a binary one, an operand of height ``other``."""
-        self.height = max(self.height, other) + 1
-        if self.height > _MAX_HEIGHT:
-            raise ExprSyntaxError(f"expression tree deeper than {_MAX_HEIGHT} nodes",
-                                  _byte_pos(self.text, op[2]))
-
     def expect_op(self, op: str):
         tok = self.peek()
         if tok[:2] == ("op", op):
@@ -285,33 +275,28 @@ class _Parser:
     def sum(self) -> Node:
         node = self.term()
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op, left = self.advance(), self.height
-            node = BinOp(op[1], node, self.term())
-            self.grow(op, left)
+            op = self.advance()[1]
+            node = BinOp(op, node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.unary()
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op, left = self.advance(), self.height
-            node = BinOp(op[1], node, self.unary())
-            self.grow(op, left)
+            op = self.advance()[1]
+            node = BinOp(op, node, self.unary())
         return node
 
     def unary(self) -> Node:
         if self.peek()[:2] == ("op", "-"):
-            op = self.advance()
-            node = Neg(self.nested(self.unary))
-            self.grow(op)
-            return node
+            self.advance()
+            return Neg(self.nested(self.unary))
         return self.power()
 
     def power(self) -> Node:
         node = self.atom()
         if self.peek()[:2] == ("op", "^"):
-            op, left = self.advance(), self.height
+            self.advance()
             node = BinOp("^", node, self.nested(self.unary))
-            self.grow(op, left)
         return node
 
     def atom(self) -> Node:
@@ -319,7 +304,6 @@ class _Parser:
         kind, name, pos = tok
         if kind == "num":
             self.advance()
-            self.height = 1
             return Const(float(name))
         if tok[:2] == ("op", "("):
             self.advance()
@@ -328,12 +312,10 @@ class _Parser:
             return node
         if kind == "ident":
             self.advance()
-            self.height = 1
             if name in _FUNCTIONS:
                 self.expect_op("(")
                 arg = self.nested(self.sum)
                 self.expect_op(")")
-                self.grow(tok)
                 return Call(name, arg)
             if name == self.variable:
                 return Var(name)
@@ -350,8 +332,8 @@ def parse_expr(text: str, variable: str | None) -> ExprAst:
 
     ``variable=None`` parses a constant expression (no variable allowed).
     Raises ExprSyntaxError or UnknownIdentifierError with a byte position.
-    ASTs are frozen and compare by value, so the result is cached by
-    (text, variable): parsing the same text again returns the same object.
+    An ExprAst is the value (text, variable), so the result is cached by
+    them: parsing the same text again returns the same object.
     """
     if variable is not None:
         if not _IDENT_RE.fullmatch(variable):
@@ -360,7 +342,7 @@ def parse_expr(text: str, variable: str | None) -> ExprAst:
             raise ValueError(f"variable name {variable!r} shadows a builtin")
     if not text:
         raise ExprSyntaxError("empty expression", 0)
-    return ExprAst(_Parser(text, variable).parse(), variable, text)
+    return ExprAst(text, variable)
 
 
 def parse_scalar(text) -> float:
@@ -455,18 +437,30 @@ def _compile(root: Node, table: dict, fail: Callable | None = None,
         return key
 
     def walk(node: Node):
-        nonlocal height
+        # A chain of left operands (a sum, a product) is followed in a loop:
+        # only a right operand, or the operand of a call or negation, is a
+        # frame deeper, and those nest, which the parser bounds.
+        chain = []
+        while type(node) is BinOp:
+            chain.append(node)
+            node = node.left
         kind = type(node)
-        if kind is BinOp:
-            op, args = node.op, (walk(node.left), walk(node.right))
-        elif kind is Const:
-            return node.value if lift is None else lift(node.value)
+        if kind is Const:
+            operand = node.value if lift is None else lift(node.value)
         elif kind is Var:
-            return "x"
+            operand = "x"
         elif kind is Call:
-            op, args = node.func, (walk(node.arg),)
+            operand = emit(node.func, (walk(node.arg),))
         else:
-            op, args = "neg", (walk(node.operand),)
+            operand = emit("neg", (walk(node.operand),))
+        for binop in reversed(chain):
+            operand = emit(binop.op, (operand, walk(binop.right)))
+        return operand
+
+    def emit(op: str, args: tuple):
+        """The operand holding ``op`` on ``args``: its value if they are all
+        constants and it folds, else the next t, assigned."""
+        nonlocal height
         fold, template, helper = table[op]
         # The operands that are intermediate results are the top of the stack.
         top = height

@@ -2,6 +2,7 @@
 
 import math
 import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,18 +272,22 @@ MALFORMED_CASES = [
 ]
 
 
-# Curves in x, n levels deep, as (make(n), bound, position(n)): groups,
-# calls, powers and minuses nest, up to expr._MAX_NESTING levels, and a chain
-# of n terms is n nodes high, up to expr._MAX_HEIGHT.  position(n) is the
-# byte where the parser refuses the shape at n levels, past its bound: the
-# token that opens the last level, or the operator of the last node.
+# Curves in x, n levels deep, as (make(n), position(n)): groups, calls,
+# powers and minuses nest, up to expr._MAX_NESTING levels.  position(n) is
+# the byte where the parser refuses the shape at n levels, past its bound:
+# the token that opens the last level.
 DEEP_SHAPES = {
-    "groups": (lambda n: "(" * n + "x" + ")" * n, "_MAX_NESTING", lambda n: n - 1),
-    "calls": (lambda n: "sin(" * n + "x" + ")" * n, "_MAX_NESTING", lambda n: 4 * n - 1),
-    "powers": (lambda n: "^".join(["x"] * (n + 1)), "_MAX_NESTING", lambda n: 2 * n - 1),
-    "minuses": (lambda n: "-" * n + "x", "_MAX_NESTING", lambda n: n - 1),
-    "chain": (lambda n: "1" + "+x" * (n - 1), "_MAX_HEIGHT", lambda n: 2 * n - 3),
+    "groups": (lambda n: "(" * n + "x" + ")" * n, lambda n: n - 1),
+    "calls": (lambda n: "sin(" * n + "x" + ")" * n, lambda n: 4 * n - 1),
+    "powers": (lambda n: "^".join(["x"] * (n + 1)), lambda n: 2 * n - 1),
+    "minuses": (lambda n: "-" * n + "x", lambda n: n - 1),
 }
+
+
+def chain(n: int) -> str:
+    """A chain of n terms, ``1+x+...+x``: a tree n nodes high that nests
+    nothing, so no length of it is refused."""
+    return "1" + "+x" * (n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -975,6 +980,20 @@ def bump_volume(h, c, s):
     gauss = 0.5 * s * math.sqrt(math.pi) * (math.erf((1.0 - c) / s) + math.erf(c / s))
     moment = 0.5 * s * s * (math.exp(-(c / s) ** 2) - math.exp(-((1.0 - c) / s) ** 2))
     return 2.0 * math.pi * (1.5 + h * ((c + 1.0) * gauss + moment))
+
+
+def bump_corpus(seed, n=200):
+    """The seeded bump corpus: n curves 1 + h*exp(-((x-c)/s)^2) for
+    ``defect_region``, each as (text, bump_volume).  ``random.Random(seed)``
+    draws s = 10^U(-5, -2), then h = U(0.1, 3), then c = U(0.05, 0.95)."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(n):
+        s = 10.0 ** rng.uniform(-5.0, -2.0)
+        h = rng.uniform(0.1, 3.0)
+        c = rng.uniform(0.05, 0.95)
+        corpus.append((f"1 + {h!r}*exp(-((x-{c!r})/{s!r})^2)", bump_volume(h, c, s)))
+    return corpus
 
 
 def oscillation_volume():

@@ -16,10 +16,11 @@ import pytest
 import revolve as rv
 from revolve import expr
 from revolve.cli import main
-from revolve.config import parse_job
+from revolve.config import _MAX_UNION_NESTING, parse_job
 from revolve.methods import _CHUNK
 
-from helpers import DEEP_SHAPES, SECTOR_VOLUME, SQUARE_VOLUME, overflowing_union_doc
+from helpers import (DEEP_SHAPES, SECTOR_VOLUME, SQUARE_VOLUME, chain,
+                     overflowing_union_doc)
 
 
 def run_cli(capsys, *argv):
@@ -552,39 +553,75 @@ class TestNearFloatRange:
         assert "double_integral" in {r["method"] for r in report["reports"]}
 
 
-def _deep_curve_doc(shape, n):
-    """normal_x on [0, 1] under the curve ``shape`` (DEEP_SHAPES) at n
-    levels, which is at least 0 there, about x = -1."""
+def _deep_curve_doc(upper):
+    """normal_x on [0, 1] under the curve ``upper`` in x, which is at least
+    0 there, about x = -1."""
     return {"region": {"type": "normal_x", "x_min": 0, "x_max": 1, "lower": "0",
-                       "upper": DEEP_SHAPES[shape][0](n)},
+                       "upper": upper},
             "axis": {"vertical_at": -1}}
 
 
 class TestDeepCurves:
-    """A curve past the parser's nesting or the AST's height bound is a
-    config error (exit 2), not a traceback; one at the bound runs."""
+    """A curve past the parser's nesting bound is a config error (exit 2),
+    not a traceback; one at the bound runs, as does a long chain."""
 
     @pytest.mark.parametrize("shape", DEEP_SHAPES)
     @pytest.mark.parametrize("past", [1, 98])
     def test_past_the_bound_exits_2(self, capsys, tmp_path, shape, past):
-        _, bound, position = DEEP_SHAPES[shape]
-        limit = getattr(expr, bound)
-        config = write_config(tmp_path, _deep_curve_doc(shape, limit + past))
+        make, position = DEEP_SHAPES[shape]
+        limit = expr._MAX_NESTING
+        config = write_config(tmp_path, _deep_curve_doc(make(limit + past)))
         code, out, err = run_cli(capsys, "volume", "--config", config)
         assert (code, out) == (2, "")
-        what = ("nesting deeper than 100 levels" if bound == "_MAX_NESTING"
-                else "expression tree deeper than 900 nodes")
         # The parser stops at the first token past the bound.
-        assert err == f"config error: region.upper: {what} (at position {position(limit + 1)})\n"
+        assert err == ("config error: region.upper: nesting deeper than 100 levels "
+                       f"(at position {position(limit + 1)})\n")
 
-    @pytest.mark.parametrize("shape", DEEP_SHAPES)
-    def test_at_the_bound_compare_runs(self, capsys, tmp_path, shape):
-        _, bound, _ = DEEP_SHAPES[shape]
-        config = write_config(tmp_path, _deep_curve_doc(shape, getattr(expr, bound)))
+    def _compare_runs(self, capsys, tmp_path, upper):
+        config = write_config(tmp_path, _deep_curve_doc(upper))
         code, out, _ = run_cli(capsys, "check", "--config", config)
         assert code == 0 and json.loads(out)["side"] == 1
         code, out, _ = run_cli(capsys, "compare", "--config", config, "--mc-samples", "20000")
         assert code == 0 and json.loads(out)["verdict"] == "agree"
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_at_the_bound_compare_runs(self, capsys, tmp_path, shape):
+        self._compare_runs(capsys, tmp_path, DEEP_SHAPES[shape][0](expr._MAX_NESTING))
+
+    def test_a_long_chain_compare_runs(self, capsys, tmp_path):
+        self._compare_runs(capsys, tmp_path, chain(5000))
+
+
+def _nested_union_doc(n):
+    """A normal_x leaf inside n unions, each the one part of the next,
+    about x = -1."""
+    region = {"type": "normal_x", "x_min": 0, "x_max": 1, "lower": "0", "upper": "1+x"}
+    for _ in range(n):
+        region = {"type": "union", "parts": [region]}
+    return {"region": region, "axis": {"vertical_at": -1}}
+
+
+class TestDeepUnions:
+    """Unions nested past config's bound are a config error (exit 2) at
+    the first union past it, not a traceback; at the bound the job runs."""
+
+    def test_at_the_bound_every_subcommand_runs(self, capsys, tmp_path):
+        doc = _nested_union_doc(_MAX_UNION_NESTING)
+        config = write_config(tmp_path, doc)
+        code, out, _ = run_cli(capsys, "check", "--config", config)
+        assert code == 0 and json.loads(out)["side"] == 1
+        code, out, _ = run_cli(capsys, "compare", "--config", config, "--mc-samples", "20000")
+        assert code == 0 and json.loads(out)["verdict"] == "agree"
+        code, out, _ = run_cli(capsys, "volume", "--config", config, "--print-normalized")
+        assert code == 0 and json.loads(out)["region"] == doc["region"]
+
+    @pytest.mark.parametrize("n", [_MAX_UNION_NESTING + 1, 245])
+    def test_past_the_bound_exits_2(self, capsys, tmp_path, n):
+        config = write_config(tmp_path, _nested_union_doc(n))
+        code, out, err = run_cli(capsys, "check", "--config", config)
+        assert (code, out) == (2, "")
+        path = "region" + ".parts[0]" * _MAX_UNION_NESTING
+        assert err == f"config error: {path}: unions nested deeper than 100 levels\n"
 
 
 class TestVolumeBeyondFloatRange:

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import revolve as rv
-from revolve import expr
+from revolve import expr, region
 from revolve.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 
-from helpers import (DEEP_SHAPES, MALFORMED_CASES, PRECEDENCE_CASES, ref_compile,
+from helpers import (DEEP_SHAPES, MALFORMED_CASES, PRECEDENCE_CASES, chain, ref_compile,
                      ref_eval_array, ref_eval_expr, ref_eval_node, ref_helpers)
 
 
@@ -78,51 +78,55 @@ class TestParse:
         assert repr(rv.eval_expr(a, 0.7)) == repr(rv.eval_expr(b, 0.7))
 
 
+def _every_evaluator_works(text):
+    """The curve ``text`` in x through every compiled table, and ==, hash
+    and repr between it and a second parse of it."""
+    rv.parse_expr.cache_clear()
+    try:
+        ast = rv.parse_expr(text, "x")
+        assert rv.parse_expr(text, "x") is ast
+        assert expr.ExprAst(text, "x") == ast
+        value = ast(0.5)
+        assert math.isfinite(value)
+        assert rv.eval_array(ast, np.array([0.5]))[0] == pytest.approx(value, rel=1e-12)
+        lo, hi = ast.interval((0.5, 0.5))
+        assert lo <= value <= hi
+        assert ast.defined_interval((0.25, 0.75)) is not None
+        with pytest.raises(DomainError):  # compiles the checked evaluator
+            ast(math.inf)
+        # A second tree: ==, hash and repr read the text, not the trees.
+        rv.parse_expr.cache_clear()
+        fresh = rv.parse_expr(text, "x")
+        assert fresh.root is not ast.root and fresh == ast and hash(fresh) == hash(ast)
+        assert repr(fresh) == repr(ast) == f"ExprAst(text={text!r}, variable='x')"
+    finally:
+        rv.parse_expr.cache_clear()
+
+
 class TestDepthBounds:
-    """The parser's nesting and the AST's height are bounded, so a deep
-    curve is a syntax error at the offending token, never a RecursionError."""
+    """The parser's nesting is bounded, so a deeply nested curve is a syntax
+    error at the offending token, never a RecursionError.  A chain nests
+    nothing: no length of it is refused."""
 
     @pytest.mark.parametrize("shape", DEEP_SHAPES)
     def test_one_past_the_bound_is_refused_at_its_token(self, shape):
-        make, bound, position = DEEP_SHAPES[shape]
-        n = getattr(expr, bound) + 1
+        make, position = DEEP_SHAPES[shape]
+        n = expr._MAX_NESTING + 1
         with pytest.raises(ExprSyntaxError) as err:
             rv.parse_expr(make(n), "x")
         assert err.value.position == position(n)
-        what = "nesting deeper than 100 levels" if bound == "_MAX_NESTING" else (
-            "expression tree deeper than 900 nodes")
-        assert str(err.value) == f"{what} (at position {position(n)})"
+        assert str(err.value) == f"nesting deeper than 100 levels (at position {position(n)})"
         # Far past it too: the parser stops at the same token.
         with pytest.raises(ExprSyntaxError, match=re.escape(f"(at position {position(n)})")):
             rv.parse_expr(make(4 * n), "x")
 
     @pytest.mark.parametrize("shape", DEEP_SHAPES)
     def test_at_the_bound_every_evaluator_works(self, shape):
-        make, bound, _ = DEEP_SHAPES[shape]
-        text = make(getattr(expr, bound))
-        rv.parse_expr.cache_clear()
-        try:
-            ast = rv.parse_expr(text, "x")
-            assert rv.parse_expr(text, "x") is ast
-            assert expr.ExprAst(ast.root, "x", text) == ast
-            value = ast(0.5)
-            assert math.isfinite(value)
-            assert rv.eval_array(ast, np.array([0.5]))[0] == pytest.approx(value, rel=1e-12)
-            lo, hi = ast.interval((0.5, 0.5))
-            assert lo <= value <= hi
-            assert ast.defined_interval((0.25, 0.75)) is not None
-            with pytest.raises(DomainError):  # compiles the checked evaluator
-                ast(math.inf)
-            if bound == "_MAX_NESTING":
-                # Two trees compared node by node, and the repr.  A record's
-                # == and repr take three and four frames a level, so on a
-                # 900-node chain both recurse past the interpreter's limit.
-                rv.parse_expr.cache_clear()
-                fresh = rv.parse_expr(text, "x")
-                assert fresh.root is not ast.root and fresh == ast
-                assert repr(fresh) == repr(ast) and repr(ast).startswith("ExprAst(root=")
-        finally:
-            rv.parse_expr.cache_clear()
+        make, _ = DEEP_SHAPES[shape]
+        _every_evaluator_works(make(expr._MAX_NESTING))
+
+    def test_a_long_chain_every_evaluator_works(self):
+        _every_evaluator_works(chain(20000))
 
     def test_bounds_add_up_in_mixed_shapes(self):
         # Nesting counts every kind of level together.
@@ -133,12 +137,25 @@ class TestDepthBounds:
         assert rv.parse_expr(text, "x")(0.5) == value
         with pytest.raises(ExprSyntaxError, match="nesting deeper than 100 levels"):
             rv.parse_expr("-" + text, "x")
-        # Height adds along a path: a chain of 450 terms, grouped, heads
-        # one of 451.
-        inner = "(1" + "+x" * 449 + ")"
-        assert rv.parse_expr(inner + "+x" * 450, "x")(0.0) == 1.0
-        with pytest.raises(ExprSyntaxError, match="expression tree deeper than 900 nodes"):
-            rv.parse_expr(inner + "+x" * 451, "x")
+        # Chains inside chains: a grouped chain of 450 terms heads one of 5 000.
+        text = "(" + chain(450) + ")" + "+x" * 5000
+        assert rv.parse_expr(text, "x")(1.0) == 5450.0
+
+    def test_a_region_rebuilt_on_a_new_parse_hits_the_probe_cache(self):
+        # The probe cache compares the two parses by value, which must not
+        # walk their trees: one of 451 terms is too deep for a recursive walk.
+        text = "1" + "+x*0" * 450
+        first = rv.NormalX(0.0, 1.0, rv.curve("0", "x"), rv.curve(text, "x"))
+        rv.parse_expr.cache_clear()
+        try:
+            upper = rv.curve(text, "x")
+            assert upper is not first.upper and upper.root is not first.upper.root
+            hits = region._probe_values.cache_info().hits
+            again = rv.NormalX(0.0, 1.0, rv.curve("0", "x"), upper)
+            assert region._probe_values.cache_info().hits == hits + 2
+            assert again == first and hash(again) == hash(first)
+        finally:
+            rv.parse_expr.cache_clear()
 
 
 class TestEval:
