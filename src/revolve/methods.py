@@ -28,7 +28,8 @@ its pieces:
           pass over the closed-form sections, cached per (region, tolerance)
           and shared with ``area`` and ``centroid``
 * monte_carlo: uniform rejection sampling over the bounding box, its
-          containment read off the region's cell grid (``contains_mask``)
+          containment read off the region's cell grid (``contains_mask``),
+          each point's cell off the top bits of its raw Philox words
 
 ``ROUTES`` maps each name to its public ``volume_<name>`` in compare
 order; ``_route`` fills it, times each call and reports the route's
@@ -85,6 +86,7 @@ from .region import (
     leaves,
     pieces,
     shoelace,
+    word_codes,
 )
 
 __all__ = [
@@ -350,21 +352,26 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
     value = box_area * mean(inside * 2*pi*|distance|); the error estimate
     is the standard error of that mean, and the evaluations are the
     samples.  Sampling is Philox 4x64 keyed with the seed; the uniforms
-    come from ``Generator.random``, the doubles (raw >> 11) * 2^-53 of the
-    raw stream in its order.  The points stream through in chunks of
+    are the doubles (raw >> 11) * 2^-53 of the raw stream in its order
+    (``Generator.random``'s).  The points stream through in chunks of
     _CHUNK: consecutive draws continue one Philox stream, so the points are
     those of one long draw.  Each chunk's (count, mean, M2) merges into the
     running one by the pairwise update of Chan, Golub and LeVeque (1983),
-    in chunk order.  A chunk's containment reads the region's cell grid
-    and runs the exact tests on its boundary cells only; the mask is the
-    exact one bit for bit.
+    in chunk order.  When a chunk has more points than the region's cell
+    grid has cells, every chunk's containment (``contains_mask``) reads the
+    grid, and runs the exact tests on its boundary cells only; the mask is
+    the exact one bit for bit.
 
-    A call allocates three buffers once: a chunk's x and y coordinates,
-    and a quarter chunk of uniforms.  A chunk's uniforms are drawn a
-    quarter at a time, and each block is scaled into its slice of the
-    coordinates.  Once the chunk is masked, its distances are computed in
-    place over the x coordinates (the y ones hold b*y), and points outside
-    get 0 by a multiply with the mask.  The multiply is the select wherever
+    A call allocates a chunk's x and y coordinates once, and a byte per
+    point for the codes of their cells when a chunk reads the grid.  A
+    chunk is drawn a quarter at a time by ``Philox.random_raw``, and the
+    block of raw words is worked on in place: shifted right by 11, its
+    int64 view is copied into the block's slice of the coordinates and
+    scaled there (times 2^-53, then the width); then ``word_codes`` names each point's cell by
+    its words' top bits and writes the cell's code.  Once
+    the chunk is masked, its distances are computed in place over the x
+    coordinates (the y ones hold b*y), and points outside get 0 by a
+    multiply with the mask.  The multiply is the select wherever
     the distance is finite, so a box with a corner whose distance is not
     finite is refused (InvalidRegionError): the distance is monotone in
     each coordinate, under rounding too, so the corners bound it over every
@@ -391,10 +398,14 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
         raise InvalidRegionError(
             f"bounding box [{x_lo!r}, {x_hi!r}] x [{y_lo!r}, {y_hi!r}] is too far from "
             "the axis to sample: 2*pi times a corner's distance is not finite")
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    bits = np.random.Philox(key=cfg.seed)
     size = min(_CHUNK, cfg.samples)
     block = min(_CHUNK // 4, size)
-    u = np.empty(2 * block)
+    # Where the chunks read the cell grid, each point's code is named by its
+    # words.  The grid is built first, so that its temporaries and the
+    # chunk's buffers are not held at once.
+    fill = word_codes(region, size)
+    codes = None if fill is None else np.empty(size, dtype=np.uint8)
     xs, ys = np.empty(size), np.empty(size)
     n, mean, m2 = 0, 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -402,15 +413,22 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
             m = min(_CHUNK, cfg.samples - start)
             if m < size:  # the last chunk is short
                 xs, ys = xs[:m], ys[:m]
+                codes = None if codes is None else codes[:m]
             for lo in range(0, m, block):
                 k = min(block, m - lo)
-                draw, x, y = u[:2 * k], xs[lo:lo + k], ys[lo:lo + k]
-                rng.random(out=draw)
-                np.multiply(draw[0::2], width, out=x)
-                x += x_lo
-                np.multiply(draw[1::2], height, out=y)
-                y += y_lo
-            inside = contains_mask(region, xs, ys)
+                raw = bits.random_raw(2 * k)
+                raw >>= 11  # t: below 2^53, so its int64 view
+                whole = raw.view(np.int64)  # converts exactly, and fast
+                for out, words, origin, w in zip((xs, ys), (whole[0::2], whole[1::2]),
+                                                 (x_lo, y_lo), (width, height)):
+                    part = out[lo:lo + k]
+                    np.copyto(part, words)
+                    part *= 2.0**-53  # u, exactly
+                    part *= w
+                    part += origin
+                if fill is not None:
+                    fill(raw, codes[lo:lo + k])
+            inside = contains_mask(region, xs, ys, codes)  # the private _codes
             vals = _scaled_distance(axis, xs, ys, out=xs, scratch=ys)
             vals *= inside
             chunk_mean = float(vals.mean())

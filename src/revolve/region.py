@@ -24,6 +24,8 @@ points than _GRID x _GRID reads a grid of cells over the bounding box
 (``_cell_grid``, cached per region): inside, outside, or boundary where a
 box covering the boundary meets the cell.  The exact tests run only on the
 points in boundary cells or off the grid; the mask is theirs bit for bit.
+Monte Carlo names each point's cell by the top bits of its random words
+(``word_codes``), and the lookup is skipped.
 
 Every region is also a list of pieces (``pieces``): an outer interval
 [u0, u1], inner bounds near(u) <= v <= far(u), and the map that carries
@@ -76,6 +78,7 @@ __all__ = [
     "pieces",
     "contains",
     "contains_mask",
+    "word_codes",
     "bounding_box",
     "axis_side_check",
 ]
@@ -107,8 +110,9 @@ _PROBE_CACHE_SIZE = 256
 _SLAB_CACHE_SIZE = 4
 
 # contains_mask on more points than this grid has cells reads a _GRID x
-# _GRID grid of cells over the bounding box (``_cell_grid``).
-_GRID = 64
+# _GRID grid of cells over the bounding box (``_cell_grid``).  A power of
+# two: Monte Carlo reads a point's cell off the top bits of its draws.
+_GRID = 128
 
 # _cell_codes builds the cell index of this many points at a time.
 _SLICE = 2**14
@@ -513,8 +517,12 @@ def _polygon_mask(poly: Polygon, xs, ys):
                 "float range to test containment: its squared length or on-edge slack "
                 "is not finite")
         is_left = (q.x - p.x) * (ys - p.y) - (xs - p.x) * (q.y - p.y)
-        wn += (p.y <= ys) & (q.y > ys) & (is_left > 0.0)
-        wn -= (p.y > ys) & (q.y <= ys) & (is_left < 0.0)
+        # An edge crosses a point's row upward only if p.y < q.y, downward
+        # only if p.y > q.y, and a horizontal one neither way.
+        if p.y < q.y:
+            wn += (p.y <= ys) & (q.y > ys) & (is_left > 0.0)
+        elif p.y > q.y:
+            wn -= (p.y > ys) & (q.y <= ys) & (is_left < 0.0)
         # is_left is not needed signed any more: |cross| in place.
         close = np.abs(is_left, out=is_left) <= bound
         if close.any():
@@ -545,7 +553,7 @@ def _exact_mask(region: Region, xs, ys):
         ))
 
 
-def contains_mask(region: Region, xs, ys):
+def contains_mask(region: Region, xs, ys, _codes=None):
     """Vectorized containment in the closed region over coordinate arrays:
     in any of its leaves.  Points where a boundary curve cannot be
     evaluated are outside.
@@ -553,12 +561,18 @@ def contains_mask(region: Region, xs, ys):
     A call with more points than the region's cell grid has cells reads
     the grid (``_cell_grid``), and runs the exact tests only on the points
     in boundary cells or off the grid; the mask is the exact one bit for
-    bit.
+    bit.  ``_codes``, Monte Carlo's, is each point's code as ``word_codes``
+    fills it (one per point, in the order of ``xs.ravel()``), read in place
+    of the lookup.
     """
     import numpy as np
 
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
+    if _codes is not None:
+        if _codes.shape != (xs.size,) or xs.shape != ys.shape:
+            raise ValueError("contains_mask: _codes needs one code per point")
+        return _codes_mask(region, _codes, xs.ravel(), ys.ravel()).reshape(xs.shape)
     if xs.size > _GRID * _GRID and xs.shape == ys.shape:
         grid = _cell_grid(region)
         if grid is not None:
@@ -779,9 +793,13 @@ def _sampled_side(region: Region, axis: Axis) -> int:
 # cell that a box meets.  No boundary lies within the margin of an unmarked
 # cell, so the exact mask is constant there and on the points that rounding
 # of a cell index can bring in: the cell takes the exact mask's verdict at
-# its centre.  A curve box is bounded by the defined-only enclosure
-# (``ExprAst.defined_interval``); where the curve may be undefined, the box
-# spans the clipped enclosures of both curves of its leaf.
+# its centre.  The margin, 1e-9 times the grid's largest coordinate, is
+# also what lets Monte Carlo name a point's cell without the lookup
+# (``word_codes``): a point computed from its fraction of the box lies
+# within a few ulps of the cell that the fraction names.  A curve box is
+# bounded by the defined-only enclosure (``ExprAst.defined_interval``);
+# where the curve may be undefined, the box spans the clipped enclosures of
+# both curves of its leaf.
 
 _OUTSIDE, _INSIDE, _BOUNDARY = 0, 1, 2
 
@@ -922,15 +940,51 @@ def _cell_codes(grid: _CellGrid, xs, ys):
     return codes
 
 
-def _grid_mask(region: Region, grid: _CellGrid, xs, ys):
-    """Containment read off ``grid``, with the exact tests on the points in
-    boundary cells and off the grid (NaN and infinite ones too).  Its only
-    arrays as long as the points are the codes and the mask, a byte per
-    point each."""
+def word_codes(region: Region, points: int):
+    """Monte Carlo's reading of the region's cell grid, in calls of at most
+    ``points`` points: None where ``contains_mask`` on that many points
+    reads no grid (at most _GRID x _GRID of them, or the region has none);
+    else ``fill(words, out)``.  ``words`` is a block of raw uint64 words
+    shifted right by 11, x and y interleaved: the point's coordinates are
+    x = x_lo + (t * 2^-53) * (x_hi - x_lo), t its x word, and y likewise
+    over the bounding box.  ``fill`` writes each point's code into ``out``
+    (a uint8 per point, which ``contains_mask`` reads as ``_codes``) and
+    overwrites ``words``.  The cell of the fractions u and v is row
+    floor(v*_GRID), column floor(u*_GRID): the top bits of the words.  A
+    point rounded from those products lies within a few ulps of the box's
+    coordinates of that cell, far inside the grid's margin."""
     import numpy as np
 
+    grid = _cell_grid(region) if points > _GRID * _GRID else None
+    if grid is None:
+        return None
+    b = _GRID.bit_length() - 1
+    assert _GRID == 1 << b, "a cell is named by the top bits of a word"
+    table = grid.codes.reshape(_GRID + 2, _GRID + 2)[1:-1, 1:-1].ravel()
+
+    def fill(words, out):
+        words >>= 53 - b  # column and row
+        words[1::2] <<= b
+        words[1::2] |= words[0::2]  # row * _GRID + column
+        table.take(words.view(np.int64)[1::2], out=out)
+
+    return fill
+
+
+def _grid_mask(region: Region, grid: _CellGrid, xs, ys):
+    """Containment read off ``grid``, the points' cells found from their
+    coordinates (``_cell_codes``)."""
     xs, ys = xs.ravel(), ys.ravel()
-    codes = _cell_codes(grid, xs, ys)
+    return _codes_mask(region, _cell_codes(grid, xs, ys), xs, ys)
+
+
+def _codes_mask(region: Region, codes, xs, ys):
+    """Containment from each point's cell code, with the exact tests on the
+    points of boundary cells (off the grid, NaN and infinite ones are in
+    the border, whose cells are boundary).  Its only arrays as long as the
+    points are the codes and the mask, a byte per point each."""
+    import numpy as np
+
     mask = codes == _INSIDE
     edge = np.flatnonzero(codes == _BOUNDARY)
     if edge.size:

@@ -942,8 +942,8 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # x and y of a chunk (1 MiB) and a quarter chunk of uniforms (0.25
-        # MiB), then the cell lookup of a slice and the exact tests on the
+        # x and y of a chunk (1 MiB), a quarter chunk of raw words (0.25
+        # MiB) and the chunk's cell codes, then the exact tests on the
         # boundary cells.  Separate uniform, distance and scratch buffers
         # with a full-length cell index peak near 4.1 MiB.
         assert peak <= 2.5 * 2**20
@@ -960,14 +960,16 @@ _MC_VARIANTS = {
 _MC_OBLIQUE = rv.Axis(1.0, 0.5, 1.0)
 
 class TestMonteCarloReference:
-    """The chunk loop of reused buffers, ``Generator.random`` and the
+    """The chunk loop of reused buffers, the raw stream's words converted
+    through their int64 view, the cells read off their top bits and the
     multiply by the mask is the reference loop (``ref_monte_carlo``) bit for
     bit: value, error estimate and evaluations."""
 
     @pytest.mark.parametrize("key", [0, 42, 2**64 - 1])
     @pytest.mark.parametrize("samples", [
         100, 101, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 3, 2 * _CHUNK + _CHUNK // 4 + 1,
-        3 * _CHUNK + 5])  # chunks and their quarter-chunk draws, whole and split unevenly
+        3 * _CHUNK + 5,  # chunks and their quarter-chunk draws, whole and split unevenly
+        region_module._GRID ** 2, region_module._GRID ** 2 + 1])  # either side of the grid
     @pytest.mark.parametrize("variant", sorted(_MC_VARIANTS))
     def test_equals_reference(self, variant, samples, key):
         region = _MC_VARIANTS[variant]()
@@ -977,6 +979,38 @@ class TestMonteCarloReference:
         assert report.value == ref.value
         assert report.error_estimate == ref.error_estimate
         assert report.evaluations == ref.evaluations == samples
+
+    def test_short_runs_build_no_grid(self):
+        # A chunk reads the grid only when it has more points than the grid
+        # has cells.
+        region = torus_normal_x()
+        region_module._cell_grid.cache_clear()
+        rv.volume_monte_carlo(region, _MC_OBLIQUE, rv.McConfig(region_module._GRID ** 2, 0))
+        assert region_module._cell_grid.cache_info().currsize == 0
+        rv.volume_monte_carlo(region, _MC_OBLIQUE, rv.McConfig(region_module._GRID ** 2 + 1, 0))
+        assert region_module._cell_grid.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("samples", [100, region_module._GRID ** 2 + 1])
+    def test_points_are_the_scaled_uniforms(self, samples, monkeypatch):
+        # x_lo + width * u, u = (raw >> 11) * 2^-53, bit for bit; on a box
+        # narrower than 2^-969, width * 2^-53 is not a normal double, and
+        # a width of 53 significant bits would be rounded by it.
+        width = math.sqrt(3.0) * 2.0**-1000
+        for region in (torus_normal_x(), rv.Polygon((rv.Point(0.0, 0.0), rv.Point(width, 0.0),
+                                                     rv.Point(0.0, 2.0)))):
+            seen = []
+
+            def record(region, xs, ys, *codes):
+                seen.append((xs.copy(), ys.copy()))
+                return rv.contains_mask(region, xs, ys, *codes)
+
+            monkeypatch.setattr(rv.methods, "contains_mask", record)
+            rv.volume_monte_carlo(region, rv.Axis.vertical(-1.0), rv.McConfig(samples, 42))
+            x_lo, x_hi, y_lo, y_hi = rv.bounding_box(region)
+            u = (np.random.Philox(key=42).random_raw(2 * samples) >> np.uint64(11)) * 2.0**-53
+            xs, ys = (np.concatenate(c) for c in zip(*seen))
+            assert np.array_equal(xs, x_lo + (x_hi - x_lo) * u[0::2])
+            assert np.array_equal(ys, y_lo + (y_hi - y_lo) * u[1::2])
 
     @pytest.mark.parametrize("chunk", [_CHUNK, 2 * _CHUNK])
     @pytest.mark.parametrize("key", [0, 42, 2**64 - 1])

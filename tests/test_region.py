@@ -114,8 +114,9 @@ class TestContains:
         # More points than the grid has cells: the grid sends them to the
         # exact test.
         rng = np.random.default_rng(3)
-        xs = np.concatenate([np.resize(xs, 600), rng.uniform(1.5, 5.5, 5000)])
-        ys = np.concatenate([np.resize(ys, 600), rng.uniform(-3.5, -0.5, 5000)])
+        cells = region_module._GRID ** 2
+        xs = np.concatenate([np.resize(xs, 600), rng.uniform(1.5, 5.5, cells)])
+        ys = np.concatenate([np.resize(ys, 600), rng.uniform(-3.5, -0.5, cells)])
         assert xs.size > region_module._GRID ** 2
         mask = rv.contains_mask(triangle, xs, ys)
         assert not mask[:600][np.resize([True] * len(bad) + [False], 600)].any()
@@ -202,7 +203,8 @@ class TestContains:
         [[0, 0], [1e155, 0], [1e155, 1], [0, 1]],  # the squared edge length overflows
         [[1e200, 0], [1.0000000001e200, 0], [1e200, 1]],  # so does a thin triangle's
     ])
-    @pytest.mark.parametrize("count", [3, 5000])  # the exact tests, and the cell grid
+    # The exact tests, and the cell grid.
+    @pytest.mark.parametrize("count", [3, 5000, region_module._GRID ** 2 + 1])
     def test_polygon_near_float_range_is_refused(self, vertices, count):
         # An infinite slack would put every point on an edge.
         poly = rv.Polygon(tuple(rv.Point(x, y) for x, y in vertices))
@@ -215,7 +217,8 @@ class TestContains:
                            rv.Point(0, 1)))
         assert rv.contains(poly, rv.Point(5e149, 0.5))
 
-    @pytest.mark.parametrize("count", [1, 5000])  # the exact tests, and the cell grid
+    # The exact tests, on one point and on many, and the cell grid.
+    @pytest.mark.parametrize("count", [1, 5000, region_module._GRID ** 2 + 1])
     def test_on_edge_slack_is_a_distance_from_the_edge(self, count):
         # The slack is 1e-12 of the coordinates' size across the edge: the
         # y of a long flat edge, the x of a short upright one.
@@ -338,7 +341,7 @@ class TestCellGrid:
         assert 0 < got.sum() < got.size
 
     def test_nan_bound_meets_every_cell(self):
-        assert region_module._cell_range(math.nan, 1.0, 0.0, 1.0, 0.0) == slice(0, 64)
+        assert region_module._cell_range(math.nan, 1.0, 0.0, 1.0, 0.0) == slice(0, region_module._GRID)
 
     @pytest.mark.parametrize("name", ["square", "star10", "star_tiny", "star_large", "concave_union",
                                       "short_edge_tip"])
@@ -410,16 +413,56 @@ class TestCellGrid:
         assert got[3000:].any()
 
     def test_a_far_coordinate_reads_the_grid_without_a_warning(self):
-        # 5000 points take the grid; x = 1e308 scales past the float range
-        # to inf, which the lookup clamps to the border column.  Under the
-        # suite's filterwarnings = error a RuntimeWarning fails the test.
+        # More points than the grid has cells take it; x = 1e308 scales past
+        # the float range to inf, which the lookup clamps to the border
+        # column.  Under the suite's filterwarnings = error a RuntimeWarning
+        # fails the test.
         region = unit_square_polygon()
         rng = np.random.default_rng(3)
-        xs, ys = rng.uniform(0.5, 2.5, 5000), rng.uniform(-0.5, 1.5, 5000)
+        n = region_module._GRID ** 2 + 1
+        xs, ys = rng.uniform(0.5, 2.5, n), rng.uniform(-0.5, 1.5, n)
         xs[17] = 1e308
         got = rv.contains_mask(region, xs, ys)
         assert (got == region_module._exact_mask(region, xs, ys)).all()
         assert not got[17] and 0 < got.sum() < got.size
+
+    @pytest.mark.parametrize("name", sorted(_GRID_REGIONS))
+    def test_codes_from_the_top_bits_of_53_bit_integers(self, name):
+        # Monte Carlo's points: x = x_lo + width * (k * 2^-53), whose cell is
+        # the top b bits of k.  Random k, every cell edge j * 2^(53 - b), and
+        # 1 and 2 either side of it.
+        region = _GRID_REGIONS[name]()
+        b = region_module._GRID.bit_length() - 1
+        shift = 53 - b
+        edges = np.arange(region_module._GRID, dtype=np.int64) << shift
+        edges = np.concatenate([edges + d for d in (0, 1, -1, 2, -2)])
+        edges = edges[(edges >= 0) & (edges < 2**53)]
+        rng = np.random.default_rng(len(name))
+        n = edges.size
+        kx = np.concatenate([edges, rng.integers(0, 2**53, n), edges, rng.integers(0, 2**53, 5000)])
+        ky = np.concatenate([rng.integers(0, 2**53, n), edges, rng.permutation(edges),
+                             rng.integers(0, 2**53, 5000)])
+        fill = region_module.word_codes(region, region_module._GRID ** 2 + 1)
+        assert fill is not None
+        words = np.empty(2 * kx.size, dtype=np.uint64)
+        words[0::2], words[1::2] = kx, ky
+        codes = np.empty(kx.size, dtype=np.uint8)
+        fill(words, codes)
+        x_lo, x_hi, y_lo, y_hi = rv.bounding_box(region)
+        xs = x_lo + (x_hi - x_lo) * (kx * 2.0**-53)
+        ys = y_lo + (y_hi - y_lo) * (ky * 2.0**-53)
+        got = rv.contains_mask(region, xs, ys, _codes=codes)
+        want = region_module._exact_mask(region, xs, ys)
+        bad = np.flatnonzero(got != want)
+        assert bad.size == 0, list(zip(xs[bad][:5].tolist(), ys[bad][:5].tolist()))
+
+    def test_word_codes_only_where_the_grid_is_read(self):
+        region = _GRID_REGIONS["square"]()
+        assert region_module.word_codes(region, region_module._GRID ** 2) is None
+        assert region_module.word_codes(region, region_module._GRID ** 2 + 1) is not None
+        xs = np.zeros(region_module._GRID ** 2 + 1)
+        with pytest.raises(ValueError, match="one code per point"):
+            rv.contains_mask(region, xs, xs, _codes=np.zeros(xs.size - 1, dtype=np.uint8))
 
     @pytest.mark.parametrize("name", ["square", "sector_polar", "star_large", "disk_y"])
     def test_cell_index_is_the_full_length_one(self, name):
@@ -483,7 +526,7 @@ class TestCellGrid:
 
     def test_equal_regions_share_one_grid(self):
         region_module._cell_grid.cache_clear()
-        xs, ys = np.random.default_rng(2).uniform(0.0, 3.0, (2, 5000))
+        xs, ys = np.random.default_rng(2).uniform(0.0, 3.0, (2, region_module._GRID ** 2 + 1))
         first = rv.contains_mask(torus_normal_x(), xs, ys)
         assert (rv.contains_mask(torus_normal_x(), xs, ys) == first).all()
         assert region_module._cell_grid.cache_info().misses == 1
@@ -1143,7 +1186,8 @@ class TestProbes:
         # Its box is 2e308 wide: the cell grid steps aside for the exact tests.
         assert region_module._cell_grid(constant) is None
         rng = np.random.default_rng(11)
-        xs, ys = rng.uniform(-1.0, 1.0, 5000) * 1e308, rng.uniform(-0.5, 1.5, 5000)
+        n = region_module._GRID ** 2 + 1
+        xs, ys = rng.uniform(-1.0, 1.0, n) * 1e308, rng.uniform(-0.5, 1.5, n)
         assert (rv.contains_mask(constant, xs, ys) == ((ys >= 0.0) & (ys <= 1.0))).all()
 
     def test_random_intervals_are_linspace_bit_for_bit(self):
