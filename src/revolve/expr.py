@@ -37,7 +37,7 @@ interval evaluators on first use.  The generated source holds no constant,
 so expressions of one shape share one compiled code object, each with its
 own constants bound.
 ``parse_scalar`` takes a finite number literal, or its negation, as its
-float, unparsed.  Only the array evaluator needs numpy, and it imports it
+float, unparsed.  Only the array evaluators need numpy, and they import it
 then.  The scalar evaluator calls math inline; where it fails, it hands
 over to a checked twin, compiled on the first failure, whose DomainError
 names the failing operation.
@@ -61,6 +61,9 @@ bound (a pole, a divisor interval that holds 0, an overflow) is
 promise.  The defined-only enclosure is the same, but None wherever the
 helpers would clip an operand or give an unbounded result, so a finite one
 also certifies that the expression is defined on the whole interval.
+The array interval evaluators do the same for many intervals per call, by
+array twins of the same helpers (``revolve._intervals``, imported on first
+use).
 """
 
 from __future__ import annotations
@@ -144,10 +147,11 @@ class ExprAst:
     """Immutable parsed expression in (at most) one variable, with its
     compiled evaluators: ``scalar`` is ``eval_expr``'s, ``array`` is
     ``eval_array``'s and ``interval`` maps an interval (lo, hi) of the
-    variable to an enclosure of the values there.  The value is (text,
-    variable): ``root``, the parsed text, and ``scalar`` are set at
-    construction, the other evaluators on first use, as is
-    ``defined_interval``, and none of them is a field."""
+    variable to an enclosure of the values there; ``intervals`` does so for
+    arrays of intervals.  The value is (text, variable): ``root``, the
+    parsed text, and ``scalar`` are set at construction, the other
+    evaluators on first use, as are the defined-only ``defined_interval``
+    and ``defined_intervals``, and none of them is a field."""
 
     text: str
     variable: str | None
@@ -181,6 +185,20 @@ class ExprAst:
         function's domain or not be finite: a result certifies that the
         expression is defined, and finite, on the whole interval."""
         return _compile(self.root, _DEFINED_TABLE)
+
+    @functools.cached_property
+    def intervals(self) -> Callable:
+        """``interval`` over many boxes per call: (lo, hi), two arrays, to
+        the enclosures over each box, two arrays of their shape."""
+        return _array_intervals(self.root, False)
+
+    @functools.cached_property
+    def defined_intervals(self) -> Callable:
+        """``intervals`` and where ``defined_interval`` would certify each
+        box: (lo, hi) to (lo, hi, defined), ``defined`` a bool array, False
+        exactly where ``defined_interval`` gives None.  Where it is True,
+        (lo, hi) is the defined-only enclosure."""
+        return _array_intervals(self.root, True)
 
     def __reduce__(self):
         # Generated functions do not pickle; a copy is parsed again.
@@ -828,3 +846,32 @@ def _defined(helper: Callable) -> Callable:
 _DEFINED_TABLE = _table({name: _defined(_ipow_unclipped if name == "^" else helper)
                          for name, helper in _INTERVAL_HELPERS.items() if name != "const"}
                         | {"const": lambda v: (v, v) if math.isfinite(v) else None})
+
+
+# ---------------------------------------------------------------------------
+# Array interval evaluation: many boxes per call
+#
+# ``ExprAst.intervals`` maps boxes given as two arrays (lo, hi) to the
+# enclosures over each, as two arrays, and ``defined_intervals`` also says
+# where the defined-only table would certify each box.  Their table, the
+# scalar helpers' array twins, is in ``revolve._intervals``, imported (and
+# compiled) on first use.
+
+def _array_intervals(root: Node, defined: bool) -> Callable:
+    """``root``'s array interval evaluator: (lo, hi) to the enclosures over
+    each box, as arrays of the boxes' shape, and if ``defined`` a bool
+    array too, False where the defined-only enclosure is None."""
+    import numpy as np
+
+    from ._intervals import table
+
+    with np.errstate(all="ignore"):  # folding a constant may divide by zero
+        evaluate = _compile(root, table(defined))
+
+    def intervals(box):
+        shape = np.shape(box[0])
+        with np.errstate(all="ignore"):
+            out = evaluate((*box, True) if defined else box)
+        return tuple(v if np.shape(v) == shape else np.broadcast_to(v, shape) for v in out)
+
+    return intervals

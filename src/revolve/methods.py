@@ -357,18 +357,18 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
     _CHUNK: consecutive draws continue one Philox stream, so the points are
     those of one long draw.  Each chunk's (count, mean, M2) merges into the
     running one by the pairwise update of Chan, Golub and LeVeque (1983),
-    in chunk order.  When a chunk has more points than the region's cell
-    grid has cells, every chunk's containment (``contains_mask``) reads the
-    grid, and runs the exact tests on its boundary cells only; the mask is
+    in chunk order.  When a chunk has more points than ``contains_mask``
+    takes without the region's cell grid, every chunk's containment reads
+    the grid, and runs the exact tests on its boundary cells only; the mask is
     the exact one bit for bit.
 
     A call allocates a chunk's x and y coordinates once, and a byte per
     point for the codes of their cells when a chunk reads the grid.  A
-    chunk is drawn a quarter at a time by ``Philox.random_raw``, and the
-    block of raw words is worked on in place: shifted right by 11, its
-    int64 view is copied into the block's slice of the coordinates and
-    scaled there (times 2^-53, then the width); then ``word_codes`` names each point's cell by
-    its words' top bits and writes the cell's code.  Once
+    chunk is drawn a quarter at a time by ``Philox.random_raw``.
+    ``word_codes`` names each point's cell by the top bytes of its two raw
+    words and writes the cell's code; then the block is worked on in place:
+    shifted right by 11, its int64 view is copied into the block's slice of
+    the coordinates and scaled there (times 2^-53, then the width).  Once
     the chunk is masked, its distances are computed in place over the x
     coordinates (the y ones hold b*y), and points outside get 0 by a
     multiply with the mask.  The multiply is the select wherever
@@ -398,13 +398,13 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
         raise InvalidRegionError(
             f"bounding box [{x_lo!r}, {x_hi!r}] x [{y_lo!r}, {y_hi!r}] is too far from "
             "the axis to sample: 2*pi times a corner's distance is not finite")
-    bits = np.random.Philox(key=cfg.seed)
     size = min(_CHUNK, cfg.samples)
     block = min(_CHUNK // 4, size)
     # Where the chunks read the cell grid, each point's code is named by its
-    # words.  The grid is built first, so that its temporaries and the
-    # chunk's buffers are not held at once.
+    # words.  The grid is built first, before the generator and the chunk's
+    # buffers, so that its temporaries and theirs are not held at once.
     fill = word_codes(region, size)
+    bits = np.random.Philox(key=cfg.seed)
     codes = None if fill is None else np.empty(size, dtype=np.uint8)
     xs, ys = np.empty(size), np.empty(size)
     n, mean, m2 = 0, 0.0, 0.0
@@ -417,17 +417,17 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
             for lo in range(0, m, block):
                 k = min(block, m - lo)
                 raw = bits.random_raw(2 * k)
+                if fill is not None:
+                    fill(raw, codes[lo:lo + k])
                 raw >>= 11  # t: below 2^53, so its int64 view
-                whole = raw.view(np.int64)  # converts exactly, and fast
-                for out, words, origin, w in zip((xs, ys), (whole[0::2], whole[1::2]),
-                                                 (x_lo, y_lo), (width, height)):
+                # No view of the block outlives the loop: the next block's
+                # cell codes are read while this one would still be held.
+                for i, out, origin, w in ((0, xs, x_lo, width), (1, ys, y_lo, height)):
                     part = out[lo:lo + k]
-                    np.copyto(part, words)
+                    np.copyto(part, raw.view(np.int64)[i::2])  # converts exactly, and fast
                     part *= 2.0**-53  # u, exactly
                     part *= w
                     part += origin
-                if fill is not None:
-                    fill(raw, codes[lo:lo + k])
             inside = contains_mask(region, xs, ys, codes)  # the private _codes
             vals = _scaled_distance(axis, xs, ys, out=xs, scratch=ys)
             vals *= inside

@@ -20,12 +20,12 @@ found by bisection.  On n vertices that is about n log n, and more only
 where the x-ranges overlap in many pairs or the slabs hold many pieces.
 Boundary points count as inside: the region is closed, and containment is
 exact on polygon edges and at a sector's apex.  A containment call on more
-points than _GRID x _GRID reads a grid of cells over the bounding box
-(``_cell_grid``, cached per region): inside, outside, or boundary where a
-box covering the boundary meets the cell.  The exact tests run only on the
-points in boundary cells or off the grid; the mask is theirs bit for bit.
-Monte Carlo names each point's cell by the top bits of its random words
-(``word_codes``), and the lookup is skipped.
+than _GRID_POINTS points reads a grid of _GRID x _GRID cells over the
+bounding box (``_cell_grid``, cached per region): inside, outside, or
+boundary where a box covering the boundary meets the cell.  The exact tests
+run only on the points in boundary cells or off the grid; the mask is
+theirs bit for bit.  Monte Carlo names each point's cell by the top byte of
+each of its two random words (``word_codes``), and the lookup is skipped.
 
 Every region is also a list of pieces (``pieces``): an outer interval
 [u0, u1], inner bounds near(u) <= v <= far(u), and the map that carries
@@ -49,18 +49,17 @@ cloud.
 from __future__ import annotations
 
 import bisect
-import collections
 import functools
 import heapq
 import math
 import operator
+import sys
 from typing import Callable, ClassVar, NamedTuple
 
 from ._record import record
 from .errors import AxisIntersectsRegion, DomainError, InvalidRegionError
 from .expr import (
-    _WHOLE, ExprAst, _down, _iadd, _icos, _imul, _isin, _isub, _up, eval_array, eval_expr,
-    parse_expr,
+    ExprAst, _down, _iadd, _icos, _imul, _isub, _up, eval_array, eval_expr, parse_expr,
 )
 from .geometry import Axis, Point
 
@@ -109,23 +108,16 @@ _PROBE_CACHE_SIZE = 256
 # Polygons whose slabs, as pieces, are kept (each slab direction apart).
 _SLAB_CACHE_SIZE = 4
 
-# contains_mask on more points than this grid has cells reads a _GRID x
-# _GRID grid of cells over the bounding box (``_cell_grid``).  A power of
-# two: Monte Carlo reads a point's cell off the top bits of its draws.
-_GRID = 128
+# The cell grid (``_cell_grid``) has _GRID x _GRID cells over the bounding
+# box: 2^8, so that Monte Carlo reads a point's cell off the top byte of
+# each of its two random words.
+_GRID = 256
+
+# contains_mask on more points than this reads the cell grid.
+_GRID_POINTS = 2**14
 
 # _cell_codes builds the cell index of this many points at a time.
 _SLICE = 2**14
-
-# Curve boxes one grid may bound; the boxes left are marked as they stand.
-_GRID_BOXES = 2048
-
-# The size, in cells, of the pieces that a boundary is cut into.
-_PIECE = 0.75
-
-# Margin of every marked box, relative to the grid's largest coordinate (at
-# least 1): far above the array evaluator's departures from the scalar one.
-_GRID_MARGIN = 1e-9
 
 # Maps from a piece's (outer u, inner v) to the plane (``plane_point``).
 IDENTITY = "identity"  # (x, y) = (u, v)
@@ -136,7 +128,8 @@ POLAR = "polar"        # (x, y) = (v cos u, v sin u), area element v du dv
 def plane_point(cmap: str, u, v, cos=math.cos, sin=math.sin, mul=operator.mul):
     """The point (x, y) of (u, v) under the map ``cmap``: of floats, of
     numpy arrays given np.cos and np.sin, or enclosures of x and y over the
-    boxes u and v given _icos, _isin and _imul."""
+    boxes u and v given _icos, _isin and _imul (or their array twins in
+    ``revolve._intervals``, over arrays of boxes)."""
     if cmap == POLAR:
         return mul(v, cos(u)), mul(v, sin(u))
     return (v, u) if cmap == SWAP else (u, v)
@@ -558,8 +551,8 @@ def contains_mask(region: Region, xs, ys, _codes=None):
     in any of its leaves.  Points where a boundary curve cannot be
     evaluated are outside.
 
-    A call with more points than the region's cell grid has cells reads
-    the grid (``_cell_grid``), and runs the exact tests only on the points
+    A call on more than _GRID_POINTS points reads the region's cell grid
+    (``_cell_grid``), and runs the exact tests only on the points
     in boundary cells or off the grid; the mask is the exact one bit for
     bit.  ``_codes``, Monte Carlo's, is each point's code as ``word_codes``
     fills it (one per point, in the order of ``xs.ravel()``), read in place
@@ -573,7 +566,7 @@ def contains_mask(region: Region, xs, ys, _codes=None):
         if _codes.shape != (xs.size,) or xs.shape != ys.shape:
             raise ValueError("contains_mask: _codes needs one code per point")
         return _codes_mask(region, _codes, xs.ravel(), ys.ravel()).reshape(xs.shape)
-    if xs.size > _GRID * _GRID and xs.shape == ys.shape:
+    if xs.size > _GRID_POINTS and xs.shape == ys.shape:
         grid = _cell_grid(region)
         if grid is not None:
             return _grid_mask(region, grid, xs, ys).reshape(xs.shape)
@@ -785,21 +778,15 @@ def _sampled_side(region: Region, axis: Axis) -> int:
 # ---------------------------------------------------------------------------
 # The cell grid
 #
-# contains_mask's verdict can change only across the boundary: polygon
-# edges, a curve leaf's near and far curves and its straight ends, a
-# sector's apex, and where a curve is undefined.  _cell_grid covers each of
-# them by boxes of about _PIECE cells, widened by a margin far above the
-# round-off of the exact tests and the polygon edge slack, and marks every
-# cell that a box meets.  No boundary lies within the margin of an unmarked
-# cell, so the exact mask is constant there and on the points that rounding
-# of a cell index can bring in: the cell takes the exact mask's verdict at
-# its centre.  The margin, 1e-9 times the grid's largest coordinate, is
+# contains_mask's verdict can change only across the boundary.  The grid
+# (built by ``revolve._cells``) marks as boundary every cell that a box
+# covering part of the boundary meets, each box widened by a margin far
+# above the round-off of the exact tests; every other cell is inside or
+# outside throughout, and so are the points that rounding of a cell index
+# can bring in.  The margin, 1e-9 times the grid's largest coordinate, is
 # also what lets Monte Carlo name a point's cell without the lookup
 # (``word_codes``): a point computed from its fraction of the box lies
-# within a few ulps of the cell that the fraction names.  A curve box is
-# bounded by the defined-only enclosure (``ExprAst.defined_interval``);
-# where the curve may be undefined, the box spans the clipped enclosures of
-# both curves of its leaf.
+# within a few ulps of the cell that the fraction names.
 
 _OUTSIDE, _INSIDE, _BOUNDARY = 0, 1, 2
 
@@ -812,101 +799,16 @@ class _CellGrid(NamedTuple):
     codes: np.ndarray  # (_GRID + 2)^2 read-only uint8 codes, row (y) major; the border is _BOUNDARY
 
 
-def _cell_range(lo: float, hi: float, origin: float, scale: float, margin: float) -> slice:
-    """The cells, of ``scale`` per unit from ``origin``, that [lo, hi]
-    widened by ``margin`` meets; all of them where a bound is NaN."""
-    t0, t1 = (lo - margin - origin) * scale, (hi + margin - origin) * scale
-    if not t0 <= t1:
-        return slice(0, _GRID)
-    return slice(math.floor(min(max(t0, 0.0), _GRID)), math.floor(min(max(t1, -1.0), _GRID - 1)) + 1)
-
-
 # Up to 64 regions' grids, of (_GRID + 2)^2 bytes each.
 @functools.lru_cache(maxsize=64)
 def _cell_grid(region: Region) -> _CellGrid | None:
     """The region's cells over its bounding box, each _INSIDE, _OUTSIDE or
     _BOUNDARY; None where the box has no points or a cell width that is 0
-    or not finite.  Cached by value, as ``_sampled_box`` is."""
-    import numpy as np
+    or not finite.  Cached by value, as ``_sampled_box`` is.  Built by
+    ``revolve._cells``, which is compiled only where a grid is built."""
+    from ._cells import build
 
-    box = _sampled_box(region)
-    if box is None:
-        return None
-    x_lo, x_hi, y_lo, y_hi = box
-    cell_x, cell_y = (x_hi - x_lo) / _GRID, (y_hi - y_lo) / _GRID
-    if not all(0.0 < w < math.inf and 1.0 / w < math.inf for w in (cell_x, cell_y)):
-        return None
-    sx, sy = 1.0 / cell_x, 1.0 / cell_y
-    reach = max(1.0, *map(abs, box))
-    margin = _GRID_MARGIN * reach
-    radius = _up(max(math.hypot(x, y) for x in (x_lo, x_hi) for y in (y_lo, y_hi)))
-    marked = np.zeros((_GRID, _GRID), dtype=bool)
-
-    def mark(bx, by, m: float) -> None:
-        marked[_cell_range(*by, y_lo, sy, m), _cell_range(*bx, x_lo, sx, m)] = True
-
-    def segment(a: tuple[float, float], b: tuple[float, float], m: float) -> None:
-        """Mark the straight segment ab in pieces of about _PIECE cells."""
-        steps = max(abs(b[0] - a[0]) * sx, abs(b[1] - a[1]) * sy) / _PIECE
-        k = max(1, math.ceil(min(4 * _GRID, steps)))  # NaN reads as large
-        for i in range(k):
-            px = [a[0] + (b[0] - a[0]) * (j / k) for j in (i, i + 1)]
-            py = [a[1] + (b[1] - a[1]) * (j / k) for j in (i, i + 1)]
-            mark((min(px), max(px)), (min(py), max(py)), m)
-
-    arcs = []
-    for leaf in leaves(region):
-        if isinstance(leaf, Polygon):
-            verts = leaf.vertices
-            for p, q in zip(verts, verts[1:] + verts[:1]):
-                # The on-edge test reaches at most 2 * _EDGE_TOL * top off the
-                # edge, across it and along it.
-                top = max(reach, abs(p.x), abs(p.y), abs(q.x), abs(q.y))
-                segment((p.x, p.y), (q.x, q.y), margin + 4.0 * _EDGE_TOL * top)
-            continue
-        u0, u1, near, far = leaf.span
-        # A sector's angle is rounded in proportion to its size.
-        m = margin * max(1.0, abs(u0), abs(u1)) if leaf.map == POLAR else margin
-        near_at, far_at = _probe_values(near, u0, u1), _probe_values(far, u0, u1)
-        for i, u in ((0, u0), (-1, u1)):
-            segment(plane_point(leaf.map, u, near_at[i]), plane_point(leaf.map, u, far_at[i]), m)
-        if leaf.map == POLAR:
-            mark((0.0, 0.0), (0.0, 0.0), m)
-        arcs += [(leaf.map, near, far, u0, u1, m), (leaf.map, far, near, u0, u1, m)]
-
-    # A curve box is cut in proportion to its size, in cells, into pieces of
-    # about _PIECE cells.  Where a curve may be undefined, the points of the
-    # region lie between the clipped enclosures of both curves: the box
-    # spans them, and is cut only until it is that narrow along u.
-    u_scale = {IDENTITY: sx, SWAP: sy, POLAR: radius * max(sx, sy)}
-    queue = collections.deque(arcs)
-    budget = _GRID_BOXES - len(queue)
-    while queue:
-        cmap, c, other, lo, hi, m = queue.popleft()
-        v = c.defined_interval((lo, hi))
-        defined = v is not None
-        if not defined:
-            cv, ov = c.interval((lo, hi)), other.interval((lo, hi))
-            v = (min(cv[0], ov[0]), max(cv[1], ov[1])) if cv[0] <= cv[1] and ov[0] <= ov[1] else _WHOLE
-        bx, by = plane_point(cmap, (lo, hi), v, _icos, _isin, _imul)
-        size = max((bx[1] - bx[0]) * sx, (by[1] - by[0]) * sy)
-        if not defined:
-            size = min(size, (hi - lo) * u_scale[cmap])
-        k = math.ceil(min(4 * _GRID, budget, size / _PIECE))  # NaN reads as large
-        if k < 2:
-            mark(bx, by, m)
-            continue
-        budget -= k
-        cuts = [lo + (hi - lo) * (i / k) for i in range(k)] + [hi]
-        queue += [(cmap, c, other, a, b, m) for a, b in zip(cuts, cuts[1:])]
-
-    centres = [lo + (np.arange(_GRID) + 0.5) * w for lo, w in ((x_lo, cell_x), (y_lo, cell_y))]
-    inside = _exact_mask(region, *np.meshgrid(*centres))
-    codes = np.full((_GRID + 2, _GRID + 2), _BOUNDARY, dtype=np.uint8)
-    codes[1:-1, 1:-1] = np.where(marked, _BOUNDARY, inside)
-    codes = codes.ravel()
-    codes.flags.writeable = False
-    return _CellGrid(x_lo - cell_x, y_lo - cell_y, sx, sy, codes)
+    return build(region)
 
 
 def _cell_index(values, origin: float, scale: float):
@@ -943,30 +845,36 @@ def _cell_codes(grid: _CellGrid, xs, ys):
 def word_codes(region: Region, points: int):
     """Monte Carlo's reading of the region's cell grid, in calls of at most
     ``points`` points: None where ``contains_mask`` on that many points
-    reads no grid (at most _GRID x _GRID of them, or the region has none);
-    else ``fill(words, out)``.  ``words`` is a block of raw uint64 words
-    shifted right by 11, x and y interleaved: the point's coordinates are
-    x = x_lo + (t * 2^-53) * (x_hi - x_lo), t its x word, and y likewise
-    over the bounding box.  ``fill`` writes each point's code into ``out``
-    (a uint8 per point, which ``contains_mask`` reads as ``_codes``) and
-    overwrites ``words``.  The cell of the fractions u and v is row
-    floor(v*_GRID), column floor(u*_GRID): the top bits of the words.  A
-    point rounded from those products lies within a few ulps of the box's
-    coordinates of that cell, far inside the grid's margin."""
+    reads no grid (at most _GRID_POINTS of them, or the region has none);
+    else ``fill(words, out)``.  ``words`` is a block of raw uint64 words, x
+    and y interleaved, of either byte order: the point's coordinates are
+    x = x_lo + (t * 2^-53) * (x_hi - x_lo), t its x word shifted right by
+    11, and y likewise over the bounding box.  ``fill`` writes each point's
+    code into ``out`` (a uint8 per point, which ``contains_mask`` reads as
+    ``_codes``) and leaves ``words`` as they are.  The cell of the
+    fractions u and v is row floor(v*_GRID), column floor(u*_GRID): the top
+    bytes of the words.  A point rounded from those products lies within a
+    few ulps of the box's coordinates of that cell, far inside the grid's
+    margin."""
     import numpy as np
 
-    grid = _cell_grid(region) if points > _GRID * _GRID else None
+    grid = _cell_grid(region) if points > _GRID_POINTS else None
     if grid is None:
         return None
-    b = _GRID.bit_length() - 1
-    assert _GRID == 1 << b, "a cell is named by the top bits of a word"
+    assert _GRID == 256, "a cell is named by the top byte of each word"
     table = grid.codes.reshape(_GRID + 2, _GRID + 2)[1:-1, 1:-1].ravel()
 
     def fill(words, out):
-        words >>= 53 - b  # column and row
-        words[1::2] <<= b
-        words[1::2] |= words[0::2]  # row * _GRID + column
-        table.take(words.view(np.int64)[1::2], out=out)
+        # The byte that holds a word's top 8 bits: the last of its 8 bytes
+        # in little-endian order.
+        little = words.dtype.isnative == (sys.byteorder == "little")
+        top = words.view(np.uint8)[7 if little else 0::8]
+        # row * _GRID + column: a little-endian uint16 whose high byte is
+        # the y word's top byte and whose low byte is the x word's.
+        index = np.empty(out.size, dtype="<u2")
+        halves = index.view(np.uint8)
+        halves[0::2], halves[1::2] = top[0::2], top[1::2]
+        table.take(index, out=out)
 
     return fill
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pickle
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import revolve as rv
-from revolve import expr, region
+from revolve import _intervals, expr, region
 from revolve.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 
 from helpers import (DEEP_SHAPES, MALFORMED_CASES, PRECEDENCE_CASES, chain, ref_compile,
@@ -886,3 +887,137 @@ class TestIntervalEnclosures:
         assert "interval" not in vars(ast) and "array" not in vars(ast)
         assert ast.interval((0.0, 1.0)) == ast.interval((0.0, 1.0))
         assert "interval" in vars(ast) and "array" not in vars(ast)
+
+
+# ---------------------------------------------------------------------------
+# The array interval table: many boxes per call
+
+_SCALAR_OPERATIONS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+                      "/": expr._divide, "^": expr._power, "neg": lambda a: -a}
+# Correctly rounded in numpy as in Python: the array ends are the scalar ones.
+_EXACT = {"+", "-", "*", "/", "neg"}
+
+
+def _random_box(rng):
+    """``_random_interval``, or now and then a box with an infinite end."""
+    if rng.random() < 0.1:
+        return rng.choice([(0.0, math.inf), (-math.inf, 0.0), (math.inf, math.inf),
+                           (-math.inf, -math.inf), (1.0, math.inf), (-math.inf, math.inf)])
+    return _random_interval(rng)
+
+
+def _ulps_inside(array_end, scalar_end, side):
+    """How far ``array_end`` lies inside ``scalar_end``, in ulps: 0 where it
+    is the same or outside (side -1 for a lower end, +1 for an upper)."""
+    steps = 0
+    while side * (scalar_end - array_end) > 0.0 and steps < 3:
+        array_end = math.nextafter(array_end, side * math.inf)
+        steps += 1
+    return steps
+
+
+def _compare_to_scalar(got, want):
+    """'equal', 'wider' or 'one ulp inside': how the array enclosure ``got``
+    stands to the scalar one ``want``; anything else fails."""
+    if all(g == w or (math.isnan(g) and math.isnan(w)) for g, w in zip(got, want)):
+        return "equal"
+    inside = max(_ulps_inside(got[0], want[0], -1), _ulps_inside(got[1], want[1], 1))
+    assert inside <= 1, (got, want)
+    return "wider" if inside == 0 else "one ulp inside"
+
+
+class TestArrayIntervalTable:
+    """``ExprAst.intervals`` and ``defined_intervals`` against the scalar
+    table, box by box."""
+
+    @pytest.mark.parametrize("op", sorted(_SCALAR_OPERATIONS) + sorted(expr._FUNCTIONS))
+    def test_each_helper_against_the_scalar_one(self, op):
+        rng = random.Random(f"array {op}")
+        arity = 2 if op in "+-*/^" else 1
+        boxes = []
+        for _ in range(2000):
+            box = [_random_box(rng) for _ in range(arity)]
+            if op == "^" and rng.random() < 0.5:
+                n = float(rng.randint(-4, 4))  # even and odd integer powers
+                box[1] = (n, n)
+            boxes.append(box)
+        operands = [tuple(np.array([b[k][end] for b in boxes]) for end in (0, 1)) for k in range(arity)]
+        helper = _intervals.table(False)[op][0]
+        with np.errstate(all="ignore"):
+            lo, hi = (np.broadcast_to(v, len(boxes)) for v in helper(*operands))
+        scalar = _SCALAR_OPERATIONS.get(op) or expr._SCALAR_HELPERS[op]
+        seen = {"equal": 0, "wider": 0, "one ulp inside": 0}
+        for i, box in enumerate(boxes):
+            got = (float(lo[i]), float(hi[i]))
+            seen[_compare_to_scalar(got, expr._INTERVAL_HELPERS[op](*box))] += 1
+            if all(math.isfinite(end) for b in box for end in b):  # past an infinity, no promise
+                _assert_encloses(got, scalar, *itertools.product(*(_points(rng, b) for b in box)))
+        if op in _EXACT:
+            assert seen["equal"] == len(boxes), seen
+        assert seen["equal"] > len(boxes) // 2, seen
+
+    @pytest.mark.parametrize("text, box", [
+        ("0*x", (math.inf, math.inf)),          # zero times infinity is 0
+        ("x*(1/x)", (0.0, math.inf)),
+        ("1/x", (-1.0, 1.0)), ("1/x", (0.0, 2.0)), ("1/(x-x)", (0.0, 1.0)),  # a divisor that may be 0
+        ("x^2", (-2.0, 1.0)), ("x^3", (-2.0, 1.0)), ("x^(-2)", (-1.0, 1.0)),
+        ("x^(-3)", (0.5, 2.0)), ("x^0.5", (-1.0, 4.0)), ("(-8)^x", (1.0, 2.0)),
+        ("sin(x)", (0.0, math.pi)), ("cos(x)", (-1.0, 4.0)), ("sin(x)", (1.5, 1.6)),
+        ("cos(x)", (3.1, 3.2)), ("cos(x)", (-0.1, 0.1)),      # a peak inside
+        ("tan(x)", (1.5, 1.7)), ("tan(x)", (-0.5, 1.5)),       # across the pole, and not
+        ("exp(x)", (0.0, 1000.0)), ("log(x)", (0.0, 1.0)), ("sqrt(1 - x^2)", (0.5, 1.0)),
+        ("abs(x) + sin(x)", (-3.0, 2.0)), ("1e999*0 + x", (0.0, 1.0)),
+    ])
+    def test_edge_boxes(self, text, box):
+        ast = rv.parse_expr(text, "x")
+        lo, hi = (np.array([end]) for end in box)
+        got = tuple(float(v[0]) for v in ast.intervals((lo, hi)))
+        assert _compare_to_scalar(got, ast.interval(box)) in ("equal", "wider")
+        d_lo, d_hi, defined = ast.defined_intervals((lo, hi))
+        assert (float(d_lo[0]), float(d_hi[0])) == got
+        assert bool(defined[0]) == (ast.defined_interval(box) is not None)
+
+    def test_random_expressions(self):
+        # The enclosures hold every scalar value at sampled points of each
+        # box; the defined-only twin fails exactly where the scalar one is
+        # None, and its enclosure is the plain one.
+        rng = random.Random(20261020)
+        seen = {"equal": 0, "wider": 0, "one ulp inside": 0, "defined": 0}
+        for ast in _random_asts():
+            boxes = [_random_interval(rng) for _ in range(12)]
+            lo, hi = (np.array([b[end] for b in boxes]) for end in (0, 1))
+            got_lo, got_hi = ast.intervals((lo, hi))
+            d_lo, d_hi, defined = ast.defined_intervals((lo, hi))
+            assert np.array_equal(d_lo, got_lo, equal_nan=True)
+            assert np.array_equal(d_hi, got_hi, equal_nan=True)
+            for i, box in enumerate(boxes):
+                got = (float(got_lo[i]), float(got_hi[i]))
+                _assert_encloses(got, lambda a: rv.eval_expr(ast, a),
+                                 *[(a,) for a in _points(rng, box)])
+                want = ast.defined_interval(box)
+                assert bool(defined[i]) == (want is not None), (ast.text, box)
+                seen["defined"] += want is not None
+                # Each operation may put an end one ulp inside; that adds up
+                # along a chain, so only the single operations above are
+                # held to one ulp.
+                if want is not None and got != want:
+                    seen["wider" if got[0] <= want[0] and got[1] >= want[1] else "one ulp inside"] += 1
+                else:
+                    seen["equal"] += want is not None
+        assert seen["defined"] > 1000 and seen["equal"] > seen["defined"] // 2, seen
+
+    def test_built_on_first_use(self):
+        rv.parse_expr.cache_clear()
+        ast = rv.parse_expr("sqrt(1 - x^2)", "x")
+        assert "intervals" not in vars(ast) and "defined_intervals" not in vars(ast)
+        box = (np.array([0.0, 0.5]), np.array([0.5, 1.0]))
+        assert ast.defined_intervals(box)[2].tolist() == [True, False]
+        assert "defined_intervals" in vars(ast) and "intervals" not in vars(ast)
+
+    def test_constant_expressions_take_the_boxes_shape(self):
+        box = (np.zeros((2, 3)), np.ones((2, 3)))
+        for text in ("2", "pi/2", "x*0 + 1"):
+            lo, hi, defined = rv.parse_expr(text, "x").defined_intervals(box)
+            assert lo.shape == hi.shape == defined.shape == (2, 3) and defined.all()
+        lo, hi, defined = rv.parse_expr("1e999", "x").defined_intervals(box)
+        assert not defined.any()

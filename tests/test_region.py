@@ -6,7 +6,7 @@ import pytest
 
 import revolve as rv
 from revolve.errors import AxisIntersectsRegion, InvalidRegionError
-from revolve import region as region_module
+from revolve import _cells, region as region_module
 from revolve.config import load_job, parse_job
 from revolve.expr import _icos, _imul, _isin
 from revolve.region import IDENTITY, POLAR, SWAP, leaves, pieces, plane_point
@@ -111,13 +111,13 @@ class TestContains:
                (math.inf, math.inf), (math.nan, -2.0)]
         xs, ys = (np.array(v) for v in zip(*bad, (3.0, -2.0)))
         assert rv.contains_mask(triangle, xs, ys).tolist() == [False] * len(bad) + [True]
-        # More points than the grid has cells: the grid sends them to the
-        # exact test.
+        # More than _GRID_POINTS points: the grid sends them to the exact
+        # test.
         rng = np.random.default_rng(3)
-        cells = region_module._GRID ** 2
-        xs = np.concatenate([np.resize(xs, 600), rng.uniform(1.5, 5.5, cells)])
-        ys = np.concatenate([np.resize(ys, 600), rng.uniform(-3.5, -0.5, cells)])
-        assert xs.size > region_module._GRID ** 2
+        n = region_module._GRID_POINTS
+        xs = np.concatenate([np.resize(xs, 600), rng.uniform(1.5, 5.5, n)])
+        ys = np.concatenate([np.resize(ys, 600), rng.uniform(-3.5, -0.5, n)])
+        assert xs.size > region_module._GRID_POINTS
         mask = rv.contains_mask(triangle, xs, ys)
         assert not mask[:600][np.resize([True] * len(bad) + [False], 600)].any()
         assert mask[:600][np.resize([False] * len(bad) + [True], 600)].all()
@@ -204,7 +204,7 @@ class TestContains:
         [[1e200, 0], [1.0000000001e200, 0], [1e200, 1]],  # so does a thin triangle's
     ])
     # The exact tests, and the cell grid.
-    @pytest.mark.parametrize("count", [3, 5000, region_module._GRID ** 2 + 1])
+    @pytest.mark.parametrize("count", [3, 5000, region_module._GRID_POINTS + 1])
     def test_polygon_near_float_range_is_refused(self, vertices, count):
         # An infinite slack would put every point on an edge.
         poly = rv.Polygon(tuple(rv.Point(x, y) for x, y in vertices))
@@ -218,7 +218,7 @@ class TestContains:
         assert rv.contains(poly, rv.Point(5e149, 0.5))
 
     # The exact tests, on one point and on many, and the cell grid.
-    @pytest.mark.parametrize("count", [1, 5000, region_module._GRID ** 2 + 1])
+    @pytest.mark.parametrize("count", [1, 5000, region_module._GRID_POINTS + 1])
     def test_on_edge_slack_is_a_distance_from_the_edge(self, count):
         # The slack is 1e-12 of the coordinates' size across the edge: the
         # y of a long flat edge, the x of a short upright one.
@@ -312,6 +312,18 @@ def _grid_matches_exact(region, xs, ys):
     return got
 
 
+def _cell_edge_words():
+    """Raw 64-bit words at every cell edge j * 2^56 of the top byte, and 1
+    and 2 either side of it (wrapping below 0)."""
+    edges = np.arange(region_module._GRID, dtype=np.uint64) << np.uint64(56)
+    return np.concatenate([edges + np.uint64(d) for d in (0, 1, 2)]
+                          + [edges - np.uint64(d) for d in (1, 2)])
+
+
+def _random_words(rng, n):
+    return rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+
+
 def _nudged(values, ulps):
     """``values`` moved by each of ``ulps`` units in the last place."""
     out = []
@@ -341,7 +353,9 @@ class TestCellGrid:
         assert 0 < got.sum() < got.size
 
     def test_nan_bound_meets_every_cell(self):
-        assert region_module._cell_range(math.nan, 1.0, 0.0, 1.0, 0.0) == slice(0, region_module._GRID)
+        first, past = _cells._cell_range(np.array([math.nan, 0.5]), np.array([1.0, math.nan]),
+                                         0.0, 1.0, 0.0)
+        assert first.tolist() == [0, 0] and past.tolist() == [region_module._GRID] * 2
 
     @pytest.mark.parametrize("name", ["square", "star10", "star_tiny", "star_large", "concave_union",
                                       "short_edge_tip"])
@@ -413,13 +427,13 @@ class TestCellGrid:
         assert got[3000:].any()
 
     def test_a_far_coordinate_reads_the_grid_without_a_warning(self):
-        # More points than the grid has cells take it; x = 1e308 scales past
+        # More than _GRID_POINTS points take the grid; x = 1e308 scales past
         # the float range to inf, which the lookup clamps to the border
         # column.  Under the suite's filterwarnings = error a RuntimeWarning
         # fails the test.
         region = unit_square_polygon()
         rng = np.random.default_rng(3)
-        n = region_module._GRID ** 2 + 1
+        n = region_module._GRID_POINTS + 1
         xs, ys = rng.uniform(0.5, 2.5, n), rng.uniform(-0.5, 1.5, n)
         xs[17] = 1e308
         got = rv.contains_mask(region, xs, ys)
@@ -428,39 +442,78 @@ class TestCellGrid:
 
     @pytest.mark.parametrize("name", sorted(_GRID_REGIONS))
     def test_codes_from_the_top_bits_of_53_bit_integers(self, name):
-        # Monte Carlo's points: x = x_lo + width * (k * 2^-53), whose cell is
-        # the top b bits of k.  Random k, every cell edge j * 2^(53 - b), and
-        # 1 and 2 either side of it.
+        # Monte Carlo's points: x = x_lo + width * (t * 2^-53), t the raw
+        # word shifted right by 11, whose cell is the top 8 bits of t: the
+        # word's top byte.  Random words, every cell edge j * 2^56, and 1
+        # and 2 either side of it.
         region = _GRID_REGIONS[name]()
-        b = region_module._GRID.bit_length() - 1
-        shift = 53 - b
-        edges = np.arange(region_module._GRID, dtype=np.int64) << shift
-        edges = np.concatenate([edges + d for d in (0, 1, -1, 2, -2)])
-        edges = edges[(edges >= 0) & (edges < 2**53)]
+        edges = _cell_edge_words()
         rng = np.random.default_rng(len(name))
         n = edges.size
-        kx = np.concatenate([edges, rng.integers(0, 2**53, n), edges, rng.integers(0, 2**53, 5000)])
-        ky = np.concatenate([rng.integers(0, 2**53, n), edges, rng.permutation(edges),
-                             rng.integers(0, 2**53, 5000)])
-        fill = region_module.word_codes(region, region_module._GRID ** 2 + 1)
+        wx = np.concatenate([edges, _random_words(rng, n), edges, _random_words(rng, 5000)])
+        wy = np.concatenate([_random_words(rng, n), edges, rng.permutation(edges),
+                             _random_words(rng, 5000)])
+        fill = region_module.word_codes(region, region_module._GRID_POINTS + 1)
         assert fill is not None
-        words = np.empty(2 * kx.size, dtype=np.uint64)
-        words[0::2], words[1::2] = kx, ky
-        codes = np.empty(kx.size, dtype=np.uint8)
+        words = np.empty(2 * wx.size, dtype=np.uint64)
+        words[0::2], words[1::2] = wx, wy
+        codes = np.empty(wx.size, dtype=np.uint8)
         fill(words, codes)
         x_lo, x_hi, y_lo, y_hi = rv.bounding_box(region)
-        xs = x_lo + (x_hi - x_lo) * (kx * 2.0**-53)
-        ys = y_lo + (y_hi - y_lo) * (ky * 2.0**-53)
+        xs = x_lo + (x_hi - x_lo) * ((wx >> 11) * 2.0**-53)
+        ys = y_lo + (y_hi - y_lo) * ((wy >> 11) * 2.0**-53)
         got = rv.contains_mask(region, xs, ys, _codes=codes)
         want = region_module._exact_mask(region, xs, ys)
         bad = np.flatnonzero(got != want)
         assert bad.size == 0, list(zip(xs[bad][:5].tolist(), ys[bad][:5].tolist()))
 
+    @pytest.mark.parametrize("order", ["<u8", ">u8"])
+    def test_word_codes_are_the_top_bytes_of_the_words(self, order, monkeypatch):
+        # Grids whose codes are each cell's column, or its row, read back
+        # the top byte of each x word, or y word, in either byte order.
+        region = _GRID_REGIONS["square"]()
+        grid = region_module._cell_grid(region)
+        rng = np.random.default_rng(11)
+        edges = _cell_edge_words()
+        wx = np.concatenate([edges, _random_words(rng, edges.size + 5000)])
+        wy = np.concatenate([_random_words(rng, edges.size), edges, _random_words(rng, 5000)])
+        words = np.empty(2 * wx.size, dtype=order)
+        words[0::2], words[1::2] = wx, wy
+        size = region_module._GRID + 2
+        row, column = np.divmod(np.arange(size * size), size)
+        codes = np.empty(wx.size, dtype=np.uint8)
+        for numbers, want in ((column, wx >> 56), (row, wy >> 56)):
+            numbered = grid._replace(codes=((numbers - 1) % 256).astype(np.uint8))
+            monkeypatch.setattr(region_module, "_cell_grid", lambda r: numbered)
+            region_module.word_codes(region, region_module._GRID_POINTS + 1)(words, codes)
+            assert np.array_equal(codes, want)
+        assert np.array_equal(words[0::2], wx) and np.array_equal(words[1::2], wy)
+
+    @pytest.mark.parametrize("name", sorted(_GRID_REGIONS))
+    def test_every_unmarked_cell_holds_its_exact_verdict(self, name):
+        # A cell that no boundary box meets is inside or outside throughout:
+        # at three seeded points in it and at its lower left corner.
+        region = _GRID_REGIONS[name]()
+        grid = region_module._cell_grid(region)
+        side = region_module._GRID
+        codes = grid.codes.reshape(side + 2, side + 2)[1:-1, 1:-1]
+        rows, cols = np.nonzero(codes != region_module._BOUNDARY)
+        assert rows.size > side
+        x_lo, x_hi, y_lo, y_hi = rv.bounding_box(region)
+        rng = np.random.default_rng(len(name))
+        at = np.concatenate([rng.uniform(0.0, 1.0, (2, 3, rows.size)), np.zeros((2, 1, rows.size))], 1)
+        xs = x_lo + (cols + at[0]) * ((x_hi - x_lo) / side)
+        ys = y_lo + (rows + at[1]) * ((y_hi - y_lo) / side)
+        want = np.broadcast_to(codes[rows, cols] == region_module._INSIDE, xs.shape)
+        got = region_module._exact_mask(region, xs.ravel(), ys.ravel()).reshape(xs.shape)
+        bad = np.flatnonzero(got != want)
+        assert bad.size == 0, list(zip(xs.ravel()[bad][:5].tolist(), ys.ravel()[bad][:5].tolist()))
+
     def test_word_codes_only_where_the_grid_is_read(self):
         region = _GRID_REGIONS["square"]()
-        assert region_module.word_codes(region, region_module._GRID ** 2) is None
-        assert region_module.word_codes(region, region_module._GRID ** 2 + 1) is not None
-        xs = np.zeros(region_module._GRID ** 2 + 1)
+        assert region_module.word_codes(region, region_module._GRID_POINTS) is None
+        assert region_module.word_codes(region, region_module._GRID_POINTS + 1) is not None
+        xs = np.zeros(region_module._GRID_POINTS + 1)
         with pytest.raises(ValueError, match="one code per point"):
             rv.contains_mask(region, xs, xs, _codes=np.zeros(xs.size - 1, dtype=np.uint8))
 
@@ -468,27 +521,30 @@ class TestCellGrid:
     def test_cell_index_is_the_full_length_one(self, name):
         grid = region_module._cell_grid(_GRID_REGIONS[name]())
         size = region_module._GRID + 2
-        # Two grids whose codes are the low and high bytes of each cell's
-        # number read back the index itself.
+        # Grids whose codes are the bytes of each cell's number read back
+        # the index itself.
         cells = np.arange(size * size)
-        low, high = (grid._replace(codes=c.astype(np.uint8)) for c in (cells % 256, cells // 256))
+        shifts = range(0, size.bit_length() * 2, 8)
+        byte_grids = [grid._replace(codes=((cells >> s) & 255).astype(np.uint8)) for s in shifts]
         rng = np.random.default_rng(len(name))
         n = 2 * region_module._SLICE + 1234  # three slices, the last short
 
-        def coordinates(origin, scale):
+        def coordinates(origin, scale, corners):
             # The first slice stays on the grid, so it is not clamped; the
             # rest mix cell edges and 1-3 ulps either side, NaN, the
-            # infinities and points beyond the border.
+            # infinities and points beyond the border, and end at three
+            # corners of the border.
             on_grid = origin + rng.uniform(0.0, size - 2, region_module._SLICE) / scale
             edges = _nudged(origin + np.arange(size + 1) / scale, (0, 1, -1, 2, -2, 3, -3))
             beyond = origin + np.array([-1.0, -1e-3, size + 1e-3, 2 * size, -1e6, 1e6]) / scale
             special = np.concatenate([edges, beyond, [math.nan, math.inf, -math.inf, 1e308, -1e308]])
-            return np.concatenate([on_grid, rng.choice(special, n - on_grid.size)])
+            return np.concatenate([on_grid, rng.choice(special, n - on_grid.size - 3), corners])
 
-        xs, ys = coordinates(grid.x0, grid.sx), coordinates(grid.y0, grid.sy)
+        xs = coordinates(grid.x0, grid.sx, [-math.inf, math.inf, math.inf])
+        ys = coordinates(grid.y0, grid.sy, [-math.inf, -math.inf, math.inf])
         with np.errstate(over="ignore"):  # (1e308 - origin) * scale
-            got = (region_module._cell_codes(low, xs, ys).astype(np.int64)
-                   + 256 * region_module._cell_codes(high, xs, ys).astype(np.int64))
+            got = sum(region_module._cell_codes(g, xs, ys).astype(np.int64) << s
+                      for g, s in zip(byte_grids, shifts))
             assert np.array_equal(got, ref_cell_index(grid, xs, ys))
         assert {0, size - 1, size * size - 1} <= set(got.tolist())
 
@@ -515,7 +571,7 @@ class TestCellGrid:
     def test_small_calls_skip_the_grid(self):
         region = _star(8, seed=21)
         region_module._cell_grid.cache_clear()
-        side = region_module._GRID
+        side = math.isqrt(region_module._GRID_POINTS)
         xs, ys = np.meshgrid(np.linspace(2.0, 4.0, side), np.linspace(-3.0, -1.0, side))
         assert rv.contains_mask(region, xs, ys).shape == (side, side)
         assert rv.contains(region, rv.Point(3.0, -2.0))
@@ -524,9 +580,35 @@ class TestCellGrid:
         assert rv.contains_mask(region, xs, ys)[-1]
         assert region_module._cell_grid.cache_info().currsize == 1
 
+    def test_a_sample_block_of_a_large_polygon_reads_the_grid(self, monkeypatch):
+        # revolve sample masks its grid in blocks of whole rows: on a 300
+        # point grid, 218 rows of 65 400 points, more than _GRID_POINTS but
+        # fewer than the grid has cells.  On a regular 2 000-gon the exact
+        # tests run only on the points of boundary cells.
+        from revolve.cli import _CHUNK
+
+        gon = regular_polygon(2000, centre=(3.0, 0.0))
+        x_lo, x_hi, y_lo, y_hi = rv.bounding_box(gon)
+        side = 300
+        xs = [x_lo + (x_hi - x_lo) * ix / (side - 1) for ix in range(side)]
+        ys = [y_lo + (y_hi - y_lo) * iy / (side - 1) for iy in range(side)][:_CHUNK // side]
+        bx, by = np.tile(xs, len(ys)), np.repeat(ys, side)
+        assert bx.size == 65400
+        codes = region_module._cell_codes(region_module._cell_grid(gon), bx, by)
+        boundary = np.flatnonzero(codes == region_module._BOUNDARY)
+        exact, tested = region_module._exact_mask, []
+        monkeypatch.setattr(region_module, "_exact_mask",
+                            lambda region, xs, ys: tested.append(xs.copy()) or exact(region, xs, ys))
+        got = rv.contains_mask(gon, bx, by)
+        assert len(tested) == 1 and np.array_equal(tested[0], bx[boundary])
+        assert boundary.size < bx.size // 20
+        assert got[codes == region_module._INSIDE].all() and not got[codes == region_module._OUTSIDE].any()
+        some = np.random.default_rng(4).choice(bx.size, 2000, replace=False)
+        assert np.array_equal(got[some], exact(gon, bx[some], by[some]))
+
     def test_equal_regions_share_one_grid(self):
         region_module._cell_grid.cache_clear()
-        xs, ys = np.random.default_rng(2).uniform(0.0, 3.0, (2, region_module._GRID ** 2 + 1))
+        xs, ys = np.random.default_rng(2).uniform(0.0, 3.0, (2, region_module._GRID_POINTS + 1))
         first = rv.contains_mask(torus_normal_x(), xs, ys)
         assert (rv.contains_mask(torus_normal_x(), xs, ys) == first).all()
         assert region_module._cell_grid.cache_info().misses == 1
@@ -1186,7 +1268,7 @@ class TestProbes:
         # Its box is 2e308 wide: the cell grid steps aside for the exact tests.
         assert region_module._cell_grid(constant) is None
         rng = np.random.default_rng(11)
-        n = region_module._GRID ** 2 + 1
+        n = region_module._GRID_POINTS + 1
         xs, ys = rng.uniform(-1.0, 1.0, n) * 1e308, rng.uniform(-0.5, 1.5, n)
         assert (rv.contains_mask(constant, xs, ys) == ((ys >= 0.0) & (ys <= 1.0))).all()
 
