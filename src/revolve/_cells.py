@@ -1,16 +1,23 @@
-"""The cell grid's build: ``region._cell_grid`` imports it where a grid is
-first built, so a job that reads no grid does not compile it.
+"""A region's array side: point containment, the sampled box and the cell
+grid, on numpy arrays.  ``region`` imports it inside the calls that need it
+(``contains_mask``, ``bounding_box`` and the side check's fallback), and
+Monte Carlo for ``word_codes``, so a job that does none of these compiles
+neither it nor numpy.  The sampled box is cached per region, and the cloud
+it is read off is built again where the side check falls back to it.
 
-contains_mask's verdict can change only across the boundary: polygon
-edges, a curve leaf's near and far curves and its straight ends, a
-sector's apex, and where a curve is undefined.  ``build`` covers each of
-them by boxes of about _PIECE cells, widened by a margin far above the
-round-off of the exact tests and the polygon edge slack, and marks every
-cell that a box meets.  No boundary lies within the margin of an unmarked
-cell, so the exact mask is constant there.  Unmarked cells side by side
-share an edge that no boundary meets, so the mask is constant along each
-run of them in a row: the run takes the exact mask's verdict at its first
-cell's centre.  A curve box is bounded by the defined-only enclosure;
+A mask of more than _GRID_POINTS points reads a grid of _GRID x _GRID
+cells over the sampled box (``_cell_grid``, cached per region), and runs
+the exact tests only on the points in boundary cells or off the grid; the
+mask is theirs bit for bit.  The verdict can change only across the
+boundary: polygon edges, a curve leaf's near and far curves and its
+straight ends, a sector's apex, and where a curve is undefined.  The build
+covers each of them by boxes of about _PIECE cells, widened by a margin far
+above the round-off of the exact tests and the polygon edge slack, and
+marks every cell that a box meets.  No boundary lies within the margin of
+an unmarked cell, so the exact mask is constant there.  Unmarked cells side
+by side share an edge that no boundary meets, so the mask is constant along
+each run of them in a row: the run takes the exact mask's verdict at its
+first cell's centre.  A curve box is bounded by the defined-only enclosure;
 where the curve may be undefined, the box spans the clipped enclosures of
 both curves of its leaf.  The boxes of all curves are bounded and cut a
 generation at a time, by the array interval evaluators
@@ -20,16 +27,37 @@ in one pass (``_mark``).
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
-from ._intervals import table
+from . import region as _region  # for region.eval_array, which bench/spans.py counts
+from .errors import InvalidRegionError
 from .expr import _up
-from .region import (
-    _BOUNDARY, _EDGE_TOL, _GRID, IDENTITY, POLAR, SWAP, Polygon, Region, _CellGrid, _exact_mask,
-    _probe_values, _sampled_box, leaves, plane_point,
-)
+from .region import IDENTITY, POLAR, SWAP, Polygon, Region, _probe_values, leaves, plane_point
+
+# Relative slack of the on-edge test for polygons: a distance of _EDGE_TOL
+# times the coordinates' size, across and along the edge (_polygon_mask).
+_EDGE_TOL = 1e-12
+
+# Samples per boundary curve in the sampled cloud; odd, so the midpoint of
+# the outer interval is one of them.
+_CLOUD_SAMPLES = 1025
+_BOX_PAD = 1e-9
+
+# The cell grid (``_cell_grid``) has _GRID x _GRID cells over the bounding
+# box: 2^8, so that Monte Carlo reads a point's cell off the top byte of
+# each of its two random words.
+_GRID = 256
+
+# A mask on more points than this reads the cell grid.
+_GRID_POINTS = 2**14
+
+# _cell_codes builds the cell index of this many points at a time.
+_SLICE = 2**14
 
 # Curve boxes one grid may bound; the boxes left are marked as they stand.
 _GRID_BOXES = 2048
@@ -43,12 +71,205 @@ _CUTS = 2 * _GRID
 # least 1): far above the array evaluator's departures from the scalar one.
 _GRID_MARGIN = 1e-9
 
+_OUTSIDE, _INSIDE, _BOUNDARY = 0, 1, 2
 
-def build(region: Region) -> _CellGrid | None:
+
+# ---------------------------------------------------------------------------
+# Containment
+
+def mask(region: Region, xs, ys, codes=None):
+    """``region.contains_mask`` over coordinate arrays.  A call on more than
+    _GRID_POINTS points reads the region's cell grid; ``codes``, Monte
+    Carlo's, is each point's code as ``word_codes`` fills it (one per point,
+    in the order of ``xs.ravel()``), read in place of the lookup."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if codes is not None:
+        if codes.shape != (xs.size,) or xs.shape != ys.shape:
+            raise ValueError("contains_mask: _codes needs one code per point")
+    elif xs.size > _GRID_POINTS and xs.shape == ys.shape:
+        grid = _cell_grid(region)
+        codes = None if grid is None else _cell_codes(grid, xs.ravel(), ys.ravel())
+    if codes is None:
+        return _exact_mask(region, xs, ys)
+    # The exact tests on the points of boundary cells only (off the grid,
+    # NaN and infinite ones are in the border, whose cells are boundary);
+    # the only arrays as long as the points are a byte per point each.
+    inside = codes == _INSIDE
+    edge = np.flatnonzero(codes == _BOUNDARY)
+    if edge.size:
+        inside[edge] = _exact_mask(region, xs.ravel()[edge], ys.ravel()[edge])
+    return inside.reshape(xs.shape)
+
+
+def _exact_mask(region: Region, xs, ys):
+    """The exact tests: in any of the region's leaves.  An infinite
+    coordinate makes NaN there, silently: such points are outside."""
+    with np.errstate(invalid="ignore"):
+        return functools.reduce(np.logical_or, (
+            (_polygon_mask if isinstance(leaf, Polygon) else _curve_mask)(leaf, xs, ys)
+            for leaf in leaves(region)
+        ))
+
+
+def _curve_mask(leaf, xs, ys):
+    """u_min <= u <= u_max and near(u) <= v <= far(u) at each point's (u, v):
+    for a sector, its angle in [theta_min, theta_min + 2*pi) and its radius.
+    The apex has no angle; it is inside iff rho_min <= 0 at a construction probe."""
+    u_min, u_max, near, far = leaf.span
+    if leaf.map == POLAR:
+        us = u_min + np.mod(np.arctan2(ys, xs) - u_min, math.tau)
+        vs = np.hypot(xs, ys)
+    else:
+        us, vs = (ys, xs) if leaf.map == SWAP else (xs, ys)
+    # One curve sample alive at a time: they are full-length arrays.
+    mask = (us >= u_min) & (us <= u_max)
+    mask &= vs >= _region.eval_array(near, us)
+    mask &= vs <= _region.eval_array(far, us)
+    if leaf.map == POLAR:
+        apex = vs == 0.0
+        if apex.any():
+            # np.where, not item assignment: the mask of 0-d input is a scalar.
+            at_apex = any(v <= 0.0 for v in _probe_values(near, u_min, u_max))
+            mask = np.where(apex, at_apex, mask)
+    return mask
+
+
+def _polygon_mask(poly: Polygon, xs, ys):
+    """Nonzero winding number, or on an edge pq: within 1e-12 * (sx*|n_x| +
+    sy*|n_y|) of its line, n the unit normal, and within 1e-12 * (sx*|t_x| +
+    sy*|t_y|) of the segment along it, t the unit direction, where sx =
+    max(1, |x| of the point, p and q) and sy likewise: the slack of each
+    coordinate's round-off, seen across and along the edge.  The edge test
+    runs only on the points within the slack of the edge's line at the
+    largest scales present.  A point with a coordinate that is not finite
+    is outside.  An edge whose squared length or slack is not finite raises
+    InvalidRegionError: an infinite slack would put every point on it."""
+    shape = xs.shape
+    xs, ys = xs.ravel(), ys.ravel()
+    wn = np.zeros(xs.shape, dtype=np.int64)
+    on_edge = []
+    # The largest finite point coordinate: the others are outside, and an
+    # infinite one would make every slack infinite.
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    reach_x = reach_y = 1.0
+    if finite.any():
+        reach_x = max(reach_x, float(np.abs(xs[finite]).max()))
+        reach_y = max(reach_y, float(np.abs(ys[finite]).max()))
+    verts = poly.vertices
+    n = len(verts)
+    for i in range(n):
+        p, q = verts[i], verts[(i + 1) % n]
+        edge_sx, edge_sy = max(1.0, abs(p.x), abs(q.x)), max(1.0, abs(p.y), abs(q.y))
+        # |cross| is |pq| times the distance to the line, dot |pq| times the
+        # distance along it from p.
+        tx, ty = _EDGE_TOL * abs(q.x - p.x), _EDGE_TOL * abs(q.y - p.y)
+        bound = tx * max(edge_sy, reach_y) + max(edge_sx, reach_x) * ty
+        try:
+            length2 = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
+        except OverflowError:
+            length2 = math.inf
+        if not (math.isfinite(bound) and math.isfinite(length2)):
+            raise InvalidRegionError(
+                f"polygon edge ({p.x!r}, {p.y!r}) to ({q.x!r}, {q.y!r}) is too near the "
+                "float range to test containment: its squared length or on-edge slack "
+                "is not finite")
+        is_left = (q.x - p.x) * (ys - p.y) - (xs - p.x) * (q.y - p.y)
+        # An edge crosses a point's row upward only if p.y < q.y, downward
+        # only if p.y > q.y, and a horizontal one neither way.
+        if p.y < q.y:
+            wn += (p.y <= ys) & (q.y > ys) & (is_left > 0.0)
+        elif p.y > q.y:
+            wn -= (p.y > ys) & (q.y <= ys) & (is_left < 0.0)
+        # is_left is not needed signed any more: |cross| in place.
+        close = np.abs(is_left, out=is_left) <= bound
+        if close.any():
+            near = np.flatnonzero(close)
+            px, py = xs[near], ys[near]
+            sx, sy = np.maximum(edge_sx, np.abs(px)), np.maximum(edge_sy, np.abs(py))
+            across = tx * sy + sx * ty
+            along = sx * tx + sy * ty
+            dot = (px - p.x) * (q.x - p.x) + (py - p.y) * (q.y - p.y)
+            hit = (is_left[near] <= across) & (dot >= -along) & (dot <= length2 + along)
+            on_edge.append(near[hit])
+    mask = wn != 0
+    mask &= finite
+    for idx in on_edge:
+        mask[idx] = True
+    return mask.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# The sampled box
+
+def _pad_interval(lo: float, hi: float) -> tuple[float, float]:
+    return lo - _BOX_PAD * max(1.0, abs(lo)), hi + _BOX_PAD * max(1.0, abs(hi))
+
+
+def _leaf_cloud(leaf: Region):
+    """(xs, ys, exact) of one leaf: a polygon's vertices, which are exact,
+    or a curve leaf's near and far curves at _CLOUD_SAMPLES points of its
+    outer interval (the ends included), carried to the plane, without the
+    points where a curve is NaN."""
+    if isinstance(leaf, Polygon):
+        return (np.array([v.x for v in leaf.vertices], dtype=np.float64),
+                np.array([v.y for v in leaf.vertices], dtype=np.float64), True)
+    u0, u1, near, far = leaf.span
+    if math.isfinite(u1 - u0):
+        ts = np.linspace(u0, u1, _CLOUD_SAMPLES)
+    else:  # np.linspace gives NaN and inf; weights keep each point finite
+        k = np.arange(_CLOUD_SAMPLES) / (_CLOUD_SAMPLES - 1)
+        ts = u0 - k * u0 + k * u1
+    evaluate = _region.eval_array
+    us, vs = np.concatenate([ts, ts]), np.concatenate([evaluate(near, ts), evaluate(far, ts)])
+    keep = ~np.isnan(vs)
+    return (*plane_point(leaf.map, us[keep], vs[keep], np.cos, np.sin), False)
+
+
+# Up to 64 regions' boxes.
+@functools.lru_cache(maxsize=64)
+def sampled_box(region: Region) -> tuple[float, float, float, float] | None:
+    """The min and max of x and of y over each leaf's cloud (``_leaf_cloud``),
+    padded by 1e-9 relative on curve leaves; None when no leaf has points.
+    The box depends on the region alone; regions are frozen and compare by
+    value, so equal regions built separately share one entry."""
+    boxes = []
+    for lx, ly, exact in map(_leaf_cloud, leaves(region)):
+        if lx.size:
+            box = (float(lx.min()), float(lx.max()), float(ly.min()), float(ly.max()))
+            boxes.append(box if exact else (*_pad_interval(*box[:2]), *_pad_interval(*box[2:])))
+    if not boxes:
+        return None
+    x_lo, x_hi, y_lo, y_hi = zip(*boxes)
+    return min(x_lo), max(x_hi), min(y_lo), max(y_hi)
+
+
+def cloud_distances(region: Region, axis) -> tuple[float, float]:
+    """The least and the greatest signed distance from ``axis`` over the
+    sampled cloud, built again on each call: the side check's fallback."""
+    dists = np.concatenate([axis.a * xs + axis.b * ys + axis.c
+                            for xs, ys, _ in map(_leaf_cloud, leaves(region))])
+    return float(dists.min()), float(dists.max())
+
+
+# ---------------------------------------------------------------------------
+# The cell grid
+
+class _CellGrid(NamedTuple):
+    x0: float  # the left and lower edges of the border cells
+    y0: float
+    sx: float  # cells per unit of x and of y
+    sy: float
+    codes: np.ndarray  # (_GRID + 2)^2 read-only uint8 codes, row (y) major; the border is _BOUNDARY
+
+
+# Up to 64 regions' grids, of (_GRID + 2)^2 bytes each.
+@functools.lru_cache(maxsize=64)
+def _cell_grid(region: Region) -> _CellGrid | None:
     """The region's cells over its bounding box, each _INSIDE, _OUTSIDE or
     _BOUNDARY; None where the box has no points or a cell width that is 0
-    or not finite (``region._cell_grid``, which caches it)."""
-    box = _sampled_box(region)
+    or not finite.  Cached by value, as ``sampled_box`` is."""
+    box = sampled_box(region)
     if box is None:
         return None
     x_lo, x_hi, y_lo, y_hi = box
@@ -114,6 +335,8 @@ def _curve_boxes(curves: list, sx: float, sy: float, radius: float) -> list:
     a curve may be undefined, the points of the region lie between the
     clipped enclosures of both curves of its leaf: the box spans them, and
     is cut only until it is that narrow along u."""
+    from ._intervals import table
+
     cos, sin, mul = (table(False)[op][0] for op in ("cos", "sin", "*"))
     # Arc 2i is the near curve of leaf i, arc 2i + 1 its far curve.
     margins = np.repeat([leaf[5] for leaf in curves], 2)
@@ -230,3 +453,65 @@ def _spend(want, budget: int):
     want[j] = budget - (spent[j] - want[j])
     want[j + 1:] = 0.0
     return want, 0 if want[j] >= 2.0 else int(want[j])
+
+
+def _cell_index(values, origin: float, scale: float):
+    """The column (or row) of the border-padded grid of each coordinate:
+    (values - origin) * scale, clamped to the border cells (NaN to the
+    first) where any lies off the grid, and truncated."""
+    t = np.subtract(values, origin)
+    t *= scale
+    if not (0.0 <= t.min() and t.max() <= _GRID + 1):  # NaN fails both
+        np.fmax(t, 0.0, out=t)
+        np.fmin(t, _GRID + 1, out=t)
+    return t.astype(np.int32)
+
+
+def _cell_codes(grid: _CellGrid, xs, ys):
+    """The code of each point's cell in ``grid``: row times (_GRID + 2)
+    plus column indexes the codes.  The index is built _SLICE points at a
+    time, so its temporaries do not grow with the points."""
+    codes = np.empty(xs.size, dtype=np.uint8)
+    with np.errstate(over="ignore"):  # a far coordinate scales to inf, which _cell_index clamps
+        for lo in range(0, xs.size, _SLICE):
+            part = slice(lo, lo + _SLICE)
+            index = _cell_index(ys[part], grid.y0, grid.sy)
+            index *= _GRID + 2
+            index += _cell_index(xs[part], grid.x0, grid.sx)
+            grid.codes.take(index, out=codes[part])
+    return codes
+
+
+def word_codes(region: Region, points: int):
+    """Monte Carlo's reading of the region's cell grid, in calls of at most
+    ``points`` points: None where ``contains_mask`` on that many points
+    reads no grid (at most _GRID_POINTS of them, or the region has none);
+    else ``fill(words, out)``.  ``words`` is a block of raw uint64 words, x
+    and y interleaved, of either byte order: the point's coordinates are
+    x = x_lo + (t * 2^-53) * (x_hi - x_lo), t its x word shifted right by
+    11, and y likewise over the bounding box.  ``fill`` writes each point's
+    code into ``out`` (a uint8 per point, which ``contains_mask`` reads as
+    ``_codes``) and leaves ``words`` as they are.  The cell of the
+    fractions u and v is row floor(v*_GRID), column floor(u*_GRID): the top
+    bytes of the words.  A point rounded from those products lies within a
+    few ulps of the box's coordinates of that cell, far inside the grid's
+    margin."""
+    grid = _cell_grid(region) if points > _GRID_POINTS else None
+    if grid is None:
+        return None
+    assert _GRID == 256, "a cell is named by the top byte of each word"
+    table = grid.codes.reshape(_GRID + 2, _GRID + 2)[1:-1, 1:-1].ravel()
+
+    def fill(words, out):
+        # The byte that holds a word's top 8 bits: the last of its 8 bytes
+        # in little-endian order.
+        little = words.dtype.isnative == (sys.byteorder == "little")
+        top = words.view(np.uint8)[7 if little else 0::8]
+        # row * _GRID + column: a little-endian uint16 whose high byte is
+        # the y word's top byte and whose low byte is the x word's.
+        index = np.empty(out.size, dtype="<u2")
+        halves = index.view(np.uint8)
+        halves[0::2], halves[1::2] = top[0::2], top[1::2]
+        table.take(index, out=out)
+
+    return fill

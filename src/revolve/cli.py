@@ -147,9 +147,12 @@ def _cmd_check(job: JobConfig) -> int:
 
 
 def _cmd_sample(job: JobConfig, grid: int) -> int:
+    # The box before numpy: it compiles revolve._cells where no bytecode is
+    # cached, and numpy's import then reuses the compiler's freed memory
+    # rather than raising the job's peak.
+    x_lo, x_hi, y_lo, y_hi = bounding_box(job.region)
     import numpy as np
 
-    x_lo, x_hi, y_lo, y_hi = bounding_box(job.region)
     xs = [x_lo + (x_hi - x_lo) * ix / (grid - 1) for ix in range(grid)]
     ys = [y_lo + (y_hi - y_lo) * iy / (grid - 1) for iy in range(grid)]
     rows_per_block = max(1, _CHUNK // grid)

@@ -19,7 +19,8 @@ the exponent of '^' each open a level, at most 100 deep.  Past the bound the
 parse is an ExprSyntaxError at the token that crossed it.  A chain of terms
 or factors of any length is fine: the parser reads it in a loop, and the
 compiler's walk follows its left operands in a loop, recursing only into
-right operands, which nest.
+right operands, which nest.  A node's ``==``, ``hash`` and ``repr`` are the
+record's, and follow a chain in a loop too.
 
 Evaluation is pure.  Any operation that leaves the real domain (sqrt of a
 negative, log of a non-positive, division by zero) raises DomainError, and a
@@ -131,6 +132,42 @@ class BinOp:
     op: str  # one of + - * / ^
     left: "Node"
     right: "Node"
+
+    # The record's ==, hash and repr, with the chain of left operands (a sum,
+    # a product) followed in a loop, as _compile's walk does: _chain gives
+    # its foot, the first left operand that is not a BinOp, and each link's
+    # (op, right) from self down.
+
+    def _chain(self) -> tuple["Node", list]:
+        links, node = [], self
+        while type(node) is BinOp:
+            links.append((node.op, node.right))
+            node = node.left
+        return node, links
+
+    def __eq__(self, other):
+        if other.__class__ is not BinOp:
+            return NotImplemented
+        return self is other or self._chain() == other._chain()
+
+    def __hash__(self):
+        node, links = self._chain()
+        h = hash(node)
+        for op, right in reversed(links):
+            h = hash((op, _Hashed(h), right))
+        return h
+
+    def __repr__(self):
+        node, links = self._chain()
+        return "".join([*(f"BinOp(op={op!r}, left=" for op, _ in links), repr(node),
+                        *(f", right={right!r})" for _, right in reversed(links))])
+
+
+class _Hashed(int):
+    """A value's hash, standing for the value in a tuple being hashed: the
+    hash of _Hashed(h) is h for every h that ``hash`` returns."""
+
+    __hash__ = int.__index__
 
 
 @record

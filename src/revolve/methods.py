@@ -86,7 +86,6 @@ from .region import (
     leaves,
     pieces,
     shoelace,
-    word_codes,
 )
 
 __all__ = [
@@ -380,6 +379,9 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
     merged mean or M2 not finite: neither can be finite again, and the
     refusal quotes the estimate of the chunks merged so far.
     """
+    # revolve._cells before numpy, as in cli._cmd_sample: compiled first, it
+    # leaves its freed memory to numpy's import.
+    from ._cells import word_codes
     import numpy as np
 
     cfg = cfg or McConfig()

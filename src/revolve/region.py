@@ -8,6 +8,9 @@ map; its fields are (u_min, u_max, near, far) under its own names, which
 the validator's messages and the config document use.  The three share one
 validator, one mask and one boundary sample.
 
+This module is the scalar side, which every job runs, and imports no numpy;
+containment, the sampled box and the cell grid are ``revolve._cells``.
+
 Construction probes every boundary curve at the interval endpoints plus 33
 interior points (the points of ``np.linspace``, computed without numpy);
 curves must evaluate there and the ordering invariants (near <= far, and
@@ -15,17 +18,10 @@ rho_min >= 0 for a sector) must hold at every probe.  The probe values are
 cached per (curve, interval), so a region seen again is not probed again.
 A polygon's simplicity test and its slabs read each edge's x-range once:
 edges sorted by their left ends are tested in pairs only where their
-x-ranges overlap, and an edge joins just the slabs between its ends' cuts,
-found by bisection.  On n vertices that is about n log n, and more only
-where the x-ranges overlap in many pairs or the slabs hold many pieces.
-Boundary points count as inside: the region is closed, and containment is
-exact on polygon edges and at a sector's apex.  A containment call on more
-than _GRID_POINTS points reads a grid of _GRID x _GRID cells over the
-bounding box (``_cell_grid``, cached per region): inside, outside, or
-boundary where a box covering the boundary meets the cell.  The exact tests
-run only on the points in boundary cells or off the grid; the mask is
-theirs bit for bit.  Monte Carlo names each point's cell by the top byte of
-each of its two random words (``word_codes``), and the lookup is skipped.
+x-ranges overlap, and then only where their y-ranges overlap too, and an
+edge joins just the slabs between its ends' cuts, found by bisection.  On n
+vertices that is about n log n, and more only where the x-ranges overlap in
+many pairs or the slabs hold many pieces.
 
 Every region is also a list of pieces (``pieces``): an outer interval
 [u0, u1], inner bounds near(u) <= v <= far(u), and the map that carries
@@ -35,15 +31,6 @@ compiled evaluators, which a curve parsed again shares (``parse_expr`` is
 cached); a polygon's slabs are cached for the last few polygons, by value,
 so a polygon parsed again has the same near and far functions too.  The
 quadrature keeps its sections per map and (near, far) pair.
-
-The exterior-axis check (``axis_side_check``) is certified: it bounds the
-signed distance along each boundary curve by interval arithmetic
-(``ExprAst.interval``), and falls back to sampling only when a fixed box
-budget runs out; its verdict is cached per (region, axis).  The bounding
-box, which Monte Carlo and ``revolve sample`` use, is sampled; only the box
-is cached per region, and the sampled cloud is built again where the
-fallback needs it.  numpy is imported only by containment and the sampled
-cloud.
 """
 
 from __future__ import annotations
@@ -53,11 +40,12 @@ import functools
 import heapq
 import math
 import operator
-import sys
 from typing import Callable, ClassVar, NamedTuple
 
 from ._record import record
 from .errors import AxisIntersectsRegion, DomainError, InvalidRegionError
+# eval_array is not called here: ``_cells`` looks it up here when it runs,
+# where bench/spans.py replaces it to count the calls.
 from .expr import (
     ExprAst, _down, _iadd, _icos, _imul, _isub, _up, eval_array, eval_expr, parse_expr,
 )
@@ -77,7 +65,6 @@ __all__ = [
     "pieces",
     "contains",
     "contains_mask",
-    "word_codes",
     "bounding_box",
     "axis_side_check",
 ]
@@ -90,15 +77,6 @@ DEFAULT_INTERIOR_PROBES = 33
 # Absolute slack for "touching" comparisons (side checks, ordering).
 _TOUCH_TOL = 1e-9
 
-# Relative slack of the on-edge test for polygons: a distance of _EDGE_TOL
-# times the coordinates' size, across and along the edge (_polygon_mask).
-_EDGE_TOL = 1e-12
-
-# Samples per boundary curve in the sampled cloud; odd, so the midpoint of
-# the outer interval is one of them.
-_CLOUD_SAMPLES = 1025
-_BOX_PAD = 1e-9
-
 # Curve boxes one side check may bound before it falls back to the cloud.
 _SIDE_BOXES = 512
 
@@ -107,17 +85,6 @@ _PROBE_CACHE_SIZE = 256
 
 # Polygons whose slabs, as pieces, are kept (each slab direction apart).
 _SLAB_CACHE_SIZE = 4
-
-# The cell grid (``_cell_grid``) has _GRID x _GRID cells over the bounding
-# box: 2^8, so that Monte Carlo reads a point's cell off the top byte of
-# each of its two random words.
-_GRID = 256
-
-# contains_mask on more points than this reads the cell grid.
-_GRID_POINTS = 2**14
-
-# _cell_codes builds the cell index of this many points at a time.
-_SLICE = 2**14
 
 # Maps from a piece's (outer u, inner v) to the plane (``plane_point``).
 IDENTITY = "identity"  # (x, y) = (u, v)
@@ -349,9 +316,10 @@ def _segments_meet(a: Point, b: Point, c: Point, d: Point) -> bool:
 def _is_simple(verts: tuple[Point, ...]) -> bool:
     """No two edges meet, except neighbours at their shared vertex; a
     neighbour may run straight on, but not fold back along the edge.  Two
-    edges whose closed x-ranges are disjoint cannot meet, so each edge is
-    tested only against those that start, in order of their left ends, no
-    further right than it ends."""
+    edges whose closed x-ranges or closed y-ranges are disjoint cannot
+    meet, so each edge is tested only against those that start, in order
+    of their left ends, no further right than it ends, and of those only
+    against the ones whose y-ranges meet its own."""
     n = len(verts)
     edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
     for i, (a, b) in enumerate(edges):
@@ -359,11 +327,13 @@ def _is_simple(verts: tuple[Point, ...]) -> bool:
         forward = (b.x - a.x) * (c.x - b.x) + (b.y - a.y) * (c.y - b.y)
         if _orient(a, b, c) == 0.0 and forward < 0.0:
             return False
-    spans = sorted((min(a.x, b.x), max(a.x, b.x), i) for i, (a, b) in enumerate(edges))
-    lefts = [left for left, _, _ in spans]
-    for k, (_, right, i) in enumerate(spans):
-        for _, _, j in spans[k + 1:bisect.bisect_right(lefts, right)]:
-            if (i - j) % n not in (1, n - 1) and _segments_meet(*edges[i], *edges[j]):
+    spans = sorted((min(a.x, b.x), max(a.x, b.x), min(a.y, b.y), max(a.y, b.y), i)
+                   for i, (a, b) in enumerate(edges))
+    lefts = [span[0] for span in spans]
+    for k, (_, right, bottom, top, i) in enumerate(spans):
+        for _, _, low, high, j in spans[k + 1:bisect.bisect_right(lefts, right)]:
+            if (low <= top and bottom <= high and (i - j) % n not in (1, n - 1)
+                    and _segments_meet(*edges[i], *edges[j])):
                 return False
     return True
 
@@ -443,134 +413,13 @@ def contains(region: Region, p: Point) -> bool:
     return bool(contains_mask(region, [p.x], [p.y])[0])
 
 
-def _curve_mask(leaf: _CurveLeaf, xs, ys):
-    """u_min <= u <= u_max and near(u) <= v <= far(u) at each point's (u, v):
-    for a sector, its angle in [theta_min, theta_min + 2*pi) and its radius.
-    The apex has no angle; it is inside iff rho_min <= 0 at a construction probe."""
-    import numpy as np
-
-    u_min, u_max, near, far = leaf.span
-    if leaf.map == POLAR:
-        us = u_min + np.mod(np.arctan2(ys, xs) - u_min, TWO_PI)
-        vs = np.hypot(xs, ys)
-    else:
-        us, vs = (ys, xs) if leaf.map == SWAP else (xs, ys)
-    # One curve sample alive at a time: they are full-length arrays.
-    mask = (us >= u_min) & (us <= u_max)
-    mask &= vs >= eval_array(near, us)
-    mask &= vs <= eval_array(far, us)
-    if leaf.map == POLAR:
-        apex = vs == 0.0
-        if apex.any():
-            # np.where, not item assignment: the mask of 0-d input is a scalar.
-            at_apex = any(v <= 0.0 for v in _probe_values(near, u_min, u_max))
-            mask = np.where(apex, at_apex, mask)
-    return mask
-
-
-def _polygon_mask(poly: Polygon, xs, ys):
-    """Nonzero winding number, or on an edge pq: within 1e-12 * (sx*|n_x| +
-    sy*|n_y|) of its line, n the unit normal, and within 1e-12 * (sx*|t_x| +
-    sy*|t_y|) of the segment along it, t the unit direction, where sx =
-    max(1, |x| of the point, p and q) and sy likewise: the slack of each
-    coordinate's round-off, seen across and along the edge.  The edge test
-    runs only on the points within the slack of the edge's line at the
-    largest scales present.  A point with a coordinate that is not finite
-    is outside.  An edge whose squared length or slack is not finite raises
-    InvalidRegionError: an infinite slack would put every point on it."""
-    import numpy as np
-
-    shape = xs.shape
-    xs, ys = xs.ravel(), ys.ravel()
-    wn = np.zeros(xs.shape, dtype=np.int64)
-    on_edge = []
-    # The largest finite point coordinate: the others are outside, and an
-    # infinite one would make every slack infinite.
-    finite = np.isfinite(xs) & np.isfinite(ys)
-    reach_x = reach_y = 1.0
-    if finite.any():
-        reach_x = max(reach_x, float(np.abs(xs[finite]).max()))
-        reach_y = max(reach_y, float(np.abs(ys[finite]).max()))
-    verts = poly.vertices
-    n = len(verts)
-    for i in range(n):
-        p, q = verts[i], verts[(i + 1) % n]
-        edge_sx, edge_sy = max(1.0, abs(p.x), abs(q.x)), max(1.0, abs(p.y), abs(q.y))
-        # |cross| is |pq| times the distance to the line, dot |pq| times the
-        # distance along it from p.
-        tx, ty = _EDGE_TOL * abs(q.x - p.x), _EDGE_TOL * abs(q.y - p.y)
-        bound = tx * max(edge_sy, reach_y) + max(edge_sx, reach_x) * ty
-        try:
-            length2 = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
-        except OverflowError:
-            length2 = math.inf
-        if not (math.isfinite(bound) and math.isfinite(length2)):
-            raise InvalidRegionError(
-                f"polygon edge ({p.x!r}, {p.y!r}) to ({q.x!r}, {q.y!r}) is too near the "
-                "float range to test containment: its squared length or on-edge slack "
-                "is not finite")
-        is_left = (q.x - p.x) * (ys - p.y) - (xs - p.x) * (q.y - p.y)
-        # An edge crosses a point's row upward only if p.y < q.y, downward
-        # only if p.y > q.y, and a horizontal one neither way.
-        if p.y < q.y:
-            wn += (p.y <= ys) & (q.y > ys) & (is_left > 0.0)
-        elif p.y > q.y:
-            wn -= (p.y > ys) & (q.y <= ys) & (is_left < 0.0)
-        # is_left is not needed signed any more: |cross| in place.
-        close = np.abs(is_left, out=is_left) <= bound
-        if close.any():
-            near = np.flatnonzero(close)
-            px, py = xs[near], ys[near]
-            sx, sy = np.maximum(edge_sx, np.abs(px)), np.maximum(edge_sy, np.abs(py))
-            across = tx * sy + sx * ty
-            along = sx * tx + sy * ty
-            dot = (px - p.x) * (q.x - p.x) + (py - p.y) * (q.y - p.y)
-            hit = (is_left[near] <= across) & (dot >= -along) & (dot <= length2 + along)
-            on_edge.append(near[hit])
-    mask = wn != 0
-    mask &= finite
-    for idx in on_edge:
-        mask[idx] = True
-    return mask.reshape(shape)
-
-
-def _exact_mask(region: Region, xs, ys):
-    """The exact tests: in any of the region's leaves.  An infinite
-    coordinate makes NaN there, silently: such points are outside."""
-    import numpy as np
-
-    with np.errstate(invalid="ignore"):
-        return functools.reduce(np.logical_or, (
-            (_polygon_mask if isinstance(leaf, Polygon) else _curve_mask)(leaf, xs, ys)
-            for leaf in leaves(region)
-        ))
-
-
 def contains_mask(region: Region, xs, ys, _codes=None):
     """Vectorized containment in the closed region over coordinate arrays:
-    in any of its leaves.  Points where a boundary curve cannot be
-    evaluated are outside.
+    in any of its leaves, exact.  Points where a boundary curve cannot be
+    evaluated are outside.  ``revolve._cells.mask``; ``_codes`` is its ``codes``."""
+    from . import _cells
 
-    A call on more than _GRID_POINTS points reads the region's cell grid
-    (``_cell_grid``), and runs the exact tests only on the points
-    in boundary cells or off the grid; the mask is the exact one bit for
-    bit.  ``_codes``, Monte Carlo's, is each point's code as ``word_codes``
-    fills it (one per point, in the order of ``xs.ravel()``), read in place
-    of the lookup.
-    """
-    import numpy as np
-
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if _codes is not None:
-        if _codes.shape != (xs.size,) or xs.shape != ys.shape:
-            raise ValueError("contains_mask: _codes needs one code per point")
-        return _codes_mask(region, _codes, xs.ravel(), ys.ravel()).reshape(xs.shape)
-    if xs.size > _GRID_POINTS and xs.shape == ys.shape:
-        grid = _cell_grid(region)
-        if grid is not None:
-            return _grid_mask(region, grid, xs, ys).reshape(xs.shape)
-    return _exact_mask(region, xs, ys)
+    return _cells.mask(region, xs, ys, _codes)
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +438,7 @@ def contains_mask(region: Region, xs, ys, _codes=None):
 # witnesses too.  A witness beyond the touching slack on the wrong side
 # refutes a side; after _SIDE_BOXES boxes, or at a box too narrow to
 # split, it falls back to the sampled cloud.  The box is read off that
-# cloud: each curve at _CLOUD_SAMPLES points, so a spike between two
-# samples escapes it.
+# cloud (``revolve._cells``), so a spike between two samples escapes it.
 
 def _distance_at(axis: Axis, cmap: str, c: ExprAst, u: float) -> float | None:
     """The signed distance of the point of curve ``c`` at ``u`` under the
@@ -678,8 +526,8 @@ def axis_side_check(region: Region, axis: Axis) -> int:
     with points beyond 1e-9 on both sides raises AxisIntersectsRegion,
     giving the span of the signed distances at the points evaluated.
     When the bounds take more than _SIDE_BOXES boxes, or leave a box too
-    narrow to split unsettled, the verdict is the sampled one of
-    ``_sampled_side``.
+    narrow to split unsettled, the verdict is the sampled one: the
+    extremes of the signed distance over the sampled cloud.
 
     Regions and axes are frozen and compare by value, so the side is cached
     per equal (region, axis).  A refusal is not cached: it is worked out
@@ -702,199 +550,22 @@ def axis_side_check(region: Region, axis: Axis) -> int:
             continue
         holds, budget = _side_holds(axis, arcs, side, seen, budget)
         if holds is None:
-            return _sampled_side(region, axis)
+            from . import _cells
+
+            bounding_box(region)  # refuses a region with no sample points
+            return _side_of(*_cells.cloud_distances(region, axis))
         if holds:
             return side
     return _side_of(min(seen), max(seen))  # witnesses on both sides: raises
 
 
-def _pad_interval(lo: float, hi: float) -> tuple[float, float]:
-    return (
-        lo - _BOX_PAD * max(1.0, abs(lo)),
-        hi + _BOX_PAD * max(1.0, abs(hi)),
-    )
-
-
-def _leaf_cloud(leaf: Region):
-    """(xs, ys, exact) of one leaf: a polygon's vertices, which are exact,
-    or a curve leaf's near and far curves at _CLOUD_SAMPLES points of its
-    outer interval (the ends included), carried to the plane, without the
-    points where a curve is NaN."""
-    import numpy as np
-
-    if isinstance(leaf, Polygon):
-        return (np.array([v.x for v in leaf.vertices], dtype=np.float64),
-                np.array([v.y for v in leaf.vertices], dtype=np.float64), True)
-    u0, u1, near, far = leaf.span
-    if math.isfinite(u1 - u0):
-        ts = np.linspace(u0, u1, _CLOUD_SAMPLES)
-    else:  # np.linspace gives NaN and inf; weights keep each point finite
-        k = np.arange(_CLOUD_SAMPLES) / (_CLOUD_SAMPLES - 1)
-        ts = u0 - k * u0 + k * u1
-    us, vs = np.concatenate([ts, ts]), np.concatenate([eval_array(near, ts), eval_array(far, ts)])
-    keep = ~np.isnan(vs)
-    return (*plane_point(leaf.map, us[keep], vs[keep], np.cos, np.sin), False)
-
-
-# Up to 64 regions' boxes.
-@functools.lru_cache(maxsize=64)
-def _sampled_box(region: Region) -> tuple[float, float, float, float] | None:
-    """The min and max of x and of y over each leaf's cloud (``_leaf_cloud``),
-    padded by 1e-9 relative on curve leaves; None when no leaf has points.
-    The box depends on the region alone; regions are frozen and compare by
-    value, so equal regions built separately share one entry."""
-    boxes = []
-    for lx, ly, exact in map(_leaf_cloud, leaves(region)):
-        if lx.size:
-            box = (float(lx.min()), float(lx.max()), float(ly.min()), float(ly.max()))
-            boxes.append(box if exact else (*_pad_interval(*box[:2]), *_pad_interval(*box[2:])))
-    if not boxes:
-        return None
-    x_lo, x_hi, y_lo, y_hi = zip(*boxes)
-    return min(x_lo), max(x_hi), min(y_lo), max(y_hi)
-
-
 def bounding_box(region: Region) -> tuple[float, float, float, float]:
     """Axis-aligned box (x_lo, x_hi, y_lo, y_hi) of the sampled boundary
-    cloud: exact for polygons, padded by 1e-9 relative around curve
-    samples."""
-    box = _sampled_box(region)
+    cloud (``revolve._cells``): exact for polygons, padded by 1e-9 relative
+    around curve samples."""
+    from . import _cells
+
+    box = _cells.sampled_box(region)
     if box is None:
         raise InvalidRegionError("region produced no sample points")
     return box
-
-
-def _sampled_side(region: Region, axis: Axis) -> int:
-    """The side check over the sampled cloud: the extremes of the signed
-    distance at its points.  The leaf clouds are built again on each call."""
-    import numpy as np
-
-    bounding_box(region)
-    dists = np.concatenate([axis.a * xs + axis.b * ys + axis.c
-                            for xs, ys, _ in map(_leaf_cloud, leaves(region))])
-    return _side_of(float(dists.min()), float(dists.max()))
-
-
-# ---------------------------------------------------------------------------
-# The cell grid
-#
-# contains_mask's verdict can change only across the boundary.  The grid
-# (built by ``revolve._cells``) marks as boundary every cell that a box
-# covering part of the boundary meets, each box widened by a margin far
-# above the round-off of the exact tests; every other cell is inside or
-# outside throughout, and so are the points that rounding of a cell index
-# can bring in.  The margin, 1e-9 times the grid's largest coordinate, is
-# also what lets Monte Carlo name a point's cell without the lookup
-# (``word_codes``): a point computed from its fraction of the box lies
-# within a few ulps of the cell that the fraction names.
-
-_OUTSIDE, _INSIDE, _BOUNDARY = 0, 1, 2
-
-
-class _CellGrid(NamedTuple):
-    x0: float  # the left and lower edges of the border cells
-    y0: float
-    sx: float  # cells per unit of x and of y
-    sy: float
-    codes: np.ndarray  # (_GRID + 2)^2 read-only uint8 codes, row (y) major; the border is _BOUNDARY
-
-
-# Up to 64 regions' grids, of (_GRID + 2)^2 bytes each.
-@functools.lru_cache(maxsize=64)
-def _cell_grid(region: Region) -> _CellGrid | None:
-    """The region's cells over its bounding box, each _INSIDE, _OUTSIDE or
-    _BOUNDARY; None where the box has no points or a cell width that is 0
-    or not finite.  Cached by value, as ``_sampled_box`` is.  Built by
-    ``revolve._cells``, which is compiled only where a grid is built."""
-    from ._cells import build
-
-    return build(region)
-
-
-def _cell_index(values, origin: float, scale: float):
-    """The column (or row) of the border-padded grid of each coordinate:
-    (values - origin) * scale, clamped to the border cells (NaN to the
-    first) where any lies off the grid, and truncated."""
-    import numpy as np
-
-    t = np.subtract(values, origin)
-    t *= scale
-    if not (0.0 <= t.min() and t.max() <= _GRID + 1):  # NaN fails both
-        np.fmax(t, 0.0, out=t)
-        np.fmin(t, _GRID + 1, out=t)
-    return t.astype(np.int32)
-
-
-def _cell_codes(grid: _CellGrid, xs, ys):
-    """The code of each point's cell in ``grid``: row times (_GRID + 2)
-    plus column indexes the codes.  The index is built _SLICE points at a
-    time, so its temporaries do not grow with the points."""
-    import numpy as np
-
-    codes = np.empty(xs.size, dtype=np.uint8)
-    with np.errstate(over="ignore"):  # a far coordinate scales to inf, which _cell_index clamps
-        for lo in range(0, xs.size, _SLICE):
-            part = slice(lo, lo + _SLICE)
-            index = _cell_index(ys[part], grid.y0, grid.sy)
-            index *= _GRID + 2
-            index += _cell_index(xs[part], grid.x0, grid.sx)
-            grid.codes.take(index, out=codes[part])
-    return codes
-
-
-def word_codes(region: Region, points: int):
-    """Monte Carlo's reading of the region's cell grid, in calls of at most
-    ``points`` points: None where ``contains_mask`` on that many points
-    reads no grid (at most _GRID_POINTS of them, or the region has none);
-    else ``fill(words, out)``.  ``words`` is a block of raw uint64 words, x
-    and y interleaved, of either byte order: the point's coordinates are
-    x = x_lo + (t * 2^-53) * (x_hi - x_lo), t its x word shifted right by
-    11, and y likewise over the bounding box.  ``fill`` writes each point's
-    code into ``out`` (a uint8 per point, which ``contains_mask`` reads as
-    ``_codes``) and leaves ``words`` as they are.  The cell of the
-    fractions u and v is row floor(v*_GRID), column floor(u*_GRID): the top
-    bytes of the words.  A point rounded from those products lies within a
-    few ulps of the box's coordinates of that cell, far inside the grid's
-    margin."""
-    import numpy as np
-
-    grid = _cell_grid(region) if points > _GRID_POINTS else None
-    if grid is None:
-        return None
-    assert _GRID == 256, "a cell is named by the top byte of each word"
-    table = grid.codes.reshape(_GRID + 2, _GRID + 2)[1:-1, 1:-1].ravel()
-
-    def fill(words, out):
-        # The byte that holds a word's top 8 bits: the last of its 8 bytes
-        # in little-endian order.
-        little = words.dtype.isnative == (sys.byteorder == "little")
-        top = words.view(np.uint8)[7 if little else 0::8]
-        # row * _GRID + column: a little-endian uint16 whose high byte is
-        # the y word's top byte and whose low byte is the x word's.
-        index = np.empty(out.size, dtype="<u2")
-        halves = index.view(np.uint8)
-        halves[0::2], halves[1::2] = top[0::2], top[1::2]
-        table.take(index, out=out)
-
-    return fill
-
-
-def _grid_mask(region: Region, grid: _CellGrid, xs, ys):
-    """Containment read off ``grid``, the points' cells found from their
-    coordinates (``_cell_codes``)."""
-    xs, ys = xs.ravel(), ys.ravel()
-    return _codes_mask(region, _cell_codes(grid, xs, ys), xs, ys)
-
-
-def _codes_mask(region: Region, codes, xs, ys):
-    """Containment from each point's cell code, with the exact tests on the
-    points of boundary cells (off the grid, NaN and infinite ones are in
-    the border, whose cells are boundary).  Its only arrays as long as the
-    points are the codes and the mask, a byte per point each."""
-    import numpy as np
-
-    mask = codes == _INSIDE
-    edge = np.flatnonzero(codes == _BOUNDARY)
-    if edge.size:
-        mask[edge] = _exact_mask(region, xs[edge], ys[edge])
-    return mask

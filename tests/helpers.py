@@ -865,14 +865,14 @@ def ref_monte_carlo(region, axis, cfg):
 
 # ---------------------------------------------------------------------------
 # Reference cell lookup: the full-length construction that the sliced one
-# in region._cell_codes replaces.
+# in _cells._cell_codes replaces.
 
 def ref_cell_index(grid, xs, ys):
     """The cell of each point in the border-padded grid: (y - y0) * sy and
     (x - x0) * sx, each clamped to [0, _GRID + 1] over the whole array
     (NaN to 0) where any lies off the grid, truncated, and joined as
     row * (_GRID + 2) + column."""
-    from revolve.region import _GRID
+    from revolve._cells import _GRID
 
     def axis_index(values, origin, scale):
         t = (np.asarray(values, dtype=np.float64) - origin) * scale

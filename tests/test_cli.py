@@ -789,6 +789,15 @@ class TestNumpyOnlyWhereArraysAre:
         seen = _numpy_after(fixtures_dir, [_pappus_csv_job(fixtures_dir)])
         assert [(code, loaded) for _, code, loaded in seen] == [(None, False), (0, False)]
 
+    def test_the_array_side_loads_only_where_a_job_masks(self, fixtures_dir):
+        # sample masks a few points and reads the box: revolve._cells, and no
+        # cell grid, whose build brings in the array interval table.
+        config = str(fixtures_dir / "torus_circle.json")
+        loaded = _modules_after(fixtures_dir, [["sample", "--config", config, "--grid", "4"]])
+        assert "revolve._cells" in loaded and "revolve._intervals" not in loaded
+        loaded = _modules_after(fixtures_dir, [["compare", "--config", config]])
+        assert {"revolve._cells", "revolve._intervals"} <= loaded
+
 
 # Runs CLI jobs in one fresh interpreter after ``import revolve`` and prints
 # the names of the modules loaded by then.
@@ -823,6 +832,8 @@ class TestNoDataclassesOnTheCliPath:
         loaded = _modules_after(fixtures_dir, jobs)
         assert {"revolve.cli", "revolve.methods", "revolve.region"} <= loaded
         assert not loaded & {"dataclasses", "inspect"}
+        # Nor a region's array side.
+        assert not loaded & {"revolve._cells", "revolve._intervals"}
 
     def test_pappus_csv_loads_neither_dataclasses_nor_inspect(self, fixtures_dir):
         loaded = _modules_after(fixtures_dir, [_pappus_csv_job(fixtures_dir)])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -128,6 +129,40 @@ class TestDepthBounds:
 
     def test_a_long_chain_every_evaluator_works(self):
         _every_evaluator_works(chain(20000))
+
+    def test_a_long_chain_compares_hashes_and_prints(self):
+        # A node's ==, hash and repr follow the chain in a loop, as the
+        # compiler does: a walk with a frame per term would overflow.
+        rv.parse_expr.cache_clear()
+        try:
+            first = rv.parse_expr(chain(20000), "x").root
+            rv.parse_expr.cache_clear()
+            second = rv.parse_expr(chain(20000), "x").root
+        finally:
+            rv.parse_expr.cache_clear()
+        assert second is not first
+        assert first == second and not first != second and hash(first) == hash(second)
+        # Unequal at the top of the chain, and at its foot.
+        head = expr.Const(2.0)
+        for _ in range(19999):
+            head = expr.BinOp("+", head, expr.Var("x"))
+        last = expr.BinOp("-", first.left, first.right)
+        assert first != last and first != head and first != expr.Const(1.0)
+        assert repr(first) == ("BinOp(op='+', left=" * 19999 + "Const(value=1.0)"
+                               + ", right=Var(name='x'))" * 19999)
+
+    def test_a_chain_is_the_record_that_nests(self):
+        # Where a walk with a frame per term still fits: the hash and repr
+        # of the frozen dataclass that a BinOp record stands for.
+        twin_type = dataclasses.make_dataclass("BinOp", ["op", "left", "right"], frozen=True)
+
+        def twin(node):
+            if type(node) is not expr.BinOp:
+                return node
+            return twin_type(node.op, twin(node.left), twin(node.right))
+
+        root = rv.parse_expr(chain(200) + "*x-sin(x+1)", "x").root
+        assert hash(root) == hash(twin(root)) and repr(root) == repr(twin(root))
 
     def test_bounds_add_up_in_mixed_shapes(self):
         # Nesting counts every kind of level together.

@@ -9,7 +9,7 @@ import pytest
 
 import revolve as rv
 from revolve import quadrature
-from revolve import region as region_module
+from revolve import _cells, region as region_module
 from revolve._record import fields
 from revolve.config import load_job, parse_job
 from revolve.errors import AxisIntersectsRegion, QuadratureNoConvergence, UnsupportedMethod
@@ -969,7 +969,7 @@ class TestMonteCarloReference:
     @pytest.mark.parametrize("samples", [
         100, 101, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 3, 2 * _CHUNK + _CHUNK // 4 + 1,
         3 * _CHUNK + 5,  # chunks and their quarter-chunk draws, whole and split unevenly
-        region_module._GRID_POINTS, region_module._GRID_POINTS + 1])  # either side of the grid
+        _cells._GRID_POINTS, _cells._GRID_POINTS + 1])  # either side of the grid
     @pytest.mark.parametrize("variant", sorted(_MC_VARIANTS))
     def test_equals_reference(self, variant, samples, key):
         region = _MC_VARIANTS[variant]()
@@ -984,13 +984,13 @@ class TestMonteCarloReference:
         # A chunk reads the grid only when it has more than _GRID_POINTS
         # points.
         region = torus_normal_x()
-        region_module._cell_grid.cache_clear()
-        rv.volume_monte_carlo(region, _MC_OBLIQUE, rv.McConfig(region_module._GRID_POINTS, 0))
-        assert region_module._cell_grid.cache_info().currsize == 0
-        rv.volume_monte_carlo(region, _MC_OBLIQUE, rv.McConfig(region_module._GRID_POINTS + 1, 0))
-        assert region_module._cell_grid.cache_info().currsize == 1
+        _cells._cell_grid.cache_clear()
+        rv.volume_monte_carlo(region, _MC_OBLIQUE, rv.McConfig(_cells._GRID_POINTS, 0))
+        assert _cells._cell_grid.cache_info().currsize == 0
+        rv.volume_monte_carlo(region, _MC_OBLIQUE, rv.McConfig(_cells._GRID_POINTS + 1, 0))
+        assert _cells._cell_grid.cache_info().currsize == 1
 
-    @pytest.mark.parametrize("samples", [100, region_module._GRID_POINTS + 1])
+    @pytest.mark.parametrize("samples", [100, _cells._GRID_POINTS + 1])
     def test_points_are_the_scaled_uniforms(self, samples, monkeypatch):
         # x_lo + width * u, u = (raw >> 11) * 2^-53, bit for bit; on a box
         # narrower than 2^-969, width * 2^-53 is not a normal double, and

@@ -114,14 +114,14 @@ class TestContains:
         # More than _GRID_POINTS points: the grid sends them to the exact
         # test.
         rng = np.random.default_rng(3)
-        n = region_module._GRID_POINTS
+        n = _cells._GRID_POINTS
         xs = np.concatenate([np.resize(xs, 600), rng.uniform(1.5, 5.5, n)])
         ys = np.concatenate([np.resize(ys, 600), rng.uniform(-3.5, -0.5, n)])
-        assert xs.size > region_module._GRID_POINTS
+        assert xs.size > _cells._GRID_POINTS
         mask = rv.contains_mask(triangle, xs, ys)
         assert not mask[:600][np.resize([True] * len(bad) + [False], 600)].any()
         assert mask[:600][np.resize([False] * len(bad) + [True], 600)].all()
-        assert (mask == region_module._exact_mask(triangle, xs, ys)).all()
+        assert (mask == _cells._exact_mask(triangle, xs, ys)).all()
 
     def test_union_is_disjunction(self):
         union = rv.UnionRegion((unit_square_polygon(), cone_triangle()))
@@ -204,7 +204,7 @@ class TestContains:
         [[1e200, 0], [1.0000000001e200, 0], [1e200, 1]],  # so does a thin triangle's
     ])
     # The exact tests, and the cell grid.
-    @pytest.mark.parametrize("count", [3, 5000, region_module._GRID_POINTS + 1])
+    @pytest.mark.parametrize("count", [3, 5000, _cells._GRID_POINTS + 1])
     def test_polygon_near_float_range_is_refused(self, vertices, count):
         # An infinite slack would put every point on an edge.
         poly = rv.Polygon(tuple(rv.Point(x, y) for x, y in vertices))
@@ -218,7 +218,7 @@ class TestContains:
         assert rv.contains(poly, rv.Point(5e149, 0.5))
 
     # The exact tests, on one point and on many, and the cell grid.
-    @pytest.mark.parametrize("count", [1, 5000, region_module._GRID_POINTS + 1])
+    @pytest.mark.parametrize("count", [1, 5000, _cells._GRID_POINTS + 1])
     def test_on_edge_slack_is_a_distance_from_the_edge(self, count):
         # The slack is 1e-12 of the coordinates' size across the edge: the
         # y of a long flat edge, the x of a short upright one.
@@ -302,10 +302,10 @@ _GRID_REGIONS = {
 def _grid_matches_exact(region, xs, ys):
     """The grid's mask, asserted equal to the exact tests' bit for bit."""
     xs, ys = np.asarray(xs, dtype=np.float64).ravel(), np.asarray(ys, dtype=np.float64).ravel()
-    grid = region_module._cell_grid(region)
+    grid = _cells._cell_grid(region)
     assert grid is not None
-    got = region_module._grid_mask(region, grid, xs, ys)
-    want = region_module._exact_mask(region, xs, ys)
+    got = _cells.mask(region, xs, ys, _cells._cell_codes(grid, xs, ys))
+    want = _cells._exact_mask(region, xs, ys)
     assert got.dtype == want.dtype == np.bool_
     bad = np.flatnonzero(got != want)
     assert bad.size == 0, list(zip(xs[bad][:5].tolist(), ys[bad][:5].tolist()))
@@ -315,7 +315,7 @@ def _grid_matches_exact(region, xs, ys):
 def _cell_edge_words():
     """Raw 64-bit words at every cell edge j * 2^56 of the top byte, and 1
     and 2 either side of it (wrapping below 0)."""
-    edges = np.arange(region_module._GRID, dtype=np.uint64) << np.uint64(56)
+    edges = np.arange(_cells._GRID, dtype=np.uint64) << np.uint64(56)
     return np.concatenate([edges + np.uint64(d) for d in (0, 1, 2)]
                           + [edges - np.uint64(d) for d in (1, 2)])
 
@@ -355,7 +355,7 @@ class TestCellGrid:
     def test_nan_bound_meets_every_cell(self):
         first, past = _cells._cell_range(np.array([math.nan, 0.5]), np.array([1.0, math.nan]),
                                          0.0, 1.0, 0.0)
-        assert first.tolist() == [0, 0] and past.tolist() == [region_module._GRID] * 2
+        assert first.tolist() == [0, 0] and past.tolist() == [_cells._GRID] * 2
 
     @pytest.mark.parametrize("name", ["square", "star10", "star_tiny", "star_large", "concave_union",
                                       "short_edge_tip"])
@@ -433,11 +433,11 @@ class TestCellGrid:
         # fails the test.
         region = unit_square_polygon()
         rng = np.random.default_rng(3)
-        n = region_module._GRID_POINTS + 1
+        n = _cells._GRID_POINTS + 1
         xs, ys = rng.uniform(0.5, 2.5, n), rng.uniform(-0.5, 1.5, n)
         xs[17] = 1e308
         got = rv.contains_mask(region, xs, ys)
-        assert (got == region_module._exact_mask(region, xs, ys)).all()
+        assert (got == _cells._exact_mask(region, xs, ys)).all()
         assert not got[17] and 0 < got.sum() < got.size
 
     @pytest.mark.parametrize("name", sorted(_GRID_REGIONS))
@@ -453,7 +453,7 @@ class TestCellGrid:
         wx = np.concatenate([edges, _random_words(rng, n), edges, _random_words(rng, 5000)])
         wy = np.concatenate([_random_words(rng, n), edges, rng.permutation(edges),
                              _random_words(rng, 5000)])
-        fill = region_module.word_codes(region, region_module._GRID_POINTS + 1)
+        fill = _cells.word_codes(region, _cells._GRID_POINTS + 1)
         assert fill is not None
         words = np.empty(2 * wx.size, dtype=np.uint64)
         words[0::2], words[1::2] = wx, wy
@@ -463,7 +463,7 @@ class TestCellGrid:
         xs = x_lo + (x_hi - x_lo) * ((wx >> 11) * 2.0**-53)
         ys = y_lo + (y_hi - y_lo) * ((wy >> 11) * 2.0**-53)
         got = rv.contains_mask(region, xs, ys, _codes=codes)
-        want = region_module._exact_mask(region, xs, ys)
+        want = _cells._exact_mask(region, xs, ys)
         bad = np.flatnonzero(got != want)
         assert bad.size == 0, list(zip(xs[bad][:5].tolist(), ys[bad][:5].tolist()))
 
@@ -472,20 +472,20 @@ class TestCellGrid:
         # Grids whose codes are each cell's column, or its row, read back
         # the top byte of each x word, or y word, in either byte order.
         region = _GRID_REGIONS["square"]()
-        grid = region_module._cell_grid(region)
+        grid = _cells._cell_grid(region)
         rng = np.random.default_rng(11)
         edges = _cell_edge_words()
         wx = np.concatenate([edges, _random_words(rng, edges.size + 5000)])
         wy = np.concatenate([_random_words(rng, edges.size), edges, _random_words(rng, 5000)])
         words = np.empty(2 * wx.size, dtype=order)
         words[0::2], words[1::2] = wx, wy
-        size = region_module._GRID + 2
+        size = _cells._GRID + 2
         row, column = np.divmod(np.arange(size * size), size)
         codes = np.empty(wx.size, dtype=np.uint8)
         for numbers, want in ((column, wx >> 56), (row, wy >> 56)):
             numbered = grid._replace(codes=((numbers - 1) % 256).astype(np.uint8))
-            monkeypatch.setattr(region_module, "_cell_grid", lambda r: numbered)
-            region_module.word_codes(region, region_module._GRID_POINTS + 1)(words, codes)
+            monkeypatch.setattr(_cells, "_cell_grid", lambda r: numbered)
+            _cells.word_codes(region, _cells._GRID_POINTS + 1)(words, codes)
             assert np.array_equal(codes, want)
         assert np.array_equal(words[0::2], wx) and np.array_equal(words[1::2], wy)
 
@@ -494,47 +494,47 @@ class TestCellGrid:
         # A cell that no boundary box meets is inside or outside throughout:
         # at three seeded points in it and at its lower left corner.
         region = _GRID_REGIONS[name]()
-        grid = region_module._cell_grid(region)
-        side = region_module._GRID
+        grid = _cells._cell_grid(region)
+        side = _cells._GRID
         codes = grid.codes.reshape(side + 2, side + 2)[1:-1, 1:-1]
-        rows, cols = np.nonzero(codes != region_module._BOUNDARY)
+        rows, cols = np.nonzero(codes != _cells._BOUNDARY)
         assert rows.size > side
         x_lo, x_hi, y_lo, y_hi = rv.bounding_box(region)
         rng = np.random.default_rng(len(name))
         at = np.concatenate([rng.uniform(0.0, 1.0, (2, 3, rows.size)), np.zeros((2, 1, rows.size))], 1)
         xs = x_lo + (cols + at[0]) * ((x_hi - x_lo) / side)
         ys = y_lo + (rows + at[1]) * ((y_hi - y_lo) / side)
-        want = np.broadcast_to(codes[rows, cols] == region_module._INSIDE, xs.shape)
-        got = region_module._exact_mask(region, xs.ravel(), ys.ravel()).reshape(xs.shape)
+        want = np.broadcast_to(codes[rows, cols] == _cells._INSIDE, xs.shape)
+        got = _cells._exact_mask(region, xs.ravel(), ys.ravel()).reshape(xs.shape)
         bad = np.flatnonzero(got != want)
         assert bad.size == 0, list(zip(xs.ravel()[bad][:5].tolist(), ys.ravel()[bad][:5].tolist()))
 
     def test_word_codes_only_where_the_grid_is_read(self):
         region = _GRID_REGIONS["square"]()
-        assert region_module.word_codes(region, region_module._GRID_POINTS) is None
-        assert region_module.word_codes(region, region_module._GRID_POINTS + 1) is not None
-        xs = np.zeros(region_module._GRID_POINTS + 1)
+        assert _cells.word_codes(region, _cells._GRID_POINTS) is None
+        assert _cells.word_codes(region, _cells._GRID_POINTS + 1) is not None
+        xs = np.zeros(_cells._GRID_POINTS + 1)
         with pytest.raises(ValueError, match="one code per point"):
             rv.contains_mask(region, xs, xs, _codes=np.zeros(xs.size - 1, dtype=np.uint8))
 
     @pytest.mark.parametrize("name", ["square", "sector_polar", "star_large", "disk_y"])
     def test_cell_index_is_the_full_length_one(self, name):
-        grid = region_module._cell_grid(_GRID_REGIONS[name]())
-        size = region_module._GRID + 2
+        grid = _cells._cell_grid(_GRID_REGIONS[name]())
+        size = _cells._GRID + 2
         # Grids whose codes are the bytes of each cell's number read back
         # the index itself.
         cells = np.arange(size * size)
         shifts = range(0, size.bit_length() * 2, 8)
         byte_grids = [grid._replace(codes=((cells >> s) & 255).astype(np.uint8)) for s in shifts]
         rng = np.random.default_rng(len(name))
-        n = 2 * region_module._SLICE + 1234  # three slices, the last short
+        n = 2 * _cells._SLICE + 1234  # three slices, the last short
 
         def coordinates(origin, scale, corners):
             # The first slice stays on the grid, so it is not clamped; the
             # rest mix cell edges and 1-3 ulps either side, NaN, the
             # infinities and points beyond the border, and end at three
             # corners of the border.
-            on_grid = origin + rng.uniform(0.0, size - 2, region_module._SLICE) / scale
+            on_grid = origin + rng.uniform(0.0, size - 2, _cells._SLICE) / scale
             edges = _nudged(origin + np.arange(size + 1) / scale, (0, 1, -1, 2, -2, 3, -3))
             beyond = origin + np.array([-1.0, -1e-3, size + 1e-3, 2 * size, -1e6, 1e6]) / scale
             special = np.concatenate([edges, beyond, [math.nan, math.inf, -math.inf, 1e308, -1e308]])
@@ -543,7 +543,7 @@ class TestCellGrid:
         xs = coordinates(grid.x0, grid.sx, [-math.inf, math.inf, math.inf])
         ys = coordinates(grid.y0, grid.sy, [-math.inf, -math.inf, math.inf])
         with np.errstate(over="ignore"):  # (1e308 - origin) * scale
-            got = sum(region_module._cell_codes(g, xs, ys).astype(np.int64) << s
+            got = sum(_cells._cell_codes(g, xs, ys).astype(np.int64) << s
                       for g, s in zip(byte_grids, shifts))
             assert np.array_equal(got, ref_cell_index(grid, xs, ys))
         assert {0, size - 1, size * size - 1} <= set(got.tolist())
@@ -570,15 +570,15 @@ class TestCellGrid:
 
     def test_small_calls_skip_the_grid(self):
         region = _star(8, seed=21)
-        region_module._cell_grid.cache_clear()
-        side = math.isqrt(region_module._GRID_POINTS)
+        _cells._cell_grid.cache_clear()
+        side = math.isqrt(_cells._GRID_POINTS)
         xs, ys = np.meshgrid(np.linspace(2.0, 4.0, side), np.linspace(-3.0, -1.0, side))
         assert rv.contains_mask(region, xs, ys).shape == (side, side)
         assert rv.contains(region, rv.Point(3.0, -2.0))
-        assert region_module._cell_grid.cache_info().currsize == 0
+        assert _cells._cell_grid.cache_info().currsize == 0
         xs, ys = np.append(xs, 3.0), np.append(ys, -2.0)
         assert rv.contains_mask(region, xs, ys)[-1]
-        assert region_module._cell_grid.cache_info().currsize == 1
+        assert _cells._cell_grid.cache_info().currsize == 1
 
     def test_a_sample_block_of_a_large_polygon_reads_the_grid(self, monkeypatch):
         # revolve sample masks its grid in blocks of whole rows: on a 300
@@ -594,25 +594,25 @@ class TestCellGrid:
         ys = [y_lo + (y_hi - y_lo) * iy / (side - 1) for iy in range(side)][:_CHUNK // side]
         bx, by = np.tile(xs, len(ys)), np.repeat(ys, side)
         assert bx.size == 65400
-        codes = region_module._cell_codes(region_module._cell_grid(gon), bx, by)
-        boundary = np.flatnonzero(codes == region_module._BOUNDARY)
-        exact, tested = region_module._exact_mask, []
-        monkeypatch.setattr(region_module, "_exact_mask",
+        codes = _cells._cell_codes(_cells._cell_grid(gon), bx, by)
+        boundary = np.flatnonzero(codes == _cells._BOUNDARY)
+        exact, tested = _cells._exact_mask, []
+        monkeypatch.setattr(_cells, "_exact_mask",
                             lambda region, xs, ys: tested.append(xs.copy()) or exact(region, xs, ys))
         got = rv.contains_mask(gon, bx, by)
         assert len(tested) == 1 and np.array_equal(tested[0], bx[boundary])
         assert boundary.size < bx.size // 20
-        assert got[codes == region_module._INSIDE].all() and not got[codes == region_module._OUTSIDE].any()
+        assert got[codes == _cells._INSIDE].all() and not got[codes == _cells._OUTSIDE].any()
         some = np.random.default_rng(4).choice(bx.size, 2000, replace=False)
         assert np.array_equal(got[some], exact(gon, bx[some], by[some]))
 
     def test_equal_regions_share_one_grid(self):
-        region_module._cell_grid.cache_clear()
-        xs, ys = np.random.default_rng(2).uniform(0.0, 3.0, (2, region_module._GRID_POINTS + 1))
+        _cells._cell_grid.cache_clear()
+        xs, ys = np.random.default_rng(2).uniform(0.0, 3.0, (2, _cells._GRID_POINTS + 1))
         first = rv.contains_mask(torus_normal_x(), xs, ys)
         assert (rv.contains_mask(torus_normal_x(), xs, ys) == first).all()
-        assert region_module._cell_grid.cache_info().misses == 1
-        grid = region_module._cell_grid(torus_normal_x())
+        assert _cells._cell_grid.cache_info().misses == 1
+        grid = _cells._cell_grid(torus_normal_x())
         with pytest.raises(ValueError):
             grid.codes[0] = 0
 
@@ -968,14 +968,33 @@ class TestPolygonSweeps:
         assert len(x_slabs) == 23
         assert len(y_slabs) == 1 + 12  # the base's, then one a tooth
 
-    def test_pair_tests_on_a_regular_polygon(self, monkeypatch):
-        # ref_is_simple tests all n(n-3)/2 pairs: 7 994 000 at n = 4000.
+    @staticmethod
+    def _count_pair_tests(monkeypatch) -> list:
         calls = []
         meet = region_module._segments_meet
         monkeypatch.setattr(region_module, "_segments_meet",
                             lambda *points: calls.append(1) or meet(*points))
+        return calls
+
+    def test_pair_tests_on_a_regular_polygon(self, monkeypatch):
+        # ref_is_simple tests all n(n-3)/2 pairs: 7 994 000 at n = 4000.
+        # Here no two edges but neighbours share both an x- and a y-range.
+        calls = self._count_pair_tests(monkeypatch)
         regular_polygon(4000)  # construction runs _is_simple
-        assert 0 < len(calls) <= 2 * 4000
+        assert len(calls) == 0
+        _star(200)  # whose spikes' ranges do overlap: the count sees the tests
+        assert len(calls) > 0
+
+    def test_pair_tests_on_a_comb_along_x(self, monkeypatch):
+        # Mirrored in y = x, the comb's teeth lie along x and every tooth's
+        # x-range holds the others' ends: 435 253 pairs of edges that are not
+        # neighbours overlap in x.  None of them overlaps in y as well.
+        verts = _both_directions(_comb(250))[1]
+        assert len(verts) == 1000
+        assert ref_is_simple(verts)
+        calls = self._count_pair_tests(monkeypatch)
+        assert region_module._is_simple(verts)
+        assert len(calls) == 0
 
     def test_each_slab_builds_its_two_edges(self, monkeypatch):
         # ref_slabs builds each covering edge's function twice.
@@ -1008,7 +1027,7 @@ class TestAxisSideCheck:
             rv.axis_side_check(square, rv.Axis(1.0, 1.0, -2.0))
 
     def test_cloud_lies_on_the_boundary(self):
-        xs, ys, _ = region_module._leaf_cloud(quarter_disk())
+        xs, ys, _ = _cells._leaf_cloud(quarter_disk())
         assert xs.size == 2 * 1025
         for x, y in zip(xs, ys):
             on_arc = abs(math.hypot(x, y) - 1.0) <= 1e-9
@@ -1026,10 +1045,10 @@ def _side(region, axis, check=rv.axis_side_check):
 @pytest.fixture
 def cold_side_cloud():
     """The sampled box's cache, cleared, with the side check's verdicts."""
-    for cache in (region_module._sampled_box, region_module.axis_side_check):
+    for cache in (_cells.sampled_box, region_module.axis_side_check):
         cache.cache_clear()
-    yield region_module._sampled_box
-    for cache in (region_module._sampled_box, region_module.axis_side_check):
+    yield _cells.sampled_box
+    for cache in (_cells.sampled_box, region_module.axis_side_check):
         cache.cache_clear()
 
 
@@ -1266,9 +1285,9 @@ class TestProbes:
             rv.NormalX(-1e308, 1e308, rv.curve("0", "x"), rv.curve("sqrt(x)", "x"))
         assert str(refused.value) == "upper curve 'sqrt(x)' is undefined at x=-1e+308"
         # Its box is 2e308 wide: the cell grid steps aside for the exact tests.
-        assert region_module._cell_grid(constant) is None
+        assert _cells._cell_grid(constant) is None
         rng = np.random.default_rng(11)
-        n = region_module._GRID_POINTS + 1
+        n = _cells._GRID_POINTS + 1
         xs, ys = rng.uniform(-1.0, 1.0, n) * 1e308, rng.uniform(-0.5, 1.5, n)
         assert (rv.contains_mask(constant, xs, ys) == ((ys >= 0.0) & (ys <= 1.0))).all()
 
