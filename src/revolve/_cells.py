@@ -1,7 +1,7 @@
 """A region's array side: point containment, the sampled box and the cell
 grid, on numpy arrays.  ``region`` imports it inside the calls that need it
 (``contains_mask``, ``bounding_box`` and the side check's fallback), and
-Monte Carlo for ``word_codes``, so a job that does none of these compiles
+Monte Carlo for ``word_points``, so a job that does none of these compiles
 neither it nor numpy.  The sampled box is cached per region, and the cloud
 it is read off is built again where the side check falls back to it.
 
@@ -37,6 +37,7 @@ import numpy as np
 from . import region as _region  # for region.eval_array, which bench/spans.py counts
 from .errors import InvalidRegionError
 from .expr import _up
+from .geometry import axis_form
 from .region import IDENTITY, POLAR, SWAP, Polygon, Region, _probe_values, leaves, plane_point
 
 # Relative slack of the on-edge test for polygons: a distance of _EDGE_TOL
@@ -80,7 +81,7 @@ _OUTSIDE, _INSIDE, _BOUNDARY = 0, 1, 2
 def mask(region: Region, xs, ys, codes=None):
     """``region.contains_mask`` over coordinate arrays.  A call on more than
     _GRID_POINTS points reads the region's cell grid; ``codes``, Monte
-    Carlo's, is each point's code as ``word_codes`` fills it (one per point,
+    Carlo's, is each point's code as ``word_points`` fills it (one per point,
     in the order of ``xs.ravel()``), read in place of the lookup."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -247,7 +248,7 @@ def sampled_box(region: Region) -> tuple[float, float, float, float] | None:
 def cloud_distances(region: Region, axis) -> tuple[float, float]:
     """The least and the greatest signed distance from ``axis`` over the
     sampled cloud, built again on each call: the side check's fallback."""
-    dists = np.concatenate([axis.a * xs + axis.b * ys + axis.c
+    dists = np.concatenate([axis_form(axis, xs, ys)
                             for xs, ys, _ in map(_leaf_cloud, leaves(region))])
     return float(dists.min()), float(dists.max())
 
@@ -482,36 +483,40 @@ def _cell_codes(grid: _CellGrid, xs, ys):
     return codes
 
 
-def word_codes(region: Region, points: int):
-    """Monte Carlo's reading of the region's cell grid, in calls of at most
-    ``points`` points: None where ``contains_mask`` on that many points
-    reads no grid (at most _GRID_POINTS of them, or the region has none);
-    else ``fill(words, out)``.  ``words`` is a block of raw uint64 words, x
-    and y interleaved, of either byte order: the point's coordinates are
-    x = x_lo + (t * 2^-53) * (x_hi - x_lo), t its x word shifted right by
-    11, and y likewise over the bounding box.  ``fill`` writes each point's
-    code into ``out`` (a uint8 per point, which ``contains_mask`` reads as
-    ``_codes``) and leaves ``words`` as they are.  The cell of the
-    fractions u and v is row floor(v*_GRID), column floor(u*_GRID): the top
-    bytes of the words.  A point rounded from those products lies within a
-    few ulps of the box's coordinates of that cell, far inside the grid's
-    margin."""
+def word_points(region: Region, points: int, box: tuple[float, float, float, float]):
+    """Monte Carlo's points over ``box``, the region's bounding box, in calls
+    of at most ``points``: ``(fill, coded)``.  ``fill(bits, xs, ys, codes)``
+    draws 2 * len(xs) raw words by ``bits.random_raw``, x and y interleaved,
+    in either byte order, and writes x = x_lo + (t * 2^-53) * (x_hi - x_lo),
+    t the x word shifted right by 11, and y likewise.  ``coded`` is whether
+    a mask of that many points reads a cell grid; then ``fill`` writes each
+    point's code into ``codes`` too (a uint8 per point, read as ``_codes``)."""
     grid = _cell_grid(region) if points > _GRID_POINTS else None
-    if grid is None:
-        return None
+    table = None if grid is None else grid.codes.reshape(_GRID + 2, _GRID + 2)[1:-1, 1:-1].ravel()
+    x_lo, x_hi, y_lo, y_hi = box
+
+    def fill(bits, xs, ys, codes):
+        words = bits.random_raw(2 * xs.size)  # no view outlives the call
+        if table is not None:
+            # The cell of the fractions u and v is row floor(v*_GRID), column
+            # floor(u*_GRID): the words' top bytes, the last of 8 in little-
+            # endian order.  A point rounded from the products below lies
+            # within a few ulps of the box's edges of that cell, far inside
+            # the grid's margin.
+            little = words.dtype.isnative == (sys.byteorder == "little")
+            top = words.view(np.uint8)[7 if little else 0::8]
+            # row * _GRID + column: a little-endian uint16, y's top byte high.
+            index = np.empty(xs.size, dtype="<u2")
+            halves = index.view(np.uint8)
+            halves[0::2], halves[1::2] = top[0::2], top[1::2]
+            table.take(index, out=codes)
+        words >>= 11  # t: below 2^53, so its int64 view is exact
+        t = words.view(words.dtype.byteorder + "i8")
+        for out, part, lo, hi in ((xs, t[0::2], x_lo, x_hi), (ys, t[1::2], y_lo, y_hi)):
+            np.copyto(out, part)  # converts exactly, and fast
+            out *= 2.0**-53  # u, exactly
+            out *= hi - lo
+            out += lo
+
     assert _GRID == 256, "a cell is named by the top byte of each word"
-    table = grid.codes.reshape(_GRID + 2, _GRID + 2)[1:-1, 1:-1].ravel()
-
-    def fill(words, out):
-        # The byte that holds a word's top 8 bits: the last of its 8 bytes
-        # in little-endian order.
-        little = words.dtype.isnative == (sys.byteorder == "little")
-        top = words.view(np.uint8)[7 if little else 0::8]
-        # row * _GRID + column: a little-endian uint16 whose high byte is
-        # the y word's top byte and whose low byte is the x word's.
-        index = np.empty(out.size, dtype="<u2")
-        halves = index.view(np.uint8)
-        halves[0::2], halves[1::2] = top[0::2], top[1::2]
-        table.take(index, out=out)
-
-    return fill
+    return fill, table is not None

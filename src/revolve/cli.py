@@ -36,11 +36,13 @@ from collections.abc import Iterable
 # idle OpenBLAS workers would spin on this process's CPU time for nothing.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from . import region as _region  # for region.contains_mask, which bench/spans.py counts
 from ._record import fields
 from .config import FORMATS, JobConfig, load_job
 from .errors import ConfigError, InvalidRegionError, RevolveError
+from .geometry import axis_form
 from .methods import _CHUNK, _MAX_SAMPLES, ROUTES, VolumeReport, centroid, compare_methods, run_route
-from .region import axis_side_check, bounding_box, contains_mask
+from .region import axis_side_check, bounding_box
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -156,22 +158,21 @@ def _cmd_sample(job: JobConfig, grid: int) -> int:
     xs = [x_lo + (x_hi - x_lo) * ix / (grid - 1) for ix in range(grid)]
     ys = [y_lo + (y_hi - y_lo) * iy / (grid - 1) for iy in range(grid)]
     rows_per_block = max(1, _CHUNK // grid)
-    a, b, c = job.axis.a, job.axis.b, job.axis.c
     # The coordinates are monotone in the index, and so is the distance in
     # each of them, under rounding too: the corners bound every distance.
-    if not all(math.isfinite(a * x + b * y + c) for x in (xs[0], xs[-1]) for y in (ys[0], ys[-1])):
+    if not all(math.isfinite(axis_form(job.axis, x, y))
+               for x in (xs[0], xs[-1]) for y in (ys[0], ys[-1])):
         raise InvalidRegionError(
             f"grid over [{x_lo!r}, {x_hi!r}] x [{y_lo!r}, {y_hi!r}] has points whose "
             "distance to the axis is not finite")
 
     def block_text(start: int) -> str:
         # One mask call per block of whole rows, rows ordered y-major.  The
-        # distance is signed_distance's a*x + b*y + c, in the same order.
-        # The block's CSV lines are _print_csv's, formatted as one string.
+        # block's CSV lines are _print_csv's, formatted as one string.
         block = ys[start:start + rows_per_block]
         bx, by = np.tile(xs, len(block)), np.repeat(block, grid)
-        inside = contains_mask(job.region, bx, by).astype(np.int64)
-        dist = np.abs(a * bx + b * by + c)
+        inside = _region.contains_mask(job.region, bx, by).astype(np.int64)
+        dist = np.abs(axis_form(job.axis, bx, by))
         return "".join(f"{x:.17g},{y:.17g},{i},{d:.17g}\n" for x, y, i, d in
                        zip(bx.tolist(), by.tolist(), inside.tolist(), dist.tolist()))
 

@@ -194,6 +194,13 @@ class ExprAst:
     variable: str | None
 
     def __post_init__(self):
+        if self.variable is not None:
+            if not _IDENT_RE.fullmatch(self.variable):
+                raise ValueError(f"invalid variable name {self.variable!r}")
+            if self.variable in _FUNCTIONS or self.variable in _CONSTANTS:
+                raise ValueError(f"variable name {self.variable!r} shadows a builtin")
+        if not self.text:
+            raise ExprSyntaxError("empty expression", 0)
         # Plain attributes: eval_expr reads them faster than a cached_property.
         root = _Parser(self.text, self.variable).parse()
         checked = _compiled_on_first_call(
@@ -382,21 +389,14 @@ class _Parser:
 
 @functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_expr(text: str, variable: str | None) -> ExprAst:
-    """Parse ``text`` as an expression in the single variable ``variable``
-    and compile its scalar evaluator.
+    """``ExprAst(text, variable)``, cached: an expression in the single
+    variable ``variable``, parsed with its scalar evaluator compiled.
 
     ``variable=None`` parses a constant expression (no variable allowed).
-    Raises ExprSyntaxError or UnknownIdentifierError with a byte position.
-    An ExprAst is the value (text, variable), so the result is cached by
-    them: parsing the same text again returns the same object.
+    Raises ExprSyntaxError or UnknownIdentifierError with a byte position,
+    ValueError for a bad variable name.  An ExprAst is the value (text,
+    variable), so parsing the same text again returns the same object.
     """
-    if variable is not None:
-        if not _IDENT_RE.fullmatch(variable):
-            raise ValueError(f"invalid variable name {variable!r}")
-        if variable in _FUNCTIONS or variable in _CONSTANTS:
-            raise ValueError(f"variable name {variable!r} shadows a builtin")
-    if not text:
-        raise ExprSyntaxError("empty expression", 0)
     return ExprAst(text, variable)
 
 

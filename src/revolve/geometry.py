@@ -9,11 +9,12 @@ volume formula only needs |.|, but the exterior-side check needs the sign.
 from __future__ import annotations
 
 import math
+import operator
 
 from ._record import record
 from .errors import InvalidAxisError
 
-__all__ = ["Point", "Axis", "signed_distance"]
+__all__ = ["Point", "Axis", "axis_form", "signed_distance"]
 
 
 @record
@@ -67,6 +68,12 @@ class Axis:
         return cls(0.0, 1.0, -float(y0))
 
 
+def axis_form(axis: Axis, x, y, add=operator.add, mul=operator.mul, lift=float):
+    """a*x + b*y + c at (x, y), in that order: of floats, of numpy arrays, or
+    an enclosure over the boxes x and y given _iadd, _imul and _ilift."""
+    return add(add(mul(lift(axis.a), x), mul(lift(axis.b), y)), lift(axis.c))
+
+
 def signed_distance(axis: Axis, p: Point) -> float:
     """a*x + b*y + c; |.| is the distance since the axis is normalized."""
-    return axis.a * p.x + axis.b * p.y + axis.c
+    return axis_form(axis, p.x, p.y)

@@ -63,7 +63,7 @@ from typing import Callable
 
 from ._record import record
 from .errors import InvalidRegionError, QuadratureNoConvergence, RevolveError, UnsupportedMethod
-from .geometry import Axis, Point, signed_distance
+from .geometry import Axis, Point, axis_form, signed_distance
 from .quadrature import (
     PieceIntegrand,
     QuadratureResult,
@@ -330,8 +330,8 @@ def volume_pappus(region: Region, axis: Axis, tol: Tolerance | None = None) -> Q
 # Monte Carlo oracle
 
 def _scaled_distance(axis: Axis, xs, ys, out, scratch):
-    """2*pi*|a*x + b*y + c| at the points (xs, ys), into ``out`` (``scratch``
-    holds b*y): the order of operations of the expression, without
+    """2*pi*|axis_form| at the points (xs, ys), into ``out`` (``scratch``
+    holds b*y): the form's order of operations, in place, so without
     temporaries.  ``out`` and ``scratch`` may be ``xs`` and ``ys``."""
     import numpy as np
 
@@ -363,12 +363,9 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
 
     A call allocates a chunk's x and y coordinates once, and a byte per
     point for the codes of their cells when a chunk reads the grid.  A
-    chunk is drawn a quarter at a time by ``Philox.random_raw``.
-    ``word_codes`` names each point's cell by the top bytes of its two raw
-    words and writes the cell's code; then the block is worked on in place:
-    shifted right by 11, its int64 view is copied into the block's slice of
-    the coordinates and scaled there (times 2^-53, then the width).  Once
-    the chunk is masked, its distances are computed in place over the x
+    chunk is drawn a quarter at a time by ``_cells.word_points``, which
+    turns each block of raw words into its points and their cells' codes.
+    Once the chunk is masked, its distances are computed in place over the x
     coordinates (the y ones hold b*y), and points outside get 0 by a
     multiply with the mask.  The multiply is the select wherever
     the distance is finite, so a box with a corner whose distance is not
@@ -381,20 +378,20 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
     """
     # revolve._cells before numpy, as in cli._cmd_sample: compiled first, it
     # leaves its freed memory to numpy's import.
-    from ._cells import word_codes
+    from ._cells import word_points
     import numpy as np
 
     cfg = cfg or McConfig()
     axis_side_check(region, axis)
-    x_lo, x_hi, y_lo, y_hi = bounding_box(region)
+    box = x_lo, x_hi, y_lo, y_hi = bounding_box(region)
     width, height = x_hi - x_lo, y_hi - y_lo
     box_area = width * height
     if not math.isfinite(box_area):  # as it is not when the width or height is not
         raise InvalidRegionError(
             f"bounding box [{x_lo!r}, {x_hi!r}] x [{y_lo!r}, {y_hi!r}] is too large to "
             "sample: its width, height or area is not finite")
-    # In _scaled_distance's order of operations, on floats that overflow silently.
-    reach = [TWO_PI * abs(axis.a * x + axis.b * y + axis.c)
+    # On floats, which overflow silently.
+    reach = [TWO_PI * abs(axis_form(axis, x, y))
              for x in (x_lo, x_lo + width) for y in (y_lo, y_lo + height)]
     if not all(map(math.isfinite, reach)):
         raise InvalidRegionError(
@@ -402,12 +399,12 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
             "the axis to sample: 2*pi times a corner's distance is not finite")
     size = min(_CHUNK, cfg.samples)
     block = min(_CHUNK // 4, size)
-    # Where the chunks read the cell grid, each point's code is named by its
-    # words.  The grid is built first, before the generator and the chunk's
-    # buffers, so that its temporaries and theirs are not held at once.
-    fill = word_codes(region, size)
+    # The grid, where the chunks read it, is built first, before the
+    # generator and the chunk's buffers, so that its temporaries and theirs
+    # are not held at once.
+    fill, coded = word_points(region, size, box)
     bits = np.random.Philox(key=cfg.seed)
-    codes = None if fill is None else np.empty(size, dtype=np.uint8)
+    codes = np.empty(size, dtype=np.uint8) if coded else None
     xs, ys = np.empty(size), np.empty(size)
     n, mean, m2 = 0, 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -417,19 +414,8 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
                 xs, ys = xs[:m], ys[:m]
                 codes = None if codes is None else codes[:m]
             for lo in range(0, m, block):
-                k = min(block, m - lo)
-                raw = bits.random_raw(2 * k)
-                if fill is not None:
-                    fill(raw, codes[lo:lo + k])
-                raw >>= 11  # t: below 2^53, so its int64 view
-                # No view of the block outlives the loop: the next block's
-                # cell codes are read while this one would still be held.
-                for i, out, origin, w in ((0, xs, x_lo, width), (1, ys, y_lo, height)):
-                    part = out[lo:lo + k]
-                    np.copyto(part, raw.view(np.int64)[i::2])  # converts exactly, and fast
-                    part *= 2.0**-53  # u, exactly
-                    part *= w
-                    part += origin
+                part = slice(lo, lo + block)
+                fill(bits, xs[part], ys[part], codes[part] if coded else None)
             inside = contains_mask(region, xs, ys, codes)  # the private _codes
             vals = _scaled_distance(axis, xs, ys, out=xs, scratch=ys)
             vals *= inside

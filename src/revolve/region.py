@@ -43,13 +43,13 @@ import operator
 from typing import Callable, ClassVar, NamedTuple
 
 from ._record import record
-from .errors import AxisIntersectsRegion, DomainError, InvalidRegionError
+from .errors import AxisIntersectsRegion, DomainError, ExprSyntaxError, InvalidRegionError
 # eval_array is not called here: ``_cells`` looks it up here when it runs,
 # where bench/spans.py replaces it to count the calls.
 from .expr import (
-    ExprAst, _down, _iadd, _icos, _imul, _isub, _up, eval_array, eval_expr, parse_expr,
+    ExprAst, _down, _iadd, _icos, _ilift, _imul, _isub, _up, eval_array, eval_expr, parse_expr,
 )
-from .geometry import Axis, Point
+from .geometry import Axis, Point, axis_form
 
 __all__ = [
     "curve",
@@ -138,9 +138,14 @@ def _probe_values(c: ExprAst, lo: float, hi: float) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _probe_curve(c: ExprAst, lo: float, hi: float, what: str) -> tuple[float, ...]:
+def _probe_curve(c: ExprAst, lo: float, hi: float, what: str, var: str) -> tuple[float, ...]:
+    """``c`` at the probe points; a curve in a variable but ``var`` must be constant."""
     try:
+        if c.variable not in (None, var):
+            parse_expr(c.text, None)
         return _probe_values(c, lo, hi)
+    except ExprSyntaxError:
+        raise InvalidRegionError(f"{what} {c.text!r} is in {c.variable}, not {var}") from None
     except DomainError as exc:
         raise InvalidRegionError(
             f"{what} {c.text!r} is undefined at {c.variable}={exc.at!r}"
@@ -178,8 +183,8 @@ class _CurveLeaf:
             raise InvalidRegionError(
                 f"theta_max - theta_min must be in (0, 2*pi], got {u_max - u_min!r}"
             )
-        lo = _probe_curve(near, u_min, u_max, f"{near_name} curve")
-        hi = _probe_curve(far, u_min, u_max, f"{far_name} curve")
+        lo = _probe_curve(near, u_min, u_max, f"{near_name} curve", v)
+        hi = _probe_curve(far, u_min, u_max, f"{far_name} curve", v)
         for t, a, b in zip(_probe_points(u_min, u_max), lo, hi):
             if polar and a < -_TOUCH_TOL:
                 raise InvalidRegionError(f"{near_name} < 0 at {v}={t!r} ({a!r})")
@@ -426,7 +431,7 @@ def contains_mask(region: Region, xs, ys, _codes=None):
 # The exterior-axis check and the bounding box
 #
 # Both guards want the extremes of a linear form over the closed region: of
-# a*x + b*y + c for the side check, of x and of y for the box.  A curve
+# the axis form for the side check, of x and of y for the box.  A curve
 # leaf's map is linear in v for each u, so the form takes them on its near
 # and far curves (the straight end segments join their endpoints); a
 # polygon takes them at its vertices, which are exact.
@@ -447,26 +452,22 @@ def _distance_at(axis: Axis, cmap: str, c: ExprAst, u: float) -> float | None:
         v = eval_expr(c, u)
     except DomainError:
         return None
-    x, y = plane_point(cmap, u, v)
-    return axis.a * x + axis.b * y + axis.c
+    return axis_form(axis, *plane_point(cmap, u, v))
 
 
 def _distance_bounds(axis: Axis, cmap: str, c: ExprAst, box: tuple[float, float]):
     """An enclosure of the signed distance along curve ``c`` for u in
-    ``box``: a*x + b*y + c by interval arithmetic, v*r*cos(u - phi) + c for
+    ``box``: the axis form by interval arithmetic, v*r*cos(u - phi) + c for
     a sector; unbounded where the curve's enclosure is."""
     v = c.interval(box)
     if not -math.inf < v[0] <= v[1] < math.inf:
         return (-math.inf, math.inf)  # the curve is not bounded there (or NaN)
-    k = (axis.c, axis.c)
     if cmap == POLAR:
         # a*cos(u) + b*sin(u) is r*cos(u - phi): u appears once.
         r, phi = math.hypot(axis.a, axis.b), math.atan2(axis.b, axis.a)
         shifted = _isub(box, (_down(_down(phi)), _up(_up(phi))))
-        return _iadd(_imul(v, _imul((_down(r), _up(r)), _icos(shifted))), k)
-    a, b = (axis.a, axis.a), (axis.b, axis.b)
-    x, y = plane_point(cmap, box, v)
-    return _iadd(_iadd(_imul(a, x), _imul(b, y)), k)
+        return _iadd(_imul(v, _imul((_down(r), _up(r)), _icos(shifted))), _ilift(axis.c))
+    return axis_form(axis, *plane_point(cmap, box, v), _iadd, _imul, _ilift)
 
 
 def _side_holds(axis: Axis, arcs: list, side: int, seen: list[float],
@@ -537,7 +538,7 @@ def axis_side_check(region: Region, axis: Axis) -> int:
     arcs = []
     for leaf in leaves(region):
         if isinstance(leaf, Polygon):
-            seen += [axis.a * v.x + axis.b * v.y + axis.c for v in leaf.vertices]
+            seen += [axis_form(axis, v.x, v.y) for v in leaf.vertices]
             continue
         u0, u1, near, far = leaf.span
         for c in (near, far):

@@ -73,6 +73,17 @@ class TestParse:
         with pytest.raises(ValueError):
             rv.parse_expr("x", "2bad")
 
+    @pytest.mark.parametrize("build", [rv.parse_expr, rv.ExprAst], ids=["parse_expr", "ExprAst"])
+    def test_both_constructors_check_their_inputs(self, build):
+        with pytest.raises(ValueError, match="^variable name 'pi' shadows a builtin$"):
+            build("pi*2", "pi")
+        with pytest.raises(ValueError, match="^invalid variable name '2bad'$"):
+            build("x", "2bad")
+        with pytest.raises(ExprSyntaxError, match=r"^empty expression \(at position 0\)$"):
+            build("", "x")
+        with pytest.raises(ExprSyntaxError, match=r"^empty expression \(at position 0\)$"):
+            build("", None)
+
     def test_parse_determinism(self):
         a = rv.parse_expr("sin(x)^2 + cos(x)^2", "x")
         b = rv.parse_expr("sin(x)^2 + cos(x)^2", "x")

@@ -5,6 +5,8 @@ import pytest
 
 import revolve as rv
 from revolve.errors import InvalidAxisError
+from revolve.expr import _iadd, _ilift, _imul
+from revolve.geometry import axis_form
 
 from helpers import RigidMotion, apply_motion, apply_motion_axis
 
@@ -72,6 +74,63 @@ class TestSignedDistance:
             rhs = rv.signed_distance(axis, rv.Point(px, py)) \
                 + rv.signed_distance(axis, rv.Point(qx, qy))
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def _bits(values):
+    """The bit patterns of float64 values: equal only where the values are
+    the same doubles, -0.0 apart from 0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _seeded_axes(rng, n=12):
+    return [rv.Axis(*rng.uniform(-3, 3, size=3)) for _ in range(n)] + [
+        rv.Axis.vertical(-2.5), rv.Axis.horizontal(0.0), rv.Axis(1.0, -1.0, 0.0)]
+
+
+def _seeded_coordinates(rng, n=400):
+    """Coordinates of every size up to 1e150, with +-0.0 among them."""
+    values = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-150, 151, n)
+    values[:8] = [0.0, -0.0, 0.0, -0.0, 1e150, -1e150, 7e149, -3e-150]
+    return rng.permutation(values)
+
+
+class TestAxisForm:
+    """``axis_form`` is the one spelling of a*x + b*y + c: floats, numpy
+    arrays and interval enclosures give the same form in the same order."""
+
+    def test_floats_are_the_expression(self):
+        rng = np.random.default_rng(21)
+        xs, ys = _seeded_coordinates(rng), _seeded_coordinates(rng)
+        for axis in _seeded_axes(rng):
+            for x, y in zip(xs.tolist(), ys.tolist()):
+                want = axis.a * x + axis.b * y + axis.c
+                got = axis_form(axis, x, y)
+                assert type(got) is float and _bits(got) == _bits(want), (axis, x, y)
+                assert _bits(rv.signed_distance(axis, rv.Point(x, y))) == _bits(want)
+
+    def test_arrays_are_the_floats_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        xs, ys = _seeded_coordinates(rng), _seeded_coordinates(rng)
+        for axis in _seeded_axes(rng):
+            want = [axis_form(axis, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+            assert np.array_equal(_bits(axis_form(axis, xs, ys)), _bits(want)), axis
+
+    def test_intervals_are_the_interval_expression_and_enclose_it(self):
+        rng = np.random.default_rng(23)
+        for axis in _seeded_axes(rng):
+            for _ in range(40):
+                scale = 10.0 ** rng.integers(-3, 4)
+                x = tuple(sorted(rng.uniform(-scale, scale, 2).tolist()))
+                y = tuple(sorted(rng.uniform(-scale, scale, 2).tolist()))
+                got = axis_form(axis, x, y, _iadd, _imul, _ilift)
+                a, b, c = (_ilift(k) for k in (axis.a, axis.b, axis.c))
+                assert got == _iadd(_iadd(_imul(a, x), _imul(b, y)), c)
+                for u, v in rng.uniform(0.0, 1.0, (8, 2)).tolist():
+                    px, py = x[0] + u * (x[1] - x[0]), y[0] + v * (y[1] - y[0])
+                    assert got[0] <= axis_form(axis, px, py) <= got[1]
+                for px in x:  # the corners too
+                    for py in y:
+                        assert got[0] <= axis_form(axis, px, py) <= got[1]
 
 
 class TestRigidMotion:

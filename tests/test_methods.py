@@ -13,7 +13,9 @@ from revolve import _cells, region as region_module
 from revolve._record import fields
 from revolve.config import load_job, parse_job
 from revolve.errors import AxisIntersectsRegion, QuadratureNoConvergence, UnsupportedMethod
-from revolve.methods import _CHUNK, _distance_pass, _region_moments, run_route
+from revolve.geometry import axis_form
+from revolve.methods import _CHUNK, _distance_pass, _region_moments, _scaled_distance, run_route
+from revolve.region import TWO_PI
 
 from conftest import FIXTURES
 from helpers import (
@@ -1064,6 +1066,32 @@ class TestMonteCarloReference:
 
 
 _MC_PINS = json.loads((pathlib.Path(__file__).parent / "monte_carlo_pins.json").read_text())
+
+
+class TestScaledDistance:
+    """Monte Carlo's in-place distance is the axis form's, bit for bit: its
+    corner guard, on floats, bounds what the chunks compute."""
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["apart", "over_the_points"])
+    def test_it_is_two_pi_times_the_form(self, in_place):
+        rng = np.random.default_rng(31)
+        n = 600
+        xs = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-150, 151, n)
+        ys = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-150, 151, n)
+        xs[:6] = [0.0, -0.0, 0.0, -0.0, 1e150, -1e150]
+        ys[:6] = [-0.0, 0.0, 0.0, -0.0, -1e150, 9e149]
+        axes = [rv.Axis(*rng.uniform(-3, 3, size=3)) for _ in range(10)]
+        axes += [rv.Axis.vertical(0.0), rv.Axis.horizontal(-1.5), rv.Axis(1.0, 1.0, 0.0)]
+        for axis in axes:
+            want = TWO_PI * abs(axis_form(axis, xs, ys))
+            x, y = xs.copy(), ys.copy()
+            out, scratch = (x, y) if in_place else (np.empty(n), np.empty(n))
+            got = _scaled_distance(axis, x, y, out=out, scratch=scratch)
+            assert got is out
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), axis
+            floats = np.array([TWO_PI * abs(axis_form(axis, px, py))
+                               for px, py in zip(xs.tolist(), ys.tolist())])
+            assert np.array_equal(want.view(np.uint64), floats.view(np.uint64)), axis
 
 
 class TestMonteCarloPins:

@@ -7,7 +7,7 @@ import pytest
 import revolve as rv
 from revolve.errors import AxisIntersectsRegion, InvalidRegionError
 from revolve import _cells, region as region_module
-from revolve.config import load_job, parse_job
+from revolve.config import load_job, parse_job, region_doc
 from revolve.expr import _icos, _imul, _isin
 from revolve.region import IDENTITY, POLAR, SWAP, leaves, pieces, plane_point
 
@@ -324,6 +324,39 @@ def _random_words(rng, n):
     return rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
 
 
+class _Stream:
+    """Philox's ``random_raw`` over given words: copies of the next ``n``,
+    in their own byte order."""
+
+    def __init__(self, words):
+        self.words, self.at = words, 0
+
+    def random_raw(self, n):
+        self.at += n
+        return self.words[self.at - n:self.at].copy()
+
+
+def _fill_words(region, wx, wy, order="=u8", points=None):
+    """The points and codes that ``word_points``' fill writes from the x
+    words ``wx`` and y words ``wy``, interleaved in the byte order
+    ``order``, over the region's bounding box: (xs, ys, codes, box), codes
+    None where a call of ``points`` points (more than _GRID_POINTS by
+    default) reads no grid."""
+    box = rv.bounding_box(region)
+    fill, coded = _cells.word_points(region, points or _cells._GRID_POINTS + 1, box)
+    words = np.empty(2 * wx.size, dtype=order)
+    words[0::2], words[1::2] = wx, wy
+    xs, ys = np.empty(wx.size), np.empty(wx.size)
+    codes = np.empty(wx.size, dtype=np.uint8) if coded else None
+    fill(_Stream(words), xs, ys, codes)
+    return xs, ys, codes, box
+
+
+def _word_coordinates(words, lo: float, hi: float):
+    """lo + (t * 2^-53) * (hi - lo), t the words shifted right by 11."""
+    return lo + ((words >> 11) * 2.0**-53) * (hi - lo)
+
+
 def _nudged(values, ulps):
     """``values`` moved by each of ``ulps`` units in the last place."""
     out = []
@@ -442,7 +475,7 @@ class TestCellGrid:
 
     @pytest.mark.parametrize("name", sorted(_GRID_REGIONS))
     def test_codes_from_the_top_bits_of_53_bit_integers(self, name):
-        # Monte Carlo's points: x = x_lo + width * (t * 2^-53), t the raw
+        # Monte Carlo's points: x = x_lo + (t * 2^-53) * width, t the raw
         # word shifted right by 11, whose cell is the top 8 bits of t: the
         # word's top byte.  Random words, every cell edge j * 2^56, and 1
         # and 2 either side of it.
@@ -453,15 +486,15 @@ class TestCellGrid:
         wx = np.concatenate([edges, _random_words(rng, n), edges, _random_words(rng, 5000)])
         wy = np.concatenate([_random_words(rng, n), edges, rng.permutation(edges),
                              _random_words(rng, 5000)])
-        fill = _cells.word_codes(region, _cells._GRID_POINTS + 1)
-        assert fill is not None
-        words = np.empty(2 * wx.size, dtype=np.uint64)
-        words[0::2], words[1::2] = wx, wy
-        codes = np.empty(wx.size, dtype=np.uint8)
-        fill(words, codes)
-        x_lo, x_hi, y_lo, y_hi = rv.bounding_box(region)
-        xs = x_lo + (x_hi - x_lo) * ((wx >> 11) * 2.0**-53)
-        ys = y_lo + (y_hi - y_lo) * ((wy >> 11) * 2.0**-53)
+        xs, ys, codes, (x_lo, x_hi, y_lo, y_hi) = _fill_words(region, wx, wy)
+        assert codes is not None
+        assert np.array_equal(xs, _word_coordinates(wx, x_lo, x_hi))
+        assert np.array_equal(ys, _word_coordinates(wy, y_lo, y_hi))
+        # Off the cell edges, the word's cell is the coordinates' cell; at
+        # an edge it may be its neighbour, which the margin covers.
+        random = slice(3 * n, None)
+        looked_up = _cells._cell_codes(_cells._cell_grid(region), xs[random], ys[random])
+        assert np.array_equal(codes[random], looked_up)
         got = rv.contains_mask(region, xs, ys, _codes=codes)
         want = _cells._exact_mask(region, xs, ys)
         bad = np.flatnonzero(got != want)
@@ -470,24 +503,23 @@ class TestCellGrid:
     @pytest.mark.parametrize("order", ["<u8", ">u8"])
     def test_word_codes_are_the_top_bytes_of_the_words(self, order, monkeypatch):
         # Grids whose codes are each cell's column, or its row, read back
-        # the top byte of each x word, or y word, in either byte order.
+        # the top byte of each x word, or y word, in either byte order, and
+        # the coordinates are the words' in that order too.
         region = _GRID_REGIONS["square"]()
         grid = _cells._cell_grid(region)
         rng = np.random.default_rng(11)
         edges = _cell_edge_words()
         wx = np.concatenate([edges, _random_words(rng, edges.size + 5000)])
         wy = np.concatenate([_random_words(rng, edges.size), edges, _random_words(rng, 5000)])
-        words = np.empty(2 * wx.size, dtype=order)
-        words[0::2], words[1::2] = wx, wy
         size = _cells._GRID + 2
         row, column = np.divmod(np.arange(size * size), size)
-        codes = np.empty(wx.size, dtype=np.uint8)
         for numbers, want in ((column, wx >> 56), (row, wy >> 56)):
             numbered = grid._replace(codes=((numbers - 1) % 256).astype(np.uint8))
             monkeypatch.setattr(_cells, "_cell_grid", lambda r: numbered)
-            _cells.word_codes(region, _cells._GRID_POINTS + 1)(words, codes)
+            xs, ys, codes, (x_lo, x_hi, y_lo, y_hi) = _fill_words(region, wx, wy, order)
             assert np.array_equal(codes, want)
-        assert np.array_equal(words[0::2], wx) and np.array_equal(words[1::2], wy)
+            assert np.array_equal(xs, _word_coordinates(wx, x_lo, x_hi))
+            assert np.array_equal(ys, _word_coordinates(wy, y_lo, y_hi))
 
     @pytest.mark.parametrize("name", sorted(_GRID_REGIONS))
     def test_every_unmarked_cell_holds_its_exact_verdict(self, name):
@@ -510,9 +542,14 @@ class TestCellGrid:
         assert bad.size == 0, list(zip(xs.ravel()[bad][:5].tolist(), ys.ravel()[bad][:5].tolist()))
 
     def test_word_codes_only_where_the_grid_is_read(self):
+        # The points are the same whether or not a call writes codes.
         region = _GRID_REGIONS["square"]()
-        assert _cells.word_codes(region, _cells._GRID_POINTS) is None
-        assert _cells.word_codes(region, _cells._GRID_POINTS + 1) is not None
+        rng = np.random.default_rng(13)
+        wx, wy = _random_words(rng, 3000), _random_words(rng, 3000)
+        *plain, codes, _ = _fill_words(region, wx, wy, points=_cells._GRID_POINTS)
+        *coded, coded_codes, _ = _fill_words(region, wx, wy)
+        assert codes is None and coded_codes is not None
+        assert all(map(np.array_equal, plain, coded))
         xs = np.zeros(_cells._GRID_POINTS + 1)
         with pytest.raises(ValueError, match="one code per point"):
             rv.contains_mask(region, xs, xs, _codes=np.zeros(xs.size - 1, dtype=np.uint8))
@@ -861,6 +898,41 @@ class TestValidation:
         with pytest.raises(InvalidRegionError) as refused:
             build()
         assert str(refused.value) == message
+
+    # A leaf reads its curves as functions of its own variable, and its
+    # config document writes them as such, so another variable's curve must
+    # be constant.
+    @pytest.mark.parametrize("build, message", [
+        (lambda: rv.NormalX(0.0, 1.0, rv.curve("0", "x"), rv.curve("1+y", "y")),
+         "upper curve '1+y' is in y, not x"),
+        (lambda: rv.NormalY(0.0, 1.0, rv.curve("x", "x"), rv.curve("2", "y")),
+         "left curve 'x' is in x, not y"),
+        (lambda: rv.PolarSector(0.0, 1.0, rv.curve("0", "theta"), rv.curve("1+x^2", "x")),
+         "rho_max curve '1+x^2' is in x, not theta"),
+    ], ids=["normal_x_upper", "normal_y_left", "sector_rho_max"])
+    def test_a_curve_in_another_variable_is_refused(self, build, message):
+        with pytest.raises(InvalidRegionError) as refused:
+            build()
+        assert str(refused.value) == message
+
+    def test_library_leaves_round_trip_through_their_document(self):
+        own = rv.UnionRegion((
+            rv.NormalX(0.0, 1.0, rv.curve("0", "x"), rv.curve("1+x", "x")),
+            rv.NormalY(2.0, 3.0, rv.curve("y", "y"), rv.curve("y+1", "y")),
+            rv.PolarSector(0.0, 1.0, rv.curve("0", "theta"), rv.curve("1+theta/2", "theta")),
+        ))
+        # Constants in another variable, or in none, stay legal; they read
+        # back in the leaf's own.
+        constants = rv.UnionRegion((
+            rv.NormalX(0.0, 1.0, rv.curve("0", "t"), rv.curve("1+pi", None)),
+            rv.NormalY(2.0, 3.0, rv.curve("2*e", "x"), rv.curve("6", "y")),
+        ))
+        axis = {"vertical_at": -5}
+        for region in (own, constants):
+            doc = region_doc(region)
+            again = parse_job({"region": doc, "axis": axis}).region
+            assert region_doc(again) == doc
+        assert parse_job({"region": region_doc(own), "axis": axis}).region == own
 
     def test_polygon_needs_ccw(self):
         with pytest.raises(InvalidRegionError):
