@@ -21,8 +21,9 @@ first cell's centre.  A curve box is bounded by the defined-only enclosure;
 where the curve may be undefined, the box spans the clipped enclosures of
 both curves of its leaf.  The boxes of all curves are bounded and cut a
 generation at a time, by the array interval evaluators
-(``ExprAst.defined_intervals``), and every box and segment piece is marked
-in one pass (``_mark``).
+(``ExprAst.defined_intervals``) and the plane map over the interval
+helpers on arrays (``revolve._intervals``), and every box and segment
+piece is marked in one pass (``_mark``).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import region as _region  # for region.eval_array, which bench/spans.py counts
+from ._intervals import _up, helpers
 from .errors import InvalidRegionError
-from .expr import _up
 from .geometry import axis_form
 from .region import IDENTITY, POLAR, SWAP, Polygon, Region, _probe_values, leaves, plane_point
 
@@ -336,9 +337,7 @@ def _curve_boxes(curves: list, sx: float, sy: float, radius: float) -> list:
     a curve may be undefined, the points of the region lie between the
     clipped enclosures of both curves of its leaf: the box spans them, and
     is cut only until it is that narrow along u."""
-    from ._intervals import table
-
-    cos, sin, mul = (table(False)[op][0] for op in ("cos", "sin", "*"))
+    cos, sin, mul = (helpers(True)[op] for op in ("cos", "sin", "*"))
     # Arc 2i is the near curve of leaf i, arc 2i + 1 its far curve.
     margins = np.repeat([leaf[5] for leaf in curves], 2)
     u_scales = np.repeat([{IDENTITY: sx, SWAP: sy, POLAR: radius * max(sx, sy)}[leaf[0]]

@@ -55,16 +55,16 @@ Interval evaluation maps an interval (lo, hi) of the variable to an
 enclosure: an interval that holds the scalar value at every point of
 (lo, hi) where the scalar evaluator returns (Moore, Kearfott and Cloud,
 *Introduction to Interval Analysis*, SIAM 2009).  Its helpers round
-outward with ``math.nextafter`` and clip operands to a function's domain,
-so points where the curve is undefined add nothing; a result they cannot
-bound (a pole, a divisor interval that holds 0, an overflow) is
-(-inf, inf).  Past an infinity or a NaN, as above, the enclosure holds no
-promise.  The defined-only enclosure is the same, but None wherever the
-helpers would clip an operand or give an unbounded result, so a finite one
-also certifies that the expression is defined on the whole interval.
-The array interval evaluators do the same for many intervals per call, by
-array twins of the same helpers (``revolve._intervals``, imported on first
-use).
+outward and clip operands to a function's domain, so points where the
+curve is undefined add nothing; a result they cannot bound (a pole, a
+divisor interval that holds 0, an overflow) is (-inf, inf).  Past an
+infinity or a NaN, as above, the enclosure holds no promise.  The
+defined-only enclosure is the same, but None wherever the helpers would
+clip an operand or give an unbounded result, so a finite one also
+certifies that the expression is defined on the whole interval.  The
+array interval evaluators do the same for many intervals per call.  The
+helpers are written once, for floats and for numpy arrays, in
+``revolve._intervals``.
 """
 
 from __future__ import annotations
@@ -221,20 +221,20 @@ class ExprAst:
 
     @functools.cached_property
     def interval(self) -> Callable[[tuple[float, float]], tuple[float, float]]:
-        return _compile(self.root, _INTERVAL_TABLE)
+        return _interval_evaluator(self.root, False, False)
 
     @functools.cached_property
     def defined_interval(self) -> Callable[[tuple[float, float]], tuple[float, float] | None]:
         """``interval``, but None where that would clip an operand to a
         function's domain or not be finite: a result certifies that the
         expression is defined, and finite, on the whole interval."""
-        return _compile(self.root, _DEFINED_TABLE)
+        return _interval_evaluator(self.root, False, True)
 
     @functools.cached_property
     def intervals(self) -> Callable:
         """``interval`` over many boxes per call: (lo, hi), two arrays, to
         the enclosures over each box, two arrays of their shape."""
-        return _array_intervals(self.root, False)
+        return _interval_evaluator(self.root, True, False)
 
     @functools.cached_property
     def defined_intervals(self) -> Callable:
@@ -242,7 +242,7 @@ class ExprAst:
         box: (lo, hi) to (lo, hi, defined), ``defined`` a bool array, False
         exactly where ``defined_interval`` gives None.  Where it is True,
         (lo, hi) is the defined-only enclosure."""
-        return _array_intervals(self.root, True)
+        return _interval_evaluator(self.root, True, True)
 
     def __reduce__(self):
         # Generated functions do not pickle; a copy is parsed again.
@@ -696,214 +696,31 @@ def eval_array(ast: ExprAst, values):
 # ---------------------------------------------------------------------------
 # Interval evaluation: an enclosure of the values over an interval of x
 #
-# An interval is a pair (lo, hi) with lo <= hi, possibly infinite.  Each
-# helper returns an interval holding its scalar helper's result at every
-# choice of operand points where that returns.  Results round outward:
-# one step of math.nextafter for the correctly rounded + - * and /, two for
-# the math library's functions and pow, which are faithful (within one
-# ulp) but need not be monotone to the last bit; a function's computed
-# extreme of +-1 is exact.  Operands are clipped to a function's domain
-# first.
+# The helpers, over floats and over numpy arrays, are written once in
+# ``revolve._intervals``: each evaluator is ``_compile`` on its table.
 
-_WHOLE = (-math.inf, math.inf)
-
-
-def _down(v: float) -> float:
-    return math.nextafter(v, -math.inf)
-
-
-def _up(v: float) -> float:
-    return math.nextafter(v, math.inf)
-
-
-def _ilift(v: float) -> tuple[float, float]:
-    return (v, v)
-
-
-def _ineg(x):
-    return (-x[1], -x[0])
-
-
-def _iadd(x, y):
-    return (_down(x[0] + y[0]), _up(x[1] + y[1]))
-
-
-def _isub(x, y):
-    return (_down(x[0] - y[1]), _up(x[1] - y[0]))
-
-
-def _imul(x, y):
-    (a, b), (c, d) = x, y
-    # 0 * inf is NaN; a real 0 times any real is 0.
-    ps = [p if p == p else 0.0 for p in (a * c, a * d, b * c, b * d)]
-    return (_down(min(ps)), _up(max(ps)))
-
-
-def _idiv(x, y):
-    (a, b), (c, d) = x, y
-    if not (c > 0.0 or d < 0.0):
-        return _WHOLE  # the divisor can be 0, or is NaN
-    qs = (a / c, a / d, b / c, b / d)
-    if any(q != q for q in qs):
-        return _WHOLE  # inf / inf
-    return (_down(min(qs)), _up(max(qs)))
-
-
-def _pow_points(pairs) -> tuple[float, float]:
-    """Enclosure of math.pow over points where it takes its extremes."""
-    try:
-        values = [math.pow(p, q) for p, q in pairs]
-    except (ValueError, OverflowError):
-        return _WHOLE  # 0 to a negative power (a pole), or an overflow
-    return (_down(_down(min(values))), _up(_up(max(values))))
-
-
-def _ipow(x, y):
-    (a, b), (c, d) = x, y
-    if c == d and c.is_integer():
-        # x^n is monotone on each side of 0; any base has a value.
-        if c < 0.0 and a <= 0.0 <= b:
-            return _WHOLE
-        lo, hi = _pow_points(((a, c), (b, c)))
-        if c > 0.0 and c % 2.0 == 0.0 and a < 0.0 < b:
-            lo = 0.0
-        return (lo, hi)
-    if a < 0.0 and c != d:
-        return _WHOLE  # a negative base has values at the integers in y alone
-    # A base >= 0: monotone in each operand, so the extremes are at corners.
-    a, b = max(a, 0.0), max(b, 0.0)
-    return _pow_points(((a, c), (a, d), (b, c), (b, d)))
-
-
-def _at(fn: Callable, v: float, failed: float) -> float:
-    try:
-        return fn(v)
-    except (ValueError, OverflowError):
-        return failed
-
-
-def _monotone(fn: Callable, low: float, high: float, rising: bool = True) -> Callable:
-    """The helper of ``fn``, monotone on its domain [low, high] (kept as
-    ``domain``)."""
-
-    def enclose(x):
-        a, b = (min(max(v, low), high) for v in x)
-        if not rising:
-            a, b = b, a
-        return (_down(_down(_at(fn, a, -math.inf))), _up(_up(_at(fn, b, math.inf))))
-
-    enclose.domain = (low, high)
-    return enclose
-
-
-def _hits(a: float, b: float, phase: float, period: float) -> bool:
-    """Whether some phase + k*period may lie in [a, b]; when rounding leaves
-    it unsure, it does."""
-    slack = 1e-12 * (1.0 + abs(a) + abs(b))
-    if slack == math.inf:  # |a| + |b| overflows: k * period rounds by far more than 2*pi
-        return True
-    k = math.floor((b + slack - phase) / period)
-    return phase + k * period >= a - slack
-
-
-def _periodic(fn: Callable, peak: float) -> Callable:
-    """The helper of sin or cos: 1 at peak + 2k*pi, -1 half a period on,
-    monotone between."""
-
-    def enclose(x):
-        a, b = x
-        if not b - a < 2.0 * math.pi:
-            return (-1.0, 1.0)
-        fa, fb = fn(a), fn(b)
-        lo = -1.0 if _hits(a, b, peak + math.pi, 2.0 * math.pi) else _down(_down(min(fa, fb)))
-        hi = 1.0 if _hits(a, b, peak, 2.0 * math.pi) else _up(_up(max(fa, fb)))
-        return (lo, hi)
-
-    return enclose
-
-
-_isin = _periodic(math.sin, 0.5 * math.pi)
-_icos = _periodic(math.cos, 0.0)
-
-
-def _itan(x):
-    a, b = x
-    if not b - a < math.pi or _hits(a, b, 0.5 * math.pi, math.pi):
-        return _WHOLE  # a pole may lie inside
-    return (_down(_down(math.tan(a))), _up(_up(math.tan(b))))
-
-
-def _iabs(x):
-    a, b = x
-    if a >= 0.0:
-        return x
-    if b <= 0.0:
-        return (-b, -a)
-    return (0.0, max(-a, b))
-
-
-_INTERVAL_HELPERS = {
-    "const": _ilift, "neg": _ineg, "+": _iadd, "-": _isub, "*": _imul, "/": _idiv, "^": _ipow,
-    "sqrt": _monotone(math.sqrt, 0.0, math.inf),
-    "sin": _isin,
-    "cos": _icos,
-    "tan": _itan,
-    "asin": _monotone(math.asin, -1.0, 1.0),
-    "acos": _monotone(math.acos, -1.0, 1.0, rising=False),
-    "atan": _monotone(math.atan, -math.inf, math.inf),
-    "exp": _monotone(math.exp, -math.inf, math.inf),
-    "log": _monotone(math.log, 0.0, math.inf),
-    "abs": _iabs,
-}
-_INTERVAL_TABLE = _table(_INTERVAL_HELPERS)
-
-
-# The defined-only table: each helper above, None for an operand that is
-# None, that it would clip (outside its domain, or a negative base to a
-# power that is not one integer), or for a result that is not finite.
-
-def _ipow_unclipped(x, y):
-    if x[0] < 0.0 and not (y[0] == y[1] and y[0].is_integer()):
-        return _WHOLE
-    return _ipow(x, y)
-
-
-def _defined(helper: Callable) -> Callable:
-    low, high = getattr(helper, "domain", _WHOLE)
-
-    def enclose(*operands):
-        if None in operands or not low <= operands[0][0] <= operands[0][1] <= high:
-            return None
-        lo, hi = helper(*operands)
-        return (lo, hi) if -math.inf < lo <= hi < math.inf else None
-
-    return enclose
-
-
-_DEFINED_TABLE = _table({name: _defined(_ipow_unclipped if name == "^" else helper)
-                         for name, helper in _INTERVAL_HELPERS.items() if name != "const"}
-                        | {"const": lambda v: (v, v) if math.isfinite(v) else None})
-
-
-# ---------------------------------------------------------------------------
-# Array interval evaluation: many boxes per call
-#
-# ``ExprAst.intervals`` maps boxes given as two arrays (lo, hi) to the
-# enclosures over each, as two arrays, and ``defined_intervals`` also says
-# where the defined-only table would certify each box.  Their table, the
-# scalar helpers' array twins, is in ``revolve._intervals``, imported (and
-# compiled) on first use.
-
-def _array_intervals(root: Node, defined: bool) -> Callable:
-    """``root``'s array interval evaluator: (lo, hi) to the enclosures over
-    each box, as arrays of the boxes' shape, and if ``defined`` a bool
-    array too, False where the defined-only enclosure is None."""
-    import numpy as np
-
+def _interval_evaluator(root: Node, arrays: bool, defined: bool) -> Callable:
+    """``root``'s interval evaluator: a box (lo, hi) to the enclosure over
+    it, of floats, or if ``arrays`` of arrays of the boxes' shape.  If
+    ``defined``, the defined-only one: over floats, None where that is not
+    defined, and over arrays also a bool array, False there."""
     from ._intervals import table
 
+    if not arrays:
+        evaluate = _compile(root, table(False, defined))
+        if not defined:
+            return evaluate
+
+        def defined_interval(box):
+            lo, hi, ok = evaluate((*box, True))
+            return (lo, hi) if ok else None
+
+        return defined_interval
+
+    import numpy as np
+
     with np.errstate(all="ignore"):  # folding a constant may divide by zero
-        evaluate = _compile(root, table(defined))
+        evaluate = _compile(root, table(True, defined))
 
     def intervals(box):
         shape = np.shape(box[0])

@@ -70,7 +70,9 @@ class Axis:
 
 def axis_form(axis: Axis, x, y, add=operator.add, mul=operator.mul, lift=float):
     """a*x + b*y + c at (x, y), in that order: of floats, of numpy arrays, or
-    an enclosure over the boxes x and y given _iadd, _imul and _ilift."""
+    an enclosure over the boxes x and y given the interval helpers of +, *
+    and constants from ``revolve._intervals`` (_iadd, _imul and _ilift over
+    floats)."""
     return add(add(mul(lift(axis.a), x), mul(lift(axis.b), y)), lift(axis.c))
 
 

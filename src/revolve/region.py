@@ -42,13 +42,12 @@ import math
 import operator
 from typing import Callable, ClassVar, NamedTuple
 
+from ._intervals import _down, _iadd, _icos, _ilift, _imul, _isub, _up
 from ._record import record
 from .errors import AxisIntersectsRegion, DomainError, ExprSyntaxError, InvalidRegionError
 # eval_array is not called here: ``_cells`` looks it up here when it runs,
 # where bench/spans.py replaces it to count the calls.
-from .expr import (
-    ExprAst, _down, _iadd, _icos, _ilift, _imul, _isub, _up, eval_array, eval_expr, parse_expr,
-)
+from .expr import ExprAst, eval_array, eval_expr, parse_expr
 from .geometry import Axis, Point, axis_form
 
 __all__ = [
@@ -95,8 +94,9 @@ POLAR = "polar"        # (x, y) = (v cos u, v sin u), area element v du dv
 def plane_point(cmap: str, u, v, cos=math.cos, sin=math.sin, mul=operator.mul):
     """The point (x, y) of (u, v) under the map ``cmap``: of floats, of
     numpy arrays given np.cos and np.sin, or enclosures of x and y over the
-    boxes u and v given _icos, _isin and _imul (or their array twins in
-    ``revolve._intervals``, over arrays of boxes)."""
+    boxes u and v given the interval helpers of cos, sin and * from
+    ``revolve._intervals``, over floats (_icos, _isin and _imul) or over
+    arrays of boxes."""
     if cmap == POLAR:
         return mul(v, cos(u)), mul(v, sin(u))
     return (v, u) if cmap == SWAP else (u, v)

@@ -790,35 +790,47 @@ class TestNumpyOnlyWhereArraysAre:
         assert [(code, loaded) for _, code, loaded in seen] == [(None, False), (0, False)]
 
     def test_the_array_side_loads_only_where_a_job_masks(self, fixtures_dir):
-        # sample masks a few points and reads the box: revolve._cells, and no
-        # cell grid, whose build brings in the array interval table.
+        # sample masks a few points and reads the box: revolve._cells, and
+        # neither a cell grid nor the interval primitives over arrays, which
+        # the grid's build brings in.
         config = str(fixtures_dir / "torus_circle.json")
-        loaded = _modules_after(fixtures_dir, [["sample", "--config", config, "--grid", "4"]])
-        assert "revolve._cells" in loaded and "revolve._intervals" not in loaded
-        loaded = _modules_after(fixtures_dir, [["compare", "--config", config]])
-        assert {"revolve._cells", "revolve._intervals"} <= loaded
+        seen = _probe(fixtures_dir, [["sample", "--config", config, "--grid", "4"]])
+        assert "revolve._cells" in seen["modules"]
+        assert (seen["cell_grids"], seen["array_intervals"]) == (0, 0)
+        seen = _probe(fixtures_dir, [["compare", "--config", config]])
+        assert "revolve._cells" in seen["modules"]
+        assert seen["cell_grids"] >= 1 and seen["array_intervals"] == 1
 
 
 # Runs CLI jobs in one fresh interpreter after ``import revolve`` and prints
-# the names of the modules loaded by then.
+# the names of the modules loaded by then, the cell grids built and whether
+# the interval primitives over arrays were.
 _MODULES_PROBE = """
 import contextlib, io, json, sys
 import revolve
+from revolve import _intervals
 from revolve.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         main(argv)
-print(json.dumps(sorted(sys.modules)))
+cells = sys.modules.get("revolve._cells")
+print(json.dumps({"modules": sorted(sys.modules),
+                  "cell_grids": cells._cell_grid.cache_info().misses if cells else 0,
+                  "array_intervals": _intervals._arrays.cache_info().currsize}))
 """
 
 
-def _modules_after(fixtures_dir, jobs) -> set:
+def _probe(fixtures_dir, jobs) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(fixtures_dir.parent / "src"), *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps(jobs)],
                           capture_output=True, text=True, env=env, check=True)
-    return set(json.loads(proc.stdout))
+    return json.loads(proc.stdout)
+
+
+def _modules_after(fixtures_dir, jobs) -> set:
+    return set(_probe(fixtures_dir, jobs)["modules"])
 
 
 class TestNoDataclassesOnTheCliPath:
@@ -832,8 +844,8 @@ class TestNoDataclassesOnTheCliPath:
         loaded = _modules_after(fixtures_dir, jobs)
         assert {"revolve.cli", "revolve.methods", "revolve.region"} <= loaded
         assert not loaded & {"dataclasses", "inspect"}
-        # Nor a region's array side.
-        assert not loaded & {"revolve._cells", "revolve._intervals"}
+        # Nor a region's array side, nor numpy.
+        assert not loaded & {"revolve._cells", "numpy"}
 
     def test_pappus_csv_loads_neither_dataclasses_nor_inspect(self, fixtures_dir):
         loaded = _modules_after(fixtures_dir, [_pappus_csv_job(fixtures_dir)])

@@ -5,7 +5,7 @@ import pytest
 
 import revolve as rv
 from revolve.errors import InvalidAxisError
-from revolve.expr import _iadd, _ilift, _imul
+from revolve._intervals import _iadd, _ilift, _imul
 from revolve.geometry import axis_form
 
 from helpers import RigidMotion, apply_motion, apply_motion_axis

@@ -8,7 +8,7 @@ import revolve as rv
 from revolve.errors import AxisIntersectsRegion, InvalidRegionError
 from revolve import _cells, region as region_module
 from revolve.config import load_job, parse_job, region_doc
-from revolve.expr import _icos, _imul, _isin
+from revolve._intervals import _icos, _imul, _isin
 from revolve.region import IDENTITY, POLAR, SWAP, leaves, pieces, plane_point
 
 from conftest import FIXTURES
