@@ -863,11 +863,11 @@ class TestIntervalEnclosures:
         ("1/x", (-1.0, 1.0), (-math.inf, math.inf)),   # the divisor holds 0
         ("1/x", (0.0, 2.0), (-math.inf, math.inf)),
         ("1/x", (0.5, 2.0), (0.5, 2.0)),
-        ("x/(0-1)", (-1e308, math.inf), (-math.inf, 1e308)),  # quotients whose sum overflows
         ("sin(x)", (0.0, math.pi), (0.0, 1.0)),
         ("cos(x)", (-1.0, 4.0), (-1.0, 1.0)),
         ("abs(x)", (-3.0, 2.0), (0.0, 3.0)),
         ("exp(x)", (0.0, 1000.0), (1.0, math.inf)),    # overflow above
+        ("x/(0-1)", (-1e308, math.inf), (-math.inf, 1e308)),  # quotients whose sum overflows
     ])
     def test_domain_edges(self, text, box, enclosure):
         lo, hi = rv.parse_expr(text, "x").interval(box)
