@@ -1,7 +1,7 @@
 """Single-variable expression parsing and evaluation.
 
 Boundary curves are given as strings like ``"sqrt(1-x^2)"`` and parsed into
-immutable ASTs.  Grammar (loosest to tightest binding):
+postfix programs.  Grammar (loosest to tightest binding):
 
     sum     := term (('+' | '-') term)*
     term    := unary (('*' | '/') unary)*
@@ -13,14 +13,17 @@ so ``^`` is right-associative and binds tighter than unary minus
 (``-2^2 == -4``, ``2^3^2 == 512``).  There is no implicit multiplication.
 Identifiers must be the declared variable, a known function (sqrt, sin, cos,
 tan, asin, acos, atan, exp, log, abs) or a known constant (pi, e; lowercase).
-Nesting is bounded, so that neither the parser nor the compiler's walk can
-recurse past the interpreter's limit: a group's or call's '(', unary '-' and
-the exponent of '^' each open a level, at most 100 deep.  Past the bound the
-parse is an ExprSyntaxError at the token that crossed it.  A chain of terms
-or factors of any length is fine: the parser reads it in a loop, and the
-compiler's walk follows its left operands in a loop, recursing only into
-right operands, which nest.  A node's ``==``, ``hash`` and ``repr`` are the
-record's, and follow a chain in a loop too.
+Nesting is bounded, so that the parser cannot recurse past the
+interpreter's limit: a group's or call's '(', unary '-' and the exponent of
+'^' each open a level, at most 100 deep.  Past the bound the parse is an
+ExprSyntaxError at the token that crossed it.  A chain of terms or factors
+of any length is fine: the parser reads it in a loop, and the program is
+flat.
+
+A program is a tuple of items in postfix order: a float is a constant (pi
+and e included), None the variable, and a name (``"neg"``, a function's
+name or one of ``+ - * / ^``) an operation, which replaces the one or two
+values before it.
 
 Evaluation is pure.  Any operation that leaves the real domain (sqrt of a
 negative, log of a non-positive, division by zero) raises DomainError, and a
@@ -28,10 +31,10 @@ non-finite result (NaN or +/-Inf, e.g. from overflow) is normalized to
 DomainError as well, so quadrature can treat all failures uniformly.
 
 An ``ExprAst`` is the record (text, variable): it compares, hashes and
-prints by them, never by walking a tree.  Its AST (``root``) and its
-evaluators are derived, not fields.  The text is parsed when the ExprAst
-is built, and each evaluator is compiled into a straight-line Python
-function (see Compilation below) in one walk of the AST, with one table of
+prints by them.  Its program (``program``) and its evaluators are derived,
+not fields.  The text is parsed when the ExprAst is built, and each
+evaluator is compiled into a straight-line Python function (see
+Compilation below) in one pass over the program, with one table of
 operations each: the scalar evaluator when the ExprAst is built
 (``parse_expr`` is a bounded cache by text and variable), the array and
 interval evaluators on first use.  The generated source holds no constant,
@@ -109,83 +112,13 @@ _CODE_CACHE_SIZE = 1024
 _MAX_NESTING = 100
 
 
-# ---------------------------------------------------------------------------
-# AST nodes
-
-@record
-class Const:
-    value: float
-
-
-@record
-class Var:
-    name: str
-
-
-@record
-class Neg:
-    operand: "Node"
-
-
-@record
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Node"
-    right: "Node"
-
-    # The record's ==, hash and repr, with the chain of left operands (a sum,
-    # a product) followed in a loop, as _compile's walk does: _chain gives
-    # its foot, the first left operand that is not a BinOp, and each link's
-    # (op, right) from self down.
-
-    def _chain(self) -> tuple["Node", list]:
-        links, node = [], self
-        while type(node) is BinOp:
-            links.append((node.op, node.right))
-            node = node.left
-        return node, links
-
-    def __eq__(self, other):
-        if other.__class__ is not BinOp:
-            return NotImplemented
-        return self is other or self._chain() == other._chain()
-
-    def __hash__(self):
-        node, links = self._chain()
-        h = hash(node)
-        for op, right in reversed(links):
-            h = hash((op, _Hashed(h), right))
-        return h
-
-    def __repr__(self):
-        node, links = self._chain()
-        return "".join([*(f"BinOp(op={op!r}, left=" for op, _ in links), repr(node),
-                        *(f", right={right!r})" for _, right in reversed(links))])
-
-
-class _Hashed(int):
-    """A value's hash, standing for the value in a tuple being hashed: the
-    hash of _Hashed(h) is h for every h that ``hash`` returns."""
-
-    __hash__ = int.__index__
-
-
-@record
-class Call:
-    func: str
-    arg: "Node"
-
-
-Node = Const | Var | Neg | BinOp | Call
-
-
 @record
 class ExprAst:
     """Immutable parsed expression in (at most) one variable, with its
     compiled evaluators: ``scalar`` is ``eval_expr``'s, ``array`` is
     ``eval_array``'s and ``interval`` maps an interval (lo, hi) of the
     variable to an enclosure of the values there; ``intervals`` does so for
-    arrays of intervals.  The value is (text, variable): ``root``, the
+    arrays of intervals.  The value is (text, variable): ``program``, the
     parsed text, and ``scalar`` are set at construction, the other
     evaluators on first use, as are the defined-only ``defined_interval``
     and ``defined_intervals``, and none of them is a field."""
@@ -202,11 +135,11 @@ class ExprAst:
         if not self.text:
             raise ExprSyntaxError("empty expression", 0)
         # Plain attributes: eval_expr reads them faster than a cached_property.
-        root = _Parser(self.text, self.variable).parse()
+        program = _Parser(self.text, self.variable).parse()
         checked = _compiled_on_first_call(
-            root, functools.partial(_not_finite, self.text, self.variable))
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "scalar", _compile(root, _INLINE_SCALAR, retry=checked))
+            program, functools.partial(_not_finite, self.text, self.variable))
+        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "scalar", _compile(program, _INLINE_SCALAR, retry=checked))
 
     def __call__(self, value: float) -> float:
         """``eval_expr(self, value)``."""
@@ -217,24 +150,24 @@ class ExprAst:
         import numpy as np
 
         with np.errstate(all="ignore"):  # folding a constant may divide by zero
-            return _compile(self.root, _array_helpers())
+            return _compile(self.program, _array_helpers())
 
     @functools.cached_property
     def interval(self) -> Callable[[tuple[float, float]], tuple[float, float]]:
-        return _interval_evaluator(self.root, False, False)
+        return _interval_evaluator(self.program, False, False)
 
     @functools.cached_property
     def defined_interval(self) -> Callable[[tuple[float, float]], tuple[float, float] | None]:
         """``interval``, but None where that would clip an operand to a
         function's domain or not be finite: a result certifies that the
         expression is defined, and finite, on the whole interval."""
-        return _interval_evaluator(self.root, False, True)
+        return _interval_evaluator(self.program, False, True)
 
     @functools.cached_property
     def intervals(self) -> Callable:
         """``interval`` over many boxes per call: (lo, hi), two arrays, to
         the enclosures over each box, two arrays of their shape."""
-        return _interval_evaluator(self.root, True, False)
+        return _interval_evaluator(self.program, True, False)
 
     @functools.cached_property
     def defined_intervals(self) -> Callable:
@@ -242,7 +175,7 @@ class ExprAst:
         box: (lo, hi) to (lo, hi, defined), ``defined`` a bool array, False
         exactly where ``defined_interval`` gives None.  Where it is True,
         (lo, hi) is the defined-only enclosure."""
-        return _interval_evaluator(self.root, True, True)
+        return _interval_evaluator(self.program, True, True)
 
     def __reduce__(self):
         # Generated functions do not pickle; a copy is parsed again.
@@ -294,6 +227,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0  # levels of nesting open
+        self.program: list = []  # the items read so far, in postfix order
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -310,16 +244,15 @@ class _Parser:
             f"expected {expected}, found {found}", _byte_pos(self.text, pos)
         )
 
-    def nested(self, parse: Callable[[], Node]) -> Node:
+    def nested(self, parse: Callable[[], None]):
         """``parse()``, one level deeper than the token just read."""
         if self.depth == _MAX_NESTING:
             pos = self.tokens[self.i - 1][2]
             raise ExprSyntaxError(f"nesting deeper than {_MAX_NESTING} levels",
                                   _byte_pos(self.text, pos))
         self.depth += 1
-        node = parse()
+        parse()
         self.depth -= 1
-        return node
 
     def expect_op(self, op: str):
         tok = self.peek()
@@ -327,64 +260,67 @@ class _Parser:
             return self.advance()
         self.fail(f"'{op}'", tok)
 
-    def parse(self) -> Node:
-        node = self.sum()
+    def parse(self) -> tuple:
+        self.sum()
         tok = self.peek()
         if tok[0] != "end":
             self.fail("end of input", tok)
-        return node
+        return tuple(self.program)
 
-    def sum(self) -> Node:
-        node = self.term()
+    def sum(self):
+        self.term()
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
             op = self.advance()[1]
-            node = BinOp(op, node, self.term())
-        return node
+            self.term()
+            self.program.append(op)
 
-    def term(self) -> Node:
-        node = self.unary()
+    def term(self):
+        self.unary()
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
             op = self.advance()[1]
-            node = BinOp(op, node, self.unary())
-        return node
+            self.unary()
+            self.program.append(op)
 
-    def unary(self) -> Node:
+    def unary(self):
         if self.peek()[:2] == ("op", "-"):
             self.advance()
-            return Neg(self.nested(self.unary))
-        return self.power()
+            self.nested(self.unary)
+            self.program.append("neg")
+        else:
+            self.power()
 
-    def power(self) -> Node:
-        node = self.atom()
+    def power(self):
+        self.atom()
         if self.peek()[:2] == ("op", "^"):
             self.advance()
-            node = BinOp("^", node, self.nested(self.unary))
-        return node
+            self.nested(self.unary)
+            self.program.append("^")
 
-    def atom(self) -> Node:
+    def atom(self):
         tok = self.peek()
         kind, name, pos = tok
         if kind == "num":
             self.advance()
-            return Const(float(name))
-        if tok[:2] == ("op", "("):
+            self.program.append(float(name))
+        elif tok[:2] == ("op", "("):
             self.advance()
-            node = self.nested(self.sum)
+            self.nested(self.sum)
             self.expect_op(")")
-            return node
-        if kind == "ident":
+        elif kind == "ident":
             self.advance()
             if name in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.nested(self.sum)
+                self.nested(self.sum)
                 self.expect_op(")")
-                return Call(name, arg)
-            if name == self.variable:
-                return Var(name)
-            if name in _CONSTANTS:
-                return Const(_CONSTANTS[name])
-            raise UnknownIdentifierError(name, _byte_pos(self.text, pos))
-        self.fail("a value", tok)
+                self.program.append(name)
+            elif name == self.variable:
+                self.program.append(None)
+            elif name in _CONSTANTS:
+                self.program.append(_CONSTANTS[name])
+            else:
+                raise UnknownIdentifierError(name, _byte_pos(self.text, pos))
+        else:
+            self.fail("a value", tok)
 
 
 @functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
@@ -424,20 +360,19 @@ def parse_scalar(text) -> float:
 # Compilation
 #
 # An expression is evaluated by one straight-line function generated from
-# its AST in one left-to-right, depth-first walk: one assignment per
-# operation.  An operand is x, an intermediate result in a stack of names
-# t0, t1, ... (an operation replaces its operands, so each is released once
-# used, as in a tree walk, which matters for large arrays) or a constant
-# held as its value.  A table, normalised once where it is defined
-# (``_table``), gives each operation as (fold, template, helper): a node
-# whose operands are all constants is computed while compiling with
+# its program in one pass: one assignment per operation.  An operand is x,
+# an intermediate result in a stack of names t0, t1, ... (an operation
+# replaces its operands, so each is released once used, which matters for
+# large arrays) or a constant held as its value.  A table, normalised once
+# where it is defined (``_table``), gives each operation as (fold, template,
+# helper): an operation whose operands are all constants is computed while compiling with
 # ``fold``, unless that fails, and any other is written as ``template``,
 # which may call ``helper`` (+ - * and negation are inline unless the table
 # has its own).  The table's "const", if any, turns each constant into a
 # value of its kind (an interval).  Constants and helpers are never written
 # into the source: each is bound (in the function's globals) to a name b0,
 # b1, ... where the source first writes it.  So the source depends only on
-# the shape of the AST once constants are folded (``-0.5 - 0.5*x`` is
+# the shape of the program once constants are folded (``-0.5 - 0.5*x`` is
 # ``0.75 - 0.5*x``) and on the table, never on a constant's value or the
 # expression's text: it is compiled once per distinct source (``_code``, a
 # bounded cache), and each expression executes that code object into its
@@ -469,9 +404,9 @@ def _table(helpers: dict) -> dict:
     return table
 
 
-def _compile(root: Node, table: dict, fail: Callable | None = None,
+def _compile(program: tuple, table: dict, fail: Callable | None = None,
              retry: Callable | None = None) -> Callable:
-    """The function x -> value of the expression ``root``, each operation
+    """The function x -> value of the expression ``program``, each operation
     as ``table`` (``_table``) gives it.  With ``fail`` (the checked scalar
     evaluator), it raises ``fail(x)`` where the value is not finite or int
     arithmetic leaves float range.  With ``retry``, it returns ``retry(x)``
@@ -491,52 +426,38 @@ def _compile(root: Node, table: dict, fail: Callable | None = None,
         bound[key] = operand
         return key
 
-    def walk(node: Node):
-        # A chain of left operands (a sum, a product) is followed in a loop:
-        # only a right operand, or the operand of a call or negation, is a
-        # frame deeper, and those nest, which the parser bounds.
-        chain = []
-        while type(node) is BinOp:
-            chain.append(node)
-            node = node.left
-        kind = type(node)
-        if kind is Const:
-            operand = node.value if lift is None else lift(node.value)
-        elif kind is Var:
-            operand = "x"
-        elif kind is Call:
-            operand = emit(node.func, (walk(node.arg),))
+    operands: list = []  # a stack: constants, "x" and t's
+    for item in program:
+        if item is None:
+            operands.append("x")
+        elif type(item) is float:
+            operands.append(item if lift is None else lift(item))
         else:
-            operand = emit("neg", (walk(node.operand),))
-        for binop in reversed(chain):
-            operand = emit(binop.op, (operand, walk(binop.right)))
-        return operand
-
-    def emit(op: str, args: tuple):
-        """The operand holding ``op`` on ``args``: its value if they are all
-        constants and it folds, else the next t, assigned."""
-        nonlocal height
-        fold, template, helper = table[op]
-        # The operands that are intermediate results are the top of the stack.
-        top = height
-        constant = True
-        for arg in args:
-            if type(arg) is str:
-                constant = False
-                if arg != "x":
-                    height -= 1
-        if constant:
-            try:
-                return fold(*args)
-            except DomainError:
-                pass  # keep the failing operation, it raises when evaluated
-        lines.append(f"t{height} = " + template.format(helper and name(helper), *map(name, args)))
-        if top - height == 2:
-            lines.append(f"del t{height + 1}")
-        height += 1
-        return f"t{height - 1}"
-
-    result = walk(root)
+            # An operation replaces its operands: by its value if they are
+            # all constants and it folds, else by the next t, assigned.
+            fold, template, helper = table[item]
+            args = operands[-2:] if item in "+-*/^" else operands[-1:]
+            del operands[-len(args):]
+            # The operands that are intermediate results are the top of the stack.
+            top = height
+            constant = True
+            for arg in args:
+                if type(arg) is str:
+                    constant = False
+                    if arg != "x":
+                        height -= 1
+            if constant:
+                try:
+                    operands.append(fold(*args))
+                    continue
+                except DomainError:
+                    pass  # keep the failing operation, it raises when evaluated
+            lines.append(f"t{height} = " + template.format(helper and name(helper), *map(name, args)))
+            if top - height == 2:
+                lines.append(f"del t{height + 1}")
+            operands.append(f"t{height}")
+            height += 1
+    [result] = operands
     checked = fail is not None or retry is not None
     if type(result) is not str and (not checked or math.isfinite(result)):
         return lambda x: result  # a constant that needs no check
@@ -562,10 +483,10 @@ def _code(source: str):
     return compile(source, "<string>", "exec")
 
 
-def _compiled_on_first_call(root: Node, fail: Callable) -> Callable:
-    """The checked scalar evaluator of ``root``, compiled when first
+def _compiled_on_first_call(program: tuple, fail: Callable) -> Callable:
+    """The checked scalar evaluator of ``program``, compiled when first
     called."""
-    compiled = functools.cache(lambda: _compile(root, _SCALAR_TABLE, fail))
+    compiled = functools.cache(lambda: _compile(program, _SCALAR_TABLE, fail))
     return lambda x: compiled()(x)
 
 
@@ -699,15 +620,15 @@ def eval_array(ast: ExprAst, values):
 # The helpers, over floats and over numpy arrays, are written once in
 # ``revolve._intervals``: each evaluator is ``_compile`` on its table.
 
-def _interval_evaluator(root: Node, arrays: bool, defined: bool) -> Callable:
-    """``root``'s interval evaluator: a box (lo, hi) to the enclosure over
+def _interval_evaluator(program: tuple, arrays: bool, defined: bool) -> Callable:
+    """``program``'s interval evaluator: a box (lo, hi) to the enclosure over
     it, of floats, or if ``arrays`` of arrays of the boxes' shape.  If
     ``defined``, the defined-only one: over floats, None where that is not
     defined, and over arrays also a bool array, False there."""
     from ._intervals import table
 
     if not arrays:
-        evaluate = _compile(root, table(False, defined))
+        evaluate = _compile(program, table(False, defined))
         if not defined:
             return evaluate
 
@@ -720,7 +641,7 @@ def _interval_evaluator(root: Node, arrays: bool, defined: bool) -> Callable:
     import numpy as np
 
     with np.errstate(all="ignore"):  # folding a constant may divide by zero
-        evaluate = _compile(root, table(True, defined))
+        evaluate = _compile(program, table(True, defined))
 
     def intervals(box):
         shape = np.shape(box[0])

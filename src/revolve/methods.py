@@ -329,19 +329,18 @@ def volume_pappus(region: Region, axis: Axis, tol: Tolerance | None = None) -> Q
 # ---------------------------------------------------------------------------
 # Monte Carlo oracle
 
-def _scaled_distance(axis: Axis, xs, ys, out, scratch):
-    """2*pi*|axis_form| at the points (xs, ys), into ``out`` (``scratch``
-    holds b*y): the form's order of operations, in place, so without
-    temporaries.  ``out`` and ``scratch`` may be ``xs`` and ``ys``."""
+def _add_in_place(u, v):
+    """u + v, into the array ``u``: Monte Carlo's + of the axis form."""
     import numpy as np
 
-    np.multiply(xs, axis.a, out=out)
-    np.multiply(ys, axis.b, out=scratch)
-    out += scratch
-    out += axis.c
-    np.abs(out, out=out)
-    out *= TWO_PI
-    return out
+    return np.add(u, v, out=u)
+
+
+def _mul_in_place(k, v):
+    """k * v, into the array ``v``: Monte Carlo's * of the axis form."""
+    import numpy as np
+
+    return np.multiply(v, k, out=v)
 
 
 @_route
@@ -417,7 +416,9 @@ def volume_monte_carlo(region: Region, axis: Axis, cfg: McConfig | None = None) 
                 part = slice(lo, lo + block)
                 fill(bits, xs[part], ys[part], codes[part] if coded else None)
             inside = contains_mask(region, xs, ys, codes)  # the private _codes
-            vals = _scaled_distance(axis, xs, ys, out=xs, scratch=ys)
+            vals = axis_form(axis, xs, ys, _add_in_place, _mul_in_place)  # in xs, b*y in ys
+            np.abs(vals, out=vals)
+            vals *= TWO_PI
             vals *= inside
             chunk_mean = float(vals.mean())
             vals -= chunk_mean

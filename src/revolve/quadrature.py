@@ -53,6 +53,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import numbers
 import operator
 
 from ._record import record
@@ -108,6 +109,12 @@ def check_count(name: str, value) -> None:
         raise TypeError(f"{name}: expected an integer, got {value!r}")
 
 
+def check_number(name: str, value) -> None:
+    """Refuse a number that is a bool or no real number (numpy's are)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name}: expected a number, got {value!r}")
+
+
 @record
 class Tolerance:
     rel: float = 1e-10
@@ -116,6 +123,8 @@ class Tolerance:
 
     def __post_init__(self):
         check_count("max_depth", self.max_depth)
+        check_number("rel", self.rel)
+        check_number("abs", self.abs)
         if not (self.rel > 0.0 and self.abs > 0.0):
             raise ValueError("tolerances must be positive")
         if not (math.isfinite(self.rel) and math.isfinite(self.abs)):

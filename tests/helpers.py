@@ -285,94 +285,103 @@ DEEP_SHAPES = {
 
 
 def chain(n: int) -> str:
-    """A chain of n terms, ``1+x+...+x``: a tree n nodes high that nests
-    nothing, so no length of it is refused."""
+    """A chain of n terms, ``1+x+...+x``: a program of 2n - 1 items that
+    nests nothing, so no length of it is refused."""
     return "1" + "+x" * (n - 1)
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations: the tree-walking evaluators and the uncached
+# Reference implementations: the stack-walking evaluators and the uncached
 # side check that the compiled evaluators and the cached side check replace.
 
-def ref_eval_node(node, x):
-    """Scalar tree walk; raises DomainError like ``eval_expr``."""
-    from revolve.errors import DomainError
-    from revolve.expr import _FUNCTIONS, BinOp, Const, Neg, Var
+def _arity(item) -> int:
+    """How many values the program item ``item`` takes off the stack."""
+    if item is None or isinstance(item, float):
+        return 0
+    return 2 if item in ("+", "-", "*", "/", "^") else 1
 
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -ref_eval_node(node.operand, x)
-    if isinstance(node, BinOp):
-        left = ref_eval_node(node.left, x)
-        right = ref_eval_node(node.right, x)
-        try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-            return math.pow(left, right)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"{node.op!r} failed on ({left!r}, {right!r})") from exc
-    fn = _FUNCTIONS[node.func]
-    arg = ref_eval_node(node.arg, x)
-    try:
-        return fn(arg)
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"{node.func}({arg!r}) is undefined") from exc
+
+def ref_eval_program(program, x):
+    """Scalar stack walk; raises DomainError like ``eval_expr``."""
+    from revolve.errors import DomainError
+    from revolve.expr import _FUNCTIONS
+
+    stack = []
+    for item in program:
+        if item is None:
+            stack.append(x)
+        elif isinstance(item, float):
+            stack.append(item)
+        elif item == "neg":
+            stack.append(-stack.pop())
+        elif _arity(item) == 2:
+            right, left = stack.pop(), stack.pop()
+            try:
+                if item == "+":
+                    stack.append(left + right)
+                elif item == "-":
+                    stack.append(left - right)
+                elif item == "*":
+                    stack.append(left * right)
+                elif item == "/":
+                    stack.append(left / right)
+                else:
+                    stack.append(math.pow(left, right))
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise DomainError(f"{item!r} failed on ({left!r}, {right!r})") from exc
+        else:
+            arg = stack.pop()
+            try:
+                stack.append(_FUNCTIONS[item](arg))
+            except (ValueError, OverflowError) as exc:
+                raise DomainError(f"{item}({arg!r}) is undefined") from exc
+    [result] = stack
+    return result
 
 
 def ref_eval_expr(ast, value):
     from revolve.errors import DomainError
 
-    result = ref_eval_node(ast.root, value)
+    result = ref_eval_program(ast.program, value)
     if not math.isfinite(result):
         raise DomainError(f"{ast.text!r} is not finite at {value!r}")
     return result
 
 
-# numpy's function of each expression function, for the array tree walk.
+# numpy's function of each expression function, for the array stack walk.
 _NP_FUNCTIONS = {"sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "tan": np.tan,
                  "asin": np.arcsin, "acos": np.arccos, "atan": np.arctan,
                  "exp": np.exp, "log": np.log, "abs": np.abs}
 
+# numpy's operation of each binary operator, for the array stack walk.
+_NP_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                 "/": np.divide, "^": np.power}
 
-def ref_eval_node_array(node, xs):
-    """Vectorized tree walk without masks: an intermediate inf or NaN is
+
+def ref_eval_program_array(program, xs):
+    """Vectorized stack walk without masks: an intermediate inf or NaN is
     carried on, so a failure can vanish (1/(1/x) at 0 is 0)."""
-    from revolve.expr import BinOp, Const, Neg, Var
-
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return xs
-    if isinstance(node, Neg):
-        return -ref_eval_node_array(node.operand, xs)
-    if isinstance(node, BinOp):
-        left = ref_eval_node_array(node.left, xs)
-        right = ref_eval_node_array(node.right, xs)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return np.divide(left, right)
-        return np.power(left, right)
-    return _NP_FUNCTIONS[node.func](ref_eval_node_array(node.arg, xs))
+    stack = []
+    for item in program:
+        if item is None:
+            stack.append(xs)
+        elif isinstance(item, float):
+            stack.append(item)
+        elif item == "neg":
+            stack.append(-stack.pop())
+        elif _arity(item) == 2:
+            right, left = stack.pop(), stack.pop()
+            stack.append(_NP_OPERATORS[item](left, right))
+        else:
+            stack.append(_NP_FUNCTIONS[item](stack.pop()))
+    [result] = stack
+    return result
 
 
 def ref_eval_array(ast, values):
     xs = np.asarray(values, dtype=np.float64)
     with np.errstate(all="ignore"):
-        out = np.asarray(ref_eval_node_array(ast.root, xs), dtype=np.float64)
+        out = np.asarray(ref_eval_program_array(ast.program, xs), dtype=np.float64)
         out = np.broadcast_to(out, xs.shape).copy()
         out[~np.isfinite(out)] = np.nan
     return out
@@ -397,9 +406,9 @@ def ref_helpers(table):
     return out
 
 
-def ref_compile(root, helpers, fail=None, retry=None):
+def ref_compile(program, helpers, fail=None, retry=None):
     """The expression compiler with its token maps, kept as the reference
-    for ``expr._compile``: the function x -> value of ``root``, with ``/``, ``^``, the functions and any of
+    for ``expr._compile``: the function x -> value of ``program``, with ``/``, ``^``, the functions and any of
     ``_REF_INLINE`` taken from ``helpers``, where an entry is a helper or a
     (fold, template or helper) pair.  Its source goes through
     ``expr._code``, so a test can capture it."""
@@ -451,21 +460,18 @@ def ref_compile(root, helpers, fail=None, retry=None):
 
     lift = helpers.get("const")
 
-    def walk(node):
-        if isinstance(node, expr.Const):
-            value = node.value if lift is None else lift(node.value)
-            token = bind(value)
+    stack = []
+    for item in program:
+        if item is None:
+            stack.append("x")
+        elif isinstance(item, float):
+            token = bind(item if lift is None else lift(item))
             consts.add(token)
-            return token
-        if isinstance(node, expr.Var):
-            return "x"
-        if isinstance(node, expr.Neg):
-            return apply(*op("neg"), [walk(node.operand)])
-        if isinstance(node, expr.BinOp):
-            return apply(*op(node.op), [walk(node.left), walk(node.right)])
-        return apply(*op(node.func), [walk(node.arg)])
-
-    result = walk(root)
+            stack.append(token)
+        else:
+            args = [stack.pop() for _ in range(_arity(item))][::-1]
+            stack.append(apply(*op(item), args))
+    [result] = stack
     checked = fail is not None or retry is not None
     if result in consts and (not checked or math.isfinite(held[result])):
         value = held[result]

@@ -167,6 +167,29 @@ class TestCompare:
         assert payload["verdict"] == "no data" and not payload["reports"]
         assert "no method" in err
 
+    def test_one_route_reporting_is_single(self, capsys, tmp_path):
+        # At depth 1 no quadrature route meets the half disc's tolerance,
+        # and disk and polar do not apply: Monte Carlo alone reports.
+        config = write_config(tmp_path, {
+            "region": {"type": "normal_x", "x_min": 1, "x_max": 3, "lower": "0",
+                       "upper": "sqrt(1-(x-2)^2)"},
+            "axis": "OY", "tolerance": {"max_depth": 1}})
+        code, out, err = run_cli(capsys, "compare", "--config", config, "--mc-samples", "20000")
+        payload = json.loads(out)
+        assert (code, payload["verdict"], err) == (0, "single", "")
+        [report] = payload["reports"]
+        assert report["method"] == "monte_carlo"
+        assert abs(report["value"] - 2 * math.pi**2) <= 4 * report["error_estimate"]
+        assert [(f["method"], f["error"]) for f in payload["failures"]] == [
+            ("double_integral", "QuadratureNoConvergence"), ("disk", "UnsupportedMethod"),
+            ("shell", "QuadratureNoConvergence"), ("polar", "UnsupportedMethod"),
+            ("pappus", "QuadratureNoConvergence")]
+        code, out, _ = run_cli(capsys, "compare", "--config", config, "--mc-samples", "20000",
+                               "--format", "csv")
+        header, row = out.strip().splitlines()
+        assert code == 0 and header.endswith(",verdict")
+        assert row.split(",")[0] == "monte_carlo" and row.split(",")[-1] == "single"
+
     def test_csv_format(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "compare",
                                "--config", str(fixtures_dir / "unit_square.json"),

@@ -266,6 +266,18 @@ def test_overrides_keep_the_refusal_order(doc, overrides, issues):
     assert err.value.issues == issues
 
 
+@pytest.mark.parametrize("overrides, issue", [
+    ({"rel_tol": "1e-3"}, "rel: expected a number, got '1e-3'"),
+    ({"abs_tol": [1]}, "abs: expected a number, got [1]"),
+    ({"rel_tol": True}, "rel: expected a number, got True"),
+    ({"rel_tol": math.inf}, "tolerances must be finite"),
+], ids=["str", "list", "bool", "inf"])
+def test_a_tolerance_override_is_a_number(overrides, issue):
+    with pytest.raises(ConfigError) as err:
+        parse_job(minimal_doc(), overrides)
+    assert err.value.issues == [("tolerance", issue)]
+
+
 def test_every_config_field_has_a_reader():
     """A record field of a new annotation needs a reader in config._READERS."""
     from revolve import config

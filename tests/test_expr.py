@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -15,7 +14,7 @@ from revolve import _intervals, expr, region
 from revolve.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 
 from helpers import (DEEP_SHAPES, MALFORMED_CASES, PRECEDENCE_CASES, chain, ref_compile,
-                     ref_eval_array, ref_eval_expr, ref_eval_node, ref_helpers)
+                     ref_eval_array, ref_eval_expr, ref_eval_program, ref_helpers)
 
 
 def ev(text, value=0.0, var="x"):
@@ -107,10 +106,10 @@ def _every_evaluator_works(text):
         assert ast.defined_interval((0.25, 0.75)) is not None
         with pytest.raises(DomainError):  # compiles the checked evaluator
             ast(math.inf)
-        # A second tree: ==, hash and repr read the text, not the trees.
+        # A second program: ==, hash and repr read the text, not the programs.
         rv.parse_expr.cache_clear()
         fresh = rv.parse_expr(text, "x")
-        assert fresh.root is not ast.root and fresh == ast and hash(fresh) == hash(ast)
+        assert fresh.program is not ast.program and fresh == ast and hash(fresh) == hash(ast)
         assert repr(fresh) == repr(ast) == f"ExprAst(text={text!r}, variable='x')"
     finally:
         rv.parse_expr.cache_clear()
@@ -142,38 +141,21 @@ class TestDepthBounds:
         _every_evaluator_works(chain(20000))
 
     def test_a_long_chain_compares_hashes_and_prints(self):
-        # A node's ==, hash and repr follow the chain in a loop, as the
-        # compiler does: a walk with a frame per term would overflow.
+        # A chain's program is flat: ==, hash and repr are a tuple's.
         rv.parse_expr.cache_clear()
         try:
-            first = rv.parse_expr(chain(20000), "x").root
+            first = rv.parse_expr(chain(20000), "x").program
             rv.parse_expr.cache_clear()
-            second = rv.parse_expr(chain(20000), "x").root
+            second = rv.parse_expr(chain(20000), "x").program
         finally:
             rv.parse_expr.cache_clear()
         assert second is not first
         assert first == second and not first != second and hash(first) == hash(second)
         # Unequal at the top of the chain, and at its foot.
-        head = expr.Const(2.0)
-        for _ in range(19999):
-            head = expr.BinOp("+", head, expr.Var("x"))
-        last = expr.BinOp("-", first.left, first.right)
-        assert first != last and first != head and first != expr.Const(1.0)
-        assert repr(first) == ("BinOp(op='+', left=" * 19999 + "Const(value=1.0)"
-                               + ", right=Var(name='x'))" * 19999)
-
-    def test_a_chain_is_the_record_that_nests(self):
-        # Where a walk with a frame per term still fits: the hash and repr
-        # of the frozen dataclass that a BinOp record stands for.
-        twin_type = dataclasses.make_dataclass("BinOp", ["op", "left", "right"], frozen=True)
-
-        def twin(node):
-            if type(node) is not expr.BinOp:
-                return node
-            return twin_type(node.op, twin(node.left), twin(node.right))
-
-        root = rv.parse_expr(chain(200) + "*x-sin(x+1)", "x").root
-        assert hash(root) == hash(twin(root)) and repr(root) == repr(twin(root))
+        last = first[:-1] + ("-",)
+        foot = (2.0,) + first[1:]
+        assert first != last and first != foot and first != (1.0,)
+        assert repr(first) == "(1.0" + ", None, '+'" * 19999 + ")"
 
     def test_bounds_add_up_in_mixed_shapes(self):
         # Nesting counts every kind of level together.
@@ -189,14 +171,14 @@ class TestDepthBounds:
         assert rv.parse_expr(text, "x")(1.0) == 5450.0
 
     def test_a_region_rebuilt_on_a_new_parse_hits_the_probe_cache(self):
-        # The probe cache compares the two parses by value, which must not
-        # walk their trees: one of 451 terms is too deep for a recursive walk.
+        # The probe cache compares the two parses by value, (text, variable):
+        # a new parse of the same curve is a hit.
         text = "1" + "+x*0" * 450
         first = rv.NormalX(0.0, 1.0, rv.curve("0", "x"), rv.curve(text, "x"))
         rv.parse_expr.cache_clear()
         try:
             upper = rv.curve(text, "x")
-            assert upper is not first.upper and upper.root is not first.upper.root
+            assert upper is not first.upper and upper.program is not first.upper.program
             hits = region._probe_values.cache_info().hits
             again = rv.NormalX(0.0, 1.0, rv.curve("0", "x"), upper)
             assert region._probe_values.cache_info().hits == hits + 2
@@ -292,7 +274,7 @@ class TestEvalArray:
             assert out[1] == rv.eval_expr(ast, 0.5), text
 
     def test_intermediate_arrays_are_released(self):
-        # Each result replaces its operands, as in a tree walk: a long chain
+        # Each result replaces its operands on the stack: a long chain
         # holds about two arrays at a time, not one per operation.
         xs = np.linspace(-1.0, 1.0, 500_000)
         ast = rv.parse_expr("sqrt(((((((x+1)*2+1)*2+1)*2+1)*2+1)^2)*(x+3)+1)", "x")
@@ -314,7 +296,7 @@ class TestEvalArray:
 
 
 # ---------------------------------------------------------------------------
-# The compiled evaluators against the tree walks they replace
+# The compiled evaluators against the reference stack walks
 
 _FUNCS = sorted(expr._FUNCTIONS)
 _CONSTS = [0.0, 1.0, 2.0, 0.5, 3.0, 1e-3, 10.0, 1000.0, math.pi]
@@ -371,13 +353,13 @@ class TestCompiledMatchesTreeWalk:
                     masked += not np.isnan(old[i])
                 else:
                     assert repr(new[i]) == repr(old[i]), (ast.text, x)
-        assert masked > 0  # the tree walk let some failures vanish
+        assert masked > 0  # the reference walk let some failures vanish
 
     def test_parse_scalar(self):
         for ast in _random_asts(seed=7):
             const = rv.parse_expr(re.sub(r"\bx\b", "2.0", ast.text), None)
             try:
-                expected = repr(ref_eval_node(const.root, 0.0))
+                expected = repr(ref_eval_program(const.program, 0.0))
             except DomainError as exc:
                 expected = (str(exc), type(exc.__cause__))
             assert _outcome(rv.parse_scalar, const.text) == expected, const.text
@@ -606,25 +588,27 @@ _README_TEXTS = ["sqrt(1-x^2)", "sqrt(2-x^2)", "sin(1537*pi*x)^2 + cos(1537*pi*x
 _FOLD_CONSTS = [0.0, -1.0, 1.0, 2.0, 0.5, -0.5, 3.0, 1e308, 700.0, 1e-320, math.inf]
 
 
-def _random_root(rng, depth):
-    """A random AST, built from its nodes; a subtree without x folds."""
+def _random_program(rng, depth):
+    """A random program, built from the top down; a subprogram without x
+    folds."""
     kind = rng.random() if depth > 0 else rng.random() * 0.4
     if kind < 0.1:
-        return expr.Var("x")
+        return (None,)
     if kind < 0.4:
-        return expr.Const(rng.choice(_FOLD_CONSTS))
+        return (rng.choice(_FOLD_CONSTS),)
     if kind < 0.5:
-        return expr.Neg(_random_root(rng, depth - 1))
+        return (*_random_program(rng, depth - 1), "neg")
     if kind < 0.8:
-        return expr.BinOp(rng.choice("+-*/^"), _random_root(rng, depth - 1),
-                          _random_root(rng, depth - 1))
-    return expr.Call(rng.choice(_FUNCS), _random_root(rng, depth - 1))
+        op = rng.choice("+-*/^")
+        return (*_random_program(rng, depth - 1), *_random_program(rng, depth - 1), op)
+    func = rng.choice(_FUNCS)
+    return (*_random_program(rng, depth - 1), func)
 
 
-def _fixture_roots(fixtures_dir):
-    """The root of every string of the fixtures' regions that parses in
+def _fixture_programs(fixtures_dir):
+    """The program of every string of the fixtures' regions that parses in
     one of the region variables, or as a constant."""
-    roots = []
+    programs = []
 
     def strings(doc):
         if isinstance(doc, str):
@@ -640,10 +624,10 @@ def _fixture_roots(fixtures_dir):
         for text in strings(json.loads(path.read_text())["region"]):
             for variable in ("x", "y", "theta", None):
                 try:
-                    roots.append(rv.parse_expr(text, variable).root)
+                    programs.append(rv.parse_expr(text, variable).program)
                 except (ExprSyntaxError, UnknownIdentifierError):
                     pass
-    return roots
+    return programs
 
 
 def _retry(x):
@@ -663,11 +647,11 @@ class TestCompilerMatchesReference:
     reference compiler: helpers the same objects, constants of equal repr."""
 
     @staticmethod
-    def _compiled(compile_fn, root, table, kwargs, sources):
+    def _compiled(compile_fn, program, table, kwargs, sources):
         sources.clear()
         try:
             with np.errstate(all="ignore"):
-                fn = compile_fn(root, table, **kwargs)
+                fn = compile_fn(program, table, **kwargs)
         except Exception as exc:
             return ("raises", type(exc), str(exc))
         if not sources:
@@ -676,7 +660,7 @@ class TestCompilerMatchesReference:
                  for key, value in fn.__globals__.items() if key != "evaluate"]
         return (*sources, bound)
 
-    def _assert_same(self, roots, monkeypatch):
+    def _assert_same(self, programs, monkeypatch):
         sources = []
         code = expr._code
 
@@ -686,42 +670,42 @@ class TestCompilerMatchesReference:
 
         monkeypatch.setattr(expr, "_code", capture)
         compiled = 0
-        for root in roots:
+        for program in programs:
             for table, kwargs in _tables():
-                new = self._compiled(expr._compile, root, table, kwargs, sources)
-                old = self._compiled(ref_compile, root, ref_helpers(table), kwargs, sources)
-                assert len(new) == len(old), (root, new, old)
-                assert new[:-1] == old[:-1], root
+                new = self._compiled(expr._compile, program, table, kwargs, sources)
+                old = self._compiled(ref_compile, program, ref_helpers(table), kwargs, sources)
+                assert len(new) == len(old), (program, new, old)
+                assert new[:-1] == old[:-1], program
                 if new[0] not in ("raises", "constant"):
                     compiled += 1
-                    assert [key for key, _ in new[-1]] == [key for key, _ in old[-1]], root
+                    assert [key for key, _ in new[-1]] == [key for key, _ in old[-1]], program
                     assert all(a is b if callable(a) else a == b
-                               for (_, a), (_, b) in zip(new[-1], old[-1])), (root, new, old)
+                               for (_, a), (_, b) in zip(new[-1], old[-1])), (program, new, old)
                 else:
-                    assert new == old, root
+                    assert new == old, program
         return compiled
 
     def test_fixture_curves(self, fixtures_dir, monkeypatch):
-        roots = _fixture_roots(fixtures_dir)
-        assert len(roots) > 30
-        assert self._assert_same(roots, monkeypatch) > 0
+        programs = _fixture_programs(fixtures_dir)
+        assert len(programs) > 30
+        assert self._assert_same(programs, monkeypatch) > 0
 
     def test_readme_expressions(self, monkeypatch):
-        roots = [rv.parse_expr(text, "x").root for text in _README_TEXTS]
-        assert self._assert_same(roots, monkeypatch) > 0
+        programs = [rv.parse_expr(text, "x").program for text in _README_TEXTS]
+        assert self._assert_same(programs, monkeypatch) > 0
 
     def test_random_asts(self, monkeypatch):
         rng = random.Random(20261019)
-        roots = [_random_root(rng, rng.randint(1, 5)) for _ in range(400)]
-        assert self._assert_same(roots, monkeypatch) > 300
+        programs = [_random_program(rng, rng.randint(1, 5)) for _ in range(400)]
+        assert self._assert_same(programs, monkeypatch) > 300
         # Folds that fail, and constants past float range, were among them.
         failed = nonfinite = 0
-        for root in roots:
-            for node in _subtrees(root):
-                if "x" in _variables(node):
+        for program in programs:
+            for sub in _subprograms(program):
+                if None in sub:
                     continue
                 try:
-                    value = ref_eval_node(node, 0.0)
+                    value = ref_eval_program(sub, 0.0)
                 except DomainError:
                     failed += 1
                 else:
@@ -729,15 +713,16 @@ class TestCompilerMatchesReference:
         assert failed > 20 and nonfinite > 20
 
 
-def _subtrees(node):
-    yield node
-    for child in (getattr(node, name, None) for name in ("operand", "left", "right", "arg")):
-        if child is not None:
-            yield from _subtrees(child)
-
-
-def _variables(node):
-    return {n.name for n in _subtrees(node) if isinstance(n, expr.Var)}
+def _subprograms(program):
+    """Each subexpression's program, a slice of ``program``: one ends at
+    each item."""
+    starts = []  # where each value on the stack begins
+    for end, item in enumerate(program, 1):
+        arity = 0 if item is None or type(item) is float else 2 if item in "+-*/^" else 1
+        start = starts[-arity] if arity else end - 1
+        del starts[len(starts) - arity:]
+        starts.append(start)
+        yield program[start:end]
 
 
 class TestLiteral:
@@ -1053,9 +1038,7 @@ class TestArrayIntervalTable:
         ast = rv.parse_expr(text, "x")
         lo, hi = (np.array([end]) for end in box)
         got = tuple(float(v[0]) for v in ast.intervals((lo, hi)))
-        exact = all(node.op in "+-*/" if isinstance(node, expr.BinOp) else
-                    not isinstance(node, expr.Call) or node.func in _EXACT
-                    for node in _subtrees(ast.root))
+        exact = all(type(item) is not str or item in _EXACT for item in ast.program)
         assert _compare_to_scalar(got, ast.interval(box)) in (("equal",) if exact else
                                                               ("equal", "wider"))
         d_lo, d_hi, defined = ast.defined_intervals((lo, hi))

@@ -14,7 +14,8 @@ from revolve._record import fields
 from revolve.config import load_job, parse_job
 from revolve.errors import AxisIntersectsRegion, QuadratureNoConvergence, UnsupportedMethod
 from revolve.geometry import axis_form
-from revolve.methods import _CHUNK, _distance_pass, _region_moments, _scaled_distance, run_route
+from revolve.methods import (_CHUNK, _add_in_place, _distance_pass, _mul_in_place, _region_moments,
+                             run_route)
 from revolve.region import TWO_PI
 
 from conftest import FIXTURES
@@ -1083,15 +1084,16 @@ class TestScaledDistance:
         axes = [rv.Axis(*rng.uniform(-3, 3, size=3)) for _ in range(10)]
         axes += [rv.Axis.vertical(0.0), rv.Axis.horizontal(-1.5), rv.Axis(1.0, 1.0, 0.0)]
         for axis in axes:
-            want = TWO_PI * abs(axis_form(axis, xs, ys))
+            # In place over the x coordinates, as volume_monte_carlo computes
+            # it, or apart, in new arrays: both are the float form's bits.
             x, y = xs.copy(), ys.copy()
-            out, scratch = (x, y) if in_place else (np.empty(n), np.empty(n))
-            got = _scaled_distance(axis, x, y, out=out, scratch=scratch)
-            assert got is out
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), axis
+            got = axis_form(axis, x, y, *((_add_in_place, _mul_in_place) if in_place else ()))
+            assert (got is x) == in_place
+            np.abs(got, out=got)
+            got *= TWO_PI
             floats = np.array([TWO_PI * abs(axis_form(axis, px, py))
                                for px, py in zip(xs.tolist(), ys.tolist())])
-            assert np.array_equal(want.view(np.uint64), floats.view(np.uint64)), axis
+            assert np.array_equal(got.view(np.uint64), floats.view(np.uint64)), axis
 
 
 class TestMonteCarloPins:

@@ -147,6 +147,16 @@ class TestIntegrate1D:
     def test_numpy_integer_max_depth(self):
         assert rv.Tolerance(max_depth=np.int32(3)) == rv.Tolerance(max_depth=3)
 
+    @pytest.mark.parametrize("field, value", [("rel", "1e-3"), ("abs", [1]), ("rel", True),
+                                              ("abs", None)])
+    def test_tolerances_are_numbers(self, field, value):
+        with pytest.raises(TypeError) as err:
+            rv.Tolerance(**{field: value})
+        assert str(err.value) == f"{field}: expected a number, got {value!r}"
+
+    def test_numpy_float_tolerances(self):
+        assert rv.Tolerance(np.float32(0.5), np.float64(1e-9)) == rv.Tolerance(0.5, 1e-9)
+
 
 class TestVectorIntegrand:
     def test_components_match_scalar_passes(self):
